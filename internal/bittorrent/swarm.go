@@ -95,18 +95,19 @@ func (c *conn) side(pr *peer) int {
 }
 
 type swarm struct {
-	eng       *sim.Engine
-	net       *simnet.Network
-	cfg       Config
-	rng       *rand.Rand
-	peers     []*peer
-	avail     []int32 // availability per piece (count of peers holding it)
-	frag      [][]int
-	rttCap    map[[2]int]float64
-	remaining int
-	flows     uint64
-	start     float64
-	pieces    int
+	eng         *sim.Engine
+	net         *simnet.Network
+	cfg         Config
+	rng         *rand.Rand
+	peers       []*peer
+	avail       []int32 // availability per piece (count of peers holding it)
+	frag        [][]int
+	rttCap      map[[2]int]float64
+	candScratch []int32 // selectPieces' candidate sample, reused per call
+	remaining   int
+	flows       uint64
+	start       float64
+	pieces      int
 }
 
 // RunBroadcast performs one fully synchronized broadcast over hosts (simnet

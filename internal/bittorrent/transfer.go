@@ -65,7 +65,10 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 	want := s.cfg.BatchFragments
 	sampleCap := want * s.cfg.RarestSampling
 
-	var cand []int32
+	// Candidates are sampled into the swarm's scratch; only the kept
+	// ones are copied out, so the batch a connection holds until delivery
+	// is an exact-size slice and sampling itself does not allocate.
+	cand := s.candScratch[:0]
 	sawUseful := false
 
 	if !u.complete && len(u.haveList) <= 4*sampleCap {
@@ -105,6 +108,7 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 			i++
 		}
 	}
+	s.candScratch = cand[:0]
 	if len(cand) == 0 {
 		return nil, sawUseful
 	}
@@ -122,7 +126,7 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 		}
 		cand = cand[:want]
 	}
-	return cand, true
+	return append([]int32(nil), cand...), true
 }
 
 // deliver completes a request batch: the downloader records the received

@@ -14,22 +14,22 @@ const completionEps = 1e-6
 
 // Flow is an in-flight fluid transfer between two hosts.
 type Flow struct {
-	id        int
-	src, dst  int
-	size      float64
-	remaining float64
-	eps       float64 // completion threshold for this flow
+	// What every solve and progress update touches comes first so it
+	// shares a cache line.
 	rate      float64
 	cap       float64 // per-flow cap from the path (0 = none)
 	path      []*channel
+	remaining float64
+	eps       float64 // completion threshold for this flow
+
+	id        int
+	src, dst  int
+	size      float64
 	done      func()
 	started   float64 // time the flow became active (after latency)
 	slot      int     // index in Network.flows, -1 when inactive
 	active    bool
 	cancelled bool
-
-	// solver scratch
-	fixed bool
 }
 
 // Src returns the source host id.
@@ -108,6 +108,13 @@ func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done
 		f.started = n.eng.Now()
 		f.slot = len(n.flows)
 		n.flows = append(n.flows, f)
+		for _, c := range f.path {
+			if c.nFlows == 0 {
+				c.slot = len(n.occupied)
+				n.occupied = append(n.occupied, c)
+			}
+			c.nFlows++
+		}
 		n.markDirty()
 	})
 	return f
@@ -138,7 +145,9 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // precondition for Clone.
 func (n *Network) PendingFlows() int { return n.pendingFlows }
 
-// removeFlow drops f from the active set with a swap-remove.
+// removeFlow drops f from the active set with a swap-remove, releases its
+// channels' occupancy and settles the bytes it moved into their carried
+// totals.
 func (n *Network) removeFlow(f *Flow) {
 	last := len(n.flows) - 1
 	moved := n.flows[last]
@@ -148,6 +157,19 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows = n.flows[:last]
 	f.slot = -1
 	f.active = false
+	sent := f.size - f.remaining
+	for _, c := range f.path {
+		c.carried += sent
+		c.nFlows--
+		if c.nFlows == 0 {
+			end := len(n.occupied) - 1
+			tail := n.occupied[end]
+			n.occupied[c.slot] = tail
+			tail.slot = c.slot
+			n.occupied[end] = nil
+			n.occupied = n.occupied[:end]
+		}
+	}
 }
 
 // advance accrues progress on all active flows from the last allocation
@@ -165,9 +187,6 @@ func (n *Network) advance() {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		for _, c := range f.path {
-			c.carried += moved
-		}
 	}
 	n.lastSolve = now
 }
@@ -179,7 +198,7 @@ func (n *Network) markDirty() {
 		return
 	}
 	n.dirty = true
-	n.resolveEv = n.eng.Schedule(0, n.resolve)
+	n.resolveEv = n.eng.Schedule(0, n.resolveFn)
 }
 
 func (n *Network) resolve() {
@@ -189,44 +208,64 @@ func (n *Network) resolve() {
 	n.scheduleCompletion()
 }
 
+// saturationEps is the relative slack within which a constraint counts as
+// binding; it absorbs float error when several constraints bind together.
+const saturationEps = 1e-9
+
+// room is the capacity left on the channel once its unfixed flows all run
+// at level.
+func (c *channel) room(level float64) float64 {
+	return c.effectiveCapacity() - c.usedFixed - level*float64(c.nUnfixed)
+}
+
+// saturatedAt reports whether the channel has no room left at level.
+func (c *channel) saturatedAt(level float64) bool {
+	return c.room(level) <= saturationEps*(1+c.effectiveCapacity())
+}
+
 // solve computes the max-min fair allocation via progressive filling with
 // per-flow caps: all unfixed flows rise at the same rate; the first
 // constraint to bind (a saturated channel or a flow's cap) fixes the flows
 // it governs; repeat.
+//
+// Each round touches only the flows still unfixed and the channels still
+// carrying one. The floating-point operations, their operands and their
+// order are those of a full rescan in n.flows order: level is one global
+// accumulation, and flows are fixed in n.flows order, so each channel's
+// usedFixed sums the same terms in the same sequence.
 func (n *Network) solve() {
 	n.solves++
-	// Build per-channel flow lists.
-	chans := n.chanScratch[:0]
-	for _, f := range n.flows {
-		f.fixed = false
+	flows := append(n.flowScratch[:0], n.flows...)
+	n.flowScratch = flows[:0]
+	for _, f := range flows {
 		f.rate = 0
-		for _, c := range f.path {
-			if len(c.flows) == 0 {
-				chans = append(chans, c)
-			}
-			c.flows = append(c.flows, f)
-		}
 	}
+	chans := append(n.chanScratch[:0], n.occupied...)
+	n.chanScratch = chans[:0]
 	for _, c := range chans {
-		c.nUnfixed = len(c.flows)
+		c.nUnfixed = c.nFlows
 		c.usedFixed = 0
 	}
-	unfixed := len(n.flows)
 	level := 0.0
-	for unfixed > 0 {
-		// Next binding constraint above the current fill level.
+	for len(flows) > 0 {
+		// Next binding constraint above the current fill level. It is a
+		// minimum, so channel order is free; channels whose flows are all
+		// fixed drop out of the worklist here.
 		delta := math.Inf(1)
+		live := chans[:0]
 		for _, c := range chans {
 			if c.nUnfixed == 0 {
 				continue
 			}
-			d := (c.effectiveCapacity() - c.usedFixed - level*float64(c.nUnfixed)) / float64(c.nUnfixed)
+			live = append(live, c)
+			d := c.room(level) / float64(c.nUnfixed)
 			if d < delta {
 				delta = d
 			}
 		}
-		for _, f := range n.flows {
-			if f.fixed || f.cap == 0 {
+		chans = live
+		for _, f := range flows {
+			if f.cap == 0 {
 				continue
 			}
 			if d := f.cap - level; d < delta {
@@ -242,51 +281,44 @@ func (n *Network) solve() {
 			delta = 0
 		}
 		level += delta
-		// Fix flows at binding constraints. A small epsilon absorbs
-		// float error when several constraints bind together.
-		const eps = 1e-9
-		progressed := false
-		for _, f := range n.flows {
-			if f.fixed {
-				continue
-			}
-			bind := f.cap != 0 && f.cap-level <= eps*(1+level)
+		for _, c := range chans {
+			c.saturated = c.saturatedAt(level)
+		}
+		// Fix flows at binding constraints, in n.flows order. A fix
+		// changes its channels' usedFixed and nUnfixed, so their flags are
+		// re-evaluated on the spot and a later flow's check sees what a
+		// fresh computation would.
+		unfixed := flows[:0]
+		for _, f := range flows {
+			bind := f.cap != 0 && f.cap-level <= saturationEps*(1+level)
 			if !bind {
 				for _, c := range f.path {
-					cap := c.effectiveCapacity()
-					room := cap - c.usedFixed - level*float64(c.nUnfixed)
-					if room <= eps*(1+cap) {
+					if c.saturated {
 						bind = true
 						break
 					}
 				}
 			}
-			if bind {
-				f.fixed = true
-				f.rate = level
-				progressed = true
-				unfixed--
-				for _, c := range f.path {
-					c.nUnfixed--
-					c.usedFixed += level
-				}
+			if !bind {
+				unfixed = append(unfixed, f)
+				continue
+			}
+			f.rate = level
+			for _, c := range f.path {
+				c.nUnfixed--
+				c.usedFixed += level
+				c.saturated = c.saturatedAt(level)
 			}
 		}
-		if !progressed {
+		if len(unfixed) == len(flows) {
 			// Numerical stall: fix everything at the current level.
-			for _, f := range n.flows {
-				if !f.fixed {
-					f.fixed = true
-					f.rate = level
-					unfixed--
-				}
+			for _, f := range flows {
+				f.rate = level
 			}
+			break
 		}
+		flows = unfixed
 	}
-	for _, c := range chans {
-		c.flows = c.flows[:0]
-	}
-	n.chanScratch = chans[:0]
 }
 
 // scheduleCompletion (re)arms the single completion event at the earliest
@@ -312,7 +344,7 @@ func (n *Network) scheduleCompletion() {
 	if math.IsInf(next, 1) {
 		return
 	}
-	n.complEv = n.eng.Schedule(next, n.completions)
+	n.complEv = n.eng.Schedule(next, n.completionsFn)
 }
 
 func (n *Network) completions() {
@@ -325,7 +357,10 @@ func (n *Network) completions() {
 	// completion event would re-arm at sub-ulp deltas and starve forever.
 	now := n.eng.Now()
 	ulp := math.Nextafter(now, math.Inf(1)) - now
-	var finished []*Flow
+	// The scratch is detached while done callbacks run, so a callback
+	// that drives the engine into another completion cannot overwrite it.
+	finished := n.finished[:0]
+	n.finished = nil
 	for _, f := range n.flows {
 		if f.remaining <= f.eps+4*f.rate*ulp {
 			finished = append(finished, f)
@@ -346,4 +381,5 @@ func (n *Network) completions() {
 			f.done()
 		}
 	}
+	n.finished = finished[:0]
 }

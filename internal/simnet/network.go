@@ -53,18 +53,25 @@ type LinkSpec struct {
 
 // channel is one direction of a link.
 type channel struct {
+	// What the solver reads and writes per hop comes first so it shares
+	// a cache line.
+	capacity  float64
+	usedFixed float64 // solver scratch: rate summed over fixed flows
+	nUnfixed  int     // solver scratch: flows not yet fixed
+	down      bool
+	saturated bool // solver scratch: saturatedAt(level) for the current usedFixed/nUnfixed
+
+	// Occupancy, kept current as flows activate and leave.
+	nFlows int // active flows crossing the channel
+	slot   int // index in Network.occupied while nFlows > 0
+
+	// carried is the total bytes moved by flows that have left the
+	// channel; LinkUtilization adds the progress of those still on it.
+	carried float64
+
 	from, to   int
-	capacity   float64
 	latency    float64
 	perFlowCap float64
-	down       bool
-
-	carried float64 // total bytes carried, for utilisation reports
-
-	// solver scratch state
-	nUnfixed  int
-	usedFixed float64
-	flows     []*Flow
 }
 
 // effectiveCapacity is the capacity the bandwidth solver sees: zero while
@@ -89,6 +96,7 @@ type Network struct {
 	verts []vertex
 
 	flows        []*Flow
+	occupied     []*channel // channels with nFlows > 0, unordered
 	pendingFlows int
 	nextFlow     int
 	lastSolve    float64
@@ -96,17 +104,37 @@ type Network struct {
 	resolveEv    *sim.Event
 	complEv      *sim.Event
 
-	routeCache  map[int][]int32 // src -> prev-vertex array from BFS
+	// resolve and completions as func values, bound once: taking the
+	// method value at each Schedule would allocate a closure per event.
+	resolveFn, completionsFn func()
+
+	routeCache map[int][]int32       // src -> prev-vertex array from BFS
+	pathCache  map[[2]int][]*channel // (src, dst) -> route; shared read-only by flows
+
+	// scratch reused across solves and completion events
 	chanScratch []*channel
+	flowScratch []*Flow
+	finished    []*Flow
 	solves      uint64
 }
 
 // New returns an empty network using the given engine for time.
 func New(eng *sim.Engine) *Network {
-	return &Network{
+	n := &Network{
 		eng:        eng,
 		routeCache: make(map[int][]int32),
+		pathCache:  make(map[[2]int][]*channel),
 	}
+	n.resolveFn = n.resolve
+	n.completionsFn = n.completions
+	return n
+}
+
+// invalidateRoutes drops every cached BFS tree and route; any change to
+// the vertex or link set calls it.
+func (n *Network) invalidateRoutes() {
+	clear(n.routeCache)
+	clear(n.pathCache)
 }
 
 // Engine returns the simulation engine the network is bound to.
@@ -120,7 +148,7 @@ func (n *Network) Solves() uint64 { return n.solves }
 // endpoints.
 func (n *Network) AddHost(name string) int {
 	n.verts = append(n.verts, vertex{name: name, isHost: true})
-	n.routeCache = make(map[int][]int32)
+	n.invalidateRoutes()
 	return len(n.verts) - 1
 }
 
@@ -128,7 +156,7 @@ func (n *Network) AddHost(name string) int {
 // flows but cannot terminate them.
 func (n *Network) AddSwitch(name string) int {
 	n.verts = append(n.verts, vertex{name: name})
-	n.routeCache = make(map[int][]int32)
+	n.invalidateRoutes()
 	return len(n.verts) - 1
 }
 
@@ -158,7 +186,7 @@ func (n *Network) Connect(a, b int, spec LinkSpec) {
 	ba := &channel{from: b, to: a, capacity: spec.Capacity, latency: spec.Latency, perFlowCap: spec.PerFlowCap}
 	n.verts[a].chans = append(n.verts[a].chans, ab)
 	n.verts[b].chans = append(n.verts[b].chans, ba)
-	n.routeCache = make(map[int][]int32)
+	n.invalidateRoutes()
 }
 
 func (n *Network) checkVert(v int) {
@@ -168,9 +196,13 @@ func (n *Network) checkVert(v int) {
 }
 
 // path returns the channel sequence of the hop-count shortest path from
-// src to dst, computing and caching a BFS tree per source. Ties are broken
-// deterministically by vertex insertion order.
+// src to dst, computing and caching a BFS tree per source and the route
+// per (src, dst). Ties are broken deterministically by vertex insertion
+// order. Callers must not modify the returned slice.
 func (n *Network) path(src, dst int) []*channel {
+	if p, ok := n.pathCache[[2]int{src, dst}]; ok {
+		return p
+	}
 	n.checkVert(src)
 	n.checkVert(dst)
 	if src == dst {
@@ -184,10 +216,14 @@ func (n *Network) path(src, dst int) []*channel {
 	if prev[dst] == -1 {
 		panic(fmt.Sprintf("simnet: no route from %s to %s", n.verts[src].name, n.verts[dst].name))
 	}
-	// Walk dst -> src, then reverse.
-	var rev []*channel
+	// Walk dst -> src, filling the route from its last hop backwards.
+	hops := 0
+	for at := dst; at != src; at = int(prev[at]) {
+		hops++
+	}
+	route := make([]*channel, hops)
 	at := dst
-	for at != src {
+	for i := hops - 1; i >= 0; i-- {
 		p := int(prev[at])
 		var ch *channel
 		for _, c := range n.verts[p].chans {
@@ -199,13 +235,11 @@ func (n *Network) path(src, dst int) []*channel {
 		if ch == nil {
 			panic("simnet: route cache inconsistent with topology")
 		}
-		rev = append(rev, ch)
+		route[i] = ch
 		at = p
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	n.pathCache[[2]int{src, dst}] = route
+	return route
 }
 
 func (n *Network) bfs(src int) []int32 {
@@ -330,13 +364,14 @@ func (n *Network) SetLinkState(a, b int, up bool) {
 
 // Clone returns an independent copy of the network's static topology —
 // vertices, links, capacities, latencies and per-flow caps — bound to eng.
-// Dynamic state does not carry over: the clone starts with no flows, an
-// empty route cache and zeroed utilisation counters. Clone is the
-// replication primitive behind parallel tomography (core.Options.Workers):
-// each worker measures on its own engine+network replica. It panics if the
-// network has active flows, because in-flight fluid state cannot be
-// replayed onto a fresh engine. Flows whose activation is still pending
-// (started, latency not yet elapsed) count as in-flight too.
+// Dynamic state does not carry over: the clone starts with no flows, no
+// channel occupancy, empty route and path caches and zeroed utilisation
+// counters. Clone is the replication primitive behind parallel tomography
+// (core.Options.Workers): each worker measures on its own engine+network
+// replica. It panics if the network has active flows, because in-flight
+// fluid state cannot be replayed onto a fresh engine. Flows whose
+// activation is still pending (started, latency not yet elapsed) count as
+// in-flight too.
 func (n *Network) Clone(eng *sim.Engine) *Network {
 	if len(n.flows) > 0 || n.pendingFlows > 0 {
 		panic(fmt.Sprintf("simnet: cannot clone a network with %d active and %d pending flows",
@@ -379,12 +414,19 @@ func (n *Network) FindVertex(name string) int {
 }
 
 // LinkUtilization reports total bytes carried per directed channel, keyed
-// by "from->to" vertex names.
+// by "from->to" vertex names. Active flows count with their progress as of
+// the last allocation point.
 func (n *Network) LinkUtilization() map[string]float64 {
+	key := func(c *channel) string { return n.verts[c.from].name + "->" + n.verts[c.to].name }
 	out := make(map[string]float64)
 	for _, v := range n.verts {
 		for _, c := range v.chans {
-			out[n.verts[c.from].name+"->"+n.verts[c.to].name] = c.carried
+			out[key(c)] = c.carried
+		}
+	}
+	for _, f := range n.flows {
+		for _, c := range f.path {
+			out[key(c)] += f.size - f.remaining
 		}
 	}
 	return out

@@ -291,6 +291,88 @@ func TestLinkUtilization(t *testing.T) {
 	}
 }
 
+// TestLinkUtilizationSettlesPerFlow pins the carried-bytes accounting: a
+// channel's total is settled when a flow leaves it instead of on every
+// progress update, so a query must add what live flows have moved so far,
+// a cancelled flow must leave behind what it had sent, and the totals must
+// agree with an independent ledger that charges every hop with every
+// progress update as it happens.
+func TestLinkUtilizationSettlesPerFlow(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng)
+	s := n.AddSwitch("s")
+	var hosts []int
+	for _, name := range []string{"a", "b", "c", "d"} {
+		h := n.AddHost(name)
+		hosts = append(hosts, h)
+		n.Connect(h, s, LinkSpec{Capacity: 100, Latency: 1e-3})
+	}
+	name := func(c *channel) string { return n.Name(c.from) + "->" + n.Name(c.to) }
+
+	rng := rand.New(rand.NewSource(7))
+	var flows []*Flow
+	for i := 0; i < 12; i++ {
+		src := rng.Intn(len(hosts))
+		dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
+		at := 10 * rng.Float64()
+		size := float64(200 + rng.Intn(2000))
+		eng.ScheduleAt(at, func() { flows = append(flows, n.StartFlow(hosts[src], hosts[dst], size, nil)) })
+	}
+	var cancelled *Flow
+	eng.ScheduleAt(6, func() {
+		for _, f := range flows {
+			if f.active {
+				cancelled = f
+				n.CancelFlow(f)
+				return
+			}
+		}
+	})
+
+	ledger := map[string]float64{}
+	sent := map[*Flow]float64{}
+	check := func(when string) {
+		t.Helper()
+		util := n.LinkUtilization()
+		for link, want := range ledger {
+			if got := util[link]; math.Abs(got-want) > 1e-6*want {
+				t.Fatalf("%s, t=%g: %s carried %g, ledger says %g", when, eng.Now(), link, got, want)
+			}
+		}
+	}
+	midTransfer := false
+	for eng.Step() {
+		for _, f := range flows {
+			now := f.size - f.remaining
+			for _, c := range f.path {
+				ledger[name(c)] += now - sent[f]
+			}
+			sent[f] = now
+		}
+		check("after an event")
+		if len(n.flows) > 0 && sent[n.flows[0]] > 0 {
+			midTransfer = true
+		}
+	}
+	if !midTransfer {
+		t.Fatal("no query saw a live flow with progress; the script no longer tests mid-transfer accounting")
+	}
+	if cancelled == nil || sent[cancelled] <= 0 || sent[cancelled] >= cancelled.size {
+		t.Fatalf("the cancellation did not hit a flow mid-transfer (sent %g)", sent[cancelled])
+	}
+	var total float64
+	for _, f := range flows {
+		total += sent[f] * float64(len(f.path))
+	}
+	var carried float64
+	for _, v := range n.LinkUtilization() {
+		carried += v
+	}
+	if math.Abs(carried-total) > 1e-6*total {
+		t.Fatalf("links carried %g bytes in all, flows moved %g byte-hops", carried, total)
+	}
+}
+
 func TestUnitConversions(t *testing.T) {
 	if Mbps(8) != 1e6 {
 		t.Fatalf("Mbps(8) = %g, want 1e6 B/s", Mbps(8))
@@ -709,6 +791,48 @@ func TestCloneSharesNoMutableLinkState(t *testing.T) {
 	c3 := c1.Clone(sim.NewEngine())
 	if c3.LinkUp(a, b) || c3.LinkCapacity(a, b) != Mbps(50) {
 		t.Fatal("Clone dropped runtime link state")
+	}
+
+	// A network that has carried flows keeps per-channel occupancy, a
+	// route per (src, dst) and carried bytes; a clone starts with none.
+	n.StartFlow(a, b, 1000, nil)
+	n.Engine().RunUntil(n.Engine().Now() + 1e-3)
+	if len(n.occupied) != 1 || n.occupied[0].nFlows != 1 {
+		t.Fatalf("an active flow left occupancy %v", n.occupied)
+	}
+	n.Engine().Run()
+	if len(n.pathCache) != 1 || n.LinkUtilization()["a->b"] == 0 {
+		t.Fatal("the original kept no route or carried bytes to withhold from a clone")
+	}
+	c4 := n.Clone(sim.NewEngine())
+	if len(c4.pathCache) != 0 || len(c4.routeCache) != 0 || len(c4.occupied) != 0 {
+		t.Fatalf("clone starts with %d routes, %d BFS trees, %d occupied channels",
+			len(c4.pathCache), len(c4.routeCache), len(c4.occupied))
+	}
+	for _, v := range c4.verts {
+		for _, ch := range v.chans {
+			if ch.nFlows != 0 || ch.carried != 0 {
+				t.Fatalf("clone channel starts with %d flows and %g bytes carried", ch.nFlows, ch.carried)
+			}
+		}
+	}
+	// Every change to the vertex or link set drops the cached routes.
+	for _, m := range []struct {
+		what   string
+		mutate func()
+	}{
+		{"AddHost", func() { n.AddHost("c") }},
+		{"AddSwitch", func() { n.AddSwitch("s") }},
+		{"Connect", func() { n.Connect(a, n.FindVertex("s"), LinkSpec{Capacity: 1}) }},
+	} {
+		n.Path(a, b)
+		if len(n.pathCache) == 0 {
+			t.Fatal("Path did not cache the route")
+		}
+		m.mutate()
+		if len(n.pathCache) != 0 {
+			t.Fatalf("%s left %d cached routes", m.what, len(n.pathCache))
+		}
 	}
 }
 

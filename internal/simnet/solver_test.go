@@ -1,0 +1,343 @@
+package simnet
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// referenceSolve is the solver as it stood before per-channel occupancy,
+// worklists and saturation flags: a full rescan of every flow and every
+// occupied channel per round, with each hop's room recomputed inside the
+// bind check. It is the differential oracle for solve — same inputs
+// (n.flows in order, each flow's cap and path, each channel's effective
+// capacity), rates written to f.rate. Its scratch lives in side tables
+// because the production structs no longer carry it.
+func referenceSolve(n *Network) {
+	type chanState struct {
+		flows     []*Flow
+		nUnfixed  int
+		usedFixed float64
+	}
+	state := map[*channel]*chanState{}
+	fixed := map[*Flow]bool{}
+	// Build per-channel flow lists.
+	var chans []*channel
+	for _, f := range n.flows {
+		fixed[f] = false
+		f.rate = 0
+		for _, c := range f.path {
+			if state[c] == nil {
+				state[c] = &chanState{}
+				chans = append(chans, c)
+			}
+			state[c].flows = append(state[c].flows, f)
+		}
+	}
+	for _, c := range chans {
+		state[c].nUnfixed = len(state[c].flows)
+		state[c].usedFixed = 0
+	}
+	unfixed := len(n.flows)
+	level := 0.0
+	for unfixed > 0 {
+		// Next binding constraint above the current fill level.
+		delta := math.Inf(1)
+		for _, c := range chans {
+			cs := state[c]
+			if cs.nUnfixed == 0 {
+				continue
+			}
+			d := (c.effectiveCapacity() - cs.usedFixed - level*float64(cs.nUnfixed)) / float64(cs.nUnfixed)
+			if d < delta {
+				delta = d
+			}
+		}
+		for _, f := range n.flows {
+			if fixed[f] || f.cap == 0 {
+				continue
+			}
+			if d := f.cap - level; d < delta {
+				delta = d
+			}
+		}
+		if math.IsInf(delta, 1) {
+			break
+		}
+		if delta < 0 {
+			delta = 0
+		}
+		level += delta
+		// Fix flows at binding constraints. A small epsilon absorbs
+		// float error when several constraints bind together.
+		const eps = 1e-9
+		progressed := false
+		for _, f := range n.flows {
+			if fixed[f] {
+				continue
+			}
+			bind := f.cap != 0 && f.cap-level <= eps*(1+level)
+			if !bind {
+				for _, c := range f.path {
+					cs := state[c]
+					cap := c.effectiveCapacity()
+					room := cap - cs.usedFixed - level*float64(cs.nUnfixed)
+					if room <= eps*(1+cap) {
+						bind = true
+						break
+					}
+				}
+			}
+			if bind {
+				fixed[f] = true
+				f.rate = level
+				progressed = true
+				unfixed--
+				for _, c := range f.path {
+					state[c].nUnfixed--
+					state[c].usedFixed += level
+				}
+			}
+		}
+		if !progressed {
+			// Numerical stall: fix everything at the current level.
+			for _, f := range n.flows {
+				if !fixed[f] {
+					fixed[f] = true
+					f.rate = level
+					unfixed--
+				}
+			}
+		}
+	}
+}
+
+// churnLink is one full-duplex link of a churn topology.
+type churnLink struct {
+	a, b     int
+	capacity float64
+}
+
+// churnTopology builds one of three network shapes from the seed — a
+// three-level fat tree, a star of sites, or a random connected switch
+// graph with hosts hung off it — and returns its hosts and links.
+func churnTopology(n *Network, rng *rand.Rand) (hosts []int, links []churnLink) {
+	connect := func(a, b int, capacity, latency, perFlow float64) {
+		n.Connect(a, b, LinkSpec{Capacity: capacity, Latency: latency, PerFlowCap: perFlow})
+		links = append(links, churnLink{a, b, capacity})
+	}
+	host := func(sw int, capacity float64) {
+		h := n.AddHost(fmt.Sprintf("h%d", len(hosts)))
+		hosts = append(hosts, h)
+		connect(h, sw, capacity, 1e-4*rng.Float64(), 0)
+	}
+	switch rng.Intn(3) {
+	case 0: // fat tree: root, pods, leaves, hosts; thin spine trunks
+		root := n.AddSwitch("root")
+		for p := 0; p < 2+rng.Intn(2); p++ {
+			pod := n.AddSwitch(fmt.Sprintf("pod%d", p))
+			connect(pod, root, 300, 2e-4, 0)
+			for l := 0; l < 2; l++ {
+				leaf := n.AddSwitch(fmt.Sprintf("pod%d-leaf%d", p, l))
+				connect(leaf, pod, 2000, 5e-5, 0)
+				for h := 0; h < 2+rng.Intn(3); h++ {
+					host(leaf, 890)
+				}
+			}
+		}
+	case 1: // N sites behind a backbone whose trunks cap single flows
+		backbone := n.AddSwitch("backbone")
+		for s := 0; s < 2+rng.Intn(3); s++ {
+			site := n.AddSwitch(fmt.Sprintf("site%d", s))
+			connect(site, backbone, float64(200+rng.Intn(2000)), 5e-3*rng.Float64(), float64(rng.Intn(2)*(50+rng.Intn(500))))
+			for h := 0; h < 2+rng.Intn(4); h++ {
+				host(site, float64(100+rng.Intn(900)))
+			}
+		}
+	default: // random tree of switches plus a few shortcut links
+		sw := []int{n.AddSwitch("s0")}
+		for i := 1; i < 3+rng.Intn(5); i++ {
+			s := n.AddSwitch(fmt.Sprintf("s%d", i))
+			connect(s, sw[rng.Intn(len(sw))], float64(50+rng.Intn(1000)), 1e-3*rng.Float64(), 0)
+			sw = append(sw, s)
+		}
+		for i := 0; i < rng.Intn(3); i++ {
+			a, b := rng.Intn(len(sw)), rng.Intn(len(sw))
+			if a != b {
+				connect(sw[a], sw[b], float64(50+rng.Intn(1000)), 1e-3*rng.Float64(), 0)
+			}
+		}
+		for i := 0; i < 4+rng.Intn(8); i++ {
+			host(sw[rng.Intn(len(sw))], float64(50+rng.Intn(1000)))
+		}
+	}
+	return hosts, links
+}
+
+// churnRun is what one churn simulation produced.
+type churnRun struct {
+	completed []int // flow ids in completion order
+	end       float64
+	solves    uint64
+}
+
+// runChurn builds the seed's topology and drives a scripted mix of flow
+// starts (capped and uncapped), cancellations, capacity changes and link
+// failures and repairs over it, one engine event at a time. afterSolve
+// runs after every event that re-allocated bandwidth, while the network is
+// exactly as the solver left it. Every random draw happens while the
+// script is laid out, so two runs of one seed see the same operations
+// even if their rates were to differ.
+func runChurn(seed int64, afterSolve func(n *Network)) churnRun {
+	rng := rand.New(rand.NewSource(seed))
+	eng := sim.NewEngine()
+	n := New(eng)
+	hosts, links := churnTopology(n, rng)
+
+	var run churnRun
+	var started []*Flow
+	const horizon = 10.0
+	for i := 0; i < 100+rng.Intn(300); i++ {
+		at := horizon * rng.Float64()
+		switch k := rng.Intn(10); {
+		case k < 6:
+			src := rng.Intn(len(hosts))
+			dst := rng.Intn(len(hosts) - 1)
+			if dst >= src {
+				dst++
+			}
+			size := float64(1 + rng.Intn(8000))
+			limit := float64(rng.Intn(2) * (10 + rng.Intn(400)))
+			eng.ScheduleAt(at, func() {
+				var f *Flow
+				f = n.StartFlowRateLimited(hosts[src], hosts[dst], size, limit, func() {
+					run.completed = append(run.completed, f.id)
+				})
+				started = append(started, f)
+			})
+		case k < 8:
+			pick := rng.Intn(1 << 20)
+			eng.ScheduleAt(at, func() {
+				if len(started) > 0 {
+					n.CancelFlow(started[pick%len(started)])
+				}
+			})
+		case k < 9:
+			l := links[rng.Intn(len(links))]
+			capacity := l.capacity * (0.1 + 1.9*rng.Float64())
+			eng.ScheduleAt(at, func() { n.SetLinkCapacity(l.a, l.b, capacity) })
+		default:
+			l := links[rng.Intn(len(links))]
+			outage := horizon * rng.Float64() / 20
+			eng.ScheduleAt(at, func() { n.SetLinkState(l.a, l.b, false) })
+			eng.ScheduleAt(at+outage, func() { n.SetLinkState(l.a, l.b, true) })
+		}
+	}
+
+	solves := n.solves
+	for eng.Step() {
+		if n.solves != solves {
+			solves = n.solves
+			afterSolve(n)
+		}
+	}
+	run.end = eng.Now()
+	run.solves = n.solves
+	return run
+}
+
+// TestSolveMatchesReferenceBitForBit drives random churn twice per seed.
+// The second run re-derives every allocation with referenceSolve, checks
+// it against what solve produced bit for bit, and carries on under the
+// reference's rates; the first run is left alone. Equal completion order
+// and end time between the two then show the whole trajectory agrees, not
+// only each allocation given the same inputs.
+func TestSolveMatchesReferenceBitForBit(t *testing.T) {
+	var solves uint64
+	for seed := int64(1); seed <= 240; seed++ {
+		plain := runChurn(seed, func(*Network) {})
+		var got []uint64
+		ref := runChurn(seed, func(n *Network) {
+			got = got[:0]
+			for _, f := range n.flows {
+				got = append(got, math.Float64bits(f.rate))
+			}
+			referenceSolve(n)
+			for i, f := range n.flows {
+				if want := math.Float64bits(f.rate); got[i] != want {
+					t.Fatalf("seed %d, solve %d at t=%g: flow %d of %d got rate %x (%g), reference %x (%g)",
+						seed, n.solves, n.eng.Now(), i, len(n.flows), got[i], math.Float64frombits(got[i]), want, f.rate)
+				}
+			}
+			n.scheduleCompletion()
+		})
+		if plain.end != ref.end || plain.solves != ref.solves {
+			t.Fatalf("seed %d: ended at t=%v after %d solves, under reference rates t=%v after %d",
+				seed, plain.end, plain.solves, ref.end, ref.solves)
+		}
+		if fmt.Sprint(plain.completed) != fmt.Sprint(ref.completed) {
+			t.Fatalf("seed %d: completion order %v, under reference rates %v", seed, plain.completed, ref.completed)
+		}
+		solves += plain.solves
+	}
+	if solves < 10000 {
+		t.Fatalf("only %d solves compared; the churn script no longer exercises the solver", solves)
+	}
+}
+
+// TestSolveMaxMinCertificate checks every allocation the churn produces
+// against the conditions that characterise a max-min fair allocation with
+// per-flow caps, none of which refers to how the solver got there: no
+// channel carries more than its effective capacity; a flow crossing a
+// failed link gets nothing; and every flow is either at its cap or crosses
+// a saturated channel on which no other flow gets more than it does.
+func TestSolveMaxMinCertificate(t *testing.T) {
+	const tol = 1e-9
+	for seed := int64(1000); seed < 1200; seed++ {
+		runChurn(seed, func(n *Network) {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d, solve %d at t=%g: %s", seed, n.solves, n.eng.Now(), fmt.Sprintf(format, args...))
+			}
+			load := map[*channel]float64{}
+			top := map[*channel]float64{}
+			for _, f := range n.flows {
+				for _, c := range f.path {
+					load[c] += f.rate
+					top[c] = math.Max(top[c], f.rate)
+				}
+			}
+			for c, sum := range load {
+				if limit := c.effectiveCapacity(); sum > limit*(1+tol) {
+					fail("channel %d->%d carries %g over capacity %g", c.from, c.to, sum, limit)
+				}
+			}
+			for _, f := range n.flows {
+				if f.rate < 0 || (f.cap > 0 && f.rate > f.cap*(1+tol)) {
+					fail("flow %d rate %g outside [0, cap %g]", f.id, f.rate, f.cap)
+				}
+				if f.cap > 0 && f.rate >= f.cap*(1-tol) {
+					continue
+				}
+				bottlenecked := false
+				for _, c := range f.path {
+					if c.down && f.rate != 0 {
+						fail("flow %d crosses failed link %d->%d at rate %g", f.id, c.from, c.to, f.rate)
+					}
+					limit := c.effectiveCapacity()
+					// Saturation is decided to a relative 1e-9 of 1+capacity
+					// by the solver; allow it ten times that here.
+					if load[c] >= limit-1e-8*(1+limit) && f.rate >= top[c]*(1-tol) {
+						bottlenecked = true
+					}
+				}
+				if !bottlenecked {
+					fail("flow %d (rate %g, cap %g) is neither capped nor maximal on a saturated channel", f.id, f.rate, f.cap)
+				}
+			}
+		})
+	}
+}
