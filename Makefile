@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test race vet fmt-check bench bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
+.PHONY: all build examples test bench-test race vet fmt-check bench bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
 
 all: build
 
@@ -17,8 +17,13 @@ examples:
 test:
 	$(GO) test ./...
 
-# The race suite needs well over go test's default 10m on slow machines;
-# keep the timeout in lockstep with .github/workflows/ci.yml.
+# bench-test vets and tests the separately-built repro/bench module, so an
+# API removal that breaks the benchmark fails here, not at benchmark time.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# The race suite needs well over go test's default 10m on slow machines.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -64,10 +69,10 @@ dynamics-smoke:
 # cache and reproduce the aggregate CSV byte for byte.
 campaign-smoke:
 	rm -rf /tmp/bttomo_campaign
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -dry-run
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 4
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -dry-run
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 4
 	cp /tmp/bttomo_campaign/campaign.csv /tmp/bttomo_campaign_first.csv
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 1
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 1
 	cmp /tmp/bttomo_campaign/campaign.csv /tmp/bttomo_campaign_first.csv
 	grep -q '"misses": 0' /tmp/bttomo_campaign/manifest.json
 	grep -q '"failures": 0' /tmp/bttomo_campaign/manifest.json
@@ -82,15 +87,15 @@ campaign-smoke:
 fleet-smoke:
 	rm -rf /tmp/bttomo_fleet_ref /tmp/bttomo_fleet /tmp/bttomo_fleet_bin
 	$(GO) build -o /tmp/bttomo_fleet_bin ./cmd/campaign
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet_ref -jobs 2
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner a -jobs 2 & \
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet_ref -jobs 2
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner a -jobs 2 & \
 	pid=$$!; \
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner b -jobs 2; st=$$?; \
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner b -jobs 2; st=$$?; \
 	wait $$pid && test $$st -eq 0
 	cmp /tmp/bttomo_fleet/campaign.csv /tmp/bttomo_fleet_ref/campaign.csv
 	test "$$(grep -c '"cache":"miss"' /tmp/bttomo_fleet/runs/index.json)" -eq 8
 	grep -q '"misses": 8' /tmp/bttomo_fleet/manifest.json
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner c -jobs 2
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner c -jobs 2
 	grep -q '"misses": 0' /tmp/bttomo_fleet/manifests/c.json
 	grep -q '"hits": 8' /tmp/bttomo_fleet/manifests/c.json
 	test "$$(grep -c '"cache":"miss"' /tmp/bttomo_fleet/runs/index.json)" -eq 8
@@ -224,4 +229,4 @@ dashboard-smoke:
 	/tmp/bttomo_dash_bin diff -out /tmp/bttomo_dash_src -base /tmp/bttomo_dash_ref | grep -q 'regressions: 0'
 	@rm -rf /tmp/bttomo_dash_hub /tmp/bttomo_dash_src /tmp/bttomo_dash_ref /tmp/bttomo_dash_bin /tmp/bttomo_dash_check /tmp/bttomo_dash_sse.txt /tmp/bttomo_dash_sse2.txt /tmp/bttomo_dash_events.jsonl /tmp/bttomo_dash_hub_status.json
 
-ci: fmt-check vet build examples race bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench
+ci: fmt-check vet build examples bench-test race bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench

@@ -21,7 +21,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/nmi"
-	"repro/internal/topology"
 )
 
 // benchScale keeps go test -bench=. tractable for the heavy sweep
@@ -272,7 +271,10 @@ func BenchmarkBroadcast64Nodes(b *testing.B) {
 // BenchmarkMaxMinSolver measures the fluid bandwidth allocator with 256
 // concurrent flows on a two-site topology — the simulator's hot path.
 func BenchmarkMaxMinSolver(b *testing.B) {
-	d := topology.GT()
+	d, err := repro.NewDataset("GT")
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 256; i++ {
 		src := d.Hosts[rng.Intn(32)]

@@ -39,7 +39,7 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "broadcast payload scale (1.0 = the paper's 239 MB)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		rotate     = flag.Bool("rotate-root", false, "rotate the broadcast root across iterations")
-		workers    = flag.Int("workers", 0, "parallel measurement workers (0 = sequential; results are identical for any workers >= 1)")
+		workers    = flag.Int("workers", 1, "measurement workers (results are identical for any count)")
 		backend    = flag.String("backend", "", "measurement backend: "+strings.Join(repro.Backends(), ", ")+" (default sim; wire measures real loopback TCP swarms)")
 		fig13      = flag.Bool("fig13", false, "print the per-iteration NMI convergence series")
 		save       = flag.String("save", "", "write the aggregated measurement graph to this JSON file")
@@ -140,15 +140,15 @@ func run(d *repro.Dataset, backend string, iterations int, scale float64, seed i
 	}
 
 	fmt.Printf("dataset %s: %d hosts, ground truth: %s\n", d.Name, d.N(), d.TruthNote)
-	par := "sequential"
-	if workers > 0 {
-		par = fmt.Sprintf("%d workers", workers)
+	pool := "1 worker"
+	if workers > 1 {
+		pool = fmt.Sprintf("%d workers", workers)
 	}
 	if backend != "" && backend != "sim" {
-		par = backend + " backend, " + par
+		pool = backend + " backend, " + pool
 	}
 	fmt.Printf("measuring: %d iterations x %d fragments of %d bytes (%s)\n",
-		opts.Iterations, opts.BT.NumFragments(), opts.BT.FragmentSize, par)
+		opts.Iterations, opts.BT.NumFragments(), opts.BT.FragmentSize, pool)
 	if n := d.Timeline.Len(); n > 0 {
 		fmt.Printf("dynamics: %d scripted events replayed per iteration (link drift, failures, churn, bursts)\n", n)
 	}

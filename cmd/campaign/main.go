@@ -11,9 +11,6 @@
 //	campaign diff   -out runs/grid -base runs/prev              # regression report (exit 1 on regressions)
 //	campaign gc     -out runs/grid [-spec grid.json] [-max-age D] [-max-runs N] [-dry-run]
 //
-// The flag-only form of earlier releases (campaign -spec ... -out ...)
-// keeps working as an implicit `run` and prints a deprecation hint.
-//
 // run executes (or resumes) the grid: runs whose content key is already
 // archived load instead of recomputing, any number of -fleet processes
 // sharing -out partition the grid via leases, and the aggregate is
@@ -87,17 +84,11 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	cmd := "run"
-	switch {
-	case len(args) > 0 && !strings.HasPrefix(args[0], "-"):
-		cmd = args[0]
-		args = args[1:]
-	case len(args) > 0:
-		// The pre-subcommand invocation form; keep it working forever,
-		// nudge once per invocation.
-		fmt.Fprintln(os.Stderr, "campaign: note: flag-only invocation is deprecated; use `campaign run ...`")
+	if len(os.Args) < 2 {
+		usage(os.Stderr)
+		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	var err error
 	switch cmd {
 	case "run":

@@ -33,7 +33,7 @@ func main() {
 		iters      = flag.Int("iterations", 0, "override iteration counts (0 = paper values)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		out        = flag.String("out", "results", "directory for CSV/DOT/SVG artifacts (empty to skip)")
-		workers    = flag.Int("workers", 0, "parallel workers for measurements, dataset sweeps and the experiment fan-out (0/1 = sequential)")
+		workers    = flag.Int("workers", 0, "workers for measurements, dataset sweeps and the experiment fan-out (0 means 1; results are identical for any count)")
 		specs      = flag.String("specs", "", "comma-separated scenario spec JSON files: sweep them instead of the paper experiments")
 	)
 	flag.Parse()

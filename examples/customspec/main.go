@@ -47,10 +47,10 @@ func main() {
 	}
 	fmt.Println("registry:", repro.Datasets())
 
-	// Measure with the parallel pipeline; results are bit-identical to a
-	// sequential run. The payload is large enough for the declared
+	// Measure on four workers; results are bit-identical to a
+	// single-worker run. The payload is large enough for the declared
 	// ground truth of small sites to be recoverable.
-	opts := repro.ParallelOptions(4)
+	opts := repro.DefaultOptions().WithWorkers(4)
 	opts.Iterations = 8
 	opts.BT.FileBytes = 8000 * opts.BT.FragmentSize
 	res, err := repro.RunSpec(loaded, opts)

@@ -71,7 +71,7 @@ func main() {
 	// topology: the two sites stay separated for the whole run.
 	static := spec.Clone()
 	static.Dynamics = nil
-	opts.Workers = 0
+	opts.Workers = 1
 	base, err := repro.RunSpec(static, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nmi"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -13,8 +14,18 @@ import (
 
 const probeMB = 8 << 20 // small probes keep tests fast
 
+// builtin compiles one of the paper's six registered datasets.
+func builtin(t *testing.T, name string) *topology.Dataset {
+	t.Helper()
+	d, err := scenario.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestNetPipeIntraCluster(t *testing.T) {
-	d := topology.B()
+	d := builtin(t, "B")
 	res, err := NetPipe(d.Eng, d.Net, d.Hosts[0], d.Hosts[1], 64<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +45,7 @@ func TestNetPipeIntraCluster(t *testing.T) {
 }
 
 func TestNetPipeInterSite(t *testing.T) {
-	d := topology.GT()
+	d := builtin(t, "GT")
 	res, err := NetPipe(d.Eng, d.Net, d.Hosts[0], d.Hosts[32], 64<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +65,7 @@ func TestNetPipeInterSite(t *testing.T) {
 func TestNetPipeLowVariance(t *testing.T) {
 	// §II-C: unlike the BitTorrent metric, NetPIPE on an idle network is
 	// essentially deterministic.
-	d := topology.B()
+	d := builtin(t, "B")
 	a, err := NetPipe(d.Eng, d.Net, d.Hosts[2], d.Hosts[3], 16<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -114,8 +114,8 @@ type Axes struct {
 	Backend []string `json:"backend,omitempty"`
 	// Workers values set the per-run worker count. Results never depend
 	// on it (the bit-identity contract), so it is execution policy only:
-	// it is excluded from the cache key, forced to at least 1 (the
-	// replica path), and forced to exactly 1 whenever the campaign runs
+	// it is excluded from the cache key, forced to at least 1, and
+	// forced to exactly 1 whenever the campaign runs
 	// with Jobs > 1, per the repository's worker-budget discipline —
 	// fan-out is applied at the outermost level only, never
 	// multiplicatively. Default 1.

@@ -55,8 +55,7 @@ func (r Run) Config() string {
 // Options materialises the cell's core options. campaignJobs is the
 // campaign-level fan-out: with more than one campaign job the per-run
 // worker count is forced to 1, so fan-out happens at exactly one level
-// (the worker-budget discipline); in every case workers is at least 1, so
-// each run takes the replica path and keeps the bit-identity contract.
+// (the worker-budget discipline); in every case workers is at least 1.
 func (r Run) Options(campaignJobs int) core.Options {
 	opts := core.DefaultOptions()
 	opts.Iterations = r.Iterations

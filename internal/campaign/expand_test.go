@@ -179,8 +179,7 @@ func TestExpandUnknownScenario(t *testing.T) {
 }
 
 // The per-run options enforce the worker-budget discipline: at least one
-// worker always (the replica path), exactly one when the campaign itself
-// fans out.
+// worker always, exactly one when the campaign itself fans out.
 func TestRunOptionsWorkerBudget(t *testing.T) {
 	r := Run{Iterations: 3, Seed: 2, Scale: 0.02, Workers: 4}
 	if got := r.Options(1).Workers; got != 4 {

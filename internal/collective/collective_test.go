@@ -5,10 +5,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
+
+// bordeaux compiles a Bordeaux site with plage nodes behind the Dell-Cisco
+// bottleneck and reau beyond it.
+func bordeaux(t *testing.T, plage, reau int) *topology.Dataset {
+	t.Helper()
+	d, err := scenario.BordeauxScaled(plage, reau, 0).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func TestBroadcastBinomialStructure(t *testing.T) {
 	order := []int{3, 0, 1, 2, 4, 5, 6, 7}
@@ -222,7 +234,7 @@ func TestAwareBeatsAgnosticOnBottleneck(t *testing.T) {
 	// The headline claim: on the Bordeaux topology the cluster-aware
 	// broadcast clearly beats a randomized binomial tree.
 	run := func(aware bool) float64 {
-		d := topology.BordeauxScaled(16, 16, 0)
+		d := bordeaux(t, 16, 16)
 		var sched Schedule
 		var err error
 		if aware {
@@ -263,7 +275,7 @@ func TestAwareBeatsAgnosticOnBottleneck(t *testing.T) {
 
 func TestAllToAllAwareBeatsRingOnBottleneck(t *testing.T) {
 	run := func(aware bool) float64 {
-		d := topology.BordeauxScaled(8, 8, 0)
+		d := bordeaux(t, 8, 8)
 		var sched Schedule
 		var err error
 		if aware {

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/topology"
 )
 
 func TestReverseFlipsSchedule(t *testing.T) {
@@ -83,7 +81,7 @@ func TestVerifyReduceCatchesBadSchedules(t *testing.T) {
 }
 
 func TestExecuteReduceOnBottleneck(t *testing.T) {
-	d := topology.BordeauxScaled(8, 8, 0)
+	d := bordeaux(t, 8, 8)
 	clusters := [][]int{{}, {}}
 	for i := 0; i < 16; i++ {
 		clusters[d.GroundTruth[i]] = append(clusters[d.GroundTruth[i]], i)

@@ -97,8 +97,8 @@ func TestBottleneckStringReadable(t *testing.T) {
 func TestBottlenecksOnMeasuredDumbbell(t *testing.T) {
 	// End to end: measure the WAN dumbbell and confirm the discovered
 	// boundary shows strong suppression.
-	eng, net, hosts, truth := smallDumbbell()
-	res, err := Run(eng, net, hosts, truth, testOptions(8))
+	net, hosts, truth := smallDumbbell()
+	res, err := Run(net, hosts, truth, testOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}

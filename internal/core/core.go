@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -64,50 +63,28 @@ type Options struct {
 	// current state instead of averaging over stale history. 0 keeps the
 	// paper's cumulative aggregation.
 	Window int
-	// BackgroundFlows, when positive, keeps that many unrelated bulk
-	// transfers running between random host pairs throughout the
-	// measurement — the "conditions of high load" the paper targets
-	// (§I). The method is expected to keep working: the background
-	// traffic depresses all links it crosses, while the relative
-	// intra/inter contrast survives. Background traffic is stateful
-	// across iterations, so it requires the shared-engine path: setting
-	// it together with Workers > 0 (or with Dynamics, whose replay runs
-	// on per-iteration replicas) is an error. Deprecated in favour of
-	// scripted `burst` events in a scenario's Dynamics timeline, which
-	// model the same cross traffic deterministically and compose with
-	// any worker count.
-	BackgroundFlows int
 	// Dynamics, when non-empty, is the compiled network-dynamics
 	// timeline replayed on every measurement iteration: link capacity
 	// drift, link failures/recoveries, timed cross-traffic bursts, and
 	// host churn (iterations measure only the hosts active in them, and
 	// NMI is scored against the active hosts). The timeline must have
 	// been compiled against this run's network and host order —
-	// RunDataset wires a scenario spec's timeline automatically. Replay
-	// needs a private replica per iteration, so a run with Dynamics
-	// always takes the replica path: Workers == 0 behaves as Workers ==
-	// 1, and results stay bit-identical for any worker count.
+	// RunDataset wires a scenario spec's timeline automatically.
 	Dynamics *dynamics.Timeline
-	// Workers, when positive, runs the measurement iterations on a pool
-	// of that many concurrent workers. Each iteration already draws from
-	// an independent deterministic RNG stream, so iterations are
-	// embarrassingly parallel once every worker measures on its own
-	// engine+network replica (simnet.Network.Clone); per-iteration
-	// fragment counts are then merged in iteration order, which makes the
-	// result bit-identical for any Workers >= 1 — Workers=4 reproduces
-	// Workers=1 exactly. Workers=0 (the default) keeps the in-place
-	// sequential path on the caller's engine, whose clock carries over
-	// between iterations. RotateRoot and Window compose with Workers;
-	// BackgroundFlows does not (see its doc).
+	// Workers is the size of the pool the measurement iterations run on;
+	// 0 means 1. Every iteration draws from its own deterministic RNG
+	// stream and measures on a private engine+network replica
+	// (simnet.Network.Clone), and the per-iteration fragment counts are
+	// merged in iteration order, so the result is bit-identical for any
+	// worker count.
 	Workers int
 	// Backend selects the measurement substrate executing the broadcast
 	// iterations: "sim" (default; the discrete-event simulator on
 	// per-iteration replicas) or "wire" (real BitTorrent swarms over
 	// loopback TCP, paced to the scenario's bottleneck capacities). The
-	// empty string means "sim". Any non-default backend runs on the
-	// worker pool: Workers == 0 behaves as Workers == 1. Backends
-	// declare capabilities, and Validate rejects options they cannot
-	// honor — "wire" refuses Dynamics timelines and BackgroundFlows.
+	// empty string means "sim". Backends declare capabilities, and
+	// Validate rejects options they cannot honor — "wire" refuses
+	// Dynamics timelines.
 	Backend string
 	// Trace, when non-nil, receives the run's phase spans (per-iteration
 	// measure/clone, merge, cluster, NMI) for structured trace output.
@@ -138,9 +115,8 @@ func DefaultOptions() Options {
 }
 
 // Validate checks the option fields for consistency before a run: counts
-// must be non-negative, TopFraction must lie in [0,1], and BackgroundFlows
-// (which needs engine state shared across iterations) cannot be combined
-// with Workers (which runs every iteration on its own replica). Run and
+// must be non-negative, TopFraction must lie in [0,1], and the backend
+// must exist and support what the run asks of it. Run and
 // RunDataset call it first, so misconfigurations surface as clear errors
 // instead of silent misbehavior; callers assembling options far from the
 // run site (CLI flag parsing, experiment configs, spec files) can call it
@@ -160,19 +136,8 @@ func (o Options) Validate() error {
 	if o.Window < 0 {
 		return fmt.Errorf("core: negative Window %d", o.Window)
 	}
-	if o.BackgroundFlows < 0 {
-		return fmt.Errorf("core: negative BackgroundFlows %d", o.BackgroundFlows)
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
-	}
-	if o.Workers > 0 && o.BackgroundFlows > 0 {
-		return fmt.Errorf("core: BackgroundFlows=%d needs engine state shared across iterations and cannot run with Workers=%d; use Workers=0",
-			o.BackgroundFlows, o.Workers)
-	}
-	if o.BackgroundFlows > 0 && o.Dynamics.Len() > 0 {
-		return fmt.Errorf("core: BackgroundFlows=%d needs the shared engine and cannot run with a Dynamics timeline; script `burst` events instead",
-			o.BackgroundFlows)
 	}
 	backend := substrate.Canonical(o.Backend)
 	caps, ok := substrate.Describe(backend)
@@ -181,9 +146,6 @@ func (o Options) Validate() error {
 	}
 	if o.Dynamics.Len() > 0 && !caps.Dynamics {
 		return fmt.Errorf("core: backend %q cannot replay a Dynamics timeline", backend)
-	}
-	if o.BackgroundFlows > 0 && !caps.Background {
-		return fmt.Errorf("core: backend %q does not support BackgroundFlows", backend)
 	}
 	return nil
 }
@@ -241,14 +203,12 @@ type Result struct {
 // Run performs tomography over hosts on an existing simulated network.
 // truth is the ground-truth partition labels (nil to skip NMI scoring).
 //
-// With opts.Workers == 0 every broadcast runs in sequence on the caller's
-// engine and network. With opts.Workers >= 1 each iteration runs on a
-// private replica of net (which must be idle) and the caller's engine is
-// left untouched; see Options.Workers for the determinism contract. A
-// non-empty opts.Dynamics timeline always takes the replica path and
-// replays scripted link drift, failures, bursts and host churn per
-// iteration; see Options.Dynamics.
-func Run(eng *sim.Engine, net *simnet.Network, hosts []int, truth []int, opts Options) (*Result, error) {
+// Every iteration is measured through the run's substrate (see
+// Options.Backend) on a pool of opts.Workers workers; the sim substrate
+// gives each iteration a private replica of net, which must be idle and
+// is left untouched. A non-empty opts.Dynamics timeline is replayed on
+// every replica; see Options.Dynamics.
+func Run(net *simnet.Network, hosts []int, truth []int, opts Options) (*Result, error) {
 	n := len(hosts)
 	if n < 2 {
 		return nil, fmt.Errorf("core: need at least 2 hosts, have %d", n)
@@ -258,6 +218,9 @@ func Run(eng *sim.Engine, net *simnet.Network, hosts []int, truth []int, opts Op
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Workers == 0 {
+		opts.Workers = 1
 	}
 	if opts.Trace == nil {
 		opts.Trace = telemetry.NewTracer()
@@ -269,69 +232,28 @@ func Run(eng *sim.Engine, net *simnet.Network, hosts []int, truth []int, opts Op
 	if err != nil {
 		return nil, err
 	}
-	if plans != nil && opts.Workers == 0 {
-		// Dynamics replay mutates per-iteration network state, so it
-		// always runs on private replicas; a single worker reproduces
-		// the sequential schedule bit-identically.
-		opts.Workers = 1
+	sub, err := substrate.New(substrate.Canonical(opts.Backend), substrate.Env{
+		Net:      net,
+		Hosts:    hosts,
+		Timeline: opts.Dynamics,
+		Seed:     opts.Seed,
+		Workers:  opts.Workers,
+		Trace:    opts.Trace,
+	})
+	if err != nil {
+		return nil, err
 	}
-	backend := substrate.Canonical(opts.Backend)
-	if backend != "sim" && opts.Workers == 0 {
-		// Only the sim backend has an in-place sequential mode on the
-		// caller's engine; every other substrate measures through the
-		// worker pool.
-		opts.Workers = 1
-	}
+	defer sub.Close()
 	m := newMerger(net, hosts, truth, opts, rng, plans)
-
-	if opts.Workers > 0 {
-		var tl *dynamics.Timeline
-		if plans != nil {
-			tl = opts.Dynamics
-		}
-		sub, err := substrate.New(backend, substrate.Env{
-			Net:      net,
-			Hosts:    hosts,
-			Timeline: tl,
-			Seed:     opts.Seed,
-			Workers:  opts.Workers,
-			Trace:    opts.Trace,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer sub.Close()
-		if err := runParallel(sub, hosts, opts, rng, m, plans); err != nil {
-			return nil, err
-		}
-		m.res.Phases = phaseTimings(opts.Trace, traceMark, time.Since(wallStart))
-		return m.res, nil
-	}
-
-	if opts.BackgroundFlows > 0 {
-		stop := startBackground(net, hosts, opts.BackgroundFlows, rng.Stream("background"))
-		defer stop()
-	}
-	for it := 1; it <= opts.Iterations; it++ {
-		sp := opts.Trace.StartIter("measure", it)
-		bres, err := bittorrent.RunBroadcast(eng, net, hosts, broadcastConfig(opts, it, n), rng.Streamf("broadcast", it))
-		secs := sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
-		mIterations.Inc()
-		mMeasureSeconds.Add(secs)
-		mIterationSeconds.Observe(secs)
-		m.add(it, bres)
+	if err := measure(sub, hosts, opts, rng, m, plans); err != nil {
+		return nil, err
 	}
 	m.res.Phases = phaseTimings(opts.Trace, traceMark, time.Since(wallStart))
 	return m.res, nil
 }
 
 // broadcastConfig derives iteration it's broadcast configuration from the
-// shared options, rotating the root when requested. The sequential and
-// parallel paths must share this single definition — the bit-identity
-// contract between them depends on it.
+// shared options, rotating the root when requested.
 func broadcastConfig(opts Options, it, n int) bittorrent.Config {
 	cfg := opts.BT
 	if opts.RotateRoot {
@@ -382,7 +304,7 @@ func planIterations(tl *dynamics.Timeline, hosts []int, opts Options) ([]iterPla
 	return plans, nil
 }
 
-// runParallel fans the measurement iterations out over a pool of
+// measure fans the measurement iterations out over a pool of
 // opts.Workers workers, each measuring through the run's substrate (the
 // sim substrate replicates the network per iteration; the wire substrate
 // runs a real loopback swarm), and merges the broadcasts in iteration
@@ -390,7 +312,7 @@ func planIterations(tl *dynamics.Timeline, hosts []int, opts Options) ([]iterPla
 // in-flight ones, drains them, and reports the error of the
 // lowest-numbered failed iteration (so the reported failure does not
 // depend on goroutine scheduling).
-func runParallel(sub substrate.Substrate, hosts []int, opts Options, rng *sim.RNG, m *merger, plans []iterPlan) error {
+func measure(sub substrate.Substrate, hosts []int, opts Options, rng *sim.RNG, m *merger, plans []iterPlan) error {
 	workers := opts.Workers
 	if workers > opts.Iterations {
 		workers = opts.Iterations
@@ -504,8 +426,8 @@ func runParallel(sub substrate.Substrate, hosts []int, opts Options, rng *sim.RN
 
 // merger folds per-iteration broadcast results — in iteration order — into
 // the cumulative fragment counts, the sliding window, the per-iteration
-// clustering and the final Result. Both the sequential and the parallel
-// path feed the same merger, which is what keeps their outputs identical.
+// clustering and the final Result. Merging in iteration order is what
+// makes the output independent of the worker count.
 type merger struct {
 	opts  Options
 	truth []int
@@ -643,7 +565,7 @@ func RunDataset(d *topology.Dataset, opts Options) (*Result, error) {
 	if opts.Dynamics == nil {
 		opts.Dynamics = d.Timeline
 	}
-	return Run(d.Eng, d.Net, d.Hosts, d.GroundTruth, opts)
+	return Run(d.Net, d.Hosts, d.GroundTruth, opts)
 }
 
 // meanGraph applies Eq. 2 (divide cumulative counts by the iteration
@@ -654,38 +576,6 @@ func meanGraph(counts *graph.Graph, iterations int, topFraction float64) *graph.
 		g = g.TopFraction(topFraction)
 	}
 	return g
-}
-
-// startBackground keeps k unrelated bulk flows alive between random host
-// pairs, restarting each one (with a fresh random pair) on completion,
-// until the returned stop function runs.
-func startBackground(net *simnet.Network, hosts []int, k int, rng *rand.Rand) func() {
-	stopped := false
-	var flows []*simnet.Flow
-	const chunk = 256 << 20 // 256 MB per background transfer
-	var launch func()
-	launch = func() {
-		if stopped {
-			return
-		}
-		src := hosts[rng.Intn(len(hosts))]
-		dst := hosts[rng.Intn(len(hosts))]
-		if src == dst {
-			launch()
-			return
-		}
-		f := net.StartFlow(src, dst, chunk, launch)
-		flows = append(flows, f)
-	}
-	for i := 0; i < k; i++ {
-		launch()
-	}
-	return func() {
-		stopped = true
-		for _, f := range flows {
-			net.CancelFlow(f)
-		}
-	}
 }
 
 func nan() float64 { return math.NaN() }

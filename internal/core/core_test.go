@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bittorrent"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -18,13 +19,22 @@ func testOptions(iters int) Options {
 	return opts
 }
 
+// builtin compiles one of the paper's six registered datasets.
+func builtin(t *testing.T, name string) *topology.Dataset {
+	t.Helper()
+	d, err := scenario.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // smallDumbbell builds a 2x6-node WAN-divided network with truth labels:
 // a 10 Gbit/s core whose 5 ms one-way latency caps per-connection
 // BitTorrent throughput (the request-pipeline effect), which is the
 // separation signal the paper's metric picks up between sites.
-func smallDumbbell() (*sim.Engine, *simnet.Network, []int, []int) {
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
+func smallDumbbell() (*simnet.Network, []int, []int) {
+	net := simnet.New(sim.NewEngine())
 	s1 := net.AddSwitch("s1")
 	s2 := net.AddSwitch("s2")
 	net.Connect(s1, s2, simnet.LinkSpec{Capacity: simnet.Gbps(10), Latency: 5e-3})
@@ -40,12 +50,12 @@ func smallDumbbell() (*sim.Engine, *simnet.Network, []int, []int) {
 		net.Connect(h, sw, simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6})
 		hosts = append(hosts, h)
 	}
-	return eng, net, hosts, truth
+	return net, hosts, truth
 }
 
 func TestRunProducesPerIterationRecords(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
-	res, err := Run(eng, net, hosts, truth, testOptions(4))
+	net, hosts, truth := smallDumbbell()
+	res, err := Run(net, hosts, truth, testOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +85,8 @@ func TestRunProducesPerIterationRecords(t *testing.T) {
 }
 
 func TestSeparatesBottleneckedGroups(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
-	res, err := Run(eng, net, hosts, truth, testOptions(8))
+	net, hosts, truth := smallDumbbell()
+	res, err := Run(net, hosts, truth, testOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +101,9 @@ func TestSeparatesBottleneckedGroups(t *testing.T) {
 func TestMetricIsMeanOverIterations(t *testing.T) {
 	// Eq. 2: the final graph's total weight times the iteration count
 	// equals the total exchanged fragments over all iterations.
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	iters := 3
-	res, err := Run(eng, net, hosts, truth, testOptions(iters))
+	res, err := Run(net, hosts, truth, testOptions(iters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +118,8 @@ func TestMetricIsMeanOverIterations(t *testing.T) {
 }
 
 func TestNMIImprovesWithIterations(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
-	res, err := Run(eng, net, hosts, truth, testOptions(8))
+	net, hosts, truth := smallDumbbell()
+	res, err := Run(net, hosts, truth, testOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +131,10 @@ func TestNMIImprovesWithIterations(t *testing.T) {
 }
 
 func TestClusterEverySkips(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(5)
 	opts.ClusterEvery = 2
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +147,8 @@ func TestClusterEverySkips(t *testing.T) {
 }
 
 func TestNoTruthGivesNaN(t *testing.T) {
-	eng, net, hosts, _ := smallDumbbell()
-	res, err := Run(eng, net, hosts, nil, testOptions(2))
+	net, hosts, _ := smallDumbbell()
+	res, err := Run(net, hosts, nil, testOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +161,10 @@ func TestNoTruthGivesNaN(t *testing.T) {
 }
 
 func TestRotateRoot(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(3)
 	opts.RotateRoot = true
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +181,8 @@ func TestRotateRoot(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() *Result {
-		eng, net, hosts, truth := smallDumbbell()
-		res, err := Run(eng, net, hosts, truth, testOptions(3))
+		net, hosts, truth := smallDumbbell()
+		res, err := Run(net, hosts, truth, testOptions(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +199,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestSeedChangesMeasurement(t *testing.T) {
 	run := func(seed int64) float64 {
-		eng, net, hosts, truth := smallDumbbell()
+		net, hosts, truth := smallDumbbell()
 		opts := testOptions(2)
 		opts.Seed = seed
-		res, err := Run(eng, net, hosts, truth, opts)
+		res, err := Run(net, hosts, truth, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,10 +211,10 @@ func TestSeedChangesMeasurement(t *testing.T) {
 	// Total weight is conserved; compare edge sets instead via Q of a
 	// fixed partition... simplest: durations differ.
 	runDur := func(seed int64) float64 {
-		eng, net, hosts, truth := smallDumbbell()
+		net, hosts, truth := smallDumbbell()
 		opts := testOptions(2)
 		opts.Seed = seed
-		res, err := Run(eng, net, hosts, truth, opts)
+		res, err := Run(net, hosts, truth, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,39 +227,39 @@ func TestSeedChangesMeasurement(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(0)
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Error("accepted 0 iterations")
 	}
 	opts = testOptions(1)
 	opts.TopFraction = 1.5
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Error("accepted TopFraction > 1")
 	}
-	if _, err := Run(eng, net, hosts[:1], truth[:1], testOptions(1)); err == nil {
+	if _, err := Run(net, hosts[:1], truth[:1], testOptions(1)); err == nil {
 		t.Error("accepted single host")
 	}
-	if _, err := Run(eng, net, hosts, truth[:3], testOptions(1)); err == nil {
+	if _, err := Run(net, hosts, truth[:3], testOptions(1)); err == nil {
 		t.Error("accepted truth/host length mismatch")
 	}
 	bad := testOptions(1)
 	bad.BT.UploadSlots = 0
-	if _, err := Run(eng, net, hosts, truth, bad); err == nil {
+	if _, err := Run(net, hosts, truth, bad); err == nil {
 		t.Error("accepted invalid BitTorrent config")
 	}
 }
 
 func TestTopFractionFiltersGraph(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(3)
 	opts.TopFraction = 0.5
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, net2, hosts2, truth2 := smallDumbbell()
-	full, err := Run(eng2, net2, hosts2, truth2, testOptions(3))
+	net2, hosts2, truth2 := smallDumbbell()
+	full, err := Run(net2, hosts2, truth2, testOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +271,7 @@ func TestTopFractionFiltersGraph(t *testing.T) {
 
 func TestRunDatasetTwoByTwo(t *testing.T) {
 	// §IV-B1: the 2x2 experiment yields a single logical cluster.
-	d := topology.TwoByTwo()
-	opts := testOptions(6)
-	res, err := RunDataset(d, opts)
+	res, err := RunDataset(builtin(t, "2x2"), testOptions(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +284,7 @@ func TestRunDatasetTwoByTwo(t *testing.T) {
 }
 
 func TestGraphLabelsAreHostNames(t *testing.T) {
-	d := topology.TwoByTwo()
-	res, err := RunDataset(d, testOptions(1))
+	res, err := RunDataset(builtin(t, "2x2"), testOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,11 @@ package core
 // the simulator and sliding-window tomography that tracks them.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -15,9 +17,8 @@ import (
 // reconfigurable builds 12 hosts in two groups of 6 on switches s0, s1
 // joined by a fast inter-switch link that tests can later choke; returns
 // the network, hosts, and the switch ids.
-func reconfigurable() (*sim.Engine, *simnet.Network, []int, [2]int) {
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
+func reconfigurable() (*simnet.Network, []int, [2]int) {
+	net := simnet.New(sim.NewEngine())
 	var sw [2]int
 	for i := range sw {
 		sw[i] = net.AddSwitch("s")
@@ -30,7 +31,7 @@ func reconfigurable() (*sim.Engine, *simnet.Network, []int, [2]int) {
 		net.Connect(h, sw[i/6], simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6})
 		hosts = append(hosts, h)
 	}
-	return eng, net, hosts, sw
+	return net, hosts, sw
 }
 
 func TestSetLinkCapacityRebalancesActiveFlows(t *testing.T) {
@@ -79,10 +80,10 @@ func TestWindowedAggregationMatchesCumulativeWhenStatic(t *testing.T) {
 	// On a static network a window covering all iterations is identical
 	// to the cumulative aggregation.
 	run := func(window int) *Result {
-		eng, net, hosts, _ := reconfigurable()
+		net, hosts, _ := reconfigurable()
 		opts := testOptions(4)
 		opts.Window = window
-		res, err := Run(eng, net, hosts, nil, opts)
+		res, err := Run(net, hosts, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,10 +98,10 @@ func TestWindowedAggregationMatchesCumulativeWhenStatic(t *testing.T) {
 }
 
 func TestWindowedMeanIsOverWindowOnly(t *testing.T) {
-	eng, net, hosts, _ := reconfigurable()
+	net, hosts, _ := reconfigurable()
 	opts := testOptions(6)
 	opts.Window = 2
-	res, err := Run(eng, net, hosts, nil, opts)
+	res, err := Run(net, hosts, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,10 @@ func TestWindowedMeanIsOverWindowOnly(t *testing.T) {
 }
 
 func TestNegativeWindowRejected(t *testing.T) {
-	eng, net, hosts, _ := reconfigurable()
+	net, hosts, _ := reconfigurable()
 	opts := testOptions(2)
 	opts.Window = -1
-	if _, err := Run(eng, net, hosts, nil, opts); err == nil {
+	if _, err := Run(net, hosts, nil, opts); err == nil {
 		t.Fatal("negative window accepted")
 	}
 }
@@ -137,9 +138,8 @@ func TestWindowedTomographyTracksTopologyChange(t *testing.T) {
 	// groups separate -> truth B = {0 | 1}.
 	truthAfter := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 
-	eng, net, hosts, sw := reconfigurable()
-	_ = eng
-	resA, err := Run(eng, net, hosts, nil, testOptionsN(20, 0))
+	net, hosts, sw := reconfigurable()
+	resA, err := Run(net, hosts, nil, testOptionsN(20, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestWindowedTomographyTracksTopologyChange(t *testing.T) {
 	}
 	// Reconfigure mid-simulation: choke the interconnect.
 	net.SetLinkCapacity(sw[0], sw[1], simnet.Mbps(50))
-	resB, err := Run(eng, net, hosts, truthAfter, testOptionsN(8, 0))
+	resB, err := Run(net, hosts, truthAfter, testOptionsN(8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,35 +173,64 @@ func testOptionsN(iters, window int) Options {
 	return opts
 }
 
+// loadedSpec declares reconfigurable()'s two groups of six hosts as a
+// scenario, with the inter-switch trunk at interMbps and, in each of
+// iters iterations, bursts 256 MB cross-traffic transfers between
+// scattered host pairs from the broadcast's start.
+func loadedSpec(t *testing.T, interMbps float64, iters, bursts int) *scenario.Spec {
+	t.Helper()
+	b := scenario.NewBuilder("loaded").
+		Link("eth", 890, 50e-6).
+		Link("inter", interMbps, 50e-6).
+		Switch("s0", "s1").
+		Trunk("s0", "s1", "inter").
+		Hosts("a", 6, "s0", "eth", "a").
+		Hosts("b", 6, "s1", "eth", "b")
+	host := func(i int) string { return fmt.Sprintf("%c-%d", "ab"[i/6%2], i%6) }
+	for it := 1; it <= iters; it++ {
+		for k := 0; k < bursts; k++ {
+			// Strides 5 and 7 spread the pairs over both groups, mixing
+			// intra- and inter-group paths.
+			b.Burst(it, 0, host(5*k+it), host(5*k+it+7), 256)
+		}
+	}
+	spec, err := b.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func TestTomographyUnderBackgroundLoad(t *testing.T) {
 	// §I: the method targets "large highly utilized heterogeneous
-	// networks". With unrelated bulk transfers saturating random paths
+	// networks". With unrelated bulk transfers saturating scattered paths
 	// throughout the measurement, the clustering must still recover the
-	// two groups (possibly needing a few more iterations).
-	eng, net, hosts, sw := reconfigurable()
-	net.SetLinkCapacity(sw[0], sw[1], simnet.Mbps(50)) // make two clusters
-	truth := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
-	opts := testOptionsN(10, 0)
-	opts.BackgroundFlows = 4
-	res, err := Run(eng, net, hosts, truth, opts)
+	// two groups.
+	d, err := loadedSpec(t, 50, 10, 4).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDataset(d, testOptions(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NMI < 0.99 {
 		t.Fatalf("NMI under background load = %.3f, want ~1", res.NMI)
 	}
-	// The background flows must be gone afterwards.
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("%d background flows leaked", net.ActiveFlows())
+	// Cross traffic lives on the iteration replicas only.
+	if d.Net.ActiveFlows() != 0 || d.Net.PendingFlows() != 0 {
+		t.Fatalf("cross traffic leaked onto the dataset's network: %d active, %d pending",
+			d.Net.ActiveFlows(), d.Net.PendingFlows())
 	}
 }
 
 func TestBackgroundLoadSlowsMeasurement(t *testing.T) {
-	run := func(bg int) float64 {
-		eng, net, hosts, _ := reconfigurable()
-		opts := testOptionsN(3, 0)
-		opts.BackgroundFlows = bg
-		res, err := Run(eng, net, hosts, nil, opts)
+	run := func(bursts int) float64 {
+		d, err := loadedSpec(t, 10000, 3, bursts).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunDataset(d, testOptions(3))
 		if err != nil {
 			t.Fatal(err)
 		}

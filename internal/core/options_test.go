@@ -12,7 +12,6 @@ func TestOptionsValidate(t *testing.T) {
 	valid := []Options{
 		DefaultOptions(),
 		func() Options { o := DefaultOptions(); o.Workers = 8; return o }(),
-		func() Options { o := DefaultOptions(); o.BackgroundFlows = 3; return o }(),
 		func() Options { o := DefaultOptions(); o.Window = 5; o.TopFraction = 0.5; return o }(),
 		func() Options { o := DefaultOptions(); o.TopFraction = 1; o.ClusterEvery = 0; return o }(),
 	}
@@ -32,9 +31,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"TopFraction", func(o *Options) { o.TopFraction = 1.5 }},
 		{"ClusterEvery", func(o *Options) { o.ClusterEvery = -1 }},
 		{"Window", func(o *Options) { o.Window = -2 }},
-		{"BackgroundFlows", func(o *Options) { o.BackgroundFlows = -1 }},
 		{"Workers", func(o *Options) { o.Workers = -1 }},
-		{"BackgroundFlows", func(o *Options) { o.BackgroundFlows = 2; o.Workers = 2 }},
 	}
 	for _, c := range invalid {
 		o := DefaultOptions()
@@ -52,15 +49,15 @@ func TestOptionsValidate(t *testing.T) {
 
 // Run must refuse invalid options via Validate before measuring.
 func TestRunRejectsInvalidOptionsViaValidate(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(1)
 	opts.Window = -1
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "Window") {
+	if _, err := Run(net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "Window") {
 		t.Fatalf("Run did not surface the Validate error, got %v", err)
 	}
 	opts = testOptions(1)
 	opts.ClusterEvery = -1
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "ClusterEvery") {
+	if _, err := Run(net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "ClusterEvery") {
 		t.Fatalf("Run did not surface the ClusterEvery error, got %v", err)
 	}
 }

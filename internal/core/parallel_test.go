@@ -2,10 +2,9 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"repro/internal/topology"
+	"repro/internal/scenario"
 )
 
 // parallelTestOptions shrinks the broadcast so the full dataset sweep stays
@@ -20,12 +19,7 @@ func parallelTestOptions(iters, workers int) Options {
 }
 
 // assertIdenticalResults compares two results field by field, bit-exact.
-// timeTol relaxes only the TotalMeasurementTime comparison (relative): the
-// in-place sequential path reads the simulated clock at large absolute
-// values while each replica starts at t=0, so broadcast durations quantize
-// differently in their last ulps even though every fragment count, graph
-// weight, partition and NMI is bit-identical. Pass 0 for bit-exact.
-func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol float64) {
+func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string) {
 	t.Helper()
 	if a.Graph.N() != b.Graph.N() {
 		t.Fatalf("%s has %d vertices, %s has %d", la, a.Graph.N(), lb, b.Graph.N())
@@ -53,7 +47,7 @@ func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol f
 	if a.NMI != b.NMI && !(math.IsNaN(a.NMI) && math.IsNaN(b.NMI)) {
 		t.Fatalf("NMI differs: %s %v vs %s %v", la, a.NMI, lb, b.NMI)
 	}
-	if d := math.Abs(a.TotalMeasurementTime - b.TotalMeasurementTime); d > timeTol*a.TotalMeasurementTime {
+	if math.Float64bits(a.TotalMeasurementTime) != math.Float64bits(b.TotalMeasurementTime) {
 		t.Fatalf("TotalMeasurementTime differs: %v vs %v", a.TotalMeasurementTime, b.TotalMeasurementTime)
 	}
 	if len(a.Iterations) != len(b.Iterations) {
@@ -71,24 +65,23 @@ func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol f
 }
 
 // TestParallelMatchesSequentialAllDatasets is the core determinism
-// guarantee of the parallel pipeline: for every built-in dataset,
-// Workers=4 reproduces Workers=1 bit-identically (graph weights,
-// partition, per-iteration NMI), and the replica path reproduces the
-// legacy in-place sequential path (Workers=0) as well.
+// guarantee of the pipeline: for every built-in dataset, Workers=4
+// reproduces Workers=1 bit-identically (graph weights, partition,
+// per-iteration NMI, measurement time), and Workers=0 is Workers=1.
 func TestParallelMatchesSequentialAllDatasets(t *testing.T) {
-	for _, name := range topology.DatasetNames {
+	for _, spec := range scenario.BuiltinSpecs() {
+		name := spec.Name
 		t.Run(name, func(t *testing.T) {
 			run := func(workers int) *Result {
-				d := topology.Registry[name]()
-				res, err := RunDataset(d, parallelTestOptions(3, workers))
+				res, err := RunDataset(builtin(t, name), parallelTestOptions(3, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			seq, par1, par4 := run(0), run(1), run(4)
-			assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
-			assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1", 1e-12)
+			zero, par1, par4 := run(0), run(1), run(4)
+			assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
+			assertIdenticalResults(t, zero, par1, "Workers=0", "Workers=1")
 		})
 	}
 }
@@ -98,17 +91,16 @@ func TestParallelMatchesSequentialAllDatasets(t *testing.T) {
 // root received nothing.
 func TestParallelRotateRoot(t *testing.T) {
 	run := func(workers int) *Result {
-		d := topology.TwoByTwo()
 		opts := parallelTestOptions(4, workers)
 		opts.RotateRoot = true
-		res, err := RunDataset(d, opts)
+		res, err := RunDataset(builtin(t, "2x2"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	par1, par4 := run(1), run(4)
-	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
+	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
 	for k, rec := range par4.Iterations {
 		for _, v := range rec.Broadcast.Fragments[k%4] {
 			if v != 0 {
@@ -118,60 +110,43 @@ func TestParallelRotateRoot(t *testing.T) {
 	}
 }
 
-// TestParallelWindow checks that the sliding window composes with workers
-// and that both match the sequential windowed run.
+// TestParallelWindow checks that the sliding window composes with workers.
 func TestParallelWindow(t *testing.T) {
 	run := func(workers int) *Result {
-		eng, net, hosts, truth := smallDumbbell()
+		net, hosts, truth := smallDumbbell()
 		opts := testOptions(5)
 		opts.Window = 2
 		opts.Workers = workers
-		res, err := Run(eng, net, hosts, truth, opts)
+		res, err := Run(net, hosts, truth, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, par1, par4 := run(0), run(1), run(4)
-	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
-	assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1", 1e-12)
-}
-
-// TestParallelBackgroundFlowsError: background traffic needs engine state
-// shared across iterations, so combining it with workers must fail loudly.
-func TestParallelBackgroundFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
-	opts := testOptions(2)
-	opts.Workers = 2
-	opts.BackgroundFlows = 1
-	_, err := Run(eng, net, hosts, truth, opts)
-	if err == nil {
-		t.Fatal("BackgroundFlows with Workers > 0 did not error")
-	}
-	if !strings.Contains(err.Error(), "BackgroundFlows") || !strings.Contains(err.Error(), "Workers") {
-		t.Fatalf("error does not name the conflicting options: %v", err)
-	}
+	par1, par4 := run(1), run(4)
+	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
 }
 
 // TestParallelNegativeWorkersError rejects a nonsensical worker count.
 func TestParallelNegativeWorkersError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(1)
 	opts.Workers = -1
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 }
 
-// TestParallelActiveFlowsError: replica mode requires an idle network.
+// TestParallelActiveFlowsError: replication requires an idle network.
 func TestParallelActiveFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	net.StartFlow(hosts[0], hosts[1], 1e12, nil)
+	eng := net.Engine()
 	eng.RunUntil(eng.Now() + 1) // let the flow activate
 	opts := testOptions(1)
 	opts.Workers = 2
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
-		t.Fatal("Run with active flows and Workers > 0 did not error")
+	if _, err := Run(net, hosts, truth, opts); err == nil {
+		t.Fatal("Run with active flows did not error")
 	}
 }
 
@@ -179,23 +154,23 @@ func TestParallelActiveFlowsError(t *testing.T) {
 // activated (its path latency has not elapsed) makes the network just as
 // non-idle — replicas would silently drop it.
 func TestParallelPendingFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	net.StartFlow(hosts[0], hosts[1], 1e12, nil)
 	// Do NOT run the engine: the flow is pending, not active.
 	opts := testOptions(1)
 	opts.Workers = 2
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
-		t.Fatal("Run with a pending flow and Workers > 0 did not error")
+	if _, err := Run(net, hosts, truth, opts); err == nil {
+		t.Fatal("Run with a pending flow did not error")
 	}
 }
 
 // TestParallelMoreWorkersThanIterations: the pool clamps to the iteration
 // count instead of spawning idle goroutines.
 func TestParallelMoreWorkersThanIterations(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(2)
 	opts.Workers = 16
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +186,19 @@ func TestDiscardBroadcasts(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for _, window := range []int{0, 2} {
 			run := func(discard bool) *Result {
-				eng, net, hosts, truth := smallDumbbell()
+				net, hosts, truth := smallDumbbell()
 				opts := testOptions(5)
 				opts.Workers = workers
 				opts.Window = window
 				opts.DiscardBroadcasts = discard
-				res, err := Run(eng, net, hosts, truth, opts)
+				res, err := Run(net, hosts, truth, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
 			kept, dropped := run(false), run(true)
-			assertIdenticalResults(t, kept, dropped, "retained", "discarded", 0)
+			assertIdenticalResults(t, kept, dropped, "retained", "discarded")
 			for i, rec := range dropped.Iterations {
 				if rec.Broadcast != nil {
 					t.Fatalf("workers=%d window=%d: iteration %d retained its broadcast", workers, window, i+1)
@@ -245,10 +220,10 @@ func TestDiscardBroadcasts(t *testing.T) {
 // the window is defined by: total weight equals the mean over exactly
 // Window iterations of their exchanged fragments.
 func TestWindowEqualsShortRun(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(5)
 	opts.Window = 2
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,29 +9,26 @@ import (
 	"repro/internal/bittorrent"
 	"repro/internal/scenario"
 	"repro/internal/substrate"
-	"repro/internal/topology"
 )
 
-// The substrate extraction must be invisible to the sim path: naming the
-// backend explicitly, at any worker count, reproduces the legacy
-// sequential run bit-for-bit (the same contract
+// Naming the sim backend explicitly, at any worker count, reproduces the
+// default run bit-for-bit (the same contract
 // TestParallelMatchesSequentialAllDatasets pins for the default).
 func TestSimBackendExplicitMatchesSequential(t *testing.T) {
 	run := func(backend string, workers int) *Result {
-		d := topology.Registry["2x2"]()
 		opts := parallelTestOptions(3, workers)
 		opts.Backend = backend
-		res, err := RunDataset(d, opts)
+		res, err := RunDataset(builtin(t, "2x2"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq := run("", 0)
+	def := run("", 0)
 	sim1 := run("sim", 1)
 	sim4 := run("sim", 4)
-	assertIdenticalResults(t, sim1, sim4, `Backend "sim" Workers=1`, `Backend "sim" Workers=4`, 0)
-	assertIdenticalResults(t, seq, sim1, "Workers=0", `Backend "sim" Workers=1`, 1e-12)
+	assertIdenticalResults(t, sim1, sim4, `Backend "sim" Workers=1`, `Backend "sim" Workers=4`)
+	assertIdenticalResults(t, def, sim1, "default", `Backend "sim" Workers=1`)
 }
 
 // TestWireBackendClustersTwoSites runs the real-TCP backend on the
@@ -67,22 +64,16 @@ func TestWireBackendClustersTwoSites(t *testing.T) {
 	}
 }
 
-// Backend validation must reject what the wire substrate cannot honour,
-// before any measurement starts.
+// Backend validation must reject an unknown substrate before any
+// measurement starts (TestWireBackendRejectsDynamics covers what the wire
+// substrate cannot honour).
 func TestBackendValidation(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 
 	opts := testOptions(1)
 	opts.Backend = "carrier-pigeon"
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
+	if _, err := Run(net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Fatalf("unknown backend: err = %v, want it named", err)
-	}
-
-	opts = testOptions(1)
-	opts.Backend = "wire"
-	opts.BackgroundFlows = 2
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "BackgroundFlows") {
-		t.Fatalf("wire+BackgroundFlows: err = %v, want BackgroundFlows named", err)
 	}
 }
 
@@ -122,10 +113,10 @@ func init() {
 // TestFailingBackendFailsRun: a substrate error is a run failure naming
 // the iteration — never a silent partial result.
 func TestFailingBackendFailsRun(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(3)
 	opts.Backend = "failing"
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err == nil {
 		t.Fatal("failing substrate produced a result")
 	}

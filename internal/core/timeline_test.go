@@ -48,8 +48,8 @@ func dynamicsOptions(iters, workers int) Options {
 
 // TestDynamicsBitIdenticalAcrossWorkers is the subsystem's determinism
 // guarantee: a timeline with every event kind produces bit-identical
-// results for Workers 0 (which takes the replica path internally), 1 and
-// 4 — including the per-iteration active-host sets.
+// results for Workers 0, 1 and 4 — including the per-iteration
+// active-host sets.
 func TestDynamicsBitIdenticalAcrossWorkers(t *testing.T) {
 	spec := driftSpec(t)
 	run := func(workers int, rotate bool) *Result {
@@ -66,8 +66,8 @@ func TestDynamicsBitIdenticalAcrossWorkers(t *testing.T) {
 		return res
 	}
 	seq, par1, par4 := run(0, false), run(1, false), run(4, false)
-	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
-	assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1", 0)
+	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
+	assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1")
 	for i := range par1.Iterations {
 		a, b := par1.Iterations[i].ActiveHosts, par4.Iterations[i].ActiveHosts
 		if len(a) != len(b) {
@@ -82,7 +82,7 @@ func TestDynamicsBitIdenticalAcrossWorkers(t *testing.T) {
 	// Root rotation composes with churn: the root is an index into each
 	// iteration's active host list.
 	rot1, rot4 := run(1, true), run(4, true)
-	assertIdenticalResults(t, rot1, rot4, "rotate Workers=1", "rotate Workers=4", 0)
+	assertIdenticalResults(t, rot1, rot4, "rotate Workers=1", "rotate Workers=4")
 }
 
 // TestDynamicsLinkScaleReshapesClustering is the headline behaviour: the
@@ -214,8 +214,6 @@ func TestDynamicsBurstPerturbsOnlyItsIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Workers=1 for both runs so even the static one takes the
-		// replica path and iteration comparisons are bit-exact.
 		res, err := RunDataset(d, dynamicsOptions(3, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -262,18 +260,6 @@ func TestDynamicsFixedRootMustFitChurnedSwarm(t *testing.T) {
 	}
 }
 
-func TestDynamicsRejectsBackgroundFlows(t *testing.T) {
-	d, err := driftSpec(t).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := dynamicsOptions(2, 0)
-	opts.BackgroundFlows = 2
-	if _, err := RunDataset(d, opts); err == nil {
-		t.Fatal("BackgroundFlows combined with a Dynamics timeline was accepted")
-	}
-}
-
 func TestDynamicsHostCountMismatchRejected(t *testing.T) {
 	// A timeline compiled for one scenario cannot drive a run over a
 	// different host set.
@@ -310,7 +296,7 @@ func TestDynamicsWindowComposition(t *testing.T) {
 		}
 		return res
 	}
-	assertIdenticalResults(t, run(1), run(4), "window Workers=1", "window Workers=4", 0)
+	assertIdenticalResults(t, run(1), run(4), "window Workers=1", "window Workers=4")
 }
 
 // TestDynamicsValidateSurfacesTimelineErrors: a structurally invalid

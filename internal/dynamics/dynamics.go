@@ -20,7 +20,7 @@
 // Because each measurement iteration runs on its own clone
 // (simnet.Network.Clone shares no mutable link state), replaying the
 // timeline per iteration yields bit-identical core.Results for any
-// Workers >= 1 — the same contract the static parallel pipeline keeps.
+// worker count — the same contract static runs keep.
 //
 // # Event model
 //
@@ -65,8 +65,8 @@ const (
 	HostJoin Kind = "host-join"
 	// Burst starts one cross-traffic flow of Param megabytes (1e6 bytes)
 	// from host src to host dst — Target is "src>dst" — At seconds into
-	// iteration Iter only. It is the deterministic, worker-safe
-	// replacement for core.Options.BackgroundFlows.
+	// iteration Iter only: deterministic cross traffic for measuring
+	// "under conditions of high load" (§I).
 	Burst Kind = "burst"
 )
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nmi"
 	"repro/internal/report"
-	"repro/internal/topology"
+	"repro/internal/scenario"
 )
 
 // CostRow is one method/size cost measurement.
@@ -49,12 +49,16 @@ func (r *Runner) Cost() (*CostData, error) {
 	}
 	for _, n := range []int{8, 16, 20} {
 		half := n / 2
-		truth := topology.BordeauxScaled(half, n-half, 0).GroundTruth
+		site, err := scenario.BordeauxScaled(half, n-half, 0).Compile()
+		if err != nil {
+			return nil, err
+		}
+		truth := site.GroundTruth
 
-		// BitTorrent tomography (ours).
-		d := topology.BordeauxScaled(half, n-half, 0)
+		// BitTorrent tomography (ours). It measures on replicas, so site
+		// stays idle and every baseline below probes its own fresh copy.
 		opts := r.options(15)
-		res, err := core.RunDataset(d, opts)
+		res, err := core.RunDataset(site, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +70,7 @@ func (r *Runner) Cost() (*CostData, error) {
 		})
 
 		// Idle pairwise (blind to the bottleneck by design).
-		d = topology.BordeauxScaled(half, n-half, 0)
+		d := site.Replicate()
 		rep, err := baseline.Pairwise(d.Eng, d.Net, d.Hosts, baseline.DefaultProbeBytes, rand.New(rand.NewSource(r.cfg.Seed)))
 		if err != nil {
 			return nil, err
@@ -78,7 +82,7 @@ func (r *Runner) Cost() (*CostData, error) {
 		})
 
 		// Loaded pairwise (can find it, same O(N²) bill).
-		d = topology.BordeauxScaled(half, n-half, 0)
+		d = site.Replicate()
 		rep, err = baseline.PairwiseLoaded(d.Eng, d.Net, d.Hosts, baseline.DefaultProbeBytes, rand.New(rand.NewSource(r.cfg.Seed)))
 		if err != nil {
 			return nil, err
@@ -92,7 +96,7 @@ func (r *Runner) Cost() (*CostData, error) {
 		// Triplet interference, O(N³): only at the smaller sizes — the
 		// point is precisely that it does not scale.
 		if n <= 16 {
-			d = topology.BordeauxScaled(half, n-half, 0)
+			d = site.Replicate()
 			rep, err = baseline.TripletInterference(d.Eng, d.Net, d.Hosts, baseline.DefaultProbeBytes, rand.New(rand.NewSource(r.cfg.Seed)))
 			if err != nil {
 				return nil, err
@@ -132,7 +136,10 @@ type NetPipeData struct {
 // in isolation, which is why point-to-point probing cannot see it.
 func (r *Runner) NetPipe() (*NetPipeData, error) {
 	data := &NetPipeData{}
-	d := topology.B()
+	d, err := scenario.New("B")
+	if err != nil {
+		return nil, err
+	}
 	intra, err := baseline.NetPipe(d.Eng, d.Net, d.Hosts[0], d.Hosts[1], 64<<20)
 	if err != nil {
 		return nil, err
@@ -143,7 +150,10 @@ func (r *Runner) NetPipe() (*NetPipeData, error) {
 		return nil, err
 	}
 	data.CrossBottleneckMbps = cross.MaxMbps
-	g := topology.GT()
+	g, err := scenario.New("GT")
+	if err != nil {
+		return nil, err
+	}
 	inter, err := baseline.NetPipe(g.Eng, g.Net, g.Hosts[0], g.Hosts[32], 64<<20)
 	if err != nil {
 		return nil, err

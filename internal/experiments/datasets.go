@@ -77,7 +77,8 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 		res *core.Result
 		err error
 	}
-	runs := make([]sweepRun, len(topology.DatasetNames))
+	specs := scenario.BuiltinSpecs() // paper order
+	runs := make([]sweepRun, len(specs))
 	workers := r.cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -85,9 +86,9 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 	sem := make(chan struct{}, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i, name := range topology.DatasetNames {
+	for i, spec := range specs {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func(i int, spec *scenario.Spec) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -97,43 +98,33 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 				runs[i].err = errSweepSkipped
 				return
 			}
-			// The suite measures the spec-backed registry datasets — the
-			// same declarative specs a user could write — which compile
-			// bit-identically to the legacy topology constructors
-			// (asserted in internal/scenario's parity tests).
-			d, err := scenario.New(name)
+			d, err := spec.Compile()
 			if err != nil {
 				failed.Store(true)
 				runs[i].err = err
 				return
 			}
-			opts := r.options(paperIterations[name])
-			if workers > 1 {
-				// The sweep owns the worker budget: measure each dataset
-				// with a single (replica-path) worker so concurrency
-				// stays at Workers instead of Workers squared. Graphs,
-				// partitions and NMI are bit-identical either way; only
-				// simulated durations can differ from the in-place
-				// sequential path in their last ulps (see
-				// core.Options.Workers).
-				opts.Workers = 1
-			}
+			// The sweep owns the worker budget: measure each dataset with
+			// a single worker so concurrency stays at Workers instead of
+			// Workers squared. Results are bit-identical either way.
+			opts := r.options(paperIterations[spec.Name]).WithWorkers(1)
 			res, err := core.RunDataset(d, opts)
 			if err != nil {
 				failed.Store(true)
 			}
 			runs[i] = sweepRun{d: d, res: res, err: err}
-		}(i, name)
+		}(i, spec)
 	}
 	wg.Wait()
 	// Surface the real failure rather than a skip marker; admission order
 	// is not paper order, so a skipped dataset may precede the failed one.
-	for i, name := range topology.DatasetNames {
+	for i, spec := range specs {
 		if err := runs[i].err; err != nil && err != errSweepSkipped {
-			return nil, fmt.Errorf("dataset %s: %w", name, err)
+			return nil, fmt.Errorf("dataset %s: %w", spec.Name, err)
 		}
 	}
-	for i, name := range topology.DatasetNames {
+	for i, spec := range specs {
+		name := spec.Name
 		d, res, err := runs[i].d, runs[i].res, runs[i].err
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: %w", name, err)

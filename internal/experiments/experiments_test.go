@@ -273,13 +273,8 @@ func TestDatasetsParallelSweepMatchesSequential(t *testing.T) {
 			t.Fatalf("outcome %d ordered %q sequentially, %q in parallel", i, s.Name, p.Name)
 		}
 		if s.FinalNMI != p.FinalNMI || s.FinalClusters != p.FinalClusters ||
-			s.Q != p.Q || s.ConvergedAt != p.ConvergedAt {
+			s.Q != p.Q || s.ConvergedAt != p.ConvergedAt || s.MeanDuration != p.MeanDuration {
 			t.Fatalf("%s diverged: seq %+v par %+v", s.Name, s, p)
-		}
-		// Durations may differ from the in-place sequential path only in
-		// their last ulps (replica engines read the clock near t=0).
-		if d := s.MeanDuration - p.MeanDuration; d > 1e-9*s.MeanDuration || d < -1e-9*s.MeanDuration {
-			t.Fatalf("%s mean duration diverged: seq %v par %v", s.Name, s.MeanDuration, p.MeanDuration)
 		}
 	}
 }

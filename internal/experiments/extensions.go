@@ -11,7 +11,6 @@ import (
 	"repro/internal/nmi"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/topology"
 )
 
 // HierarchyData is the E15 result: flat versus hierarchical scoring on
@@ -108,13 +107,10 @@ func (r *Runner) Stress() (*StressData, error) {
 	data := &StressData{}
 	iters := 15
 	for seed := int64(1); seed <= 5; seed++ {
-		spec := topology.RandomSpec{
-			Sites:    2 + int(seed%2),
-			MinNodes: 12,
-			MaxNodes: 24,
-			Seed:     seed,
+		d, err := scenario.RandomSites(2+int(seed%2), 12, 24, 0, seed).Compile()
+		if err != nil {
+			return nil, err
 		}
-		d := topology.Random(spec)
 		opts := r.options(iters)
 		if floor := 8000 * opts.BT.FragmentSize; opts.BT.FileBytes < floor {
 			opts.BT.FileBytes = floor

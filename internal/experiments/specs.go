@@ -42,7 +42,7 @@ const sweepIterations = 15
 
 // SweepSpecs compiles and measures every spec, each on its own fresh
 // simulator. With cfg.Workers > 1 the scenarios are measured concurrently
-// — each on a single-worker replica path, so total concurrency stays at
+// — each with a single worker, so total concurrency stays at
 // Workers — and outcomes are reported in input order regardless of
 // completion order. Spec names must be unique within one sweep.
 func (r *Runner) SweepSpecs(specs []*scenario.Spec) (*SweepData, error) {

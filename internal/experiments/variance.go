@@ -10,9 +10,9 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bittorrent"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // Fig5Data is the result of the edge-variance experiment.
@@ -41,7 +41,10 @@ func (r *Runner) Fig5() (*Fig5Data, error) {
 	if r.cfg.Iterations > 0 {
 		iters = r.cfg.Iterations
 	}
-	d := topology.B()
+	d, err := scenario.New("B")
+	if err != nil {
+		return nil, err
+	}
 	cfg := bittorrent.DefaultConfig()
 	cfg.FileBytes = r.options(1).BT.FileBytes
 	rng := sim.NewRNG(r.cfg.Seed)
@@ -130,7 +133,10 @@ func (r *Runner) Efficiency() (*EfficiencyData, error) {
 	base := r.options(1)
 	rng := sim.NewRNG(r.cfg.Seed)
 	for _, n := range []int{32, 64, 128} {
-		d := topology.FlatSites(4, n/4)
+		d, err := scenario.FlatSites(4, n/4).Compile()
+		if err != nil {
+			return nil, err
+		}
 		res, err := bittorrent.RunBroadcast(d.Eng, d.Net, d.Hosts, base.BT, rng.Streamf("eff-nodes", n))
 		if err != nil {
 			return nil, err
@@ -152,7 +158,10 @@ func (r *Runner) Efficiency() (*EfficiencyData, error) {
 	}
 
 	for _, frac := range []float64{0.25, 0.5, 1.0} {
-		d := topology.FlatSites(4, 16)
+		d, err := scenario.FlatSites(4, 16).Compile()
+		if err != nil {
+			return nil, err
+		}
 		cfg := base.BT
 		cfg.FileBytes = int(float64(cfg.FileBytes) * frac)
 		if cfg.FileBytes < cfg.FragmentSize {

@@ -1,10 +1,9 @@
 package scenario
 
-// The paper's six Grid'5000 datasets, retrofitted as declarative specs.
-// Each spec reproduces the corresponding topology constructor exactly —
-// same host names, host order, ground-truth labels and link parameters —
-// and the parity tests assert the compiled datasets measure
-// bit-identically to the legacy constructors (topology.TwoByTwo .. BGTL).
+// The paper's six Grid'5000 datasets as declarative specs. Host names,
+// host order, ground-truth labels and link parameters are pinned: the
+// campaign content keys and the frozen digests in parity_test.go move if
+// any of them does.
 //
 // The link classes mirror topology's shared link variables: "eth" is
 // HostLink, "uplink" is ClusterUplink, "bottleneck" is the Dell-Cisco
@@ -34,7 +33,7 @@ func backbone(b *Builder, sites ...string) *Builder {
 // bordeauxSite declares the three Bordeaux clusters (Fig. 7): Bordeplage
 // behind the Dell switch, Bordereau and Borderline behind fast switches
 // off Cisco, and the single 1 GbE Dell-Cisco inter-switch bottleneck.
-// Zero-count clusters are absent, as in topology.builder.bordeauxSite.
+// Zero-count clusters are absent.
 func bordeauxSite(b *Builder, router string, plage, reau, line int, clusterPlage, clusterReau string) *Builder {
 	b.Switch("bordeaux-dell", "bordeaux-cisco").
 		Trunk("bordeaux-dell", "bordeaux-cisco", "bottleneck").
@@ -57,7 +56,7 @@ func bordeauxSite(b *Builder, router string, plage, reau, line int, clusterPlage
 	return b
 }
 
-// specTwoByTwo mirrors topology.TwoByTwo (§IV-B1).
+// specTwoByTwo is the §IV-B1 setting: 2 Bordeplage + 2 Borderline nodes.
 func specTwoByTwo() *Spec {
 	b := builtinLinks(NewBuilder("2x2")).
 		Note("single logical cluster: the 1 GbE inter-switch link is not a bottleneck for two concurrent pairs").
@@ -65,7 +64,7 @@ func specTwoByTwo() *Spec {
 	return bordeauxSite(b, "router-bordeaux", 2, 0, 2, "bordeaux", "bordeaux").MustSpec()
 }
 
-// specB mirrors topology.B (Fig. 8).
+// specB is the Fig. 8 dataset: 64 Bordeaux nodes.
 func specB() *Spec {
 	b := builtinLinks(NewBuilder("B")).
 		Note("two logical clusters: Bordeplage | Bordereau+Borderline (site-admin ground truth, Fig. 7)").
@@ -73,7 +72,7 @@ func specB() *Spec {
 	return bordeauxSite(b, "router-bordeaux", 32, 27, 5, "bordeplage", "bordereau+borderline").MustSpec()
 }
 
-// specBT mirrors topology.BT (Fig. 9).
+// specBT is the Fig. 9 dataset: 32 Bordeaux + 32 Toulouse nodes.
 func specBT() *Spec {
 	b := builtinLinks(NewBuilder("BT")).
 		Note("three ground-truth partitions: Bordeplage | Bordereau+Borderline | Toulouse")
@@ -82,7 +81,7 @@ func specBT() *Spec {
 	return b.FlatSite("toulouse", "router-toulouse", 32, "eth", "uplink").MustSpec()
 }
 
-// specGT mirrors topology.GT (Fig. 10).
+// specGT is the Fig. 10 dataset: 32 Grenoble + 32 Toulouse nodes.
 func specGT() *Spec {
 	b := builtinLinks(NewBuilder("GT")).
 		Note("one cluster per site (both sites flat)")
@@ -93,7 +92,8 @@ func specGT() *Spec {
 		MustSpec()
 }
 
-// specBGT mirrors topology.BGT (Fig. 11).
+// specBGT is the Fig. 11 dataset: three sites of 32 nodes; the Bordeaux
+// nodes avoid Bordeplage (§IV-D).
 func specBGT() *Spec {
 	b := builtinLinks(NewBuilder("BGT")).
 		Note("one cluster per site (Bordeaux nodes avoid the intra-site bottleneck)")
@@ -105,7 +105,7 @@ func specBGT() *Spec {
 		MustSpec()
 }
 
-// specBGTL mirrors topology.BGTL (Fig. 12).
+// specBGTL is the Fig. 12 dataset: four sites of 16 nodes.
 func specBGTL() *Spec {
 	b := builtinLinks(NewBuilder("BGTL")).
 		Note("one cluster per site")

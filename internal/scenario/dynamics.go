@@ -127,8 +127,8 @@ func (b *Builder) HostJoin(iter int, host string) *Builder {
 }
 
 // Burst schedules one cross-traffic flow of megabytes MB from host src to
-// host dst, atSeconds into iteration iter only — the deterministic
-// replacement for core.Options.BackgroundFlows.
+// host dst, atSeconds into iteration iter only — deterministic cross
+// traffic for measuring "under conditions of high load" (§I).
 func (b *Builder) Burst(iter int, atSeconds float64, src, dst string, megabytes float64) *Builder {
 	return b.Dynamic(dynamics.Event{
 		Iter: iter, At: atSeconds, Kind: dynamics.Burst,

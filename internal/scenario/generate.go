@@ -1,13 +1,16 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Generators for parameterised synthetic scenario families. Each returns
 // a validated Spec, so a family member can be compiled directly, saved
 // as JSON, registered, or swept by the experiment harness — scenarios
 // beyond the paper's six datasets become one function call. Generators
-// panic on nonsensical shape parameters (like the topology package's
-// constructors); bandwidth/latency values are validated by the spec.
+// panic on nonsensical shape parameters; bandwidth/latency values are
+// validated by the spec.
 
 // NSites generates a k-site star: hostsPerSite hosts per flat site,
 // intraMbps host links, interMbps site uplinks into a central core
@@ -82,6 +85,83 @@ func SkewedSites(sites, hostsPerSite int, intraMbps, interMbps, decay float64) *
 		b.Link(link, uplink, 4e-3)
 		b.FlatSite(fmt.Sprintf("site%d", i), "core", hostsPerSite, "intra", link)
 		uplink *= decay
+	}
+	return b.MustSpec()
+}
+
+// siteNames returns site0..site(n-1).
+func siteNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("site%d", i)
+	}
+	return names
+}
+
+// BordeauxScaled generates a Bordeaux-only scenario (Fig. 7) with custom
+// cluster sizes, used by the cost-comparison experiments at reduced node
+// counts. The ground truth is Bordeplage | Bordereau+Borderline whenever
+// both sides of the Dell-Cisco bottleneck are populated.
+func BordeauxScaled(plage, reau, line int) *Spec {
+	b := builtinLinks(NewBuilder(fmt.Sprintf("B-%d-%d-%d", plage, reau, line))).
+		Note("two logical clusters split at the Dell-Cisco 1 GbE link").
+		Switch("router-bordeaux")
+	return bordeauxSite(b, "router-bordeaux", plage, reau, line, "bordeplage", "bordereau+borderline").MustSpec()
+}
+
+// FlatSites generates a multi-site scenario on the Renater star with the
+// given number of flat Grid'5000 sites and nodes per site; used by the
+// scaling experiments (§II-B uses 32, 64 and 128 nodes across up to 4
+// sites). A single site needs no backbone.
+func FlatSites(sites, nodesPerSite int) *Spec {
+	if sites < 1 || nodesPerSite < 1 {
+		panic("scenario: FlatSites needs at least one site and one node")
+	}
+	b := builtinLinks(NewBuilder(fmt.Sprintf("flat-%dx%d", sites, nodesPerSite))).
+		Note("one cluster per site")
+	names := siteNames(sites)
+	if sites == 1 {
+		b.Switch("router-site0")
+	} else {
+		backbone(b, names...)
+	}
+	for _, s := range names {
+		b.FlatSite(s, "router-"+s, nodesPerSite, "eth", "uplink")
+	}
+	return b.MustSpec()
+}
+
+// RandomSites generates a randomized heterogeneous multi-site scenario
+// for stress-testing the pipeline beyond the paper's fixed settings:
+// sites (>= 2) flat sites on the Renater star, each with a node count
+// drawn uniformly from [minNodes, maxNodes] by seed. The first
+// bottlenecks sites (those that drew at least 4 nodes) are split like
+// Bordeaux: half their nodes behind an internal 1 GbE inter-switch link,
+// forming their own ground-truth cluster.
+func RandomSites(sites, minNodes, maxNodes, bottlenecks int, seed int64) *Spec {
+	if sites < 2 {
+		panic("scenario: RandomSites needs at least 2 sites")
+	}
+	if minNodes < 2 || maxNodes < minNodes {
+		panic("scenario: RandomSites needs 2 <= minNodes <= maxNodes")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	b := builtinLinks(NewBuilder(fmt.Sprintf("random-%d", seed))).
+		Note("one cluster per site; bottlenecked sites split in two")
+	names := siteNames(sites)
+	backbone(b, names...)
+	for i, name := range names {
+		n := minNodes + rng.Intn(maxNodes-minNodes+1)
+		if i >= bottlenecks || n < 4 {
+			b.FlatSite(name, "router-"+name, n, "eth", "uplink")
+			continue
+		}
+		near, far := name+"-near", name+"-far"
+		b.Switch(near+"-sw", far+"-sw").
+			Trunk(near+"-sw", "router-"+name, "uplink").
+			Trunk(near+"-sw", far+"-sw", "bottleneck").
+			Hosts(near, n/2, near+"-sw", "eth", near).
+			Hosts(far, n-n/2, far+"-sw", "eth", far)
 	}
 	return b.MustSpec()
 }

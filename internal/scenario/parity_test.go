@@ -1,18 +1,19 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/topology"
 )
 
-// The spec retrofit must be invisible to results: each built-in dataset
-// rebuilt from its spec has to measure bit-identically to the legacy Go
-// constructor. A small payload suffices — identity is structural, not a
-// convergence property.
+// parityOptions keeps identity checks fast: a small payload suffices —
+// identity is structural, not a convergence property.
 func parityOptions(iters int) core.Options {
 	opts := core.DefaultOptions()
 	opts.Iterations = iters
@@ -20,73 +21,51 @@ func parityOptions(iters int) core.Options {
 	return opts
 }
 
-func TestBuiltinSpecsMatchLegacyStructure(t *testing.T) {
-	for _, name := range topology.DatasetNames {
-		legacy := topology.Registry[name]()
-		spec, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("builtin %s not in scenario registry", name)
-		}
-		d, err := spec.Compile()
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
-		}
-		if d.Name != legacy.Name {
-			t.Errorf("%s: name %q vs legacy %q", name, d.Name, legacy.Name)
-		}
-		if d.TruthNote != legacy.TruthNote {
-			t.Errorf("%s: truth note %q vs legacy %q", name, d.TruthNote, legacy.TruthNote)
-		}
-		if d.N() != legacy.N() {
-			t.Fatalf("%s: %d hosts vs legacy %d", name, d.N(), legacy.N())
-		}
-		if got, want := spec.NumHosts(), legacy.N(); got != want {
-			t.Errorf("%s: spec.NumHosts() = %d, want %d", name, got, want)
-		}
-		for i := 0; i < d.N(); i++ {
-			if d.HostName(i) != legacy.HostName(i) {
-				t.Fatalf("%s: host %d named %q vs legacy %q", name, i, d.HostName(i), legacy.HostName(i))
-			}
-			if d.GroundTruth[i] != legacy.GroundTruth[i] {
-				t.Fatalf("%s: host %d truth %d vs legacy %d", name, i, d.GroundTruth[i], legacy.GroundTruth[i])
-			}
-		}
-		// Route-level parity: every host pair sees the same static path
-		// bandwidth, latency and hop count as on the legacy network.
-		for i := 0; i < d.N(); i++ {
-			for j := 0; j < d.N(); j++ {
-				if i == j {
-					continue
-				}
-				got := d.Net.Path(d.Hosts[i], d.Hosts[j])
-				want := legacy.Net.Path(legacy.Hosts[i], legacy.Hosts[j])
-				if got != want {
-					t.Fatalf("%s: path %d->%d = %+v, legacy %+v", name, i, j, got, want)
-				}
-			}
-		}
+// legacyDigests freezes what the hand-wired Go constructors of the six
+// paper datasets (topology.TwoByTwo .. BGTL) measured under
+// parityOptions(3). The constructors were deleted once the specs were
+// proven to measure bit-identically to them; the record keeps that proof
+// running. A deliberate simulator or protocol change repins it; an edit
+// to a builtin spec, the compiler or host ordering must not move it.
+var legacyDigests = map[string]string{
+	"2x2":  "d561205886ad78c4f333295ce13a73ecae75d7a6eda5272fb8c4bde46095d36f",
+	"B":    "ac539f8857c2dd70a84c1d509fdf1f1785da97d4cb95d400fbd98b5b40248468",
+	"BT":   "0e77664f709d70eae457f6cf22d9ba570b26656f6592c294ab9758d0fa82ae02",
+	"GT":   "fc7c5eed91edddc328b0e4aafdb5533ee453acf8e27eba4989aea8ac6def8a84",
+	"BGT":  "86d431663b740cf5cbd3e5b4c0a56ca9dc859adceada5d2b9cd979acda09ebdf",
+	"BGTL": "37800dca9e3b94e5a1d5e1c268abe4109feccac7c4a489d7e6aac001919e1935",
+}
+
+// resultDigest hashes everything assertSameResult compares, bit-exactly.
+func resultDigest(r *core.Result) string {
+	h := sha256.New()
+	for _, e := range r.Graph.Edges() {
+		fmt.Fprintf(h, "%d %d %x\n", e.U, e.V, math.Float64bits(e.Weight))
 	}
+	fmt.Fprintf(h, "%v %x %x %x\n", r.Partition.Labels,
+		math.Float64bits(r.Q), math.Float64bits(r.NMI), math.Float64bits(r.TotalMeasurementTime))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestBuiltinSpecsMeasureBitIdenticallyToLegacy(t *testing.T) {
-	for _, name := range topology.DatasetNames {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests were recorded on amd64; architectures that fuse multiply-adds round differently")
+	}
+	for _, spec := range BuiltinSpecs() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			legacy := topology.Registry[name]()
-			specd, err := New(name)
+			d, err := spec.Compile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.RunDataset(legacy, parityOptions(3))
+			res, err := core.RunDataset(d, parityOptions(3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.RunDataset(specd, parityOptions(3))
-			if err != nil {
-				t.Fatal(err)
+			if got := resultDigest(res); got != legacyDigests[spec.Name] {
+				t.Fatalf("measurement digest %s, legacy constructor measured %s", got, legacyDigests[spec.Name])
 			}
-			assertSameResult(t, got, want)
 		})
 	}
 }
@@ -131,9 +110,6 @@ func assertSameResult(t *testing.T, got, want *core.Result) {
 // transcripts regardless of registration timing.
 func TestRegistrySortedAndSeeded(t *testing.T) {
 	names := Names()
-	if len(names) < len(topology.DatasetNames) {
-		t.Fatalf("registry has %d names, want at least %d", len(names), len(topology.DatasetNames))
-	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("registry names not sorted: %v", names)
 	}
@@ -141,9 +117,9 @@ func TestRegistrySortedAndSeeded(t *testing.T) {
 	for _, n := range names {
 		have[n] = true
 	}
-	for _, want := range topology.DatasetNames {
-		if !have[want] {
-			t.Fatalf("registry %v is missing built-in %q", names, want)
+	for _, builtin := range BuiltinSpecs() {
+		if !have[builtin.Name] {
+			t.Fatalf("registry %v is missing built-in %q", names, builtin.Name)
 		}
 	}
 	// Registration keeps the order sorted (the new name lands in its

@@ -18,7 +18,8 @@
 //   - write JSON and Decode/Load it,
 //   - assemble one with the fluent Builder,
 //   - call a generator for a synthetic family (NSites, FatTree,
-//     SkewedSites).
+//     SkewedSites, DriftSites) or a Grid'5000 one (BordeauxScaled,
+//     FlatSites, RandomSites).
 //
 // Spec.Compile turns any of them into a ready-to-measure dataset.
 package scenario

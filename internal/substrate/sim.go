@@ -11,19 +11,17 @@ import (
 )
 
 // mCloneSeconds totals the cost of building per-iteration replicas —
-// the price the parallel pipeline pays for bit-identical isolation.
+// the price the pipeline pays for bit-identical isolation.
 var mCloneSeconds = telemetry.Default().Counter("repro_substrate_clone_seconds_total",
 	"wall-clock seconds spent cloning engine+network replicas (incl. dynamics replay)")
 
 func init() {
-	mustRegister("sim", Capabilities{Dynamics: true, Background: true, Deterministic: true}, newSim)
+	mustRegister("sim", Capabilities{Dynamics: true, Deterministic: true}, newSim)
 }
 
 // simSubstrate measures each iteration on a private engine+network
-// replica of the run's network. This is the replica-per-iteration body
-// the parallel pipeline has always run, verbatim — extracting it here
-// must not perturb a single byte of output (asserted by the parity
-// suite against the pre-refactor goldens).
+// replica of the run's network, so every iteration starts from an idle
+// network at t=0 whatever the worker count.
 type simSubstrate struct {
 	env Env
 }
@@ -42,7 +40,7 @@ func newSim(env Env) (Substrate, error) {
 func (s *simSubstrate) Name() string { return "sim" }
 
 func (s *simSubstrate) Capabilities() Capabilities {
-	return Capabilities{Dynamics: true, Background: true, Deterministic: true}
+	return Capabilities{Dynamics: true, Deterministic: true}
 }
 
 func (s *simSubstrate) Measure(_ context.Context, req Request) (*bittorrent.Result, error) {

@@ -10,12 +10,9 @@
 //
 //   - "sim" — the discrete-event fluid simulator, measuring each
 //     iteration on a private engine+network replica. It is the default,
-//     fully deterministic, and supports every option the pipeline has
-//     (dynamics timelines, background flows on the sequential path).
-//     Its Measure body is the exact replica-per-iteration worker the
-//     parallel pipeline always ran, so the bit-identity contract —
-//     identical bytes for any Workers >= 1 — is preserved by
-//     construction.
+//     fully deterministic (identical bytes for any worker count), and
+//     supports every option the pipeline has, dynamics timelines
+//     included.
 //
 //   - "wire" — real BitTorrent over loopback TCP (internal/wire): one
 //     instrumented client per host, pieces exchanged over actual
@@ -24,7 +21,7 @@
 //     contrast shapes the real traffic. Wire measurements are real and
 //     therefore only best-effort reproducible (seeded protocol RNG, but
 //     scheduler and network timing leak in); they reject options they
-//     cannot honor (dynamics timelines, background flows).
+//     cannot honor (dynamics timelines).
 //
 // Substrates register by name; core.Options.Backend selects one, and the
 // campaign layer sweeps the choice as a content-hashed axis.
@@ -51,9 +48,6 @@ type Capabilities struct {
 	// Dynamics reports whether the substrate can replay a scripted
 	// network-dynamics timeline per iteration.
 	Dynamics bool
-	// Background reports whether the substrate supports the legacy
-	// Options.BackgroundFlows cross-traffic knob.
-	Background bool
 	// Deterministic reports whether identical inputs yield bit-identical
 	// results. Only deterministic substrates uphold the campaign layer's
 	// "same key, same bytes" diff contract; results from the others are
@@ -67,8 +61,10 @@ type Request struct {
 	Iter int
 	// Hosts are the network vertex ids broadcasting this iteration (the
 	// run's full host list, or the churned subset under dynamics).
+	Hosts []int
+	// Config is the iteration's broadcast configuration; its Root indexes
+	// Hosts.
 	Config bittorrent.Config
-	Hosts  []int
 	// RNG is the iteration's private deterministic stream. Deterministic
 	// substrates drive all protocol randomness from it; real-socket
 	// substrates seed their best-effort protocol RNG from it.
@@ -107,7 +103,7 @@ type Substrate interface {
 	Capabilities() Capabilities
 	// Measure runs one broadcast iteration and returns its fragment
 	// instrumentation. Implementations must be safe for concurrent calls
-	// (the parallel pipeline issues Workers at once) and must respect
+	// (the pipeline issues Workers at once) and must respect
 	// ctx cancellation.
 	Measure(ctx context.Context, req Request) (*bittorrent.Result, error)
 	// Close releases substrate-held resources after the run.

@@ -1,6 +1,6 @@
-// Package topology builds the simulated Grid'5000 infrastructures on which
-// the paper's experiments run, together with their ground-truth logical
-// clusterings.
+// Package topology holds the ready-to-measure Dataset type that scenario
+// specs compile to (package scenario is the one place networks are
+// defined) and the Grid'5000 link parameters the paper reports.
 //
 // The parameters mirror the numbers reported in §IV-A of the paper:
 //
@@ -18,9 +18,6 @@
 package topology
 
 import (
-	"fmt"
-	"math/rand"
-
 	"repro/internal/dynamics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -72,8 +69,8 @@ func (d *Dataset) N() int { return len(d.Hosts) }
 // simulation engine: the same topology (including any runtime capacity
 // changes), hosts, and ground truth, but no simulated state. It is the
 // dataset-level convenience over simnet.Network.Clone — the same
-// primitive the parallel measurement pipeline (core.Options.Workers)
-// uses per iteration — and suits callers running independent sweeps over
+// primitive the measurement pipeline uses per iteration — and suits
+// callers running independent sweeps over
 // one topology from their own goroutines. It panics if the dataset's
 // network has active flows (replicate before measuring, not mid-run).
 func (d *Dataset) Replicate() *Dataset {
@@ -91,262 +88,3 @@ func (d *Dataset) Replicate() *Dataset {
 
 // HostName returns the display name of host index i.
 func (d *Dataset) HostName(i int) string { return d.Net.Name(d.Hosts[i]) }
-
-// builder accumulates hosts and truth labels while wiring a network.
-type builder struct {
-	net   *simnet.Network
-	hosts []int
-	truth []int
-}
-
-func (b *builder) addHosts(prefix string, count, truthLabel, sw int) {
-	for i := 0; i < count; i++ {
-		h := b.net.AddHost(fmt.Sprintf("%s-%d", prefix, i))
-		b.net.Connect(h, sw, HostLink)
-		b.hosts = append(b.hosts, h)
-		b.truth = append(b.truth, truthLabel)
-	}
-}
-
-// bordeauxSite wires the three Bordeaux clusters (Fig. 7): Bordeplage
-// behind the Dell switch, Bordereau and Borderline behind Cisco switches
-// joined by a fast link, Dell-Cisco limited to one 1 GbE connection, and
-// the Cisco switch reaching the site router. Nodes counts are per cluster;
-// zero-count clusters are simply absent.
-//
-// Truth labels: Bordeplage gets labelPlage; Bordereau and Borderline share
-// labelReau (they form one logical cluster — no bottleneck between them).
-func (b *builder) bordeauxSite(router int, plage, reau, line, labelPlage, labelReau int) {
-	dell := b.net.AddSwitch("bordeaux-dell")
-	cisco := b.net.AddSwitch("bordeaux-cisco")
-	b.net.Connect(dell, cisco, BordeauxBottleneck)
-	b.net.Connect(cisco, router, ClusterUplink)
-	if plage > 0 {
-		b.addHosts("bordeplage", plage, labelPlage, dell)
-	}
-	if reau > 0 {
-		reauSw := b.net.AddSwitch("bordeaux-reau-sw")
-		b.net.Connect(reauSw, cisco, FastInterSwitch)
-		b.addHosts("bordereau", reau, labelReau, reauSw)
-	}
-	if line > 0 {
-		lineSw := b.net.AddSwitch("bordeaux-line-sw")
-		b.net.Connect(lineSw, cisco, FastInterSwitch)
-		b.addHosts("borderline", line, labelReau, lineSw)
-	}
-}
-
-// flatSite wires a site with a flat Ethernet hierarchy (Grenoble,
-// Toulouse, Lyon): hosts on one switch, switch on the site router.
-func (b *builder) flatSite(name string, router, count, label int) {
-	sw := b.net.AddSwitch(name + "-sw")
-	b.net.Connect(sw, router, ClusterUplink)
-	b.addHosts(name, count, label, sw)
-}
-
-// backbone builds the Renater star (Fig. 6) with Lyon central, returning
-// one router vertex per requested site name.
-func (b *builder) backbone(sites []string) map[string]int {
-	core := b.net.AddSwitch("renater-lyon-core")
-	routers := make(map[string]int, len(sites))
-	for _, s := range sites {
-		r := b.net.AddSwitch("router-" + s)
-		b.net.Connect(r, core, WanLink)
-		routers[s] = r
-	}
-	return routers
-}
-
-func newBuilder() (*builder, *sim.Engine) {
-	eng := sim.NewEngine()
-	return &builder{net: simnet.New(eng)}, eng
-}
-
-func (b *builder) dataset(name, note string, eng *sim.Engine) *Dataset {
-	return &Dataset{
-		Name:        name,
-		Eng:         eng,
-		Net:         b.net,
-		Hosts:       b.hosts,
-		GroundTruth: b.truth,
-		TruthNote:   note,
-	}
-}
-
-// TwoByTwo reproduces the §IV-B1 setting: 2 Bordeplage + 2 Borderline
-// nodes. At this scale the Dell-Cisco link is not a bottleneck, so the
-// ground truth is a single logical cluster.
-func TwoByTwo() *Dataset {
-	b, eng := newBuilder()
-	router := b.net.AddSwitch("router-bordeaux")
-	b.bordeauxSite(router, 2, 0, 2, 0, 0)
-	return b.dataset("2x2",
-		"single logical cluster: the 1 GbE inter-switch link is not a bottleneck for two concurrent pairs", eng)
-}
-
-// B reproduces the Fig. 8 dataset: 64 Bordeaux nodes (32 Bordeplage,
-// 5 Borderline, 27 Bordereau). Ground truth has two logical clusters:
-// Bordeplage versus Bordereau+Borderline.
-func B() *Dataset {
-	b, eng := newBuilder()
-	router := b.net.AddSwitch("router-bordeaux")
-	b.bordeauxSite(router, 32, 27, 5, 0, 1)
-	return b.dataset("B",
-		"two logical clusters: Bordeplage | Bordereau+Borderline (site-admin ground truth, Fig. 7)", eng)
-}
-
-// BT reproduces the Fig. 9 dataset: 32 Bordeaux + 32 Toulouse nodes. The
-// ground truth is hierarchical and has three partitions — Toulouse,
-// Bordeplage, Bordereau+Borderline — which caps the NMI of any two-cluster
-// answer at about 0.7 (§IV-C).
-func BT() *Dataset {
-	b, eng := newBuilder()
-	routers := b.backbone([]string{"bordeaux", "toulouse"})
-	b.bordeauxSite(routers["bordeaux"], 16, 12, 4, 0, 1)
-	b.flatSite("toulouse", routers["toulouse"], 32, 2)
-	return b.dataset("BT",
-		"three ground-truth partitions: Bordeplage | Bordereau+Borderline | Toulouse", eng)
-}
-
-// GT reproduces the Fig. 10 dataset: 32 Grenoble + 32 Toulouse nodes,
-// both sites flat, one ground-truth cluster per site.
-func GT() *Dataset {
-	b, eng := newBuilder()
-	routers := b.backbone([]string{"grenoble", "toulouse"})
-	b.flatSite("grenoble", routers["grenoble"], 32, 0)
-	b.flatSite("toulouse", routers["toulouse"], 32, 1)
-	return b.dataset("GT", "one cluster per site (both sites flat)", eng)
-}
-
-// BGT reproduces the Fig. 11 dataset: Bordeaux, Grenoble and Toulouse with
-// 32 nodes each. Following §IV-D, the Bordeaux nodes are drawn only from
-// the well-connected Bordereau and Borderline clusters, so each site is a
-// single ground-truth cluster.
-func BGT() *Dataset {
-	b, eng := newBuilder()
-	routers := b.backbone([]string{"bordeaux", "grenoble", "toulouse"})
-	b.bordeauxSite(routers["bordeaux"], 0, 27, 5, 0, 0)
-	b.flatSite("grenoble", routers["grenoble"], 32, 1)
-	b.flatSite("toulouse", routers["toulouse"], 32, 2)
-	return b.dataset("BGT", "one cluster per site (Bordeaux nodes avoid the intra-site bottleneck)", eng)
-}
-
-// BGTL reproduces the Fig. 12 dataset: Bordeaux, Grenoble, Toulouse and
-// Lyon with 16 nodes each, one ground-truth cluster per site.
-func BGTL() *Dataset {
-	b, eng := newBuilder()
-	routers := b.backbone([]string{"bordeaux", "grenoble", "toulouse", "lyon"})
-	b.bordeauxSite(routers["bordeaux"], 0, 13, 3, 0, 0)
-	b.flatSite("grenoble", routers["grenoble"], 16, 1)
-	b.flatSite("toulouse", routers["toulouse"], 16, 2)
-	b.flatSite("lyon", routers["lyon"], 16, 3)
-	return b.dataset("BGTL", "one cluster per site", eng)
-}
-
-// BordeauxScaled builds a Bordeaux-only dataset with custom cluster sizes,
-// used by the cost-comparison experiments at reduced node counts. The
-// ground truth is Bordeplage | Bordereau+Borderline whenever both sides of
-// the Dell-Cisco bottleneck are populated.
-func BordeauxScaled(plage, reau, line int) *Dataset {
-	b, eng := newBuilder()
-	router := b.net.AddSwitch("router-bordeaux")
-	b.bordeauxSite(router, plage, reau, line, 0, 1)
-	return b.dataset(fmt.Sprintf("B-%d-%d-%d", plage, reau, line),
-		"two logical clusters split at the Dell-Cisco 1 GbE link", eng)
-}
-
-// FlatSites builds a generic multi-site dataset with the given number of
-// flat sites and nodes per site; useful for scaling experiments (§II-B
-// uses 32, 64 and 128 nodes across up to 4 sites).
-func FlatSites(sites, nodesPerSite int) *Dataset {
-	if sites < 1 || nodesPerSite < 1 {
-		panic("topology: FlatSites needs at least one site and one node")
-	}
-	b, eng := newBuilder()
-	names := make([]string, sites)
-	for i := range names {
-		names[i] = fmt.Sprintf("site%d", i)
-	}
-	if sites == 1 {
-		router := b.net.AddSwitch("router-site0")
-		b.flatSite("site0", router, nodesPerSite, 0)
-	} else {
-		routers := b.backbone(names)
-		for i, s := range names {
-			b.flatSite(s, routers[s], nodesPerSite, i)
-		}
-	}
-	return b.dataset(fmt.Sprintf("flat-%dx%d", sites, nodesPerSite), "one cluster per site", eng)
-}
-
-// RandomSpec parameterises Random.
-type RandomSpec struct {
-	// Sites is the number of flat sites (>= 2).
-	Sites int
-	// MinNodes/MaxNodes bound the per-site node count (inclusive).
-	MinNodes, MaxNodes int
-	// Bottlenecks inserts this many sites with an internal Bordeaux-like
-	// split: half the site's nodes behind an extra 1 GbE inter-switch
-	// link, forming their own ground-truth cluster (capped at Sites).
-	Bottlenecks int
-	// Seed drives the layout choices.
-	Seed int64
-}
-
-// Random generates a randomized heterogeneous multi-site dataset for
-// stress-testing the tomography pipeline beyond the paper's fixed
-// settings: uneven site sizes and optional intra-site bottlenecks.
-func Random(spec RandomSpec) *Dataset {
-	if spec.Sites < 2 {
-		panic("topology: Random needs at least 2 sites")
-	}
-	if spec.MinNodes < 2 || spec.MaxNodes < spec.MinNodes {
-		panic("topology: Random needs 2 <= MinNodes <= MaxNodes")
-	}
-	if spec.Bottlenecks > spec.Sites {
-		spec.Bottlenecks = spec.Sites
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	b, eng := newBuilder()
-	names := make([]string, spec.Sites)
-	for i := range names {
-		names[i] = fmt.Sprintf("site%d", i)
-	}
-	routers := b.backbone(names)
-	label := 0
-	for i, name := range names {
-		n := spec.MinNodes + rng.Intn(spec.MaxNodes-spec.MinNodes+1)
-		if i < spec.Bottlenecks && n >= 4 {
-			// Split site: half the nodes behind an internal 1 GbE
-			// bottleneck, like Bordeplage in Bordeaux.
-			near := b.net.AddSwitch(name + "-near")
-			far := b.net.AddSwitch(name + "-far")
-			b.net.Connect(near, routers[name], ClusterUplink)
-			b.net.Connect(near, far, BordeauxBottleneck)
-			b.addHosts(name+"-near", n/2, label, near)
-			label++
-			b.addHosts(name+"-far", n-n/2, label, far)
-			label++
-			continue
-		}
-		b.flatSite(name, routers[name], n, label)
-		label++
-	}
-	return b.dataset(fmt.Sprintf("random-%d", spec.Seed),
-		"one cluster per site; bottlenecked sites split in two", eng)
-}
-
-// Registry maps dataset names used by the CLI and the experiment harness
-// to their constructors.
-var Registry = map[string]func() *Dataset{
-	"2x2":  TwoByTwo,
-	"B":    B,
-	"BT":   BT,
-	"GT":   GT,
-	"BGT":  BGT,
-	"BGTL": BGTL,
-}
-
-// DatasetNames lists the registry keys in the order the paper presents
-// them.
-var DatasetNames = []string{"2x2", "B", "BT", "GT", "BGT", "BGTL"}

@@ -1,11 +1,47 @@
-package topology
+package topology_test
+
+// The datasets under test are compiled from scenario specs — the one
+// place networks are defined — so these checks live in an external test
+// package (scenario imports topology).
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/simnet"
+	"repro/internal/topology"
 )
+
+// paperNames lists the six paper datasets in the order the paper presents
+// them.
+func paperNames() []string {
+	var names []string
+	for _, s := range scenario.BuiltinSpecs() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// builtin compiles one of the paper's six registered datasets.
+func builtin(t *testing.T, name string) *topology.Dataset {
+	t.Helper()
+	d, err := scenario.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// compile materialises a generated spec.
+func compile(t *testing.T, s *scenario.Spec) *topology.Dataset {
+	t.Helper()
+	d, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func countLabels(truth []int) map[int]int {
 	m := map[int]int{}
@@ -16,7 +52,7 @@ func countLabels(truth []int) map[int]int {
 }
 
 func TestBComposition(t *testing.T) {
-	d := B()
+	d := builtin(t, "B")
 	if d.N() != 64 {
 		t.Fatalf("B has %d hosts, want 64", d.N())
 	}
@@ -30,7 +66,7 @@ func TestBComposition(t *testing.T) {
 }
 
 func TestBTCompositionHasThreePartTruth(t *testing.T) {
-	d := BT()
+	d := builtin(t, "BT")
 	if d.N() != 64 {
 		t.Fatalf("BT has %d hosts, want 64", d.N())
 	}
@@ -45,13 +81,13 @@ func TestBTCompositionHasThreePartTruth(t *testing.T) {
 
 func TestSiteDatasets(t *testing.T) {
 	cases := []struct {
-		d        *Dataset
+		d        *topology.Dataset
 		n, parts int
 	}{
-		{TwoByTwo(), 4, 1},
-		{GT(), 64, 2},
-		{BGT(), 96, 3},
-		{BGTL(), 64, 4},
+		{builtin(t, "2x2"), 4, 1},
+		{builtin(t, "GT"), 64, 2},
+		{builtin(t, "BGT"), 96, 3},
+		{builtin(t, "BGTL"), 64, 4},
 	}
 	for _, c := range cases {
 		if c.d.N() != c.n {
@@ -64,7 +100,7 @@ func TestSiteDatasets(t *testing.T) {
 }
 
 func TestIntraClusterBandwidthMatchesNetPIPE(t *testing.T) {
-	d := B()
+	d := builtin(t, "B")
 	// Two Bordeplage nodes (same cluster switch).
 	info := d.Net.Path(d.Hosts[0], d.Hosts[1])
 	if got := simnet.ToMbps(info.Capacity); math.Abs(got-890) > 1e-9 {
@@ -73,7 +109,7 @@ func TestIntraClusterBandwidthMatchesNetPIPE(t *testing.T) {
 }
 
 func TestInterSiteBandwidthMatchesNetPIPE(t *testing.T) {
-	d := GT()
+	d := builtin(t, "GT")
 	// Grenoble host 0, Toulouse host 32.
 	info := d.Net.Path(d.Hosts[0], d.Hosts[32])
 	if got := simnet.ToMbps(info.Capacity); math.Abs(got-787) > 1e-9 {
@@ -85,7 +121,7 @@ func TestInterSiteBandwidthMatchesNetPIPE(t *testing.T) {
 }
 
 func TestBordeauxBottleneckOnPath(t *testing.T) {
-	d := B()
+	d := builtin(t, "B")
 	// Bordeplage (index 0) to Bordereau (index 32): crosses Dell-Cisco.
 	// A single flow still gets the full 890 (the bottleneck only binds
 	// under concurrent load, as the paper stresses).
@@ -116,7 +152,7 @@ func TestBordeauxBottleneckOnPath(t *testing.T) {
 }
 
 func TestTwoByTwoBottleneckNotBinding(t *testing.T) {
-	d := TwoByTwo()
+	d := builtin(t, "2x2")
 	// 2 cross flows over 890 Mbps: each gets 445 Mbps — comparable to
 	// intra-pair rates, so no logical separation. Just verify the per-
 	// flow rate stays above half the intra rate.
@@ -134,15 +170,11 @@ func TestTwoByTwoBottleneckNotBinding(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	if len(Registry) != len(DatasetNames) {
-		t.Fatalf("registry has %d entries, names list %d", len(Registry), len(DatasetNames))
+	if got := paperNames(); len(got) != 6 {
+		t.Fatalf("builtin specs are %v, want the six paper datasets", got)
 	}
-	for _, name := range DatasetNames {
-		ctor, ok := Registry[name]
-		if !ok {
-			t.Fatalf("dataset %q missing from registry", name)
-		}
-		d := ctor()
+	for _, name := range paperNames() {
+		d := builtin(t, name)
 		if d.Name != name {
 			t.Errorf("registry[%q] builds dataset named %q", name, d.Name)
 		}
@@ -153,8 +185,8 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestAllPairsRoutable(t *testing.T) {
-	for _, name := range DatasetNames {
-		d := Registry[name]()
+	for _, name := range paperNames() {
+		d := builtin(t, name)
 		for i := 0; i < d.N(); i++ {
 			for j := i + 1; j < d.N(); j++ {
 				info := d.Net.Path(d.Hosts[i], d.Hosts[j])
@@ -167,14 +199,14 @@ func TestAllPairsRoutable(t *testing.T) {
 }
 
 func TestFlatSites(t *testing.T) {
-	d := FlatSites(4, 32)
+	d := compile(t, scenario.FlatSites(4, 32))
 	if d.N() != 128 {
 		t.Fatalf("FlatSites(4,32) has %d hosts, want 128", d.N())
 	}
 	if got := len(countLabels(d.GroundTruth)); got != 4 {
 		t.Fatalf("FlatSites(4,32) truth parts = %d, want 4", got)
 	}
-	single := FlatSites(1, 8)
+	single := compile(t, scenario.FlatSites(1, 8))
 	if single.N() != 8 {
 		t.Fatalf("FlatSites(1,8) has %d hosts, want 8", single.N())
 	}
@@ -185,7 +217,7 @@ func TestFlatSites(t *testing.T) {
 }
 
 func TestHostNamesDescriptive(t *testing.T) {
-	d := B()
+	d := builtin(t, "B")
 	if d.HostName(0) != "bordeplage-0" {
 		t.Fatalf("first host name = %q, want bordeplage-0", d.HostName(0))
 	}
@@ -195,7 +227,7 @@ func TestHostNamesDescriptive(t *testing.T) {
 }
 
 func TestRandomTopologyShape(t *testing.T) {
-	d := Random(RandomSpec{Sites: 3, MinNodes: 4, MaxNodes: 8, Seed: 1})
+	d := compile(t, scenario.RandomSites(3, 4, 8, 0, 1))
 	if d.N() < 12 || d.N() > 24 {
 		t.Fatalf("Random produced %d hosts, want 12..24", d.N())
 	}
@@ -213,15 +245,15 @@ func TestRandomTopologyShape(t *testing.T) {
 }
 
 func TestRandomTopologyWithBottlenecks(t *testing.T) {
-	d := Random(RandomSpec{Sites: 2, MinNodes: 8, MaxNodes: 8, Bottlenecks: 1, Seed: 2})
+	d := compile(t, scenario.RandomSites(2, 8, 8, 1, 2))
 	if got := len(countLabels(d.GroundTruth)); got != 3 {
 		t.Fatalf("truth parts = %d, want 3 (one split site + one flat)", got)
 	}
 }
 
 func TestRandomTopologyDeterministic(t *testing.T) {
-	a := Random(RandomSpec{Sites: 4, MinNodes: 3, MaxNodes: 9, Bottlenecks: 2, Seed: 7})
-	b := Random(RandomSpec{Sites: 4, MinNodes: 3, MaxNodes: 9, Bottlenecks: 2, Seed: 7})
+	a := compile(t, scenario.RandomSites(4, 3, 9, 2, 7))
+	b := compile(t, scenario.RandomSites(4, 3, 9, 2, 7))
 	if a.N() != b.N() {
 		t.Fatalf("same seed gave %d vs %d hosts", a.N(), b.N())
 	}
@@ -233,7 +265,7 @@ func TestRandomTopologyDeterministic(t *testing.T) {
 }
 
 func TestReplicateIsIndependentAndEquivalent(t *testing.T) {
-	d := BT()
+	d := builtin(t, "BT")
 	r := d.Replicate()
 	if r.Name != d.Name || r.N() != d.N() || r.TruthNote != d.TruthNote {
 		t.Fatal("replica metadata differs")

@@ -31,11 +31,11 @@
 //
 // # Parallel measurement
 //
-// Iterations draw from independent deterministic RNG streams, so they are
-// embarrassingly parallel. Setting Options.Workers >= 1 fans the
-// measurement out over that many workers, each on its own simulator
-// replica; per-iteration counts merge in iteration order, making the
-// result bit-identical for every worker count:
+// Iterations draw from independent deterministic RNG streams and each
+// measures on its own simulator replica, so they are embarrassingly
+// parallel. Options.Workers sets the pool size; per-iteration counts
+// merge in iteration order, making the result bit-identical for every
+// worker count:
 //
 //	opts := repro.DefaultOptions().WithWorkers(4)
 //	res, err := repro.Run(dataset, opts)
@@ -53,7 +53,7 @@
 //
 // Backends() lists what is registered; wire results are reproducible in
 // distribution, not byte-for-byte, and wire cannot replay Dynamics
-// timelines or BackgroundFlows (Options.Validate rejects the combination).
+// timelines (Options.Validate rejects the combination).
 //
 // # Custom scenarios
 //
@@ -73,7 +73,7 @@
 //		FlatSite("left", "core", 16, "eth", "wan").
 //		FlatSite("right", "core", 16, "eth", "wan").
 //		Spec()
-//	res, err := repro.RunSpec(spec, repro.ParallelOptions(4))
+//	res, err := repro.RunSpec(spec, repro.DefaultOptions().WithWorkers(4))
 //
 // # Time-varying scenarios
 //
@@ -100,8 +100,7 @@
 // Iterations measure only the hosts active in them and NMI is scored
 // against the hosts present (IterationRecord.ActiveHosts). See the
 // ExampleNewSpec_dynamics godoc example, examples/dynamics, and the
-// README's "Time-varying scenarios" section (including how scripted
-// bursts replace the legacy Options.BackgroundFlows knob).
+// README's "Time-varying scenarios" section.
 //
 // # Campaigns
 //
@@ -196,31 +195,17 @@ func Metrics() *telemetry.Registry { return telemetry.Default() }
 // Dataset is a simulated network with hosts and a ground-truth logical
 // clustering. The built-in datasets model the paper's Grid'5000 settings.
 // Dataset.Replicate copies one onto a fresh simulation engine — built on
-// the same network-cloning primitive the parallel measurement pipeline
-// uses — for running independent sweeps over the same topology.
+// the same network-cloning primitive the measurement pipeline uses — for
+// running independent sweeps over the same topology.
 type Dataset = topology.Dataset
 
 // DefaultOptions mirrors the paper's standard configuration: 30
-// iterations of a 239 MB broadcast in 16 KiB fragments, fixed root,
-// sequential measurement. Derive variants fluently — each With* method
+// iterations of a 239 MB broadcast in 16 KiB fragments, fixed root, one
+// measurement worker. Derive variants fluently — each With* method
 // returns a modified copy, so a configuration is one expression:
 //
 //	opts := repro.DefaultOptions().WithWorkers(4).WithIterations(10)
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// ParallelOptions is DefaultOptions with the measurement fanned out over
-// the given number of workers. Each worker measures on its own simulator
-// replica and the per-iteration results are merged in iteration order, so
-// any workers >= 1 produces bit-identical graphs, partitions and NMI
-// scores — only wall-clock time changes. See core.Options.Workers for the
-// full contract (BackgroundFlows requires the sequential path).
-//
-// Deprecated: use DefaultOptions().WithWorkers(workers), which reads the
-// same and composes with the other With* derivations. ParallelOptions is
-// a thin wrapper over that form and will keep working.
-func ParallelOptions(workers int) Options {
-	return DefaultOptions().WithWorkers(workers)
-}
 
 // Datasets lists the registered scenario names — the six built-ins (2x2,
 // B, BT, GT, BGT, BGTL) plus any specs added with RegisterSpec — sorted
@@ -236,15 +221,14 @@ func Datasets() []string {
 // Options.Backend / WithBackend, a campaign's backend axis, or `bttomo
 // -backend`. The wire backend measures real sockets, so its results are
 // reproducible in distribution but not byte-for-byte; it cannot replay
-// Dynamics timelines or BackgroundFlows.
+// Dynamics timelines.
 func Backends() []string {
 	return substrate.Names()
 }
 
 // NewDataset compiles a registered scenario (fresh simulator state). The
 // six built-in datasets are themselves spec-backed: "B" compiles the same
-// declarative Spec a user could have written by hand, and measures
-// bit-identically to the paper's hard-wired topology.
+// declarative Spec a user could have written by hand.
 func NewDataset(name string) (*Dataset, error) {
 	spec, ok := scenario.Lookup(name)
 	if !ok {

@@ -257,7 +257,7 @@ func TestGeneratorSpecsCompileAndRun(t *testing.T) {
 	}
 }
 
-func TestParallelOptionsRunsIdenticallyToSequentialReplica(t *testing.T) {
+func TestWithWorkersRunsIdenticallyToSingleWorker(t *testing.T) {
 	run := func(opts Options) *Result {
 		res, err := RunNamed("2x2", opts)
 		if err != nil {
@@ -265,27 +265,17 @@ func TestParallelOptionsRunsIdenticallyToSequentialReplica(t *testing.T) {
 		}
 		return res
 	}
-	opts := smallOptions(3)
-	opts.Workers = 4
-	par := run(opts)
-	opts.Workers = 1
-	one := run(opts)
+	par := run(smallOptions(3).WithWorkers(4))
+	one := run(smallOptions(3).WithWorkers(1))
 	if par.NMI != one.NMI || par.Q != one.Q ||
 		par.Graph.TotalWeight() != one.Graph.TotalWeight() {
 		t.Fatalf("Workers=4 diverged from Workers=1: NMI %v vs %v, Q %v vs %v",
 			par.NMI, one.NMI, par.Q, one.Q)
 	}
-	if ParallelOptions(4).Workers != 4 {
-		t.Fatal("ParallelOptions did not set Workers")
-	}
-	if ParallelOptions(4).Iterations != DefaultOptions().Iterations {
-		t.Fatal("ParallelOptions drifted from DefaultOptions")
-	}
 }
 
-// The fluent derivations compose, return values (never mutate their
-// receiver), and the deprecated ParallelOptions helper remains an exact
-// thin wrapper over the fluent form.
+// The fluent derivations compose and return values (never mutate their
+// receiver).
 func TestFluentOptionDerivations(t *testing.T) {
 	base := DefaultOptions()
 	derived := base.WithWorkers(4).WithIterations(10).WithSeed(7)
@@ -297,8 +287,5 @@ func TestFluentOptionDerivations(t *testing.T) {
 	}
 	if derived.TopFraction != base.TopFraction || derived.BT != base.BT {
 		t.Fatal("chain disturbed unrelated fields")
-	}
-	if got, want := ParallelOptions(4), DefaultOptions().WithWorkers(4); got != want {
-		t.Fatalf("ParallelOptions diverged from DefaultOptions().WithWorkers: %+v vs %+v", got, want)
 	}
 }
