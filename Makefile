@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race vet fmt-check bench bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
+.PHONY: all build examples test bench-test race vet fmt-check bench bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
 
 all: build
 
@@ -38,6 +38,14 @@ fmt-check:
 # gate, not a timing run.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...
+
+# fuzz-smoke runs the checked-in seed corpus of the graph-archive reader
+# (internal/persist/testdata/fuzz) and then ten seconds of new inputs: the
+# reader must never panic, and whatever it accepts must survive a write
+# and a re-read unchanged. A failing input is written to that corpus
+# directory; check it in with the fix.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
 
 # bench emits BENCH_parallel.json: sequential vs Workers=N wall-clock on
 # the BGTL workload, plus a determinism cross-check of the two results.
@@ -229,4 +237,4 @@ dashboard-smoke:
 	/tmp/bttomo_dash_bin diff -out /tmp/bttomo_dash_src -base /tmp/bttomo_dash_ref | grep -q 'regressions: 0'
 	@rm -rf /tmp/bttomo_dash_hub /tmp/bttomo_dash_src /tmp/bttomo_dash_ref /tmp/bttomo_dash_bin /tmp/bttomo_dash_check /tmp/bttomo_dash_sse.txt /tmp/bttomo_dash_sse2.txt /tmp/bttomo_dash_events.jsonl /tmp/bttomo_dash_hub_status.json
 
-ci: fmt-check vet build examples bench-test race bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench
+ci: fmt-check vet build examples bench-test race bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench

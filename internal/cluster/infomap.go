@@ -47,10 +47,13 @@ func MapEquation(g *graph.Graph, p Partition) float64 {
 		pc[p.Labels[v]] += pv
 		nodeTerm += plogp(pv)
 	}
-	for _, e := range g.Edges() {
-		if e.U != e.V && p.Labels[e.U] != p.Labels[e.V] {
-			qc[p.Labels[e.U]] += e.Weight / m2
-			qc[p.Labels[e.V]] += e.Weight / m2
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.SortedNeighbors(u) {
+			// Each edge once, in Edges() order.
+			if e.V > u && p.Labels[u] != p.Labels[e.V] {
+				qc[p.Labels[u]] += e.Weight / m2
+				qc[p.Labels[e.V]] += e.Weight / m2
+			}
 		}
 	}
 	for c := 0; c < k; c++ {

@@ -175,9 +175,12 @@ func (lv *level) partition() Partition {
 // community weight becomes a self-loop.
 func aggregate(g *graph.Graph, part Partition) *graph.Graph {
 	out := graph.New(part.NumClusters())
-	for _, e := range g.Edges() {
-		cu, cv := part.Labels[e.U], part.Labels[e.V]
-		out.AddWeight(cu, cv, e.Weight)
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.SortedNeighbors(u) {
+			if e.V >= u { // each edge once, in Edges() order
+				out.AddWeight(part.Labels[u], part.Labels[e.V], e.Weight)
+			}
+		}
 	}
 	return out
 }

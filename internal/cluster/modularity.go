@@ -27,10 +27,13 @@ func Modularity(g *graph.Graph, p Partition) float64 {
 	for v := 0; v < g.N(); v++ {
 		tot[p.Labels[v]] += g.Strength(v)
 	}
-	for _, e := range g.Edges() {
-		if p.Labels[e.U] == p.Labels[e.V] {
-			// Both orientations (or the doubled self-loop).
-			in[p.Labels[e.U]] += 2 * e.Weight
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.SortedNeighbors(u) {
+			// Each edge once, in Edges() order.
+			if e.V >= u && p.Labels[u] == p.Labels[e.V] {
+				// Both orientations (or the doubled self-loop).
+				in[p.Labels[u]] += 2 * e.Weight
+			}
 		}
 	}
 	q := 0.0

@@ -59,22 +59,25 @@ func Bottlenecks(g *graph.Graph, p cluster.Partition) []Boundary {
 	for c := 0; c < k; c++ {
 		intraPairs += sizes[c] * (sizes[c] - 1) / 2
 	}
-	crossSum := make(map[[2]int]float64)
-	crossEdges := make(map[[2]int]int)
-	for _, e := range g.Edges() {
-		if e.U == e.V {
-			continue
+	// Indexed ca*k+cb with ca < cb.
+	crossSum := make([]float64, k*k)
+	crossEdges := make([]int, k*k)
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.SortedNeighbors(u) {
+			if e.V <= u {
+				continue // each edge once, in Edges() order; self-loops skipped
+			}
+			ca, cb := p.Labels[u], p.Labels[e.V]
+			if ca == cb {
+				intraSum += e.Weight
+				continue
+			}
+			if ca > cb {
+				ca, cb = cb, ca
+			}
+			crossSum[ca*k+cb] += e.Weight
+			crossEdges[ca*k+cb]++
 		}
-		ca, cb := p.Labels[e.U], p.Labels[e.V]
-		if ca == cb {
-			intraSum += e.Weight
-			continue
-		}
-		if ca > cb {
-			ca, cb = cb, ca
-		}
-		crossSum[[2]int{ca, cb}] += e.Weight
-		crossEdges[[2]int{ca, cb}]++
 	}
 	meanIntra := 0.0
 	if intraPairs > 0 {
@@ -84,7 +87,7 @@ func Bottlenecks(g *graph.Graph, p cluster.Partition) []Boundary {
 	var out []Boundary
 	for ca := 0; ca < k; ca++ {
 		for cb := ca + 1; cb < k; cb++ {
-			key := [2]int{ca, cb}
+			key := ca*k + cb
 			possible := sizes[ca] * sizes[cb]
 			b := Boundary{
 				ClusterA: ca,

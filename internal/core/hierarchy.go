@@ -164,7 +164,10 @@ func split(g *graph.Graph, members []int, opts HierarchyOptions, depth int) *Hie
 // induced builds the subgraph over members, returning it and the mapping
 // from subgraph vertex to original vertex.
 func induced(g *graph.Graph, members []int) (*graph.Graph, []int) {
-	toSub := make(map[int]int, len(members))
+	toSub := make([]int, g.N()) // original vertex -> subgraph vertex, -1 outside
+	for v := range toSub {
+		toSub[v] = -1
+	}
 	fromSub := make([]int, len(members))
 	for i, v := range members {
 		toSub[v] = i
@@ -174,7 +177,7 @@ func induced(g *graph.Graph, members []int) (*graph.Graph, []int) {
 	for i, v := range members {
 		sub.SetLabel(i, g.Label(v))
 		for _, e := range g.SortedNeighbors(v) {
-			if j, ok := toSub[e.V]; ok && e.V > v {
+			if j := toSub[e.V]; j >= 0 && e.V > v {
 				sub.AddWeight(i, j, e.Weight)
 			} else if e.V == v {
 				sub.AddWeight(i, i, e.Weight)

@@ -6,6 +6,17 @@
 // labels. Edge weights are float64 and accumulate: adding weight to an
 // existing edge sums the weights, which is exactly the aggregation the
 // paper's metric w(e) (Eq. 2) requires across BitTorrent iterations.
+//
+// Representation: one slice of incident edges per vertex, kept sorted by
+// neighbour id (an undirected edge is stored at both endpoints, a
+// self-loop once). Every traversal the package offers — SortedNeighbors,
+// Edges, ConnectedComponents — therefore runs in ascending vertex order
+// with no sorting and no hashing, and that order is part of the contract:
+// the clustering and reporting layers accumulate floating-point sums along
+// it, and their results are content-addressed bit for bit. AddWeight is an
+// append when the neighbour lies past the vertex's last one — the order
+// every builder in the tree inserts in — and a binary search plus a shift
+// of the tail (O(degree)) otherwise.
 package graph
 
 import (
@@ -13,7 +24,8 @@ import (
 	"sort"
 )
 
-// Edge is an undirected weighted edge with U <= V.
+// Edge is an undirected weighted edge. Edges reports it with U <= V;
+// SortedNeighbors(v) reports it with U == v.
 type Edge struct {
 	U, V   int
 	Weight float64
@@ -24,9 +36,10 @@ type Edge struct {
 type Graph struct {
 	n        int
 	labels   []string
-	adj      []map[int]float64 // adj[u][v] = weight
-	strength []float64         // incremental weighted degrees
-	total    float64           // sum of edge weights (self-loops counted once)
+	adj      [][]Edge  // adj[u]: edges {u, neighbour, w}, ascending by neighbour
+	edges    int       // distinct edges, self-loops included
+	strength []float64 // incremental weighted degrees
+	total    float64   // sum of edge weights (self-loops counted once)
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -37,7 +50,7 @@ func New(n int) *Graph {
 	g := &Graph{
 		n:        n,
 		labels:   make([]string, n),
-		adj:      make([]map[int]float64, n),
+		adj:      make([][]Edge, n),
 		strength: make([]float64, n),
 	}
 	for i := range g.labels {
@@ -67,6 +80,45 @@ func (g *Graph) check(v int) {
 	}
 }
 
+// find returns the position of neighbour v in adj[u] and whether it is
+// there; when absent, the position is where it would be inserted. A
+// neighbour past the tail — the order every bulk builder inserts in —
+// is answered without searching.
+func (g *Graph) find(u, v int) (int, bool) {
+	a := g.adj[u]
+	lo, hi := 0, len(a)
+	if hi == 0 || a[hi-1].V < v {
+		return hi, false
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid].V < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, a[lo].V == v
+}
+
+// put stores weight w for neighbour v of u at position i, as find(u, v)
+// reported it: an update when present, an ordered insert when not, a
+// removal when w is zero.
+func (g *Graph) put(u, v, i int, present bool, w float64) {
+	a := g.adj[u]
+	switch {
+	case present && w == 0:
+		g.adj[u] = append(a[:i], a[i+1:]...)
+	case present:
+		a[i].Weight = w
+	case w != 0:
+		a = append(a, Edge{})
+		copy(a[i+1:], a[i:])
+		a[i] = Edge{U: u, V: v, Weight: w}
+		g.adj[u] = a
+	}
+}
+
 // AddWeight adds w to the weight of edge (u,v), creating it if absent.
 // Negative accumulated weights are rejected because the downstream
 // algorithms (modularity, layout) assume non-negative weights.
@@ -76,10 +128,12 @@ func (g *Graph) AddWeight(u, v int, w float64) {
 	if u > v {
 		u, v = v, u
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]float64)
+	i, present := g.find(u, v)
+	var old float64
+	if present {
+		old = g.adj[u][i].Weight
 	}
-	nw := g.adj[u][v] + w
+	nw := old + w
 	if nw < 0 {
 		panic(fmt.Sprintf("graph: edge (%d,%d) weight would become negative (%g)", u, v, nw))
 	}
@@ -92,21 +146,16 @@ func (g *Graph) AddWeight(u, v int, w float64) {
 		g.strength[u] += w
 		g.strength[v] += w
 	}
-	if nw == 0 {
-		delete(g.adj[u], v)
-		if u != v {
-			if g.adj[v] != nil {
-				delete(g.adj[v], u)
-			}
-		}
-		return
+	switch {
+	case !present && nw != 0:
+		g.edges++
+	case present && nw == 0:
+		g.edges--
 	}
-	g.adj[u][v] = nw
+	g.put(u, v, i, present, nw)
 	if u != v {
-		if g.adj[v] == nil {
-			g.adj[v] = make(map[int]float64)
-		}
-		g.adj[v][u] = nw
+		j, _ := g.find(v, u)
+		g.put(v, u, j, present, nw)
 	}
 }
 
@@ -114,10 +163,10 @@ func (g *Graph) AddWeight(u, v int, w float64) {
 func (g *Graph) Weight(u, v int) float64 {
 	g.check(u)
 	g.check(v)
-	if g.adj[u] == nil {
-		return 0
+	if i, ok := g.find(u, v); ok {
+		return g.adj[u][i].Weight
 	}
-	return g.adj[u][v]
+	return 0
 }
 
 // HasEdge reports whether edge (u,v) exists with non-zero weight.
@@ -144,75 +193,81 @@ func (g *Graph) Strength(v int) float64 {
 	return g.strength[v]
 }
 
-// Neighbors calls fn for every neighbour u of v with the edge weight.
-// The self-loop, if any, is reported once with its stored weight.
-// Iteration order is unspecified; use SortedNeighbors when determinism
-// matters.
-func (g *Graph) Neighbors(v int, fn func(u int, w float64)) {
-	g.check(v)
-	for u, w := range g.adj[v] {
-		fn(u, w)
-	}
-}
-
-// SortedNeighbors returns the neighbours of v in ascending vertex order.
+// SortedNeighbors returns the edges incident to v in ascending neighbour
+// order, each with U == v; the self-loop, if any, appears once. The slice
+// is a view of the graph's own storage: callers must not modify it, and
+// any AddWeight on this graph invalidates it.
 func (g *Graph) SortedNeighbors(v int) []Edge {
 	g.check(v)
-	out := make([]Edge, 0, len(g.adj[v]))
-	for u, w := range g.adj[v] {
-		out = append(out, Edge{U: v, V: u, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-	return out
+	return g.adj[v]
+}
+
+// upper returns the edges of u whose other endpoint is u or higher — u's
+// share of Edges().
+func (g *Graph) upper(u int) []Edge {
+	i, _ := g.find(u, u)
+	return g.adj[u][i:]
 }
 
 // Edges returns all edges with U <= V, sorted by (U, V). The slice is
 // freshly allocated.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
-	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
-			if v >= u {
-				out = append(out, Edge{U: u, V: v, Weight: w})
-			}
-		}
+	if g.edges == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	out := make([]Edge, 0, g.edges)
+	for u := range g.adj {
+		out = append(out, g.upper(u)...)
+	}
 	return out
 }
 
 // EdgeCount returns the number of distinct edges (self-loops included).
-func (g *Graph) EdgeCount() int {
-	c := 0
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if v >= u {
-				c++
-			}
+func (g *Graph) EdgeCount() int { return g.edges }
+
+// Reserve makes room for degrees[v] neighbours at every vertex v, so a
+// caller that knows the shape of what it is about to insert (a decoder, a
+// copy) pays one allocation instead of growing N slices by doubling.
+func (g *Graph) Reserve(degrees []int) {
+	if len(degrees) != g.n {
+		panic(fmt.Sprintf("graph: Reserve got %d degrees for %d vertices", len(degrees), g.n))
+	}
+	need := 0
+	for v, d := range degrees {
+		if d > cap(g.adj[v]) {
+			need += d
 		}
 	}
-	return c
+	slab := make([]Edge, need)
+	for v, d := range degrees {
+		if d > cap(g.adj[v]) {
+			k := copy(slab[:d], g.adj[v])
+			g.adj[v], slab = slab[:k:d], slab[d:]
+		}
+	}
+}
+
+// shell returns an edgeless copy of g — same vertices and labels — with
+// room for g's own adjacency.
+func (g *Graph) shell() *Graph {
+	out := New(g.n)
+	copy(out.labels, g.labels)
+	degrees := make([]int, g.n)
+	for v := range degrees {
+		degrees[v] = len(g.adj[v])
+	}
+	out.Reserve(degrees)
+	return out
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	copy(c.labels, g.labels)
-	copy(c.strength, g.strength)
-	for u := 0; u < g.n; u++ {
-		if g.adj[u] == nil {
-			continue
-		}
-		c.adj[u] = make(map[int]float64, len(g.adj[u]))
-		for v, w := range g.adj[u] {
-			c.adj[u][v] = w
-		}
+	c := g.shell()
+	for u, a := range g.adj {
+		c.adj[u] = append(c.adj[u], a...)
 	}
+	copy(c.strength, g.strength)
+	c.edges = g.edges
 	c.total = g.total
 	return c
 }
@@ -231,8 +286,7 @@ func (g *Graph) TopFraction(frac float64) *Graph {
 	if keep > len(edges) {
 		keep = len(edges)
 	}
-	out := New(g.n)
-	copy(out.labels, g.labels)
+	out := g.shell()
 	for _, e := range edges[:keep] {
 		out.AddWeight(e.U, e.V, e.Weight)
 	}
@@ -242,14 +296,19 @@ func (g *Graph) TopFraction(frac float64) *Graph {
 // Scale returns a copy with every edge weight multiplied by k (k > 0).
 // Dividing aggregated fragment counts by the iteration count (Eq. 2) is a
 // Scale(1/n).
+//
+// The copy is rebuilt edge by edge through AddWeight, in Edges() order, so
+// that its strengths and total are the sums a graph built from the scaled
+// weights would hold — not g's sums times k, which differ in the last bit.
 func (g *Graph) Scale(k float64) *Graph {
 	if k <= 0 {
 		panic("graph: Scale factor must be positive")
 	}
-	out := New(g.n)
-	copy(out.labels, g.labels)
-	for _, e := range g.Edges() {
-		out.AddWeight(e.U, e.V, e.Weight*k)
+	out := g.shell()
+	for u := range g.adj {
+		for _, e := range g.upper(u) {
+			out.AddWeight(e.U, e.V, e.Weight*k)
+		}
 	}
 	return out
 }
@@ -273,10 +332,10 @@ func (g *Graph) ConnectedComponents() []int {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for u := range g.adj[v] {
-				if comp[u] == -1 {
-					comp[u] = next
-					stack = append(stack, u)
+			for _, e := range g.adj[v] {
+				if comp[e.V] == -1 {
+					comp[e.V] = next
+					stack = append(stack, e.V)
 				}
 			}
 		}

@@ -6,12 +6,14 @@
 package persist
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -105,30 +107,115 @@ func DecodeGraph(doc *GraphDoc) (*graph.Graph, error) {
 	if doc.N < 0 || len(doc.Labels) != doc.N {
 		return nil, fmt.Errorf("persist: %d labels for %d vertices", len(doc.Labels), doc.N)
 	}
-	g := graph.New(doc.N)
-	for v, l := range doc.Labels {
-		g.SetLabel(v, l)
-	}
+	// Validate everything before building, counting degrees on the way so
+	// the adjacency is allocated once at its final size.
+	degrees := make([]int, doc.N)
 	for i, e := range doc.Edges {
-		u, v, w := int(e[0]), int(e[1]), e[2]
-		if u < 0 || u >= doc.N || v < 0 || v >= doc.N {
-			return nil, fmt.Errorf("persist: edge %d endpoints (%d,%d) out of range", i, u, v)
+		u, v, w := e[0], e[1], e[2]
+		if n := float64(doc.N); u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) out of range", i, u, v)
+		}
+		if u != math.Trunc(u) || v != math.Trunc(v) {
+			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) are not integers", i, u, v)
 		}
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("persist: edge %d has invalid weight %v", i, w)
 		}
 		if w > 0 {
-			g.AddWeight(u, v, w)
+			degrees[int(u)]++
+			if u != v {
+				degrees[int(v)]++
+			}
 		}
+	}
+	g := graph.New(doc.N)
+	for v, l := range doc.Labels {
+		g.SetLabel(v, l)
+	}
+	g.Reserve(degrees)
+	for _, e := range doc.Edges {
+		if e[2] > 0 {
+			g.AddWeight(int(e[0]), int(e[1]), e[2])
+		}
+	}
+	// Repeated edges accumulate, and finite weights can sum past the
+	// largest float; such a graph could not be written back.
+	if math.IsInf(g.TotalWeight(), 0) {
+		return nil, fmt.Errorf("persist: edge weights overflow")
 	}
 	return g, nil
 }
 
-// WriteGraph writes a graph as JSON.
+// graphHeader is GraphDoc without its edges: the part of the document
+// WriteGraph leaves to encoding/json.
+type graphHeader struct {
+	Version int      `json:"version"`
+	N       int      `json:"n"`
+	Labels  []string `json:"labels"`
+}
+
+// WriteGraph writes a graph as JSON: the GraphDoc encoding with two-space
+// indentation, byte for byte what json.Encoder produces for EncodeGraph(g).
+// The edge array — all but a few kilobytes of a dense graph's document —
+// is streamed straight from the adjacency instead of being built as a
+// GraphDoc and buffered twice by the encoder.
 func WriteGraph(w io.Writer, g *graph.Graph) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(EncodeGraph(g))
+	hdr := graphHeader{Version: formatVersion, N: g.N()}
+	for v := 0; v < g.N(); v++ {
+		hdr.Labels = append(hdr.Labels, g.Label(v))
+	}
+	head, err := json.MarshalIndent(hdr, "", "  ")
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.Write(head[:len(head)-len("\n}")]) // reopen the object
+	bw.WriteString(",\n  \"edges\": ")
+	if g.EdgeCount() == 0 {
+		bw.WriteString("null")
+	} else {
+		buf := make([]byte, 0, 128)
+		sep := "[\n"
+		for u := 0; u < g.N(); u++ {
+			for _, e := range g.SortedNeighbors(u) {
+				if e.V < u {
+					continue
+				}
+				if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+					return fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", e.U, e.V, e.Weight)
+				}
+				buf = append(buf[:0], sep...)
+				buf = append(buf, "    [\n      "...)
+				buf = strconv.AppendInt(buf, int64(e.U), 10)
+				buf = append(buf, ",\n      "...)
+				buf = strconv.AppendInt(buf, int64(e.V), 10)
+				buf = append(buf, ",\n      "...)
+				buf = appendFloat(buf, e.Weight)
+				buf = append(buf, "\n    ]"...)
+				bw.Write(buf)
+				sep = ",\n"
+			}
+		}
+		bw.WriteString("\n  ]")
+	}
+	bw.WriteString("\n}\n")
+	return bw.Flush() // reports the first failed write, if any
+}
+
+// appendFloat appends f as encoding/json writes a float64: shortest
+// round-trip digits, exponent form outside [1e-6, 1e21), and a one-digit
+// negative exponent unpadded (1e-7, not 1e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // ReadGraph reads a graph from JSON.

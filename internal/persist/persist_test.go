@@ -75,6 +75,10 @@ func TestDecodeRejectsCorruptDocs(t *testing.T) {
 		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, 5, 1}}},
 		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, 1, -4}}},
 		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, 1, math.Inf(1)}}},
+		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0.5, 1, 3}}},
+		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, math.NaN(), 3}}},
+		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, 1e300, 3}}},
+		{Version: 1, N: 2, Labels: []string{"a", "b"}, Edges: [][3]float64{{0, 1, 1e308}, {1, 0, 1e308}}},
 	}
 	for i := range cases {
 		if _, err := DecodeGraph(&cases[i]); err == nil {
