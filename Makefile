@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race vet fmt-check bench bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
+.PHONY: all build examples test bench-test race vet fmt-check bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
 
 all: build
 
@@ -46,14 +46,6 @@ bench-smoke:
 # directory; check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
-
-# bench emits BENCH_parallel.json: sequential vs Workers=N wall-clock on
-# the BGTL workload, plus a determinism cross-check of the two results.
-# Each run also appends a snapshot line to BENCH_trajectory.jsonl — the
-# append-only perf history — which jsonlcheck then validates.
-bench:
-	$(GO) run ./cmd/benchparallel -workers 4 -iterations 8 -out BENCH_parallel.json
-	$(GO) run ./cmd/jsonlcheck -schema trajectory BENCH_trajectory.jsonl
 
 # spec-smoke runs a custom JSON scenario end-to-end through the CLI with
 # parallel measurement — the declarative path a user would take.
@@ -237,4 +229,4 @@ dashboard-smoke:
 	/tmp/bttomo_dash_bin diff -out /tmp/bttomo_dash_src -base /tmp/bttomo_dash_ref | grep -q 'regressions: 0'
 	@rm -rf /tmp/bttomo_dash_hub /tmp/bttomo_dash_src /tmp/bttomo_dash_ref /tmp/bttomo_dash_bin /tmp/bttomo_dash_check /tmp/bttomo_dash_sse.txt /tmp/bttomo_dash_sse2.txt /tmp/bttomo_dash_events.jsonl /tmp/bttomo_dash_hub_status.json
 
-ci: fmt-check vet build examples bench-test race bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench
+ci: fmt-check vet build examples bench-test race bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke

@@ -225,8 +225,8 @@ func BenchmarkE14Layout(b *testing.B) {
 // benchParallelBGTL runs the E11-class BGTL workload (the paper's hardest
 // setting) with a given measurement fan-out. The Workers1/2/4 trio
 // measures the scaling of the parallel pipeline; results are bit-identical
-// across the trio, only wall-clock changes. `make bench` times the same
-// workload via cmd/benchparallel and emits BENCH_parallel.json.
+// across the trio, only wall-clock changes. Numbers to quote come from
+// the same run as the repo benchmark's tomo-bgtl64 workload (bench/).
 func benchParallelBGTL(b *testing.B, workers int) {
 	b.Helper()
 	var lastNMI float64

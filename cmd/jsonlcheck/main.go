@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	jsonlcheck [-schema trace|events|trajectory] FILE.jsonl ...
+//	jsonlcheck [-schema trace|events] FILE.jsonl ...
 //
 // Schemas:
 //
@@ -14,9 +14,6 @@
 //	events      the archive event stream's payload lines: integer ids
 //	            strictly increasing from >= 1, a non-empty kind, and
 //	            any key a 64-hex content address
-//	trajectory  BENCH_trajectory.jsonl: per-PR benchmark snapshots with
-//	            non-decreasing unix timestamps, a dataset, and a
-//	            positive measured speedup
 package main
 
 import (
@@ -30,10 +27,10 @@ import (
 )
 
 func main() {
-	schema := flag.String("schema", "trace", "file schema to enforce: trace, events, or trajectory")
+	schema := flag.String("schema", "trace", "file schema to enforce: trace or events")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: jsonlcheck [-schema trace|events|trajectory] FILE.jsonl ...")
+		fmt.Fprintln(os.Stderr, "usage: jsonlcheck [-schema trace|events] FILE.jsonl ...")
 		os.Exit(2)
 	}
 	var lineCheck func(obj map[string]any, st *fileState) error
@@ -43,8 +40,6 @@ func main() {
 		lineCheck, fileCheck = traceLine, traceFile
 	case "events":
 		lineCheck, fileCheck = eventsLine, noFileCheck
-	case "trajectory":
-		lineCheck, fileCheck = trajectoryLine, noFileCheck
 	default:
 		fmt.Fprintf(os.Stderr, "jsonlcheck: unknown -schema %q\n", *schema)
 		os.Exit(2)
@@ -65,10 +60,9 @@ func main() {
 // fileState accumulates across the lines of one file; the schemas use
 // it for cross-line invariants (span counts, monotonic ids).
 type fileState struct {
-	lines    int
-	spans    int
-	lastID   float64
-	lastUnix float64
+	lines  int
+	spans  int
+	lastID float64
 }
 
 func check(path string, lineCheck func(map[string]any, *fileState) error, fileCheck func(*fileState) error) error {
@@ -132,27 +126,6 @@ func eventsLine(obj map[string]any, st *fileState) error {
 		if !ok || !fleet.IsArchiveKey(key) {
 			return fmt.Errorf("key must be a 64-hex content address, got %v", raw)
 		}
-	}
-	return nil
-}
-
-func trajectoryLine(obj map[string]any, st *fileState) error {
-	unix, ok := obj["unix"].(float64)
-	if !ok || unix <= 0 {
-		return fmt.Errorf("unix must be a positive timestamp, got %v", obj["unix"])
-	}
-	if unix < st.lastUnix {
-		return fmt.Errorf("unix %v goes backwards (previous %v)", unix, st.lastUnix)
-	}
-	st.lastUnix = unix
-	if ds, ok := obj["dataset"].(string); !ok || ds == "" {
-		return fmt.Errorf("dataset must be a non-empty string, got %v", obj["dataset"])
-	}
-	if w, ok := obj["workers"].(float64); !ok || w < 1 {
-		return fmt.Errorf("workers must be >= 1, got %v", obj["workers"])
-	}
-	if sp, ok := obj["speedup"].(float64); !ok || sp <= 0 {
-		return fmt.Errorf("speedup must be positive, got %v", obj["speedup"])
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -268,6 +269,49 @@ func TestIngestEndpoint(t *testing.T) {
 	h.ServeHTTP(recGet, reqGet)
 	if recGet.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest: want 405, got %d", recGet.Code)
+	}
+}
+
+// TestIngestBodyCap: a body of exactly ingestMaxBody bytes ingests every
+// line, one line more is refused with 413 — not cut at the cap, answered
+// 200 and short of the lines behind it.
+func TestIngestBodyCap(t *testing.T) {
+	st, err := archive.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(st, Options{Ingest: true})
+	line := func(i int) string {
+		data, _ := json.Marshal(campaign.Entry{
+			Index: i, Scenario: strings.Repeat("s", 60000), Key: fmt.Sprintf("%064x", i+1),
+			Status: "done", Cache: "hit",
+		})
+		return string(data) + "\n"
+	}
+	const lines = 16
+	var full strings.Builder
+	for i := 0; i < lines; i++ {
+		full.WriteString(line(i))
+	}
+	if full.Len() > ingestMaxBody {
+		t.Fatalf("fixture is %d bytes, over the %d cap", full.Len(), ingestMaxBody)
+	}
+	full.WriteString(strings.Repeat("\n", ingestMaxBody-full.Len())) // blank lines are skipped
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{full.String(), http.StatusOK},
+		{full.String() + line(lines), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Fatalf("%d-byte body: status %d, want %d\n%s", len(tc.body), rec.Code, tc.code, rec.Body.String())
+		}
+		if want := fmt.Sprintf("\"ingested\": %d\n", lines); tc.code == http.StatusOK && !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("body at the cap: reply %s, want %d lines ingested", rec.Body.String(), lines)
+		}
 	}
 }
 

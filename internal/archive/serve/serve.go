@@ -283,7 +283,10 @@ func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream, hea
 }
 
 // ingestMaxBody bounds one POST /ingest body: manifest lines are a few
-// hundred bytes each, so 1 MiB is thousands of cells per request.
+// hundred bytes each, so 1 MiB is thousands of cells per request. A
+// larger body is answered 413, never silently cut: the lines before the
+// cap have been appended by then, and a client that re-posts them in
+// smaller requests is deduplicated by the read path.
 const ingestMaxBody = 1 << 20
 
 var mIngested = telemetry.Default().Counter(
@@ -299,7 +302,7 @@ var mIngested = telemetry.Default().Counter(
 func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
 	logPath := filepath.Join(st.Dir(), "manifest.log")
 	idxPath := filepath.Join(st.Dir(), "runs", "index.json")
-	sc := bufio.NewScanner(io.LimitReader(r.Body, ingestMaxBody))
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, ingestMaxBody))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	accepted, seen := 0, 0
 	for sc.Scan() {
@@ -341,7 +344,12 @@ func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
 		mIngested.Inc()
 	}
 	if err := sc.Err(); err != nil {
-		http.Error(w, "ingest: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "ingest: "+err.Error(), code)
 		return
 	}
 	if seen > 0 && accepted == 0 {

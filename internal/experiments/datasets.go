@@ -5,12 +5,9 @@ package experiments
 // figures.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -49,10 +46,6 @@ type DatasetsData struct {
 	Table    *report.Table
 }
 
-// errSweepSkipped marks datasets the parallel sweep never started because
-// an earlier dataset had already failed.
-var errSweepSkipped = errors.New("experiments: dataset skipped after earlier failure")
-
 // paperIterations is the per-dataset iteration count used in §IV.
 var paperIterations = map[string]int{
 	"2x2": 30, "B": 36, "BT": 30, "GT": 30, "BGT": 30, "BGTL": 30,
@@ -75,60 +68,32 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 	type sweepRun struct {
 		d   *topology.Dataset
 		res *core.Result
-		err error
 	}
 	specs := scenario.BuiltinSpecs() // paper order
 	runs := make([]sweepRun, len(specs))
-	workers := r.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec *scenario.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Fail fast like the old sequential loop: once any dataset
-			// has errored, skip the ones that have not started yet.
-			if failed.Load() {
-				runs[i].err = errSweepSkipped
-				return
-			}
-			d, err := spec.Compile()
-			if err != nil {
-				failed.Store(true)
-				runs[i].err = err
-				return
-			}
-			// The sweep owns the worker budget: measure each dataset with
-			// a single worker so concurrency stays at Workers instead of
-			// Workers squared. Results are bit-identical either way.
-			opts := r.options(paperIterations[spec.Name]).WithWorkers(1)
-			res, err := core.RunDataset(d, opts)
-			if err != nil {
-				failed.Store(true)
-			}
-			runs[i] = sweepRun{d: d, res: res, err: err}
-		}(i, spec)
-	}
-	wg.Wait()
-	// Surface the real failure rather than a skip marker; admission order
-	// is not paper order, so a skipped dataset may precede the failed one.
-	for i, spec := range specs {
-		if err := runs[i].err; err != nil && err != errSweepSkipped {
-			return nil, fmt.Errorf("dataset %s: %w", spec.Name, err)
+	err := fanOut(r.cfg.Workers, len(specs), func(i int) error {
+		spec := specs[i]
+		d, err := spec.Compile()
+		if err != nil {
+			return fmt.Errorf("dataset %s: %w", spec.Name, err)
 		}
+		// The sweep owns the worker budget: measure each dataset with
+		// a single worker so concurrency stays at Workers instead of
+		// Workers squared. Results are bit-identical either way.
+		opts := r.options(paperIterations[spec.Name]).WithWorkers(1)
+		res, err := core.RunDataset(d, opts)
+		if err != nil {
+			return fmt.Errorf("dataset %s: %w", spec.Name, err)
+		}
+		runs[i] = sweepRun{d: d, res: res}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, spec := range specs {
 		name := spec.Name
-		d, res, err := runs[i].d, runs[i].res, runs[i].err
-		if err != nil {
-			return nil, fmt.Errorf("dataset %s: %w", name, err)
-		}
+		d, res := runs[i].d, runs[i].res
 		out := DatasetOutcome{
 			Name:          name,
 			FinalNMI:      res.NMI,

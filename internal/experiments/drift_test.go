@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,7 @@ func TestDriftExperimentDegradesMonotonically(t *testing.T) {
 		t.Skip("drift sweep runs 60 broadcasts")
 	}
 	r, out, dir := quick(t, 0) // keep the experiment's own 12 iterations
+	r.cfg.Workers = runtime.GOMAXPROCS(0)
 	data, err := r.Drift()
 	if err != nil {
 		t.Fatal(err)

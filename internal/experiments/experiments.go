@@ -156,7 +156,9 @@ func (r *Runner) Run(name string) error {
 // RunAll executes every experiment. With cfg.Workers > 1 the experiments
 // run concurrently (bounded by Workers), each writing into its own buffer;
 // the buffers are emitted in paper order, so the rendered output is
-// indistinguishable from a sequential run.
+// indistinguishable from a sequential run; on failure whatever ran is
+// still emitted, in paper order, ahead of the error. The sequential
+// branch stays because it streams each table as its experiment finishes.
 func (r *Runner) RunAll() error {
 	if r.cfg.Workers <= 1 {
 		for _, name := range Names {
@@ -166,45 +168,57 @@ func (r *Runner) RunAll() error {
 		}
 		return nil
 	}
-	type outcome struct {
-		buf bytes.Buffer
-		err error
-	}
-	outs := make([]outcome, len(Names))
-	sem := make(chan struct{}, r.cfg.Workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, name := range Names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Fail fast like the sequential path: once any experiment
-			// has errored, skip the ones that have not started yet
-			// (in-flight ones drain; the error surfaces in paper order).
-			if failed.Load() {
-				return
-			}
-			sub := r.cfg
-			sub.Out = &outs[i].buf
-			// The experiment fan-out owns the whole worker budget; the
-			// experiments themselves run sequentially inside so the
-			// total concurrency stays at Workers, not Workers squared.
-			sub.Workers = 1
-			if err := New(sub).Run(name); err != nil {
-				outs[i].err = err
-				failed.Store(true)
-			}
-		}(i, name)
-	}
-	wg.Wait()
-	for i, name := range Names {
-		if _, err := outs[i].buf.WriteTo(r.cfg.Out); err != nil {
+	bufs := make([]bytes.Buffer, len(Names))
+	runErr := fanOut(r.cfg.Workers, len(Names), func(i int) error {
+		sub := r.cfg
+		sub.Out = &bufs[i]
+		// The experiment fan-out owns the whole worker budget; the
+		// experiments themselves run sequentially inside so the
+		// total concurrency stays at Workers, not Workers squared.
+		sub.Workers = 1
+		if err := New(sub).Run(Names[i]); err != nil {
+			return fmt.Errorf("experiments: %s: %w", Names[i], err)
+		}
+		return nil
+	})
+	for i := range bufs {
+		if _, err := bufs[i].WriteTo(r.cfg.Out); err != nil {
 			return err
 		}
-		if outs[i].err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, outs[i].err)
+	}
+	return runErr
+}
+
+// fanOut runs task(0) … task(n-1) on a pool of max(workers, 1)
+// goroutines that claim indices in ascending order. It fails fast: once a
+// task has returned an error no further index is claimed (tasks already
+// claimed drain). Every index below a claimed one has itself been
+// claimed, so returning the lowest-index error names the same failure
+// whatever the scheduling.
+func fanOut(workers, n int, task func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(workers, 1), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = task(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -199,7 +204,7 @@ func TestHierarchyExperimentSmallScale(t *testing.T) {
 	// The hierarchy comparison needs a converged flat clustering; run at
 	// half payload rather than the tiny default test scale.
 	var sb strings.Builder
-	r := New(Config{Scale: 0.5, Iterations: 12, Seed: 1, Out: &sb})
+	r := New(Config{Scale: 0.5, Iterations: 12, Seed: 1, Out: &sb, Workers: runtime.GOMAXPROCS(0)})
 	data, err := r.Hierarchy()
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +228,7 @@ func TestStressExperimentSmallScale(t *testing.T) {
 		t.Skip("stress experiment runs many broadcasts")
 	}
 	r, out, _ := quick(t, 0) // keep the experiment's own 15 iterations
+	r.cfg.Workers = runtime.GOMAXPROCS(0)
 	data, err := r.Stress()
 	if err != nil {
 		t.Fatal(err)
@@ -301,5 +307,56 @@ func TestRunAllParallelOrderedOutput(t *testing.T) {
 	}
 	if netpipe, fig4 := strings.Index(par, "NetPIPE"), strings.Index(par, "Fig.4"); netpipe < 0 || fig4 < 0 || netpipe > fig4 {
 		t.Fatalf("experiment output out of order (netpipe at %d, fig4 at %d)", netpipe, fig4)
+	}
+}
+
+// TestFanOut pins the helper Datasets, SweepSpecs and RunAll share: every
+// index runs exactly once at any pool size, the error returned is the
+// lowest-index failure whatever the scheduling, and nothing is claimed
+// after a failure has been recorded.
+func TestFanOut(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		workers int
+		fail    []int // indices whose task errors
+		want    int   // index whose error must come back; -1 for none
+	}{
+		{0, nil, -1}, {1, nil, -1}, {4, nil, -1},
+		{0, []int{3}, 3}, {1, []int{3}, 3}, {4, []int{3}, 3},
+		{0, []int{1, 3}, 1}, {1, []int{1, 3}, 1}, {4, []int{1, 3}, 1},
+	} {
+		for rep := 0; rep < 50; rep++ {
+			var visits [n]atomic.Int32
+			err := fanOut(tc.workers, n, func(i int) error {
+				visits[i].Add(1)
+				if slices.Contains(tc.fail, i) {
+					return fmt.Errorf("task %d", i)
+				}
+				return nil
+			})
+			if tc.want < 0 {
+				if err != nil {
+					t.Fatalf("workers=%d: unexpected error %v", tc.workers, err)
+				}
+			} else if err == nil || err.Error() != fmt.Sprintf("task %d", tc.want) {
+				t.Fatalf("workers=%d fail=%v: got %v, want task %d's error", tc.workers, tc.fail, err, tc.want)
+			}
+			for i := range visits {
+				v := visits[i].Load()
+				// One worker claims in order and stops at the first
+				// failure; several may already hold later indices.
+				switch {
+				case v > 1:
+					t.Fatalf("workers=%d: index %d ran %d times", tc.workers, i, v)
+				case v == 0 && (tc.want < 0 || i <= tc.want):
+					t.Fatalf("workers=%d fail=%v: index %d never ran", tc.workers, tc.fail, i)
+				case v == 1 && tc.want >= 0 && tc.workers <= 1 && i > tc.want:
+					t.Fatalf("workers=%d fail=%v: index %d ran after the failure", tc.workers, tc.fail, i)
+				}
+			}
+		}
+	}
+	if err := fanOut(4, 0, func(int) error { return errors.New("ran") }); err != nil {
+		t.Fatalf("n=0 ran a task: %v", err)
 	}
 }

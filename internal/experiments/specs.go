@@ -8,8 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -57,52 +55,29 @@ func (r *Runner) SweepSpecs(specs []*scenario.Spec) (*SweepData, error) {
 		seen[s.Name] = true
 	}
 	type sweepRun struct {
-		res *core.Result
-		d   hostsAndTruth
-		err error
+		res    *core.Result
+		n      int
+		truthK int
 	}
 	runs := make([]sweepRun, len(specs))
-	workers := r.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, s := range specs {
-		wg.Add(1)
-		go func(i int, s *scenario.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if failed.Load() {
-				runs[i].err = errSweepSkipped
-				return
-			}
-			d, err := s.Compile()
-			if err != nil {
-				failed.Store(true)
-				runs[i].err = err
-				return
-			}
-			opts := r.options(sweepIterations)
-			opts.ClusterEvery = 0
-			if workers > 1 {
-				// The sweep owns the worker budget; see Datasets.
-				opts.Workers = 1
-			}
-			res, err := core.RunDataset(d, opts)
-			if err != nil {
-				failed.Store(true)
-			}
-			runs[i] = sweepRun{res: res, d: hostsAndTruth{n: d.N(), truthK: countLabels(d.GroundTruth)}, err: err}
-		}(i, s)
-	}
-	wg.Wait()
-	for i, s := range specs {
-		if err := runs[i].err; err != nil && err != errSweepSkipped {
-			return nil, fmt.Errorf("spec %s: %w", s.Name, err)
+	err := fanOut(r.cfg.Workers, len(specs), func(i int) error {
+		spec := specs[i]
+		d, err := spec.Compile()
+		if err != nil {
+			return fmt.Errorf("spec %s: %w", spec.Name, err)
 		}
+		// The sweep owns the worker budget; see Datasets.
+		opts := r.options(sweepIterations).WithWorkers(1)
+		opts.ClusterEvery = 0
+		res, err := core.RunDataset(d, opts)
+		if err != nil {
+			return fmt.Errorf("spec %s: %w", spec.Name, err)
+		}
+		runs[i] = sweepRun{res: res, n: d.N(), truthK: countLabels(d.GroundTruth)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	data := &SweepData{}
 	t := &report.Table{
@@ -112,13 +87,10 @@ func (r *Runner) SweepSpecs(specs []*scenario.Spec) (*SweepData, error) {
 	}
 	for i, s := range specs {
 		res := runs[i].res
-		if res == nil {
-			return nil, fmt.Errorf("spec %s: %w", s.Name, runs[i].err)
-		}
 		out := SweepOutcome{
 			Name:         s.Name,
-			Hosts:        runs[i].d.n,
-			TruthK:       runs[i].d.truthK,
+			Hosts:        runs[i].n,
+			TruthK:       runs[i].truthK,
 			FoundK:       res.Partition.NumClusters(),
 			NMI:          res.NMI,
 			Q:            res.Q,
@@ -133,10 +105,4 @@ func (r *Runner) SweepSpecs(specs []*scenario.Spec) (*SweepData, error) {
 		return nil, err
 	}
 	return data, r.saveCSV("spec_sweep.csv", t)
-}
-
-// hostsAndTruth carries the dataset shape out of the sweep goroutine.
-type hostsAndTruth struct {
-	n      int
-	truthK int
 }

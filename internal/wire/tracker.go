@@ -6,7 +6,6 @@ package wire
 // incomplete per-run edge coverage (§II-C).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 )
 
@@ -28,11 +26,18 @@ type TrackerPeer struct {
 }
 
 // announceResponse is the tracker's JSON reply (a simplification of the
-// bencoded original; the peer-set semantics are what matters here).
+// bencoded original; the peer-set semantics are what matters here). As in
+// BEP 3, a rejected announce is still HTTP 200: the reply carries
+// "failure reason" and nothing else.
 type announceResponse struct {
-	Interval int           `json:"interval"`
-	Peers    []TrackerPeer `json:"peers"`
+	Failure  string        `json:"failure reason,omitempty"`
+	Interval int           `json:"interval,omitempty"`
+	Peers    []TrackerPeer `json:"peers,omitempty"`
 }
+
+// announceMaxBody bounds the reply a client reads: 35 peers are a few
+// kilobytes, so 1 MiB is only ever reached by a misbehaving tracker.
+const announceMaxBody = 1 << 20
 
 // Tracker is an in-process HTTP tracker for one or more torrents.
 type Tracker struct {
@@ -77,7 +82,7 @@ func (t *Tracker) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	peerID := q.Get("peer_id")
 	port := q.Get("port")
 	if infoHash == "" || peerID == "" || port == "" {
-		writeTrackerFailure(w, "missing info_hash, peer_id or port")
+		writeAnnounce(w, announceResponse{Failure: "missing info_hash, peer_id or port"})
 		return
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -116,46 +121,18 @@ func (t *Tracker) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 			peers[j-1], peers[j] = peers[j], peers[j-1]
 		}
 	}
+	writeAnnounce(w, announceResponse{Interval: 30, Peers: peers})
+}
+
+// writeAnnounce sends the one reply encoding, success or failure.
+func writeAnnounce(w http.ResponseWriter, ar announceResponse) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(announceResponse{Interval: 30, Peers: peers})
-}
-
-// trackerFailurePrefix opens the BEP 3 bencoded error dictionary
-// {"failure reason": <msg>} a tracker answers bad announces with.
-const trackerFailurePrefix = "d14:failure reason"
-
-// writeTrackerFailure rejects an announce the way a real tracker does:
-// HTTP 200 with a bencoded dictionary whose only key is "failure
-// reason", rather than a bare HTTP error a BitTorrent client would not
-// parse.
-func writeTrackerFailure(w http.ResponseWriter, msg string) {
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintf(w, "%s%d:%se", trackerFailurePrefix, len(msg), msg)
-}
-
-// parseTrackerFailure extracts the reason from a bencoded failure
-// dictionary, reporting ok=false for any other body — including a
-// truncated one, whose declared string length overruns the bytes
-// actually received.
-func parseTrackerFailure(body []byte) (string, bool) {
-	rest, found := bytes.CutPrefix(body, []byte(trackerFailurePrefix))
-	if !found {
-		return "", false
-	}
-	colon := bytes.IndexByte(rest, ':')
-	if colon < 0 {
-		return "", false
-	}
-	n, err := strconv.Atoi(string(rest[:colon]))
-	if err != nil || n < 0 || colon+1+n != len(rest)-1 || rest[len(rest)-1] != 'e' {
-		return "", false
-	}
-	return string(rest[colon+1 : colon+1+n]), true
+	_ = json.NewEncoder(w).Encode(ar)
 }
 
 // Announce registers a client with the tracker and returns the peer set
-// it was handed. A bencoded failure reason from the tracker surfaces as
-// an error carrying the reason.
+// it was handed. A failure reason from the tracker surfaces as an error
+// carrying the reason.
 func Announce(trackerURL string, t Torrent, peerID [20]byte, port int, event string) ([]TrackerPeer, error) {
 	peers, err := announce(trackerURL, t, peerID, port, event)
 	if err != nil {
@@ -184,19 +161,19 @@ func announce(trackerURL string, t Torrent, peerID [20]byte, port int, event str
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: tracker response: %w", err)
-	}
-	if reason, ok := parseTrackerFailure(body); ok {
-		return nil, fmt.Errorf("wire: tracker failure: %s", reason)
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("wire: tracker returned %s", resp.Status)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, announceMaxBody))
+	if err != nil {
+		return nil, fmt.Errorf("wire: tracker response: %w", err)
 	}
 	var ar announceResponse
 	if err := json.Unmarshal(body, &ar); err != nil {
 		return nil, fmt.Errorf("wire: tracker response: %w", err)
+	}
+	if ar.Failure != "" {
+		return nil, fmt.Errorf("wire: tracker failure: %s", ar.Failure)
 	}
 	return ar.Peers, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net"
@@ -335,9 +336,9 @@ func TestTrackerSeparatesTorrents(t *testing.T) {
 }
 
 func TestTrackerRejectsBadAnnounce(t *testing.T) {
-	// A bad announce must come back as a proper bencoded failure-reason
-	// dictionary over HTTP 200 (the BEP 3 shape a BitTorrent client
-	// parses), not a bare HTTP error.
+	// A bad announce must come back over HTTP 200 (as BEP 3 prescribes)
+	// in the tracker's one reply encoding, with a "failure reason" a
+	// client can read, not as a bare HTTP error.
 	tr, err := NewTracker(3)
 	if err != nil {
 		t.Fatal(err)
@@ -347,43 +348,64 @@ func TestTrackerRejectsBadAnnounce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
+	var reply map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&reply)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bad announce returned HTTP %d, want 200 with a bencoded failure", resp.StatusCode)
+		t.Fatalf("bad announce returned HTTP %d, want 200 with a failure reason", resp.StatusCode)
 	}
-	reason, ok := parseTrackerFailure(body)
-	if !ok {
-		t.Fatalf("bad announce body %q is not a bencoded failure dictionary", body)
+	if err != nil {
+		t.Fatalf("bad announce body is not JSON: %v", err)
 	}
-	if !strings.Contains(reason, "info_hash") {
-		t.Fatalf("failure reason %q does not name the missing parameters", reason)
+	if reason, _ := reply["failure reason"].(string); !strings.Contains(reason, "info_hash") || len(reply) != 1 {
+		t.Fatalf("failure reply %v does not name the missing parameters and nothing else", reply)
 	}
-	// Announce must surface the reason as an error, not decode garbage.
-	fail := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeTrackerFailure(w, "swarm is full")
+	// Announce must surface the reason as an error naming them; the
+	// client always sends all three, so drop them on the way in.
+	strip := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.URL.RawQuery = ""
+		tr.handleAnnounce(w, r)
 	}))
-	defer fail.Close()
-	var torrent Torrent
-	if _, err := Announce(fail.URL, torrent, [20]byte{}, 0, ""); err == nil {
+	defer strip.Close()
+	if _, err := Announce(strip.URL, Torrent{}, [20]byte{}, 0, ""); err == nil {
 		t.Fatal("Announce swallowed a tracker failure")
-	} else if !strings.Contains(err.Error(), "swarm is full") {
+	} else if !strings.Contains(err.Error(), "missing info_hash, peer_id or port") {
 		t.Fatalf("Announce error %q does not carry the tracker's reason", err)
 	}
 }
 
+// TestParseTrackerFailure drives the client's reply decoding against
+// trackers that answer every shape of body: a failure reason is an error
+// carrying it, a truncated, oversized or garbage body is an error and
+// never a panic, and only a well-formed success yields peers.
 func TestParseTrackerFailure(t *testing.T) {
-	if r, ok := parseTrackerFailure([]byte("d14:failure reason8:nope")); ok || r != "" {
-		t.Fatal("truncated failure parsed")
-	}
-	if r, ok := parseTrackerFailure([]byte("d14:failure reason4:nopee")); !ok || r != "nope" {
-		t.Fatalf("parse = %q, %v", r, ok)
-	}
-	if _, ok := parseTrackerFailure([]byte(`{"interval":30}`)); ok {
-		t.Fatal("JSON body parsed as failure")
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		wantErr    string // substring; "" means success
+	}{
+		{"failure", `{"failure reason":"swarm is full"}`, 200, "swarm is full"},
+		{"failure beside peers", `{"failure reason":"nope","peers":[{"peer_id":"a","addr":"b"}]}`, 200, "nope"},
+		{"truncated", `{"failure reason":"swarm is f`, 200, "tracker response"},
+		{"old bencode", "d14:failure reason4:nopee", 200, "tracker response"},
+		{"empty", "", 200, "tracker response"},
+		{"wrong type", `{"peers":7}`, 200, "tracker response"},
+		{"over the cap", `{"peers":[` + strings.Repeat(" ", announceMaxBody) + `]}`, 200, "tracker response"},
+		{"http error", `{"interval":30}`, 500, "500"},
+		{"success", `{"interval":30,"peers":[{"peer_id":"a","addr":"127.0.0.1:1"}]}`, 200, ""},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(tc.status)
+			io.WriteString(w, tc.body)
+		}))
+		peers, err := Announce(srv.URL, Torrent{}, [20]byte{}, 0, "")
+		srv.Close()
+		switch {
+		case tc.wantErr == "" && (err != nil || len(peers) != 1 || peers[0].PeerID != "a"):
+			t.Fatalf("%s: peers %v, err %v", tc.name, peers, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Fatalf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
