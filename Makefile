@@ -39,13 +39,18 @@ fmt-check:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...
 
-# fuzz-smoke runs the checked-in seed corpus of the graph-archive reader
-# (internal/persist/testdata/fuzz) and then ten seconds of new inputs: the
-# reader must never panic, and whatever it accepts must survive a write
-# and a re-read unchanged. A failing input is written to that corpus
-# directory; check it in with the fix.
+# fuzz-smoke runs each fuzz target's checked-in seed corpus
+# (<package>/testdata/fuzz/<target>) and then ten seconds of new inputs,
+# one target per line because go test takes one -fuzz target at a time.
+# FuzzReadGraph: the graph-archive reader must never panic, and whatever
+# it accepts must survive a write and a re-read unchanged. FuzzScanLines:
+# the ledger/manifest line reader must never fail or panic, and resuming
+# from an offset it returned must neither repeat nor lose a line. A
+# failing input is written to that corpus directory; check it in with the
+# fix.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
 
 # spec-smoke runs a custom JSON scenario end-to-end through the CLI with
 # parallel measurement — the declarative path a user would take.

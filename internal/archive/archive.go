@@ -19,9 +19,11 @@
 // concurrent writers, because a live fleet is the normal case, not an
 // edge case:
 //
-//   - The ledger is append-only; readers skip torn or garbage lines
-//     (fleet.ReadIndex), and the first record per key wins, so a query
-//     can never double-count a run however many idempotent
+//   - The ledger and the streamed manifest are append-only and read
+//     through one line reader (fleet.ScanLines): torn, garbage and
+//     oversized (over fleet.MaxLine) lines are skipped, never an error.
+//     The first ledger record per key wins (fleet.Executions), so a
+//     query can never double-count a run however many idempotent
 //     re-executions the ledger recorded.
 //   - Archives are published by atomic rename, so a document either
 //     loads whole or is skipped as in-flight; *.tmp-* siblings are
@@ -38,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/fleet"
@@ -108,56 +109,65 @@ type RunInfo struct {
 	Bytes    int64 `json:"bytes,omitempty"`
 }
 
+// runInfo is the ledger's half of a RunInfo; the archive file's half
+// (Archived, Bytes) is filled in by whoever looks at the directory.
+func runInfo(e fleet.IndexEntry) RunInfo {
+	return RunInfo{
+		Key:           e.Key,
+		Run:           e.Run,
+		Scenario:      e.Scenario,
+		Backend:       e.Backend,
+		Owner:         e.Owner,
+		WallSeconds:   e.WallSeconds,
+		CompletedUnix: e.CompletedUnix,
+	}
+}
+
+// archived calls fn for every archive document in runs/, in key order.
+// Anything else there (the ledger, *.tmp-* siblings, strays) is not an
+// archive; a missing runs/ is an empty archive.
+func (s *Store) archived(fn func(key string, d os.DirEntry)) error {
+	dir, err := os.ReadDir(s.runsDir())
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	for _, d := range dir {
+		if key, ok := strings.CutSuffix(d.Name(), ".json"); ok && !d.IsDir() && fleet.IsArchiveKey(key) {
+			fn(key, d)
+		}
+	}
+	return nil
+}
+
 // Runs enumerates the archive: every run the ledger has recorded plus
 // every archive file on disk, exactly once per key, in ledger append
 // order with scan-only keys (archives without a ledger line) following
 // sorted by key. It never loads document bodies — listing a million-run
 // archive costs one ledger read and one directory scan.
 func (s *Store) Runs() ([]RunInfo, error) {
-	entries, err := fleet.ReadIndex(s.indexPath())
+	first, _, err := fleet.Executions(s.indexPath())
 	if err != nil {
 		return nil, err
 	}
 	var runs []RunInfo
-	seen := make(map[string]int, len(entries))
-	for _, e := range entries {
-		if _, ok := seen[e.Key]; ok {
-			continue // idempotent re-execution after a crash; first wins
-		}
-		seen[e.Key] = len(runs)
-		runs = append(runs, RunInfo{
-			Key:           e.Key,
-			Run:           e.Run,
-			Scenario:      e.Scenario,
-			Backend:       e.Backend,
-			Owner:         e.Owner,
-			WallSeconds:   e.WallSeconds,
-			CompletedUnix: e.CompletedUnix,
-		})
+	at := make(map[string]int, len(first))
+	for _, e := range first {
+		at[e.Key] = len(runs)
+		runs = append(runs, runInfo(e))
 	}
-	dir, err := os.ReadDir(s.runsDir())
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	var scanOnly []RunInfo
-	for _, d := range dir {
-		key, ok := strings.CutSuffix(d.Name(), ".json")
-		if !ok || d.IsDir() || !fleet.IsArchiveKey(key) {
-			continue
-		}
+	err = s.archived(func(key string, d os.DirEntry) {
 		var size int64
 		if fi, err := d.Info(); err == nil {
 			size = fi.Size()
 		}
-		if i, ok := seen[key]; ok {
+		if i, ok := at[key]; ok {
 			runs[i].Archived = true
 			runs[i].Bytes = size
-			continue
+			return
 		}
-		scanOnly = append(scanOnly, RunInfo{Key: key, Run: -1, Archived: true, Bytes: size})
-	}
-	sort.Slice(scanOnly, func(i, j int) bool { return scanOnly[i].Key < scanOnly[j].Key })
-	return append(runs, scanOnly...), nil
+		runs = append(runs, RunInfo{Key: key, Run: -1, Archived: true, Bytes: size})
+	})
+	return runs, err
 }
 
 // RunDetail is one run in full: its listing record plus the archived
@@ -179,19 +189,14 @@ func (s *Store) Get(key string) (*RunDetail, error) {
 		return nil, fmt.Errorf("archive: %q: %w (want a sha256 hex digest)", key, ErrBadKey)
 	}
 	d := &RunDetail{RunInfo: RunInfo{Key: key, Run: -1}}
-	entries, err := fleet.ReadIndex(s.indexPath())
+	first, _, err := fleet.Executions(s.indexPath())
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
+	for _, e := range first {
 		if e.Key == key {
-			d.Run = e.Run
-			d.Scenario = e.Scenario
-			d.Backend = e.Backend
-			d.Owner = e.Owner
-			d.WallSeconds = e.WallSeconds
-			d.CompletedUnix = e.CompletedUnix
-			break // first record per key wins
+			d.RunInfo = runInfo(e)
+			break
 		}
 	}
 	path := s.archivePath(key)

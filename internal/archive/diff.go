@@ -105,18 +105,9 @@ func (s *Store) Diff(baseDir string) (*DiffReport, error) {
 
 // archivedKeys lists the keys with an archive document on disk, sorted.
 func (s *Store) archivedKeys() ([]string, error) {
-	runs, err := s.Runs()
-	if err != nil {
-		return nil, err
-	}
 	var keys []string
-	for _, r := range runs {
-		if r.Archived {
-			keys = append(keys, r.Key)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
+	err := s.archived(func(key string, _ os.DirEntry) { keys = append(keys, key) })
+	return keys, err
 }
 
 // compareArchives byte-compares the two documents at one key and, when

@@ -96,15 +96,13 @@ func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 	for _, l := range leases {
 		leased[l.Key] = true
 	}
-	ledgered := make(map[string]float64) // key -> completion time (first record wins)
-	entries, err := fleet.ReadIndex(s.indexPath())
+	first, _, err := fleet.Executions(s.indexPath())
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if _, ok := ledgered[e.Key]; !ok {
-			ledgered[e.Key] = e.CompletedUnix
-		}
+	ledgered := make(map[string]float64, len(first)) // key -> completion time
+	for _, e := range first {
+		ledgered[e.Key] = e.CompletedUnix
 	}
 
 	type candidate struct {

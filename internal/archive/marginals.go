@@ -1,8 +1,6 @@
 package archive
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -140,11 +138,7 @@ func (s *Store) Marginals(axis string) (*Marginal, error) {
 // log is absent (an archive written before streaming existed, or one
 // whose log was pruned) it falls back to the cumulative manifest.json.
 func (s *Store) finishedCells() ([]campaign.Entry, error) {
-	f, err := os.Open(s.logPath())
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
+	if _, err := os.Stat(s.logPath()); os.IsNotExist(err) {
 		man, merr := readManifest(s.manifestPath())
 		if merr != nil {
 			return nil, nil // no log, no manifest: nothing finished yet
@@ -157,23 +151,19 @@ func (s *Store) finishedCells() ([]campaign.Entry, error) {
 		}
 		return cells, nil
 	}
-	defer f.Close()
+	entries, _, err := s.TailLog(0)
+	if err != nil {
+		return nil, err
+	}
 	type cellID struct {
 		index int
 		key   string
 	}
 	order := make(map[cellID]int)
-	var cells []campaign.Entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e campaign.Entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Key == "" || e.Status != "done" {
-			continue // torn line, or a failed cell — not a finished result
+	cells := entries[:0]
+	for _, e := range entries {
+		if e.Status != "done" {
+			continue // a failed cell — not a finished result
 		}
 		id := cellID{e.Index, e.Key}
 		if i, ok := order[id]; ok {
@@ -182,9 +172,6 @@ func (s *Store) finishedCells() ([]campaign.Entry, error) {
 		}
 		order[id] = len(cells)
 		cells = append(cells, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return cells, nil
 }

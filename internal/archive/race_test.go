@@ -65,6 +65,47 @@ func TestRunsTolerateTornLedger(t *testing.T) {
 	}
 }
 
+// One garbage line over the reader's cap used to fail every query that
+// read the file (bufio.Scanner: token too long). It is skipped like any
+// other garbage line, in the ledger and in the streamed manifest.
+func TestQueriesSkipOversizedLine(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "runs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := syntheticKey(1), syntheticKey(2)
+	garbage := strings.Repeat("x", 2*fleet.MaxLine)
+	ledger := fmt.Sprintf(`{"key":"%s","run":0,"owner":"a"}`+"\n%s\n"+`{"key":"%s","run":1,"owner":"b"}`+"\n", k1, garbage, k2)
+	if err := os.WriteFile(filepath.Join(dir, "runs", "index.json"), []byte(ledger), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cell := `{"index":%d,"config":"seed=%d","key":"%s","status":"done","q":0.5}` + "\n"
+	log := fmt.Sprintf(cell, 0, 1, k1) + garbage + "\n" + fmt.Sprintf(cell, 1, 2, k2)
+	if err := os.WriteFile(filepath.Join(dir, "manifest.log"), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := st.Status()
+	if err != nil || status.Executed != 2 || status.LedgerLines != 2 {
+		t.Fatalf("Status: %+v err=%v", status, err)
+	}
+	runs, err := st.Runs()
+	if err != nil || len(runs) != 2 {
+		t.Fatalf("Runs: %+v err=%v", runs, err)
+	}
+	detail, err := st.Get(k2)
+	if err != nil || detail.Owner != "b" {
+		t.Fatalf("Get: %+v err=%v", detail, err)
+	}
+	m, err := st.Marginals("seed")
+	if err != nil || m.Cells != 2 || len(m.Points) != 2 {
+		t.Fatalf("Marginals: %+v err=%v", m, err)
+	}
+}
+
 // The mid-write contract, under -race: a Store opened while a writer is
 // appending ledger lines (including partial ones) and publishing
 // archives by rename must never return an error or double-count a key.

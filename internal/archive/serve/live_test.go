@@ -16,6 +16,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/campaign"
 	"repro/internal/events"
+	"repro/internal/fleet"
 )
 
 // Plots are archive views like any other: ETag'd on the stamp,
@@ -311,6 +312,41 @@ func TestIngestBodyCap(t *testing.T) {
 		}
 		if want := fmt.Sprintf("\"ingested\": %d\n", lines); tc.code == http.StatusOK && !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("body at the cap: reply %s, want %d lines ingested", rec.Body.String(), lines)
+		}
+	}
+}
+
+// A posted line can outgrow the read path's line cap when it is
+// re-marshalled: 300 KB of '<' become 1.8 MB of \u003c. Such a line used
+// to be appended and then failed every view that reads manifest.log
+// until someone edited the file. It is refused, and the views carry on.
+func TestIngestCannotWedgeViews(t *testing.T) {
+	hub := t.TempDir()
+	st, err := archive.Open(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(st, Options{Ingest: true})
+	good, _ := json.Marshal(campaign.Entry{
+		Index: 0, Config: "seed=1", Key: strings.Repeat("ab", 32), Status: "done", Cache: "hit", Q: 0.5,
+	})
+	wedge := `{"index":1,"key":"` + strings.Repeat("cd", 32) + `","status":"failed","error":"` +
+		strings.Repeat("<", 300<<10) + `"}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(string(good)+"\n"+wedge+"\n")))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ingested": 1`) {
+		t.Fatalf("/ingest: %d %s, want the good line alone accepted", rec.Code, rec.Body.String())
+	}
+	log, err := os.ReadFile(filepath.Join(hub, "manifest.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) > fleet.MaxLine {
+		t.Fatalf("manifest.log is %d bytes: the oversized line was appended", len(log))
+	}
+	for _, url := range []string{"/marginals/seed", "/plots/seed.svg"} {
+		if rec := get(t, h, url, nil, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s after the oversized post: %d\n%s", url, rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -28,13 +28,17 @@
 // archive's Stamp() — the sizes and mtimes of the append-only ledger
 // and manifests, which change exactly when archive state changes. A
 // poller that replays the ETag via If-None-Match gets 304 Not Modified
-// until a new completion lands, so heavy read traffic against an idle
-// archive costs a handful of stat calls per poll, no document reads,
-// and responses are byte-stable between state changes. Lease
-// heartbeats deliberately do not enter the ETag: they refresh every
-// TTL/3 without changing any completed result. Trace files under
-// traces/ are equally excluded, so /plots/phases.svg keys its ETag on
-// Stamp() plus the separate TracesStamp().
+// until a new completion lands, and the 304 is decided from the stamp
+// before any view is built (see view), so heavy read traffic against an
+// idle archive costs a handful of stat calls per poll, no file reads,
+// and responses are byte-stable between state changes. The consequence:
+// an ETag names archive state, not a URL, so a request replaying the
+// current tag is answered 304 without its path arguments being examined
+// (/diff excepted — its stamp needs base opened, so its 400s come
+// first). Lease heartbeats deliberately do not enter the ETag: they
+// refresh every TTL/3 without changing any completed result. Trace
+// files under traces/ are equally excluded, so /plots/phases.svg keys
+// its ETag on Stamp() plus the separate TracesStamp().
 //
 // Error classification is the archive package's job, not a handler
 // string-match: archive.ErrBadKey maps to 400 (malformed request),
@@ -44,6 +48,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,8 +111,11 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 	if heartbeat <= 0 {
 		heartbeat = 15 * time.Second
 	}
+	// What a response depends on: every view but two is a function of the
+	// archive's Stamp() alone.
+	archiveStamp := func(*http.Request) string { return st.Stamp() }
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", counted("index", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /{$}", counted("index", view(archiveStamp, func(*http.Request) (any, error) {
 		endpoints := []string{
 			"/status", "/runs", "/runs/{key}", "/marginals/{axis}",
 			"/plots/{axis}.svg", "/plots/phases.svg", "/diff?base=DIR",
@@ -119,74 +127,50 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 		if opt.Pprof {
 			endpoints = append(endpoints, "/debug/pprof/")
 		}
-		respond(w, r, st.Stamp(), map[string]any{
+		return map[string]any{
 			"archive":   st.Dir(),
 			"endpoints": endpoints,
 			"axes":      archive.MarginalAxes(),
-		})
-	}))
-	mux.HandleFunc("GET /status", counted("status", func(w http.ResponseWriter, r *http.Request) {
-		stamp := st.Stamp()
-		s, err := st.Status()
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		respond(w, r, stamp, s)
-	}))
-	mux.HandleFunc("GET /runs", counted("runs", func(w http.ResponseWriter, r *http.Request) {
-		stamp := st.Stamp()
+		}, nil
+	})))
+	mux.HandleFunc("GET /status", counted("status", view(archiveStamp, func(*http.Request) (any, error) {
+		return st.Status()
+	})))
+	mux.HandleFunc("GET /runs", counted("runs", view(archiveStamp, func(*http.Request) (any, error) {
 		runs, err := st.Runs()
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		respond(w, r, stamp, map[string]any{"runs": len(runs), "entries": runs})
-	}))
-	mux.HandleFunc("GET /runs/{key}", counted("run", func(w http.ResponseWriter, r *http.Request) {
-		stamp := st.Stamp()
-		detail, err := st.Get(r.PathValue("key"))
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		respond(w, r, stamp, detail)
-	}))
-	mux.HandleFunc("GET /marginals/{axis}", counted("marginals", func(w http.ResponseWriter, r *http.Request) {
-		stamp := st.Stamp()
-		m, err := st.Marginals(r.PathValue("axis"))
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		respond(w, r, stamp, m)
-	}))
-	mux.HandleFunc("GET /plots/{name}", counted("plots", func(w http.ResponseWriter, r *http.Request) {
-		name, ok := strings.CutSuffix(r.PathValue("name"), ".svg")
-		if !ok {
-			http.Error(w, "plots: want /plots/{axis}.svg or /plots/phases.svg", http.StatusNotFound)
-			return
-		}
-		if name == "phases" {
+		return map[string]any{"runs": len(runs), "entries": runs}, err
+	})))
+	mux.HandleFunc("GET /runs/{key}", counted("run", view(archiveStamp, func(r *http.Request) (any, error) {
+		return st.Get(r.PathValue("key"))
+	})))
+	mux.HandleFunc("GET /marginals/{axis}", counted("marginals", view(archiveStamp, func(r *http.Request) (any, error) {
+		return st.Marginals(r.PathValue("axis"))
+	})))
+	mux.HandleFunc("GET /plots/{name}", counted("plots", view(func(r *http.Request) string {
+		if r.PathValue("name") == "phases.svg" {
 			// Traces sit outside Stamp() by design, so the phase plot
 			// needs both change detectors in its ETag.
-			stamp := st.Stamp() + "|" + st.TracesStamp()
+			return st.Stamp() + "|" + st.TracesStamp()
+		}
+		return st.Stamp()
+	}, func(r *http.Request) (any, error) {
+		name, ok := strings.CutSuffix(r.PathValue("name"), ".svg")
+		if !ok {
+			return nil, fmt.Errorf("plots: want /plots/{axis}.svg or /plots/phases.svg: %w", os.ErrNotExist)
+		}
+		if name == "phases" {
 			sum, err := st.Traces()
 			if err != nil {
-				fail(w, err)
-				return
+				return nil, err
 			}
-			respondBody(w, r, stamp, "image/svg+xml", phasesSVG(sum))
-			return
+			return phasesSVG(sum), nil
 		}
-		stamp := st.Stamp()
 		m, err := st.Marginals(name)
 		if err != nil {
-			fail(w, err)
-			return
+			return nil, err
 		}
-		respondBody(w, r, stamp, "image/svg+xml", marginalSVG(m))
-	}))
+		return marginalSVG(m), nil
+	})))
 	mux.HandleFunc("GET /diff", counted("diff", func(w http.ResponseWriter, r *http.Request) {
 		base := r.URL.Query().Get("base")
 		if base == "" {
@@ -199,13 +183,11 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 			return
 		}
 		// The diff depends on both archives, so both stamps key the ETag.
-		stamp := st.Stamp() + "|" + baseStore.Stamp()
-		rep, err := st.Diff(base)
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		respond(w, r, stamp, rep)
+		view(func(*http.Request) string {
+			return st.Stamp() + "|" + baseStore.Stamp()
+		}, func(*http.Request) (any, error) {
+			return st.Diff(base)
+		})(w, r)
 	}))
 	mux.HandleFunc("GET /events", counted("events", func(w http.ResponseWriter, r *http.Request) {
 		serveSSE(w, r, stream, heartbeat)
@@ -295,8 +277,9 @@ var mIngested = telemetry.Default().Counter(
 // serveIngest appends posted manifest lines to the serving archive: one
 // JSON cell entry per line, the same shape `campaign run` streams to
 // manifest.log. Lines are re-marshalled before the append (a remote
-// writer cannot inject raw bytes into the archive), malformed lines are
-// skipped with the read path's tolerance, and ledger attribution is
+// writer cannot inject raw bytes into the archive), malformed lines and
+// lines the read path would skip as oversized are not accepted, and
+// ledger attribution is
 // mirrored for fresh executions so /status per-owner counts on the hub
 // match `campaign status` on the writer.
 func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
@@ -316,6 +299,11 @@ func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
 			continue // torn or foreign line: skip, exactly like a reader would
 		}
 		if e.Status != "done" && e.Status != "failed" {
+			continue
+		}
+		// Re-marshalling can grow a line (json.Marshal writes <, > and & as
+		// six bytes each); one the read path would skip is not archived.
+		if data, err := json.Marshal(e); err != nil || len(data) > fleet.MaxLine {
 			continue
 		}
 		if err := fleet.AppendLine(logPath, e); err != nil {
@@ -427,36 +415,49 @@ func counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// respond writes v as indented JSON with the stamp-derived ETag,
-// honouring If-None-Match so pollers of an unchanged archive get a
-// bodyless 304.
-func respond(w http.ResponseWriter, r *http.Request, stamp string, v any) {
-	var body strings.Builder
-	enc := json.NewEncoder(&body)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fail(w, err)
-		return
-	}
-	respondBody(w, r, stamp, "application/json", []byte(body.String()))
-}
-
-// respondBody writes a response body of any content type under the
-// ETag/304 discipline shared by every archive view.
-func respondBody(w http.ResponseWriter, r *http.Request, stamp, contentType string, body []byte) {
-	etag := fmt.Sprintf("%q", stamp)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if match := r.Header.Get("If-None-Match"); match != "" {
-		for _, cand := range strings.Split(match, ",") {
-			if strings.TrimSpace(cand) == etag || strings.TrimSpace(cand) == "*" {
+// view is the ETag/304 discipline every archive view is mounted through.
+// stamp names the archive state the response depends on; build produces
+// the response from it — a []byte is a finished SVG, anything else is
+// encoded as indented JSON. If-None-Match is answered from the stamp
+// alone, before build runs, so a poller of an unchanged archive costs the
+// stamp's stat calls and nothing else. Validators compare weakly (a
+// compressing proxy rewrites "tag" to W/"tag"). A failed build is
+// answered by fail and carries no ETag.
+func view(stamp func(*http.Request) string, build func(*http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		etag := strconv.Quote(stamp(r))
+		for _, cand := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+			cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
+			if cand == etag || cand == "*" {
+				w.Header().Set("ETag", etag)
+				w.Header().Set("Cache-Control", "no-cache")
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
+		v, err := build(r)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		body, isSVG := v.([]byte)
+		contentType := "image/svg+xml"
+		if !isSVG {
+			contentType = "application/json"
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(v); err != nil {
+				fail(w, err)
+				return
+			}
+			body = buf.Bytes()
+		}
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Cache-Control", "no-cache")
+		w.Header().Set("Content-Type", contentType)
+		w.Write(body)
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Write(body)
 }
 
 // fail maps a query error to its status code: the archive package

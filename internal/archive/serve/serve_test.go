@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -92,9 +94,20 @@ func TestETagPolling(t *testing.T) {
 		t.Fatal("ETag drifted without writes")
 	}
 
-	rec3 := get(t, h, "/status", map[string]string{"If-None-Match": etag}, nil)
-	if rec3.Code != http.StatusNotModified || rec3.Body.Len() != 0 {
-		t.Fatalf("If-None-Match hit: code %d, %d body bytes", rec3.Code, rec3.Body.Len())
+	// If-None-Match compares weakly (a compressing proxy rewrites "tag" to
+	// W/"tag"), takes a list, and "*" matches any current representation.
+	for _, match := range []string{etag, "W/" + etag, `"stale", ` + etag, `W/"stale",W/` + etag, "*"} {
+		rec := get(t, h, "/status", map[string]string{"If-None-Match": match}, nil)
+		if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+			t.Fatalf("If-None-Match %s: code %d, %d body bytes", match, rec.Code, rec.Body.Len())
+		}
+		if rec.Header().Get("ETag") != etag {
+			t.Fatalf("If-None-Match %s: 304 carries ETag %q, want %q", match, rec.Header().Get("ETag"), etag)
+		}
+	}
+	if rec := get(t, h, "/status", map[string]string{"If-None-Match": `W/"stale"`}, nil); rec.Code != http.StatusOK ||
+		!bytes.Equal(rec.Body.Bytes(), rec1.Body.Bytes()) {
+		t.Fatalf("stale validator: code %d, want the full 200 body", rec.Code)
 	}
 
 	if err := fleet.AppendIndex(filepath.Join(dir, "runs", "index.json"),
@@ -189,6 +202,61 @@ func TestStatusCodeMapping(t *testing.T) {
 		if rec.Code != tc.want {
 			t.Errorf("%s (%s): got %d, want %d\n%s", tc.name, tc.url, rec.Code, tc.want, rec.Body.String())
 		}
+		// An ETag names a representation; an error reply has none to cache.
+		if rec.Code >= 400 && rec.Header().Get("ETag") != "" {
+			t.Errorf("%s (%s): %d reply carries ETag %s", tc.name, tc.url, rec.Code, rec.Header().Get("ETag"))
+		}
+	}
+}
+
+// A conditional GET that matches costs the stamp's stat calls and nothing
+// else: its allocations do not grow with the ledger, while the
+// unconditional GET's do; and it is answered without opening the files,
+// so a ledger swapped for garbage behind an unmoved size and mtime still
+// yields the 304.
+func TestNotModifiedCostsNoRead(t *testing.T) {
+	measure := func(lines int) (conditional, unconditional float64) {
+		dir := t.TempDir()
+		idx := filepath.Join(dir, "runs", "index.json")
+		for i := 0; i < lines; i++ {
+			if err := fleet.AppendIndex(idx, fleet.IndexEntry{Key: fmt.Sprintf("%064x", i+1), Run: i, Owner: "w"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := archive.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := Handler(st)
+		etag := get(t, h, "/runs", nil, nil).Header().Get("ETag")
+		hit := func() {
+			if rec := get(t, h, "/runs", map[string]string{"If-None-Match": etag}, nil); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+				t.Fatalf("conditional GET over %d lines: code %d, %d body bytes", lines, rec.Code, rec.Body.Len())
+			}
+		}
+		conditional = testing.AllocsPerRun(10, hit)
+		unconditional = testing.AllocsPerRun(3, func() { get(t, h, "/runs", nil, nil) })
+
+		fi, err := os.Stat(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(idx, bytes.Repeat([]byte{'#'}, int(fi.Size())), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(idx, fi.ModTime(), fi.ModTime()); err != nil {
+			t.Fatal(err)
+		}
+		hit()
+		return conditional, unconditional
+	}
+	cond10, full10 := measure(10)
+	cond2k, full2k := measure(2000)
+	if cond2k > cond10+4 {
+		t.Errorf("a 304 allocates %.0f times over 2000 ledger lines, %.0f over 10: it read the archive", cond2k, cond10)
+	}
+	if full2k < full10+2000 {
+		t.Errorf("the control is broken: a 200 allocates %.0f times over 2000 lines, %.0f over 10", full2k, full10)
 	}
 }
 

@@ -101,18 +101,13 @@ type LeaseStatus struct {
 func (s *Store) Status() (*Status, error) {
 	st := &Status{Dir: s.dir}
 
-	entries, err := fleet.ReadIndex(s.indexPath())
+	first, lines, err := fleet.Executions(s.indexPath())
 	if err != nil {
 		return nil, err
 	}
-	st.LedgerLines = len(entries)
+	st.LedgerLines = lines
 	owners := make(map[string]*OwnerStatus)
-	seen := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		if seen[e.Key] {
-			continue
-		}
-		seen[e.Key] = true
+	for _, e := range first {
 		st.Executed++
 		backend := e.Backend
 		if backend == "" {
@@ -136,13 +131,7 @@ func (s *Store) Status() (*Status, error) {
 		o.WallSeconds += e.WallSeconds
 	}
 
-	if dir, err := os.ReadDir(s.runsDir()); err == nil {
-		for _, d := range dir {
-			if key, ok := strings.CutSuffix(d.Name(), ".json"); ok && !d.IsDir() && fleet.IsArchiveKey(key) {
-				st.Archived++
-			}
-		}
-	} else if !os.IsNotExist(err) {
+	if err := s.archived(func(string, os.DirEntry) { st.Archived++ }); err != nil {
 		return nil, err
 	}
 

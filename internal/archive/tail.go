@@ -1,10 +1,8 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/campaign"
@@ -14,95 +12,37 @@ import (
 // Tail support: incremental reads over the archive's append-only files,
 // the primitive the events.Watcher builds on. A tail call hands back the
 // records that appeared since a byte offset plus the next offset to
-// resume from — the same torn-line discipline as every other query
-// (only complete '\n'-terminated lines are consumed; a torn trailing
-// fragment stays unconsumed until the writer finishes it; garbage
-// complete lines are skipped but consumed).
-
-// tailLines reads complete lines of path starting at offset. It returns
-// the raw lines (without terminators), the offset just past the last
-// complete line, and whether the file shrank below the offset (a
-// truncation/replacement — the caller should treat its history as
-// reset). A missing file is zero lines at offset 0.
-func tailLines(path string, offset int64) (lines [][]byte, next int64, reset bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, offset > 0, nil
-		}
-		return nil, offset, false, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, offset, false, err
-	}
-	if fi.Size() < offset {
-		offset, reset = 0, true
-	}
-	if fi.Size() == offset {
-		return nil, offset, reset, nil
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return nil, offset, reset, err
-	}
-	buf, err := io.ReadAll(io.LimitReader(f, fi.Size()-offset))
-	if err != nil {
-		return nil, offset, reset, err
-	}
-	next = offset
-	for {
-		i := bytes.IndexByte(buf, '\n')
-		if i < 0 {
-			break // torn trailing fragment: leave unconsumed
-		}
-		line := bytes.TrimSpace(buf[:i])
-		if len(line) > 0 {
-			lines = append(lines, append([]byte(nil), line...))
-		}
-		next += int64(i + 1)
-		buf = buf[i+1:]
-	}
-	return lines, next, reset, nil
-}
+// resume from, under fleet.ScanLines' discipline (only complete lines
+// are consumed; a torn trailing fragment stays unconsumed until the
+// writer finishes it; garbage complete lines are skipped but consumed;
+// a file that shrank below the offset is re-read from the start).
 
 // TailLog returns the manifest.log entries appended since offset and
 // the offset to resume from. Unlike Marginals' finishedCells it does
 // not deduplicate — the tail is a change feed, and re-appends are
-// events too. Garbage lines are skipped; a torn trailing line is left
-// for the next call.
+// events too.
 func (s *Store) TailLog(offset int64) ([]campaign.Entry, int64, error) {
-	lines, next, _, err := tailLines(s.logPath(), offset)
-	if err != nil {
-		return nil, offset, err
-	}
 	var entries []campaign.Entry
-	for _, line := range lines {
+	next, err := fleet.ScanLines(s.logPath(), offset, func(line []byte) {
 		var e campaign.Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
-			continue
+		if json.Unmarshal(line, &e) == nil && e.Key != "" {
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
-	}
-	return entries, next, nil
+	})
+	return entries, next, err
 }
 
 // TailLedger returns the runs/index.json records appended since offset
 // and the offset to resume from, with the same tolerance as TailLog.
 func (s *Store) TailLedger(offset int64) ([]fleet.IndexEntry, int64, error) {
-	lines, next, _, err := tailLines(s.indexPath(), offset)
-	if err != nil {
-		return nil, offset, err
-	}
 	var entries []fleet.IndexEntry
-	for _, line := range lines {
+	next, err := fleet.ScanLines(s.indexPath(), offset, func(line []byte) {
 		var e fleet.IndexEntry
-		if err := json.Unmarshal(line, &e); err != nil || !fleet.IsArchiveKey(e.Key) {
-			continue
+		if json.Unmarshal(line, &e) == nil && fleet.IsArchiveKey(e.Key) {
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
-	}
-	return entries, next, nil
+	})
+	return entries, next, err
 }
 
 // Leases snapshots the lease directory (sorted by key, tolerant of

@@ -602,12 +602,19 @@ func (x *executor) publish(out *Outcome, man *Manifest) error {
 
 // cumulativeManifest is the fleet's shared manifest.json: every run of
 // the grid exactly once, attributed to the owner that executed it per the
-// archive index (directory-scan fallback yields archived-but-unattributed
-// "hit" entries — an archive that predates the index).
+// archive index (a run the index does not attribute is an archived "hit").
+// An unreadable index costs the manifest its attribution, not the fleet
+// its aggregate, so the failure is logged and finalization carries on.
 func (x *executor) cumulativeManifest() *Manifest {
-	completed, err := fleet.Completed(x.indexPath(), filepath.Join(x.opt.OutDir, "runs"))
-	if err != nil {
-		completed = nil
+	first, _, err := fleet.Executions(x.indexPath())
+	if err != nil && x.opt.Log != nil {
+		x.logMu.Lock()
+		fmt.Fprintf(x.opt.Log, "index read failed, manifest.json lacks attribution (non-fatal): %v\n", err)
+		x.logMu.Unlock()
+	}
+	completed := make(map[string]fleet.IndexEntry, len(first))
+	for _, rec := range first {
+		completed[rec.Key] = rec
 	}
 	entries := make([]Entry, len(x.runs))
 	for i, run := range x.runs {

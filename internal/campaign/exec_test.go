@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
@@ -193,5 +194,37 @@ func TestManifestAccounting(t *testing.T) {
 		if e.NMI == nil {
 			t.Fatalf("entry %d lost its NMI", i)
 		}
+	}
+}
+
+// A ledger that cannot be read when the fleet finalizes costs the
+// cumulative manifest its attribution, and the log says so; the
+// aggregate is still published.
+func TestFinalizeReportsUnreadableLedger(t *testing.T) {
+	spec := testCampaign(t)
+	out := filepath.Join(t.TempDir(), "camp")
+	cold := mustExecute(t, spec, fleetOpts(out, "a"))
+	csv := readFile(t, cold.CSVPath)
+
+	// A symlink to itself fails to open with ELOOP — unreadable, not absent.
+	idx := filepath.Join(out, "runs", "index.json")
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(idx, idx); err != nil {
+		t.Skipf("cannot make the ledger unreadable here: %v", err)
+	}
+	if err := os.Remove(cold.CSVPath); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	opt := fleetOpts(out, "b")
+	opt.Log = &log
+	warm := mustExecute(t, spec, opt)
+	if !strings.Contains(log.String(), "index read failed") {
+		t.Fatalf("the ledger read failure was swallowed; log:\n%s", log.String())
+	}
+	if !bytes.Equal(csv, readFile(t, warm.CSVPath)) {
+		t.Fatal("campaign.csv not republished identically after the ledger read failure")
 	}
 }

@@ -2,10 +2,11 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 )
 
@@ -15,12 +16,13 @@ import (
 // and which owner executed each run — from one sequential read instead of
 // an O(runs) directory scan. The index is advisory: archive files remain
 // the ground truth (a run is complete exactly when runs/<key>.json loads),
-// so a missing or stale index degrades to a scan, never to wrong results.
+// so a missing or stale index loses attribution, never results.
 //
 // Appends are single O_APPEND writes of one newline-terminated line,
 // which the kernel serialises across processes on POSIX-semantics
-// filesystems; readers skip any torn or blank line, so a worker killed
-// mid-append cannot poison the ledger. On filesystems that only
+// filesystems; every reader goes through ScanLines, which skips torn,
+// blank and oversized lines, so a worker killed mid-append (or a garbage
+// line of any length) cannot poison the ledger. On filesystems that only
 // approximate O_APPEND across machines (NFS), concurrent appends can
 // overwrite each other — losing a line's attribution, never a result,
 // because the archives stay the ground truth.
@@ -37,8 +39,7 @@ type IndexEntry struct {
 	// Backend is the measurement substrate that executed the run ("sim",
 	// "wire"); empty for ledgers written before the backend axis existed.
 	Backend string `json:"backend,omitempty"`
-	// Owner is the worker that executed the run; empty for entries
-	// synthesised by the directory-scan fallback.
+	// Owner is the worker that executed the run.
 	Owner string `json:"owner,omitempty"`
 	// Cache is the disposition that produced the archive — "miss" for a
 	// fresh execution (the only kind appended today).
@@ -81,77 +82,113 @@ func AppendLine(path string, v any) error {
 	return f.Close()
 }
 
-// ReadIndex reads every well-formed entry of an index file, in append
-// order. Torn or blank lines (a crash mid-append) are skipped; a missing
-// file is an empty index, not an error.
-func ReadIndex(path string) ([]IndexEntry, error) {
+// MaxLine is the longest line, terminator excluded, that ScanLines
+// delivers. Real records are a few hundred bytes; the cap bounds what
+// one garbage line can make a reader buffer, and writers that accept
+// remote input (POST /ingest) refuse to append anything longer.
+const MaxLine = 1 << 20
+
+// ScanLines is the one reader of the files AppendLine writes. It calls fn
+// with each complete line of path from byte offset on, surrounding white
+// space trimmed, and returns the offset just past the last '\n' it saw.
+// Only '\n'-terminated lines are consumed, so a torn tail (a writer
+// mid-append, or killed there) stays for the next call; a blank line or
+// one longer than MaxLine is consumed and skipped, never an error. A
+// file shorter than offset was truncated or replaced and is read from
+// the start; a missing file is zero lines at offset 0. The file streams
+// through a fixed buffer and fn must not retain line, so memory is
+// bounded by the longest accepted line, not by the file.
+func ScanLines(path string, offset int64, fn func(line []byte)) (next int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return 0, nil
 		}
-		return nil, err
+		return offset, err
 	}
 	defer f.Close()
-	var entries []IndexEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	fi, err := f.Stat()
+	if err != nil {
+		return offset, err
+	}
+	if fi.Size() < offset {
+		offset = 0
+	}
+	if fi.Size() == offset {
+		return offset, nil
+	}
+	if _, err := f.Seek(offset, io.SeekStart); err != nil {
+		return offset, err
+	}
+	r := bufio.NewReaderSize(f, 64<<10)
+	next = offset
+	var long []byte // the head of a line that outgrew the reader's buffer
+	var n int       // bytes of the current line read so far
+	for {
+		frag, err := r.ReadSlice('\n')
+		n += len(frag)
+		if err == bufio.ErrBufferFull {
+			if n <= MaxLine {
+				long = append(long, frag...)
+			}
 			continue
 		}
-		var e IndexEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Key == "" {
-			continue // torn line; the archive file is the ground truth
+		if err != nil {
+			if err == io.EOF {
+				err = nil // what is left is a torn tail: not consumed
+			}
+			return next, err
 		}
-		entries = append(entries, e)
+		next += int64(n)
+		if n-1 <= MaxLine {
+			if len(long) > 0 {
+				frag = append(long, frag...)
+			}
+			if line := bytes.TrimSpace(frag); len(line) > 0 {
+				fn(line)
+			}
+		}
+		long, n = long[:0], 0
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// ReadIndex reads every well-formed entry of an index file, in append
+// order. Lines ScanLines skips and lines that do not decode to a keyed
+// entry (a crash mid-append) are skipped; a missing file is an empty
+// index, not an error.
+func ReadIndex(path string) ([]IndexEntry, error) {
+	var entries []IndexEntry
+	_, err := ScanLines(path, 0, func(line []byte) {
+		var e IndexEntry
+		if json.Unmarshal(line, &e) == nil && e.Key != "" {
+			entries = append(entries, e)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return entries, nil
 }
 
-// Completed returns the executed-run record per archive key. It reads the
-// index when present (first record per key wins: the first completion is
-// the execution, later duplicates are idempotent re-executions after a
-// crash); when the index file is absent — an archive written before
-// indexes existed — it falls back to scanning runsDir for archive files,
-// yielding entries with the key alone. Errors reading the fallback scan's
-// directory are reported; a missing runsDir is simply an empty archive.
-func Completed(indexPath, runsDir string) (map[string]IndexEntry, error) {
-	entries, err := ReadIndex(indexPath)
+// Executions reads the index and returns the execution record of each
+// key in append order — the first record per key wins: the first
+// completion is the execution, later duplicates are idempotent
+// re-executions after a crash — plus the number of well-formed lines
+// read, duplicates included.
+func Executions(path string) (first []IndexEntry, lines int, err error) {
+	entries, err := ReadIndex(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := make(map[string]IndexEntry, len(entries))
-	if _, statErr := os.Stat(indexPath); statErr == nil {
-		// The index exists (possibly empty — a campaign with no
-		// completions yet); trust it rather than scanning.
-		for _, e := range entries {
-			if _, ok := out[e.Key]; !ok {
-				out[e.Key] = e
-			}
+	seen := make(map[string]bool, len(entries))
+	first = entries[:0]
+	for _, e := range entries {
+		if !seen[e.Key] {
+			seen[e.Key] = true
+			first = append(first, e)
 		}
-		return out, nil
 	}
-	dir, err := os.ReadDir(runsDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return out, nil
-		}
-		return nil, err
-	}
-	for _, d := range dir {
-		name := d.Name()
-		key, ok := strings.CutSuffix(name, ".json")
-		if !ok || d.IsDir() || !IsArchiveKey(key) {
-			continue
-		}
-		out[key] = IndexEntry{Key: key}
-	}
-	return out, nil
+	return first, len(entries), nil
 }
 
 // IsArchiveKey reports whether s looks like a sha256 hex digest — the

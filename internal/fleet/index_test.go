@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -91,10 +93,10 @@ func TestIndexConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestCompletedPrefersIndexAndDedupes(t *testing.T) {
-	dir := t.TempDir()
-	idx := filepath.Join(dir, "index.json")
-	runs := filepath.Join(dir, "runs")
+// The shared fold: first record per key wins, append order is kept, and
+// the line count includes the duplicates.
+func TestExecutionsFirstRecordWins(t *testing.T) {
+	idx := filepath.Join(t.TempDir(), "index.json")
 	// Duplicate key: an idempotent re-execution after a crash. The first
 	// record is the execution.
 	for _, e := range []IndexEntry{
@@ -106,51 +108,131 @@ func TestCompletedPrefersIndexAndDedupes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := Completed(idx, runs)
+	got, lines, err := Executions(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[key64('a')].Owner != "first" || got[key64('b')].Owner != "w2" {
-		t.Fatalf("completed = %+v", got)
+	if lines != 3 || len(got) != 2 || got[0].Owner != "first" || got[1].Owner != "w2" {
+		t.Fatalf("executions = %+v (%d lines)", got, lines)
+	}
+	// An absent index is no executions, not an error.
+	got, lines, err = Executions(filepath.Join(t.TempDir(), "absent.json"))
+	if err != nil || len(got) != 0 || lines != 0 {
+		t.Fatalf("absent index: %+v lines=%d err=%v", got, lines, err)
 	}
 }
 
-// Without an index — an archive directory written before indexes existed
-// — Completed degrades to a directory scan of the archives themselves.
-func TestCompletedFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	runs := filepath.Join(dir, "runs")
-	if err := os.MkdirAll(runs, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		key64('a') + ".json",
-		key64('b') + ".json",
-		"not-an-archive.txt",
-		key64('c') + ".json.tmp-123", // stray atomic-write sibling
-	} {
-		if err := os.WriteFile(filepath.Join(runs, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Completed(filepath.Join(dir, "index.json"), runs)
+// appendRaw appends bytes to a file the way a foreign or crashed writer
+// would: no JSON, no terminator discipline.
+func appendRaw(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("scan fallback found %d archives, want 2: %+v", len(got), got)
-	}
-	for _, k := range []string{key64('a'), key64('b')} {
-		if e, ok := got[k]; !ok || e.Owner != "" {
-			t.Fatalf("scan fallback entry for %s = %+v", k[:8], got[k])
-		}
-	}
-	// An empty-but-present index means "no completions", not "scan".
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), nil, 0o644); err != nil {
+	if _, err := f.Write(data); err != nil {
 		t.Fatal(err)
 	}
-	got, err = Completed(filepath.Join(dir, "index.json"), runs)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty index: %+v err=%v", got, err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// One garbage line over the cap used to fail the whole read (bufio.Scanner:
+// token too long). It is consumed and skipped like any other garbage.
+func TestScanLinesSkipsOversizedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "index.json")
+	if err := AppendIndex(path, IndexEntry{Key: key64('a'), Owner: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, path, append(bytes.Repeat([]byte{'x'}, 2<<20), '\n'))
+	if err := AppendIndex(path, IndexEntry{Key: key64('b'), Owner: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	next, err := ScanLines(path, 0, func([]byte) { lines++ })
+	if err != nil || lines != 2 || next != fi.Size() {
+		t.Fatalf("ScanLines: %d lines, next=%d (size %d), err=%v", lines, next, fi.Size(), err)
+	}
+	got, err := ReadIndex(path)
+	if err != nil || len(got) != 2 || got[0].Key != key64('a') || got[1].Key != key64('b') {
+		t.Fatalf("ReadIndex over an oversized line: %+v err=%v", got, err)
+	}
+}
+
+// The cap is on the line, terminator excluded: MaxLine bytes are
+// delivered whole (through the reassembly path — the reader's buffer is
+// 64 KiB), MaxLine+1 are not.
+func TestScanLinesCapBoundary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lines")
+	appendRaw(t, path, append(bytes.Repeat([]byte{'a'}, MaxLine), '\n'))
+	appendRaw(t, path, append(bytes.Repeat([]byte{'b'}, MaxLine+1), '\n'))
+	appendRaw(t, path, []byte("tail\r\n"))
+	var got []string
+	if _, err := ScanLines(path, 0, func(line []byte) { got = append(got, string(line)) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != strings.Repeat("a", MaxLine) || got[1] != "tail" {
+		t.Fatalf("delivered %d lines (lengths %d…)", len(got), len(got[0]))
+	}
+}
+
+// FuzzScanLines holds the reader to its contract on arbitrary bytes: it
+// never fails or panics, consumes exactly the '\n'-terminated prefix it
+// reports, delivers only trimmed, non-blank, in-cap lines, and resuming
+// from a returned offset neither repeats nor loses a line. The seed
+// corpus is in testdata/fuzz/FuzzScanLines; the two seeds too large to
+// check in as files are built here.
+func FuzzScanLines(f *testing.F) {
+	valid := []byte(`{"key":"` + key64('a') + `"}` + "\n")
+	// A line that ends exactly at the reader's 64 KiB buffer, and one
+	// that starts one byte before it.
+	f.Add(slices.Concat(bytes.Repeat([]byte{'x'}, 64<<10-1), []byte{'\n'}, valid), uint32(64<<10-1))
+	// An over-cap line between two valid ones.
+	f.Add(slices.Concat(valid, bytes.Repeat([]byte{'<'}, MaxLine+1), []byte{'\n'}, valid), uint32(len(valid)+7))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint32) {
+		path := filepath.Join(t.TempDir(), "lines")
+		scan := func(offset int64) (lines []string, next int64) {
+			next, err := ScanLines(path, offset, func(line []byte) {
+				if len(line) == 0 || len(line) > MaxLine || bytes.IndexByte(line, '\n') >= 0 ||
+					len(bytes.TrimSpace(line)) != len(line) {
+					t.Fatalf("delivered a blank, untrimmed, multi-line or over-cap line (%d bytes)", len(line))
+				}
+				lines = append(lines, string(line))
+			})
+			if err != nil {
+				t.Fatalf("ScanLines(%d): %v", offset, err)
+			}
+			return lines, next
+		}
+
+		// A prefix first, as a tail would have seen the file mid-growth.
+		k := int(cut) % (len(data) + 1)
+		if err := os.WriteFile(path, data[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		head, mid := scan(0)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rest, end := scan(mid)
+		whole, next := scan(0)
+
+		if next < 0 || next > int64(len(data)) || (next > 0 && data[next-1] != '\n') {
+			t.Fatalf("next=%d is not 0 or just past a newline (len %d)", next, len(data))
+		}
+		if end != next {
+			t.Fatalf("resumed scan ended at %d, whole scan at %d", end, next)
+		}
+		if !slices.Equal(append(head, rest...), whole) {
+			t.Fatalf("prefix+resume delivered %d+%d lines, one scan %d", len(head), len(rest), len(whole))
+		}
+		if again, at := scan(next); len(again) != 0 || at != next {
+			t.Fatalf("second scan from next=%d delivered %d lines, moved to %d", next, len(again), at)
+		}
+	})
 }
