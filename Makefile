@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race vet fmt-check bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
+.PHONY: all build examples test bench-test race vet fmt-check size layout-check bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
 
 all: build
 
@@ -33,6 +33,26 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# size prints the number ROADMAP.md tracks: non-test Go lines outside the
+# separately-built bench/ module.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# layout-check holds the archive directory to one owner: the nine layout
+# names may be spelled as a path component — a filepath.Join argument, a
+# "+"-joined suffix, or a path literal — only in
+# internal/campaign/layout.go (campaign.Dir). Everything else asks a Dir.
+# JSON tags, map keys, URL routes and table cells such as "runs" are not
+# paths and do not match; tests and bench/ are exempt.
+LAYOUT_DIRS = runs|leases|manifests|traces
+LAYOUT_FILES = index\.json|manifest\.log|manifest\.json|campaign\.csv|summary\.txt
+layout-check:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		'filepath\.Join\(.*"($(LAYOUT_DIRS)|$(LAYOUT_FILES))"|\+ *"/($(LAYOUT_DIRS)|$(LAYOUT_FILES))["/]|"($(LAYOUT_DIRS))/|"[^" ]*/($(LAYOUT_FILES))"' . \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v '^\./internal/campaign/layout\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "archive layout names spelled outside internal/campaign/layout.go:"; echo "$$out"; exit 1; fi
 
 # bench-smoke runs every benchmark exactly once — a compile-and-execute
 # gate, not a timing run.
@@ -234,4 +254,4 @@ dashboard-smoke:
 	/tmp/bttomo_dash_bin diff -out /tmp/bttomo_dash_src -base /tmp/bttomo_dash_ref | grep -q 'regressions: 0'
 	@rm -rf /tmp/bttomo_dash_hub /tmp/bttomo_dash_src /tmp/bttomo_dash_ref /tmp/bttomo_dash_bin /tmp/bttomo_dash_check /tmp/bttomo_dash_sse.txt /tmp/bttomo_dash_sse2.txt /tmp/bttomo_dash_events.jsonl /tmp/bttomo_dash_hub_status.json
 
-ci: fmt-check vet build examples bench-test race bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke
+ci: fmt-check vet layout-check build examples bench-test race bench-smoke fuzz-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke

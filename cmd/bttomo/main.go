@@ -132,11 +132,8 @@ func run(d *repro.Dataset, backend string, iterations int, scale float64, seed i
 	opts.RotateRoot = rotate
 	opts.Workers = workers
 	opts.Backend = backend
-	if scale > 0 && scale != 1 {
-		opts.BT.FileBytes = int(float64(opts.BT.FileBytes) * scale)
-		if opts.BT.FileBytes < opts.BT.FragmentSize {
-			opts.BT.FileBytes = opts.BT.FragmentSize
-		}
+	if scale > 0 {
+		opts = opts.WithScale(scale)
 	}
 
 	fmt.Printf("dataset %s: %d hosts, ground truth: %s\n", d.Name, d.N(), d.TruthNote)

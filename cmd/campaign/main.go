@@ -70,7 +70,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sort"
 	"strings"
@@ -259,11 +258,7 @@ func serveMetrics(addr string) error {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", telemetry.Default().Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	serve.MountPprof(mux)
 	fmt.Printf("metrics on http://%s/metrics (pprof: /debug/pprof/)\n", l.Addr())
 	go func() {
 		_ = http.Serve(l, mux) // dies with the process

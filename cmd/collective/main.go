@@ -41,13 +41,9 @@ func run(dataset string, payloadMB, iters int, scale float64, seed int64) error 
 	if err != nil {
 		return err
 	}
-	opts := repro.DefaultOptions()
+	opts := repro.DefaultOptions().WithScale(scale)
 	opts.Iterations = iters
 	opts.Seed = seed
-	opts.BT.FileBytes = int(float64(opts.BT.FileBytes) * scale)
-	if opts.BT.FileBytes < opts.BT.FragmentSize {
-		opts.BT.FileBytes = opts.BT.FragmentSize
-	}
 	res, err := repro.Run(d, opts)
 	if err != nil {
 		return err

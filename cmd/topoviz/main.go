@@ -44,11 +44,8 @@ func run(dataset string, iterations int, scale float64, seed int64, edges float6
 	opts.Iterations = iterations
 	opts.Seed = seed
 	opts.ClusterEvery = 0
-	if scale > 0 && scale != 1 {
-		opts.BT.FileBytes = int(float64(opts.BT.FileBytes) * scale)
-		if opts.BT.FileBytes < opts.BT.FragmentSize {
-			opts.BT.FileBytes = opts.BT.FragmentSize
-		}
+	if scale > 0 {
+		opts = opts.WithScale(scale)
 	}
 	res, err := repro.Run(d, opts)
 	if err != nil {

@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleetCSV, err := os.ReadFile(filepath.Join(shared, "campaign.csv"))
+	fleetCSV, err := os.ReadFile(outcomes[0].CSVPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,12 +2,10 @@
 // the query layer that turns the content-addressed result cache from a
 // side effect of execution into a served product.
 //
-// PRs 4–5 made runs/<key>.json archives, the runs/index.json execution
-// ledger, leases/ and per-owner manifests/ the system of record for
-// every measurement a campaign produces; until now the only consumers
-// were the executors themselves. A Store gives everything else —
-// dashboards, CI regression gates, fleet operators, the HTTP service in
-// archive/serve — a typed API over the same directory: enumerate runs,
+// The directory (campaign.Dir spells its layout) is the system of record
+// for every measurement a campaign produces. A Store gives everything
+// but the executors — dashboards, CI regression gates, fleet operators,
+// the HTTP service in archive/serve — a typed API over it: enumerate runs,
 // fetch one archived document, fuse ledger + leases + manifests into
 // live fleet progress, compute per-axis marginal curves, diff two
 // archives for regressions, and govern the cache's size (GC).
@@ -39,9 +37,9 @@ package archive
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/fleet"
 	"repro/internal/persist"
 )
@@ -50,7 +48,9 @@ import (
 // Methods are safe for concurrent use and against concurrent writers;
 // each call reads the directory fresh.
 type Store struct {
-	dir string
+	// at is the directory as the campaign layout: the Store never spells
+	// a file name of the archive itself.
+	at campaign.Dir
 }
 
 // Open opens the campaign archive rooted at dir. The directory must
@@ -64,23 +64,11 @@ func Open(dir string) (*Store, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("archive: %s is not a directory", dir)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{at: campaign.Dir(dir)}, nil
 }
 
 // Dir returns the archive directory this store reads.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) runsDir() string      { return filepath.Join(s.dir, "runs") }
-func (s *Store) indexPath() string    { return filepath.Join(s.dir, "runs", "index.json") }
-func (s *Store) leasesDir() string    { return filepath.Join(s.dir, "leases") }
-func (s *Store) manifestsDir() string { return filepath.Join(s.dir, "manifests") }
-func (s *Store) logPath() string      { return filepath.Join(s.dir, "manifest.log") }
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
-func (s *Store) csvPath() string      { return filepath.Join(s.dir, "campaign.csv") }
-
-func (s *Store) archivePath(key string) string {
-	return filepath.Join(s.runsDir(), key+".json")
-}
+func (s *Store) Dir() string { return string(s.at) }
 
 // RunInfo is one archived (or ledger-recorded) run as the read path
 // sees it: the union of the ledger's attribution record and the archive
@@ -127,7 +115,7 @@ func runInfo(e fleet.IndexEntry) RunInfo {
 // Anything else there (the ledger, *.tmp-* siblings, strays) is not an
 // archive; a missing runs/ is an empty archive.
 func (s *Store) archived(fn func(key string, d os.DirEntry)) error {
-	dir, err := os.ReadDir(s.runsDir())
+	dir, err := os.ReadDir(s.at.Runs())
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -145,7 +133,7 @@ func (s *Store) archived(fn func(key string, d os.DirEntry)) error {
 // sorted by key. It never loads document bodies — listing a million-run
 // archive costs one ledger read and one directory scan.
 func (s *Store) Runs() ([]RunInfo, error) {
-	first, _, err := fleet.Executions(s.indexPath())
+	first, _, err := fleet.Executions(s.at.Index())
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +177,7 @@ func (s *Store) Get(key string) (*RunDetail, error) {
 		return nil, fmt.Errorf("archive: %q: %w (want a sha256 hex digest)", key, ErrBadKey)
 	}
 	d := &RunDetail{RunInfo: RunInfo{Key: key, Run: -1}}
-	first, _, err := fleet.Executions(s.indexPath())
+	first, _, err := fleet.Executions(s.at.Index())
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +187,7 @@ func (s *Store) Get(key string) (*RunDetail, error) {
 			break
 		}
 	}
-	path := s.archivePath(key)
+	path := s.at.Archive(key)
 	if fi, err := os.Stat(path); err == nil {
 		if doc, err := persist.LoadResult(path); err == nil {
 			d.Archived = true
@@ -231,5 +219,5 @@ func (s *Store) Stamp() string {
 		return fmt.Sprintf("%d.%d", fi.Size(), fi.ModTime().UnixNano())
 	}
 	return fmt.Sprintf("%s;%s;%s;%s",
-		part(s.indexPath()), part(s.logPath()), part(s.manifestPath()), part(s.csvPath()))
+		part(s.at.Index()), part(s.at.Log()), part(s.at.Manifest()), part(s.at.CSV()))
 }

@@ -3,6 +3,7 @@ package archive
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -299,6 +300,74 @@ func TestMarginalsDeduplicateWarmReinvocations(t *testing.T) {
 	}
 	if m.Cells != 4 {
 		t.Fatalf("warm re-invocation double-counted: %d cells", m.Cells)
+	}
+}
+
+// The backend axis is swept and key-relevant like any other: a manifest
+// whose cells ran on two backends yields a two-point backend marginal
+// (it answered ErrUnknownAxis before the axis table was shared).
+func TestMarginalsBackendAxis(t *testing.T) {
+	dir := t.TempDir()
+	for i, backend := range []string{"sim", "wire", "sim"} {
+		run := campaign.Run{Index: i, Scenario: "2x2", Iterations: 3, Seed: int64(i), Scale: 1, Backend: backend, Workers: 1}
+		err := campaign.Record(campaign.Dir(dir), campaign.Entry{
+			Index: i, Scenario: run.Scenario, Config: run.Config(), Backend: backend,
+			Key: fmt.Sprintf("%064x", i), Status: "done", Cache: "hit", Q: float64(i * i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.Marginals("backend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Axis != "backend" || m.Cells != 3 || len(m.Points) != 2 {
+		t.Fatalf("backend marginal wrong: %+v", m)
+	}
+	if p := m.Points[0]; p.Value != "sim" || p.Runs != 2 || p.MeanQ != 2 {
+		t.Fatalf("sim point wrong: %+v", p)
+	}
+	if p := m.Points[1]; p.Value != "wire" || p.Runs != 1 || p.MeanQ != 1 {
+		t.Fatalf("wire point wrong: %+v", p)
+	}
+}
+
+// Every key an expanded run's Config() renders must resolve as a
+// marginal axis — by its short key and by the canonical name it maps to
+// — and find that cell's value, so an option axis can never again reach
+// the manifest without reaching the queries.
+func TestEveryConfigKeyIsAMarginalAxis(t *testing.T) {
+	_, out, st := writtenArchive(t)
+	fields := strings.Fields(out.Runs[0].Config())
+	canonical := make(map[string]bool)
+	for _, axis := range MarginalAxes() {
+		canonical[axis] = true
+	}
+	for _, field := range fields {
+		key, _, ok := strings.Cut(field, "=")
+		if !ok {
+			t.Fatalf("Config() field %q is not key=value", field)
+		}
+		m, err := st.Marginals(key)
+		if err != nil {
+			t.Errorf("Config key %q is not a marginal axis: %v", key, err)
+			continue
+		}
+		if !canonical[m.Axis] {
+			t.Errorf("Config key %q resolved to %q, which MarginalAxes() does not list", key, m.Axis)
+		}
+		runs := 0
+		for _, p := range m.Points {
+			runs += p.Runs
+		}
+		if runs != m.Cells || m.Cells != len(out.Runs) {
+			t.Errorf("axis %q: %d of %d cells carry a value (grid %d)", m.Axis, runs, m.Cells, len(out.Runs))
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *Store) Diff(baseDir string) (*DiffReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &DiffReport{Dir: s.dir, Base: base.dir}
+	rep := &DiffReport{Dir: s.Dir(), Base: base.Dir()}
 	inBase := make(map[string]bool, len(baseKeys))
 	for _, k := range baseKeys {
 		inBase[k] = true
@@ -83,7 +83,7 @@ func (s *Store) Diff(baseDir string) (*DiffReport, error) {
 			continue
 		}
 		rep.Common++
-		if r, ok, readable := compareArchives(s.archivePath(k), base.archivePath(k), k); !readable {
+		if r, ok, readable := compareArchives(s.at.Archive(k), base.at.Archive(k), k); !readable {
 			rep.Unreadable++
 		} else if ok {
 			rep.Regressions = append(rep.Regressions, r)

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,7 +79,7 @@ type GCReport struct {
 // ledger line, never its archive.
 func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 	rep := &GCReport{}
-	dir, err := os.ReadDir(s.runsDir())
+	dir, err := os.ReadDir(s.at.Runs())
 	if err != nil {
 		if os.IsNotExist(err) {
 			return rep, nil
@@ -88,7 +87,7 @@ func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 		return nil, err
 	}
 
-	leases, err := fleet.Leases(s.leasesDir())
+	leases, err := fleet.Leases(s.at.Leases())
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +95,7 @@ func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 	for _, l := range leases {
 		leased[l.Key] = true
 	}
-	first, _, err := fleet.Executions(s.indexPath())
+	first, _, err := fleet.Executions(s.at.Index())
 	if err != nil {
 		return nil, err
 	}
@@ -120,14 +119,15 @@ func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 		if !isArchive || !fleet.IsArchiveKey(key) {
 			// A stray — an abandoned temp file from a crashed writer. Sweep
 			// it only once it is old enough that it cannot be an in-flight
-			// write racing this pass (the ledger itself is exempt).
-			if name == "index.json" || !strings.Contains(name, ".tmp-") {
+			// write racing this pass (the ledger, like anything else that
+			// is not a temp file, is left alone).
+			if !strings.Contains(name, ".tmp-") {
 				continue
 			}
 			if fi, err := d.Info(); err == nil && now.Sub(fi.ModTime()) > time.Hour {
 				rep.Strays++
 				if !opt.DryRun {
-					os.Remove(filepath.Join(s.runsDir(), name))
+					os.Remove(filepath.Join(s.at.Runs(), name))
 				}
 			}
 			continue
@@ -177,7 +177,7 @@ func (s *Store) GC(opt GCOptions) (*GCReport, error) {
 		for _, key := range group {
 			removed[key] = true
 			if !opt.DryRun {
-				if err := os.Remove(s.archivePath(key)); err != nil && !os.IsNotExist(err) {
+				if err := os.Remove(s.at.Archive(key)); err != nil && !os.IsNotExist(err) {
 					return nil, err
 				}
 			}
@@ -211,32 +211,26 @@ func (s *Store) completionTime(key string, ledgered map[string]float64, d os.Dir
 // lines, preserving the surviving lines' order and content (torn lines
 // are dropped — they carried no information a reader would use).
 func (s *Store) compactLedger(removed map[string]bool) error {
-	entries, err := fleet.ReadIndex(s.indexPath())
+	entries, err := fleet.ReadIndex(s.at.Index())
 	if err != nil {
 		return err
 	}
 	if len(entries) == 0 {
 		return nil
 	}
-	return persist.WriteAtomic(s.indexPath(), func(w io.Writer) error {
+	return persist.WriteAtomic(s.at.Index(), func(w io.Writer) error {
 		for _, e := range entries {
 			if removed[e.Key] {
 				continue
 			}
-			if err := writeIndexLine(w, e); err != nil {
+			line, err := fleet.EncodeLine(e)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// writeIndexLine re-encodes one surviving ledger entry.
-func writeIndexLine(w io.Writer, e fleet.IndexEntry) error {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
 }

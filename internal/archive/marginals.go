@@ -42,30 +42,36 @@ type MarginalPoint struct {
 	MeanSimSeconds float64  `json:"mean_sim_seconds"`
 }
 
-// MarginalAxes lists the canonical axis names Marginals accepts.
+// MarginalAxes lists the canonical axis names Marginals accepts: the
+// scenario axis plus every option coordinate of campaign.ConfigAxes.
 func MarginalAxes() []string {
-	return []string{"scenario", "dynamics", "iterations", "window", "rotate_root", "seed", "scale", "top_fraction", "workers"}
+	axes := []string{"scenario"}
+	for _, a := range campaign.ConfigAxes {
+		axes = append(axes, a.Name)
+	}
+	return axes
 }
 
-// axisAliases maps accepted spellings to canonical axis names: the
-// short keys the cell Config strings use, plus "intensity" (the
-// dynamics axis's operational name — it scales each scenario's
-// scripted timeline intensity).
-var axisAliases = map[string]string{
-	"scenario":     "scenario",
-	"dynamics":     "dynamics",
-	"intensity":    "dynamics",
-	"dyn":          "dynamics",
-	"iterations":   "iterations",
-	"iters":        "iterations",
-	"window":       "window",
-	"rotate_root":  "rotate_root",
-	"rotate":       "rotate_root",
-	"seed":         "seed",
-	"scale":        "scale",
-	"top_fraction": "top_fraction",
-	"top":          "top_fraction",
-	"workers":      "workers",
+// resolveAxis maps an accepted spelling to the canonical axis name and
+// the short key cell Config strings render it under (none for the
+// scenario axis, which is an entry field). Canonical names and Config
+// short keys both resolve, case-insensitively, plus "intensity" — the
+// dynamics axis's operational name: it scales each scenario's scripted
+// timeline intensity.
+func resolveAxis(axis string) (canon, key string, ok bool) {
+	axis = strings.ToLower(axis)
+	switch axis {
+	case "scenario":
+		return axis, "", true
+	case "intensity":
+		axis = "dynamics"
+	}
+	for _, a := range campaign.ConfigAxes {
+		if axis == a.Name || axis == a.Key {
+			return a.Name, a.Key, true
+		}
+	}
+	return "", "", false
 }
 
 // Marginals computes the marginal curve for one axis from the streamed
@@ -76,7 +82,7 @@ var axisAliases = map[string]string{
 // count, and only Status "done" cells enter the averages. Torn log
 // lines (a worker killed mid-append) are skipped.
 func (s *Store) Marginals(axis string) (*Marginal, error) {
-	canon, ok := axisAliases[strings.ToLower(axis)]
+	canon, key, ok := resolveAxis(axis)
 	if !ok {
 		return nil, fmt.Errorf("archive: %w %q (have %v)", ErrUnknownAxis, axis, MarginalAxes())
 	}
@@ -90,7 +96,7 @@ func (s *Store) Marginals(axis string) (*Marginal, error) {
 	}
 	groups := make(map[string]*acc)
 	for _, e := range cells {
-		val, ok := axisValue(e, canon)
+		val, ok := axisValue(e, key)
 		if !ok {
 			continue // a cell config written before this axis existed
 		}
@@ -138,8 +144,8 @@ func (s *Store) Marginals(axis string) (*Marginal, error) {
 // log is absent (an archive written before streaming existed, or one
 // whose log was pruned) it falls back to the cumulative manifest.json.
 func (s *Store) finishedCells() ([]campaign.Entry, error) {
-	if _, err := os.Stat(s.logPath()); os.IsNotExist(err) {
-		man, merr := readManifest(s.manifestPath())
+	if _, err := os.Stat(s.at.Log()); os.IsNotExist(err) {
+		man, merr := readManifest(s.at.Manifest())
 		if merr != nil {
 			return nil, nil // no log, no manifest: nothing finished yet
 		}
@@ -177,26 +183,15 @@ func (s *Store) finishedCells() ([]campaign.Entry, error) {
 }
 
 // axisValue extracts one cell's coordinate on an axis from its manifest
-// entry: the scenario display name, or the named field of the Config
-// string ("dyn=1 iters=3 window=0 rotate=false seed=1 scale=0.2
-// top=0.5 workers=1").
-func axisValue(e campaign.Entry, axis string) (string, bool) {
-	if axis == "scenario" {
+// entry: the scenario display name (key ""), or the field the Config
+// string ("dyn=1 iters=3 window=0 rotate=false seed=1 scale=0.2 top=0.5
+// backend=sim workers=1") renders under key.
+func axisValue(e campaign.Entry, key string) (string, bool) {
+	if key == "" {
 		return e.Scenario, e.Scenario != ""
 	}
-	short := axis
-	switch axis {
-	case "dynamics":
-		short = "dyn"
-	case "iterations":
-		short = "iters"
-	case "rotate_root":
-		short = "rotate"
-	case "top_fraction":
-		short = "top"
-	}
 	for _, tok := range strings.Fields(e.Config) {
-		if v, ok := strings.CutPrefix(tok, short+"="); ok {
+		if v, ok := strings.CutPrefix(tok, key+"="); ok {
 			return v, true
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/fleet"
 )
 
@@ -120,7 +121,7 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracesDir := filepath.Join(dir, TracesDirName)
+	tracesDir := campaign.Dir(dir).Traces()
 	if err := os.MkdirAll(tracesDir, 0o755); err != nil {
 		t.Fatal(err)
 	}

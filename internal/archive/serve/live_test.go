@@ -59,7 +59,7 @@ func TestPhasesPlotETagTracksTraces(t *testing.T) {
 	}
 	etag := rec1.Header().Get("ETag")
 
-	tracesDir := filepath.Join(dir, archive.TracesDirName)
+	tracesDir := campaign.Dir(dir).Traces()
 	if err := os.MkdirAll(tracesDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,9 @@ func TestEventsSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(st, Options{EventInterval: 10 * time.Millisecond, Heartbeat: 50 * time.Millisecond})
+	defer func(d time.Duration) { sseHeartbeat = d }(sseHeartbeat)
+	sseHeartbeat = 50 * time.Millisecond
+	h := NewHandler(st, Options{EventInterval: 10 * time.Millisecond})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -56,7 +56,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -71,10 +70,6 @@ import (
 
 // Options configures the optional faces of the service.
 type Options struct {
-	// Metrics is the registry /metrics exposes; nil serves the
-	// process-wide default registry (which is where every instrumented
-	// layer — core, substrate, wire, fleet, campaign — registers).
-	Metrics *telemetry.Registry
 	// Pprof mounts net/http/pprof's profiling handlers under
 	// /debug/pprof/. Off by default: profiling endpoints expose process
 	// internals and cost real CPU when scraped, so they are opt-in.
@@ -86,13 +81,12 @@ type Options struct {
 	Ingest bool
 	// EventInterval is the /events watcher's poll cadence (default 1s).
 	EventInterval time.Duration
-	// Heartbeat is the SSE comment-line cadence that keeps idle /events
-	// connections alive through proxies (default 15s).
-	Heartbeat time.Duration
-	// Replay bounds the /events replay ring for Last-Event-ID
-	// reconnects (default events.DefaultReplay).
-	Replay int
 }
+
+// sseHeartbeat is the SSE comment-line cadence that keeps idle /events
+// connections alive through proxies. A variable only so the package's
+// tests can observe a heartbeat without waiting fifteen seconds.
+var sseHeartbeat = 15 * time.Second
 
 // Handler returns the HTTP handler serving the store's read path with
 // default options (metrics on, pprof and ingest off).
@@ -102,15 +96,7 @@ func Handler(st *archive.Store) http.Handler {
 
 // NewHandler returns the HTTP handler serving the store's read path.
 func NewHandler(st *archive.Store, opt Options) http.Handler {
-	reg := opt.Metrics
-	if reg == nil {
-		reg = telemetry.Default()
-	}
-	stream := events.NewStream(events.NewWatcher(st), opt.EventInterval, opt.Replay)
-	heartbeat := opt.Heartbeat
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
+	stream := events.NewStream(events.NewWatcher(st), opt.EventInterval)
 	// What a response depends on: every view but two is a function of the
 	// archive's Stamp() alone.
 	archiveStamp := func(*http.Request) string { return st.Stamp() }
@@ -190,7 +176,7 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 		})(w, r)
 	}))
 	mux.HandleFunc("GET /events", counted("events", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, stream, heartbeat)
+		serveSSE(w, r, stream)
 	}))
 	mux.HandleFunc("GET /dashboard", counted("dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -204,17 +190,25 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 	}
 	// /metrics is deliberately outside the ETag/304 discipline: counters
 	// move with every scrape-worthy event, and Prometheus clients expect
-	// a fresh body each poll.
-	metricsHandler := reg.Handler()
-	mux.Handle("GET /metrics", counted("metrics", metricsHandler.ServeHTTP))
+	// a fresh body each poll. It exposes the process-wide registry, where
+	// every instrumented layer — core, substrate, wire, fleet, campaign,
+	// and counted below — registers.
+	mux.Handle("GET /metrics", counted("metrics", telemetry.Default().Handler().ServeHTTP))
 	if opt.Pprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		MountPprof(mux)
 	}
 	return mux
+}
+
+// MountPprof mounts net/http/pprof's profiling handlers under
+// /debug/pprof/ — for this service when Options.Pprof is set, and for
+// `campaign run -metrics-addr`'s debug listener.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // serveSSE streams archive events as Server-Sent Events. A reconnecting
@@ -223,7 +217,7 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 // connections alive. The response never ends on its own — the client
 // hangs up, or the subscriber is dropped for falling behind (and the
 // client's automatic reconnect resumes it).
-func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream, heartbeat time.Duration) {
+func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "events: streaming unsupported", http.StatusInternalServerError)
@@ -241,7 +235,7 @@ func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream, hea
 
 	ch := stream.Subscribe(lastID)
 	defer stream.Unsubscribe(ch)
-	hb := time.NewTicker(heartbeat)
+	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
 		select {
@@ -279,12 +273,11 @@ var mIngested = telemetry.Default().Counter(
 // manifest.log. Lines are re-marshalled before the append (a remote
 // writer cannot inject raw bytes into the archive), malformed lines and
 // lines the read path would skip as oversized are not accepted, and
-// ledger attribution is
-// mirrored for fresh executions so /status per-owner counts on the hub
-// match `campaign status` on the writer.
+// each accepted entry goes through campaign.Record — the writer the
+// executor itself uses — so fresh executions get their ledger line and
+// /status per-owner counts on the hub match `campaign status` on the
+// writer.
 func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
-	logPath := filepath.Join(st.Dir(), "manifest.log")
-	idxPath := filepath.Join(st.Dir(), "runs", "index.json")
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, ingestMaxBody))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	accepted, seen := 0, 0
@@ -306,27 +299,9 @@ func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
 		if data, err := json.Marshal(e); err != nil || len(data) > fleet.MaxLine {
 			continue
 		}
-		if err := fleet.AppendLine(logPath, e); err != nil {
+		if err := campaign.Record(campaign.Dir(st.Dir()), e); err != nil {
 			fail(w, err)
 			return
-		}
-		// Mirror the writer's ledger rule: fresh executions (and only
-		// those) get an attribution record, so per-owner counts agree
-		// across machines.
-		if e.Status == "done" && e.Cache == "miss" && e.Owner != "" {
-			if err := fleet.AppendIndex(idxPath, fleet.IndexEntry{
-				Key:           e.Key,
-				Run:           e.Index,
-				Scenario:      e.Scenario,
-				Backend:       e.Backend,
-				Owner:         e.Owner,
-				Cache:         e.Cache,
-				WallSeconds:   e.WallSeconds,
-				CompletedUnix: fleet.NowUnix(),
-			}); err != nil {
-				fail(w, err)
-				return
-			}
 		}
 		accepted++
 		mIngested.Inc()

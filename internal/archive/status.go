@@ -3,7 +3,6 @@ package archive
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -99,9 +98,9 @@ type LeaseStatus struct {
 // are skipped, mid-publication leases and manifests degrade to absent
 // entries, and counts never exceed the exactly-once truth.
 func (s *Store) Status() (*Status, error) {
-	st := &Status{Dir: s.dir}
+	st := &Status{Dir: s.Dir()}
 
-	first, lines, err := fleet.Executions(s.indexPath())
+	first, lines, err := fleet.Executions(s.at.Index())
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +134,7 @@ func (s *Store) Status() (*Status, error) {
 		return nil, err
 	}
 
-	leases, err := fleet.Leases(s.leasesDir())
+	leases, err := fleet.Leases(s.at.Leases())
 	if err != nil {
 		return nil, err
 	}
@@ -161,13 +160,13 @@ func (s *Store) Status() (*Status, error) {
 		}
 	}
 
-	if mans, err := os.ReadDir(s.manifestsDir()); err == nil {
+	if mans, err := os.ReadDir(s.at.Manifests()); err == nil {
 		for _, d := range mans {
 			owner, ok := strings.CutSuffix(d.Name(), ".json")
 			if !ok || d.IsDir() || owner == "" {
 				continue
 			}
-			man, err := readManifest(filepath.Join(s.manifestsDir(), d.Name()))
+			man, err := readManifest(s.at.OwnerManifest(owner))
 			if err != nil {
 				continue // mid-publication; the owner keeps its ledger counts
 			}
@@ -186,13 +185,11 @@ func (s *Store) Status() (*Status, error) {
 	}
 	sort.Slice(st.Owners, func(i, j int) bool { return st.Owners[i].Owner < st.Owners[j].Owner })
 
-	if man, err := readManifest(s.manifestPath()); err == nil {
+	if man, err := readManifest(s.at.Manifest()); err == nil {
 		st.Campaign = man.Campaign
 		st.GridRuns = man.Runs
 	}
-	if _, err := os.Stat(s.csvPath()); err == nil {
-		st.Finalized = true
-	}
+	st.Finalized = s.Finalized()
 	return st, nil
 }
 

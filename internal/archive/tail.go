@@ -23,7 +23,7 @@ import (
 // events too.
 func (s *Store) TailLog(offset int64) ([]campaign.Entry, int64, error) {
 	var entries []campaign.Entry
-	next, err := fleet.ScanLines(s.logPath(), offset, func(line []byte) {
+	next, err := fleet.ScanLines(s.at.Log(), offset, func(line []byte) {
 		var e campaign.Entry
 		if json.Unmarshal(line, &e) == nil && e.Key != "" {
 			entries = append(entries, e)
@@ -36,7 +36,7 @@ func (s *Store) TailLog(offset int64) ([]campaign.Entry, int64, error) {
 // and the offset to resume from, with the same tolerance as TailLog.
 func (s *Store) TailLedger(offset int64) ([]fleet.IndexEntry, int64, error) {
 	var entries []fleet.IndexEntry
-	next, err := fleet.ScanLines(s.indexPath(), offset, func(line []byte) {
+	next, err := fleet.ScanLines(s.at.Index(), offset, func(line []byte) {
 		var e fleet.IndexEntry
 		if json.Unmarshal(line, &e) == nil && fleet.IsArchiveKey(e.Key) {
 			entries = append(entries, e)
@@ -49,13 +49,13 @@ func (s *Store) TailLedger(offset int64) ([]fleet.IndexEntry, int64, error) {
 // mid-write files) — the Watcher diffs consecutive snapshots into
 // claimed/reclaimed events.
 func (s *Store) Leases() ([]fleet.Lease, error) {
-	return fleet.Leases(s.leasesDir())
+	return fleet.Leases(s.at.Leases())
 }
 
 // Finalized reports whether the campaign has been finalized (the
 // aggregate campaign.csv exists).
 func (s *Store) Finalized() bool {
-	_, err := os.Stat(s.csvPath())
+	_, err := os.Stat(s.at.CSV())
 	return err == nil
 }
 
@@ -64,7 +64,7 @@ func (s *Store) Finalized() bool {
 // and must not churn archive ETags). The phases plot keys its ETag on
 // Stamp + TracesStamp.
 func (s *Store) TracesStamp() string {
-	dir, err := os.ReadDir(s.tracesDir())
+	dir, err := os.ReadDir(s.at.Traces())
 	if err != nil {
 		return "-"
 	}

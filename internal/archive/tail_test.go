@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/fleet"
 )
 
@@ -129,7 +130,7 @@ func TestTracesStampChangesWithTraces(t *testing.T) {
 	if s0 != "-" {
 		t.Fatalf("no traces dir should stamp '-', got %q", s0)
 	}
-	tracesDir := filepath.Join(dir, TracesDirName)
+	tracesDir := campaign.Dir(dir).Traces()
 	if err := os.MkdirAll(tracesDir, 0o755); err != nil {
 		t.Fatal(err)
 	}

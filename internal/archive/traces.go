@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,15 +10,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/telemetry"
 )
-
-// TracesDirName is the archive subdirectory `campaign run -trace` writes
-// per-run phase traces into (one <key>.jsonl per computed run). Traces
-// are observability output: Stamp() — and therefore the HTTP service's
-// ETag — ignores them by construction, since its change detector stats
-// an explicit file list that a traces/ subdirectory is not on.
-const TracesDirName = "traces"
-
-func (s *Store) tracesDir() string { return filepath.Join(s.dir, TracesDirName) }
 
 // PhaseStat aggregates one phase name across every trace file.
 type PhaseStat struct {
@@ -35,13 +27,18 @@ type TraceSummary struct {
 	Phases []PhaseStat `json:"phases,omitempty"`
 }
 
-// Traces aggregates every traces/<key>.jsonl into a phase breakdown.
-// A missing traces directory is an empty summary, not an error, and
-// unreadable or torn files degrade to their parseable prefix — the
-// read-path discipline every other query follows.
+// Traces aggregates every traces/<key>.jsonl (`campaign run -trace`
+// writes one per computed run) into a phase breakdown. Traces are
+// observability output: Stamp() — and therefore the HTTP service's ETag
+// — ignores them by construction, since its change detector stats an
+// explicit file list that the traces directory is not on. A missing
+// traces directory is an empty summary, not an error, and unreadable or
+// torn files degrade to their parseable lines (fleet.ScanLines, the one
+// JSONL file reader) — the read-path discipline every other query
+// follows. The header line carries no span name and is skipped.
 func (s *Store) Traces() (*TraceSummary, error) {
 	sum := &TraceSummary{}
-	dir, err := os.ReadDir(s.tracesDir())
+	dir, err := os.ReadDir(s.at.Traces())
 	if err != nil {
 		if os.IsNotExist(err) {
 			return sum, nil
@@ -54,23 +51,21 @@ func (s *Store) Traces() (*TraceSummary, error) {
 		if !ok || d.IsDir() || !fleet.IsArchiveKey(key) {
 			continue
 		}
-		f, err := os.Open(filepath.Join(s.tracesDir(), d.Name()))
-		if err != nil {
-			continue
-		}
-		spans, err := telemetry.ReadSpans(f)
-		f.Close()
-		if err != nil {
-			continue
-		}
-		sum.Files++
-		for _, sp := range spans {
+		path := filepath.Join(s.at.Traces(), d.Name())
+		if _, err := fleet.ScanLines(path, 0, func(line []byte) {
+			var sp telemetry.Span
+			if json.Unmarshal(line, &sp) != nil || sp.Name == "" {
+				return
+			}
 			t := totals[sp.Name]
 			t.Phase = sp.Name
 			t.Spans++
 			t.Seconds += sp.Seconds
 			totals[sp.Name] = t
+		}); err != nil {
+			continue
 		}
+		sum.Files++
 	}
 	for _, t := range totals {
 		sum.Phases = append(sum.Phases, t)

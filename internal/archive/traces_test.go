@@ -3,11 +3,13 @@ package archive
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fleet"
 )
 
 // tracedArchive executes the four-cell test campaign with tracing on
@@ -19,7 +21,7 @@ func tracedArchive(t *testing.T) (string, *Store) {
 		OutDir:   dir,
 		Jobs:     2,
 		Resume:   true,
-		TraceDir: filepath.Join(dir, TracesDirName),
+		TraceDir: campaign.Dir(dir).Traces(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +91,7 @@ func TestTracesToleratesAbsenceAndStrays(t *testing.T) {
 	}
 
 	dir, st2 := tracedArchive(t)
-	if err := os.WriteFile(filepath.Join(dir, TracesDirName, "notes.jsonl"), []byte("junk\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(campaign.Dir(dir).Traces(), "notes.jsonl"), []byte("junk\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sum2, err := st2.Traces()
@@ -98,6 +100,42 @@ func TestTracesToleratesAbsenceAndStrays(t *testing.T) {
 	}
 	if sum2.Files != 4 {
 		t.Fatalf("stray file counted as a trace: %d files", sum2.Files)
+	}
+}
+
+// A trace file is read like every append-only file of the archive,
+// through fleet.ScanLines: the nameless header, garbage, an over-long
+// line and a torn unterminated tail are skipped, never an error, and
+// every whole span line around them still counts.
+func TestTracesSkipHeaderGarbageAndTornLines(t *testing.T) {
+	dir := t.TempDir()
+	traces := campaign.Dir(dir).Traces()
+	if err := os.MkdirAll(traces, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	text := `{"trace":"run","key":"abc","phases":{"measure_seconds":9}}` + "\n" +
+		`{"name":"measure","iter":1,"start_unix":1,"seconds":2}` + "\n" +
+		"not json\n" +
+		"\n" +
+		`{"name":"","seconds":100}` + "\n" +
+		`{"name":"` + strings.Repeat("x", fleet.MaxLine) + `","seconds":100}` + "\n" +
+		`{"name":"measure","iter":2,"start_unix":3,"seconds":0.5}` + "\n" +
+		`{"name":"cluster","seconds":0.25}` + "\n" +
+		`{"name":"measure","seconds":100` // torn: the writer died mid-line
+	if err := os.WriteFile(filepath.Join(traces, strings.Repeat("ab", 32)+".jsonl"), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := st.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PhaseStat{{Phase: "measure", Spans: 2, Seconds: 2.5}, {Phase: "cluster", Spans: 1, Seconds: 0.25}}
+	if sum.Files != 1 || !reflect.DeepEqual(sum.Phases, want) {
+		t.Fatalf("got %+v, want 1 file with %+v", sum, want)
 	}
 }
 
@@ -111,7 +149,7 @@ func TestStampIgnoresTraceWrites(t *testing.T) {
 	// Simulate another fleet worker publishing a trace into a live
 	// archive (mtime in the future so any stat-based detector that
 	// looked at traces/ would definitely move).
-	stray := filepath.Join(dir, TracesDirName, strings.Repeat("cd", 32)+".jsonl")
+	stray := filepath.Join(campaign.Dir(dir).Traces(), strings.Repeat("cd", 32)+".jsonl")
 	if err := os.WriteFile(stray, []byte(`{"name":"measure","iter":0,"start_unix":1,"seconds":2}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,7 @@ import (
 // for a wire swarm that times out or tears mid-iteration.
 type tornSubstrate struct{}
 
-func (tornSubstrate) Name() string                         { return "torn" }
-func (tornSubstrate) Capabilities() substrate.Capabilities { return substrate.Capabilities{} }
-func (tornSubstrate) Close() error                         { return nil }
+func (tornSubstrate) Close() error { return nil }
 func (tornSubstrate) Measure(context.Context, substrate.Request) (*bittorrent.Result, error) {
 	return nil, errors.New("swarm torn mid-iteration")
 }

@@ -46,11 +46,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/persist"
 	"repro/internal/substrate"
 )
 
@@ -123,7 +121,7 @@ type Axes struct {
 }
 
 // Spec is a declarative sweep campaign: the scenarios to measure and the
-// option axes to cross them with. Specs serialise to JSON (Load/Save) and
+// option axes to cross them with. Specs serialise to JSON (Load/Encode) and
 // assemble fluently (NewBuilder).
 type Spec struct {
 	// Name identifies the campaign (manifest header, table title).
@@ -276,20 +274,6 @@ func Decode(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Save writes a validated campaign spec to a file atomically, creating
-// missing parent directories.
-func Save(path string, s *Spec) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return persist.WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
 }
 
 // Load reads and validates a campaign spec from a file. Relative

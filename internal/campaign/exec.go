@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,10 +19,7 @@ import (
 
 // ExecOptions configures one campaign invocation.
 type ExecOptions struct {
-	// OutDir is the campaign archive directory: manifest.json,
-	// manifest.log, campaign.csv, summary.txt, runs/<key>.json archives
-	// with their runs/index.json ledger, and (in fleet mode) leases/ and
-	// manifests/ live under it.
+	// OutDir is the campaign archive directory; Dir spells its layout.
 	OutDir string
 	// Jobs is the worker pool of this invocation (<= 1 runs cells
 	// sequentially). Per the worker-budget discipline, Jobs > 1 forces
@@ -156,6 +152,7 @@ type executor struct {
 	runs    []Run
 	dupOf   []int // run index -> primary index, or -1 for primaries
 	opt     ExecOptions
+	dir     Dir            // opt.OutDir, as the layout
 	jobs    int            // clamped job count, also the inner-worker force
 	tracker *fleet.Tracker // nil in single-process mode
 
@@ -239,6 +236,7 @@ func Execute(s *Spec, opt ExecOptions) (*Outcome, error) {
 		runs:    runs,
 		dupOf:   dupOf,
 		opt:     opt,
+		dir:     Dir(opt.OutDir),
 		jobs:    jobs,
 		queue:   append([]int(nil), unique...),
 		retryAt: make([]time.Time, len(runs)),
@@ -246,7 +244,7 @@ func Execute(s *Spec, opt ExecOptions) (*Outcome, error) {
 		docs:    make([]*persist.ResultDoc, len(runs)),
 	}
 	if opt.Fleet {
-		tr, err := fleet.New(filepath.Join(opt.OutDir, "leases"), opt.Owner, opt.LeaseTTL)
+		tr, err := fleet.New(x.dir.Leases(), opt.Owner, opt.LeaseTTL)
 		if err != nil {
 			return nil, err
 		}
@@ -268,23 +266,17 @@ func Execute(s *Spec, opt ExecOptions) (*Outcome, error) {
 		if p < 0 {
 			continue
 		}
-		e := x.entries[p]
-		e.Index = runs[i].Index
-		e.Scenario = runs[i].Scenario
-		e.Config = runs[i].Config()
-		e.WallSeconds = 0
-		e.Owner = ""
-		if e.Status == "done" {
-			e.Cache = "dup"
-		}
-		if e.Status == "done" {
+		x.docs[i] = x.docs[p]
+		x.entries[i] = cellEntry(runs[i], "dup", x.docs[p], x.entries[p].Error)
+		if x.docs[p] != nil {
 			mCellsDup.Inc()
 		}
-		x.entries[i] = e
-		x.docs[i] = x.docs[p]
 	}
 
-	man := x.invocationManifest()
+	man := x.manifest(x.entries)
+	if opt.Fleet {
+		man.Owner = opt.Owner
+	}
 	man.WallSeconds = time.Since(start).Seconds()
 
 	out := &Outcome{
@@ -329,7 +321,9 @@ func (x *executor) worker() {
 		if resolved {
 			mCellSeconds.Observe(e.WallSeconds)
 			x.logEntry(e)
-			x.streamEntry(e)
+			if x.opt.Report != nil {
+				x.warn("report failed", x.opt.Report(e))
+			}
 		}
 	}
 }
@@ -401,35 +395,39 @@ func (x *executor) poll() time.Duration {
 // In fleet mode a cell whose lease a live peer holds resolves on a later
 // pass — either the peer's archive appears (hit) or its lease goes stale
 // and is reclaimed. Returns resolved=false only for such contended
-// cells.
+// cells. A resolved cell is recorded (Record: ledger line for a fresh
+// execution, then manifest.log) before the claim is released.
 func (x *executor) attempt(run Run) (Entry, *persist.ResultDoc, bool) {
-	e := Entry{
-		Index:    run.Index,
-		Scenario: run.Scenario,
-		Config:   run.Config(),
-		Key:      run.Key,
-		Backend:  run.Backend,
-	}
 	start := time.Now()
-	archive := x.archivePath(run.Key)
-	if x.opt.Resume {
-		if doc, ok := loadArchive(archive); ok {
-			e.Status = "done"
-			e.Cache = "hit"
-			e.WallSeconds = time.Since(start).Seconds()
-			mCellsHit.Inc()
-			fillScores(&e, doc)
-			return e, doc, true
+	resolve := func(cache string, doc *persist.ResultDoc, err error) (Entry, *persist.ResultDoc, bool) {
+		failure := ""
+		if err != nil {
+			failure, doc = err.Error(), nil
 		}
+		e := cellEntry(run, cache, doc, failure)
+		e.WallSeconds = time.Since(start).Seconds()
+		switch {
+		case doc == nil:
+			mCellFailures.Inc()
+		case cache == "hit":
+			mCellsHit.Inc()
+		default:
+			mCellsMiss.Inc()
+			e.Owner = x.opt.Owner
+		}
+		// Recording is advisory (archives are the ground truth), so a
+		// failure here must not fail a completed measurement.
+		x.warn("manifest.log/index append failed", Record(x.dir, e))
+		return e, doc, true
+	}
+	archive := x.dir.Archive(run.Key)
+	if doc, ok := x.loadArchive(archive); ok {
+		return resolve("hit", doc, nil)
 	}
 	if x.tracker != nil {
 		claimed, _, err := x.tracker.Claim(run.Key)
 		if err != nil {
-			e.Status = "failed"
-			e.Error = err.Error()
-			e.WallSeconds = time.Since(start).Seconds()
-			mCellFailures.Inc()
-			return e, nil, true
+			return resolve("", nil, err)
 		}
 		if !claimed {
 			return Entry{}, nil, false
@@ -438,58 +436,47 @@ func (x *executor) attempt(run Run) (Entry, *persist.ResultDoc, bool) {
 		// The claim races the resume check: a peer may have published the
 		// archive between our load attempt and winning the lease (it held
 		// the lease then). Re-check before spending the measurement.
-		if x.opt.Resume {
-			if doc, ok := loadArchive(archive); ok {
-				e.Status = "done"
-				e.Cache = "hit"
-				e.WallSeconds = time.Since(start).Seconds()
-				mCellsHit.Inc()
-				fillScores(&e, doc)
-				return e, doc, true
-			}
+		if doc, ok := x.loadArchive(archive); ok {
+			return resolve("hit", doc, nil)
 		}
 	}
 	doc, err := x.computeCell(run)
 	if err == nil {
 		err = persist.SaveResult(archive, doc)
 	}
-	e.WallSeconds = time.Since(start).Seconds()
-	if err != nil {
-		e.Status = "failed"
-		e.Error = err.Error()
-		mCellFailures.Inc()
-		return e, nil, true
-	}
-	e.Status = "done"
-	e.Cache = "miss"
-	mCellsMiss.Inc()
-	e.Owner = x.opt.Owner
-	fillScores(&e, doc)
-	// Ledger append is advisory (archives are the ground truth), so a
-	// failure here must not fail a completed measurement.
-	if err := fleet.AppendIndex(x.indexPath(), fleet.IndexEntry{
-		Key:           run.Key,
-		Run:           run.Index,
-		Scenario:      run.Scenario,
-		Backend:       run.Backend,
-		Owner:         x.opt.Owner,
-		Cache:         "miss",
-		WallSeconds:   e.WallSeconds,
-		CompletedUnix: fleet.NowUnix(),
-	}); err != nil && x.opt.Log != nil {
-		x.logMu.Lock()
-		fmt.Fprintf(x.opt.Log, "index append failed (non-fatal): %v\n", err)
-		x.logMu.Unlock()
-	}
-	return e, doc, true
+	return resolve("miss", doc, err)
 }
 
-func (x *executor) archivePath(key string) string {
-	return filepath.Join(x.opt.OutDir, "runs", key+".json")
+// cellEntry is the one place a manifest Entry is built from a grid cell.
+// A done cell (doc non-nil) carries its cache disposition and the
+// archived document's headline scores; a failed one (doc nil) carries
+// the failure message and no disposition.
+func cellEntry(run Run, cache string, doc *persist.ResultDoc, failure string) Entry {
+	e := Entry{
+		Index:    run.Index,
+		Scenario: run.Scenario,
+		Config:   run.Config(),
+		Key:      run.Key,
+		Backend:  run.Backend,
+		Status:   "failed",
+		Error:    failure,
+	}
+	if doc != nil {
+		e.Status, e.Cache, e.Error = "done", cache, ""
+		e.Q, e.NMI, e.SimSeconds = doc.Q, doc.NMI, doc.SimTime
+	}
+	return e
 }
 
-func (x *executor) indexPath() string {
-	return filepath.Join(x.opt.OutDir, "runs", "index.json")
+// warn logs a failure of something that must never fail a measurement:
+// telemetry, reporting and the advisory ledger are all best-effort.
+func (x *executor) warn(what string, err error) {
+	if err == nil || x.opt.Log == nil {
+		return
+	}
+	x.logMu.Lock()
+	defer x.logMu.Unlock()
+	fmt.Fprintf(x.opt.Log, "%s (non-fatal): %v\n", what, err)
 }
 
 // logEntry writes the per-cell progress line.
@@ -507,46 +494,17 @@ func (x *executor) logEntry(e Entry) {
 		e.Index+1, len(x.runs), e.Scenario, e.Config, status, e.WallSeconds)
 }
 
-// streamEntry appends the finished cell to manifest.log, the streamed
-// manifest: one JSON line per completion, flushed as it happens, so a
-// long campaign reports progress and a killed one loses nothing — the
-// log plus the archives reconstruct everything manifest.json would have
-// said. Shared by all fleet workers (whole-line O_APPEND interleaving).
-func (x *executor) streamEntry(e Entry) {
-	if err := fleet.AppendLine(filepath.Join(x.opt.OutDir, "manifest.log"), e); err != nil && x.opt.Log != nil {
-		x.logMu.Lock()
-		fmt.Fprintf(x.opt.Log, "manifest.log append failed (non-fatal): %v\n", err)
-		x.logMu.Unlock()
-	}
-	if x.opt.Report != nil {
-		if err := x.opt.Report(e); err != nil && x.opt.Log != nil {
-			x.logMu.Lock()
-			fmt.Fprintf(x.opt.Log, "report failed (non-fatal): %v\n", err)
-			x.logMu.Unlock()
-		}
-	}
-}
-
-// invocationManifest tallies this invocation's entries.
-func (x *executor) invocationManifest() *Manifest {
+// manifest is a manifest document over this grid: the entries plus the
+// aggregate counters derived from them.
+func (x *executor) manifest(entries []Entry) *Manifest {
 	man := &Manifest{
 		Version:  1,
 		Campaign: x.spec.Name,
 		Jobs:     x.opt.Jobs,
 		Runs:     len(x.runs),
-		Entries:  x.entries,
+		Entries:  entries,
 	}
-	if x.opt.Fleet {
-		man.Owner = x.opt.Owner
-	}
-	countEntries(man)
-	return man
-}
-
-// countEntries derives the aggregate counters from the entry list.
-func countEntries(man *Manifest) {
-	man.Hits, man.Misses, man.Dups, man.Failures = 0, 0, 0, 0
-	for _, e := range man.Entries {
+	for _, e := range entries {
 		switch {
 		case e.Status == "failed":
 			man.Failures++
@@ -558,6 +516,7 @@ func countEntries(man *Manifest) {
 			man.Misses++
 		}
 	}
+	return man
 }
 
 // publish writes the invocation's artifacts. Single-process mode keeps
@@ -568,32 +527,24 @@ func countEntries(man *Manifest) {
 // finalizers produce byte-identical aggregates, so the last rename wins
 // harmlessly.
 func (x *executor) publish(out *Outcome, man *Manifest) error {
-	if !x.opt.Fleet {
-		out.ManifestPath = filepath.Join(x.opt.OutDir, "manifest.json")
-		out.CSVPath = filepath.Join(x.opt.OutDir, "campaign.csv")
-		out.SummaryPath = filepath.Join(x.opt.OutDir, "summary.txt")
-		if err := persist.SaveJSON(out.ManifestPath, man); err != nil {
-			return err
-		}
-		if err := persist.WriteAtomic(out.CSVPath, out.Table.WriteCSV); err != nil {
-			return err
-		}
-		return persist.WriteAtomic(out.SummaryPath, out.Table.Write)
+	out.ManifestPath = x.dir.Manifest()
+	if x.opt.Fleet {
+		out.ManifestPath = x.dir.OwnerManifest(x.opt.Owner)
 	}
-	out.ManifestPath = filepath.Join(x.opt.OutDir, "manifests", x.opt.Owner+".json")
 	if err := persist.SaveJSON(out.ManifestPath, man); err != nil {
 		return err
 	}
-	if man.Failures > 0 {
-		return nil // no quorum; a later invocation completes the grid
+	if x.opt.Fleet {
+		if man.Failures > 0 {
+			return nil // no quorum; a later invocation completes the grid
+		}
+		merged := x.cumulativeManifest()
+		merged.WallSeconds = man.WallSeconds
+		if err := persist.SaveJSON(x.dir.Manifest(), merged); err != nil {
+			return err
+		}
 	}
-	merged := x.cumulativeManifest()
-	merged.WallSeconds = man.WallSeconds
-	if err := persist.SaveJSON(filepath.Join(x.opt.OutDir, "manifest.json"), merged); err != nil {
-		return err
-	}
-	out.CSVPath = filepath.Join(x.opt.OutDir, "campaign.csv")
-	out.SummaryPath = filepath.Join(x.opt.OutDir, "summary.txt")
+	out.CSVPath, out.SummaryPath = x.dir.CSV(), x.dir.Summary()
 	if err := persist.WriteAtomic(out.CSVPath, out.Table.WriteCSV); err != nil {
 		return err
 	}
@@ -606,67 +557,40 @@ func (x *executor) publish(out *Outcome, man *Manifest) error {
 // An unreadable index costs the manifest its attribution, not the fleet
 // its aggregate, so the failure is logged and finalization carries on.
 func (x *executor) cumulativeManifest() *Manifest {
-	first, _, err := fleet.Executions(x.indexPath())
-	if err != nil && x.opt.Log != nil {
-		x.logMu.Lock()
-		fmt.Fprintf(x.opt.Log, "index read failed, manifest.json lacks attribution (non-fatal): %v\n", err)
-		x.logMu.Unlock()
-	}
+	first, _, err := fleet.Executions(x.dir.Index())
+	x.warn("index read failed, manifest.json lacks attribution", err)
 	completed := make(map[string]fleet.IndexEntry, len(first))
 	for _, rec := range first {
 		completed[rec.Key] = rec
 	}
 	entries := make([]Entry, len(x.runs))
 	for i, run := range x.runs {
-		e := Entry{
-			Index:    run.Index,
-			Scenario: run.Scenario,
-			Config:   run.Config(),
-			Key:      run.Key,
-			Backend:  run.Backend,
-			Status:   "done",
+		rec, executed := completed[run.Key]
+		switch {
+		case x.dupOf[i] >= 0:
+			entries[i] = cellEntry(run, "dup", x.docs[i], "")
+		case executed && rec.Owner != "":
+			entries[i] = cellEntry(run, "miss", x.docs[i], "")
+			entries[i].Owner = rec.Owner
+			entries[i].WallSeconds = rec.WallSeconds
+		default:
+			entries[i] = cellEntry(run, "hit", x.docs[i], "")
 		}
-		if p := x.dupOf[i]; p >= 0 {
-			e.Cache = "dup"
-			fillScores(&e, x.docs[i])
-			entries[i] = e
-			continue
-		}
-		if rec, ok := completed[run.Key]; ok && rec.Owner != "" {
-			e.Cache = "miss"
-			e.Owner = rec.Owner
-			e.WallSeconds = rec.WallSeconds
-		} else {
-			e.Cache = "hit"
-		}
-		fillScores(&e, x.docs[i])
-		entries[i] = e
 	}
-	man := &Manifest{
-		Version:  1,
-		Campaign: x.spec.Name,
-		Jobs:     x.opt.Jobs,
-		Fleet:    true,
-		Runs:     len(x.runs),
-		Entries:  entries,
-	}
-	countEntries(man)
+	man := x.manifest(entries)
+	man.Fleet = true
 	return man
-}
-
-// fillScores copies the archived document's headline scores into an
-// entry.
-func fillScores(e *Entry, doc *persist.ResultDoc) {
-	e.Q = doc.Q
-	e.NMI = doc.NMI
-	e.SimSeconds = doc.SimTime
 }
 
 // loadArchive is the cache probe: an archive that loads and decodes
 // cleanly is the cell's result (content addressing makes staleness
 // impossible — any input change changes the key); anything else — absent,
-// torn, or unreadable — is a miss.
-func loadArchive(path string) (*persist.ResultDoc, bool) {
+// torn, or unreadable — is a miss, and so is everything when Resume is
+// off.
+func (x *executor) loadArchive(path string) (*persist.ResultDoc, bool) {
+	if !x.opt.Resume {
+		return nil, false
+	}
 	doc, err := persist.LoadResult(path)
 	if err != nil {
 		return nil, false
@@ -702,11 +626,7 @@ func (x *executor) computeCell(run Run) (*persist.ResultDoc, error) {
 		}
 	}
 	if x.opt.TraceDir != "" {
-		if terr := writeTrace(x.opt.TraceDir, run, tr, res.Phases); terr != nil && x.opt.Log != nil {
-			x.logMu.Lock()
-			fmt.Fprintf(x.opt.Log, "trace write failed (non-fatal): %v\n", terr)
-			x.logMu.Unlock()
-		}
+		x.warn("trace write failed", writeTrace(x.opt.TraceDir, run, tr, res.Phases))
 	}
 	return persist.EncodeResult(run.Spec.Name, res.Partition, res.Q, res.NMI, res.TotalMeasurementTime, series), nil
 }

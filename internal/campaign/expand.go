@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dynamics"
@@ -45,11 +46,44 @@ type Run struct {
 	Key string
 }
 
+// ConfigAxis is one option coordinate of a grid cell: the canonical axis
+// name (the key the campaign spec's "axes" object sweeps it under) and
+// the short key Run.Config renders it with.
+type ConfigAxis struct {
+	Name, Key string
+	value     func(Run) any
+}
+
+// ConfigAxes lists every option coordinate in expansion order. It is the
+// one table Run.Config and the archive's per-axis queries (marginal
+// curves, their aliases, the Config-string lookup) derive from, so an
+// axis added here is rendered and queryable at once — the backend axis
+// once reached the Config string and the content key but not the
+// marginals, which answered 404 for it.
+var ConfigAxes = []ConfigAxis{
+	{"dynamics", "dyn", func(r Run) any { return r.DynScale }},
+	{"iterations", "iters", func(r Run) any { return r.Iterations }},
+	{"window", "window", func(r Run) any { return r.Window }},
+	{"rotate_root", "rotate", func(r Run) any { return r.RotateRoot }},
+	{"seed", "seed", func(r Run) any { return r.Seed }},
+	{"scale", "scale", func(r Run) any { return r.Scale }},
+	{"top_fraction", "top", func(r Run) any { return r.TopFraction }},
+	{"backend", "backend", func(r Run) any { return r.Backend }},
+	{"workers", "workers", func(r Run) any { return r.Workers }},
+}
+
 // Config renders the cell's option coordinates compactly for manifests,
-// logs and dry-run listings.
+// logs and dry-run listings: "dyn=1 iters=3 window=0 rotate=false seed=1
+// scale=0.2 top=0.5 backend=sim workers=1".
 func (r Run) Config() string {
-	return fmt.Sprintf("dyn=%g iters=%d window=%d rotate=%v seed=%d scale=%g top=%g backend=%s workers=%d",
-		r.DynScale, r.Iterations, r.Window, r.RotateRoot, r.Seed, r.Scale, r.TopFraction, r.Backend, r.Workers)
+	var b strings.Builder
+	for i, a := range ConfigAxes {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", a.Key, a.value(r))
+	}
+	return b.String()
 }
 
 // Options materialises the cell's core options. campaignJobs is the
@@ -57,13 +91,12 @@ func (r Run) Config() string {
 // worker count is forced to 1, so fan-out happens at exactly one level
 // (the worker-budget discipline); in every case workers is at least 1.
 func (r Run) Options(campaignJobs int) core.Options {
-	opts := core.DefaultOptions()
+	opts := core.DefaultOptions().WithScale(r.Scale)
 	opts.Iterations = r.Iterations
 	opts.Window = r.Window
 	opts.RotateRoot = r.RotateRoot
 	opts.Seed = r.Seed
 	opts.TopFraction = r.TopFraction
-	opts.BT.FileBytes = scaledPayload(opts.BT.FileBytes, opts.BT.FragmentSize, r.Scale)
 	// Grid cells are scored on their final NMI/Q; per-iteration
 	// clustering would multiply the analysis cost of every cell without
 	// changing the archived outcome.
@@ -78,19 +111,6 @@ func (r Run) Options(campaignJobs int) core.Options {
 		opts.Workers = 1
 	}
 	return opts
-}
-
-// scaledPayload applies the payload-scale axis, flooring at one fragment
-// — the same rule the CLIs use for their -scale flag.
-func scaledPayload(fileBytes, fragmentSize int, scale float64) int {
-	if scale == 1 {
-		return fileBytes
-	}
-	b := int(float64(fileBytes) * scale)
-	if b < fragmentSize {
-		b = fragmentSize
-	}
-	return b
 }
 
 // Expand resolves the campaign's scenarios and expands the cross-product
@@ -181,7 +201,7 @@ func (s *Spec) Expand() ([]Run, error) {
 												RotateRoot:   rot,
 												Seed:         seed,
 												TopFraction:  canonTopFraction(top),
-												FileBytes:    scaledPayload(def.BT.FileBytes, def.BT.FragmentSize, scale),
+												FileBytes:    def.WithScale(scale).BT.FileBytes,
 												FragmentSize: def.BT.FragmentSize,
 												Backend:      backend,
 											})
@@ -257,10 +277,6 @@ func scaleTimeline(sp *scenario.Spec, f float64) (*scenario.Spec, error) {
 	}
 	return v, nil
 }
-
-// SetBaseDir sets the directory relative scenario-file references resolve
-// against; Load sets it automatically for specs read from disk.
-func (s *Spec) SetBaseDir(dir string) { s.baseDir = dir }
 
 func orDefaultInts(vals []int, def int) []int {
 	if len(vals) == 0 {

@@ -37,3 +37,17 @@ func (o Options) WithBackend(name string) Options {
 	o.Backend = name
 	return o
 }
+
+// WithScale returns a copy of o broadcasting f times o's payload, floored
+// at one fragment (1 = unchanged; the paper's 239 MB at the default) —
+// the knob that turns a full measurement into a cheap smoke cell. It is
+// the one payload-scale rule: campaign scale axes, the experiment
+// harness and every CLI -scale flag go through it, and campaign content
+// keys hash the FileBytes it resolves, not f.
+func (o Options) WithScale(f float64) Options {
+	o.BT.FileBytes = int(float64(o.BT.FileBytes) * f)
+	if o.BT.FileBytes < o.BT.FragmentSize {
+		o.BT.FileBytes = o.BT.FragmentSize
+	}
+	return o
+}

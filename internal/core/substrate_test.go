@@ -97,9 +97,7 @@ func TestWireBackendRejectsDynamics(t *testing.T) {
 // for a wire iteration that times out or tears mid-swarm.
 type failingSubstrate struct{}
 
-func (failingSubstrate) Name() string                         { return "failing" }
-func (failingSubstrate) Capabilities() substrate.Capabilities { return substrate.Capabilities{} }
-func (failingSubstrate) Close() error                         { return nil }
+func (failingSubstrate) Close() error { return nil }
 func (failingSubstrate) Measure(context.Context, substrate.Request) (*bittorrent.Result, error) {
 	return nil, errors.New("substrate torn mid-measurement")
 }

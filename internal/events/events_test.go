@@ -126,7 +126,7 @@ func TestStreamReplayAndLive(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		appendLog(t, dir, fmt.Sprintf(`{"index":%d,"key":"%s","status":"done"}`+"\n", i, key(i)))
 	}
-	s := NewStream(NewWatcher(openStore(t, dir)), 5*time.Millisecond, 64)
+	s := NewStream(NewWatcher(openStore(t, dir)), 5*time.Millisecond)
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -190,7 +190,7 @@ func TestStreamReplayAndLive(t *testing.T) {
 // restarts it and still sees events from the idle gap's ring.
 func TestStreamLoopStartsAndStops(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond, 64)
+	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond)
 	defer s.Close()
 
 	ch := s.Subscribe(0)
@@ -225,7 +225,7 @@ func TestStreamLoopStartsAndStops(t *testing.T) {
 // channel.
 func TestStreamClose(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond, 8)
+	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond)
 	ch := s.Subscribe(0)
 	s.Close()
 	if _, ok := <-ch; ok {

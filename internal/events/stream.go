@@ -18,10 +18,10 @@ var (
 		"repro_events_subscribers", "Live event stream subscribers.")
 )
 
-// DefaultReplay is the stream's default replay-buffer capacity: enough
-// to reconnect across any realistic SSE hiccup on a grid of thousands
-// of cells, small enough to be irrelevant in memory.
-const DefaultReplay = 1024
+// replay is the stream's replay-ring capacity: enough to reconnect
+// across any realistic SSE hiccup on a grid of thousands of cells, small
+// enough to be irrelevant in memory.
+const replay = 1024
 
 // Stream fans a Watcher's events out to subscribers. It assigns each
 // event a monotonic ID, keeps a bounded replay ring so a reconnecting
@@ -31,7 +31,6 @@ const DefaultReplay = 1024
 type Stream struct {
 	watcher  *Watcher
 	interval time.Duration
-	replay   int
 
 	mu      sync.Mutex
 	nextID  int64
@@ -41,19 +40,14 @@ type Stream struct {
 	closed  bool
 }
 
-// NewStream wraps a Watcher. interval is the poll cadence (default
-// 1s); replay the ring capacity (default DefaultReplay).
-func NewStream(w *Watcher, interval time.Duration, replay int) *Stream {
+// NewStream wraps a Watcher. interval is the poll cadence (default 1s).
+func NewStream(w *Watcher, interval time.Duration) *Stream {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if replay <= 0 {
-		replay = DefaultReplay
 	}
 	return &Stream{
 		watcher:  w,
 		interval: interval,
-		replay:   replay,
 		nextID:   1,
 		subs:     make(map[chan Event]struct{}),
 	}
@@ -70,7 +64,7 @@ func NewStream(w *Watcher, interval time.Duration, replay int) *Stream {
 func (s *Stream) Subscribe(lastID int64) <-chan Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ch := make(chan Event, s.replay+64)
+	ch := make(chan Event, replay+64)
 	if s.closed {
 		close(ch)
 		return ch
@@ -134,8 +128,8 @@ func (s *Stream) loop() {
 			e.ID = s.nextID
 			s.nextID++
 			s.ring = append(s.ring, e)
-			if len(s.ring) > s.replay {
-				s.ring = s.ring[len(s.ring)-s.replay:]
+			if len(s.ring) > replay {
+				s.ring = s.ring[len(s.ring)-replay:]
 			}
 			mEmitted.Inc()
 			for sub := range s.subs {

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bittorrent"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -72,12 +71,8 @@ func New(cfg Config) *Runner {
 }
 
 func (r *Runner) options(iters int) core.Options {
-	opts := core.DefaultOptions()
+	opts := core.DefaultOptions().WithScale(r.cfg.Scale)
 	opts.Seed = r.cfg.Seed
-	opts.BT.FileBytes = int(float64(bittorrent.DefaultFileBytes) * r.cfg.Scale)
-	if opts.BT.FileBytes < opts.BT.FragmentSize {
-		opts.BT.FileBytes = opts.BT.FragmentSize
-	}
 	if r.cfg.Iterations > 0 {
 		iters = r.cfg.Iterations
 	}

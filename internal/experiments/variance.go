@@ -162,11 +162,7 @@ func (r *Runner) Efficiency() (*EfficiencyData, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := base.BT
-		cfg.FileBytes = int(float64(cfg.FileBytes) * frac)
-		if cfg.FileBytes < cfg.FragmentSize {
-			cfg.FileBytes = cfg.FragmentSize
-		}
+		cfg := base.WithScale(frac).BT
 		res, err := bittorrent.RunBroadcast(d.Eng, d.Net, d.Hosts, cfg, rng.Streamf("eff-size", int(frac*100)))
 		if err != nil {
 			return nil, err

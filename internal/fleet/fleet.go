@@ -223,14 +223,6 @@ func (t *Tracker) Release(key string) error {
 	return nil
 }
 
-// Held reports whether this tracker currently holds the key's lease.
-func (t *Tracker) Held(key string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.held[key]
-	return ok
-}
-
 // Close stops the heartbeat loop and releases every lease still held.
 // Idempotent.
 func (t *Tracker) Close() {

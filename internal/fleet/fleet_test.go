@@ -30,9 +30,6 @@ func TestClaimIsExclusive(t *testing.T) {
 	if err != nil || !ok || holder != "a" {
 		t.Fatalf("first claim: ok=%v holder=%q err=%v", ok, holder, err)
 	}
-	if !a.Held("k1") {
-		t.Fatal("tracker does not report its own lease")
-	}
 	ok, holder, err = b.Claim("k1")
 	if err != nil || ok {
 		t.Fatalf("second claim won: ok=%v err=%v", ok, err)
@@ -55,9 +52,6 @@ func TestReleaseFreesTheKey(t *testing.T) {
 	}
 	if err := a.Release("k"); err != nil {
 		t.Fatal(err)
-	}
-	if a.Held("k") {
-		t.Fatal("released key still held")
 	}
 	if ok, _, _ := b.Claim("k"); !ok {
 		t.Fatal("released key not claimable")

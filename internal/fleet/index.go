@@ -64,7 +64,7 @@ func AppendIndex(path string, e IndexEntry) error {
 // written with a single O_APPEND write, so concurrent appenders from any
 // number of processes interleave whole lines, never bytes.
 func AppendLine(path string, v any) error {
-	data, err := json.Marshal(v)
+	line, err := EncodeLine(v)
 	if err != nil {
 		return err
 	}
@@ -75,11 +75,19 @@ func AppendLine(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(line); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// EncodeLine renders v as the newline-terminated JSON line AppendLine
+// appends — and a ledger compaction re-emits, so a rewritten ledger is
+// encoded exactly like an appended one.
+func EncodeLine(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	return append(data, '\n'), err
 }
 
 // MaxLine is the longest line, terminator excluded, that ScanLines

@@ -16,7 +16,7 @@ var mCloneSeconds = telemetry.Default().Counter("repro_substrate_clone_seconds_t
 	"wall-clock seconds spent cloning engine+network replicas (incl. dynamics replay)")
 
 func init() {
-	mustRegister("sim", Capabilities{Dynamics: true, Deterministic: true}, newSim)
+	mustRegister("sim", Capabilities{Dynamics: true}, newSim)
 }
 
 // simSubstrate measures each iteration on a private engine+network
@@ -35,12 +35,6 @@ func newSim(env Env) (Substrate, error) {
 			env.Net.ActiveFlows(), env.Net.PendingFlows())
 	}
 	return &simSubstrate{env: env}, nil
-}
-
-func (s *simSubstrate) Name() string { return "sim" }
-
-func (s *simSubstrate) Capabilities() Capabilities {
-	return Capabilities{Dynamics: true, Deterministic: true}
 }
 
 func (s *simSubstrate) Measure(_ context.Context, req Request) (*bittorrent.Result, error) {

@@ -48,11 +48,6 @@ type Capabilities struct {
 	// Dynamics reports whether the substrate can replay a scripted
 	// network-dynamics timeline per iteration.
 	Dynamics bool
-	// Deterministic reports whether identical inputs yield bit-identical
-	// results. Only deterministic substrates uphold the campaign layer's
-	// "same key, same bytes" diff contract; results from the others are
-	// archived as real measurements, reused but never assumed equal.
-	Deterministic bool
 }
 
 // Request is one measurement iteration handed to a substrate.
@@ -97,10 +92,6 @@ type Env struct {
 
 // Substrate executes measurement iterations.
 type Substrate interface {
-	// Name returns the registered backend name.
-	Name() string
-	// Capabilities reports what the substrate supports.
-	Capabilities() Capabilities
 	// Measure runs one broadcast iteration and returns its fragment
 	// instrumentation. Implementations must be safe for concurrent calls
 	// (the pipeline issues Workers at once) and must respect

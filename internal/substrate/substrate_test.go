@@ -24,11 +24,11 @@ func TestBuiltinsRegistered(t *testing.T) {
 		}
 	}
 	simCaps, ok := Describe("sim")
-	if !ok || !simCaps.Dynamics || !simCaps.Deterministic {
+	if !ok || !simCaps.Dynamics {
 		t.Fatalf("sim capabilities = %+v, %v", simCaps, ok)
 	}
 	wireCaps, ok := Describe("wire")
-	if !ok || wireCaps.Dynamics || wireCaps.Deterministic {
+	if !ok || wireCaps.Dynamics {
 		t.Fatalf("wire capabilities = %+v, %v", wireCaps, ok)
 	}
 }

@@ -72,10 +72,6 @@ func newWire(env Env) (Substrate, error) {
 	return &wireSubstrate{env: env, rates: rates, slots: slots}, nil
 }
 
-func (s *wireSubstrate) Name() string { return "wire" }
-
-func (s *wireSubstrate) Capabilities() Capabilities { return Capabilities{} }
-
 func (s *wireSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.Result, error) {
 	select {
 	case <-s.slots:

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -145,14 +145,11 @@ func TestNilTracerSafe(t *testing.T) {
 	sp := tr.Start("measure")
 	sp.End()
 	tr.StartIter("clone", 3).End()
-	if tr.Spans() != nil || tr.Totals() != nil || tr.Mark() != 0 {
+	if tr.Spans() != nil || tr.TotalsSince(0) != nil || tr.Mark() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
 	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
 		t.Fatal(err)
-	}
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("FromContext on empty ctx = %v", got)
 	}
 }
 
@@ -165,7 +162,7 @@ func TestTracerSpansAndTotals(t *testing.T) {
 	sp.End()
 	tr.Start("merge").End()
 
-	tot := tr.Totals()
+	tot := tr.TotalsSince(0)
 	if tot["measure"].Count != 2 || tot["merge"].Count != 1 {
 		t.Fatalf("totals = %+v", tot)
 	}
@@ -175,10 +172,6 @@ func TestTracerSpansAndTotals(t *testing.T) {
 	since := tr.TotalsSince(mark)
 	if since["measure"].Count != 1 {
 		t.Fatalf("totals since mark = %+v", since)
-	}
-	ctx := NewContext(context.Background(), tr)
-	if FromContext(ctx) != tr {
-		t.Fatal("tracer did not round-trip through context")
 	}
 }
 
@@ -191,12 +184,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	// A metadata header, a torn trailing line and garbage must all be
-	// skipped, not fail the parse.
-	text := `{"trace":"run","key":"abc"}` + "\n" + b.String() + "not json\n" + `{"name":"mea`
-	spans, err := ReadSpans(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
+	// Reading traces back — headers, torn and garbage lines included — is
+	// archive.Store.Traces' job (see its tests); here, every line written
+	// must be one whole span.
+	var spans []Span
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		var sp Span
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		spans = append(spans, sp)
 	}
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))

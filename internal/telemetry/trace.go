@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +10,8 @@ import (
 )
 
 // Span is one completed phase interval. Spans serialize as JSONL: one
-// object per line, append-friendly and torn-line tolerant on read.
+// object per line, append-friendly and torn-line tolerant on read
+// (archive.Store.Traces reads them back through fleet.ScanLines).
 type Span struct {
 	// Name identifies the phase: "compile", "measure", "clone", "merge",
 	// "cluster", "nmi".
@@ -121,9 +120,6 @@ type PhaseTotal struct {
 	Seconds float64
 }
 
-// Totals sums all recorded spans by phase name.
-func (t *Tracer) Totals() map[string]PhaseTotal { return t.TotalsSince(0) }
-
 // TotalsSince sums the spans recorded after Mark() returned mark.
 func (t *Tracer) TotalsSince(mark int) map[string]PhaseTotal {
 	if t == nil {
@@ -163,39 +159,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadSpans parses JSONL spans, skipping lines that do not parse or
-// carry no phase name (torn trailing writes, metadata header lines).
-func ReadSpans(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var spans []Span
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal(line, &sp); err != nil || sp.Name == "" {
-			continue
-		}
-		spans = append(spans, sp)
-	}
-	return spans, sc.Err()
-}
-
-// ctxKey is the context key carrying a *Tracer.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext returns the tracer carried by ctx, or nil — which is a
-// valid tracer whose methods are no-ops.
-func FromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(ctxKey{}).(*Tracer)
-	return t
 }

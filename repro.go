@@ -151,9 +151,13 @@ package repro
 import (
 	"fmt"
 
+	"repro/internal/archive"
 	"repro/internal/campaign"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/dynamics"
+	"repro/internal/graph"
+	"repro/internal/persist"
 	"repro/internal/scenario"
 	"repro/internal/substrate"
 	"repro/internal/telemetry"
@@ -185,12 +189,6 @@ type Tracer = telemetry.Tracer
 
 // NewTracer returns an empty span recorder for Options.Trace.
 func NewTracer() *Tracer { return telemetry.NewTracer() }
-
-// Metrics is the process-wide telemetry registry every instrumented
-// layer (core, substrate, wire, fleet, campaign) reports into. Its
-// Handler() serves the Prometheus text exposition `campaign serve`
-// mounts at /metrics.
-func Metrics() *telemetry.Registry { return telemetry.Default() }
 
 // Dataset is a simulated network with hosts and a ground-truth logical
 // clustering. The built-in datasets model the paper's Grid'5000 settings.
@@ -392,10 +390,6 @@ func JoinCampaign(c *Campaign, opts CampaignOptions) (*CampaignOutcome, error) {
 // directory.
 func LoadCampaign(path string) (*Campaign, error) { return campaign.Load(path) }
 
-// SaveCampaign writes a campaign spec to a JSON file — the declarative
-// interchange format `cmd/campaign -spec` runs.
-func SaveCampaign(path string, c *Campaign) error { return campaign.Save(path, c) }
-
 // HierarchyNode is one cluster of a hierarchical decomposition — the
 // multi-level extension sketched in the paper's Future Work (§V).
 type HierarchyNode = core.HierarchyNode
@@ -418,4 +412,151 @@ func BuildHierarchy(res *Result, opts HierarchyOptions) *HierarchyNode {
 // all hierarchy levels as an overlapping cover (LFK NMI).
 func HierarchicalNMI(truth []int, h *HierarchyNode) float64 {
 	return core.HierarchicalNMI(truth, h)
+}
+
+// Measurement archival and topology-aware collective scheduling. These
+// entry points operate on completed results and are agnostic to how the
+// measurement ran: a Result produced with Options.Workers > 1 is
+// bit-identical to a sequential one, so archived graphs, bottleneck
+// reports and collective schedules never depend on the worker count.
+
+// MeasurementGraph is the aggregated w(e) graph produced by Run (also the
+// type of Result.Graph).
+type MeasurementGraph = graph.Graph
+
+// SaveMeasurement archives a measurement graph as JSON, so the analysis
+// phase can be re-run later without re-measuring (see also
+// `bttomo -save/-load`).
+func SaveMeasurement(path string, g *MeasurementGraph) error {
+	return persist.SaveGraph(path, g)
+}
+
+// LoadMeasurement reads an archived measurement graph.
+func LoadMeasurement(path string) (*MeasurementGraph, error) {
+	return persist.LoadGraph(path)
+}
+
+// SaveSpec writes a scenario spec to a JSON file — the declarative
+// interchange format for scenarios (`bttomo -spec`, LoadSpec).
+func SaveSpec(path string, s *Spec) error {
+	return persist.SaveSpec(path, s)
+}
+
+// LoadSpec reads and validates a scenario spec from a JSON file. The
+// loaded spec can be run directly (RunSpec) or added to the registry
+// (RegisterSpec).
+func LoadSpec(path string) (*Spec, error) {
+	return persist.LoadSpec(path)
+}
+
+// Boundary describes the measured traffic across one discovered cluster
+// boundary — an explicit bottleneck report.
+type Boundary = core.Boundary
+
+// Bottlenecks summarises every cluster boundary of a result: which
+// cluster pairs are separated and how starved their cross traffic is
+// relative to intra-cluster traffic (the paper's "correctly identified
+// communication bottleneck links", §V).
+func Bottlenecks(res *Result) []Boundary {
+	return core.Bottlenecks(res.Graph, res.Partition)
+}
+
+// Schedule is a staged collective-communication plan: stages run
+// sequentially, transfers within a stage run concurrently.
+type Schedule = collective.Schedule
+
+// Transfer is one point-to-point message within a Schedule stage.
+type Transfer = collective.Transfer
+
+// CollectiveResult reports an executed schedule's timing.
+type CollectiveResult = collective.Result
+
+// BroadcastBinomial builds the topology-agnostic binomial-tree broadcast
+// over the given host order (first entry is the root).
+func BroadcastBinomial(order []int) (Schedule, error) {
+	return collective.BroadcastBinomial(order)
+}
+
+// BroadcastClusterAware builds a hierarchical broadcast over logical
+// clusters (e.g. Result.Partition.Clusters()): each inter-cluster
+// bottleneck is crossed exactly once.
+func BroadcastClusterAware(clusters [][]int, root int) (Schedule, error) {
+	return collective.BroadcastClusterAware(clusters, root)
+}
+
+// ReduceClusterAware builds the hierarchical reduction dual to
+// BroadcastClusterAware.
+func ReduceClusterAware(clusters [][]int, root int) (Schedule, error) {
+	return collective.ReduceClusterAware(clusters, root)
+}
+
+// ExecuteBroadcast validates and runs a broadcast schedule on a dataset's
+// network, returning its completion time.
+func ExecuteBroadcast(d *Dataset, sched Schedule, root int, bytes float64) (CollectiveResult, error) {
+	return collective.ExecuteBroadcast(d.Eng, d.Net, d.Hosts, sched, root, bytes)
+}
+
+// ExecuteReduce validates and runs a reduce schedule on a dataset's
+// network.
+func ExecuteReduce(d *Dataset, sched Schedule, root int, bytes float64) (CollectiveResult, error) {
+	return collective.ExecuteReduce(d.Eng, d.Net, d.Hosts, sched, root, bytes)
+}
+
+// The archive query surface: the typed read path over a campaign output
+// directory (see internal/archive for the full API and its read-path
+// invariants). The directory layout is an implementation detail of the
+// campaign executor; the Store is the contract.
+
+// Archive is a typed, read-only view of one campaign output directory
+// (the -out of RunCampaign / JoinCampaign / `campaign run`). Every
+// query re-reads the directory and tolerates concurrent fleet writers:
+// torn ledger lines are skipped, mid-rename documents read as
+// not-yet-archived, and no query ever double-counts an idempotent
+// re-execution. Beyond the methods re-documented here it offers
+// Runs, Get, Marginals, Stamp and GC — see internal/archive.
+type Archive = archive.Store
+
+// CampaignStatus is the fused live view of a campaign directory —
+// ledger + leases + per-owner manifests — as returned by
+// Archive.Status / ArchiveStatus and served by `campaign serve` at
+// /status.
+type CampaignStatus = archive.Status
+
+// ArchiveDiff is the regression report comparing two archives by
+// content key, as returned by Archive.Diff and `campaign diff`.
+// Zero RegressionCount means every shared measurement reproduced
+// bit-identically.
+type ArchiveDiff = archive.DiffReport
+
+// ArchiveMarginal is one axis's marginal curve over a campaign's
+// completed cells, as returned by Archive.Marginals.
+type ArchiveMarginal = archive.Marginal
+
+// OpenArchive opens the campaign archive rooted at dir. The directory
+// must exist but may be mid-campaign: a Store over a directory a fleet
+// is still writing answers queries about the progress so far.
+func OpenArchive(dir string) (*Archive, error) {
+	return archive.Open(dir)
+}
+
+// ArchiveStatus opens dir and reports its live status in one call —
+// the programmatic equivalent of `campaign status -out dir`.
+func ArchiveStatus(dir string) (*CampaignStatus, error) {
+	st, err := archive.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return st.Status()
+}
+
+// DiffArchives compares the archive at dir against the baseline at
+// base — the programmatic equivalent of `campaign diff -out dir -base
+// base`. Shared content keys must hold byte-identical documents (the
+// bit-identity contract); any divergence is reported as a regression.
+func DiffArchives(dir, base string) (*ArchiveDiff, error) {
+	st, err := archive.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return st.Diff(base)
 }
