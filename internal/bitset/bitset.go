@@ -13,10 +13,21 @@ type Set struct {
 
 // New returns a set able to hold bits 0..n-1, all clear.
 func New(n int) *Set {
-	if n < 0 {
-		panic("bitset: negative size")
+	s := Over(n, make([]uint64, Words(n)))
+	return &s
+}
+
+// Words returns the number of uint64 words a set of n bits occupies.
+func Words(n int) int { return (n + 63) / 64 }
+
+// Over returns a set of bits 0..n-1, all clear, stored in words, which must
+// be zeroed and Words(n) long. A caller that needs many sets carves them
+// from one allocation this way.
+func Over(n int, words []uint64) Set {
+	if n < 0 || len(words) != Words(n) {
+		panic("bitset: negative size, or storage that does not match it")
 	}
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return Set{words: words, n: n}
 }
 
 // Len returns the capacity of the set in bits.

@@ -255,13 +255,9 @@ func TestUploadSlotInvariant(t *testing.T) {
 	eng, net, hosts := star(10)
 	rng := rand.New(rand.NewSource(9))
 
-	// Re-implement the RunBroadcast loop so we can observe mid-flight.
-	s := &swarm{eng: eng, net: net, cfg: cfg, rng: rng, pieces: cfg.NumFragments(), start: eng.Now()}
-	// Use the public entry point but sample via scheduled probes that
-	// close over the network: probe flows active per host pair is not
-	// directly the slot count, so instead run the full broadcast and
-	// verify the stronger end-state invariants.
-	_ = s
+	// Probe flows active per host pair are not directly the slot count,
+	// so run the full broadcast through the public entry point and verify
+	// the end-state invariants.
 	res, err := RunBroadcast(eng, net, hosts, cfg, rng)
 	if err != nil {
 		t.Fatal(err)

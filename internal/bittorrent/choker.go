@@ -1,9 +1,6 @@
 package bittorrent
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file implements the control plane: the choke algorithm.
 //
@@ -63,13 +60,14 @@ func (s *swarm) fillSlots(p *peer) {
 	if p.unchoked >= s.cfg.UploadSlots {
 		return
 	}
-	var idle []*conn
+	base := len(s.connStack)
 	for _, c := range p.conns {
 		ps := c.side(p)
 		if c.choked[ps] && c.interested[1-ps] && !c.p[1-ps].complete {
-			idle = append(idle, c)
+			s.connStack = append(s.connStack, c)
 		}
 	}
+	idle := s.connStack[base:]
 	for p.unchoked < s.cfg.UploadSlots && len(idle) > 0 {
 		k := s.rng.Intn(len(idle))
 		c := idle[k]
@@ -77,6 +75,7 @@ func (s *swarm) fillSlots(p *peer) {
 		idle = idle[:len(idle)-1]
 		s.unchoke(c, c.side(p))
 	}
+	s.connStack = s.connStack[:base]
 }
 
 // rechoke re-ranks p's upload slots. rotate selects a fresh optimistic
@@ -89,30 +88,46 @@ func (s *swarm) rechoke(p *peer, rotate bool) {
 	defer func() { p.rechoking = false }()
 
 	now := s.eng.Now()
-	var cands []*conn
+	base := len(s.connStack)
 	for _, c := range p.conns {
 		ps := c.side(p)
 		if c.interested[1-ps] && !c.p[1-ps].complete {
-			cands = append(cands, c)
+			s.connStack = append(s.connStack, c)
 		}
 	}
+	cands := s.connStack[base:]
 	// Leechers rank by what the remote gives them (tit-for-tat); seeds by
 	// what they deliver to the remote (favouring fast downloaders, the
-	// mainline seed policy). Shuffle first for random tie-breaking.
+	// mainline seed policy). Shuffle first for random tie-breaking, then
+	// sort stably by descending rate: an insertion sort, the candidates
+	// being at most a peer set.
 	s.rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
-	rate := func(c *conn) float64 {
+	rates := s.rateScratch[:0]
+	for _, c := range cands {
 		ps := c.side(p)
 		if p.complete {
-			return c.rate[1-ps].at(now)
+			ps = 1 - ps
 		}
-		return c.rate[ps].at(now)
+		rates = append(rates, c.rate[ps].at(now))
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return rate(cands[i]) > rate(cands[j]) })
+	s.rateScratch = rates[:0]
+	for i := 1; i < len(cands); i++ {
+		c, r := cands[i], rates[i]
+		j := i
+		for ; j > 0 && rates[j-1] < r; j-- {
+			cands[j], rates[j] = cands[j-1], rates[j-1]
+		}
+		cands[j], rates[j] = c, r
+	}
 
-	keep := make(map[*conn]bool, s.cfg.UploadSlots)
+	// The top regular candidates keep their slot; the rest are the pool
+	// the optimistic unchoke draws from.
 	regular := s.cfg.UploadSlots - 1
-	for i := 0; i < len(cands) && i < regular; i++ {
-		keep[cands[i]] = true
+	if regular > len(cands) {
+		regular = len(cands)
+	}
+	for _, c := range cands[:regular] {
+		c.keep[c.side(p)] = true
 	}
 	// Optimistic slot.
 	if p.optimistic != nil {
@@ -121,30 +136,27 @@ func (s *swarm) rechoke(p *peer, rotate bool) {
 			p.optimistic = nil
 		}
 	}
-	if p.optimistic == nil || rotate || keep[p.optimistic] {
-		var pool []*conn
-		for _, c := range cands {
-			if !keep[c] {
-				pool = append(pool, c)
-			}
-		}
-		if len(pool) > 0 {
+	if p.optimistic == nil || rotate || p.optimistic.keep[p.optimistic.side(p)] {
+		if pool := cands[regular:]; len(pool) > 0 {
 			p.optimistic = pool[s.rng.Intn(len(pool))]
 		} else {
 			p.optimistic = nil
 		}
 	}
 	if p.optimistic != nil {
-		keep[p.optimistic] = true
+		p.optimistic.keep[p.optimistic.side(p)] = true
 	}
+	s.connStack = s.connStack[:base]
 
 	for _, c := range p.conns {
 		ps := c.side(p)
+		keep := c.keep[ps]
+		c.keep[ps] = false
 		switch {
-		case keep[c]:
+		case keep:
 			if c.choked[ps] {
 				s.unchoke(c, ps)
-			} else if c.flow[ps] == nil {
+			} else if !c.busy[ps] {
 				s.tryRequest(c, ps)
 			}
 		case !c.choked[ps]:
@@ -164,5 +176,5 @@ func (s *swarm) tick(p *peer) {
 		rotateEvery = 1
 	}
 	s.rechoke(p, p.rechokes%rotateEvery == 1)
-	p.rechokeEv = s.eng.Schedule(s.cfg.RechokeInterval, func() { s.tick(p) })
+	s.eng.Reschedule(p.rechokeEv, s.cfg.RechokeInterval)
 }

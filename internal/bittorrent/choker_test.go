@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -66,40 +65,8 @@ func buildSwarm(t *testing.T, n, pieces int) (*swarm, *sim.Engine) {
 	if err := cfg.validate(n); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	s := &swarm{
-		eng:    eng,
-		net:    net,
-		cfg:    cfg,
-		rng:    rng,
-		rttCap: make(map[[2]int]float64),
-		pieces: cfg.NumFragments(),
-	}
-	s.avail = make([]int32, s.pieces)
-	s.frag = make([][]int, n)
-	for i := range s.frag {
-		s.frag[i] = make([]int, n)
-	}
-	s.peers = make([]*peer, n)
-	for i, h := range hosts {
-		p := &peer{idx: i, host: h}
-		p.have = bitset.New(s.pieces)
-		p.inflight = bitset.New(s.pieces)
-		if i == 0 {
-			p.have.SetAll()
-			p.complete = true
-			for k := range s.avail {
-				s.avail[k] = 1
-			}
-		} else {
-			p.need = make([]int32, s.pieces)
-			for k := range p.need {
-				p.need[k] = int32(k)
-			}
-		}
-		s.peers[i] = p
-	}
-	s.remaining = n - 1
+	// Root 0, need lists left in piece order.
+	s := newSwarm(eng, net, hosts, cfg, rand.New(rand.NewSource(1)))
 	s.wirePeers()
 	return s, eng
 }
@@ -273,10 +240,8 @@ func TestPipelineCapReflectsRTT(t *testing.T) {
 	net.Connect(c, s2, simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6})
 	cfg := DefaultConfig()
 	cfg.FileBytes = 64 * cfg.FragmentSize
-	s := &swarm{eng: eng, net: net, cfg: cfg, rng: rand.New(rand.NewSource(1)), rttCap: map[[2]int]float64{}, pieces: 64}
-	pa := &peer{idx: 0, host: a}
-	pb := &peer{idx: 1, host: b}
-	pc := &peer{idx: 2, host: c}
+	s := newSwarm(eng, net, []int{a, b, c}, cfg, rand.New(rand.NewSource(1)))
+	pa, pb, pc := s.peers[0], s.peers[1], s.peers[2]
 	local := s.pipelineCap(pa, pb)
 	wan := s.pipelineCap(pa, pc)
 	if wan >= local {

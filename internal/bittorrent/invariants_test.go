@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -26,30 +25,10 @@ func runSwarmWhiteBox(t *testing.T, n, pieces int, seed int64) *swarm {
 	}
 	cfg := DefaultConfig()
 	cfg.FileBytes = pieces * cfg.FragmentSize
-	s := &swarm{
-		eng:    eng,
-		net:    net,
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(seed)),
-		rttCap: make(map[[2]int]float64),
-		pieces: cfg.NumFragments(),
-		start:  eng.Now(),
-	}
-	buildPeersForTest(s, hosts)
+	s := newSwarm(eng, net, hosts, cfg, rand.New(rand.NewSource(seed)))
+	s.shuffleNeeds()
 	s.wirePeers()
-	root := s.peers[cfg.Root]
-	for _, c := range root.conns {
-		rs := 1 - c.side(root)
-		c.interested[rs] = true
-	}
-	for _, p := range s.peers {
-		s.fillSlots(p)
-	}
-	for _, p := range s.peers {
-		p := p
-		first := cfg.RechokeInterval * (0.9 + 0.2*s.rng.Float64())
-		p.rechokeEv = eng.Schedule(first, func() { s.tick(p) })
-	}
+	s.begin()
 	for s.remaining > 0 {
 		if !eng.Step() {
 			t.Fatal("white-box broadcast stalled")
@@ -57,38 +36,6 @@ func runSwarmWhiteBox(t *testing.T, n, pieces int, seed int64) *swarm {
 	}
 	s.finish()
 	return s
-}
-
-func buildPeersForTest(s *swarm, hosts []int) {
-	n := len(hosts)
-	s.avail = make([]int32, s.pieces)
-	s.frag = make([][]int, n)
-	for i := range s.frag {
-		s.frag[i] = make([]int, n)
-	}
-	s.peers = make([]*peer, n)
-	for i, h := range hosts {
-		p := &peer{idx: i, host: h}
-		p.have = bitset.New(s.pieces)
-		p.inflight = bitset.New(s.pieces)
-		if i == s.cfg.Root {
-			p.have.SetAll()
-			p.complete = true
-			for k := range s.avail {
-				s.avail[k] = 1
-			}
-		} else {
-			p.need = make([]int32, s.pieces)
-			for k := range p.need {
-				p.need[k] = int32(k)
-			}
-			s.rng.Shuffle(len(p.need), func(a, b int) {
-				p.need[a], p.need[b] = p.need[b], p.need[a]
-			})
-		}
-		s.peers[i] = p
-	}
-	s.remaining = n - 1
 }
 
 func TestEndStateInvariants(t *testing.T) {
@@ -116,7 +63,7 @@ func TestEndStateInvariants(t *testing.T) {
 	for _, p := range s.peers {
 		for _, c := range p.conns {
 			for side := 0; side < 2; side++ {
-				if c.flow[side] != nil || c.batch[side] != nil {
+				if c.busy[side] || len(c.batch[side]) != 0 {
 					t.Fatal("connection still mid-transfer after completion")
 				}
 			}
@@ -141,8 +88,8 @@ func TestEndStateInvariants(t *testing.T) {
 			total += v
 		}
 	}
-	if total != (n-1)*s.pieces {
-		t.Fatalf("fragment total %d, want %d", total, (n-1)*s.pieces)
+	if total != (n-1)*len(s.avail) {
+		t.Fatalf("fragment total %d, want %d", total, (n-1)*len(s.avail))
 	}
 }
 

@@ -8,13 +8,13 @@ package bittorrent
 // connection is idle. It also maintains the downloader's interest flag.
 func (s *swarm) tryRequest(c *conn, up int) {
 	u, d := c.p[up], c.p[1-up]
-	if c.choked[up] || c.flow[up] != nil || d.complete {
+	if c.choked[up] || c.busy[up] || d.complete {
 		return
 	}
-	batch, sawUseful := s.selectPieces(d, u)
+	picked, sawUseful := s.selectPieces(d, u)
 	wasInterested := c.interested[1-up]
 	c.interested[1-up] = sawUseful
-	if len(batch) == 0 {
+	if len(picked) == 0 {
 		if wasInterested && !sawUseful && !c.choked[up] {
 			// The downloader has nothing to gain from this uploader
 			// any more: free the upload slot immediately rather than
@@ -24,15 +24,15 @@ func (s *swarm) tryRequest(c *conn, up int) {
 		}
 		return
 	}
-	for _, pc := range batch {
+	for _, pc := range picked {
 		d.inflight.Set(int(pc))
 	}
-	c.batch[up] = batch
+	c.batch[up] = append(c.batch[up][:0], picked...)
+	c.busy[up] = true
 	c.sentAt[up] = s.eng.Now()
-	size := float64(len(batch)) * float64(s.cfg.FragmentSize)
+	size := float64(len(picked)) * float64(s.cfg.FragmentSize)
 	s.flows++
-	cap := s.pipelineCap(u, d)
-	c.flow[up] = s.net.StartFlowRateLimited(u.host, d.host, size, cap, func() { s.deliver(c, up) })
+	s.net.Send(u.host, d.host, size, s.pipelineCap(u, d), &c.up[up])
 }
 
 // pipelineCap returns the window-limited throughput ceiling of a
@@ -40,8 +40,8 @@ func (s *swarm) tryRequest(c *conn, up int) {
 // This reproduces the real client's behaviour of a single stream across a
 // high-latency WAN running far below link capacity.
 func (s *swarm) pipelineCap(u, d *peer) float64 {
-	key := [2]int{u.idx, d.idx}
-	if cap, ok := s.rttCap[key]; ok {
+	key := u.idx*len(s.peers) + d.idx
+	if cap := s.rttCap[key]; cap >= 0 {
 		return cap
 	}
 	rtt := 2 * s.net.Path(u.host, d.host).Latency
@@ -60,14 +60,12 @@ func (s *swarm) pipelineCap(u, d *peer) float64 {
 // tie-breaking of the real client.
 //
 // The second return value reports whether u holds any piece d still needs
-// (counting in-flight ones) — the protocol's "interested" predicate.
+// (counting in-flight ones) — the protocol's "interested" predicate. The
+// pieces are returned in the swarm's scratch, valid until the next call.
 func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 	want := s.cfg.BatchFragments
 	sampleCap := want * s.cfg.RarestSampling
 
-	// Candidates are sampled into the swarm's scratch; only the kept
-	// ones are copied out, so the batch a connection holds until delivery
-	// is an exact-size slice and sampling itself does not allocate.
 	cand := s.candScratch[:0]
 	sawUseful := false
 
@@ -126,7 +124,7 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 		}
 		cand = cand[:want]
 	}
-	return append([]int32(nil), cand...), true
+	return cand, true
 }
 
 // deliver completes a request batch: the downloader records the received
@@ -134,9 +132,12 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 // complete its download, and pipelines the next request.
 func (s *swarm) deliver(c *conn, up int) {
 	u, d := c.p[up], c.p[1-up]
+	// The buffer stays readable through batch until the tryRequest that
+	// ends this call refills it: nothing before that starts an upload from
+	// u, only from d.
 	batch := c.batch[up]
-	c.flow[up] = nil
-	c.batch[up] = nil
+	c.busy[up] = false
+	c.batch[up] = batch[:0]
 
 	s.frag[d.idx][u.idx] += len(batch)
 	c.rate[1-up].add(s.eng.Now(), float64(len(batch))*float64(s.cfg.FragmentSize))
@@ -201,7 +202,7 @@ func (s *swarm) completeDownload(d *peer) {
 		// d wants nothing further.
 		c.interested[ds] = false
 		// Peers uploading to d get their slot back immediately.
-		if !c.choked[1-ds] && c.flow[1-ds] == nil {
+		if !c.choked[1-ds] && !c.busy[1-ds] {
 			r := c.p[1-ds]
 			s.choke(c, 1-ds)
 			s.fillSlots(r)

@@ -74,13 +74,13 @@ type Options struct {
 	// Workers is the size of the pool the measurement iterations run on;
 	// 0 means 1. Every iteration draws from its own deterministic RNG
 	// stream and measures on a private engine+network replica
-	// (simnet.Network.Clone), and the per-iteration fragment counts are
-	// merged in iteration order, so the result is bit-identical for any
-	// worker count.
+	// (simnet.Network.Clone, Reset), and the per-iteration fragment counts
+	// are merged in iteration order, so the result is bit-identical for
+	// any worker count.
 	Workers int
 	// Backend selects the measurement substrate executing the broadcast
 	// iterations: "sim" (default; the discrete-event simulator on
-	// per-iteration replicas) or "wire" (real BitTorrent swarms over
+	// one replica per worker) or "wire" (real BitTorrent swarms over
 	// loopback TCP, paced to the scenario's bottleneck capacities). The
 	// empty string means "sim". Backends declare capabilities, and
 	// Validate rejects options they cannot honor — "wire" refuses
@@ -306,7 +306,7 @@ func planIterations(tl *dynamics.Timeline, hosts []int, opts Options) ([]iterPla
 
 // measure fans the measurement iterations out over a pool of
 // opts.Workers workers, each measuring through the run's substrate (the
-// sim substrate replicates the network per iteration; the wire substrate
+// sim substrate replicates the network per worker; the wire substrate
 // runs a real loopback swarm), and merges the broadcasts in iteration
 // order. On error it stops handing out new iterations, cancels the
 // in-flight ones, drains them, and reports the error of the

@@ -28,7 +28,7 @@ var (
 // It is observability only: populated on every run (from the run's
 // tracer), excluded from archives, aggregates and content hashes, and
 // never compared byte-for-byte. Clone time is a sub-interval of measure
-// time (the sim substrate clones its replica inside the measurement),
+// time (the sim substrate prepares its replica inside the measurement),
 // so the named phases do not sum to WallSeconds.
 type PhaseTimings struct {
 	// MeasureSeconds is wall-clock time inside substrate measurements,
@@ -37,8 +37,9 @@ type PhaseTimings struct {
 	MeasureSeconds float64 `json:"measure_seconds"`
 	// MeasureCount is the number of measured iterations.
 	MeasureCount int `json:"measure_count"`
-	// CloneSeconds is time spent building per-iteration engine+network
-	// replicas (and replaying dynamics onto them); part of measure time.
+	// CloneSeconds is time spent preparing an engine+network replica for
+	// each iteration — take an idle one or clone one, reset it, replay
+	// dynamics onto it; part of measure time.
 	CloneSeconds float64 `json:"clone_seconds"`
 	// MergeSeconds is time folding fragment counts into the aggregate.
 	MergeSeconds float64 `json:"merge_seconds"`

@@ -10,7 +10,7 @@
 // This package turns that from a hand-written test harness into scenario
 // data: a Timeline is compiled once from a list of Events (the optional
 // Dynamics section of scenario.Spec), validated up front, and then
-// replayed onto every per-iteration simulator replica.
+// replayed onto the simulator replica of every iteration.
 //
 // # Determinism contract
 //
@@ -365,15 +365,15 @@ func (t *Timeline) ActiveHosts(it int) []int {
 }
 
 // Apply installs the timeline's state for iteration it (1-based) on a
-// fresh per-iteration replica: the network state accumulated by link
+// replica fresh from Clone or Reset: the network state accumulated by link
 // events of earlier iterations is applied immediately, and the events of
 // iteration it itself are scheduled on eng at their At offsets, so they
 // fire mid-broadcast. Bursts of earlier iterations are transient and are
 // not replayed. Churn never touches the network; read it via ActiveHosts.
 //
-// Apply must be called once per replica, before the iteration's broadcast
-// starts, with the engine clock at zero. The network must be the replica
-// the broadcast will run on (a clone of the network the timeline's
+// Apply must be called once per iteration, before the iteration's
+// broadcast starts, with the engine clock at zero. The network must be the
+// replica the broadcast will run on (a clone of the network the timeline's
 // binding was resolved against — vertex ids are preserved by Clone).
 func (t *Timeline) Apply(it int, eng *sim.Engine, net *simnet.Network) {
 	if t == nil {
@@ -412,6 +412,6 @@ func (t *Timeline) fire(e compiled, net *simnet.Network) {
 			net.SetLinkState(p[0], p[1], true)
 		}
 	case Burst:
-		net.StartFlow(e.src, e.dst, e.Param*1e6, nil)
+		net.Send(e.src, e.dst, e.Param*1e6, 0, nil)
 	}
 }

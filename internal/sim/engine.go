@@ -14,13 +14,18 @@ import (
 )
 
 // Event is a scheduled callback. It is returned by Schedule so callers can
-// cancel it before it fires.
+// cancel it before it fires, and by NewTimer so its owner can re-arm it.
 type Event struct {
 	time    float64
 	seq     uint64
 	fn      func()
 	index   int // position in the heap, -1 once removed
 	stopped bool
+	// pooled marks an event scheduled by Post: no handle to it exists, so
+	// the engine recycles it the moment it leaves the queue. An event a
+	// caller can still name (Schedule, NewTimer) is never recycled — a
+	// stale handle must stay a no-op for Cancel forever.
+	pooled bool
 }
 
 // Time reports the simulated time at which the event will fire (or would
@@ -36,6 +41,7 @@ type Engine struct {
 	now    float64
 	seq    uint64
 	queue  eventHeap
+	free   []*Event // fired or reset Post events, reused by the next Post
 	fired  uint64
 	halted bool
 }
@@ -59,19 +65,84 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // is treated as zero (fire as soon as possible, after already-queued events
 // for the current instant). The returned Event may be cancelled with Cancel.
 func (e *Engine) Schedule(delay float64, fn func()) *Event {
-	if fn == nil {
-		panic("sim: Schedule called with nil function")
+	ev := &Event{fn: fn}
+	e.push(ev, delay)
+	return ev
+}
+
+// Post is Schedule without the handle: the event cannot be cancelled, and
+// because nothing can refer to it the engine reuses its storage once it has
+// fired. It orders with Schedule'd events exactly as a Schedule call at the
+// same point would.
+func (e *Engine) Post(delay float64, fn func()) {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		ev.fn = fn
+	} else {
+		ev = &Event{fn: fn, pooled: true}
+	}
+	e.push(ev, delay)
+}
+
+// NewTimer returns an unscheduled event bound to fn, for a callback that is
+// re-armed over and over (a periodic tick, a completion deadline that moves):
+// its owner arms it with Reschedule, as often as it likes, and may Cancel
+// it in between.
+func (e *Engine) NewTimer(fn func()) *Event {
+	return &Event{fn: fn, index: -1, stopped: true}
+}
+
+// Reschedule arms ev to fire after delay seconds, replacing its pending
+// firing if it has one. The firing orders as a fresh Schedule call would:
+// Cancel followed by Schedule, without the new Event.
+func (e *Engine) Reschedule(ev *Event, delay float64) {
+	if ev.index >= 0 {
+		heap.Remove(&e.queue, ev.index)
+	}
+	e.push(ev, delay)
+}
+
+// push stamps ev with its firing time and the next sequence number and
+// queues it.
+func (e *Engine) push(ev *Event, delay float64) {
+	if ev.fn == nil {
+		panic("sim: event scheduled with nil function")
 	}
 	if math.IsNaN(delay) {
-		panic("sim: Schedule called with NaN delay")
+		panic("sim: event scheduled with NaN delay")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &Event{time: e.now + delay, seq: e.seq, fn: fn}
+	ev.time, ev.seq, ev.stopped = e.now+delay, e.seq, false
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
+}
+
+// Reset returns the engine to its initial state — clock, sequence and fired
+// counters at zero, nothing queued — without running anything. Queued Post
+// events go back to the free list; events a caller holds a handle to are
+// left cancelled, and a timer can be re-armed afterwards.
+func (e *Engine) Reset() {
+	for i, ev := range e.queue {
+		ev.index = -1
+		ev.stopped = true
+		e.recycle(ev)
+		e.queue[i] = nil
+	}
+	e.queue = e.queue[:0]
+	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
+}
+
+// recycle returns a Post event that has left the queue to the free list.
+func (e *Engine) recycle(ev *Event) {
+	if ev.pooled {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
 }
 
 // ScheduleAt runs fn at absolute simulated time t. Times in the past are
@@ -111,7 +182,9 @@ func (e *Engine) Step() bool {
 		e.now = ev.time
 		ev.stopped = true
 		e.fired++
-		ev.fn()
+		fn := ev.fn
+		e.recycle(ev)
+		fn()
 		return true
 	}
 	return false

@@ -188,6 +188,109 @@ func TestNilFuncPanics(t *testing.T) {
 	NewEngine().Schedule(1, nil)
 }
 
+// TestCancelFiredEventAfterReuseIsNoOp: Cancel documents that a handle to
+// an event that already fired is a no-op, and it must stay one however many
+// Post events the engine has recycled since — an engine that put the fired
+// Schedule event on its free list would, here, stop one of the queued events
+// that now occupies it.
+func TestCancelFiredEventAfterReuseIsNoOp(t *testing.T) {
+	run := func(cancelStale bool) (order []int, fired uint64) {
+		e := NewEngine()
+		stale := e.Schedule(1, func() { order = append(order, -1) })
+		e.Run()
+		// 10k events through the pool, 100 at a time; the last round is
+		// larger than any before it, so every recycled event is queued
+		// when the stale handle is cancelled.
+		id := 0
+		post := func(n int) {
+			for i := 0; i < n; i++ {
+				k := id
+				id++
+				e.Post(float64(k%7), func() { order = append(order, k) })
+			}
+		}
+		for round := 0; round < 100; round++ {
+			post(100)
+			e.Run()
+		}
+		post(150)
+		if cancelStale {
+			e.Cancel(stale)
+		}
+		if e.Pending() != 150 {
+			t.Fatalf("cancelStale=%v: %d events queued, want 150", cancelStale, e.Pending())
+		}
+		e.Run()
+		return order, e.Fired()
+	}
+	wantOrder, wantFired := run(false)
+	gotOrder, gotFired := run(true)
+	if gotFired != wantFired || wantFired != 1+10000+150 {
+		t.Fatalf("Fired() = %d after cancelling a stale handle, %d without, want %d", gotFired, wantFired, 1+10000+150)
+	}
+	for i := range wantOrder {
+		if gotOrder[i] != wantOrder[i] {
+			t.Fatalf("event %d fired %d-th without the stale Cancel, event %d with it", wantOrder[i], i, gotOrder[i])
+		}
+	}
+}
+
+// TestPostOrdersLikeSchedule: Post, Schedule and Reschedule draw from one
+// sequence, so same-instant events fire in call order whichever was used,
+// and a timer re-armed while queued fires once, at its new place.
+func TestPostOrdersLikeSchedule(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	timer := e.NewTimer(func() { order = append(order, 9) })
+	e.Reschedule(timer, 1)
+	e.Post(1, func() { order = append(order, 0) })
+	e.Schedule(1, func() { order = append(order, 1) })
+	e.Reschedule(timer, 1) // moves behind the two above
+	e.Post(1, func() { order = append(order, 2) })
+	e.Run()
+	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 9 || order[3] != 2 {
+		t.Fatalf("fired in order %v, want [0 1 9 2]", order)
+	}
+	e.Reschedule(timer, 1)
+	e.Cancel(timer)
+	e.Reschedule(timer, 2)
+	e.Run()
+	if len(order) != 5 || e.Now() != 3 {
+		t.Fatalf("a cancelled and re-armed timer fired %d times by t=%g, want once more at t=3", len(order)-4, e.Now())
+	}
+}
+
+// TestResetIsANewEngine: Reset drops what is queued without running it,
+// zeroes clock and counters, leaves handles cancelled and timers usable.
+func TestResetIsANewEngine(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	count := func() { ran++ }
+	timer := e.NewTimer(count)
+	e.Schedule(1, count)
+	e.Run()
+	held := e.Schedule(5, count)
+	e.Post(5, count)
+	e.Reschedule(timer, 5)
+	e.Reset()
+	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 || !held.Stopped() {
+		t.Fatalf("after Reset: now %g, fired %d, pending %d, held handle stopped %v",
+			e.Now(), e.Fired(), e.Pending(), held.Stopped())
+	}
+	e.Cancel(held)
+	e.Cancel(timer)
+	if e.Run() != 0 || ran != 1 {
+		t.Fatalf("dropped events ran: %d callbacks by t=%g", ran, e.Now())
+	}
+	first := -1
+	e.Post(2, func() { first = 0 })
+	e.Reschedule(timer, 2)
+	e.Run()
+	if first != 0 || ran != 2 || e.Now() != 2 || e.Fired() != 2 {
+		t.Fatalf("reset engine: post ran %v, %d callbacks, now %g, fired %d", first == 0, ran, e.Now(), e.Fired())
+	}
+}
+
 // Property: for any set of non-negative delays, events fire in sorted order
 // and the clock ends at the max delay.
 func TestEventOrderProperty(t *testing.T) {

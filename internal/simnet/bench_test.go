@@ -66,17 +66,19 @@ func BenchmarkSolveChurn(b *testing.B) {
 
 // BenchmarkStartFlowWarmPath measures a flow's whole life — start,
 // activation, solve, completion — between one pair of hosts whose route is
-// already cached, with nothing else on the network. allocs/op is what one
-// flow costs the allocator once routing is out of the picture.
+// already cached, with nothing else on the network, started the way the
+// swarm starts its transfers (Send: no handle, so the network recycles the
+// flow). allocs/op is what one flow costs the allocator once routing is out
+// of the picture; TestSendWarmPathAllocatesNothing holds it at zero.
 func BenchmarkStartFlowWarmPath(b *testing.B) {
 	d := fatTree256(b)
 	src, dst := d.Hosts[0], d.Hosts[len(d.Hosts)-1]
-	d.Net.StartFlow(src, dst, 1, nil)
+	d.Net.Send(src, dst, 1, 0, nil)
 	d.Eng.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Net.StartFlow(src, dst, 1e6, nil)
+		d.Net.Send(src, dst, 1e6, 0, nil)
 		d.Eng.Run()
 	}
 }

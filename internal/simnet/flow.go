@@ -25,12 +25,31 @@ type Flow struct {
 	id        int
 	src, dst  int
 	size      float64
-	done      func()
+	done      Arrival
 	started   float64 // time the flow became active (after latency)
 	slot      int     // index in Network.flows, -1 when inactive
 	active    bool
 	cancelled bool
+
+	// pooled marks a flow started by Send: no handle to it exists, so the
+	// network recycles it once it has finished. A flow a caller can still
+	// name (StartFlow*) is never recycled — CancelFlow on a stale handle
+	// must stay a no-op forever.
+	pooled bool
+	// activate is the flow's activation callback, bound when the Flow is
+	// allocated and kept across reuse.
+	activate func()
 }
+
+// Arrival is told when a flow's last byte arrives. Send takes one rather
+// than a func() so that a caller with many connections can hand in a pointer
+// into storage it already owns instead of allocating a closure per transfer.
+type Arrival interface{ Arrived() }
+
+// arrivalFunc adapts StartFlow's func() callback.
+type arrivalFunc func()
+
+func (f arrivalFunc) Arrived() { f() }
 
 // Src returns the source host id.
 func (f *Flow) Src() int { return f.src }
@@ -66,6 +85,40 @@ func (n *Network) StartFlow(src, dst int, size float64, done func()) *Flow {
 // outstanding on a path with round-trip time rtt cannot exceed w/rtt
 // regardless of link capacity.
 func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done func()) *Flow {
+	f := n.newFlow()
+	if done != nil {
+		f.done = arrivalFunc(done)
+	}
+	n.start(f, src, dst, size, rateCap)
+	return f
+}
+
+// Send is StartFlowRateLimited for a transfer nobody will cancel: it
+// returns no handle, so the network reuses the flow's storage once the last
+// byte has arrived and a warm Send allocates nothing.
+func (n *Network) Send(src, dst int, size, rateCap float64, done Arrival) {
+	var f *Flow
+	if k := len(n.freeFlows); k > 0 {
+		f = n.freeFlows[k-1]
+		n.freeFlows[k-1] = nil
+		n.freeFlows = n.freeFlows[:k-1]
+	} else {
+		f = n.newFlow()
+		f.pooled = true
+	}
+	f.done = done
+	n.start(f, src, dst, size, rateCap)
+}
+
+func (n *Network) newFlow() *Flow {
+	f := &Flow{}
+	f.activate = func() { n.activate(f) }
+	return f
+}
+
+// start validates and routes f and schedules its activation one path
+// latency from now.
+func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
 	if !n.verts[src].isHost || !n.verts[dst].isHost {
 		panic("simnet: flows must connect hosts")
 	}
@@ -76,16 +129,9 @@ func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done
 		panic("simnet: negative rate cap")
 	}
 	p := n.path(src, dst)
-	f := &Flow{
-		id:        n.nextFlow,
-		src:       src,
-		dst:       dst,
-		size:      size,
-		remaining: size,
-		eps:       completionEps + 1e-9*size,
-		path:      p,
-		done:      done,
-	}
+	f.id, f.src, f.dst = n.nextFlow, src, dst
+	f.size, f.remaining, f.eps = size, size, completionEps+1e-9*size
+	f.path, f.rate = p, 0
 	n.nextFlow++
 	var lat float64
 	capPF := rateCap
@@ -98,26 +144,28 @@ func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done
 	f.cap = capPF
 	f.slot = -1
 	n.pendingFlows++
-	n.eng.Schedule(lat, func() {
-		n.pendingFlows--
-		if f.cancelled {
-			return
+	n.eng.Post(lat, f.activate)
+}
+
+// activate puts f on its channels once its path latency has elapsed.
+func (n *Network) activate(f *Flow) {
+	n.pendingFlows--
+	if f.cancelled {
+		return
+	}
+	n.advance()
+	f.active = true
+	f.started = n.eng.Now()
+	f.slot = len(n.flows)
+	n.flows = append(n.flows, f)
+	for _, c := range f.path {
+		if c.nFlows == 0 {
+			c.slot = len(n.occupied)
+			n.occupied = append(n.occupied, c)
 		}
-		n.advance()
-		f.active = true
-		f.started = n.eng.Now()
-		f.slot = len(n.flows)
-		n.flows = append(n.flows, f)
-		for _, c := range f.path {
-			if c.nFlows == 0 {
-				c.slot = len(n.occupied)
-				n.occupied = append(n.occupied, c)
-			}
-			c.nFlows++
-		}
-		n.markDirty()
-	})
-	return f
+		c.nFlows++
+	}
+	n.markDirty()
 }
 
 // CancelFlow aborts a flow. Its done callback will not run. Cancelling a
@@ -198,7 +246,7 @@ func (n *Network) markDirty() {
 		return
 	}
 	n.dirty = true
-	n.resolveEv = n.eng.Schedule(0, n.resolveFn)
+	n.eng.Reschedule(n.resolveEv, 0)
 }
 
 func (n *Network) resolve() {
@@ -324,10 +372,6 @@ func (n *Network) solve() {
 // scheduleCompletion (re)arms the single completion event at the earliest
 // flow finish time under current rates.
 func (n *Network) scheduleCompletion() {
-	if n.complEv != nil {
-		n.eng.Cancel(n.complEv)
-		n.complEv = nil
-	}
 	next := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
@@ -342,13 +386,13 @@ func (n *Network) scheduleCompletion() {
 		}
 	}
 	if math.IsInf(next, 1) {
+		n.eng.Cancel(n.complEv)
 		return
 	}
-	n.complEv = n.eng.Schedule(next, n.completionsFn)
+	n.eng.Reschedule(n.complEv, next)
 }
 
 func (n *Network) completions() {
-	n.complEv = nil
 	n.advance()
 	// Clock-granularity slack: when the simulated clock is large, event
 	// times quantise to its float64 ulp, so a flow can be up to
@@ -376,10 +420,21 @@ func (n *Network) completions() {
 		n.removeFlow(f)
 	}
 	n.markDirty()
-	for _, f := range finished {
-		if f.done != nil {
-			f.done()
+	for i, f := range finished {
+		done := f.done
+		n.recycle(f)
+		finished[i] = nil
+		if done != nil {
+			done.Arrived()
 		}
 	}
 	n.finished = finished[:0]
+}
+
+// recycle returns a Send flow that has left the network to the free list.
+func (n *Network) recycle(f *Flow) {
+	if f.pooled {
+		f.done = nil
+		n.freeFlows = append(n.freeFlows, f)
+	}
 }

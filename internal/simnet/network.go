@@ -96,17 +96,14 @@ type Network struct {
 	verts []vertex
 
 	flows        []*Flow
+	freeFlows    []*Flow    // finished Send flows, reused by the next Send
 	occupied     []*channel // channels with nFlows > 0, unordered
 	pendingFlows int
 	nextFlow     int
 	lastSolve    float64
 	dirty        bool
-	resolveEv    *sim.Event
-	complEv      *sim.Event
-
-	// resolve and completions as func values, bound once: taking the
-	// method value at each Schedule would allocate a closure per event.
-	resolveFn, completionsFn func()
+	// The network's two events, re-armed for every solve and after it.
+	resolveEv, complEv *sim.Event
 
 	routeCache map[int][]int32       // src -> prev-vertex array from BFS
 	pathCache  map[[2]int][]*channel // (src, dst) -> route; shared read-only by flows
@@ -125,8 +122,8 @@ func New(eng *sim.Engine) *Network {
 		routeCache: make(map[int][]int32),
 		pathCache:  make(map[[2]int][]*channel),
 	}
-	n.resolveFn = n.resolve
-	n.completionsFn = n.completions
+	n.resolveEv = eng.NewTimer(n.resolve)
+	n.complEv = eng.NewTimer(n.completions)
 	return n
 }
 
@@ -373,10 +370,7 @@ func (n *Network) SetLinkState(a, b int, up bool) {
 // activation is still pending (started, latency not yet elapsed) count as
 // in-flight too.
 func (n *Network) Clone(eng *sim.Engine) *Network {
-	if len(n.flows) > 0 || n.pendingFlows > 0 {
-		panic(fmt.Sprintf("simnet: cannot clone a network with %d active and %d pending flows",
-			len(n.flows), n.pendingFlows))
-	}
+	n.mustBeIdle()
 	c := New(eng)
 	c.verts = make([]vertex, len(n.verts))
 	for i, v := range n.verts {
@@ -401,6 +395,49 @@ func (n *Network) Clone(eng *sim.Engine) *Network {
 		}
 	}
 	return c
+}
+
+func (n *Network) mustBeIdle() {
+	if len(n.flows) > 0 || n.pendingFlows > 0 {
+		panic(fmt.Sprintf("simnet: cannot replicate a network with %d active and %d pending flows",
+			len(n.flows), n.pendingFlows))
+	}
+}
+
+// Reset puts n, a Clone of src, and the engine it is bound to back into the
+// state src.Clone on a new engine would produce — clock, flow ids and solve
+// count at zero, nothing queued, no flows, every channel's capacity and
+// up/down state taken from src (not from n's own history, so scales never
+// compound) and its occupancy and carried bytes zeroed — while keeping what
+// is expensive to rebuild and independent of all that: the route and path
+// caches and the engine's and network's free lists. Whatever was still in
+// flight is dropped without its callbacks running; handles to it stay
+// valid no-ops. Like Clone it panics if src is not idle.
+func (n *Network) Reset(src *Network) {
+	src.mustBeIdle()
+	if len(n.verts) != len(src.verts) {
+		panic("simnet: Reset from a network with a different topology")
+	}
+	n.eng.Reset()
+	for i := range n.verts {
+		from := src.verts[i].chans
+		if len(n.verts[i].chans) != len(from) {
+			panic("simnet: Reset from a network with a different topology")
+		}
+		for j, c := range n.verts[i].chans {
+			c.capacity, c.down = from[j].capacity, from[j].down
+			c.nFlows, c.slot, c.carried = 0, 0, 0
+		}
+	}
+	for i, f := range n.flows {
+		f.slot, f.active, f.cancelled = -1, false, !f.pooled
+		n.recycle(f)
+		n.flows[i] = nil
+	}
+	n.flows = n.flows[:0]
+	clear(n.occupied)
+	n.occupied = n.occupied[:0]
+	n.pendingFlows, n.nextFlow, n.lastSolve, n.dirty, n.solves = 0, 0, 0, false, 0
 }
 
 // FindVertex returns the id of the vertex with the given name, or -1.

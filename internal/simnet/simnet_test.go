@@ -756,9 +756,9 @@ func TestPendingFlowsDrainsOnActivationAndCompletion(t *testing.T) {
 }
 
 // TestCloneSharesNoMutableLinkState is the invariant the dynamics replay
-// depends on: per-iteration replicas mutate link capacity and up/down
-// state freely, and neither the original network nor sibling clones may
-// observe it.
+// depends on: replicas mutate link capacity and up/down state freely, and
+// neither the original network nor sibling replicas may observe it —
+// whether a replica is fresh from Clone or reused after Reset.
 func TestCloneSharesNoMutableLinkState(t *testing.T) {
 	_, n, a, b := pair(t, LinkSpec{Capacity: Mbps(800), Latency: 1e-3})
 	c1 := n.Clone(sim.NewEngine())
@@ -791,6 +791,26 @@ func TestCloneSharesNoMutableLinkState(t *testing.T) {
 	c3 := c1.Clone(sim.NewEngine())
 	if c3.LinkUp(a, b) || c3.LinkCapacity(a, b) != Mbps(50) {
 		t.Fatal("Clone dropped runtime link state")
+	}
+
+	// A reused replica takes the original's link state as it is now, by
+	// value, and is then as independent as a fresh clone.
+	c1.Path(a, b)
+	c1.Reset(n)
+	if !c1.LinkUp(a, b) || c1.LinkCapacity(a, b) != Mbps(200) {
+		t.Fatal("Reset did not take the original's link state")
+	}
+	if len(c1.pathCache) != 1 {
+		t.Fatal("Reset dropped the replica's cached routes")
+	}
+	c1.SetLinkCapacity(a, b, Mbps(10))
+	c1.SetLinkState(a, b, false)
+	if !n.LinkUp(a, b) || n.LinkCapacity(a, b) != Mbps(200) || !c2.LinkUp(a, b) || c2.LinkCapacity(a, b) != Mbps(800) {
+		t.Fatal("a reset replica's mutations leaked into the original or a sibling")
+	}
+	c2.Reset(n)
+	if !c2.LinkUp(a, b) || c2.LinkCapacity(a, b) != Mbps(200) {
+		t.Fatal("a sibling's Reset picked up another replica's link state")
 	}
 
 	// A network that has carried flows keeps per-channel occupancy, a

@@ -193,10 +193,17 @@ type churnRun struct {
 // even if their rates were to differ.
 func runChurn(seed int64, afterSolve func(n *Network)) churnRun {
 	rng := rand.New(rand.NewSource(seed))
-	eng := sim.NewEngine()
-	n := New(eng)
+	n := New(sim.NewEngine())
 	hosts, links := churnTopology(n, rng)
+	return driveChurn(n, hosts, links, rng, false, afterSolve)
+}
 
+// driveChurn lays runChurn's script out on n, whose engine must be at t=0,
+// and runs it dry. With send set, every other flow is started with Send —
+// no handle, so it is never picked for cancellation, and its storage is
+// recycled — and is recorded in completed as -1 minus its script position.
+func driveChurn(n *Network, hosts []int, links []churnLink, rng *rand.Rand, send bool, afterSolve func(n *Network)) churnRun {
+	eng := n.eng
 	var run churnRun
 	var started []*Flow
 	const horizon = 10.0
@@ -211,6 +218,11 @@ func runChurn(seed int64, afterSolve func(n *Network)) churnRun {
 			}
 			size := float64(1 + rng.Intn(8000))
 			limit := float64(rng.Intn(2) * (10 + rng.Intn(400)))
+			if send && i%2 == 1 {
+				arrived := arrivalFunc(func() { run.completed = append(run.completed, -1-i) })
+				eng.ScheduleAt(at, func() { n.Send(hosts[src], hosts[dst], size, limit, arrived) })
+				continue
+			}
 			eng.ScheduleAt(at, func() {
 				var f *Flow
 				f = n.StartFlowRateLimited(hosts[src], hosts[dst], size, limit, func() {

@@ -3,27 +3,36 @@ package substrate
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bittorrent"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
-// mCloneSeconds totals the cost of building per-iteration replicas —
-// the price the pipeline pays for bit-identical isolation.
+// mCloneSeconds totals the cost of giving every iteration an idle network
+// at t=0 — the price the pipeline pays for bit-identical isolation.
 var mCloneSeconds = telemetry.Default().Counter("repro_substrate_clone_seconds_total",
-	"wall-clock seconds spent cloning engine+network replicas (incl. dynamics replay)")
+	"wall-clock seconds spent preparing engine+network replicas: take or clone one, reset it, replay the dynamics timeline")
 
 func init() {
 	mustRegister("sim", Capabilities{Dynamics: true}, newSim)
 }
 
 // simSubstrate measures each iteration on a private engine+network
-// replica of the run's network, so every iteration starts from an idle
-// network at t=0 whatever the worker count.
+// replica of the run's network, reset before the iteration so that it
+// starts from an idle network at t=0 whatever ran on the replica before
+// and whatever the worker count. A replica is cloned the first time a
+// Measure finds none idle, so a run owns as many as it has concurrent
+// Measures, and their route caches and event and flow pools stay warm from
+// one iteration to the next.
 type simSubstrate struct {
 	env Env
+
+	mu   sync.Mutex
+	idle []*simnet.Network // replicas no Measure is using; each is bound to its own engine
 }
 
 func newSim(env Env) (Substrate, error) {
@@ -37,20 +46,47 @@ func newSim(env Env) (Substrate, error) {
 	return &simSubstrate{env: env}, nil
 }
 
-func (s *simSubstrate) Measure(_ context.Context, req Request) (*bittorrent.Result, error) {
+func (s *simSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cloneStart := time.Now()
-	replicaEng := sim.NewEngine()
-	replica := s.env.Net.Clone(replicaEng)
+	replica := s.take()
+	defer s.put(replica)
+	replica.Reset(s.env.Net)
 	if s.env.Timeline.Len() > 0 {
 		// Replay the timeline on this iteration's private replica:
 		// earlier iterations' link state applies now, this iteration's
 		// events fire mid-broadcast.
-		s.env.Timeline.Apply(req.Iter, replicaEng, replica)
+		s.env.Timeline.Apply(req.Iter, replica.Engine(), replica)
 	}
 	cloneSecs := time.Since(cloneStart).Seconds()
 	s.env.Trace.Record("clone", req.Iter, cloneStart, cloneSecs)
 	mCloneSeconds.Add(cloneSecs)
-	return bittorrent.RunBroadcast(replicaEng, replica, req.Hosts, req.Config, req.RNG)
+	return bittorrent.RunBroadcast(replica.Engine(), replica, req.Hosts, req.Config, req.RNG)
 }
 
-func (s *simSubstrate) Close() error { return nil }
+// take hands the caller a replica nobody else is using.
+func (s *simSubstrate) take() *simnet.Network {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		replica := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return replica
+	}
+	return s.env.Net.Clone(sim.NewEngine())
+}
+
+func (s *simSubstrate) put(replica *simnet.Network) {
+	s.mu.Lock()
+	s.idle = append(s.idle, replica)
+	s.mu.Unlock()
+}
+
+func (s *simSubstrate) Close() error {
+	s.mu.Lock()
+	s.idle = nil
+	s.mu.Unlock()
+	return nil
+}

@@ -69,8 +69,8 @@ type Request struct {
 // Env is the run-wide context a substrate is constructed with.
 type Env struct {
 	// Net is the compiled scenario network. The sim substrate replicates
-	// it per iteration; the wire substrate derives its per-pair pacing
-	// matrix from its path capacities.
+	// it per concurrent iteration; the wire substrate derives its
+	// per-pair pacing matrix from its path capacities.
 	Net *simnet.Network
 	// Hosts is the run's full host list (vertex ids).
 	Hosts []int
@@ -85,7 +85,7 @@ type Env struct {
 	// sockets) bound their internal concurrency with it.
 	Workers int
 	// Trace, when non-nil, receives substrate-internal phase spans
-	// (replica cloning, dynamics replay). Observability only; nil is a
+	// (replica preparation, dynamics replay). Observability only; nil is a
 	// valid tracer whose recording is a no-op.
 	Trace *telemetry.Tracer
 }

@@ -118,6 +118,26 @@ func smallConfig() bittorrent.Config {
 	return cfg
 }
 
+// TestSimMeasureCanceledContext: once the run's context is cancelled (one
+// iteration failed), a worker must not simulate another whole broadcast.
+func TestSimMeasureCanceledContext(t *testing.T) {
+	env := twoHostEnv(t)
+	s, err := New("sim", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := Request{Iter: 1, Config: smallConfig(), Hosts: env.Hosts, RNG: sim.NewRNG(7).Streamf("broadcast", 1)}
+	if _, err := s.Measure(ctx, req); err != context.Canceled {
+		t.Fatalf("Measure under a cancelled context returned %v, want context.Canceled", err)
+	}
+	if _, err := s.Measure(context.Background(), req); err != nil {
+		t.Fatalf("Measure after a refused one: %v", err)
+	}
+}
+
 // TestWireMeasureCanceledContext: a canceled context must fail the
 // measurement promptly and cleanly, not hang on socket completion.
 func TestWireMeasureCanceledContext(t *testing.T) {
