@@ -62,8 +62,10 @@ bench-smoke:
 # fuzz-smoke runs each fuzz target's checked-in seed corpus
 # (<package>/testdata/fuzz/<target>) and then ten seconds of new inputs,
 # one target per line because go test takes one -fuzz target at a time.
-# FuzzReadGraph: the graph-archive reader must never panic, and whatever
-# it accepts must survive a write and a re-read unchanged. FuzzScanLines:
+# FuzzReadGraph: the graph-archive reader must never panic, whatever it
+# accepts the encoding/json reader it replaced (kept in the test) must
+# read as the same graph bit for bit, and that graph must survive a write
+# and a re-read unchanged. FuzzScanLines:
 # the ledger/manifest line reader must never fail or panic, and resuming
 # from an offset it returned must neither repeat nor lose a line. A
 # failing input is written to that corpus directory; check it in with the

@@ -174,6 +174,17 @@ func induced(g *graph.Graph, members []int) (*graph.Graph, []int) {
 		fromSub[i] = v
 	}
 	sub := graph.New(len(members))
+	// Size the adjacency before filling it: at the root this is a copy of
+	// every entry of g, too many to grow by doubling.
+	degrees := make([]int, len(members))
+	for i, v := range members {
+		for _, e := range g.SortedNeighbors(v) {
+			if toSub[e.V] >= 0 {
+				degrees[i]++
+			}
+		}
+	}
+	sub.Reserve(degrees)
 	for i, v := range members {
 		sub.SetLabel(i, g.Label(v))
 		for _, e := range g.SortedNeighbors(v) {

@@ -217,3 +217,31 @@ func TestHierarchicalNMIEmptyTruthSafe(t *testing.T) {
 		t.Fatalf("degenerate hierarchy NMI = %v", score)
 	}
 }
+
+var sinkHierarchy *HierarchyNode
+
+// BenchmarkHierarchyPlanted1k decomposes the shape of the repo benchmark's
+// analyze-1k workload — the complete graph on 1024 vertices in 16 planted
+// clusters, cluster.BenchmarkLouvainPlanted1k's graph — so the root's
+// induced copy of all 1M adjacency entries is what gets timed.
+func BenchmarkHierarchyPlanted1k(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := graph.New(1024)
+	for u := 0; u < 1024; u++ {
+		for v := u + 1; v < 1024; v++ {
+			if u/64 == v/64 {
+				g.AddWeight(u, v, 40+40*rng.Float64())
+			} else {
+				g.AddWeight(u, v, 2+6*rng.Float64())
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkHierarchy = Hierarchy(g, DefaultHierarchyOptions())
+	}
+	if k := len(sinkHierarchy.Children); k != 16 {
+		b.Fatalf("top level has %d clusters, want the 16 planted", k)
+	}
+}

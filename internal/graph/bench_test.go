@@ -29,7 +29,7 @@ var (
 )
 
 // BenchmarkAddWeightDense1k builds the dense graph edge by edge in
-// Edges() order — what a decoder, Scale and the measurement merge do.
+// Edges() order — what Scale and the measurement merge do.
 func BenchmarkAddWeightDense1k(b *testing.B) {
 	edges := dense1k().Edges()
 	b.ReportAllocs()

@@ -16,11 +16,15 @@
 // it, and their results are content-addressed bit for bit. AddWeight is an
 // append when the neighbour lies past the vertex's last one — the order
 // every builder in the tree inserts in — and a binary search plus a shift
-// of the tail (O(degree)) otherwise.
+// of the tail (O(degree)) otherwise; FromEdges builds the same graph from
+// a whole edge list at once, in any order, without the shifts.
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -342,4 +346,119 @@ func (g *Graph) ConnectedComponents() []int {
 		next++
 	}
 	return comp
+}
+
+// edgeChunk is the number of pairs an EdgeList allocates at a time (64 KB).
+const edgeChunk = 4096
+
+type packedEdge struct {
+	u, v int32
+	w    float64
+}
+
+// EdgeList is an append-only list of weighted vertex pairs, the input of
+// FromEdges. A pair takes 16 bytes, and the list grows by fixed-size
+// chunks, so a reader that does not know how many edges are coming never
+// copies the ones it has. The zero value is an empty list.
+type EdgeList struct {
+	chunks [][]packedEdge
+}
+
+// Add appends the pair (u,v) with weight w. Vertex ids are held as int32.
+func (l *EdgeList) Add(u, v int, w float64) {
+	if uint(u) > math.MaxInt32 || uint(v) > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: edge (%d,%d) outside the vertex range [0,2^31)", u, v))
+	}
+	k := len(l.chunks)
+	if k == 0 || len(l.chunks[k-1]) == edgeChunk {
+		l.chunks = append(l.chunks, make([]packedEdge, 0, edgeChunk))
+		k++
+	}
+	l.chunks[k-1] = append(l.chunks[k-1], packedEdge{int32(u), int32(v), w})
+}
+
+// FromEdges returns the graph that New(len(labels)), SetLabel for every
+// label and AddWeight for every pair of the list, in list order, build —
+// with every weight, Strength and TotalWeight equal to that loop's bit for
+// bit, and panicking where it would (a vertex out of range, a weight
+// summing below zero). It takes ownership of labels.
+//
+// Strengths and the total are summed in list order and repeats of a pair
+// are merged in list order, which is all AddWeight's arithmetic depends
+// on; the adjacency is allocated once. A list whose positive-weight pairs
+// reach every vertex in ascending neighbour order — Edges() order, the
+// order archives are written in — is laid out by appends alone; any other
+// vertex's neighbours are put in place by one stable sort, so the worst
+// case is O(E log² E) where the AddWeight loop shifts a tail per insert
+// and is quadratic in a vertex's degree.
+func FromEdges(labels []string, edges *EdgeList) *Graph {
+	n := len(labels)
+	g := &Graph{n: n, labels: labels, adj: make([][]Edge, n), strength: make([]float64, n)}
+	room := make([]int, n)
+	for _, c := range edges.chunks {
+		for _, e := range c {
+			u, v := int(e.u), int(e.v)
+			g.check(u)
+			g.check(v)
+			g.total += e.w
+			room[u]++
+			if u == v {
+				g.strength[u] += 2 * e.w
+			} else {
+				g.strength[u] += e.w
+				g.strength[v] += e.w
+				room[v]++
+			}
+		}
+	}
+	g.Reserve(room)
+	for _, c := range edges.chunks {
+		for _, e := range c {
+			u, v := int(e.u), int(e.v)
+			g.adj[u] = append(g.adj[u], Edge{U: u, V: v, Weight: e.w})
+			if u != v {
+				g.adj[v] = append(g.adj[v], Edge{U: v, V: u, Weight: e.w})
+			}
+		}
+	}
+	for u := range g.adj {
+		g.adj[u] = mergeNeighbors(g.adj[u])
+		g.edges += len(g.upper(u))
+	}
+	return g
+}
+
+// mergeNeighbors turns one vertex's entries in insertion order, repeats
+// included, into its adjacency: ascending by neighbour, each neighbour's
+// weights summed in insertion order as successive AddWeight calls sum
+// them, and a neighbour whose weights cancel left out. Entries that
+// already are an adjacency — strictly ascending, every weight positive —
+// are returned as they came.
+func mergeNeighbors(a []Edge) []Edge {
+	settled := true
+	for i, e := range a {
+		if !(e.Weight > 0) || i > 0 && a[i-1].V >= e.V {
+			settled = false
+			break
+		}
+	}
+	if settled {
+		return a
+	}
+	slices.SortStableFunc(a, func(x, y Edge) int { return cmp.Compare(x.V, y.V) })
+	out := a[:0]
+	for i := 0; i < len(a); {
+		e := a[i]
+		e.Weight = 0
+		for ; i < len(a) && a[i].V == e.V; i++ {
+			e.Weight += a[i].Weight
+			if e.Weight < 0 {
+				panic(fmt.Sprintf("graph: edge (%d,%d) weight would become negative (%g)", e.U, e.V, e.Weight))
+			}
+		}
+		if e.Weight != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
 }

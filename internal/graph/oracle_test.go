@@ -293,3 +293,137 @@ func TestMatchesMapOracle(t *testing.T) {
 		requireSame(t, ctx+" after mutating a clone", g, o)
 	}
 }
+
+// TestFromEdgesMatchesAddWeightLoop holds the bulk constructor to its
+// contract: for lists in canonical, reversed and arbitrary order — with
+// repeats, self-loops, swapped endpoints, zero weights, and negative
+// deltas that cancel a pair partly or exactly — it builds what the
+// AddWeight loop (and the map oracle driven alongside) builds, every
+// weight, Strength and TotalWeight compared as bits.
+func TestFromEdgesMatchesAddWeightLoop(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(24)
+		var pairs []Edge
+		sum := map[[2]int]float64{} // running weight per pair, to keep deltas legal
+		add := func(u, v int, w float64) {
+			pairs = append(pairs, Edge{U: u, V: v, Weight: w})
+			if u > v {
+				u, v = v, u
+			}
+			sum[[2]int{u, v}] += w
+		}
+		switch seed % 3 {
+		case 0: // canonical: Edges() order, nothing repeated
+			for u := 0; u < n; u++ {
+				for v := u; v < n; v++ {
+					if rng.Intn(3) > 0 {
+						add(u, v, rng.Float64()*100)
+					}
+				}
+			}
+		case 1: // every vertex's neighbours descending
+			for u := n - 1; u >= 0; u-- {
+				for v := n - 1; v >= u; v-- {
+					add(v, u, rng.Float64()*100)
+				}
+			}
+		default:
+			for k := 20 + rng.Intn(200); k > 0; k-- {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u > v && rng.Intn(2) == 0 {
+					u, v = v, u
+				}
+				old := sum[[2]int{min(u, v), max(u, v)}]
+				switch op := rng.Intn(10); {
+				case op < 6:
+					add(u, v, rng.Float64()*100)
+				case op == 6:
+					add(u, v, 0)
+				case op == 7: // cancels the pair exactly; a later add revives it
+					add(u, v, -old)
+				default:
+					add(u, v, -old*rng.Float64())
+				}
+			}
+		}
+		labels := make([]string, n)
+		loop, o := New(n), newMapGraph(n)
+		var list EdgeList
+		for v := range labels {
+			labels[v] = fmt.Sprintf("host-%d", v)
+			loop.SetLabel(v, labels[v])
+			o.labels[v] = labels[v]
+		}
+		for _, e := range pairs {
+			list.Add(e.U, e.V, e.Weight)
+			loop.AddWeight(e.U, e.V, e.Weight)
+			o.AddWeight(e.U, e.V, e.Weight)
+		}
+		ctx := fmt.Sprintf("seed %d", seed)
+		requireSame(t, ctx+" AddWeight loop", loop, o)
+		requireSame(t, ctx+" FromEdges", FromEdges(labels, &list), o)
+	}
+}
+
+// A list longer than one chunk keeps its order across the chunk boundary.
+func TestFromEdgesSpansChunks(t *testing.T) {
+	const n = 2*edgeChunk + 17
+	var list EdgeList
+	loop := New(n)
+	for v := n - 1; v > 0; v-- {
+		w := 1 / float64(v)
+		list.Add(0, v, w)
+		list.Add(v, 0, w/3)
+		loop.AddWeight(0, v, w)
+		loop.AddWeight(v, 0, w/3)
+	}
+	labels := make([]string, n)
+	for v := range labels {
+		labels[v] = loop.Label(v)
+	}
+	got := FromEdges(labels, &list)
+	if !sameEdges(got.Edges(), loop.Edges()) {
+		t.Fatal("edges differ from the AddWeight loop's")
+	}
+	if math.Float64bits(got.TotalWeight()) != math.Float64bits(loop.TotalWeight()) ||
+		math.Float64bits(got.Strength(0)) != math.Float64bits(loop.Strength(0)) {
+		t.Fatalf("total %v strength(0) %v, loop %v %v", got.TotalWeight(), got.Strength(0), loop.TotalWeight(), loop.Strength(0))
+	}
+}
+
+// FromEdges panics where the AddWeight loop would.
+func TestFromEdgesPanicsLikeAddWeight(t *testing.T) {
+	cases := map[string][]Edge{
+		"vertex out of range":   {{U: 0, V: 3, Weight: 1}},
+		"weight below zero":     {{U: 0, V: 1, Weight: 2}, {U: 1, V: 0, Weight: -3}, {U: 0, V: 1, Weight: 5}},
+		"self-loop below zero":  {{U: 2, V: 2, Weight: -1}},
+		"ascending, below zero": {{U: 0, V: 1, Weight: -1}},
+	}
+	for name, pairs := range cases {
+		for _, build := range []func(){
+			func() {
+				g := New(3)
+				for _, e := range pairs {
+					g.AddWeight(e.U, e.V, e.Weight)
+				}
+			},
+			func() {
+				var list EdgeList
+				for _, e := range pairs {
+					list.Add(e.U, e.V, e.Weight)
+				}
+				FromEdges(make([]string, 3), &list)
+			},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", name)
+					}
+				}()
+				build()
+			}()
+		}
+	}
+}

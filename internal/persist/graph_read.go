@@ -1,0 +1,452 @@
+package persist
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"repro/internal/graph"
+)
+
+// ReadGraph reads a graph archive: what WriteGraph writes, and no more of
+// JSON than that. The document is one object holding the keys "version",
+// "n", "labels" and "edges", each at most once and in any order (a missing
+// one counts as zero or empty): version the integer 1, n the vertex
+// count, labels null or an array of exactly n strings, edges null or an
+// array of [u, v, weight] number triples with integral endpoints in
+// [0, n) and a finite weight of zero or more. Repeats of a pair add up,
+// in document order, as do Strength and TotalWeight. Whatever follows the
+// object's closing brace is not looked at.
+//
+// Documents a general JSON decoder would take are errors here: a key
+// other than the four (as written: "Edges" and "\u006e" are unknown), a
+// key given twice, null for version or n, null as a label, as a triple or
+// inside one, a triple of two or four numbers, and a vertex id of 2^31 or
+// more.
+//
+// The input is read once through a 64 KB window and never held whole;
+// memory is the finished graph plus 16 bytes per edge while reading, a
+// small multiple of the bytes read whatever n the document claims. Errors
+// carry the byte offset reached; a document that ends early is an
+// io.ErrUnexpectedEOF, and an error from r is returned as it came.
+func ReadGraph(r io.Reader) (*graph.Graph, error) {
+	s := &graphScanner{br: bufio.NewReaderSize(r, 64<<10), maxVertex: -1}
+	var (
+		version, n int64
+		labels     []string
+		edges      graph.EdgeList
+		seen       = map[string]bool{}
+	)
+	s.expect('{')
+	for first := true; s.more('}', first); first = false {
+		tok, _ := s.str()
+		key := string(tok)
+		if seen[key] {
+			s.fail("key %q given twice", key)
+		}
+		seen[key] = true
+		s.expect(':')
+		switch key {
+		case "version":
+			version = s.integer()
+		case "n":
+			n = s.integer()
+		case "labels":
+			labels = s.labels()
+		case "edges":
+			s.edges(&edges)
+		default:
+			s.fail("unknown key %q", key)
+		}
+	}
+	switch {
+	case s.err != nil:
+	case version != formatVersion:
+		s.fail("unsupported graph version %d", version)
+	case int64(len(labels)) != n:
+		s.fail("%d labels for %d vertices", len(labels), n)
+	case s.maxVertex >= len(labels):
+		s.fail("edge %d names vertex %d of %d", s.maxEdge, s.maxVertex, len(labels))
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	g := graph.FromEdges(labels, &edges)
+	// Repeated edges accumulate, and finite weights can sum past the
+	// largest float; such a graph could not be written back.
+	if math.IsInf(g.TotalWeight(), 0) {
+		s.fail("edge weights overflow")
+		return nil, s.err
+	}
+	return g, nil
+}
+
+// graphScanner tokenizes a graph archive from the reader's buffered bytes.
+// Its methods keep the first error in err and do nothing once it is set,
+// so a caller parses straight through and checks err at the end.
+type graphScanner struct {
+	br  *bufio.Reader
+	win []byte // br's buffered bytes
+	pos int    // how many of them are consumed
+	off int64  // input offset of win[0]
+	err error
+
+	scratch []byte // a token that did not fit the window
+
+	// the largest vertex any edge names and the first edge naming it:
+	// checked against n when the object closes, wherever "n" came.
+	maxVertex, maxEdge int
+}
+
+// fail records a format error at the current offset.
+func (s *graphScanner) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf("persist: graph: %s at offset %d", fmt.Sprintf(format, args...), s.off+int64(s.pos))
+	}
+}
+
+// fill replaces a fully consumed window with the reader's next bytes and
+// reports whether there are any; the end of the input is an error, since
+// nothing calls fill after the closing brace.
+func (s *graphScanner) fill() bool {
+	if s.err != nil {
+		return false
+	}
+	s.br.Discard(s.pos) // cannot fail: pos bytes are buffered
+	s.off += int64(s.pos)
+	s.pos = 0
+	_, err := s.br.Peek(1)
+	s.win, _ = s.br.Peek(s.br.Buffered())
+	switch {
+	case len(s.win) > 0:
+		return true
+	case err == io.EOF:
+		s.err = fmt.Errorf("persist: graph: %w at offset %d", io.ErrUnexpectedEOF, s.off)
+	default:
+		s.err = err
+	}
+	return false
+}
+
+// peek skips white space and returns the next byte without consuming it,
+// or 0 once the scanner has failed.
+func (s *graphScanner) peek() byte {
+	for {
+		for ; s.pos < len(s.win); s.pos++ {
+			if c := s.win[s.pos]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+				return c
+			}
+		}
+		if !s.fill() {
+			return 0
+		}
+	}
+}
+
+// expect consumes the next byte after white space, which must be c.
+func (s *graphScanner) expect(c byte) {
+	if got := s.peek(); got == c {
+		s.pos++
+	} else {
+		s.fail("found %q, want %q", got, c)
+	}
+}
+
+// more steps through a comma-separated sequence: it reports whether
+// another element follows, consuming the comma before it (every element
+// but the first has one) or the closing byte after the last.
+func (s *graphScanner) more(closing byte, first bool) bool {
+	if s.peek() == closing {
+		s.pos++
+		return false
+	}
+	if !first {
+		s.expect(',')
+	}
+	return s.err == nil
+}
+
+// null consumes a null, if a word starting with n is the next value.
+func (s *graphScanner) null() bool {
+	if s.peek() != 'n' {
+		return false
+	}
+	word := s.token(func(b []byte) int {
+		i := 0
+		for i < len(b) && 'a' <= b[i] && b[i] <= 'z' {
+			i++
+		}
+		return i
+	})
+	if s.err == nil && string(word) != "null" {
+		s.fail("found %q, want null", word)
+	}
+	return s.err == nil
+}
+
+// token consumes the bytes of one token and returns them: a view of the
+// window, or of scratch when the token ran past the window's end; either
+// is good until the next token. span reports how many of the bytes it is
+// given continue the token; it sees each byte once, in order, and the
+// token ends at the first byte it leaves out.
+func (s *graphScanner) token(span func(b []byte) int) []byte {
+	start, spilled := s.pos, false
+	for {
+		s.pos += span(s.win[s.pos:])
+		if s.pos < len(s.win) {
+			break
+		}
+		if !spilled {
+			s.scratch, spilled = s.scratch[:0], true
+		}
+		s.scratch = append(s.scratch, s.win[start:]...)
+		if !s.fill() {
+			return nil
+		}
+		start = 0
+	}
+	if spilled {
+		s.scratch = append(s.scratch, s.win[start:s.pos]...)
+		return s.scratch
+	}
+	return s.win[start:s.pos]
+}
+
+// number returns the next value, which must be a JSON number, as text.
+// strconv takes forms JSON does not ("+1", ".5", "0x10", "1_000", "Inf"),
+// so the grammar is checked here and strconv only converts.
+func (s *graphScanner) number() []byte {
+	s.peek()
+	tok := s.token(func(b []byte) int {
+		for i, c := range b {
+			if !('0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E') {
+				return i
+			}
+		}
+		return len(b)
+	})
+	switch {
+	case s.err != nil:
+	case len(tok) == 0:
+		s.fail("found %q, want a number", s.win[s.pos])
+	case !validNumber(tok):
+		s.fail("%q is not a number", tok)
+	}
+	return tok
+}
+
+func validNumber(b []byte) bool {
+	digits := func() bool {
+		k := len(b)
+		for len(b) > 0 && '0' <= b[0] && b[0] <= '9' {
+			b = b[1:]
+		}
+		return len(b) < k
+	}
+	if len(b) > 0 && b[0] == '-' {
+		b = b[1:]
+	}
+	if len(b) > 0 && b[0] == '0' {
+		b = b[1:]
+	} else if !digits() {
+		return false
+	}
+	if len(b) > 0 && b[0] == '.' {
+		if b = b[1:]; !digits() {
+			return false
+		}
+	}
+	if len(b) > 0 && (b[0] == 'e' || b[0] == 'E') {
+		if b = b[1:]; len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+			b = b[1:]
+		}
+		if !digits() {
+			return false
+		}
+	}
+	return len(b) == 0
+}
+
+// integer reads version or n: a number in integer form, as encoding/json
+// requires for an int field ("1.0" and "1e0" are not).
+func (s *graphScanner) integer() int64 {
+	tok := s.number()
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	if s.err == nil && err != nil {
+		s.fail("%q is not an integer", tok)
+	}
+	return v
+}
+
+// float converts a number the way encoding/json fills a float64.
+func (s *graphScanner) float(tok []byte) float64 {
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if s.err == nil && err != nil {
+		s.fail("%q is out of range", tok)
+	}
+	return f
+}
+
+// endpoint reads a vertex id: a number with an integral value ("3", "3.0"
+// and "3e0" alike) in [0, 2^31).
+func (s *graphScanner) endpoint() int {
+	tok := s.number()
+	if len(tok) < 10 { // what WriteGraph writes: a few digits, nothing else
+		v := 0
+		for _, c := range tok {
+			if c < '0' || c > '9' {
+				v = -1
+				break
+			}
+			v = 10*v + int(c-'0')
+		}
+		if v >= 0 {
+			return v
+		}
+	}
+	f := s.float(tok)
+	if s.err == nil && !(f >= 0 && f <= math.MaxInt32 && f == math.Trunc(f)) {
+		s.fail("edge endpoint %s is not a vertex", tok)
+	}
+	return int(f)
+}
+
+func (s *graphScanner) edges(list *graph.EdgeList) {
+	if s.null() {
+		return
+	}
+	s.expect('[')
+	for i := 0; s.more(']', i == 0); i++ {
+		s.expect('[')
+		u := s.endpoint()
+		s.expect(',')
+		v := s.endpoint()
+		s.expect(',')
+		w := s.float(s.number())
+		if s.err == nil && w < 0 {
+			s.fail("edge %d has negative weight %v", i, w)
+		}
+		s.expect(']')
+		if s.err != nil {
+			return
+		}
+		if m := max(u, v); m > s.maxVertex {
+			s.maxVertex, s.maxEdge = m, i
+		}
+		if w > 0 {
+			list.Add(u, v, w)
+		}
+	}
+}
+
+func (s *graphScanner) labels() []string {
+	if s.null() {
+		return nil
+	}
+	s.expect('[')
+	var labels []string
+	for first := true; s.more(']', first); first = false {
+		tok, plain := s.str()
+		if s.err != nil {
+			return nil
+		}
+		if plain {
+			labels = append(labels, string(tok))
+		} else if l, ok := unquote(tok); ok {
+			labels = append(labels, l)
+		} else {
+			s.fail("label %d has an invalid escape", len(labels))
+		}
+	}
+	return labels
+}
+
+// str reads a string and returns what stands between its quotes, and
+// whether that is the string's value as it stands: no escapes, valid UTF-8.
+func (s *graphScanner) str() (tok []byte, plain bool) {
+	s.expect('"')
+	escapes, skip := false, false
+	tok = s.token(func(b []byte) int {
+		for i, c := range b {
+			switch {
+			case skip: // the byte a backslash escapes, a quote included
+				skip = false
+			case c == '\\':
+				escapes, skip = true, true
+			case c == '"' || c < ' ':
+				return i
+			}
+		}
+		return len(b)
+	})
+	if s.err != nil {
+		return nil, false
+	}
+	if c := s.win[s.pos]; c != '"' {
+		s.fail("control character %q in string", c)
+		return nil, false
+	}
+	s.pos++ // the closing quote
+	return tok, !escapes && utf8.Valid(tok)
+}
+
+// unquote decodes the inside of a JSON string as encoding/json does: the
+// escapes \" \\ \/ \b \f \n \r \t and \uXXXX, a surrogate pair making one
+// rune, and a lone surrogate or a byte that is not UTF-8 becoming U+FFFD.
+func unquote(s []byte) (string, bool) {
+	out := make([]byte, 0, len(s)+utf8.UTFMax)
+	for len(s) > 0 {
+		switch c := s[0]; {
+		case c == '\\' && len(s) > 1 && s[1] == 'u':
+			r := hex4(s[2:])
+			if r < 0 {
+				return "", false
+			}
+			s = s[6:]
+			if utf16.IsSurrogate(r) {
+				low := rune(-1)
+				if len(s) > 1 && s[0] == '\\' && s[1] == 'u' {
+					low = hex4(s[2:])
+				}
+				if r = utf16.DecodeRune(r, low); r != utf8.RuneError {
+					s = s[6:] // a pair: the second escape is used up too
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		case c == '\\' && len(s) > 1:
+			i := strings.IndexByte(`"\/bfnrt`, s[1])
+			if i < 0 {
+				return "", false
+			}
+			out = append(out, "\"\\/\b\f\n\r\t"[i])
+			s = s[2:]
+		case c == '\\':
+			return "", false
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			s = s[1:]
+		default:
+			r, size := utf8.DecodeRune(s)
+			out = utf8.AppendRune(out, r)
+			s = s[size:]
+		}
+	}
+	return string(out), true
+}
+
+// hex4 decodes the four hex digits b starts with, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) < 4 {
+		return -1
+	}
+	r, err := strconv.ParseUint(string(b[:4]), 16, 16) // no sign, no underscore
+	if err != nil {
+		return -1
+	}
+	return rune(r)
+}

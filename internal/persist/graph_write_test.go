@@ -12,8 +12,93 @@ import (
 	"repro/internal/graph"
 )
 
-// writeGraphViaEncoder is the writer WriteGraph replaced, kept as the
-// oracle: the whole document through encoding/json.
+// GraphDoc, EncodeGraph, DecodeGraph and readGraphViaDecoder are the
+// encoding/json graph codec ReadGraph and WriteGraph replaced, kept
+// verbatim as the oracle both are held to.
+//
+// GraphDoc is the JSON form of a measurement graph.
+type GraphDoc struct {
+	// Version guards the format.
+	Version int `json:"version"`
+	// N is the vertex count.
+	N int `json:"n"`
+	// Labels are the vertex display names.
+	Labels []string `json:"labels"`
+	// Edges hold [u, v, weight] triples with u <= v.
+	Edges [][3]float64 `json:"edges"`
+}
+
+// EncodeGraph converts a graph to its document form.
+func EncodeGraph(g *graph.Graph) *GraphDoc {
+	doc := &GraphDoc{Version: formatVersion, N: g.N()}
+	for v := 0; v < g.N(); v++ {
+		doc.Labels = append(doc.Labels, g.Label(v))
+	}
+	for _, e := range g.Edges() {
+		doc.Edges = append(doc.Edges, [3]float64{float64(e.U), float64(e.V), e.Weight})
+	}
+	return doc
+}
+
+// DecodeGraph reconstructs a graph from its document form.
+func DecodeGraph(doc *GraphDoc) (*graph.Graph, error) {
+	if doc.Version != formatVersion {
+		return nil, fmt.Errorf("persist: unsupported graph version %d", doc.Version)
+	}
+	if doc.N < 0 || len(doc.Labels) != doc.N {
+		return nil, fmt.Errorf("persist: %d labels for %d vertices", len(doc.Labels), doc.N)
+	}
+	// Validate everything before building, counting degrees on the way so
+	// the adjacency is allocated once at its final size.
+	degrees := make([]int, doc.N)
+	for i, e := range doc.Edges {
+		u, v, w := e[0], e[1], e[2]
+		if n := float64(doc.N); u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) out of range", i, u, v)
+		}
+		if u != math.Trunc(u) || v != math.Trunc(v) {
+			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) are not integers", i, u, v)
+		}
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("persist: edge %d has invalid weight %v", i, w)
+		}
+		if w > 0 {
+			degrees[int(u)]++
+			if u != v {
+				degrees[int(v)]++
+			}
+		}
+	}
+	g := graph.New(doc.N)
+	for v, l := range doc.Labels {
+		g.SetLabel(v, l)
+	}
+	g.Reserve(degrees)
+	for _, e := range doc.Edges {
+		if e[2] > 0 {
+			g.AddWeight(int(e[0]), int(e[1]), e[2])
+		}
+	}
+	// Repeated edges accumulate, and finite weights can sum past the
+	// largest float; such a graph could not be written back.
+	if math.IsInf(g.TotalWeight(), 0) {
+		return nil, fmt.Errorf("persist: edge weights overflow")
+	}
+	return g, nil
+}
+
+// readGraphViaDecoder is the reader ReadGraph replaced: the whole document
+// through encoding/json, then DecodeGraph.
+func readGraphViaDecoder(r io.Reader) (*graph.Graph, error) {
+	var doc GraphDoc
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return DecodeGraph(&doc)
+}
+
+// writeGraphViaEncoder is the writer WriteGraph replaced: the whole
+// document through encoding/json.
 func writeGraphViaEncoder(w io.Writer, g *graph.Graph) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -31,7 +116,10 @@ var weightsAtFormatSwitches = []float64{
 	math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0), math.Nextafter(1, 2),
 }
 
-func TestWriteGraphMatchesEncoder(t *testing.T) {
+// archiveGraphs are the graphs both codecs are compared on: empty and
+// edgeless ones, labels needing every kind of escape, weights at every
+// switch of the float format, and a random multigraph.
+func archiveGraphs() map[string]*graph.Graph {
 	graphs := map[string]*graph.Graph{
 		"empty":    graph.New(0),
 		"edgeless": graph.New(3),
@@ -60,8 +148,11 @@ func TestWriteGraphMatchesEncoder(t *testing.T) {
 		random.AddWeight(rng.Intn(40), rng.Intn(40), math.Exp(60*rng.Float64()-30))
 	}
 	graphs["random"] = random
+	return graphs
+}
 
-	for name, g := range graphs {
+func TestWriteGraphMatchesEncoder(t *testing.T) {
+	for name, g := range archiveGraphs() {
 		var got, want bytes.Buffer
 		if err := WriteGraph(&got, g); err != nil {
 			t.Fatalf("%s: WriteGraph: %v", name, err)
@@ -123,10 +214,37 @@ func sameGraph(a, b *graph.Graph) bool {
 	return true
 }
 
-// FuzzReadGraph feeds ReadGraph arbitrary bytes. It must never panic, and
-// whatever it accepts must be a fixed point of the archive format: written
-// out it reads back as an equal graph, and writing that gives the same
-// bytes again. The seed corpus is in testdata/fuzz/FuzzReadGraph.
+// readBoth reads one document with ReadGraph and with the decoder it
+// replaced and holds ReadGraph to being no more permissive and no
+// different: what it accepts the decoder accepts, as the same graph —
+// labels, edges, and the bits of every weight, Strength and TotalWeight.
+func readBoth(t *testing.T, data []byte) (g *graph.Graph, err, oracleErr error) {
+	t.Helper()
+	g, err = ReadGraph(bytes.NewReader(data))
+	want, oracleErr := readGraphViaDecoder(bytes.NewReader(data))
+	if err != nil {
+		return nil, err, oracleErr
+	}
+	if oracleErr != nil {
+		t.Fatalf("ReadGraph accepts what the decoder rejects (%v)\n%q", oracleErr, data)
+	}
+	if !sameGraph(g, want) || math.Float64bits(g.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+		t.Fatalf("ReadGraph and the decoder read different graphs (total %v, %v)\n%q", g.TotalWeight(), want.TotalWeight(), data)
+	}
+	for v := 0; v < g.N(); v++ {
+		if math.Float64bits(g.Strength(v)) != math.Float64bits(want.Strength(v)) {
+			t.Fatalf("Strength(%d) = %v, decoder %v\n%q", v, g.Strength(v), want.Strength(v), data)
+		}
+	}
+	return g, nil, nil
+}
+
+// FuzzReadGraph feeds ReadGraph arbitrary bytes. It must never panic;
+// whatever it accepts the encoding/json reader must accept as the same
+// graph (readBoth); and that graph must be a fixed point of the archive
+// format: written out it reads back as an equal graph, and writing that
+// gives the same bytes again. The seed corpus is in
+// testdata/fuzz/FuzzReadGraph.
 func FuzzReadGraph(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteGraph(&valid, sample()); err != nil {
@@ -134,7 +252,7 @@ func FuzzReadGraph(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadGraph(bytes.NewReader(data))
+		g, err, _ := readBoth(t, data)
 		if err != nil {
 			return
 		}

@@ -73,92 +73,24 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// GraphDoc is the JSON form of a measurement graph.
-type GraphDoc struct {
-	// Version guards the format.
-	Version int `json:"version"`
-	// N is the vertex count.
-	N int `json:"n"`
-	// Labels are the vertex display names.
-	Labels []string `json:"labels"`
-	// Edges hold [u, v, weight] triples with u <= v.
-	Edges [][3]float64 `json:"edges"`
-}
-
+// formatVersion is the "version" every document of this package carries.
 const formatVersion = 1
 
-// EncodeGraph converts a graph to its document form.
-func EncodeGraph(g *graph.Graph) *GraphDoc {
-	doc := &GraphDoc{Version: formatVersion, N: g.N()}
-	for v := 0; v < g.N(); v++ {
-		doc.Labels = append(doc.Labels, g.Label(v))
-	}
-	for _, e := range g.Edges() {
-		doc.Edges = append(doc.Edges, [3]float64{float64(e.U), float64(e.V), e.Weight})
-	}
-	return doc
-}
-
-// DecodeGraph reconstructs a graph from its document form.
-func DecodeGraph(doc *GraphDoc) (*graph.Graph, error) {
-	if doc.Version != formatVersion {
-		return nil, fmt.Errorf("persist: unsupported graph version %d", doc.Version)
-	}
-	if doc.N < 0 || len(doc.Labels) != doc.N {
-		return nil, fmt.Errorf("persist: %d labels for %d vertices", len(doc.Labels), doc.N)
-	}
-	// Validate everything before building, counting degrees on the way so
-	// the adjacency is allocated once at its final size.
-	degrees := make([]int, doc.N)
-	for i, e := range doc.Edges {
-		u, v, w := e[0], e[1], e[2]
-		if n := float64(doc.N); u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) out of range", i, u, v)
-		}
-		if u != math.Trunc(u) || v != math.Trunc(v) {
-			return nil, fmt.Errorf("persist: edge %d endpoints (%v,%v) are not integers", i, u, v)
-		}
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("persist: edge %d has invalid weight %v", i, w)
-		}
-		if w > 0 {
-			degrees[int(u)]++
-			if u != v {
-				degrees[int(v)]++
-			}
-		}
-	}
-	g := graph.New(doc.N)
-	for v, l := range doc.Labels {
-		g.SetLabel(v, l)
-	}
-	g.Reserve(degrees)
-	for _, e := range doc.Edges {
-		if e[2] > 0 {
-			g.AddWeight(int(e[0]), int(e[1]), e[2])
-		}
-	}
-	// Repeated edges accumulate, and finite weights can sum past the
-	// largest float; such a graph could not be written back.
-	if math.IsInf(g.TotalWeight(), 0) {
-		return nil, fmt.Errorf("persist: edge weights overflow")
-	}
-	return g, nil
-}
-
-// graphHeader is GraphDoc without its edges: the part of the document
-// WriteGraph leaves to encoding/json.
+// graphHeader is a graph document without its edges: the part WriteGraph
+// leaves to encoding/json.
 type graphHeader struct {
 	Version int      `json:"version"`
 	N       int      `json:"n"`
 	Labels  []string `json:"labels"`
 }
 
-// WriteGraph writes a graph as JSON: the GraphDoc encoding with two-space
-// indentation, byte for byte what json.Encoder produces for EncodeGraph(g).
+// WriteGraph writes a graph as JSON with two-space indentation: an object
+// of "version", "n", "labels" (the vertex display names) and "edges"
+// ([u, v, weight] triples with u <= v, in Edges() order; null when there
+// are none), byte for byte what json.Encoder produces for such a struct.
 // The edge array — all but a few kilobytes of a dense graph's document —
-// is streamed straight from the adjacency instead of being built as a
-// GraphDoc and buffered twice by the encoder.
+// is streamed straight from the adjacency instead of being built in
+// memory and buffered twice by the encoder.
 func WriteGraph(w io.Writer, g *graph.Graph) error {
 	hdr := graphHeader{Version: formatVersion, N: g.N()}
 	for v := 0; v < g.N(); v++ {
@@ -218,29 +150,25 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// ReadGraph reads a graph from JSON.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	var doc GraphDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return DecodeGraph(&doc)
-}
-
 // SaveGraph writes a graph to a file atomically (temp file + rename),
 // creating missing parent directories.
 func SaveGraph(path string, g *graph.Graph) error {
 	return WriteAtomic(path, func(w io.Writer) error { return WriteGraph(w, g) })
 }
 
-// LoadGraph reads a graph from a file.
+// LoadGraph reads a graph from a file; a document ReadGraph rejects is
+// reported with the file's path.
 func LoadGraph(path string) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadGraph(f)
+	g, err := ReadGraph(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }
 
 // ResultDoc is the JSON form of a tomography outcome summary: the final

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -68,6 +69,8 @@ func TestGraphFileRoundTrip(t *testing.T) {
 	}
 }
 
+// Documents that parse but do not describe a graph are rejected by
+// ReadGraph and by the encoding/json oracle alike.
 func TestDecodeRejectsCorruptDocs(t *testing.T) {
 	cases := []GraphDoc{
 		{Version: 99, N: 1, Labels: []string{"a"}},
@@ -82,7 +85,13 @@ func TestDecodeRejectsCorruptDocs(t *testing.T) {
 	}
 	for i := range cases {
 		if _, err := DecodeGraph(&cases[i]); err == nil {
-			t.Errorf("corrupt doc %d accepted", i)
+			t.Errorf("corrupt doc %d accepted by the oracle", i)
+		}
+		// NaN and Inf have no JSON form; every other case reaches ReadGraph.
+		if data, err := json.Marshal(&cases[i]); err == nil {
+			if _, err := ReadGraph(bytes.NewReader(data)); err == nil {
+				t.Errorf("corrupt doc %d accepted: %s", i, data)
+			}
 		}
 	}
 }
