@@ -67,12 +67,16 @@ bench-smoke:
 # read as the same graph bit for bit, and that graph must survive a write
 # and a re-read unchanged. FuzzScanLines:
 # the ledger/manifest line reader must never fail or panic, and resuming
-# from an offset it returned must neither repeat nor lose a line. A
-# failing input is written to that corpus directory; check it in with the
-# fix.
+# from an offset it returned must neither repeat nor lose a line.
+# FuzzSnapshotAdvance: whatever a writer, a crash or an operator does to
+# the ledger and manifest.log (append, tear, truncate, replace, delete),
+# a long-lived archive.Snapshot advanced after each step shows what a
+# fresh read shows. A failing input is written to that corpus directory;
+# check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotAdvance -fuzztime=10s ./internal/archive
 
 # spec-smoke runs a custom JSON scenario end-to-end through the CLI with
 # parallel measurement — the declarative path a user would take.

@@ -20,23 +20,29 @@
 //   - The ledger and the streamed manifest are append-only and read
 //     through one line reader (fleet.ScanLines): torn, garbage and
 //     oversized (over fleet.MaxLine) lines are skipped, never an error.
-//     The first ledger record per key wins (fleet.Executions), so a
-//     query can never double-count a run however many idempotent
+//     The first ledger record per key wins (fleet.Ledger), so a query
+//     can never double-count a run however many idempotent
 //     re-executions the ledger recorded.
 //   - Archives are published by atomic rename, so a document either
 //     loads whole or is skipped as in-flight; *.tmp-* siblings are
 //     never archives (fleet.IsArchiveKey filters them).
 //   - Leases and manifests are read best-effort: one mid-publication
 //     file degrades that entry, never the query.
-//   - No state is cached between calls — every query re-reads the
-//     directory, so a Store opened before a writer started still
-//     observes its progress, and Stamp() gives pollers a cheap
-//     change detector (the ETag the HTTP service serves).
+//   - A Store keeps nothing between calls: each query is a view (Runs,
+//     Get, Status and Marginals are written once, on Snapshot) of a
+//     Snapshot folded from nothing — O(archive) per call — so a Store
+//     opened before a writer started still observes its progress, and
+//     it is the differential oracle for the long-lived Snapshot the HTTP
+//     handler advances by reading only what was appended. Either way a
+//     view reads fresh what is not append-only: the runs/ directory, the
+//     leases, one result document. Stamp() gives pollers a cheap change
+//     detector (the ETag the HTTP service serves).
 package archive
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/campaign"
@@ -111,11 +117,11 @@ func runInfo(e fleet.IndexEntry) RunInfo {
 	}
 }
 
-// archived calls fn for every archive document in runs/, in key order.
-// Anything else there (the ledger, *.tmp-* siblings, strays) is not an
-// archive; a missing runs/ is an empty archive.
-func (s *Store) archived(fn func(key string, d os.DirEntry)) error {
-	dir, err := os.ReadDir(s.at.Runs())
+// archived calls fn for every archive document in at's runs/, in key
+// order. Anything else there (the ledger, *.tmp-* siblings, strays) is
+// not an archive; a missing runs/ is an empty archive.
+func archived(at campaign.Dir, fn func(key string, d os.DirEntry)) error {
+	dir, err := os.ReadDir(at.Runs())
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -133,22 +139,27 @@ func (s *Store) archived(fn func(key string, d os.DirEntry)) error {
 // sorted by key. It never loads document bodies — listing a million-run
 // archive costs one ledger read and one directory scan.
 func (s *Store) Runs() ([]RunInfo, error) {
-	first, _, err := fleet.Executions(s.at.Index())
-	if err != nil {
+	sn := s.Snapshot()
+	if err := sn.advanceLedger(); err != nil {
 		return nil, err
 	}
-	var runs []RunInfo
-	at := make(map[string]int, len(first))
-	for _, e := range first {
-		at[e.Key] = len(runs)
+	return sn.Runs()
+}
+
+// Runs is Store.Runs over the ledger as of the last Advance and the
+// runs/ directory as of now.
+func (s *Snapshot) Runs() ([]RunInfo, error) {
+	// Grow leaves an empty archive's listing nil: it has always encoded as null.
+	runs := slices.Grow([]RunInfo(nil), len(s.ledger.First))
+	for _, e := range s.ledger.First {
 		runs = append(runs, runInfo(e))
 	}
-	err = s.archived(func(key string, d os.DirEntry) {
+	err := archived(s.at, func(key string, d os.DirEntry) {
 		var size int64
 		if fi, err := d.Info(); err == nil {
 			size = fi.Size()
 		}
-		if i, ok := at[key]; ok {
+		if i, ok := s.ledger.At[key]; ok {
 			runs[i].Archived = true
 			runs[i].Bytes = size
 			return
@@ -173,19 +184,22 @@ type RunDetail struct {
 // a content address at all (which also rejects path traversal through
 // user-supplied keys).
 func (s *Store) Get(key string) (*RunDetail, error) {
+	sn := s.Snapshot()
+	if err := sn.advanceLedger(); err != nil {
+		return nil, err
+	}
+	return sn.Get(key)
+}
+
+// Get is Store.Get over the ledger as of the last Advance and the
+// document as of now.
+func (s *Snapshot) Get(key string) (*RunDetail, error) {
 	if !fleet.IsArchiveKey(key) {
 		return nil, fmt.Errorf("archive: %q: %w (want a sha256 hex digest)", key, ErrBadKey)
 	}
 	d := &RunDetail{RunInfo: RunInfo{Key: key, Run: -1}}
-	first, _, err := fleet.Executions(s.at.Index())
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range first {
-		if e.Key == key {
-			d.RunInfo = runInfo(e)
-			break
-		}
+	if i, ok := s.ledger.At[key]; ok {
+		d.RunInfo = runInfo(s.ledger.First[i])
 	}
 	path := s.at.Archive(key)
 	if fi, err := os.Stat(path); err == nil {

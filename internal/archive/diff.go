@@ -106,7 +106,7 @@ func (s *Store) Diff(baseDir string) (*DiffReport, error) {
 // archivedKeys lists the keys with an archive document on disk, sorted.
 func (s *Store) archivedKeys() ([]string, error) {
 	var keys []string
-	err := s.archived(func(key string, _ os.DirEntry) { keys = append(keys, key) })
+	err := archived(s.at, func(key string, _ os.DirEntry) { keys = append(keys, key) })
 	return keys, err
 }
 

@@ -2,7 +2,6 @@ package archive
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,14 +81,21 @@ func resolveAxis(axis string) (canon, key string, ok bool) {
 // count, and only Status "done" cells enter the averages. Torn log
 // lines (a worker killed mid-append) are skipped.
 func (s *Store) Marginals(axis string) (*Marginal, error) {
+	sn := s.Snapshot()
+	if err := sn.advanceCells(); err != nil {
+		return nil, err
+	}
+	return sn.Marginals(axis)
+}
+
+// Marginals is Store.Marginals over the finished cells as of the last
+// Advance.
+func (s *Snapshot) Marginals(axis string) (*Marginal, error) {
 	canon, key, ok := resolveAxis(axis)
 	if !ok {
 		return nil, fmt.Errorf("archive: %w %q (have %v)", ErrUnknownAxis, axis, MarginalAxes())
 	}
-	cells, err := s.finishedCells()
-	if err != nil {
-		return nil, err
-	}
+	cells := s.finished()
 	type acc struct {
 		runs, nmiCells int
 		q, nmi, sim    float64
@@ -139,49 +145,6 @@ func (s *Store) Marginals(axis string) (*Marginal, error) {
 	return m, nil
 }
 
-// finishedCells reads the streamed manifest and returns every finished
-// cell exactly once — latest record per (run index, key) wins. When the
-// log is absent (an archive written before streaming existed, or one
-// whose log was pruned) it falls back to the cumulative manifest.json.
-func (s *Store) finishedCells() ([]campaign.Entry, error) {
-	if _, err := os.Stat(s.at.Log()); os.IsNotExist(err) {
-		man, merr := readManifest(s.at.Manifest())
-		if merr != nil {
-			return nil, nil // no log, no manifest: nothing finished yet
-		}
-		var cells []campaign.Entry
-		for _, e := range man.Entries {
-			if e.Status == "done" {
-				cells = append(cells, e)
-			}
-		}
-		return cells, nil
-	}
-	entries, _, err := s.TailLog(0)
-	if err != nil {
-		return nil, err
-	}
-	type cellID struct {
-		index int
-		key   string
-	}
-	order := make(map[cellID]int)
-	cells := entries[:0]
-	for _, e := range entries {
-		if e.Status != "done" {
-			continue // a failed cell — not a finished result
-		}
-		id := cellID{e.Index, e.Key}
-		if i, ok := order[id]; ok {
-			cells[i] = e // warm re-invocation: the latest record wins
-			continue
-		}
-		order[id] = len(cells)
-		cells = append(cells, e)
-	}
-	return cells, nil
-}
-
 // axisValue extracts one cell's coordinate on an axis from its manifest
 // entry: the scenario display name (key ""), or the field the Config
 // string ("dyn=1 iters=3 window=0 rotate=false seed=1 scale=0.2 top=0.5
@@ -190,7 +153,7 @@ func axisValue(e campaign.Entry, key string) (string, bool) {
 	if key == "" {
 		return e.Scenario, e.Scenario != ""
 	}
-	for _, tok := range strings.Fields(e.Config) {
+	for tok := range strings.FieldsSeq(e.Config) {
 		if v, ok := strings.CutPrefix(tok, key+"="); ok {
 			return v, true
 		}

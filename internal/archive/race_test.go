@@ -109,7 +109,9 @@ func TestQueriesSkipOversizedLine(t *testing.T) {
 
 // The mid-write contract, under -race: a Store opened while a writer is
 // appending ledger lines (including partial ones) and publishing
-// archives by rename must never return an error or double-count a key.
+// archives by rename must never return an error or double-count a key —
+// and neither must one long-lived Snapshot that every reader advances
+// and queries under a lock, as the HTTP handler's does.
 func TestReadsDuringLiveWriter(t *testing.T) {
 	dir := t.TempDir()
 	runsDir := filepath.Join(dir, "runs")
@@ -129,6 +131,8 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 	const total = 60
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	var mu sync.Mutex // guards shared
+	shared := st.Snapshot()
 	wg.Add(1)
 	go func() { // the writer: publish-by-rename, then ledger append
 		defer wg.Done()
@@ -221,6 +225,39 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 						return
 					}
 				}
+				mu.Lock()
+				err = shared.Advance()
+				var advanced []RunInfo
+				if err == nil {
+					advanced, err = shared.Runs()
+				}
+				if err == nil {
+					_, err = shared.Status()
+				}
+				if err == nil && len(advanced) > 0 {
+					_, err = shared.Get(advanced[len(advanced)-1].Key)
+				}
+				if err == nil {
+					_, err = shared.Marginals("scenario")
+				}
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("advanced Snapshot during writes: %v", err)
+					return
+				}
+				// At least what the fresh read a moment earlier saw, each once.
+				seen = make(map[string]bool, len(advanced))
+				for _, ri := range advanced {
+					if seen[ri.Key] {
+						t.Errorf("advanced Snapshot double-counted key %s", ri.Key)
+						return
+					}
+					seen[ri.Key] = true
+				}
+				if len(advanced) < len(runs) || len(advanced) > total {
+					t.Errorf("advanced Snapshot lists %d runs; a fresh read had %d, the writer stops at %d", len(advanced), len(runs), total)
+					return
+				}
 				if _, err := st.Traces(); err != nil {
 					t.Errorf("Traces during writes: %v", err)
 					return
@@ -253,7 +290,9 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Settled: the final view must be complete and exact.
+	// Settled: the final view must be complete and exact, and the
+	// Snapshot that was advanced through every interleaving must show it.
+	sameViews(t, "settled", shared, st, []string{syntheticKey(0), syntheticKey(total - 1), syntheticKey(total)})
 	runs, err := st.Runs()
 	if err != nil {
 		t.Fatal(err)

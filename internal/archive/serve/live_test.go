@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,7 +322,9 @@ func TestIngestBodyCap(t *testing.T) {
 // A posted line can outgrow the read path's line cap when it is
 // re-marshalled: 300 KB of '<' become 1.8 MB of \u003c. Such a line used
 // to be appended and then failed every view that reads manifest.log
-// until someone edited the file. It is refused, and the views carry on.
+// until someone edited the file. It is refused, and the views carry on —
+// on the one handler that had the log folded before the post and keeps
+// answering four clients while more posts land.
 func TestIngestCannotWedgeViews(t *testing.T) {
 	hub := t.TempDir()
 	st, err := archive.Open(hub)
@@ -329,14 +332,23 @@ func TestIngestCannotWedgeViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHandler(st, Options{Ingest: true})
-	good, _ := json.Marshal(campaign.Entry{
-		Index: 0, Config: "seed=1", Key: strings.Repeat("ab", 32), Status: "done", Cache: "hit", Q: 0.5,
-	})
-	wedge := `{"index":1,"key":"` + strings.Repeat("cd", 32) + `","status":"failed","error":"` +
-		strings.Repeat("<", 300<<10) + `"}`
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(string(good)+"\n"+wedge+"\n")))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ingested": 1`) {
+	views := []string{"/marginals/seed", "/plots/seed.svg", "/status", "/runs"}
+	for _, url := range views {
+		if rec := get(t, h, url, nil, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s over an empty hub: %d\n%s", url, rec.Code, rec.Body.String())
+		}
+	}
+	post := func(i int) *httptest.ResponseRecorder {
+		good, _ := json.Marshal(campaign.Entry{
+			Index: i, Config: "seed=1", Key: fmt.Sprintf("%064x", i+1), Status: "done", Cache: "miss", Owner: "remote", Q: 0.5,
+		})
+		wedge := `{"index":1,"key":"` + strings.Repeat("cd", 32) + `","status":"failed","error":"` +
+			strings.Repeat("<", 300<<10) + `"}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(string(good)+"\n"+wedge+"\n")))
+		return rec
+	}
+	if rec := post(0); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ingested": 1`) {
 		t.Fatalf("/ingest: %d %s, want the good line alone accepted", rec.Code, rec.Body.String())
 	}
 	log, err := os.ReadFile(filepath.Join(hub, "manifest.log"))
@@ -346,11 +358,46 @@ func TestIngestCannotWedgeViews(t *testing.T) {
 	if len(log) > fleet.MaxLine {
 		t.Fatalf("manifest.log is %d bytes: the oversized line was appended", len(log))
 	}
-	for _, url := range []string{"/marginals/seed", "/plots/seed.svg"} {
+	for _, url := range views {
 		if rec := get(t, h, url, nil, nil); rec.Code != http.StatusOK {
 			t.Fatalf("%s after the oversized post: %d\n%s", url, rec.Code, rec.Body.String())
 		}
 	}
+
+	const posts = 12
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, url := range views {
+					if rec := get(t, h, url, nil, nil); rec.Code != http.StatusOK {
+						t.Errorf("%s while posts land: %d\n%s", url, rec.Code, rec.Body.String())
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 1; i < posts; i++ {
+		if rec := post(i); rec.Code != http.StatusOK {
+			t.Errorf("/ingest %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	close(done)
+	wg.Wait()
+	var m archive.Marginal
+	if rec := get(t, h, "/marginals/seed", nil, &m); rec.Code != http.StatusOK || m.Cells != posts {
+		t.Fatalf("/marginals/seed after %d posts: code %d, %d cells", posts, rec.Code, m.Cells)
+	}
+	sameBodies(t, "after the posts", h, st)
 }
 
 // The index advertises ingest exactly when it is mounted.

@@ -1,0 +1,211 @@
+package archive
+
+import (
+	"encoding/json"
+	"os"
+	"strings"
+
+	"repro/internal/campaign"
+	"repro/internal/fleet"
+)
+
+// Snapshot is the archive's append-only state in parsed form: the
+// ledger's first-record-per-key fold, the streamed manifest's finished
+// cells, and the head of every manifest document. Advance brings it up
+// to date by reading only what was appended since the previous Advance,
+// so a long-lived holder (archive/serve keeps one per handler) pays
+// O(what changed) per query where a fresh one (every Store method) pays
+// O(archive), and holds the parsed ledger and log while it lives:
+// O(ledger + log) memory, about 1 MB at 10^3 runs.
+//
+// It is not safe for concurrent use: Advance writes what the views
+// read. Views only read, and nothing they return aliases the Snapshot,
+// so a holder needs one lock around "Advance, then view" and none
+// around what it does with the result.
+type Snapshot struct {
+	at campaign.Dir
+
+	index  tail         // runs/index.json, as far as ledger has folded it
+	ledger fleet.Ledger // first record per key, key -> position, line count
+
+	log    tail             // manifest.log, as far as cells has folded it
+	cells  []campaign.Entry // its done cells, latest record per (index, key)
+	cellAt map[cellID]int
+
+	// heads holds the head of manifest.json (under "") and of each
+	// manifests/<owner>.json (under the owner).
+	heads map[string]head
+}
+
+// cellID names one grid cell in the streamed manifest.
+type cellID struct {
+	index int
+	key   string
+}
+
+// head is the fixed-size head of one manifest document — all that Status
+// reads of it, decoded without materialising the entries — and the file
+// facts it was decoded at. A document that did not decode is not ok (one
+// mid-publication degrades that entry, never the query).
+type head struct {
+	fi       os.FileInfo
+	ok       bool
+	Campaign string `json:"campaign"`
+	ManifestSummary
+}
+
+// Snapshot returns an empty Snapshot of the store's directory; the first
+// Advance reads the archive whole.
+func (s *Store) Snapshot() *Snapshot {
+	return &Snapshot{at: s.at, cellAt: make(map[cellID]int)}
+}
+
+// Advance brings the Snapshot up to date with the directory. Each file
+// is stat'ed; one whose identity, size and mtime have not moved costs
+// nothing more, and an append-only file that grew is read from the
+// remembered offset through fleet.ScanLines (a torn tail stays
+// unconsumed, garbage and oversized lines are skipped, the first ledger
+// record still wins across increments). A file that vanished, shrank
+// below the offset or was replaced (os.SameFile fails: GC's ledger
+// compaction renames a new file into place) is folded again from zero.
+// What stat cannot see — an inode rewritten in place, or recycled by a
+// second replacement since the last Advance — nothing that writes an
+// archive does.
+func (s *Snapshot) Advance() error {
+	if err := s.advanceLedger(); err != nil {
+		return err
+	}
+	if err := s.advanceCells(); err != nil {
+		return err
+	}
+	return s.advanceHeads()
+}
+
+func (s *Snapshot) advanceLedger() error {
+	return s.index.advance(s.at.Index(), func() { s.ledger = fleet.Ledger{} }, func(offset int64) (int64, error) {
+		return fleet.ScanIndex(s.at.Index(), offset, s.ledger.Add)
+	})
+}
+
+func (s *Snapshot) advanceCells() error {
+	return s.log.advance(s.at.Log(), func() { s.cells, s.cellAt = nil, make(map[cellID]int) }, func(offset int64) (int64, error) {
+		return scanLog(s.at.Log(), offset, s.addCell)
+	})
+}
+
+// addCell folds one streamed-manifest record: only done cells are
+// finished results, and the latest record of a cell wins, so warm
+// re-invocations that re-append the log never double-count.
+func (s *Snapshot) addCell(e campaign.Entry) {
+	if e.Status != "done" {
+		return
+	}
+	id := cellID{e.Index, e.Key}
+	if i, ok := s.cellAt[id]; ok {
+		s.cells[i] = e
+		return
+	}
+	s.cellAt[id] = len(s.cells)
+	s.cells = append(s.cells, e)
+}
+
+// finished is every finished cell exactly once. While there is no
+// manifest.log (an archive written before streaming existed, or one whose
+// log was pruned) the cumulative manifest.json's done entries stand in,
+// read as they are now.
+func (s *Snapshot) finished() []campaign.Entry {
+	if s.log.fi != nil {
+		return s.cells
+	}
+	var man campaign.Manifest
+	if readJSON(s.at.Manifest(), &man) != nil {
+		return nil // no log, no manifest: nothing finished yet
+	}
+	cells := man.Entries[:0]
+	for _, e := range man.Entries {
+		if e.Status == "done" {
+			cells = append(cells, e)
+		}
+	}
+	return cells
+}
+
+func (s *Snapshot) advanceHeads() error {
+	next := make(map[string]head, len(s.heads))
+	keep := func(name, path string, fi os.FileInfo) {
+		h, ok := s.heads[name]
+		if !ok || !sameFacts(h.fi, fi) {
+			h = head{fi: fi}
+			h.ok = readJSON(path, &h) == nil
+		}
+		next[name] = h
+	}
+	if fi, err := os.Stat(s.at.Manifest()); err == nil {
+		keep("", s.at.Manifest(), fi)
+	}
+	dir, err := os.ReadDir(s.at.Manifests())
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	for _, d := range dir {
+		owner, ok := strings.CutSuffix(d.Name(), ".json")
+		if !ok || d.IsDir() || owner == "" {
+			continue
+		}
+		if fi, err := d.Info(); err == nil {
+			keep(owner, s.at.OwnerManifest(owner), fi)
+		}
+	}
+	s.heads = next
+	return nil
+}
+
+// readJSON decodes one whole JSON document. Manifests are written
+// atomically, so a read either gets a whole document or no file.
+func readJSON(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
+// sameFacts reports whether two stats are of one unchanged file — the
+// facts Stamp() formats, plus identity.
+func sameFacts(a, b os.FileInfo) bool {
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
+}
+
+// tail is how far one append-only file has been folded: the file it was
+// when last looked at (nil: absent) and the offset just past the last
+// line consumed.
+type tail struct {
+	fi  os.FileInfo
+	off int64
+}
+
+// advance folds what path gained since the last call: nothing when the
+// file's facts have not moved, scan(t.off) when it grew, and reset then
+// scan(0) when what is there is not the remembered file with more
+// appended. scan returns the offset it consumed up to.
+func (t *tail) advance(path string, reset func(), scan func(offset int64) (int64, error)) error {
+	fi, err := os.Stat(path) // fi is nil when there is no file
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if t.fi != nil && fi != nil && sameFacts(t.fi, fi) {
+		return nil
+	}
+	if t.fi != nil && (fi == nil || !os.SameFile(t.fi, fi) || fi.Size() < t.off) {
+		reset()
+		t.off = 0
+	}
+	// The facts from before the scan: a file replaced between the two is
+	// caught by the next advance.
+	t.fi = fi
+	if fi == nil {
+		return nil
+	}
+	t.off, err = scan(t.off)
+	return err
+}

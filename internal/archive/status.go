@@ -1,13 +1,10 @@
 package archive
 
 import (
-	"encoding/json"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/fleet"
 )
 
@@ -98,15 +95,32 @@ type LeaseStatus struct {
 // are skipped, mid-publication leases and manifests degrade to absent
 // entries, and counts never exceed the exactly-once truth.
 func (s *Store) Status() (*Status, error) {
-	st := &Status{Dir: s.Dir()}
-
-	first, lines, err := fleet.Executions(s.at.Index())
-	if err != nil {
+	sn := s.Snapshot()
+	if err := sn.advanceLedger(); err != nil {
 		return nil, err
 	}
-	st.LedgerLines = lines
+	if err := sn.advanceHeads(); err != nil {
+		return nil, err
+	}
+	return sn.Status()
+}
+
+// Status is Store.Status over the ledger and manifest heads as of the
+// last Advance, and the runs/ directory, the leases and campaign.csv as
+// of now.
+func (s *Snapshot) Status() (*Status, error) {
+	st := &Status{Dir: string(s.at), LedgerLines: s.ledger.Lines}
+
 	owners := make(map[string]*OwnerStatus)
-	for _, e := range first {
+	owner := func(name string) *OwnerStatus {
+		o := owners[name]
+		if o == nil {
+			o = &OwnerStatus{Owner: name}
+			owners[name] = o
+		}
+		return o
+	}
+	for _, e := range s.ledger.First {
 		st.Executed++
 		backend := e.Backend
 		if backend == "" {
@@ -121,16 +135,12 @@ func (s *Store) Status() (*Status, error) {
 		if e.Owner == "" {
 			continue
 		}
-		o := owners[e.Owner]
-		if o == nil {
-			o = &OwnerStatus{Owner: e.Owner}
-			owners[e.Owner] = o
-		}
+		o := owner(e.Owner)
 		o.Executed++
 		o.WallSeconds += e.WallSeconds
 	}
 
-	if err := s.archived(func(string, os.DirEntry) { st.Archived++ }); err != nil {
+	if err := archived(s.at, func(string, os.DirEntry) { st.Archived++ }); err != nil {
 		return nil, err
 	}
 
@@ -155,66 +165,27 @@ func (s *Store) Status() (*Status, error) {
 			st.InFlight++
 		}
 		st.Leases = append(st.Leases, ls)
-		if _, ok := owners[l.Owner]; !ok {
-			owners[l.Owner] = &OwnerStatus{Owner: l.Owner}
-		}
+		owner(l.Owner)
 	}
 
-	if mans, err := os.ReadDir(s.at.Manifests()); err == nil {
-		for _, d := range mans {
-			owner, ok := strings.CutSuffix(d.Name(), ".json")
-			if !ok || d.IsDir() || owner == "" {
-				continue
-			}
-			man, err := readManifest(s.at.OwnerManifest(owner))
-			if err != nil {
-				continue // mid-publication; the owner keeps its ledger counts
-			}
-			o := owners[owner]
-			if o == nil {
-				o = &OwnerStatus{Owner: owner}
-				owners[owner] = o
-			}
-			o.Manifest = summarise(man)
+	for name, h := range s.heads {
+		switch {
+		case !h.ok:
+			// mid-publication; the owner keeps its ledger counts
+		case name == "":
+			st.Campaign = h.Campaign
+			st.GridRuns = h.Runs
+		default:
+			sum := h.ManifestSummary
+			owner(name).Manifest = &sum
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
 	}
 	for _, o := range owners {
 		st.Owners = append(st.Owners, *o)
 	}
 	sort.Slice(st.Owners, func(i, j int) bool { return st.Owners[i].Owner < st.Owners[j].Owner })
 
-	if man, err := readManifest(s.at.Manifest()); err == nil {
-		st.Campaign = man.Campaign
-		st.GridRuns = man.Runs
-	}
-	st.Finalized = s.Finalized()
+	_, err = os.Stat(s.at.CSV())
+	st.Finalized = err == nil
 	return st, nil
-}
-
-// readManifest decodes one campaign manifest document. Manifests are
-// written atomically, so a read either gets a whole document or the
-// file is absent.
-func readManifest(path string) (*campaign.Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var man campaign.Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, err
-	}
-	return &man, nil
-}
-
-func summarise(man *campaign.Manifest) *ManifestSummary {
-	return &ManifestSummary{
-		Runs:        man.Runs,
-		Hits:        man.Hits,
-		Misses:      man.Misses,
-		Dups:        man.Dups,
-		Failures:    man.Failures,
-		WallSeconds: man.WallSeconds,
-	}
 }

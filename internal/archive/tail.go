@@ -18,30 +18,31 @@ import (
 // a file that shrank below the offset is re-read from the start).
 
 // TailLog returns the manifest.log entries appended since offset and
-// the offset to resume from. Unlike Marginals' finishedCells it does
+// the offset to resume from. Unlike Marginals' finished cells it does
 // not deduplicate — the tail is a change feed, and re-appends are
 // events too.
 func (s *Store) TailLog(offset int64) ([]campaign.Entry, int64, error) {
 	var entries []campaign.Entry
-	next, err := fleet.ScanLines(s.at.Log(), offset, func(line []byte) {
+	next, err := scanLog(s.at.Log(), offset, func(e campaign.Entry) { entries = append(entries, e) })
+	return entries, next, err
+}
+
+// scanLog is fleet.ScanLines over a streamed manifest: fn sees every
+// line from offset on that decodes to a keyed cell entry.
+func scanLog(path string, offset int64, fn func(campaign.Entry)) (int64, error) {
+	return fleet.ScanLines(path, offset, func(line []byte) {
 		var e campaign.Entry
 		if json.Unmarshal(line, &e) == nil && e.Key != "" {
-			entries = append(entries, e)
+			fn(e)
 		}
 	})
-	return entries, next, err
 }
 
 // TailLedger returns the runs/index.json records appended since offset
 // and the offset to resume from, with the same tolerance as TailLog.
 func (s *Store) TailLedger(offset int64) ([]fleet.IndexEntry, int64, error) {
 	var entries []fleet.IndexEntry
-	next, err := fleet.ScanLines(s.at.Index(), offset, func(line []byte) {
-		var e fleet.IndexEntry
-		if json.Unmarshal(line, &e) == nil && fleet.IsArchiveKey(e.Key) {
-			entries = append(entries, e)
-		}
-	})
+	next, err := fleet.ScanIndex(s.at.Index(), offset, func(e fleet.IndexEntry) { entries = append(entries, e) })
 	return entries, next, err
 }
 

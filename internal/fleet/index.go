@@ -160,43 +160,59 @@ func ScanLines(path string, offset int64, fn func(line []byte)) (next int64, err
 	}
 }
 
-// ReadIndex reads every well-formed entry of an index file, in append
-// order. Lines ScanLines skips and lines that do not decode to a keyed
-// entry (a crash mid-append) are skipped; a missing file is an empty
-// index, not an error.
-func ReadIndex(path string) ([]IndexEntry, error) {
-	var entries []IndexEntry
-	_, err := ScanLines(path, 0, func(line []byte) {
+// ScanIndex is ScanLines over a ledger, and the one definition of a
+// well-formed ledger line: one that decodes to an IndexEntry whose key is
+// a content address (IsArchiveKey). Anything else is ignored by every
+// reader alike: it is not a run, not a ledger line in any count, emits
+// no event and does not survive a compaction.
+func ScanIndex(path string, offset int64, fn func(IndexEntry)) (next int64, err error) {
+	return ScanLines(path, offset, func(line []byte) {
 		var e IndexEntry
-		if json.Unmarshal(line, &e) == nil && e.Key != "" {
-			entries = append(entries, e)
+		if json.Unmarshal(line, &e) == nil && IsArchiveKey(e.Key) {
+			fn(e)
 		}
 	})
-	if err != nil {
-		return nil, err
+}
+
+// ReadIndex reads every well-formed entry (see ScanIndex) of an index
+// file, in append order; a missing file is an empty index, not an error.
+func ReadIndex(path string) (entries []IndexEntry, err error) {
+	_, err = ScanIndex(path, 0, func(e IndexEntry) { entries = append(entries, e) })
+	return entries, err
+}
+
+// Ledger is the one first-record-per-key fold of an index, fed an entry
+// at a time so a holder (archive.Snapshot) can extend it with only the
+// lines appended since. The first record per key wins: the first
+// completion is the execution, later ones idempotent re-executions.
+type Ledger struct {
+	First []IndexEntry   // each key's execution record, in append order
+	At    map[string]int // key -> position in First
+	Lines int            // well-formed lines folded, duplicates included
+}
+
+// Add folds one more well-formed entry, in file order.
+func (l *Ledger) Add(e IndexEntry) {
+	l.Lines++
+	if _, dup := l.At[e.Key]; dup {
+		return
 	}
-	return entries, nil
+	if l.At == nil {
+		l.At = make(map[string]int)
+	}
+	l.At[e.Key] = len(l.First)
+	l.First = append(l.First, e)
 }
 
 // Executions reads the index and returns the execution record of each
-// key in append order — the first record per key wins: the first
-// completion is the execution, later duplicates are idempotent
-// re-executions after a crash — plus the number of well-formed lines
-// read, duplicates included.
+// key in append order (Ledger.First) plus the number of well-formed
+// lines read, duplicates included.
 func Executions(path string) (first []IndexEntry, lines int, err error) {
-	entries, err := ReadIndex(path)
-	if err != nil {
+	var l Ledger
+	if _, err := ScanIndex(path, 0, l.Add); err != nil {
 		return nil, 0, err
 	}
-	seen := make(map[string]bool, len(entries))
-	first = entries[:0]
-	for _, e := range entries {
-		if !seen[e.Key] {
-			seen[e.Key] = true
-			first = append(first, e)
-		}
-	}
-	return first, len(entries), nil
+	return l.First, l.Lines, nil
 }
 
 // IsArchiveKey reports whether s looks like a sha256 hex digest — the
