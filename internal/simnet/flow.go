@@ -119,7 +119,7 @@ func (n *Network) newFlow() *Flow {
 // start validates and routes f and schedules its activation one path
 // latency from now.
 func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
-	if !n.verts[src].isHost || !n.verts[dst].isHost {
+	if !n.IsHost(src) || !n.IsHost(dst) {
 		panic("simnet: flows must connect hosts")
 	}
 	if size <= 0 {
@@ -128,17 +128,18 @@ func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
 	if rateCap < 0 {
 		panic("simnet: negative rate cap")
 	}
-	p := n.path(src, dst)
+	ids, p := n.route(src, dst)
 	f.id, f.src, f.dst = n.nextFlow, src, dst
 	f.size, f.remaining, f.eps = size, size, completionEps+1e-9*size
 	f.path, f.rate = p, 0
 	n.nextFlow++
 	var lat float64
 	capPF := rateCap
-	for _, c := range p {
-		lat += c.latency
-		if c.perFlowCap > 0 && (capPF == 0 || c.perFlowCap < capPF) {
-			capPF = c.perFlowCap
+	for _, id := range ids {
+		l := &n.topo.links[id]
+		lat += l.latency
+		if l.perFlowCap > 0 && (capPF == 0 || l.perFlowCap < capPF) {
+			capPF = l.perFlowCap
 		}
 	}
 	f.cap = capPF
@@ -160,7 +161,7 @@ func (n *Network) activate(f *Flow) {
 	n.flows = append(n.flows, f)
 	for _, c := range f.path {
 		if c.nFlows == 0 {
-			c.slot = len(n.occupied)
+			c.slot = int32(len(n.occupied))
 			n.occupied = append(n.occupied, c)
 		}
 		c.nFlows++
@@ -261,14 +262,14 @@ func (n *Network) resolve() {
 const saturationEps = 1e-9
 
 // room is the capacity left on the channel once its unfixed flows all run
-// at level.
+// at level. It reads the effective capacity solve stored in the channel.
 func (c *channel) room(level float64) float64 {
-	return c.effectiveCapacity() - c.usedFixed - level*float64(c.nUnfixed)
+	return c.eff - c.usedFixed - level*float64(c.nUnfixed)
 }
 
 // saturatedAt reports whether the channel has no room left at level.
 func (c *channel) saturatedAt(level float64) bool {
-	return c.room(level) <= saturationEps*(1+c.effectiveCapacity())
+	return c.room(level) <= c.slack
 }
 
 // solve computes the max-min fair allocation via progressive filling with
@@ -277,29 +278,39 @@ func (c *channel) saturatedAt(level float64) bool {
 // it governs; repeat.
 //
 // Each round touches only the flows still unfixed and the channels still
-// carrying one. The floating-point operations, their operands and their
-// order are those of a full rescan in n.flows order: level is one global
-// accumulation, and flows are fixed in n.flows order, so each channel's
-// usedFixed sums the same terms in the same sequence.
+// carrying one, and what a solve cannot change — a channel's effective
+// capacity and saturation slack, the lowest cap among the unfixed flows —
+// is computed once, not per hop. The floating-point operations, their
+// operands and their order are those of a full rescan in n.flows order:
+// level is one global accumulation, and flows are fixed in n.flows order,
+// so each channel's usedFixed sums the same terms in the same sequence.
 func (n *Network) solve() {
 	n.solves++
 	flows := append(n.flowScratch[:0], n.flows...)
 	n.flowScratch = flows[:0]
+	// The lowest cap among the unfixed flows: subtraction rounds
+	// monotonically, so minCap-level is the minimum of every cap-level.
+	minCap := math.Inf(1)
 	for _, f := range flows {
 		f.rate = 0
+		if f.cap != 0 && f.cap < minCap {
+			minCap = f.cap
+		}
 	}
 	chans := append(n.chanScratch[:0], n.occupied...)
 	n.chanScratch = chans[:0]
 	for _, c := range chans {
 		c.nUnfixed = c.nFlows
 		c.usedFixed = 0
+		c.eff = c.effectiveCapacity()
+		c.slack = saturationEps * (1 + c.eff)
 	}
 	level := 0.0
 	for len(flows) > 0 {
 		// Next binding constraint above the current fill level. It is a
 		// minimum, so channel order is free; channels whose flows are all
 		// fixed drop out of the worklist here.
-		delta := math.Inf(1)
+		delta := minCap - level
 		live := chans[:0]
 		for _, c := range chans {
 			if c.nUnfixed == 0 {
@@ -312,14 +323,6 @@ func (n *Network) solve() {
 			}
 		}
 		chans = live
-		for _, f := range flows {
-			if f.cap == 0 {
-				continue
-			}
-			if d := f.cap - level; d < delta {
-				delta = d
-			}
-		}
 		if math.IsInf(delta, 1) {
 			// No constraints at all (cannot happen with finite
 			// capacities, but guard against an empty channel set).
@@ -336,9 +339,11 @@ func (n *Network) solve() {
 		// changes its channels' usedFixed and nUnfixed, so their flags are
 		// re-evaluated on the spot and a later flow's check sees what a
 		// fresh computation would.
+		capSlack := saturationEps * (1 + level)
+		minCap = math.Inf(1)
 		unfixed := flows[:0]
 		for _, f := range flows {
-			bind := f.cap != 0 && f.cap-level <= saturationEps*(1+level)
+			bind := f.cap != 0 && f.cap-level <= capSlack
 			if !bind {
 				for _, c := range f.path {
 					if c.saturated {
@@ -349,6 +354,9 @@ func (n *Network) solve() {
 			}
 			if !bind {
 				unfixed = append(unfixed, f)
+				if f.cap != 0 && f.cap < minCap {
+					minCap = f.cap
+				}
 				continue
 			}
 			f.rate = level

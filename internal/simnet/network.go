@@ -51,27 +51,26 @@ type LinkSpec struct {
 	PerFlowCap float64
 }
 
-// channel is one direction of a link.
+// channel is the mutable half of one direction of a link; the static half
+// is its link entry in the network's topo, under the same index.
 type channel struct {
 	// What the solver reads and writes per hop comes first so it shares
 	// a cache line.
-	capacity  float64
+	eff       float64 // solver scratch: effectiveCapacity() as of this solve
+	slack     float64 // solver scratch: saturationEps*(1+eff)
 	usedFixed float64 // solver scratch: rate summed over fixed flows
-	nUnfixed  int     // solver scratch: flows not yet fixed
+	nUnfixed  int32   // solver scratch: flows not yet fixed
+	saturated bool    // solver scratch: saturatedAt(level) for the current usedFixed/nUnfixed
 	down      bool
-	saturated bool // solver scratch: saturatedAt(level) for the current usedFixed/nUnfixed
 
 	// Occupancy, kept current as flows activate and leave.
-	nFlows int // active flows crossing the channel
-	slot   int // index in Network.occupied while nFlows > 0
+	nFlows int32 // active flows crossing the channel
+	slot   int32 // index in Network.occupied while nFlows > 0
 
+	capacity float64
 	// carried is the total bytes moved by flows that have left the
 	// channel; LinkUtilization adds the progress of those still on it.
 	carried float64
-
-	from, to   int
-	latency    float64
-	perFlowCap float64
 }
 
 // effectiveCapacity is the capacity the bandwidth solver sees: zero while
@@ -84,16 +83,17 @@ func (c *channel) effectiveCapacity() float64 {
 	return c.capacity
 }
 
-type vertex struct {
-	name   string
-	isHost bool
-	chans  []*channel // outgoing
-}
-
 // Network is a simulated network bound to a sim.Engine.
 type Network struct {
-	eng   *sim.Engine
-	verts []vertex
+	eng *sim.Engine
+	// topo is everything Connect fixed and no run changes; a network and
+	// every Clone of it share one.
+	topo *topo
+	// chans holds the channels in Connect order — the k-th link is channel
+	// 2k (a to b) and 2k+1 (b to a) — chanChunk to a chunk, so that Connect
+	// never moves one a flow points at. A clone's chunks are consecutive
+	// views of one slab.
+	chans [][]channel
 
 	flows        []*Flow
 	freeFlows    []*Flow    // finished Send flows, reused by the next Send
@@ -105,8 +105,11 @@ type Network struct {
 	// The network's two events, re-armed for every solve and after it.
 	resolveEv, complEv *sim.Event
 
-	routeCache map[int][]int32       // src -> prev-vertex array from BFS
-	pathCache  map[[2]int][]*channel // (src, dst) -> route; shared read-only by flows
+	// The topo's routes as pointers into chans, materialised per (src,
+	// dst) on first use; flows share them read-only.
+	paths     []srcPaths   // by source vertex
+	hopChunks [][]*channel // the routes' storage, hopChunk pointers each (or one longer route)
+	hopsUsed  int          // pointers of hopChunks handed out or skipped
 
 	// scratch reused across solves and completion events
 	chanScratch []*channel
@@ -115,23 +118,37 @@ type Network struct {
 	solves      uint64
 }
 
+// srcPaths is one source's materialised routes.
+type srcPaths struct {
+	routes *routeSet
+	at     []int32 // by destination: 1 + where the route starts in hopChunks, 0 = not materialised
+}
+
+const (
+	chanChunk = 64      // channels per chunk of Network.chans; even, so a link never straddles two
+	hopChunk  = 1 << 12 // route hops a Network allocates at a time
+)
+
+// channel returns the channel with the given index.
+func (n *Network) channel(id int32) *channel { return &n.chans[id/chanChunk][id%chanChunk] }
+
 // New returns an empty network using the given engine for time.
-func New(eng *sim.Engine) *Network {
-	n := &Network{
-		eng:        eng,
-		routeCache: make(map[int][]int32),
-		pathCache:  make(map[[2]int][]*channel),
-	}
+func New(eng *sim.Engine) *Network { return newNetwork(eng, &topo{}) }
+
+func newNetwork(eng *sim.Engine, t *topo) *Network {
+	n := &Network{eng: eng, topo: t}
 	n.resolveEv = eng.NewTimer(n.resolve)
 	n.complEv = eng.NewTimer(n.completions)
 	return n
 }
 
-// invalidateRoutes drops every cached BFS tree and route; any change to
-// the vertex or link set calls it.
-func (n *Network) invalidateRoutes() {
-	clear(n.routeCache)
-	clear(n.pathCache)
+// editTopo returns the topology for a change to the vertex or link set:
+// a private copy if a Clone shares the current one, and in either case with
+// no routes — neither the shared table's nor the ones n materialised.
+func (n *Network) editTopo() *topo {
+	n.topo = n.topo.forEdit()
+	n.paths, n.hopChunks, n.hopsUsed = nil, nil, 0
+	return n.topo
 }
 
 // Engine returns the simulation engine the network is bound to.
@@ -144,27 +161,27 @@ func (n *Network) Solves() uint64 { return n.solves }
 // AddHost adds a host vertex and returns its id. Hosts are valid flow
 // endpoints.
 func (n *Network) AddHost(name string) int {
-	n.verts = append(n.verts, vertex{name: name, isHost: true})
-	n.invalidateRoutes()
-	return len(n.verts) - 1
+	t := n.editTopo()
+	t.verts = append(t.verts, vertex{name: name, isHost: true})
+	return len(t.verts) - 1
 }
 
 // AddSwitch adds a switch vertex and returns its id. Switches forward
 // flows but cannot terminate them.
 func (n *Network) AddSwitch(name string) int {
-	n.verts = append(n.verts, vertex{name: name})
-	n.invalidateRoutes()
-	return len(n.verts) - 1
+	t := n.editTopo()
+	t.verts = append(t.verts, vertex{name: name})
+	return len(t.verts) - 1
 }
 
 // NumVertices returns the total number of hosts and switches.
-func (n *Network) NumVertices() int { return len(n.verts) }
+func (n *Network) NumVertices() int { return len(n.topo.verts) }
 
 // Name returns the name of vertex v.
-func (n *Network) Name(v int) string { return n.verts[v].name }
+func (n *Network) Name(v int) string { return n.topo.verts[v].name }
 
 // IsHost reports whether vertex v is a host.
-func (n *Network) IsHost(v int) bool { return n.verts[v].isHost }
+func (n *Network) IsHost(v int) bool { return n.topo.verts[v].isHost }
 
 // Connect joins vertices a and b with a full-duplex link.
 func (n *Network) Connect(a, b int, spec LinkSpec) {
@@ -174,90 +191,79 @@ func (n *Network) Connect(a, b int, spec LinkSpec) {
 	n.checkVert(a)
 	n.checkVert(b)
 	if spec.Capacity <= 0 {
-		panic(fmt.Sprintf("simnet: link %s-%s needs positive capacity", n.verts[a].name, n.verts[b].name))
+		panic(fmt.Sprintf("simnet: link %s-%s needs positive capacity", n.Name(a), n.Name(b)))
 	}
 	if spec.Latency < 0 || spec.PerFlowCap < 0 {
 		panic("simnet: negative latency or per-flow cap")
 	}
-	ab := &channel{from: a, to: b, capacity: spec.Capacity, latency: spec.Latency, perFlowCap: spec.PerFlowCap}
-	ba := &channel{from: b, to: a, capacity: spec.Capacity, latency: spec.Latency, perFlowCap: spec.PerFlowCap}
-	n.verts[a].chans = append(n.verts[a].chans, ab)
-	n.verts[b].chans = append(n.verts[b].chans, ba)
-	n.invalidateRoutes()
+	t := n.editTopo()
+	id := int32(len(t.links))
+	if id%chanChunk == 0 {
+		n.chans = append(n.chans, make([]channel, 0, chanChunk))
+	}
+	last := &n.chans[len(n.chans)-1]
+	*last = append(*last, channel{capacity: spec.Capacity}, channel{capacity: spec.Capacity})
+	t.links = append(t.links,
+		link{from: int32(a), to: int32(b), latency: spec.Latency, perFlowCap: spec.PerFlowCap},
+		link{from: int32(b), to: int32(a), latency: spec.Latency, perFlowCap: spec.PerFlowCap})
+	t.verts[a].out = append(t.verts[a].out, id)
+	t.verts[b].out = append(t.verts[b].out, id+1)
 }
 
 func (n *Network) checkVert(v int) {
-	if v < 0 || v >= len(n.verts) {
+	if v < 0 || v >= len(n.topo.verts) {
 		panic(fmt.Sprintf("simnet: vertex %d out of range", v))
 	}
 }
 
-// path returns the channel sequence of the hop-count shortest path from
-// src to dst, computing and caching a BFS tree per source and the route
-// per (src, dst). Ties are broken deterministically by vertex insertion
-// order. Callers must not modify the returned slice.
-func (n *Network) path(src, dst int) []*channel {
-	if p, ok := n.pathCache[[2]int{src, dst}]; ok {
-		return p
+// route returns the hop-count shortest path from src to the host dst twice
+// over: as channel indices, shared by every network of this topology, and
+// as pointers into n's own channels, which is what flows walk. Ties are
+// broken deterministically by vertex insertion order. The index route comes
+// from the topology's route table, computed once per source for all
+// replicas; the pointer route is materialised on n's first use of the pair.
+// Callers must modify neither slice.
+func (n *Network) route(src, dst int) ([]int32, []*channel) {
+	if uint(src) >= uint(len(n.paths)) || uint(dst) >= uint(len(n.paths[src].at)) || n.paths[src].at[dst] == 0 {
+		n.materialise(src, dst)
 	}
+	sp := &n.paths[src]
+	ids, at := sp.routes.to(dst), int(sp.at[dst]-1)
+	return ids, n.hopChunks[at/hopChunk][at%hopChunk:][:len(ids):len(ids)]
+}
+
+// materialise stores the route from src to the host dst as pointers, or
+// panics if there is none.
+func (n *Network) materialise(src, dst int) {
 	n.checkVert(src)
 	n.checkVert(dst)
 	if src == dst {
 		panic("simnet: flow endpoints must differ")
 	}
-	prev, ok := n.routeCache[src]
-	if !ok {
-		prev = n.bfs(src)
-		n.routeCache[src] = prev
+	if n.paths == nil {
+		n.paths = make([]srcPaths, len(n.topo.verts))
 	}
-	if prev[dst] == -1 {
-		panic(fmt.Sprintf("simnet: no route from %s to %s", n.verts[src].name, n.verts[dst].name))
+	sp := &n.paths[src]
+	if sp.at == nil {
+		sp.routes, sp.at = n.topo.routesFrom(src), make([]int32, len(n.topo.verts))
 	}
-	// Walk dst -> src, filling the route from its last hop backwards.
-	hops := 0
-	for at := dst; at != src; at = int(prev[at]) {
-		hops++
+	ids := sp.routes.to(dst)
+	if len(ids) == 0 {
+		panic(fmt.Sprintf("simnet: no route from %s to host %s", n.Name(src), n.Name(dst)))
 	}
-	route := make([]*channel, hops)
-	at := dst
-	for i := hops - 1; i >= 0; i-- {
-		p := int(prev[at])
-		var ch *channel
-		for _, c := range n.verts[p].chans {
-			if c.to == at {
-				ch = c
-				break
-			}
-		}
-		if ch == nil {
-			panic("simnet: route cache inconsistent with topology")
-		}
-		route[i] = ch
-		at = p
+	// A route never straddles chunks: one that does not fit what is left of
+	// the last chunk starts the next, which a route longer than hopChunk has
+	// to itself (room is then negative, and the route after it moves on).
+	if room := len(n.hopChunks)*hopChunk - n.hopsUsed; len(ids) > room {
+		n.hopsUsed += room
+		n.hopChunks = append(n.hopChunks, make([]*channel, max(hopChunk, len(ids))))
 	}
-	n.pathCache[[2]int{src, dst}] = route
-	return route
-}
-
-func (n *Network) bfs(src int) []int32 {
-	prev := make([]int32, len(n.verts))
-	for i := range prev {
-		prev[i] = -1
+	at := n.hopsUsed
+	n.hopsUsed += len(ids)
+	sp.at[dst] = int32(at + 1)
+	for i, id := range ids {
+		n.hopChunks[at/hopChunk][at%hopChunk+i] = n.channel(id)
 	}
-	prev[src] = int32(src)
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range n.verts[v].chans {
-			if prev[c.to] == -1 {
-				prev[c.to] = int32(v)
-				queue = append(queue, c.to)
-			}
-		}
-	}
-	prev[src] = -1 // no predecessor for the root itself
-	return prev
 }
 
 // PathInfo describes the static properties of the route between two hosts.
@@ -271,14 +277,16 @@ type PathInfo struct {
 // what one lone flow would achieve: the minimum over the path of link
 // capacity and per-flow cap. This is the simulator's ground-truth
 // point-to-point bandwidth, the quantity NetPIPE measures in the paper.
+// Routes end at hosts: Path panics if dst is a switch.
 func (n *Network) Path(src, dst int) PathInfo {
-	chans := n.path(src, dst)
+	ids, chans := n.route(src, dst)
 	info := PathInfo{Hops: len(chans), Capacity: math.Inf(1)}
-	for _, c := range chans {
-		info.Latency += c.latency
+	for i, c := range chans {
+		l := &n.topo.links[ids[i]]
+		info.Latency += l.latency
 		cap := c.effectiveCapacity()
-		if c.perFlowCap > 0 && c.perFlowCap < cap {
-			cap = c.perFlowCap
+		if l.perFlowCap > 0 && l.perFlowCap < cap {
+			cap = l.perFlowCap
 		}
 		if cap < info.Capacity {
 			info.Capacity = cap
@@ -287,27 +295,29 @@ func (n *Network) Path(src, dst int) PathInfo {
 	return info
 }
 
-// linkChannels returns every channel of the (possibly parallel) links
-// between a and b, both directions. It panics if no such link exists —
-// the shared contract of all link mutators and getters.
-func (n *Network) linkChannels(a, b int) []*channel {
+// linkChannel returns the first channel from a to b. It panics if a and b
+// are not linked — the shared contract of all link mutators and getters.
+func (n *Network) linkChannel(a, b int) *channel {
 	n.checkVert(a)
 	n.checkVert(b)
-	var chans []*channel
-	for _, c := range n.verts[a].chans {
-		if c.to == b {
-			chans = append(chans, c)
+	for _, id := range n.topo.verts[a].out {
+		if int(n.topo.links[id].to) == b {
+			return n.channel(id)
 		}
 	}
-	for _, c := range n.verts[b].chans {
-		if c.to == a {
-			chans = append(chans, c)
+	panic(fmt.Sprintf("simnet: no link between %s and %s", n.Name(a), n.Name(b)))
+}
+
+// eachLinkChannel calls set on every channel of the (possibly parallel)
+// links between a and b, both directions, and panics like linkChannel.
+func (n *Network) eachLinkChannel(a, b int, set func(c *channel)) {
+	n.linkChannel(a, b)
+	for _, id := range n.topo.verts[a].out {
+		if int(n.topo.links[id].to) == b {
+			set(n.channel(id))
+			set(n.channel(id ^ 1)) // the same link's other direction
 		}
 	}
-	if len(chans) == 0 {
-		panic(fmt.Sprintf("simnet: no link between %s and %s", n.verts[a].name, n.verts[b].name))
-	}
-	return chans
 }
 
 // SetLinkCapacity changes the capacity (both directions) of the link
@@ -320,9 +330,7 @@ func (n *Network) SetLinkCapacity(a, b int, capacity float64) {
 	if capacity <= 0 {
 		panic("simnet: link capacity must be positive")
 	}
-	for _, c := range n.linkChannels(a, b) {
-		c.capacity = capacity
-	}
+	n.eachLinkChannel(a, b, func(c *channel) { c.capacity = capacity })
 	// Accrue progress under the old rates, then re-solve.
 	n.advance()
 	n.markDirty()
@@ -332,13 +340,13 @@ func (n *Network) SetLinkCapacity(a, b int, capacity float64) {
 // b (the value Connect or SetLinkCapacity last set, regardless of up/down
 // state). It panics if no such link exists.
 func (n *Network) LinkCapacity(a, b int) float64 {
-	return n.linkChannels(a, b)[0].capacity
+	return n.linkChannel(a, b).capacity
 }
 
 // LinkUp reports whether the link between a and b is up. It panics if no
 // such link exists.
 func (n *Network) LinkUp(a, b int) bool {
-	return !n.linkChannels(a, b)[0].down
+	return !n.linkChannel(a, b).down
 }
 
 // SetLinkState fails (up=false) or restores (up=true) the link between a
@@ -351,50 +359,52 @@ func (n *Network) LinkUp(a, b int) bool {
 // withdrawal. The configured capacity survives a down/up cycle. It panics
 // if no such link exists; setting the current state again is a no-op.
 func (n *Network) SetLinkState(a, b int, up bool) {
-	for _, c := range n.linkChannels(a, b) {
-		c.down = !up
-	}
+	n.eachLinkChannel(a, b, func(c *channel) { c.down = !up })
 	// Accrue progress under the old rates, then re-solve.
 	n.advance()
 	n.markDirty()
 }
 
-// Clone returns an independent copy of the network's static topology —
-// vertices, links, capacities, latencies and per-flow caps — bound to eng.
-// Dynamic state does not carry over: the clone starts with no flows, no
-// channel occupancy, empty route and path caches and zeroed utilisation
-// counters. Clone is the replication primitive behind parallel tomography
+// Clone returns an independent replica of the network bound to eng: the
+// same topology — vertices, links, latencies, per-flow caps and the route
+// table, all immutable and shared by pointer — under its own copy of what
+// a run can change, every channel's capacity (SetLinkCapacity) and up/down
+// state (SetLinkState). Mutating a clone's links never affects the original
+// or sibling clones (the invariant the dynamics replay depends on, asserted
+// in TestCloneSharesNoMutableLinkState), and a later AddHost, AddSwitch or
+// Connect on either side moves that side to a topology of its own. Dynamic
+// state does not carry over: the clone starts with no flows, no channel
+// occupancy, no materialised routes and zeroed utilisation counters; a route
+// any network of the topology has already computed costs it no BFS. Clone
+// is the replication primitive behind parallel tomography
 // (core.Options.Workers): each worker measures on its own engine+network
-// replica. It panics if the network has active flows, because in-flight
-// fluid state cannot be replayed onto a fresh engine. Flows whose
+// replica, and clones of one idle network may be taken and used from
+// different goroutines. It panics if the network has active flows, because
+// in-flight fluid state cannot be replayed onto a fresh engine. Flows whose
 // activation is still pending (started, latency not yet elapsed) count as
 // in-flight too.
 func (n *Network) Clone(eng *sim.Engine) *Network {
 	n.mustBeIdle()
-	c := New(eng)
-	c.verts = make([]vertex, len(n.verts))
-	for i, v := range n.verts {
-		c.verts[i] = vertex{name: v.name, isHost: v.isHost}
+	n.topo.shared.Store(true)
+	c := newNetwork(eng, n.topo)
+	slab := make([]channel, len(n.chans)*chanChunk)
+	c.chans = make([][]channel, len(n.chans))
+	for i, chunk := range n.chans {
+		c.chans[i] = slab[i*chanChunk : i*chanChunk+len(chunk) : (i+1)*chanChunk]
 	}
-	// Channels are copied per direction so capacities changed at runtime
-	// with SetLinkCapacity — and link failures set with SetLinkState —
-	// survive the copy. Each clone gets its own channel structs: mutating
-	// a clone's links never affects the original or sibling clones (the
-	// invariant the dynamics replay depends on, asserted in
-	// TestCloneSharesNoMutableLinkState).
-	for i, v := range n.verts {
-		for _, ch := range v.chans {
-			c.verts[i].chans = append(c.verts[i].chans, &channel{
-				from:       ch.from,
-				to:         ch.to,
-				capacity:   ch.capacity,
-				latency:    ch.latency,
-				perFlowCap: ch.perFlowCap,
-				down:       ch.down,
-			})
+	c.takeLinkState(n)
+	return c
+}
+
+// takeLinkState sets every channel to src's capacity and up/down state
+// with no occupancy and nothing carried.
+func (n *Network) takeLinkState(src *Network) {
+	for i, chunk := range n.chans {
+		for j := range chunk {
+			from := &src.chans[i][j]
+			chunk[j] = channel{capacity: from.capacity, down: from.down}
 		}
 	}
-	return c
 }
 
 func (n *Network) mustBeIdle() {
@@ -409,26 +419,17 @@ func (n *Network) mustBeIdle() {
 // count at zero, nothing queued, no flows, every channel's capacity and
 // up/down state taken from src (not from n's own history, so scales never
 // compound) and its occupancy and carried bytes zeroed — while keeping what
-// is expensive to rebuild and independent of all that: the route and path
-// caches and the engine's and network's free lists. Whatever was still in
-// flight is dropped without its callbacks running; handles to it stay
-// valid no-ops. Like Clone it panics if src is not idle.
+// is expensive to rebuild and independent of all that: the routes n has
+// materialised and the engine's and network's free lists. Whatever was
+// still in flight is dropped without its callbacks running; handles to it
+// stay valid no-ops. Like Clone it panics if src is not idle.
 func (n *Network) Reset(src *Network) {
 	src.mustBeIdle()
-	if len(n.verts) != len(src.verts) {
+	if n.topo != src.topo {
 		panic("simnet: Reset from a network with a different topology")
 	}
 	n.eng.Reset()
-	for i := range n.verts {
-		from := src.verts[i].chans
-		if len(n.verts[i].chans) != len(from) {
-			panic("simnet: Reset from a network with a different topology")
-		}
-		for j, c := range n.verts[i].chans {
-			c.capacity, c.down = from[j].capacity, from[j].down
-			c.nFlows, c.slot, c.carried = 0, 0, 0
-		}
-	}
+	n.takeLinkState(src)
 	for i, f := range n.flows {
 		f.slot, f.active, f.cancelled = -1, false, !f.pooled
 		n.recycle(f)
@@ -442,7 +443,7 @@ func (n *Network) Reset(src *Network) {
 
 // FindVertex returns the id of the vertex with the given name, or -1.
 func (n *Network) FindVertex(name string) int {
-	for i, v := range n.verts {
+	for i, v := range n.topo.verts {
 		if v.name == name {
 			return i
 		}
@@ -454,16 +455,18 @@ func (n *Network) FindVertex(name string) int {
 // by "from->to" vertex names. Active flows count with their progress as of
 // the last allocation point.
 func (n *Network) LinkUtilization() map[string]float64 {
-	key := func(c *channel) string { return n.verts[c.from].name + "->" + n.verts[c.to].name }
+	key := func(id int32) string {
+		l := n.topo.links[id]
+		return n.Name(int(l.from)) + "->" + n.Name(int(l.to))
+	}
 	out := make(map[string]float64)
-	for _, v := range n.verts {
-		for _, c := range v.chans {
-			out[key(c)] = c.carried
-		}
+	for id := range n.topo.links {
+		out[key(int32(id))] = n.channel(int32(id)).carried
 	}
 	for _, f := range n.flows {
-		for _, c := range f.path {
-			out[key(c)] += f.size - f.remaining
+		ids, _ := n.route(f.src, f.dst)
+		for _, id := range ids {
+			out[key(id)] += f.size - f.remaining
 		}
 	}
 	return out

@@ -307,7 +307,7 @@ func TestLinkUtilizationSettlesPerFlow(t *testing.T) {
 		hosts = append(hosts, h)
 		n.Connect(h, s, LinkSpec{Capacity: 100, Latency: 1e-3})
 	}
-	name := func(c *channel) string { return n.Name(c.from) + "->" + n.Name(c.to) }
+	name := func(c *channel) string { return n.Name(int(linkOf(n, c).from)) + "->" + n.Name(int(linkOf(n, c).to)) }
 
 	rng := rand.New(rand.NewSource(7))
 	var flows []*Flow
@@ -800,8 +800,8 @@ func TestCloneSharesNoMutableLinkState(t *testing.T) {
 	if !c1.LinkUp(a, b) || c1.LinkCapacity(a, b) != Mbps(200) {
 		t.Fatal("Reset did not take the original's link state")
 	}
-	if len(c1.pathCache) != 1 {
-		t.Fatal("Reset dropped the replica's cached routes")
+	if materialisedRoutes(c1) != 1 {
+		t.Fatal("Reset dropped the replica's materialised routes")
 	}
 	c1.SetLinkCapacity(a, b, Mbps(10))
 	c1.SetLinkState(a, b, false)
@@ -821,19 +821,16 @@ func TestCloneSharesNoMutableLinkState(t *testing.T) {
 		t.Fatalf("an active flow left occupancy %v", n.occupied)
 	}
 	n.Engine().Run()
-	if len(n.pathCache) != 1 || n.LinkUtilization()["a->b"] == 0 {
+	if materialisedRoutes(n) != 1 || n.LinkUtilization()["a->b"] == 0 {
 		t.Fatal("the original kept no route or carried bytes to withhold from a clone")
 	}
 	c4 := n.Clone(sim.NewEngine())
-	if len(c4.pathCache) != 0 || len(c4.routeCache) != 0 || len(c4.occupied) != 0 {
-		t.Fatalf("clone starts with %d routes, %d BFS trees, %d occupied channels",
-			len(c4.pathCache), len(c4.routeCache), len(c4.occupied))
+	if materialisedRoutes(c4) != 0 || len(c4.occupied) != 0 {
+		t.Fatalf("clone starts with %d routes, %d occupied channels", materialisedRoutes(c4), len(c4.occupied))
 	}
-	for _, v := range c4.verts {
-		for _, ch := range v.chans {
-			if ch.nFlows != 0 || ch.carried != 0 {
-				t.Fatalf("clone channel starts with %d flows and %g bytes carried", ch.nFlows, ch.carried)
-			}
+	for id := range c4.topo.links {
+		if ch := c4.channel(int32(id)); ch.nFlows != 0 || ch.carried != 0 {
+			t.Fatalf("clone channel starts with %d flows and %g bytes carried", ch.nFlows, ch.carried)
 		}
 	}
 	// Every change to the vertex or link set drops the cached routes.
@@ -846,12 +843,12 @@ func TestCloneSharesNoMutableLinkState(t *testing.T) {
 		{"Connect", func() { n.Connect(a, n.FindVertex("s"), LinkSpec{Capacity: 1}) }},
 	} {
 		n.Path(a, b)
-		if len(n.pathCache) == 0 {
-			t.Fatal("Path did not cache the route")
+		if materialisedRoutes(n) == 0 || n.topo.routes == nil {
+			t.Fatal("Path did not keep the route")
 		}
 		m.mutate()
-		if len(n.pathCache) != 0 {
-			t.Fatalf("%s left %d cached routes", m.what, len(n.pathCache))
+		if materialisedRoutes(n) != 0 || n.topo.routes != nil {
+			t.Fatalf("%s left %d materialised routes and the route table %v", m.what, materialisedRoutes(n), n.topo.routes)
 		}
 	}
 }

@@ -115,6 +115,29 @@ func referenceSolve(n *Network) {
 	}
 }
 
+// linkOf returns the static half of c, a channel of n.
+func linkOf(n *Network, c *channel) link {
+	for i := range n.topo.links {
+		if n.channel(int32(i)) == c {
+			return n.topo.links[i]
+		}
+	}
+	panic("not a channel of this network")
+}
+
+// materialisedRoutes counts the (src, dst) routes n holds as pointers.
+func materialisedRoutes(n *Network) int {
+	routes := 0
+	for _, sp := range n.paths {
+		for _, at := range sp.at {
+			if at != 0 {
+				routes++
+			}
+		}
+	}
+	return routes
+}
+
 // churnLink is one full-duplex link of a churn topology.
 type churnLink struct {
 	a, b     int
@@ -184,17 +207,41 @@ type churnRun struct {
 	solves    uint64
 }
 
+// churnNetworks are the three networks a seed's churn runs on. solve reads
+// per-channel state that Clone copies and Reset restores, so a replica is
+// only as good as the solver's behaviour on it.
+var churnNetworks = []string{"as built", "a clone", "a reset replica"}
+
 // runChurn builds the seed's topology and drives a scripted mix of flow
 // starts (capped and uncapped), cancellations, capacity changes and link
-// failures and repairs over it, one engine event at a time. afterSolve
-// runs after every event that re-allocated bandwidth, while the network is
-// exactly as the solver left it. Every random draw happens while the
-// script is laid out, so two runs of one seed see the same operations
-// even if their rates were to differ.
-func runChurn(seed int64, afterSolve func(n *Network)) churnRun {
+// failures and repairs over one of churnNetworks — the network as New and
+// Connect built it, a Clone of that, or a clone that has run another seed's
+// churn and been Reset — one engine event at a time. afterSolve runs after
+// every event that re-allocated bandwidth, while the network is exactly as
+// the solver left it. Every random draw happens while the script is laid
+// out, so two runs of one seed see the same operations even if their rates
+// were to differ.
+func runChurn(seed int64, network string, afterSolve func(n *Network)) churnRun {
 	rng := rand.New(rand.NewSource(seed))
 	n := New(sim.NewEngine())
 	hosts, links := churnTopology(n, rng)
+	switch network {
+	case "a clone":
+		n = n.Clone(sim.NewEngine())
+	case "a reset replica":
+		built := n
+		n = built.Clone(sim.NewEngine())
+		driveChurn(n, hosts, links, rand.New(rand.NewSource(seed+7919)), true, func(*Network) {})
+		// The script repairs what it fails; leave the replica with every
+		// kind of state a Reset has to undo.
+		for _, l := range links {
+			n.SetLinkCapacity(l.a, l.b, l.capacity/3)
+			n.SetLinkState(l.a, l.b, l.a%2 == 0)
+		}
+		n.Send(hosts[0], hosts[1], 1e15, 0, nil)
+		n.eng.RunUntil(n.eng.Now() + 1)
+		n.Reset(built)
+	}
 	return driveChurn(n, hosts, links, rng, false, afterSolve)
 }
 
@@ -261,95 +308,134 @@ func driveChurn(n *Network, hosts []int, links []churnLink, rng *rand.Rand, send
 	return run
 }
 
-// TestSolveMatchesReferenceBitForBit drives random churn twice per seed.
-// The second run re-derives every allocation with referenceSolve, checks
-// it against what solve produced bit for bit, and carries on under the
-// reference's rates; the first run is left alone. Equal completion order
-// and end time between the two then show the whole trajectory agrees, not
-// only each allocation given the same inputs.
+// sameRun reports how two runs of one churn script differ, if they do.
+func sameRun(a, b churnRun) error {
+	if a.end != b.end || a.solves != b.solves {
+		return fmt.Errorf("ended at t=%v after %d solves, against t=%v after %d", a.end, a.solves, b.end, b.solves)
+	}
+	if fmt.Sprint(a.completed) != fmt.Sprint(b.completed) {
+		return fmt.Errorf("completion order %v, against %v", a.completed, b.completed)
+	}
+	return nil
+}
+
+// matchesReference re-derives the allocation solve just left on n with
+// referenceSolve and compares bit for bit. It leaves the reference's rates
+// in place and re-arms the completion event under them.
+func matchesReference(n *Network) error {
+	got := make([]uint64, len(n.flows))
+	for i, f := range n.flows {
+		got[i] = math.Float64bits(f.rate)
+	}
+	referenceSolve(n)
+	for i, f := range n.flows {
+		if want := math.Float64bits(f.rate); got[i] != want {
+			return fmt.Errorf("flow %d of %d got rate %x (%g), reference %x (%g)",
+				i, len(n.flows), got[i], math.Float64frombits(got[i]), want, f.rate)
+		}
+	}
+	n.scheduleCompletion()
+	return nil
+}
+
+// TestSolveMatchesReferenceBitForBit drives random churn twice per seed
+// and network. The second run re-derives every allocation with
+// referenceSolve, checks it against what solve produced bit for bit, and
+// carries on under the reference's rates; the first run is left alone.
+// Equal completion order and end time between the two then show the whole
+// trajectory agrees, not only each allocation given the same inputs — and
+// equal ones across the three networks that a Clone and a Reset replica
+// are the network they replicate.
 func TestSolveMatchesReferenceBitForBit(t *testing.T) {
 	var solves uint64
 	for seed := int64(1); seed <= 240; seed++ {
-		plain := runChurn(seed, func(*Network) {})
-		var got []uint64
-		ref := runChurn(seed, func(n *Network) {
-			got = got[:0]
-			for _, f := range n.flows {
-				got = append(got, math.Float64bits(f.rate))
-			}
-			referenceSolve(n)
-			for i, f := range n.flows {
-				if want := math.Float64bits(f.rate); got[i] != want {
-					t.Fatalf("seed %d, solve %d at t=%g: flow %d of %d got rate %x (%g), reference %x (%g)",
-						seed, n.solves, n.eng.Now(), i, len(n.flows), got[i], math.Float64frombits(got[i]), want, f.rate)
+		var built churnRun
+		for _, network := range churnNetworks {
+			plain := runChurn(seed, network, func(*Network) {})
+			ref := runChurn(seed, network, func(n *Network) {
+				if err := matchesReference(n); err != nil {
+					t.Fatalf("seed %d on %s, solve %d at t=%g: %v", seed, network, n.solves, n.eng.Now(), err)
 				}
+			})
+			if err := sameRun(plain, ref); err != nil {
+				t.Fatalf("seed %d on %s against the same under reference rates: %v", seed, network, err)
 			}
-			n.scheduleCompletion()
-		})
-		if plain.end != ref.end || plain.solves != ref.solves {
-			t.Fatalf("seed %d: ended at t=%v after %d solves, under reference rates t=%v after %d",
-				seed, plain.end, plain.solves, ref.end, ref.solves)
+			if network == churnNetworks[0] {
+				built = plain
+			} else if err := sameRun(plain, built); err != nil {
+				t.Fatalf("seed %d on %s against the network %s: %v", seed, network, churnNetworks[0], err)
+			}
+			solves += plain.solves
 		}
-		if fmt.Sprint(plain.completed) != fmt.Sprint(ref.completed) {
-			t.Fatalf("seed %d: completion order %v, under reference rates %v", seed, plain.completed, ref.completed)
-		}
-		solves += plain.solves
 	}
-	if solves < 10000 {
+	if solves < 30000 {
 		t.Fatalf("only %d solves compared; the churn script no longer exercises the solver", solves)
 	}
 }
 
-// TestSolveMaxMinCertificate checks every allocation the churn produces
-// against the conditions that characterise a max-min fair allocation with
-// per-flow caps, none of which refers to how the solver got there: no
-// channel carries more than its effective capacity; a flow crossing a
-// failed link gets nothing; and every flow is either at its cap or crosses
-// a saturated channel on which no other flow gets more than it does.
-func TestSolveMaxMinCertificate(t *testing.T) {
+// maxMinCertificate checks the allocation solve just left on n against the
+// conditions that characterise a max-min fair allocation with per-flow
+// caps, none of which refers to how the solver got there: no channel
+// carries more than its effective capacity; a flow crossing a failed link
+// gets nothing; and every flow is either at its cap or crosses a saturated
+// channel on which no other flow gets more than it does.
+func maxMinCertificate(n *Network) error {
 	const tol = 1e-9
+	load := map[*channel]float64{}
+	top := map[*channel]float64{}
+	for _, f := range n.flows {
+		for _, c := range f.path {
+			load[c] += f.rate
+			top[c] = math.Max(top[c], f.rate)
+		}
+	}
+	for c, sum := range load {
+		if limit := c.effectiveCapacity(); sum > limit*(1+tol) {
+			return fmt.Errorf("channel %d->%d carries %g over capacity %g", linkOf(n, c).from, linkOf(n, c).to, sum, limit)
+		}
+	}
+	for _, f := range n.flows {
+		if f.rate < 0 || (f.cap > 0 && f.rate > f.cap*(1+tol)) {
+			return fmt.Errorf("flow %d rate %g outside [0, cap %g]", f.id, f.rate, f.cap)
+		}
+		if f.cap > 0 && f.rate >= f.cap*(1-tol) {
+			continue
+		}
+		bottlenecked := false
+		for _, c := range f.path {
+			if c.down && f.rate != 0 {
+				return fmt.Errorf("flow %d crosses failed link %d->%d at rate %g", f.id, linkOf(n, c).from, linkOf(n, c).to, f.rate)
+			}
+			limit := c.effectiveCapacity()
+			// Saturation is decided to a relative 1e-9 of 1+capacity
+			// by the solver; allow it ten times that here.
+			if load[c] >= limit-1e-8*(1+limit) && f.rate >= top[c]*(1-tol) {
+				bottlenecked = true
+			}
+		}
+		if !bottlenecked {
+			return fmt.Errorf("flow %d (rate %g, cap %g) is neither capped nor maximal on a saturated channel", f.id, f.rate, f.cap)
+		}
+	}
+	return nil
+}
+
+// TestSolveMaxMinCertificate checks every allocation the churn produces,
+// on each of the three networks, against maxMinCertificate.
+func TestSolveMaxMinCertificate(t *testing.T) {
 	for seed := int64(1000); seed < 1200; seed++ {
-		runChurn(seed, func(n *Network) {
-			fail := func(format string, args ...any) {
-				t.Helper()
-				t.Fatalf("seed %d, solve %d at t=%g: %s", seed, n.solves, n.eng.Now(), fmt.Sprintf(format, args...))
+		var built churnRun
+		for _, network := range churnNetworks {
+			run := runChurn(seed, network, func(n *Network) {
+				if err := maxMinCertificate(n); err != nil {
+					t.Fatalf("seed %d on %s, solve %d at t=%g: %v", seed, network, n.solves, n.eng.Now(), err)
+				}
+			})
+			if network == churnNetworks[0] {
+				built = run
+			} else if err := sameRun(run, built); err != nil {
+				t.Fatalf("seed %d on %s against the network %s: %v", seed, network, churnNetworks[0], err)
 			}
-			load := map[*channel]float64{}
-			top := map[*channel]float64{}
-			for _, f := range n.flows {
-				for _, c := range f.path {
-					load[c] += f.rate
-					top[c] = math.Max(top[c], f.rate)
-				}
-			}
-			for c, sum := range load {
-				if limit := c.effectiveCapacity(); sum > limit*(1+tol) {
-					fail("channel %d->%d carries %g over capacity %g", c.from, c.to, sum, limit)
-				}
-			}
-			for _, f := range n.flows {
-				if f.rate < 0 || (f.cap > 0 && f.rate > f.cap*(1+tol)) {
-					fail("flow %d rate %g outside [0, cap %g]", f.id, f.rate, f.cap)
-				}
-				if f.cap > 0 && f.rate >= f.cap*(1-tol) {
-					continue
-				}
-				bottlenecked := false
-				for _, c := range f.path {
-					if c.down && f.rate != 0 {
-						fail("flow %d crosses failed link %d->%d at rate %g", f.id, c.from, c.to, f.rate)
-					}
-					limit := c.effectiveCapacity()
-					// Saturation is decided to a relative 1e-9 of 1+capacity
-					// by the solver; allow it ten times that here.
-					if load[c] >= limit-1e-8*(1+limit) && f.rate >= top[c]*(1-tol) {
-						bottlenecked = true
-					}
-				}
-				if !bottlenecked {
-					fail("flow %d (rate %g, cap %g) is neither capped nor maximal on a saturated channel", f.id, f.rate, f.cap)
-				}
-			}
-		})
+		}
 	}
 }

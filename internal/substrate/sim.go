@@ -26,8 +26,10 @@ func init() {
 // starts from an idle network at t=0 whatever ran on the replica before
 // and whatever the worker count. A replica is cloned the first time a
 // Measure finds none idle, so a run owns as many as it has concurrent
-// Measures, and their route caches and event and flow pools stay warm from
-// one iteration to the next.
+// Measures, and their materialised routes and event and flow pools stay
+// warm from one iteration to the next. The routes themselves belong to the
+// topology (simnet's shared route table): no replica, and no later run on
+// the same network, computes one twice.
 type simSubstrate struct {
 	env Env
 

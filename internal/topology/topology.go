@@ -24,8 +24,7 @@ import (
 )
 
 // Link parameters shared by all datasets. Capacities are application-level
-// achievable rates (protocol efficiency folded in), as discussed in
-// DESIGN.md.
+// achievable rates (protocol efficiency folded in; see simnet.LinkSpec).
 var (
 	// HostLink connects a compute node to its cluster switch (1 GbE).
 	HostLink = simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6}

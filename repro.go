@@ -18,8 +18,8 @@
 //
 // Because the original experiments ran on the Grid'5000 testbed, this
 // repository ships a discrete-event fluid network simulator together with
-// models of the paper's topologies (see DESIGN.md for the substitution
-// table). The same public API runs tomography on any simulated network.
+// models of the paper's topologies. The same public API runs tomography on
+// any simulated network.
 //
 // # Quick start
 //
@@ -143,9 +143,8 @@
 // the README's "Campaigns" and "Querying results" sections for the spec
 // format, cache layout, resume semantics and the query API.
 //
-// See the examples/ directory for complete programs, cmd/experiments for
-// the harness that regenerates every table and figure of the paper, and
-// EXPERIMENTS.md for measured-versus-paper results.
+// See the examples/ directory for complete programs and cmd/experiments for
+// the harness that regenerates every table and figure of the paper.
 package repro
 
 import (
