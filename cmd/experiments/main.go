@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see the experiment index in DESIGN.md) and writes CSV series
-// and DOT/SVG layout figures under -out.
+// evaluation (experiments.Names is the index) and writes CSV series and
+// DOT/SVG layout figures under -out.
 //
 // Usage:
 //

@@ -37,7 +37,7 @@ const (
 	// DefaultBatchFragments is the request-pipeline granularity: how many
 	// fragments ride one simulated connection transfer. It trades event
 	// count against fragment-count granularity and is an ablation knob
-	// (see bench_test.go).
+	// (experiments.Ablation).
 	DefaultBatchFragments = 16
 	// DefaultRarestSampling is how many candidate pieces the sampled
 	// rarest-first selector weighs per request batch.

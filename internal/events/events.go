@@ -15,6 +15,8 @@
 package events
 
 import (
+	"os"
+
 	"repro/internal/archive"
 	"repro/internal/campaign"
 )
@@ -27,9 +29,10 @@ const (
 	KindCellFinished = "cell-finished"
 	// KindCellFailed fires per manifest.log "failed" line.
 	KindCellFailed = "cell-failed"
-	// KindRunExecuted fires per ledger append: a fresh execution
-	// published an archive document. Distinct from KindCellFinished so
-	// consumers counting cache misses never double-count cells.
+	// KindRunExecuted fires once per key the ledger records: a fresh
+	// execution published an archive document. Distinct from
+	// KindCellFinished so consumers counting cache misses never
+	// double-count cells.
 	KindRunExecuted = "run-executed"
 	// KindLeaseClaimed and KindLeaseReclaimed fire when a lease file
 	// appears, or changes holder/epoch, between polls.
@@ -80,9 +83,15 @@ type Event struct {
 type Watcher struct {
 	store *archive.Store
 
-	stamp     string
-	logOff    int64
+	stamp  string
+	logOff int64
+	// The ledger is tailed like archive's tail: the file it was when last
+	// looked at (nil: absent) and the offset consumed. GC's compaction
+	// renames a new ledger into place, which is then read from zero, so
+	// executed remembers every key already announced.
+	ledgerFi  os.FileInfo
 	ledgerOff int64
+	executed  map[string]bool
 	leases    map[string]leaseState
 	finalized bool
 	polled    bool
@@ -97,7 +106,7 @@ type leaseState struct {
 // on every Poll, so a Watcher opened before a fleet starts observes its
 // whole lifecycle.
 func NewWatcher(store *archive.Store) *Watcher {
-	return &Watcher{store: store, leases: make(map[string]leaseState)}
+	return &Watcher{store: store, executed: make(map[string]bool), leases: make(map[string]leaseState)}
 }
 
 // Poll returns the events that occurred since the previous Poll. It
@@ -122,11 +131,23 @@ func (w *Watcher) Poll() ([]Event, error) {
 		}
 		w.logOff = logOff
 
+		// The stat from before the scan: a ledger replaced between the
+		// two is caught by the next Poll. SameFile is false when either
+		// side is absent, and from zero is right for both.
+		fi, _ := os.Stat(campaign.Dir(w.store.Dir()).Index())
+		if !os.SameFile(w.ledgerFi, fi) {
+			w.ledgerOff = 0
+		}
+		w.ledgerFi = fi
 		ledger, ledgerOff, err := w.store.TailLedger(w.ledgerOff)
 		if err != nil {
 			return nil, err
 		}
 		for _, e := range ledger {
+			if w.executed[e.Key] {
+				continue
+			}
+			w.executed[e.Key] = true
 			evs = append(evs, Event{
 				Kind:        KindRunExecuted,
 				Key:         e.Key,

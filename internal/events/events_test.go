@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/fleet"
+	"repro/internal/persist"
 )
 
 func key(i int) string { return fmt.Sprintf("%064x", i+1) }
@@ -233,5 +235,65 @@ func TestStreamClose(t *testing.T) {
 	}
 	if _, ok := <-s.Subscribe(0); ok {
 		t.Fatal("post-Close subscribe returned a live channel")
+	}
+}
+
+// A ledger compaction (campaign gc renames a shorter runs/index.json
+// into place) under a live watcher re-announces nothing: the surviving
+// runs were already run-executed events, and only a key appended to the
+// new file is news.
+func TestWatcherSurvivesLedgerCompaction(t *testing.T) {
+	dir := t.TempDir()
+	index := filepath.Join(dir, "runs", "index.json")
+	add := func(i int) {
+		t.Helper()
+		if err := fleet.AppendIndex(index, fleet.IndexEntry{Key: key(i), Run: i, Owner: "w1", Cache: "miss"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		add(i)
+	}
+	w := NewWatcher(openStore(t, dir))
+	if evs, err := w.Poll(); err != nil || len(evs) != 4 {
+		t.Fatalf("history: %+v err=%v", evs, err)
+	}
+
+	// Compact as archive.GC does: the ledger without one key, written
+	// beside it and renamed over it.
+	compact := func(drop int) {
+		t.Helper()
+		err := persist.WriteAtomic(index, func(out io.Writer) error {
+			_, err := fleet.ScanIndex(index, 0, func(e fleet.IndexEntry) {
+				if e.Key != key(drop) {
+					line, _ := fleet.EncodeLine(e)
+					out.Write(line)
+				}
+			})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	compact(1)
+	if evs, err := w.Poll(); err != nil || len(evs) != 0 {
+		t.Fatalf("compaction re-announced surviving runs: %+v err=%v", evs, err)
+	}
+	add(4)
+	evs, err := w.Poll()
+	if err != nil || len(evs) != 1 || evs[0].Kind != KindRunExecuted || evs[0].Key != key(4) {
+		t.Fatalf("append after compaction: %+v err=%v", evs, err)
+	}
+
+	// A compacted ledger that outgrew the old offset before the watcher
+	// looked again is still a new file: both appends are news, not only
+	// the one past the stale offset.
+	compact(0)
+	add(5)
+	add(6)
+	evs, err = w.Poll()
+	if err != nil || len(evs) != 2 || evs[0].Key != key(5) || evs[1].Key != key(6) {
+		t.Fatalf("appends to a regrown compacted ledger: %+v err=%v", evs, err)
 	}
 }

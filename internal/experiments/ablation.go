@@ -1,8 +1,8 @@
 package experiments
 
 // E13 / §III-D: Louvain versus Infomap on the same measurement graphs,
-// plus ablations of the design knobs DESIGN.md calls out (request batch
-// size, root rotation, edge filtering).
+// plus ablations of the design knobs (request batch size, root rotation,
+// edge filtering).
 
 import (
 	"math/rand"

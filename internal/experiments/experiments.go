@@ -1,12 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the E1-E14 index in DESIGN.md). Each experiment returns the
-// data it produced together with a rendered table; the Runner optionally
-// writes CSV and figure files for plotting.
+// evaluation (Names is the index). Each experiment returns the data it
+// produced together with a rendered table; the Runner optionally writes
+// CSV and figure files for plotting.
 //
-// The experiments are shared by cmd/experiments (full paper scale), the
-// repository-root benchmarks (reduced scale) and the test suite (small
-// scale). Config.Scale shrinks the broadcast payload; everything else
-// stays at protocol defaults so the dynamics remain representative.
+// The experiments are shared by cmd/experiments (full paper scale) and
+// the test suite (small scale). Config.Scale shrinks the broadcast
+// payload; everything else stays at protocol defaults so the dynamics
+// remain representative.
 package experiments
 
 import (

@@ -33,10 +33,10 @@ type HierarchyData struct {
 // and plateaued at NMI ≈0.7; §V predicts a hierarchical variant would
 // recover the rest. In this reproduction the simulated intra-Bordeaux
 // contrast is strong enough that the flat cut often resolves all three
-// clusters outright (a better-than-paper deviation recorded in
-// EXPERIMENTS.md); the hierarchical decomposition must in that case
-// simply not degrade it, and it demonstrates multi-level recovery on
-// nested synthetic graphs in the core package's tests.
+// clusters outright (a better-than-paper deviation; the E15 table prints
+// both scores); the hierarchical decomposition must in that case simply
+// not degrade it, and it demonstrates multi-level recovery on nested
+// synthetic graphs in the core package's tests.
 func (r *Runner) Hierarchy() (*HierarchyData, error) {
 	d, err := scenario.New("BT")
 	if err != nil {

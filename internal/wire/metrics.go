@@ -4,8 +4,8 @@ import "repro/internal/telemetry"
 
 // Wire-layer metrics, in the process-wide registry. Real sockets fail
 // in ways the simulator cannot, so the wire backend's health — stalled
-// writers, refused handshakes, tracker rejections — is visible here
-// rather than only as eventual swarm timeouts.
+// writers, refused handshakes — is visible here rather than only as
+// eventual swarm timeouts.
 var (
 	mHandshakes = telemetry.Default().Counter("repro_wire_handshakes_total",
 		"peer handshakes completed")
@@ -17,10 +17,6 @@ var (
 		"verified PIECE messages received")
 	mStalls = telemetry.Default().Counter("repro_wire_send_stalls_total",
 		"connections killed because the writer queue was full")
-	mAnnounces = telemetry.Default().Counter("repro_wire_announces_total",
-		"successful tracker announces")
-	mAnnounceFailures = telemetry.Default().Counter("repro_wire_announce_failures_total",
-		"tracker announces that failed or were rejected")
 	mSwarms = telemetry.Default().Counter("repro_wire_swarms_total",
 		"loopback swarms started")
 	mSwarmFailures = telemetry.Default().Counter("repro_wire_swarm_failures_total",

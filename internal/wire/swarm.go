@@ -39,7 +39,7 @@ type SwarmOptions struct {
 	// Root is the seeding client's index (the broadcast root).
 	Root int
 	// Seed drives all protocol randomness (peer-id salting, rechoke
-	// shuffles, tracker sampling) for best-effort reproducibility.
+	// shuffles) for best-effort reproducibility.
 	Seed int64
 	// Timeout, when positive, bounds the broadcast in addition to ctx.
 	Timeout time.Duration
@@ -50,10 +50,6 @@ type SwarmOptions struct {
 	// where TCP itself is uniformly fast — reproduce the scenario's
 	// bandwidth contrast in real traffic.
 	Rates [][]float64
-	// Tracked bootstraps peer discovery through an in-process HTTP
-	// tracker (capped, random peer sets — the §II-C coverage effect)
-	// instead of static full-mesh wiring.
-	Tracked bool
 }
 
 // RunSwarm runs a synchronized broadcast of NumPieces 16 KiB fragments
@@ -93,16 +89,6 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 	var torrent Torrent
 	torrent.NumPieces = opt.NumPieces
 	copy(torrent.InfoHash[:], fmt.Sprintf("repro-broadcast-%04d", opt.NumPieces%10000))
-
-	var tracker *Tracker
-	if opt.Tracked {
-		tr, err := NewTracker(opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		tracker = tr
-		defer tracker.Close()
-	}
 
 	clients := make([]*Client, n)
 	listeners := make([]net.Listener, n)
@@ -185,54 +171,16 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 		return err
 	}
 
-	if tracker != nil {
-		// Announce in index order; each client dials the peers the
-		// tracker handed it (deduplicated by index pair, so a connection
-		// is dialed once no matter which side learned of it first).
-		dialed := make(map[[2]int]bool)
-		for i := 0; i < n; i++ {
-			port := listeners[i].Addr().(*net.TCPAddr).Port
-			peers, err := Announce(tracker.URL(), torrent, clients[i].peerID, port, "started")
+	// Full-mesh wiring: client i dials every j < i (the swarm sizes the
+	// paper uses are below the 35-peer cap, where the mesh is complete).
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			conn, err := net.Dial("tcp", listeners[j].Addr().String())
 			if err != nil {
-				return nil, ctxErr(err)
+				return nil, ctxErr(fmt.Errorf("wire: dial: %w", err))
 			}
-			for _, p := range peers {
-				var pid [20]byte
-				copy(pid[:], p.PeerID)
-				j, err := peerIndexFromID(pid)
-				if err != nil {
-					continue
-				}
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				if dialed[[2]int{a, b}] {
-					continue
-				}
-				dialed[[2]int{a, b}] = true
-				conn, err := net.Dial("tcp", p.Addr)
-				if err != nil {
-					return nil, ctxErr(err)
-				}
-				if _, err := clients[i].AddConn(conn, true); err != nil {
-					return nil, ctxErr(fmt.Errorf("wire: handshake: %w", err))
-				}
-			}
-		}
-	} else {
-		// Full-mesh wiring: client i dials every j < i (the swarm sizes
-		// the paper uses are below the 35-peer cap, where the mesh is
-		// complete).
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				conn, err := net.Dial("tcp", listeners[j].Addr().String())
-				if err != nil {
-					return nil, ctxErr(fmt.Errorf("wire: dial: %w", err))
-				}
-				if _, err := clients[i].AddConn(conn, true); err != nil {
-					return nil, ctxErr(fmt.Errorf("wire: handshake: %w", err))
-				}
+			if _, err := clients[i].AddConn(conn, true); err != nil {
+				return nil, ctxErr(fmt.Errorf("wire: handshake: %w", err))
 			}
 		}
 	}
@@ -278,14 +226,4 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 // expires.
 func RunLoopbackSwarm(ctx context.Context, n, numPieces int, seed int64, timeout time.Duration) (*SwarmResult, error) {
 	return RunSwarm(ctx, SwarmOptions{N: n, NumPieces: numPieces, Seed: seed, Timeout: timeout})
-}
-
-// RunTrackedSwarm runs a broadcast like RunLoopbackSwarm but bootstraps
-// peer discovery through a real HTTP tracker instead of static full-mesh
-// wiring: each client announces, receives its (capped, random) peer set,
-// and dials those peers. With n <= TrackerMaxPeers+1 the resulting mesh
-// is complete; beyond that, coverage per run becomes partial — exactly
-// the §II-C effect.
-func RunTrackedSwarm(ctx context.Context, n, numPieces int, seed int64, timeout time.Duration) (*SwarmResult, error) {
-	return RunSwarm(ctx, SwarmOptions{N: n, NumPieces: numPieces, Seed: seed, Timeout: timeout, Tracked: true})
 }

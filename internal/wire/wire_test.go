@@ -3,14 +3,9 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -262,161 +257,6 @@ func TestMessageRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTrackerAnnounceAndPeerCap(t *testing.T) {
-	tr, err := NewTracker(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	torrent := Torrent{NumPieces: 4}
-	copy(torrent.InfoHash[:], "tracker-unit-test---")
-	// Register 40 peers; each later announce must see at most 35.
-	var ids [][20]byte
-	for i := 0; i < 40; i++ {
-		c := NewClient(torrent, i, false, int64(i))
-		ids = append(ids, c.peerID)
-		peers, err := Announce(tr.URL(), torrent, c.peerID, 10000+i, "started")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && len(peers) == 0 {
-			t.Fatalf("announce %d returned no peers", i)
-		}
-		if len(peers) > TrackerMaxPeers {
-			t.Fatalf("announce returned %d peers, cap is %d", len(peers), TrackerMaxPeers)
-		}
-		wantAtMost := i
-		if wantAtMost > TrackerMaxPeers {
-			wantAtMost = TrackerMaxPeers
-		}
-		if len(peers) != wantAtMost {
-			t.Fatalf("announce %d returned %d peers, want %d", i, len(peers), wantAtMost)
-		}
-	}
-	// A stopped event removes the peer.
-	if _, err := Announce(tr.URL(), torrent, ids[0], 10000, "stopped"); err != nil {
-		t.Fatal(err)
-	}
-	peers, err := Announce(tr.URL(), torrent, ids[1], 10001, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range peers {
-		if p.PeerID == string(ids[0][:]) {
-			t.Fatal("stopped peer still announced")
-		}
-	}
-}
-
-func TestTrackerSeparatesTorrents(t *testing.T) {
-	tr, err := NewTracker(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	t1 := Torrent{NumPieces: 4}
-	copy(t1.InfoHash[:], "torrent-one---------")
-	t2 := Torrent{NumPieces: 4}
-	copy(t2.InfoHash[:], "torrent-two---------")
-	c1 := NewClient(t1, 0, false, 1)
-	c2 := NewClient(t2, 1, false, 2)
-	if _, err := Announce(tr.URL(), t1, c1.peerID, 9001, "started"); err != nil {
-		t.Fatal(err)
-	}
-	peers, err := Announce(tr.URL(), t2, c2.peerID, 9002, "started")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peers) != 0 {
-		t.Fatalf("torrent 2 sees %d peers from torrent 1", len(peers))
-	}
-}
-
-func TestTrackerRejectsBadAnnounce(t *testing.T) {
-	// A bad announce must come back over HTTP 200 (as BEP 3 prescribes)
-	// in the tracker's one reply encoding, with a "failure reason" a
-	// client can read, not as a bare HTTP error.
-	tr, err := NewTracker(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	resp, err := http.Get(tr.URL()) // no params
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&reply)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bad announce returned HTTP %d, want 200 with a failure reason", resp.StatusCode)
-	}
-	if err != nil {
-		t.Fatalf("bad announce body is not JSON: %v", err)
-	}
-	if reason, _ := reply["failure reason"].(string); !strings.Contains(reason, "info_hash") || len(reply) != 1 {
-		t.Fatalf("failure reply %v does not name the missing parameters and nothing else", reply)
-	}
-	// Announce must surface the reason as an error naming them; the
-	// client always sends all three, so drop them on the way in.
-	strip := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.URL.RawQuery = ""
-		tr.handleAnnounce(w, r)
-	}))
-	defer strip.Close()
-	if _, err := Announce(strip.URL, Torrent{}, [20]byte{}, 0, ""); err == nil {
-		t.Fatal("Announce swallowed a tracker failure")
-	} else if !strings.Contains(err.Error(), "missing info_hash, peer_id or port") {
-		t.Fatalf("Announce error %q does not carry the tracker's reason", err)
-	}
-}
-
-// TestParseTrackerFailure drives the client's reply decoding against
-// trackers that answer every shape of body: a failure reason is an error
-// carrying it, a truncated, oversized or garbage body is an error and
-// never a panic, and only a well-formed success yields peers.
-func TestParseTrackerFailure(t *testing.T) {
-	for _, tc := range []struct {
-		name, body string
-		status     int
-		wantErr    string // substring; "" means success
-	}{
-		{"failure", `{"failure reason":"swarm is full"}`, 200, "swarm is full"},
-		{"failure beside peers", `{"failure reason":"nope","peers":[{"peer_id":"a","addr":"b"}]}`, 200, "nope"},
-		{"truncated", `{"failure reason":"swarm is f`, 200, "tracker response"},
-		{"old bencode", "d14:failure reason4:nopee", 200, "tracker response"},
-		{"empty", "", 200, "tracker response"},
-		{"wrong type", `{"peers":7}`, 200, "tracker response"},
-		{"over the cap", `{"peers":[` + strings.Repeat(" ", announceMaxBody) + `]}`, 200, "tracker response"},
-		{"http error", `{"interval":30}`, 500, "500"},
-		{"success", `{"interval":30,"peers":[{"peer_id":"a","addr":"127.0.0.1:1"}]}`, 200, ""},
-	} {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(tc.status)
-			io.WriteString(w, tc.body)
-		}))
-		peers, err := Announce(srv.URL, Torrent{}, [20]byte{}, 0, "")
-		srv.Close()
-		switch {
-		case tc.wantErr == "" && (err != nil || len(peers) != 1 || peers[0].PeerID != "a"):
-			t.Fatalf("%s: peers %v, err %v", tc.name, peers, err)
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Fatalf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
-func TestTrackedSwarmBroadcast(t *testing.T) {
-	const n, pieces = 6, 64
-	res, err := RunTrackedSwarm(context.Background(), n, pieces, 5, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalFragments() != pieces*(n-1) {
-		t.Fatalf("TotalFragments = %d, want %d", res.TotalFragments(), pieces*(n-1))
 	}
 }
 
