@@ -74,15 +74,21 @@ bench-smoke:
 # FuzzSnapshotAdvance: whatever a writer, a crash or an operator does to
 # the ledger and manifest.log (append, tear, truncate, replace, delete),
 # a long-lived archive.Snapshot advanced after each step shows what a
-# fresh read shows. FuzzSolveCertificate: whatever topology and flow churn
-# the bytes decode to, every allocation simnet.solve produces, on the network
-# as built and on a Clone, passes the max-min certificate and equals the
-# reference solver's bit for bit. A failing input is written to that corpus
-# directory; check it in with the fix.
+# fresh read shows, and one followed after each step hands over exactly
+# the change feed a fresh read implies. FuzzSolveCertificate: whatever
+# topology and flow churn the bytes decode to, every allocation
+# simnet.solve produces, on the network as built and on a Clone, passes
+# the max-min certificate and equals the reference solver's bit for bit.
+# FuzzDecode and FuzzReadHandshake: whatever bytes a remote peer sends,
+# the wire decoders never panic, and a message Decode accepts re-encodes
+# to exactly the bytes it consumed. A failing input is written to that
+# corpus directory; check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotAdvance -fuzztime=10s ./internal/archive
 	$(GO) test -run='^$$' -fuzz=FuzzSolveCertificate -fuzztime=10s ./internal/simnet
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzReadHandshake -fuzztime=10s ./internal/wire
 
 ci: fmt-check vet layout-check build examples bench-test race bench-smoke fuzz-smoke

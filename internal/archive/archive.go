@@ -140,7 +140,7 @@ func archived(at campaign.Dir, fn func(key string, d os.DirEntry)) error {
 // archive costs one ledger read and one directory scan.
 func (s *Store) Runs() ([]RunInfo, error) {
 	sn := s.Snapshot()
-	if err := sn.advanceLedger(); err != nil {
+	if err := sn.advanceLedger(nil); err != nil {
 		return nil, err
 	}
 	return sn.Runs()
@@ -185,7 +185,7 @@ type RunDetail struct {
 // user-supplied keys).
 func (s *Store) Get(key string) (*RunDetail, error) {
 	sn := s.Snapshot()
-	if err := sn.advanceLedger(); err != nil {
+	if err := sn.advanceLedger(nil); err != nil {
 		return nil, err
 	}
 	return sn.Get(key)

@@ -82,7 +82,7 @@ func resolveAxis(axis string) (canon, key string, ok bool) {
 // lines (a worker killed mid-append) are skipped.
 func (s *Store) Marginals(axis string) (*Marginal, error) {
 	sn := s.Snapshot()
-	if err := sn.advanceCells(); err != nil {
+	if err := sn.advanceCells(nil); err != nil {
 		return nil, err
 	}
 	return sn.Marginals(axis)

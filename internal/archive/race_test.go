@@ -190,7 +190,7 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 	for r := 0; r < readers; r++ {
 		go func() { // the readers: every query, continuously, until done
 			defer wg.Done()
-			var logOff, ledgerOff int64
+			var logOff int64
 			tailed := make(map[string]bool)
 			for {
 				select {
@@ -277,12 +277,6 @@ func TestReadsDuringLiveWriter(t *testing.T) {
 					}
 					tailed[e.Key] = true
 				}
-				_, off, err = st.TailLedger(ledgerOff)
-				if err != nil {
-					t.Errorf("TailLedger during writes: %v", err)
-					return
-				}
-				ledgerOff = off
 				st.Stamp()
 				st.TracesStamp()
 			}

@@ -13,7 +13,8 @@ import (
 // ledger's first-record-per-key fold, the streamed manifest's finished
 // cells, and the head of every manifest document. Advance brings it up
 // to date by reading only what was appended since the previous Advance,
-// so a long-lived holder (archive/serve keeps one per handler) pays
+// so a long-lived holder (archive/serve keeps one per handler, and
+// events.Watcher one per feed, taking Follow's delta) pays
 // O(what changed) per query where a fresh one (every Store method) pays
 // O(archive), and holds the parsed ledger and log while it lives:
 // O(ledger + log) memory, about 1 MB at 10^3 runs.
@@ -72,24 +73,60 @@ func (s *Store) Snapshot() *Snapshot {
 // second replacement since the last Advance — nothing that writes an
 // archive does.
 func (s *Snapshot) Advance() error {
-	if err := s.advanceLedger(); err != nil {
-		return err
-	}
-	if err := s.advanceCells(); err != nil {
+	if err := s.Follow(Changes{}); err != nil {
 		return err
 	}
 	return s.advanceHeads()
 }
 
-func (s *Snapshot) advanceLedger() error {
-	return s.index.advance(s.at.Index(), func() { s.ledger = fleet.Ledger{} }, func(offset int64) (int64, error) {
-		return fleet.ScanIndex(s.at.Index(), offset, s.ledger.Add)
+// Changes receives what a Follow folds, in file order; a nil callback is
+// skipped. Cell sees every manifest.log record, duplicates and failed
+// cells included. Run sees the first record of each ledger key the fold
+// did not hold before — before includes a fold that a refold replaced,
+// so a compaction that keeps a key hands over nothing for it.
+type Changes struct {
+	Cell func(campaign.Entry)
+	Run  func(fleet.IndexEntry)
+}
+
+// Follow is Advance without the manifest heads, handing what it folds to
+// c: the streamed manifest, then the ledger. A log that was replaced,
+// shrank or vanished is a new history, handed over from its start.
+func (s *Snapshot) Follow(c Changes) error {
+	if err := s.advanceCells(c.Cell); err != nil {
+		return err
+	}
+	return s.advanceLedger(c.Run)
+}
+
+func (s *Snapshot) advanceLedger(run func(fleet.IndexEntry)) error {
+	add := s.ledger.Add
+	var before map[string]int // the fold a refold in this advance replaced
+	if run != nil {
+		add = func(e fleet.IndexEntry) {
+			_, held := s.ledger.At[e.Key]
+			_, had := before[e.Key]
+			s.ledger.Add(e)
+			if !held && !had {
+				run(e)
+			}
+		}
+	}
+	return s.index.advance(s.at.Index(), func() { before, s.ledger = s.ledger.At, fleet.Ledger{} }, func(offset int64) (int64, error) {
+		return fleet.ScanIndex(s.at.Index(), offset, add)
 	})
 }
 
-func (s *Snapshot) advanceCells() error {
+func (s *Snapshot) advanceCells(cell func(campaign.Entry)) error {
+	add := s.addCell
+	if cell != nil {
+		add = func(e campaign.Entry) {
+			s.addCell(e)
+			cell(e)
+		}
+	}
 	return s.log.advance(s.at.Log(), func() { s.cells, s.cellAt = nil, make(map[cellID]int) }, func(offset int64) (int64, error) {
-		return scanLog(s.at.Log(), offset, s.addCell)
+		return scanLog(s.at.Log(), offset, add)
 	})
 }
 

@@ -96,7 +96,7 @@ type LeaseStatus struct {
 // entries, and counts never exceed the exactly-once truth.
 func (s *Store) Status() (*Status, error) {
 	sn := s.Snapshot()
-	if err := sn.advanceLedger(); err != nil {
+	if err := sn.advanceLedger(nil); err != nil {
 		return nil, err
 	}
 	if err := sn.advanceHeads(); err != nil {
@@ -184,8 +184,6 @@ func (s *Snapshot) Status() (*Status, error) {
 		st.Owners = append(st.Owners, *o)
 	}
 	sort.Slice(st.Owners, func(i, j int) bool { return st.Owners[i].Owner < st.Owners[j].Owner })
-
-	_, err = os.Stat(s.at.CSV())
-	st.Finalized = err == nil
+	st.Finalized = finalized(s.at)
 	return st, nil
 }

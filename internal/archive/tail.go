@@ -9,13 +9,14 @@ import (
 	"repro/internal/fleet"
 )
 
-// Tail support: incremental reads over the archive's append-only files,
-// the primitive the events.Watcher builds on. A tail call hands back the
-// records that appeared since a byte offset plus the next offset to
-// resume from, under fleet.ScanLines' discipline (only complete lines
-// are consumed; a torn trailing fragment stays unconsumed until the
-// writer finishes it; garbage complete lines are skipped but consumed;
-// a file that shrank below the offset is re-read from the start).
+// What a poller reads besides the views: the streamed manifest from a
+// byte offset, the leases and the finalize flag. A long-lived follower
+// (events.Watcher) holds a Snapshot and takes its Follow delta instead of
+// keeping offsets of its own; TailLog is the stateless form, under
+// fleet.ScanLines' discipline (only complete lines are consumed; a torn
+// trailing fragment stays unconsumed until the writer finishes it;
+// garbage complete lines are skipped but consumed; a file that shrank
+// below the offset is re-read from the start).
 
 // TailLog returns the manifest.log entries appended since offset and
 // the offset to resume from. Unlike Marginals' finished cells it does
@@ -38,14 +39,6 @@ func scanLog(path string, offset int64, fn func(campaign.Entry)) (int64, error) 
 	})
 }
 
-// TailLedger returns the runs/index.json records appended since offset
-// and the offset to resume from, with the same tolerance as TailLog.
-func (s *Store) TailLedger(offset int64) ([]fleet.IndexEntry, int64, error) {
-	var entries []fleet.IndexEntry
-	next, err := fleet.ScanIndex(s.at.Index(), offset, func(e fleet.IndexEntry) { entries = append(entries, e) })
-	return entries, next, err
-}
-
 // Leases snapshots the lease directory (sorted by key, tolerant of
 // mid-write files) — the Watcher diffs consecutive snapshots into
 // claimed/reclaimed events.
@@ -55,8 +48,10 @@ func (s *Store) Leases() ([]fleet.Lease, error) {
 
 // Finalized reports whether the campaign has been finalized (the
 // aggregate campaign.csv exists).
-func (s *Store) Finalized() bool {
-	_, err := os.Stat(s.at.CSV())
+func (s *Store) Finalized() bool { return finalized(s.at) }
+
+func finalized(at campaign.Dir) bool {
+	_, err := os.Stat(at.CSV())
 	return err == nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/fleet"
 )
 
 // The tail contract in slow motion: complete lines are consumed exactly
@@ -89,34 +88,6 @@ func TestTailLogIncrements(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Index != 9 {
 		t.Fatalf("shrunk file not re-read from zero: %+v", entries)
-	}
-}
-
-func TestTailLedger(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := filepath.Join(dir, "runs", "index.json")
-	k := syntheticKey(7)
-	if err := fleet.AppendIndex(idx, fleet.IndexEntry{Key: k, Run: 3, Owner: "w1", Cache: "miss"}); err != nil {
-		t.Fatal(err)
-	}
-	entries, off, err := st.TailLedger(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Key != k || entries[0].Owner != "w1" {
-		t.Fatalf("ledger tail wrong: %+v", entries)
-	}
-	// Keys that are not content addresses (and torn lines) are skipped.
-	f, _ := os.OpenFile(idx, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	fmt.Fprint(f, `{"key":"nope"}`+"\n"+`{"key":"`)
-	f.Close()
-	entries, _, err = st.TailLedger(off)
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("invalid ledger lines delivered: %v err=%v", entries, err)
 	}
 }
 

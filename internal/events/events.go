@@ -1,12 +1,15 @@
 // Package events turns the campaign archive's append-only files into a
 // typed change feed. The archive was built to be *tailed* — the ledger
 // and streamed manifest are whole-line O_APPEND records, leases are
-// heartbeat files — but until now every consumer polled full queries and
-// diffed by hand. A Watcher does that diffing once, behind the same
-// read-path discipline as the Store (torn lines skipped, mid-write files
-// degraded, never failed), and a Stream fans the resulting events out to
-// any number of subscribers with bounded replay — the engine behind the
-// HTTP service's /events SSE endpoint and its live dashboard.
+// heartbeat files — and archive.Snapshot is the one tailer of them: a
+// Watcher holds one and translates what each archive.Snapshot.Follow
+// folds into events, under the same read-path discipline as the Store
+// (torn lines skipped, replaced files refolded, mid-write files degraded,
+// never failed). It adds only what is not an append-only file: the
+// finalize transition and the lease diff. A Stream fans the resulting
+// events out to any number of subscribers with bounded replay — the
+// engine behind the HTTP service's /events SSE endpoint and its live
+// dashboard.
 //
 // Events are observability output, never a system of record: dropping
 // one (a slow subscriber, a restarted watcher) loses a notification, not
@@ -15,10 +18,9 @@
 package events
 
 import (
-	"os"
-
 	"repro/internal/archive"
 	"repro/internal/campaign"
+	"repro/internal/fleet"
 )
 
 // Event kinds, in the rough order a campaign emits them.
@@ -77,24 +79,16 @@ type Event struct {
 // not safe for concurrent Polls; the Stream serialises access, and a
 // bare Watcher belongs to one goroutine.
 //
-// The first Poll replays the archive's full history (offset 0), so a
-// consumer attaching mid-campaign gets the complete picture, in order,
-// before live changes.
+// The first Poll replays the archive's full history, so a consumer
+// attaching mid-campaign gets the complete picture, in order, before
+// live changes.
 type Watcher struct {
 	store *archive.Store
-
-	stamp  string
-	logOff int64
-	// The ledger is tailed like archive's tail: the file it was when last
-	// looked at (nil: absent) and the offset consumed. GC's compaction
-	// renames a new ledger into place, which is then read from zero, so
-	// executed remembers every key already announced.
-	ledgerFi  os.FileInfo
-	ledgerOff int64
-	executed  map[string]bool
+	// sn is the Watcher's own fold, never a view's: a view's Advance
+	// would fold records this feed then never hands over.
+	sn        *archive.Snapshot
 	leases    map[string]leaseState
 	finalized bool
-	polled    bool
 }
 
 type leaseState struct {
@@ -104,68 +98,33 @@ type leaseState struct {
 
 // NewWatcher returns a Watcher over the store. The store is read fresh
 // on every Poll, so a Watcher opened before a fleet starts observes its
-// whole lifecycle.
+// whole lifecycle; it reads nothing until the first Poll.
 func NewWatcher(store *archive.Store) *Watcher {
-	return &Watcher{store: store, executed: make(map[string]bool), leases: make(map[string]leaseState)}
+	return &Watcher{store: store, sn: store.Snapshot(), leases: make(map[string]leaseState)}
 }
 
-// Poll returns the events that occurred since the previous Poll. It
+// Poll returns the events since the previous Poll, in this order: one
+// per manifest.log record the Snapshot's Follow hands over, one per
+// ledger key it hands over, the finalize transition, the lease diff. It
 // never fails on torn or mid-write files (those degrade to fewer events
 // this poll, delivered next poll); the error path is reserved for the
-// archive becoming unreadable outright.
+// archive becoming unreadable outright, and returns with the error the
+// events folded before it, which the fold has moved past.
 func (w *Watcher) Poll() ([]Event, error) {
 	var evs []Event
-
-	// Stamp gates the append-only tails: an unchanged stamp means the
-	// ledger/log/csv cannot have moved, so an idle archive costs a few
-	// stats. Leases are outside the stamp by design (heartbeats must not
-	// churn ETags), so the lease diff runs every poll.
-	stamp := w.store.Stamp()
-	if stamp != w.stamp || !w.polled {
-		logEntries, logOff, err := w.store.TailLog(w.logOff)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range logEntries {
-			evs = append(evs, cellEvent(e))
-		}
-		w.logOff = logOff
-
-		// The stat from before the scan: a ledger replaced between the
-		// two is caught by the next Poll. SameFile is false when either
-		// side is absent, and from zero is right for both.
-		fi, _ := os.Stat(campaign.Dir(w.store.Dir()).Index())
-		if !os.SameFile(w.ledgerFi, fi) {
-			w.ledgerOff = 0
-		}
-		w.ledgerFi = fi
-		ledger, ledgerOff, err := w.store.TailLedger(w.ledgerOff)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range ledger {
-			if w.executed[e.Key] {
-				continue
-			}
-			w.executed[e.Key] = true
-			evs = append(evs, Event{
-				Kind:        KindRunExecuted,
-				Key:         e.Key,
-				Run:         e.Run,
-				Scenario:    e.Scenario,
-				Backend:     e.Backend,
-				Owner:       e.Owner,
-				Cache:       e.Cache,
-				WallSeconds: e.WallSeconds,
-			})
-		}
-		w.ledgerOff = ledgerOff
-
-		if !w.finalized && w.store.Finalized() {
-			w.finalized = true
-			evs = append(evs, Event{Kind: KindFinalized})
-		}
-		w.stamp = stamp
+	err := w.sn.Follow(archive.Changes{
+		Cell: func(e campaign.Entry) { evs = append(evs, cellEvent(e)) },
+		Run: func(e fleet.IndexEntry) {
+			evs = append(evs, Event{Kind: KindRunExecuted, Key: e.Key, Run: e.Run, Scenario: e.Scenario,
+				Backend: e.Backend, Owner: e.Owner, Cache: e.Cache, WallSeconds: e.WallSeconds})
+		},
+	})
+	if err != nil {
+		return evs, err
+	}
+	if !w.finalized && w.store.Finalized() {
+		w.finalized = true
+		evs = append(evs, Event{Kind: KindFinalized})
 	}
 
 	leases, err := w.store.Leases()
@@ -191,8 +150,6 @@ func (w *Watcher) Poll() ([]Event, error) {
 		// emits nothing.
 		w.leases = next
 	}
-
-	w.polled = true
 	return evs, nil
 }
 

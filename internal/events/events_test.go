@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -295,5 +296,36 @@ func TestWatcherSurvivesLedgerCompaction(t *testing.T) {
 	evs, err = w.Poll()
 	if err != nil || len(evs) != 2 || evs[0].Key != key(5) || evs[1].Key != key(6) {
 		t.Fatalf("appends to a regrown compacted ledger: %+v err=%v", evs, err)
+	}
+}
+
+// A manifest.log renamed over by a longer one is a new history: the
+// watcher replays it from its start, not from the offset it had reached
+// in the file that is gone.
+func TestWatcherFollowsReplacedLog(t *testing.T) {
+	dir := t.TempDir()
+	line := func(i int) string {
+		return fmt.Sprintf(`{"index":%d,"key":"%s","status":"done"}`+"\n", i, key(i))
+	}
+	appendLog(t, dir, line(10)+line(11))
+	w := NewWatcher(openStore(t, dir))
+	if evs, err := w.Poll(); err != nil || len(evs) != 2 {
+		t.Fatalf("history: %+v err=%v", evs, err)
+	}
+
+	err := persist.WriteAtomic(filepath.Join(dir, "manifest.log"), func(out io.Writer) error {
+		_, err := io.WriteString(out, line(10)+line(11)+line(12)+line(13))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := w.Poll()
+	var runs []int
+	for _, e := range evs {
+		runs = append(runs, e.Run)
+	}
+	if err != nil || !slices.Equal(runs, []int{10, 11, 12, 13}) {
+		t.Fatalf("got runs %v, want [10 11 12 13] (err=%v)", runs, err)
 	}
 }
