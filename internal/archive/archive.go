@@ -33,10 +33,11 @@
 //     Snapshot folded from nothing — O(archive) per call — so a Store
 //     opened before a writer started still observes its progress, and
 //     it is the differential oracle for the long-lived Snapshot the HTTP
-//     handler advances by reading only what was appended. Either way a
-//     view reads fresh what is not append-only: the runs/ directory, the
-//     leases, one result document. Stamp() gives pollers a cheap change
-//     detector (the ETag the HTTP service serves).
+//     handler advances by reading only what was appended, and listing
+//     runs/ again only when the directory's facts or the ledger or log
+//     moved. Either way a view reads fresh what the Snapshot does not
+//     hold: the leases, one result document. Stamp() gives pollers a
+//     cheap change detector (the ETag the HTTP service serves).
 package archive
 
 import (
@@ -143,30 +144,29 @@ func (s *Store) Runs() ([]RunInfo, error) {
 	if err := sn.advanceLedger(nil); err != nil {
 		return nil, err
 	}
+	if err := sn.advanceRuns(true); err != nil {
+		return nil, err
+	}
 	return sn.Runs()
 }
 
-// Runs is Store.Runs over the ledger as of the last Advance and the
-// runs/ directory as of now.
+// Runs is Store.Runs over the ledger and the runs/ listing as of the
+// last Advance.
 func (s *Snapshot) Runs() ([]RunInfo, error) {
 	// Grow leaves an empty archive's listing nil: it has always encoded as null.
 	runs := slices.Grow([]RunInfo(nil), len(s.ledger.First))
 	for _, e := range s.ledger.First {
 		runs = append(runs, runInfo(e))
 	}
-	err := archived(s.at, func(key string, d os.DirEntry) {
-		var size int64
-		if fi, err := d.Info(); err == nil {
-			size = fi.Size()
-		}
-		if i, ok := s.ledger.At[key]; ok {
+	for _, d := range s.docs {
+		if i, ok := s.ledger.At[d.key]; ok {
 			runs[i].Archived = true
-			runs[i].Bytes = size
-			return
+			runs[i].Bytes = d.size
+			continue
 		}
-		runs = append(runs, RunInfo{Key: key, Run: -1, Archived: true, Bytes: size})
-	})
-	return runs, err
+		runs = append(runs, RunInfo{Key: d.key, Run: -1, Archived: true, Bytes: d.size})
+	}
+	return runs, nil
 }
 
 // RunDetail is one run in full: its listing record plus the archived

@@ -145,9 +145,10 @@ func TestHandlerFollowsLiveFleetAndCompaction(t *testing.T) {
 // Cost guards that fail when someone re-reads the archive on a 200: over
 // a 1000-run archive a warm handler answers /runs/{key} from one map
 // lookup and one document (it used to decode the whole ledger: about
-// 10,000 allocations), and /status from the fold it holds plus the runs/
-// directory scan, which is most of what is left (it used to decode the
-// ledger and materialise manifest.json: about 20,000).
+// 10,000 allocations), /status from the fold and runs/ listing it holds
+// (it used to decode the ledger and materialise manifest.json: about
+// 20,000, then list runs/: about 2,100), and /runs from the listing and
+// the body it last encoded (listing and encoding it: about 5,100).
 func TestWarmViewAllocBudget(t *testing.T) {
 	info, _ := debug.ReadBuildInfo()
 	for _, s := range info.Settings {
@@ -155,23 +156,15 @@ func TestWarmViewAllocBudget(t *testing.T) {
 			t.Skip("allocation counts are meaningless under the race detector")
 		}
 	}
-	dir := campaign.Dir(t.TempDir())
-	for i := 0; i < 1000; i++ {
-		if err := finishRun(dir, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := archive.Open(string(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := thousandRuns(t)
 	h := Handler(st)
 	for _, guard := range []struct {
 		url    string
 		budget float64
 	}{
 		{"/runs/" + runKey(500), 400},
-		{"/status", 3000},
+		{"/status", 300},
+		{"/runs", 300},
 	} {
 		req := httptest.NewRequest("GET", guard.url, nil)
 		serve := func() {
@@ -192,5 +185,50 @@ func TestWarmViewAllocBudget(t *testing.T) {
 	cold := testing.AllocsPerRun(1, func() { get(t, Handler(st), "/runs/"+runKey(500), nil, nil) })
 	if cold < 10000 {
 		t.Errorf("the control is broken: a cold GET /runs/{key} over 1000 runs allocates %v times", cold)
+	}
+}
+
+// thousandRuns is a 1000-run archive, every run finished as a worker
+// finishes one.
+func thousandRuns(tb testing.TB) *archive.Store {
+	tb.Helper()
+	dir := campaign.Dir(tb.TempDir())
+	for i := 0; i < 1000; i++ {
+		if err := finishRun(dir, i); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	st, err := archive.Open(string(dir))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkWarmViews is the read path's layer number: one 200 of a
+// warm handler over a 1000-run archive nothing is writing to.
+func BenchmarkWarmViews(b *testing.B) {
+	st := thousandRuns(b)
+	for _, view := range []struct{ name, url string }{
+		{"/runs", "/runs"},
+		{"/status", "/status"},
+		{"/runs/{key}", "/runs/" + runKey(500)},
+	} {
+		b.Run(view.name, func(b *testing.B) {
+			h := Handler(st)
+			req := httptest.NewRequest("GET", view.url, nil)
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: %d", view.url, rec.Code)
+				}
+			}
+			serve() // the first 200 folds the archive
+			b.ReportAllocs()
+			for b.Loop() {
+				serve()
+			}
+		})
 	}
 }

@@ -188,6 +188,33 @@ func TestEventsSSE(t *testing.T) {
 	}
 }
 
+// A stream at its subscriber cap answers /events with 503 and
+// Retry-After, before any of the event-stream preamble.
+func TestEventsRefusedWhenFull(t *testing.T) {
+	st, err := archive.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := events.NewStream(events.NewWatcher(st), time.Millisecond)
+	defer stream.Close()
+	for n := 0; ; n++ {
+		if _, err := stream.Subscribe(0); err != nil {
+			break
+		}
+		if n == 1024 { // each subscriber holds ≈ 190 KB
+			t.Fatal("the stream took 1024 subscribers and was never full")
+		}
+	}
+	rec := httptest.NewRecorder()
+	serveSSE(rec, httptest.NewRequest("GET", "/events", nil), stream)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("/events on a full stream: %d, Retry-After %q\n%s", rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	if strings.Contains(rec.Body.String(), "retry:") {
+		t.Fatalf("a refused subscriber got the event-stream preamble:\n%s", rec.Body.String())
+	}
+}
+
 // POST /ingest is the cross-machine write path: posted manifest lines
 // land in the hub's manifest.log (canonicalised), fresh executions are
 // mirrored into the ledger for owner attribution, and junk is either

@@ -16,7 +16,8 @@
 //	/dashboard   live HTML dashboard (subscribes to /events)
 //	/events      archive change feed, Server-Sent Events (no ETag:
 //	             a stream has no representation to cache; reconnect
-//	             with Last-Event-ID to replay missed events)
+//	             with Last-Event-ID to replay missed events; 503 while
+//	             the stream has its maximum of subscribers)
 //	/metrics     process telemetry, Prometheus text format (no ETag:
 //	             metrics change continuously and are never cached)
 //	/debug/pprof/*     Go profiling handlers, when Options.Pprof is set
@@ -33,10 +34,12 @@
 // idle archive costs a handful of stat calls per poll, no file reads,
 // and responses are byte-stable between state changes. A 200 is built
 // from the handler's one archive.Snapshot, advanced first by reading
-// only the bytes appended since the previous 200: O(what changed), not
-// O(archive), for about 1 MB held per 10^3 runs. What a 200 still reads
-// on every request is what is not append-only: the runs/ directory
-// (/runs, /status), the leases (/status), one result document
+// only the bytes appended since the previous 200, and listing runs/
+// again only when the directory or the ledger or log moved: O(what
+// changed), not O(archive), for about 1 MB held per 10^3 runs. /runs
+// keeps the body it last encoded and serves it again while the listing
+// is equal. What a 200 still reads on every request is what the Snapshot
+// does not hold: the leases (/status), one result document
 // (/runs/{key}), and whatever /plots/phases.svg and /diff read through
 // the Store. The consequence of the ETag design:
 // an ETag names archive state, not a URL, so a request replaying the
@@ -55,6 +58,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,6 +66,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,10 +147,26 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 	mux.HandleFunc("GET /status", counted("status", view(archiveStamp, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) { return s.Status() })
 	})))
+	// The last listing /runs encoded and its body, under mu: an unchanged
+	// listing is served the same bytes without encoding it again.
+	var lastRuns []archive.RunInfo
+	var lastBody json.RawMessage
 	mux.HandleFunc("GET /runs", counted("runs", view(archiveStamp, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) {
 			runs, err := s.Runs()
-			return map[string]any{"runs": len(runs), "entries": runs}, err
+			if err != nil {
+				return nil, err
+			}
+			if lastBody == nil || !slices.Equal(runs, lastRuns) {
+				body, err := encodeJSON(map[string]any{"runs": len(runs), "entries": runs})
+				if err != nil {
+					return nil, err
+				}
+				// MarshalIndent's buffer has room for twice the compact
+				// document; what is kept is the body alone.
+				lastRuns, lastBody = runs, bytes.Clone(body)
+			}
+			return lastBody, nil
 		})
 	})))
 	mux.HandleFunc("GET /runs/{key}", counted("run", view(archiveStamp, func(r *http.Request) (any, error) {
@@ -240,7 +261,8 @@ func MountPprof(mux *http.ServeMux) {
 // then live events follow; heartbeat comment lines keep idle
 // connections alive. The response never ends on its own — the client
 // hangs up, or the subscriber is dropped for falling behind (and the
-// client's automatic reconnect resumes it).
+// client's automatic reconnect resumes it). A stream at its subscriber
+// cap answers 503 with Retry-After instead.
 func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -251,14 +273,20 @@ func serveSSE(w http.ResponseWriter, r *http.Request, stream *events.Stream) {
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		lastID, _ = strconv.ParseInt(v, 10, 64)
 	}
+	ch, err := stream.Subscribe(lastID)
+	if err != nil {
+		// Full (events.ErrFull): Retry-After says when a slot may be free.
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	defer stream.Unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprint(w, "retry: 2000\n\n")
 	fl.Flush()
 
-	ch := stream.Subscribe(lastID)
-	defer stream.Unsubscribe(ch)
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
@@ -416,10 +444,11 @@ func counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 
 // view is the ETag/304 discipline every archive view is mounted through.
 // stamp names the archive state the response depends on; build produces
-// the response from it — a []byte is a finished SVG, anything else is
-// encoded as indented JSON. If-None-Match is answered from the stamp
-// alone, before build runs, so a poller of an unchanged archive costs the
-// stamp's stat calls and nothing else. Validators compare weakly (a
+// the response from it — a []byte is a finished SVG, a json.RawMessage a
+// finished JSON body (encodeJSON's), anything else is encoded by
+// encodeJSON. If-None-Match is answered from the stamp alone, before
+// build runs, so a poller of an unchanged archive costs the stamp's stat
+// calls and nothing else. Validators compare weakly (a
 // compressing proxy rewrites "tag" to W/"tag"). A failed build is
 // answered by fail and carries no ETag.
 func view(stamp func(*http.Request) string, build func(*http.Request) (any, error)) http.HandlerFunc {
@@ -439,16 +468,18 @@ func view(stamp func(*http.Request) string, build func(*http.Request) (any, erro
 			fail(w, err)
 			return
 		}
-		body, isSVG := v.([]byte)
-		contentType := "image/svg+xml"
-		if !isSVG {
-			contentType = "application/json"
-			// One buffer of the document's size; an Encoder doubles its way to two.
-			if body, err = json.MarshalIndent(v, "", "  "); err != nil {
+		var body []byte
+		contentType := "application/json"
+		switch v := v.(type) {
+		case []byte:
+			body, contentType = v, "image/svg+xml"
+		case json.RawMessage:
+			body = v
+		default:
+			if body, err = encodeJSON(v); err != nil {
 				fail(w, err)
 				return
 			}
-			body = append(body, '\n')
 		}
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Cache-Control", "no-cache")
@@ -456,6 +487,17 @@ func view(stamp func(*http.Request) string, build func(*http.Request) (any, erro
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body)
 	}
+}
+
+// encodeJSON is every JSON view's body: v indented by two spaces, then a
+// newline. One buffer of the document's size; an Encoder doubles its way
+// to two.
+func encodeJSON(v any) (json.RawMessage, error) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // fail maps a query error to its status code: the archive package

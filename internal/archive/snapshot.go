@@ -9,15 +9,15 @@ import (
 	"repro/internal/fleet"
 )
 
-// Snapshot is the archive's append-only state in parsed form: the
-// ledger's first-record-per-key fold, the streamed manifest's finished
-// cells, and the head of every manifest document. Advance brings it up
-// to date by reading only what was appended since the previous Advance,
-// so a long-lived holder (archive/serve keeps one per handler, and
-// events.Watcher one per feed, taking Follow's delta) pays
-// O(what changed) per query where a fresh one (every Store method) pays
-// O(archive), and holds the parsed ledger and log while it lives:
-// O(ledger + log) memory, about 1 MB at 10^3 runs.
+// Snapshot is the archive's state in parsed form: the ledger's
+// first-record-per-key fold, the streamed manifest's finished cells, the
+// head of every manifest document, and the listing of the archive
+// documents in runs/. Advance brings it up to date by reading only what
+// moved since the previous Advance, so a long-lived holder (archive/serve
+// keeps one per handler, and events.Watcher one per feed, taking Follow's
+// delta) pays O(what changed) per query where a fresh one (every Store
+// method) pays O(archive), and holds what it parsed while it lives:
+// O(ledger + log + runs/) memory, about 1 MB at 10^3 runs.
 //
 // It is not safe for concurrent use: Advance writes what the views
 // read. Views only read, and nothing they return aliases the Snapshot,
@@ -36,6 +36,18 @@ type Snapshot struct {
 	// heads holds the head of manifest.json (under "") and of each
 	// manifests/<owner>.json (under the owner).
 	heads map[string]head
+
+	// docs lists the archive documents of runs/ in key order, as they
+	// were when the directory had the facts runsAt (nil: not listed, or
+	// no directory).
+	runsAt os.FileInfo
+	docs   []doc
+}
+
+// doc is one archive document as the runs/ listing saw it.
+type doc struct {
+	key  string
+	size int64
 }
 
 // cellID names one grid cell in the streamed manifest.
@@ -69,14 +81,27 @@ func (s *Store) Snapshot() *Snapshot {
 // record still wins across increments). A file that vanished, shrank
 // below the offset or was replaced (os.SameFile fails: GC's ledger
 // compaction renames a new file into place) is folded again from zero.
+// The runs/ directory is listed again when its own facts moved or when
+// this Advance folded anything from the ledger or the log: a writer
+// renames a document in before it appends the ledger line, and GC
+// removes documents before it compacts the ledger, so a rename or unlink
+// inside the timestamp tick of the last listing — the directory's mtime
+// unmoved — is still seen once the append that follows it is.
 // What stat cannot see — an inode rewritten in place, or recycled by a
 // second replacement since the last Advance — nothing that writes an
-// archive does.
+// archive does. What the listing cannot see is a change to runs/ inside
+// the timestamp tick of the last listing that no ledger or log change
+// follows: a hand edit, or GC over an archive with no ledger lines.
 func (s *Snapshot) Advance() error {
+	// tail.advance replaces a tail's facts exactly when the file moved.
+	index, log := s.index.fi, s.log.fi
 	if err := s.Follow(Changes{}); err != nil {
 		return err
 	}
-	return s.advanceHeads()
+	if err := s.advanceHeads(); err != nil {
+		return err
+	}
+	return s.advanceRuns(s.index.fi != index || s.log.fi != log)
 }
 
 // Changes receives what a Follow folds, in file order; a nil callback is
@@ -195,6 +220,35 @@ func (s *Snapshot) advanceHeads() error {
 	}
 	s.heads = next
 	return nil
+}
+
+// advanceRuns lists runs/ again when moved is set or the directory's
+// facts moved since the last listing.
+func (s *Snapshot) advanceRuns(moved bool) error {
+	fi, err := os.Stat(s.at.Runs()) // fi is nil when there is no directory
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if !moved && s.runsAt != nil && fi != nil && sameFacts(s.runsAt, fi) {
+		return nil
+	}
+	// The facts from before the listing: a change during it is caught by
+	// the next advance. A listing that failed is retried by it.
+	s.runsAt, s.docs = nil, s.docs[:0]
+	if fi == nil {
+		return nil
+	}
+	err = archived(s.at, func(key string, d os.DirEntry) {
+		var size int64
+		if fi, err := d.Info(); err == nil {
+			size = fi.Size()
+		}
+		s.docs = append(s.docs, doc{key, size})
+	})
+	if err == nil {
+		s.runsAt = fi
+	}
+	return err
 }
 
 // readJSON decodes one whole JSON document. Manifests are written

@@ -111,11 +111,30 @@ func TestAdvancedSnapshotMatchesFresh(t *testing.T) {
 	sn := st.Snapshot()
 	k := syntheticKey
 	// Ledgered and archived, ledgered only, archived only, neither, and
-	// not a key at all.
-	keys := []string{k(0), k(1), k(7), k(9), "x"}
+	// not a key at all; then the runs/-only steps' documents.
+	keys := []string{k(0), k(1), k(7), k(9), "x", k(10), k(11)}
 	garbage := strings.Repeat("<", fleet.MaxLine+1) + "\n"
 	torn := ledgerLine(k(3), 3, "w2")
 	cell := strings.TrimSuffix(logLine(0, k(0), "done", 0.125), "\n")
+	stray := dir.Archive(k(11)) + ".tmp-crashed"
+
+	// Steps that touch only runs/ set its mtime themselves, so the script
+	// does not depend on the kernel's timestamp granularity: nextTick is
+	// a change the clock has moved past since the last listing, sameTick
+	// one inside the tick that listing saw.
+	var listed time.Time // runs/'s mtime before the step
+	runsMtime := func(at time.Time) {
+		if err := os.Chtimes(dir.Runs(), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextTick := func() { runsMtime(listed.Add(time.Second)) }
+	sameTick := func() {
+		runsMtime(listed)
+		if fi, err := os.Stat(dir.Runs()); err != nil || !sameFacts(sn.runsAt, fi) {
+			t.Fatalf("runs/ does not have the facts of the last listing (err=%v): this step no longer tests a same-tick rename", err)
+		}
+	}
 
 	for _, step := range []struct {
 		name string
@@ -190,6 +209,32 @@ func TestAdvancedSnapshotMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"a document nobody ledgered, published alone", func() {
+			publish(t, dir.Archive(k(10)), minimalDoc)
+			nextTick()
+		}},
+		{"a ledgered document deleted by hand", func() {
+			if err := os.Remove(dir.Archive(k(0))); err != nil {
+				t.Fatal(err)
+			}
+			nextTick()
+		}},
+		{"a stray temp file", func() {
+			if err := os.WriteFile(stray, []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			nextTick()
+		}},
+		// The stray goes as the document comes, so the directory's size
+		// does not tell either: only the ledger line says runs/ moved.
+		{"a document and its ledger line inside the last listing's tick", func() {
+			if err := os.Remove(stray); err != nil {
+				t.Fatal(err)
+			}
+			publish(t, dir.Archive(k(11)), minimalDoc)
+			appendBytes(t, dir.Index(), ledgerLine(k(11), 11, "w1"))
+			sameTick()
+		}},
 		{"the ledger deleted", func() {
 			if err := os.Remove(dir.Index()); err != nil {
 				t.Fatal(err)
@@ -199,6 +244,9 @@ func TestAdvancedSnapshotMatchesFresh(t *testing.T) {
 			appendBytes(t, dir.Index(), ledgerLine(k(7), 7, "w4"))
 		}},
 	} {
+		if fi, err := os.Stat(dir.Runs()); err == nil {
+			listed = fi.ModTime()
+		}
 		step.do()
 		sameViews(t, step.name, sn, st, keys)
 	}
@@ -209,7 +257,7 @@ func TestAdvancedSnapshotMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status.Executed != 1 || status.LedgerLines != 1 || status.Archived != 2 || status.Campaign != "grid2" || status.InFlight != 1 {
+	if status.Executed != 1 || status.LedgerLines != 1 || status.Archived != 3 || status.Campaign != "grid2" || status.InFlight != 1 {
 		t.Fatalf("settled status: %+v", status)
 	}
 	if m, err := sn.Marginals("seed"); err != nil || m.Cells != 1 {
@@ -293,8 +341,11 @@ func skipUnderRace(t *testing.T) {
 // Advance costs what was appended, not what is there: over a 1000-line
 // ledger and log, one more line in each is a hundred allocations (two
 // opens, two reads, two decoded records), and an Advance that finds
-// nothing moved allocates like Stamp() — the same handful of stats.
-// Folding the thousand lines from zero is about 23,000.
+// nothing moved allocates like Stamp() — the same handful of stats —
+// also over 1000 documents in runs/. Folding the thousand lines from
+// zero is about 23,000. The appended-line budget is measured with no
+// documents in runs/: an append lists runs/ again by design, which over
+// 1000 documents costs what every 200 cost before the listing was held.
 func TestAdvanceCostsWhatWasAppended(t *testing.T) {
 	skipUnderRace(t)
 	dir := campaign.Dir(t.TempDir())
@@ -319,11 +370,15 @@ func TestAdvanceCostsWhatWasAppended(t *testing.T) {
 	advance()
 
 	stamp := testing.AllocsPerRun(10, func() { st.Stamp() })
-	idle := testing.AllocsPerRun(10, advance)
-	t.Logf("Stamp() %v allocations, an idle Advance %v", stamp, idle)
-	if idle > stamp+8 {
-		t.Errorf("an Advance with nothing changed allocates %v times, Stamp() %v: it did more than stat", idle, stamp)
+	idleBudget := func(docs int) {
+		t.Helper()
+		idle := testing.AllocsPerRun(10, advance)
+		t.Logf("Stamp() %v allocations, an idle Advance over %d documents %v", stamp, docs, idle)
+		if idle > stamp+8 {
+			t.Errorf("an Advance with nothing changed over %d documents allocates %v times, Stamp() %v: it did more than stat", docs, idle, stamp)
+		}
 	}
+	idleBudget(0)
 
 	// AllocsPerRun counts the appends too; a writer's own cost is taken
 	// out by measuring it alone.
@@ -342,4 +397,17 @@ func TestAdvanceCostsWhatWasAppended(t *testing.T) {
 	if runs, err := sn.Runs(); err != nil || len(runs) != i {
 		t.Fatalf("the measured Advances folded %d runs of %d, err=%v", len(runs), i, err)
 	}
+
+	for k := 0; k < 1000; k++ {
+		publish(t, dir.Archive(syntheticKey(k)), minimalDoc)
+	}
+	advance()
+	status, err := sn.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Archived != 1000 {
+		t.Fatalf("the Advance after 1000 documents were published lists %d", status.Archived)
+	}
+	idleBudget(1000)
 }

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"os"
 	"sort"
 	"time"
 
@@ -102,14 +101,17 @@ func (s *Store) Status() (*Status, error) {
 	if err := sn.advanceHeads(); err != nil {
 		return nil, err
 	}
+	if err := sn.advanceRuns(true); err != nil {
+		return nil, err
+	}
 	return sn.Status()
 }
 
-// Status is Store.Status over the ledger and manifest heads as of the
-// last Advance, and the runs/ directory, the leases and campaign.csv as
-// of now.
+// Status is Store.Status over the ledger, the manifest heads and the
+// runs/ listing as of the last Advance, and the leases and campaign.csv
+// as of now.
 func (s *Snapshot) Status() (*Status, error) {
-	st := &Status{Dir: string(s.at), LedgerLines: s.ledger.Lines}
+	st := &Status{Dir: string(s.at), LedgerLines: s.ledger.Lines, Archived: len(s.docs)}
 
 	owners := make(map[string]*OwnerStatus)
 	owner := func(name string) *OwnerStatus {
@@ -138,10 +140,6 @@ func (s *Snapshot) Status() (*Status, error) {
 		o := owner(e.Owner)
 		o.Executed++
 		o.WallSeconds += e.WallSeconds
-	}
-
-	if err := archived(s.at, func(string, os.DirEntry) { st.Archived++ }); err != nil {
-		return nil, err
 	}
 
 	leases, err := fleet.Leases(s.at.Leases())

@@ -7,7 +7,7 @@
 // (torn lines skipped, replaced files refolded, mid-write files degraded,
 // never failed). It adds only what is not an append-only file: the
 // finalize transition and the lease diff. A Stream fans the resulting
-// events out to any number of subscribers with bounded replay — the
+// events out to a bounded number of subscribers with bounded replay — the
 // engine behind the HTTP service's /events SSE endpoint and its live
 // dashboard.
 //

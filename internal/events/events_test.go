@@ -1,6 +1,7 @@
 package events
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,6 +25,16 @@ func openStore(t *testing.T, dir string) *archive.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// subscribe is Subscribe on a stream below its cap.
+func subscribe(t *testing.T, s *Stream, lastID int64) <-chan Event {
+	t.Helper()
+	ch, err := s.Subscribe(lastID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
 }
 
 func appendLog(t *testing.T, dir string, line string) {
@@ -142,7 +153,7 @@ func TestStreamReplayAndLive(t *testing.T) {
 		}
 	}()
 
-	ch := s.Subscribe(0)
+	ch := subscribe(t, s, 0)
 	var got []Event
 	deadline := time.After(5 * time.Second)
 	for len(got) < total {
@@ -168,7 +179,7 @@ func TestStreamReplayAndLive(t *testing.T) {
 	s.Unsubscribe(ch)
 
 	// Reconnect mid-stream: only events after Last-Event-ID replay.
-	ch2 := s.Subscribe(15)
+	ch2 := subscribe(t, s, 15)
 	var replayed []Event
 	deadline = time.After(5 * time.Second)
 	for len(replayed) < total-15 {
@@ -196,7 +207,7 @@ func TestStreamLoopStartsAndStops(t *testing.T) {
 	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond)
 	defer s.Close()
 
-	ch := s.Subscribe(0)
+	ch := subscribe(t, s, 0)
 	appendLog(t, dir, fmt.Sprintf(`{"index":0,"key":"%s","status":"done"}`+"\n", key(0)))
 	select {
 	case e := <-ch:
@@ -212,7 +223,7 @@ func TestStreamLoopStartsAndStops(t *testing.T) {
 	// With no loop running, the append sits unobserved...
 	appendLog(t, dir, fmt.Sprintf(`{"index":1,"key":"%s","status":"done"}`+"\n", key(1)))
 	// ...until the next subscriber restarts it.
-	ch2 := s.Subscribe(1)
+	ch2 := subscribe(t, s, 1)
 	select {
 	case e := <-ch2:
 		if e.ID != 2 || e.Run != 1 {
@@ -229,13 +240,32 @@ func TestStreamLoopStartsAndStops(t *testing.T) {
 func TestStreamClose(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStream(NewWatcher(openStore(t, dir)), time.Millisecond)
-	ch := s.Subscribe(0)
+	ch := subscribe(t, s, 0)
 	s.Close()
 	if _, ok := <-ch; ok {
 		t.Fatal("subscriber channel not closed on Close")
 	}
-	if _, ok := <-s.Subscribe(0); ok {
+	if _, ok := <-subscribe(t, s, 0); ok {
 		t.Fatal("post-Close subscribe returned a live channel")
+	}
+}
+
+// A stream takes maxSubscribers subscribers and refuses the next one
+// until an Unsubscribe frees a slot.
+func TestStreamCapsSubscribers(t *testing.T) {
+	s := NewStream(NewWatcher(openStore(t, t.TempDir())), time.Millisecond)
+	defer s.Close()
+	subs := make([]<-chan Event, maxSubscribers)
+	for i := range subs {
+		subs[i] = subscribe(t, s, 0)
+	}
+	if ch, err := s.Subscribe(0); !errors.Is(err, ErrFull) || ch != nil {
+		t.Fatalf("subscriber %d: channel %v, err %v; want ErrFull", maxSubscribers+1, ch, err)
+	}
+	s.Unsubscribe(subs[0])
+	subscribe(t, s, 0)
+	if _, err := s.Subscribe(0); !errors.Is(err, ErrFull) {
+		t.Fatalf("the freed slot was taken, then Subscribe answered %v; want ErrFull", err)
 	}
 }
 

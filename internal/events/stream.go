@@ -1,6 +1,7 @@
 package events
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -22,6 +23,14 @@ var (
 // across any realistic SSE hiccup on a grid of thousands of cells, small
 // enough to be irrelevant in memory.
 const replay = 1024
+
+// maxSubscribers caps a Stream's live subscribers. Each one holds a
+// channel of replay+64 events allocated up front (about 190 KB), so the
+// cap bounds what HTTP clients can make a serve process hold at ≈ 50 MB.
+const maxSubscribers = 256
+
+// ErrFull is Subscribe's answer while maxSubscribers are subscribed.
+var ErrFull = errors.New("events: too many subscribers")
 
 // Stream fans a Watcher's events out to subscribers. It assigns each
 // event a monotonic ID, keeps a bounded replay ring so a reconnecting
@@ -60,14 +69,18 @@ func NewStream(w *Watcher, interval time.Duration) *Stream {
 // which replays what the buffer still holds.
 //
 // The first subscriber starts the poll loop; the loop exits when the
-// last unsubscribes.
-func (s *Stream) Subscribe(lastID int64) <-chan Event {
+// last unsubscribes. While maxSubscribers are subscribed, Subscribe
+// returns ErrFull and no channel.
+func (s *Stream) Subscribe(lastID int64) (<-chan Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.subs) >= maxSubscribers {
+		return nil, ErrFull
+	}
 	ch := make(chan Event, replay+64)
 	if s.closed {
 		close(ch)
-		return ch
+		return ch, nil
 	}
 	for _, e := range s.ring {
 		if e.ID > lastID {
@@ -80,7 +93,7 @@ func (s *Stream) Subscribe(lastID int64) <-chan Event {
 		s.running = true
 		go s.loop()
 	}
-	return ch
+	return ch, nil
 }
 
 // Unsubscribe removes a consumer registered by Subscribe. Safe to call
