@@ -26,9 +26,13 @@ bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The race suite needs well over go test's default 10m on slow machines.
+# race runs the -short suite: the skipped tests re-drive paths the short
+# suite already races (core's worker pool through core's own tests, the
+# wire check through internal/wire, substrate and cmd/campaign). `test`
+# runs everything. It still needs more than go test's default 10m on slow
+# machines.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -short -timeout 30m ./...
 
 vet:
 	$(GO) vet ./...
@@ -81,8 +85,11 @@ bench-smoke:
 # the max-min certificate and equals the reference solver's bit for bit.
 # FuzzDecode and FuzzReadHandshake: whatever bytes a remote peer sends,
 # the wire decoders never panic, and a message Decode accepts re-encodes
-# to exactly the bytes it consumed. A failing input is written to that
-# corpus directory; check it in with the fix.
+# to exactly the bytes it consumed. FuzzSpecCompile: whatever a spec
+# file holds, Decode and Compile never panic, and a spec Decode accepts
+# compiles to a dataset of exactly its NumHosts hosts. A failing input is
+# written to that corpus directory; check it in with the fix (a spec
+# panic is fixed in Spec.Validate).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
@@ -90,5 +97,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveCertificate -fuzztime=10s ./internal/simnet
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadHandshake -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzSpecCompile -fuzztime=10s ./internal/scenario
 
 ci: fmt-check vet layout-check build examples bench-test race bench-smoke fuzz-smoke

@@ -132,9 +132,10 @@ func run(d *repro.Dataset, backend string, iterations int, scale float64, seed i
 	opts.RotateRoot = rotate
 	opts.Workers = workers
 	opts.Backend = backend
-	if scale > 0 {
-		opts = opts.WithScale(scale)
+	if scale <= 0 {
+		return fmt.Errorf("-scale must be positive, have %g", scale)
 	}
+	opts = opts.WithScale(scale)
 
 	fmt.Printf("dataset %s: %d hosts, ground truth: %s\n", d.Name, d.N(), d.TruthNote)
 	pool := "1 worker"

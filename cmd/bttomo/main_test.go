@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -71,5 +72,25 @@ func TestDriftArchiveIsIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if len(graphs[0]) == 0 || !bytes.Equal(graphs[0], graphs[1]) {
 		t.Fatalf("-workers 1 and -workers 4 archived different graphs (%d and %d bytes)", len(graphs[0]), len(graphs[1]))
+	}
+}
+
+// A payload scale that is not positive is refused with exit status 1 and
+// the flag named, before anything is measured, instead of silently
+// measuring the full 239 MB payload.
+func TestNonPositiveScaleFails(t *testing.T) {
+	for _, scale := range []string{"0", "-0.5"} {
+		cmd := exec.Command(os.Args[0], "-dataset", "2x2", "-iterations", "1", "-scale", scale)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
+			t.Fatalf("bttomo -scale %s: err %v, stdout %q; want exit status 1 and nothing on stdout", scale, err, out)
+		}
+		if !strings.Contains(stderr.String(), "-scale must be positive") {
+			t.Fatalf("bttomo -scale %s: stderr does not name the flag:\n%s", scale, stderr.Bytes())
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,8 +29,9 @@ import (
 
 const (
 	childEnv = "CAMPAIGN_TEST_CHILD"
-	grid     = "../../testdata/campaigns/grid.json" // 8 cells
-	wireGrid = "../../testdata/campaigns/wire.json" // 2 cells, real sockets
+	grid     = "../../testdata/campaigns/grid.json"  // 8 cells
+	wireGrid = "../../testdata/campaigns/wire.json"  // 2 cells, real sockets
+	specs    = "../../testdata/campaigns/specs.json" // 2 cells, one per spec file
 )
 
 func TestMain(m *testing.M) {
@@ -232,6 +234,26 @@ func TestResumeIsExactAcrossInvocations(t *testing.T) {
 	}
 	if c := manifest(t, dir.Manifest()); c.Hits != 8 || c.Misses != 0 || c.Failures != 0 {
 		t.Fatalf("warm manifest: %+v, want 8 hits, 0 misses, 0 failures", c)
+	}
+}
+
+// A scenario sweep is a campaign listing the spec files: one
+// campaign.csv row per file, in listed order, each recovering the
+// file's two declared sites.
+func TestSpecFileSweep(t *testing.T) {
+	dir := campaign.Dir(t.TempDir())
+	runMain(t, "run", "-spec", specs, "-out", string(dir))
+	rows := strings.Split(strings.TrimSpace(read(t, dir.CSV())), "\n")
+	header := strings.Split(rows[0], ",")
+	clusters, nmi := slices.Index(header, "clusters"), slices.Index(header, "nmi")
+	if len(rows) != 3 || clusters < 0 || nmi < 0 {
+		t.Fatalf("campaign.csv is not a header and two rows:\n%s", strings.Join(rows, "\n"))
+	}
+	for i, file := range []string{"../specs/twin.json", "../specs/quad.json"} {
+		cells := strings.Split(rows[1+i], ",")
+		if cells[1] != file || cells[clusters] != "2" || cells[nmi] != "1" {
+			t.Fatalf("row %d = %s; want %s with 2 clusters at NMI 1", i, rows[1+i], file)
+		}
 	}
 }
 

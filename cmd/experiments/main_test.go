@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,5 +50,33 @@ func TestRunOneExperimentWritesItsSeries(t *testing.T) {
 	series, err := os.ReadFile(filepath.Join(dir, "fig4_bars.csv"))
 	if err != nil || !bytes.HasPrefix(series, []byte("peer,group,w\n")) {
 		t.Fatalf("fig4_bars.csv: %v\n%s", err, series)
+	}
+}
+
+// A payload scale that is not positive or a negative iteration count is
+// refused with exit status 1 and the flag named, instead of silently
+// falling back to the paper's payload or iteration counts.
+func TestBadScaleOrIterationsFails(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "-scale must be positive"},
+		{[]string{"-scale", "-1"}, "-scale must be positive"},
+		{[]string{"-iterations", "-1"}, "-iterations must be 0"},
+	} {
+		args := append([]string{"-run", "netpipe", "-out", ""}, tc.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
+			t.Fatalf("experiments %v: err %v, stdout %q; want exit status 1 and nothing on stdout", tc.args, err, out)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Fatalf("experiments %v: no %q on stderr:\n%s", tc.args, tc.want, stderr.Bytes())
+		}
 	}
 }

@@ -58,42 +58,20 @@ var paperConverged = map[string]string{
 }
 
 // Datasets runs the full §IV suite and emits the comparison table, the
-// Fig. 13 CSV and (with DataDir set) the Figs. 8-12 DOT/SVG layouts. With
-// cfg.Workers > 1 the datasets are measured concurrently (each on its own
-// simulator replica); outcomes are assembled in paper order, so the
-// emitted tables and figures match the sequential sweep.
+// Fig. 13 CSV and (with DataDir set) the Figs. 8-12 DOT/SVG layouts.
 func (r *Runner) Datasets() (*DatasetsData, error) {
 	data := &DatasetsData{}
 	fig13 := &report.Table{Header: []string{"dataset", "iteration", "nmi"}}
-	type sweepRun struct {
-		d   *topology.Dataset
-		res *core.Result
-	}
-	specs := scenario.BuiltinSpecs() // paper order
-	runs := make([]sweepRun, len(specs))
-	err := fanOut(r.cfg.Workers, len(specs), func(i int) error {
-		spec := specs[i]
+	for _, spec := range scenario.BuiltinSpecs() { // paper order
+		name := spec.Name
 		d, err := spec.Compile()
 		if err != nil {
-			return fmt.Errorf("dataset %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("dataset %s: %w", name, err)
 		}
-		// The sweep owns the worker budget: measure each dataset with
-		// a single worker so concurrency stays at Workers instead of
-		// Workers squared. Results are bit-identical either way.
-		opts := r.options(paperIterations[spec.Name]).WithWorkers(1)
-		res, err := core.RunDataset(d, opts)
+		res, err := core.RunDataset(d, r.options(paperIterations[name]))
 		if err != nil {
-			return fmt.Errorf("dataset %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("dataset %s: %w", name, err)
 		}
-		runs[i] = sweepRun{d: d, res: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		name := spec.Name
-		d, res := runs[i].d, runs[i].res
 		out := DatasetOutcome{
 			Name:          name,
 			FinalNMI:      res.NMI,

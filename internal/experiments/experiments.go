@@ -10,14 +10,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -27,9 +24,9 @@ import (
 
 // Config tunes the harness.
 type Config struct {
-	// Scale multiplies the broadcast payload (1.0 = the paper's 239 MB).
-	// Iteration counts are never scaled; the paper's convergence story
-	// depends on them.
+	// Scale multiplies the broadcast payload (1.0 = the paper's 239 MB;
+	// 0 means 1). Iteration counts are never scaled; the paper's
+	// convergence story depends on them.
 	Scale float64
 	// Iterations overrides the per-experiment iteration counts when > 0.
 	Iterations int
@@ -39,13 +36,10 @@ type Config struct {
 	Out io.Writer
 	// DataDir, when non-empty, receives CSV series and DOT/SVG figures.
 	DataDir string
-	// Workers, when > 1, parallelises the harness. The budget applies at
-	// the outermost level that can fan out, never multiplicatively:
-	// RunAll runs that many experiments concurrently (each internally
-	// sequential), a lone Datasets experiment sweeps that many datasets
-	// concurrently, and a single-run experiment fans its measurement
-	// iterations out via core.Options.Workers (bit-identical to a single
-	// worker). 0 or 1 keeps everything sequential.
+	// Workers is every run's core.Options.Workers (0 means 1): the
+	// measurement iterations of each run fan out over that many
+	// replicas, bit-identically to a single worker. The experiments
+	// themselves run one after another.
 	Workers int
 }
 
@@ -61,7 +55,7 @@ type Runner struct {
 
 // New returns a Runner, normalising the config.
 func New(cfg Config) *Runner {
-	if cfg.Scale <= 0 {
+	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
 	if cfg.Out == nil {
@@ -77,9 +71,7 @@ func (r *Runner) options(iters int) core.Options {
 		iters = r.cfg.Iterations
 	}
 	opts.Iterations = iters
-	if r.cfg.Workers > 1 {
-		opts.Workers = r.cfg.Workers
-	}
+	opts.Workers = r.cfg.Workers
 	return opts
 }
 
@@ -102,118 +94,59 @@ func (r *Runner) saveCSV(name string, t *report.Table) error {
 	return t.WriteCSV(f)
 }
 
-// Names lists the runnable experiments in paper order, followed by the
+// experimentTable is the index, in paper order followed by the
 // Future-Work extensions (E15 hierarchy, E16 randomized stress, E17
 // network drift, E18 sim-vs-wire substrate comparison).
-var Names = []string{"fig4", "fig5", "efficiency", "cost", "netpipe", "datasets", "ablation", "hierarchy", "stress", "drift", "simreal"}
+var experimentTable = []struct {
+	name string
+	run  func(*Runner) error
+}{
+	{"fig4", discard((*Runner).Fig4)},
+	{"fig5", discard((*Runner).Fig5)},
+	{"efficiency", discard((*Runner).Efficiency)},
+	{"cost", discard((*Runner).Cost)},
+	{"netpipe", discard((*Runner).NetPipe)},
+	{"datasets", discard((*Runner).Datasets)},
+	{"ablation", discard((*Runner).Ablation)},
+	{"hierarchy", discard((*Runner).Hierarchy)},
+	{"stress", discard((*Runner).Stress)},
+	{"drift", discard((*Runner).Drift)},
+	{"simreal", discard((*Runner).SimReal)},
+}
+
+// discard adapts an experiment method to the table, dropping its data.
+func discard[T any](f func(*Runner) (T, error)) func(*Runner) error {
+	return func(r *Runner) error {
+		_, err := f(r)
+		return err
+	}
+}
+
+// Names lists the runnable experiments in table order.
+var Names = func() []string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // Run executes one named experiment.
 func (r *Runner) Run(name string) error {
-	switch name {
-	case "fig4":
-		_, err := r.Fig4()
-		return err
-	case "fig5":
-		_, err := r.Fig5()
-		return err
-	case "efficiency":
-		_, err := r.Efficiency()
-		return err
-	case "cost":
-		_, err := r.Cost()
-		return err
-	case "netpipe":
-		_, err := r.NetPipe()
-		return err
-	case "datasets":
-		_, err := r.Datasets()
-		return err
-	case "ablation":
-		_, err := r.Ablation()
-		return err
-	case "hierarchy":
-		_, err := r.Hierarchy()
-		return err
-	case "stress":
-		_, err := r.Stress()
-		return err
-	case "drift":
-		_, err := r.Drift()
-		return err
-	case "simreal":
-		_, err := r.SimReal()
-		return err
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
+	for _, e := range experimentTable {
+		if e.name == name {
+			return e.run(r)
+		}
 	}
+	return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
 }
 
-// RunAll executes every experiment. With cfg.Workers > 1 the experiments
-// run concurrently (bounded by Workers), each writing into its own buffer;
-// the buffers are emitted in paper order, so the rendered output is
-// indistinguishable from a sequential run; on failure whatever ran is
-// still emitted, in paper order, ahead of the error. The sequential
-// branch stays because it streams each table as its experiment finishes.
+// RunAll executes every experiment in table order, streaming each table
+// as its experiment finishes.
 func (r *Runner) RunAll() error {
-	if r.cfg.Workers <= 1 {
-		for _, name := range Names {
-			if err := r.Run(name); err != nil {
-				return fmt.Errorf("experiments: %s: %w", name, err)
-			}
-		}
-		return nil
-	}
-	bufs := make([]bytes.Buffer, len(Names))
-	runErr := fanOut(r.cfg.Workers, len(Names), func(i int) error {
-		sub := r.cfg
-		sub.Out = &bufs[i]
-		// The experiment fan-out owns the whole worker budget; the
-		// experiments themselves run sequentially inside so the
-		// total concurrency stays at Workers, not Workers squared.
-		sub.Workers = 1
-		if err := New(sub).Run(Names[i]); err != nil {
-			return fmt.Errorf("experiments: %s: %w", Names[i], err)
-		}
-		return nil
-	})
-	for i := range bufs {
-		if _, err := bufs[i].WriteTo(r.cfg.Out); err != nil {
-			return err
-		}
-	}
-	return runErr
-}
-
-// fanOut runs task(0) … task(n-1) on a pool of max(workers, 1)
-// goroutines that claim indices in ascending order. It fails fast: once a
-// task has returned an error no further index is claimed (tasks already
-// claimed drain). Every index below a claimed one has itself been
-// claimed, so returning the lowest-index error names the same failure
-// whatever the scheduling.
-func fanOut(workers, n int, task func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < min(max(workers, 1), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if errs[i] = task(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, e := range experimentTable {
+		if err := e.run(r); err != nil {
+			return fmt.Errorf("experiments: %s: %w", e.name, err)
 		}
 	}
 	return nil

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -256,107 +253,45 @@ func TestStressExperimentSmallScale(t *testing.T) {
 	}
 }
 
-// TestDatasetsParallelSweepMatchesSequential: the concurrent per-dataset
-// sweep must produce the same outcomes, in the same paper order, as the
-// sequential sweep.
-func TestDatasetsParallelSweepMatchesSequential(t *testing.T) {
-	run := func(workers int) *DatasetsData {
+// TestDatasetsOutputIsIdenticalAcrossWorkers: Workers is each run's
+// core.Options.Workers, so the emitted tables, plot and CSV series are
+// byte for byte those of a single-worker run.
+func TestDatasetsOutputIsIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset suite runs twice; core's own tests race the worker pool")
+	}
+	run := func(workers int) (string, map[string][]byte) {
 		var sb strings.Builder
-		r := New(Config{Scale: 0.05, Iterations: 2, Seed: 1, Out: &sb, Workers: workers})
-		data, err := r.Datasets()
+		dir := t.TempDir()
+		r := New(Config{Scale: 0.05, Iterations: 2, Seed: 1, Out: &sb, DataDir: dir, Workers: workers})
+		if _, err := r.Datasets(); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
-	}
-	seq, par := run(0), run(3)
-	if len(seq.Outcomes) != len(par.Outcomes) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(seq.Outcomes), len(par.Outcomes))
-	}
-	for i := range seq.Outcomes {
-		s, p := seq.Outcomes[i], par.Outcomes[i]
-		if s.Name != p.Name {
-			t.Fatalf("outcome %d ordered %q sequentially, %q in parallel", i, s.Name, p.Name)
-		}
-		if s.FinalNMI != p.FinalNMI || s.FinalClusters != p.FinalClusters ||
-			s.Q != p.Q || s.ConvergedAt != p.ConvergedAt || s.MeanDuration != p.MeanDuration {
-			t.Fatalf("%s diverged: seq %+v par %+v", s.Name, s, p)
-		}
-	}
-}
-
-// TestRunAllParallelOrderedOutput: concurrent experiments must emit their
-// buffered output in paper order and byte-identical to a sequential run.
-// The experiment list is shortened to keep the test fast.
-func TestRunAllParallelOrderedOutput(t *testing.T) {
-	old := Names
-	Names = []string{"netpipe", "fig4"}
-	defer func() { Names = old }()
-
-	run := func(workers int) string {
-		var sb strings.Builder
-		r := New(Config{Scale: 0.05, Iterations: 2, Seed: 1, Out: &sb, Workers: workers})
-		if err := r.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	seq, par := run(0), run(2)
-	if par != seq {
-		t.Fatalf("parallel RunAll output differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if netpipe, fig4 := strings.Index(par, "NetPIPE"), strings.Index(par, "Fig.4"); netpipe < 0 || fig4 < 0 || netpipe > fig4 {
-		t.Fatalf("experiment output out of order (netpipe at %d, fig4 at %d)", netpipe, fig4)
-	}
-}
-
-// TestFanOut pins the helper Datasets, SweepSpecs and RunAll share: every
-// index runs exactly once at any pool size, the error returned is the
-// lowest-index failure whatever the scheduling, and nothing is claimed
-// after a failure has been recorded.
-func TestFanOut(t *testing.T) {
-	const n = 8
-	for _, tc := range []struct {
-		workers int
-		fail    []int // indices whose task errors
-		want    int   // index whose error must come back; -1 for none
-	}{
-		{0, nil, -1}, {1, nil, -1}, {4, nil, -1},
-		{0, []int{3}, 3}, {1, []int{3}, 3}, {4, []int{3}, 3},
-		{0, []int{1, 3}, 1}, {1, []int{1, 3}, 1}, {4, []int{1, 3}, 1},
-	} {
-		for rep := 0; rep < 50; rep++ {
-			var visits [n]atomic.Int32
-			err := fanOut(tc.workers, n, func(i int) error {
-				visits[i].Add(1)
-				if slices.Contains(tc.fail, i) {
-					return fmt.Errorf("task %d", i)
-				}
-				return nil
-			})
-			if tc.want < 0 {
-				if err != nil {
-					t.Fatalf("workers=%d: unexpected error %v", tc.workers, err)
-				}
-			} else if err == nil || err.Error() != fmt.Sprintf("task %d", tc.want) {
-				t.Fatalf("workers=%d fail=%v: got %v, want task %d's error", tc.workers, tc.fail, err, tc.want)
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range visits {
-				v := visits[i].Load()
-				// One worker claims in order and stops at the first
-				// failure; several may already hold later indices.
-				switch {
-				case v > 1:
-					t.Fatalf("workers=%d: index %d ran %d times", tc.workers, i, v)
-				case v == 0 && (tc.want < 0 || i <= tc.want):
-					t.Fatalf("workers=%d fail=%v: index %d never ran", tc.workers, tc.fail, i)
-				case v == 1 && tc.want >= 0 && tc.workers <= 1 && i > tc.want:
-					t.Fatalf("workers=%d fail=%v: index %d ran after the failure", tc.workers, tc.fail, i)
-				}
-			}
+			files[e.Name()] = data
 		}
+		return sb.String(), files
 	}
-	if err := fanOut(4, 0, func(int) error { return errors.New("ran") }); err != nil {
-		t.Fatalf("n=0 ran a task: %v", err)
+	out1, files1 := run(1)
+	out3, files3 := run(3)
+	if out1 != out3 {
+		t.Fatalf("Workers 3 output differs from Workers 1:\n--- 1 ---\n%s\n--- 3 ---\n%s", out1, out3)
+	}
+	if len(files1) == 0 || len(files1) != len(files3) {
+		t.Fatalf("artifact sets differ: %d files at Workers 1, %d at Workers 3", len(files1), len(files3))
+	}
+	for name, data := range files1 {
+		if !bytes.Equal(data, files3[name]) {
+			t.Fatalf("%s differs between Workers 1 and Workers 3", name)
+		}
 	}
 }
