@@ -48,6 +48,14 @@ func TestRateEstimatorOrdersFastAboveSlow(t *testing.T) {
 	}
 }
 
+// newSwarm readies a swarm the way Broadcaster.Run does, with need lists
+// in piece order, nobody connected and nothing started.
+func newSwarm(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) *swarm {
+	s := new(swarm)
+	s.reset(eng, net, hosts, cfg, rng)
+	return s
+}
+
 // buildSwarm wires a minimal swarm on a star network for white-box tests,
 // without running the event loop.
 func buildSwarm(t *testing.T, n, pieces int) (*swarm, *sim.Engine) {

@@ -127,17 +127,62 @@ type swarm struct {
 	remaining int
 	flows     uint64
 	start     float64
+
+	// Every slice above but frag, and the slabs below that peers and
+	// connections are carved from, is kept from one run to the next (see
+	// Broadcaster): each run re-slices and clears what it uses, and
+	// reallocates only what holds too little. The connection slabs are
+	// sized for the most connections wirePeers can make, so a draw with
+	// more edges than the last one does not regrow them.
+	peerSlab  []peer // its rechoke timers belong to eng
+	words     []uint64
+	lists     []int32
+	conns     []conn
+	connLists []*conn
+	batches   []int32
+	// wirePeers' scratch.
+	connected []uint64
+	edges     [][2]int
+	degree    []int
+	others    []int
+	seen      []bool
+	queue     []int
 }
 
-// RunBroadcast performs one fully synchronized broadcast over hosts (simnet
-// vertex ids) and returns the fragment-count instrumentation. The rng
-// drives every protocol decision (tracker peer sets, piece order, choke
-// tie-breaking); a fixed engine+network+rng triple replays identically.
+// Broadcaster runs broadcasts one after another on storage it keeps: the
+// swarm's slabs, connections, scratch and rechoke timers. A Result never
+// shares any of it. The zero value is ready to use; a Broadcaster is not
+// safe for concurrent use.
+type Broadcaster struct {
+	s *swarm // nil before the first run and after a failed one
+}
+
+// RunBroadcast is Run on a new Broadcaster, for a caller with a single
+// broadcast to run.
 func RunBroadcast(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) (*Result, error) {
+	return new(Broadcaster).Run(eng, net, hosts, cfg, rng)
+}
+
+// Run performs one fully synchronized broadcast over hosts (simnet vertex
+// ids) and returns the fragment-count instrumentation. The rng drives
+// every protocol decision (tracker peer sets, piece order, choke
+// tie-breaking); a fixed engine+network+rng triple replays identically,
+// whatever the Broadcaster ran before.
+//
+// A successful run leaves nothing in flight — a peer completes only when
+// its last batch has landed — so the next run may reuse every connection.
+// A failed run drops the storage instead: its uploads may still be in
+// flight on net, and they point into it.
+func (b *Broadcaster) Run(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) (*Result, error) {
 	if err := cfg.validate(len(hosts)); err != nil {
 		return nil, err
 	}
-	s := newSwarm(eng, net, hosts, cfg, rng)
+	s := b.s
+	b.s = nil
+	if s == nil {
+		s = new(swarm)
+	}
+	s.reset(eng, net, hosts, cfg, rng)
 	s.shuffleNeeds()
 	s.wirePeers()
 	s.begin()
@@ -151,6 +196,7 @@ func RunBroadcast(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config,
 		}
 	}
 	s.finish()
+	b.s = s
 
 	n := len(hosts)
 	res := &Result{
@@ -159,6 +205,7 @@ func RunBroadcast(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config,
 		CompletionTimes: make([]float64, n),
 		Flows:           s.flows,
 	}
+	s.frag = nil // the Result's now; the next run makes its own
 	for i, p := range s.peers {
 		res.CompletionTimes[i] = p.doneAt - s.start
 		if res.CompletionTimes[i] > res.Duration {
@@ -168,43 +215,51 @@ func RunBroadcast(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config,
 	return res, nil
 }
 
-// newSwarm allocates a broadcast's state — one slab per kind of storage,
-// whatever the host count — with every non-root peer's need list in piece
-// order and nobody connected. It draws nothing from rng.
-func newSwarm(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) *swarm {
-	n, pieces := len(hosts), cfg.NumFragments()
-	s := &swarm{
-		eng:         eng,
-		net:         net,
-		cfg:         cfg,
-		rng:         rng,
-		peers:       make([]*peer, n),
-		avail:       make([]int32, pieces),
-		frag:        make([][]int, n),
-		rttCap:      make([]float64, n*n),
-		candScratch: make([]int32, 0, cfg.BatchFragments*cfg.RarestSampling),
-		remaining:   n - 1,
-		start:       eng.Now(),
+// reuse returns buf re-sliced to n elements, or a new slice if it holds
+// fewer. The elements keep whatever the last run left in them.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
+}
+
+// reset readies s for a broadcast over hosts, with every non-root peer's
+// need list in piece order and nobody connected. Only the fragment matrix,
+// which the Result keeps, is always new. It draws nothing from rng.
+func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) {
+	n, pieces := len(hosts), cfg.NumFragments()
+	if eng != s.eng {
+		s.peerSlab = nil // the timers must come from eng
+	}
+	s.eng, s.net, s.cfg, s.rng = eng, net, cfg, rng
+	s.remaining, s.flows, s.start = n-1, 0, eng.Now()
+	s.peers = reuse(s.peers, n)
+	s.avail = reuse(s.avail, pieces) // all ones once the root is set up below
+	s.rttCap = reuse(s.rttCap, n*n)
 	for i := range s.rttCap {
 		s.rttCap[i] = -1
 	}
+	s.candScratch = reuse(s.candScratch, cfg.BatchFragments*cfg.RarestSampling)[:0]
+	s.frag = make([][]int, n)
+	frag := make([]int, n*n)
 	w := bitset.Words(pieces)
-	var (
-		peers = make([]peer, n)
-		frag  = make([]int, n*n)
-		words = make([]uint64, 2*n*w)
-		lists = make([]int32, 2*(n-1)*pieces) // need and haveList of every non-root peer
-	)
+	s.peerSlab = reuse(s.peerSlab, n)
+	s.words = reuse(s.words, 2*n*w)
+	clear(s.words)
+	s.lists = reuse(s.lists, 2*(n-1)*pieces) // need and haveList of every non-root peer
+	words, lists := s.words, s.lists
 	for i, h := range hosts {
 		s.frag[i] = frag[i*n : (i+1)*n : (i+1)*n]
-		p := &peers[i]
+		p := &s.peerSlab[i]
 		s.peers[i] = p
-		p.idx, p.host = i, h
+		*p = peer{idx: i, host: h, rechokeEv: p.rechokeEv}
 		p.have = bitset.Over(pieces, words[:w:w])
 		p.inflight = bitset.Over(pieces, words[w:2*w:2*w])
 		words = words[2*w:]
-		p.rechokeEv = eng.NewTimer(func() { s.tick(p) })
+		if p.rechokeEv == nil {
+			p.rechokeEv = eng.NewTimer(func() { s.tick(p) })
+		}
 		if i == cfg.Root {
 			p.have.SetAll()
 			p.complete = true
@@ -220,7 +275,6 @@ func newSwarm(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng
 			p.need[k] = int32(k)
 		}
 	}
-	return s
 }
 
 // shuffleNeeds randomises every downloader's request order.
@@ -265,16 +319,24 @@ func (s *swarm) finish() {
 //
 // The edges are collected first and the connections built from them
 // afterwards, so the connections, every peer's list of them and the batch
-// buffers are one allocation each.
+// buffers are one slab each.
 func (s *swarm) wirePeers() {
 	n := len(s.peers)
-	connected := bitset.New(n * n)
+	s.connected = reuse(s.connected, bitset.Words(n*n))
+	clear(s.connected)
+	connected := bitset.Over(n*n, s.connected)
 	want := s.cfg.MaxPeers
 	if want > n-1 {
 		want = n - 1
 	}
-	edges := make([][2]int, 0, n*want)
-	degree := make([]int, n)
+	// Every peer connects to want others, and the repair below adds at
+	// most one connection per peer.
+	maxEdges := n*want + n
+	s.edges = reuse(s.edges, maxEdges)
+	edges := s.edges[:0]
+	s.degree = reuse(s.degree, n)
+	degree := s.degree
+	clear(degree)
 	connect := func(a, b int) {
 		if a == b || connected.Get(a*n+b) {
 			return
@@ -285,7 +347,8 @@ func (s *swarm) wirePeers() {
 		degree[a]++
 		degree[b]++
 	}
-	others := make([]int, 0, n-1)
+	s.others = reuse(s.others, n-1)
+	others := s.others
 	for i := 0; i < n; i++ {
 		others = others[:0]
 		for j := 0; j < n; j++ {
@@ -302,12 +365,14 @@ func (s *swarm) wirePeers() {
 		}
 	}
 	// Connectivity repair (BFS from the root over connections).
-	seen := make([]bool, n)
-	queue := append(make([]int, 0, n), s.cfg.Root)
+	s.seen = reuse(s.seen, n)
+	seen := s.seen
+	clear(seen)
+	s.queue = reuse(s.queue, n) // every peer enters the queue at most once
+	queue := append(s.queue[:0], s.cfg.Root)
 	seen[s.cfg.Root] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for k := 0; k < len(queue); k++ {
+		v := queue[k]
 		for o := 0; o < n; o++ {
 			if !seen[o] && connected.Get(v*n+o) {
 				seen[o] = true
@@ -321,18 +386,18 @@ func (s *swarm) wirePeers() {
 		}
 	}
 
-	conns := make([]conn, len(edges))
-	lists := make([]*conn, 2*len(edges))
 	b := s.cfg.BatchFragments
-	batches := make([]int32, 2*len(edges)*b)
+	s.conns = reuse(s.conns, maxEdges)
+	s.connLists = reuse(s.connLists, 2*maxEdges)
+	s.batches = reuse(s.batches, 2*maxEdges*b)
+	lists, batches := s.connLists, s.batches
 	for i, p := range s.peers {
 		p.conns = lists[:0:degree[i]]
 		lists = lists[degree[i]:]
 	}
 	for k, e := range edges {
-		c := &conns[k]
-		c.p = [2]*peer{s.peers[e[0]], s.peers[e[1]]}
-		c.choked = [2]bool{true, true}
+		c := &s.conns[k]
+		*c = conn{p: [2]*peer{s.peers[e[0]], s.peers[e[1]]}, choked: [2]bool{true, true}}
 		for side := range c.up {
 			c.up[side] = upload{s: s, c: c, side: side}
 			c.batch[side] = batches[:0:b]

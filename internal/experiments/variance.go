@@ -50,8 +50,11 @@ func (r *Runner) Fig5() (*Fig5Data, error) {
 	rng := sim.NewRNG(r.cfg.Seed)
 	const a, b = 2, 3 // two Bordeplage nodes: one intra-cluster edge
 	data := &Fig5Data{}
+	// The runs follow one another on one live engine, so one Broadcaster
+	// carries the swarm's storage from each to the next.
+	var bc bittorrent.Broadcaster
 	for it := 0; it < iters; it++ {
-		res, err := bittorrent.RunBroadcast(d.Eng, d.Net, d.Hosts, cfg, rng.Streamf("fig5", it))
+		res, err := bc.Run(d.Eng, d.Net, d.Hosts, cfg, rng.Streamf("fig5", it))
 		if err != nil {
 			return nil, err
 		}

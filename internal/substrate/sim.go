@@ -26,15 +26,24 @@ func init() {
 // starts from an idle network at t=0 whatever ran on the replica before
 // and whatever the worker count. A replica is cloned the first time a
 // Measure finds none idle, so a run owns as many as it has concurrent
-// Measures, and their materialised routes and event and flow pools stay
-// warm from one iteration to the next. The routes themselves belong to the
-// topology (simnet's shared route table): no replica, and no later run on
-// the same network, computes one twice.
+// Measures, and their materialised routes, event and flow pools and the
+// swarm's storage (a bittorrent.Broadcaster per replica) stay warm from
+// one iteration to the next: a warm Measure allocates little more than
+// its Result. The routes themselves belong to the topology (simnet's
+// shared route table): no replica, and no later run on the same network,
+// computes one twice.
 type simSubstrate struct {
 	env Env
 
 	mu   sync.Mutex
-	idle []*simnet.Network // replicas no Measure is using; each is bound to its own engine
+	idle []*replica // replicas no Measure is using
+}
+
+// replica is a network bound to its own engine and the Broadcaster that
+// runs every broadcast on it.
+type replica struct {
+	net *simnet.Network
+	bc  bittorrent.Broadcaster
 }
 
 func newSim(env Env) (Substrate, error) {
@@ -53,36 +62,36 @@ func (s *simSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.Re
 		return nil, err
 	}
 	cloneStart := time.Now()
-	replica := s.take()
-	defer s.put(replica)
-	replica.Reset(s.env.Net)
+	r := s.take()
+	defer s.put(r)
+	r.net.Reset(s.env.Net)
 	if s.env.Timeline.Len() > 0 {
 		// Replay the timeline on this iteration's private replica:
 		// earlier iterations' link state applies now, this iteration's
 		// events fire mid-broadcast.
-		s.env.Timeline.Apply(req.Iter, replica.Engine(), replica)
+		s.env.Timeline.Apply(req.Iter, r.net.Engine(), r.net)
 	}
 	cloneSecs := time.Since(cloneStart).Seconds()
 	s.env.Trace.Record("clone", req.Iter, cloneStart, cloneSecs)
 	mCloneSeconds.Add(cloneSecs)
-	return bittorrent.RunBroadcast(replica.Engine(), replica, req.Hosts, req.Config, req.RNG)
+	return r.bc.Run(r.net.Engine(), r.net, req.Hosts, req.Config, req.RNG)
 }
 
 // take hands the caller a replica nobody else is using.
-func (s *simSubstrate) take() *simnet.Network {
+func (s *simSubstrate) take() *replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(s.idle); n > 0 {
-		replica := s.idle[n-1]
+		r := s.idle[n-1]
 		s.idle = s.idle[:n-1]
-		return replica
+		return r
 	}
-	return s.env.Net.Clone(sim.NewEngine())
+	return &replica{net: s.env.Net.Clone(sim.NewEngine())}
 }
 
-func (s *simSubstrate) put(replica *simnet.Network) {
+func (s *simSubstrate) put(r *replica) {
 	s.mu.Lock()
-	s.idle = append(s.idle, replica)
+	s.idle = append(s.idle, r)
 	s.mu.Unlock()
 }
 
