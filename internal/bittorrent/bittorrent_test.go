@@ -1,7 +1,10 @@
 package bittorrent
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -84,7 +87,7 @@ func TestEveryPeerReceivesWholeFile(t *testing.T) {
 	for d := 0; d < res.N; d++ {
 		got := 0
 		for s := 0; s < res.N; s++ {
-			got += res.Fragments[d][s]
+			got += res.Sent(s, d)
 		}
 		want := pieces
 		if d == cfg.Root {
@@ -103,8 +106,13 @@ func TestNoSelfTransfers(t *testing.T) {
 	eng, net, hosts := star(6)
 	res := run(t, eng, net, hosts, testConfig(), 3)
 	for i := 0; i < res.N; i++ {
-		if res.Fragments[i][i] != 0 {
-			t.Fatalf("peer %d 'received' %d fragments from itself", i, res.Fragments[i][i])
+		if got := res.Sent(i, i); got != 0 {
+			t.Fatalf("peer %d 'received' %d fragments from itself", i, got)
+		}
+	}
+	for _, p := range res.Pairs {
+		if p.A >= p.B {
+			t.Fatalf("pair %+v is not ordered A < B", p)
 		}
 	}
 }
@@ -123,13 +131,8 @@ func TestDeterministicReplay(t *testing.T) {
 	if a.Duration != b.Duration {
 		t.Fatalf("replay durations differ: %g vs %g", a.Duration, b.Duration)
 	}
-	for i := range a.Fragments {
-		for j := range a.Fragments[i] {
-			if a.Fragments[i][j] != b.Fragments[i][j] {
-				t.Fatalf("replay matrices differ at [%d][%d]: %d vs %d",
-					i, j, a.Fragments[i][j], b.Fragments[i][j])
-			}
-		}
+	if !slices.Equal(a.Pairs, b.Pairs) {
+		t.Fatal("replay fragment counts differ")
 	}
 }
 
@@ -139,31 +142,33 @@ func TestSeedsDiffer(t *testing.T) {
 	a := run(t, eng1, net1, hosts1, cfg, 1)
 	eng2, net2, hosts2 := star(8)
 	b := run(t, eng2, net2, hosts2, cfg, 2)
-	same := true
-	for i := range a.Fragments {
-		for j := range a.Fragments[i] {
-			if a.Fragments[i][j] != b.Fragments[i][j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical fragment matrices (stochasticity lost)")
+	if slices.Equal(a.Pairs, b.Pairs) {
+		t.Fatal("different seeds produced identical fragment counts (stochasticity lost)")
 	}
 }
 
 func TestSentExchangedAccessors(t *testing.T) {
 	eng, net, hosts := star(4)
 	res := run(t, eng, net, hosts, testConfig(), 4)
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 4; b++ {
-			if res.Sent(a, b) != res.Fragments[b][a] {
-				t.Fatal("Sent accessor mismatch")
-			}
-			if a < b && res.Exchanged(a, b) != res.Sent(a, b)+res.Sent(b, a) {
-				t.Fatal("Exchanged accessor mismatch")
+	for _, p := range res.Pairs {
+		a, b := int(p.A), int(p.B)
+		if res.Sent(a, b) != int(p.AB) || res.Sent(b, a) != int(p.BA) {
+			t.Fatalf("Sent disagrees with pair %+v", p)
+		}
+	}
+	// frag is the dense matrix of the same counts, frag[receiver][sender].
+	frag := make([][]int, res.N)
+	for r := range frag {
+		frag[r] = make([]int, res.N)
+		for s := range frag[r] {
+			frag[r][s] = res.Sent(s, r)
+			if res.Exchanged(r, s) != res.Sent(r, s)+res.Sent(s, r) || res.Exchanged(r, s) != res.Exchanged(s, r) {
+				t.Fatalf("Exchanged(%d, %d) mismatch", r, s)
 			}
 		}
+	}
+	if got := PairsOf(frag); !slices.Equal(got, res.Pairs) {
+		t.Fatalf("PairsOf the dense matrix = %v, want the broadcast's %v", got, res.Pairs)
 	}
 }
 
@@ -182,9 +187,9 @@ func TestLocalityPreference(t *testing.T) {
 				continue
 			}
 			if (d < 8) == (s < 8) {
-				local += res.Fragments[d][s]
+				local += res.Sent(s, d)
 			} else {
-				remote += res.Fragments[d][s]
+				remote += res.Sent(s, d)
 			}
 		}
 	}
@@ -203,14 +208,14 @@ func TestRootRotation(t *testing.T) {
 	res := run(t, eng, net, hosts, cfg, 6)
 	got := 0
 	for s := 0; s < 6; s++ {
-		got += res.Fragments[3][s]
+		got += res.Sent(s, 3)
 	}
 	if got != 0 {
 		t.Fatalf("root 3 received %d fragments, want 0", got)
 	}
 	sent := 0
 	for d := 0; d < 6; d++ {
-		sent += res.Fragments[d][3]
+		sent += res.Sent(3, d)
 	}
 	if sent == 0 {
 		t.Fatal("root 3 sent nothing")
@@ -270,7 +275,7 @@ func TestUploadSlotInvariant(t *testing.T) {
 	for src := 0; src < res.N; src++ {
 		nonzero := 0
 		for dst := 0; dst < res.N; dst++ {
-			if res.Fragments[dst][src] > 0 {
+			if res.Sent(src, dst) > 0 {
 				nonzero++
 			}
 		}
@@ -306,6 +311,41 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsUnindexablePayloads: a payload of more fragments than an
+// int32 piece index can name, including one whose rounding up to whole
+// fragments used to overflow, is an error naming FileBytes, not a wrapped
+// index or a huge allocation.
+func TestConfigRejectsUnindexablePayloads(t *testing.T) {
+	eng, net, hosts := star(4)
+	for _, tc := range []struct {
+		name      string
+		fileBytes int
+		fragments int
+	}{
+		{"bttomo -scale 1e6", DefaultFileBytes * 1_000_000, 15_259_000_000},
+		{"one fragment past int32", (math.MaxInt32 + 1) * DefaultFragmentSize, math.MaxInt32 + 1},
+		{"rounding up would overflow", math.MaxInt, math.MaxInt/DefaultFragmentSize + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.FileBytes = tc.fileBytes
+			if got := cfg.NumFragments(); got != tc.fragments {
+				t.Fatalf("NumFragments = %d, want %d", got, tc.fragments)
+			}
+			_, err := RunBroadcast(eng, net, hosts, cfg, rand.New(rand.NewSource(1)))
+			if err == nil || !strings.Contains(err.Error(), "FileBytes") || !strings.Contains(err.Error(), "a swarm can index") {
+				t.Fatalf("FileBytes %d: err = %v, want FileBytes named and the int32 bound", tc.fileBytes, err)
+			}
+		})
+	}
+	cfg := testConfig()
+	cfg.FragmentSize = 1
+	cfg.FileBytes = math.MaxInt32
+	if err := cfg.validate(len(hosts)); err != nil {
+		t.Fatalf("exactly MaxInt32 fragments rejected: %v", err)
+	}
+}
+
 func TestNumFragmentsRoundsUp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FileBytes = cfg.FragmentSize + 1
@@ -327,12 +367,9 @@ func TestBatchGranularity(t *testing.T) {
 	cfg.BatchFragments = 8
 	eng, net, hosts := star(6)
 	res := run(t, eng, net, hosts, cfg, 10)
-	for d := range res.Fragments {
-		for s := range res.Fragments[d] {
-			v := res.Fragments[d][s]
-			if v < 0 {
-				t.Fatalf("negative fragment count [%d][%d] = %d", d, s, v)
-			}
+	for _, p := range res.Pairs {
+		if p.AB < 0 || p.BA < 0 {
+			t.Fatalf("negative fragment count in %+v", p)
 		}
 	}
 }

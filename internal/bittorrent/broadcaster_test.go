@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -80,10 +82,7 @@ func assertIdle(t *testing.T, net *simnet.Network, step string) {
 
 func deepCopy(r *bittorrent.Result) *bittorrent.Result {
 	c := *r
-	c.Fragments = make([][]int, len(r.Fragments))
-	for i, row := range r.Fragments {
-		c.Fragments[i] = slices.Clone(row)
-	}
+	c.Pairs = slices.Clone(r.Pairs)
 	c.CompletionTimes = slices.Clone(r.CompletionTimes)
 	return &c
 }
@@ -208,6 +207,56 @@ func TestFailedRunDropsStorage(t *testing.T) {
 	assertIdle(t, rep, "after the failure")
 	if want := freshRun(t, spec, nil, cfg, 3); !reflect.DeepEqual(got, want) {
 		t.Fatal("the run after a failed one differs from a fresh RunBroadcast's")
+	}
+}
+
+// skipUnderRace skips a test that counts allocations: the race detector's
+// instrumentation allocates.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			t.Skip("allocation counts are meaningless under the race detector")
+		}
+	}
+}
+
+// TestColdBroadcastBytesPerConnection holds a broadcast's storage to
+// O(connections): a cold Run of a 64-fragment payload on a replica whose
+// routes an identical run has already materialised allocates the same bytes
+// per connection, within 10%, at 256 and at 1024 hosts. Anything n×n (an
+// 8 MiB array at 1024 hosts) breaks the tie.
+func TestColdBroadcastBytesPerConnection(t *testing.T) {
+	skipUnderRace(t)
+	cfg := bittorrent.DefaultConfig()
+	cfg.FileBytes = 64 * cfg.FragmentSize
+	perConn := func(spec *scenario.Spec) float64 {
+		d := compile(t, spec)
+		rep := d.Net.Clone(sim.NewEngine())
+		var warm, cold bittorrent.Broadcaster
+		if _, err := warm.Run(rep.Engine(), rep, d.Hosts, cfg, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+		rep.Reset(d.Net)
+		rng := rand.New(rand.NewSource(1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cold.Run(rep.Engine(), rep, d.Hosts, cfg, rng)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d hosts: %d bytes over %d connections, %.0f B/conn",
+			len(d.Hosts), bytes, cold.Connections(), float64(bytes)/float64(cold.Connections()))
+		return float64(bytes) / float64(cold.Connections())
+	}
+	small := perConn(scenario.NSites(4, 64, 890, 100))
+	large := perConn(scenario.NSites(4, 256, 890, 100))
+	if r := large / small; r > 1.1 || r < 1/1.1 {
+		t.Fatalf("a cold broadcast allocates %.0f B/conn at 1024 hosts and %.0f at 256: not O(connections)", large, small)
 	}
 }
 

@@ -250,8 +250,10 @@ func TestPipelineCapReflectsRTT(t *testing.T) {
 	cfg.FileBytes = 64 * cfg.FragmentSize
 	s := newSwarm(eng, net, []int{a, b, c}, cfg, rand.New(rand.NewSource(1)))
 	pa, pb, pc := s.peers[0], s.peers[1], s.peers[2]
-	local := s.pipelineCap(pa, pb)
-	wan := s.pipelineCap(pa, pc)
+	ab := &conn{p: [2]*peer{pa, pb}, pipeCap: [2]float64{-1, -1}}
+	ac := &conn{p: [2]*peer{pa, pc}, pipeCap: [2]float64{-1, -1}}
+	local := s.pipelineCap(ab, 0)
+	wan := s.pipelineCap(ac, 0)
 	if wan >= local {
 		t.Fatalf("WAN cap %.0f should be far below local %.0f", wan, local)
 	}
@@ -260,9 +262,9 @@ func TestPipelineCapReflectsRTT(t *testing.T) {
 	if math.Abs(wan-wantWan)/wantWan > 0.01 {
 		t.Fatalf("WAN cap = %.0f, want %.0f", wan, wantWan)
 	}
-	// Cached on second call.
-	if s.pipelineCap(pa, pc) != wan {
-		t.Fatal("pipelineCap cache inconsistent")
+	// Cached per direction on first use.
+	if ac.pipeCap != [2]float64{wan, -1} || s.pipelineCap(ac, 0) != wan {
+		t.Fatalf("pipelineCap cache inconsistent: %v", ac.pipeCap)
 	}
 }
 

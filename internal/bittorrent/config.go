@@ -11,11 +11,14 @@
 //   - piece selection is (sampled) rarest-first with random tie-breaking.
 //
 // Every client counts the fragments it receives per sending peer, exactly
-// like the instrumented client of §II-A; the counts form the Result
-// matrix from which the tomography metric w(e) is built.
+// like the instrumented client of §II-A; the counts form the Result's
+// pairs, from which the tomography metric w(e) is built.
 package bittorrent
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Default protocol parameters, matching the paper and the mainline client
 // it instruments.
@@ -82,9 +85,14 @@ func DefaultConfig() Config {
 }
 
 // NumFragments returns the fragment count of the configured file,
-// rounding the final partial fragment up, as BitTorrent does.
+// rounding the final partial fragment up, as BitTorrent does. It cannot
+// overflow, whatever FileBytes is.
 func (c Config) NumFragments() int {
-	return (c.FileBytes + c.FragmentSize - 1) / c.FragmentSize
+	n := c.FileBytes / c.FragmentSize
+	if c.FileBytes%c.FragmentSize != 0 {
+		n++
+	}
+	return n
 }
 
 func (c Config) validate(numHosts int) error {
@@ -95,6 +103,10 @@ func (c Config) validate(numHosts int) error {
 		return fmt.Errorf("bittorrent: FileBytes must be positive, got %d", c.FileBytes)
 	case c.FragmentSize <= 0:
 		return fmt.Errorf("bittorrent: FragmentSize must be positive, got %d", c.FragmentSize)
+	case c.NumFragments() > math.MaxInt32:
+		// A piece index, and a connection's fragment count, is an int32.
+		return fmt.Errorf("bittorrent: FileBytes %d is %d fragments of %d bytes, more than the %d a swarm can index",
+			c.FileBytes, c.NumFragments(), c.FragmentSize, math.MaxInt32)
 	case c.MaxPeers < 1:
 		return fmt.Errorf("bittorrent: MaxPeers must be at least 1, got %d", c.MaxPeers)
 	case c.UploadSlots < 1:

@@ -1,8 +1,10 @@
 package bittorrent
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/sim"
@@ -17,9 +19,10 @@ const MaxBroadcastTime = 24 * 3600.0
 // fragments from whom, and when each client finished.
 type Result struct {
 	N int
-	// Fragments[receiver][sender] is the count of fragments receiver got
-	// directly from sender (the paper's v_sender → v_receiver).
-	Fragments [][]int
+	// Pairs holds the fragment counts of every pair of hosts that
+	// exchanged any, sorted by (A, B). A fragment crosses only a tracker
+	// connection, so there are at most as many pairs as connections.
+	Pairs []Pair
 	// CompletionTimes[i] is host i's download completion time relative to
 	// the broadcast start.
 	CompletionTimes []float64
@@ -31,25 +34,61 @@ type Result struct {
 	Flows uint64
 }
 
+// Pair is the fragment count of one pair of hosts A < B: AB fragments went
+// directly from A to B (the paper's v_A → v_B), BA from B to A.
+type Pair struct {
+	A, B   int32
+	AB, BA int32
+}
+
+// comparePairs orders Pairs by (A, B).
+func comparePairs(x, y Pair) int {
+	return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+}
+
+// pair returns the Pair of hosts a < b, or the zero Pair if they exchanged
+// nothing.
+func (r *Result) pair(a, b int) Pair {
+	if i, ok := slices.BinarySearchFunc(r.Pairs, Pair{A: int32(a), B: int32(b)}, comparePairs); ok {
+		return r.Pairs[i]
+	}
+	return Pair{}
+}
+
 // Sent returns the number of fragments sent directly from host a to host b.
-func (r *Result) Sent(a, b int) int { return r.Fragments[b][a] }
+func (r *Result) Sent(a, b int) int {
+	if a < b {
+		return int(r.pair(a, b).AB)
+	}
+	return int(r.pair(b, a).BA)
+}
 
 // Exchanged returns the undirected fragment count of the edge (a, b):
 // a→b plus b→a, the inner sum of the paper's Eq. 1.
-func (r *Result) Exchanged(a, b int) int {
-	return r.Fragments[b][a] + r.Fragments[a][b]
-}
+func (r *Result) Exchanged(a, b int) int { return r.Sent(a, b) + r.Sent(b, a) }
 
 // TotalFragments returns the total number of fragment receptions across
 // all hosts. In a complete broadcast this is NumFragments × (N-1).
 func (r *Result) TotalFragments() int {
 	total := 0
-	for _, row := range r.Fragments {
-		for _, v := range row {
-			total += v
-		}
+	for _, p := range r.Pairs {
+		total += int(p.AB) + int(p.BA)
 	}
 	return total
+}
+
+// PairsOf returns the Pairs of a dense count matrix, frag[receiver][sender],
+// for a substrate that counts per pair of hosts rather than per connection.
+func PairsOf(frag [][]int) []Pair {
+	var pairs []Pair
+	for a := range frag {
+		for b := a + 1; b < len(frag); b++ {
+			if ab, ba := frag[b][a], frag[a][b]; ab+ba > 0 {
+				pairs = append(pairs, Pair{A: int32(a), B: int32(b), AB: int32(ab), BA: int32(ba)})
+			}
+		}
+	}
+	return pairs
 }
 
 // peer is one BitTorrent client.
@@ -83,6 +122,8 @@ type conn struct {
 	sentAt     [2]float64 // start time of the active batch from p[s]
 	rate       [2]rateEst // throughput p[s] receives from p[1-s]
 	up         [2]upload
+	frags      [2]int32   // frags[s]: fragments p[s] delivered to p[1-s]
+	pipeCap    [2]float64 // pipeCap[s]: pipelineCap with p[s] uploading; -1 until first used
 }
 
 // upload is one direction of a connection as the network sees it: what it
@@ -107,14 +148,12 @@ func (c *conn) side(pr *peer) int {
 }
 
 type swarm struct {
-	eng    *sim.Engine
-	net    *simnet.Network
-	cfg    Config
-	rng    *rand.Rand
-	peers  []*peer
-	avail  []int32 // availability per piece (count of peers holding it)
-	frag   [][]int
-	rttCap []float64 // pipelineCap per (uploader, downloader) index pair; -1 = not yet computed
+	eng   *sim.Engine
+	net   *simnet.Network
+	cfg   Config
+	rng   *rand.Rand
+	peers []*peer
+	avail []int32 // availability per piece (count of peers holding it)
 
 	candScratch []int32 // selectPieces' candidate sample, reused per call
 	// connStack holds fillSlots' idle list and rechoke's candidates. They
@@ -128,16 +167,16 @@ type swarm struct {
 	flows     uint64
 	start     float64
 
-	// Every slice above but frag, and the slabs below that peers and
-	// connections are carved from, is kept from one run to the next (see
-	// Broadcaster): each run re-slices and clears what it uses, and
-	// reallocates only what holds too little. The connection slabs are
-	// sized for the most connections wirePeers can make, so a draw with
-	// more edges than the last one does not regrow them.
+	// Every slice above, and the slabs below that peers and connections
+	// are carved from, is kept from one run to the next (see Broadcaster):
+	// each run re-slices and clears what it uses, and reallocates only what
+	// holds too little. The connection slabs are sized for the most
+	// connections wirePeers can make, so a draw with more edges than the
+	// last one does not regrow them.
 	peerSlab  []peer // its rechoke timers belong to eng
 	words     []uint64
 	lists     []int32
-	conns     []conn
+	conns     []conn // the connections this run wired
 	connLists []*conn
 	batches   []int32
 	// wirePeers' scratch.
@@ -201,11 +240,10 @@ func (b *Broadcaster) Run(eng *sim.Engine, net *simnet.Network, hosts []int, cfg
 	n := len(hosts)
 	res := &Result{
 		N:               n,
-		Fragments:       s.frag,
+		Pairs:           s.pairs(),
 		CompletionTimes: make([]float64, n),
 		Flows:           s.flows,
 	}
-	s.frag = nil // the Result's now; the next run makes its own
 	for i, p := range s.peers {
 		res.CompletionTimes[i] = p.doneAt - s.start
 		if res.CompletionTimes[i] > res.Duration {
@@ -224,9 +262,33 @@ func reuse[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// pairs returns the counts of the connections that carried fragments,
+// sorted by (A, B): a pair of peers shares at most one connection.
+func (s *swarm) pairs() []Pair {
+	n := 0
+	for i := range s.conns {
+		if s.conns[i].frags != [2]int32{} {
+			n++
+		}
+	}
+	pairs := make([]Pair, 0, n)
+	for i := range s.conns {
+		c := &s.conns[i]
+		if c.frags == [2]int32{} {
+			continue
+		}
+		a, b, ab, ba := c.p[0].idx, c.p[1].idx, c.frags[0], c.frags[1]
+		if a > b {
+			a, b, ab, ba = b, a, ba, ab
+		}
+		pairs = append(pairs, Pair{A: int32(a), B: int32(b), AB: ab, BA: ba})
+	}
+	slices.SortFunc(pairs, comparePairs)
+	return pairs
+}
+
 // reset readies s for a broadcast over hosts, with every non-root peer's
-// need list in piece order and nobody connected. Only the fragment matrix,
-// which the Result keeps, is always new. It draws nothing from rng.
+// need list in piece order and nobody connected. It draws nothing from rng.
 func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) {
 	n, pieces := len(hosts), cfg.NumFragments()
 	if eng != s.eng {
@@ -236,13 +298,7 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 	s.remaining, s.flows, s.start = n-1, 0, eng.Now()
 	s.peers = reuse(s.peers, n)
 	s.avail = reuse(s.avail, pieces) // all ones once the root is set up below
-	s.rttCap = reuse(s.rttCap, n*n)
-	for i := range s.rttCap {
-		s.rttCap[i] = -1
-	}
 	s.candScratch = reuse(s.candScratch, cfg.BatchFragments*cfg.RarestSampling)[:0]
-	s.frag = make([][]int, n)
-	frag := make([]int, n*n)
 	w := bitset.Words(pieces)
 	s.peerSlab = reuse(s.peerSlab, n)
 	s.words = reuse(s.words, 2*n*w)
@@ -250,7 +306,6 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 	s.lists = reuse(s.lists, 2*(n-1)*pieces) // need and haveList of every non-root peer
 	words, lists := s.words, s.lists
 	for i, h := range hosts {
-		s.frag[i] = frag[i*n : (i+1)*n : (i+1)*n]
 		p := &s.peerSlab[i]
 		s.peers[i] = p
 		*p = peer{idx: i, host: h, rechokeEv: p.rechokeEv}
@@ -387,7 +442,7 @@ func (s *swarm) wirePeers() {
 	}
 
 	b := s.cfg.BatchFragments
-	s.conns = reuse(s.conns, maxEdges)
+	s.conns = reuse(s.conns, maxEdges)[:len(edges)]
 	s.connLists = reuse(s.connLists, 2*maxEdges)
 	s.batches = reuse(s.batches, 2*maxEdges*b)
 	lists, batches := s.connLists, s.batches
@@ -397,7 +452,7 @@ func (s *swarm) wirePeers() {
 	}
 	for k, e := range edges {
 		c := &s.conns[k]
-		*c = conn{p: [2]*peer{s.peers[e[0]], s.peers[e[1]]}, choked: [2]bool{true, true}}
+		*c = conn{p: [2]*peer{s.peers[e[0]], s.peers[e[1]]}, choked: [2]bool{true, true}, pipeCap: [2]float64{-1, -1}}
 		for side := range c.up {
 			c.up[side] = upload{s: s, c: c, side: side}
 			c.batch[side] = batches[:0:b]

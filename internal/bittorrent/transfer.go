@@ -32,24 +32,23 @@ func (s *swarm) tryRequest(c *conn, up int) {
 	c.sentAt[up] = s.eng.Now()
 	size := float64(len(picked)) * float64(s.cfg.FragmentSize)
 	s.flows++
-	s.net.Send(u.host, d.host, size, s.pipelineCap(u, d), &c.up[up])
+	s.net.Send(u.host, d.host, size, s.pipelineCap(c, up), &c.up[up])
 }
 
-// pipelineCap returns the window-limited throughput ceiling of a
-// connection: PipelineBytes outstanding over the path round-trip time.
-// This reproduces the real client's behaviour of a single stream across a
-// high-latency WAN running far below link capacity.
-func (s *swarm) pipelineCap(u, d *peer) float64 {
-	key := u.idx*len(s.peers) + d.idx
-	if cap := s.rttCap[key]; cap >= 0 {
+// pipelineCap returns the window-limited throughput ceiling of connection
+// c with p[up] uploading: PipelineBytes outstanding over the path
+// round-trip time. This reproduces the real client's behaviour of a single
+// stream across a high-latency WAN running far below link capacity.
+func (s *swarm) pipelineCap(c *conn, up int) float64 {
+	if cap := c.pipeCap[up]; cap >= 0 {
 		return cap
 	}
-	rtt := 2 * s.net.Path(u.host, d.host).Latency
+	rtt := 2 * s.net.Path(c.p[up].host, c.p[1-up].host).Latency
 	cap := 0.0
 	if rtt > 0 {
 		cap = float64(s.cfg.PipelineBytes) / rtt
 	}
-	s.rttCap[key] = cap
+	c.pipeCap[up] = cap
 	return cap
 }
 
@@ -131,15 +130,15 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 // fragments (the paper's instrumentation), updates availability, may
 // complete its download, and pipelines the next request.
 func (s *swarm) deliver(c *conn, up int) {
-	u, d := c.p[up], c.p[1-up]
+	d := c.p[1-up]
 	// The buffer stays readable through batch until the tryRequest that
 	// ends this call refills it: nothing before that starts an upload from
-	// u, only from d.
+	// c.p[up], only from d.
 	batch := c.batch[up]
 	c.busy[up] = false
 	c.batch[up] = batch[:0]
 
-	s.frag[d.idx][u.idx] += len(batch)
+	c.frags[up] += int32(len(batch))
 	c.rate[1-up].add(s.eng.Now(), float64(len(batch))*float64(s.cfg.FragmentSize))
 
 	for _, pc := range batch {

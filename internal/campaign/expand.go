@@ -101,7 +101,6 @@ func (r Run) Options(campaignJobs int) core.Options {
 	// clustering would multiply the analysis cost of every cell without
 	// changing the archived outcome.
 	opts.ClusterEvery = 0
-	opts.DiscardBroadcasts = true
 	opts.Backend = r.Backend
 	opts.Workers = r.Workers
 	if opts.Workers < 1 {

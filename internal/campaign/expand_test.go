@@ -193,8 +193,8 @@ func TestRunOptionsWorkerBudget(t *testing.T) {
 		t.Fatalf("workers floor = %d, want 1", got)
 	}
 	opts := r.Options(1)
-	if opts.ClusterEvery != 0 || !opts.DiscardBroadcasts {
-		t.Fatalf("campaign cells must cluster once and discard broadcasts: %+v", opts)
+	if opts.ClusterEvery != 0 {
+		t.Fatalf("campaign cells must cluster once: %+v", opts)
 	}
 	if opts.Iterations != 3 || opts.Seed != 2 {
 		t.Fatalf("axis coordinates not applied: %+v", opts)

@@ -93,13 +93,8 @@ type Options struct {
 	// campaign content hashes. When nil, Run records into a private
 	// tracer so Result.Phases is populated either way.
 	Trace *telemetry.Tracer
-	// DiscardBroadcasts, when true, drops the raw per-broadcast
-	// instrumentation after its fragment counts are merged:
-	// IterationRecord.Broadcast stays nil. A Result otherwise retains
-	// every broadcast's O(N^2) fragment matrix, which for long runs is by
-	// far the largest allocation of the pipeline. Sliding-window
-	// retirement (Window > 0) keeps its own ring of the last Window
-	// broadcasts internally, so it works regardless of this flag.
+	// DiscardBroadcasts does nothing: a Result keeps no broadcast. It
+	// remains only so that callers which set it still compile.
 	DiscardBroadcasts bool
 }
 
@@ -154,9 +149,12 @@ func (o Options) Validate() error {
 type IterationRecord struct {
 	// Iteration is 1-based.
 	Iteration int
-	// Broadcast is the raw instrumentation of this iteration. It is nil
-	// when Options.DiscardBroadcasts dropped it after merging.
-	Broadcast *bittorrent.Result
+	// Duration is this iteration's broadcast completion time in simulated
+	// seconds (bittorrent.Result.Duration).
+	Duration float64
+	// Flows is the number of connection transfers the broadcast made
+	// (bittorrent.Result.Flows).
+	Flows uint64
 	// Partition is the clustering of the aggregated metric after this
 	// iteration (empty if skipped by ClusterEvery).
 	Partition cluster.Partition
@@ -332,9 +330,9 @@ func measure(sub substrate.Substrate, hosts []int, opts Options, rng *sim.RNG, m
 	defer cancel()
 	// credits bounds the run-ahead: at most maxAhead iterations may be
 	// in flight or completed-but-unmerged at once, so one stalled worker
-	// cannot make the reorder buffer accumulate O(Iterations) broadcast
-	// matrices. maxAhead > workers, so the iteration the merge is waiting
-	// on always has a worker; no deadlock.
+	// cannot make the reorder buffer hold O(Iterations) broadcast results.
+	// maxAhead > workers, so the iteration the merge is waiting on always
+	// has a worker; no deadlock.
 	maxAhead := 2 * workers
 	credits := make(chan struct{}, maxAhead)
 	for i := 0; i < maxAhead; i++ {
@@ -431,7 +429,6 @@ func measure(sub substrate.Substrate, hosts []int, opts Options, rng *sim.RNG, m
 type merger struct {
 	opts  Options
 	truth []int
-	n     int
 	rng   *sim.RNG
 	// plans is the per-iteration dynamics schedule (nil without one);
 	// with churn it maps each broadcast's dense indices back to the
@@ -439,8 +436,8 @@ type merger struct {
 	plans []iterPlan
 	// counts accumulates exchanged fragments (the numerator of Eq. 2).
 	counts *graph.Graph
-	// window is a ring of the last Window broadcasts, kept so retirement
-	// does not depend on IterationRecord.Broadcast retention.
+	// window is a ring of the last Window broadcasts, the only ones the
+	// run keeps: retirement subtracts them again.
 	window []measured
 	res    *Result
 }
@@ -453,12 +450,11 @@ type measured struct {
 }
 
 func newMerger(net *simnet.Network, hosts, truth []int, opts Options, rng *sim.RNG, plans []iterPlan) *merger {
-	n := len(hosts)
-	counts := graph.New(n)
-	for i := 0; i < n; i++ {
-		counts.SetLabel(i, net.Name(hosts[i]))
+	counts := graph.New(len(hosts))
+	for i, h := range hosts {
+		counts.SetLabel(i, net.Name(h))
 	}
-	m := &merger{opts: opts, truth: truth, n: n, rng: rng, plans: plans, counts: counts, res: &Result{}}
+	m := &merger{opts: opts, truth: truth, rng: rng, plans: plans, counts: counts, res: &Result{}}
 	if opts.Window > 0 {
 		m.window = make([]measured, opts.Window)
 	}
@@ -485,10 +481,7 @@ func (m *merger) add(it int, bres *bittorrent.Result) {
 		m.window[slot] = measured{bres: bres, active: active}
 	}
 	mMergeSeconds.Add(sp.End())
-	rec := IterationRecord{Iteration: it, NMI: nan(), ActiveHosts: active}
-	if !m.opts.DiscardBroadcasts {
-		rec.Broadcast = bres
-	}
+	rec := IterationRecord{Iteration: it, Duration: bres.Duration, Flows: bres.Flows, NMI: nan(), ActiveHosts: active}
 	clusterNow := it == m.opts.Iterations ||
 		(m.opts.ClusterEvery > 0 && it%m.opts.ClusterEvery == 0)
 	if clusterNow {
@@ -520,24 +513,15 @@ func (m *merger) add(it int, bres *bittorrent.Result) {
 
 // applyCounts adds (sign=+1) or retires (sign=-1) one broadcast's fragment
 // counts. active maps the broadcast's dense indices back to the run's
-// host indices (nil = identity: every host participated).
+// host indices (nil = identity: every host participated); it ascends, so
+// the pairs reach the graph in (a, b) order either way.
 func (m *merger) applyCounts(bres *bittorrent.Result, active []int, sign float64) {
-	k := m.n
-	if active != nil {
-		k = len(active)
-	}
-	idx := func(i int) int {
-		if active == nil {
-			return i
+	for _, p := range bres.Pairs {
+		a, b := int(p.A), int(p.B)
+		if active != nil {
+			a, b = active[a], active[b]
 		}
-		return active[i]
-	}
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			if w := bres.Exchanged(a, b); w > 0 {
-				m.counts.AddWeight(idx(a), idx(b), sign*float64(w))
-			}
-		}
+		m.counts.AddWeight(a, b, sign*float64(int(p.AB)+int(p.BA)))
 	}
 }
 

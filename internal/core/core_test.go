@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/substrate"
 	"repro/internal/topology"
 )
 
@@ -27,6 +29,42 @@ func builtin(t *testing.T, name string) *topology.Dataset {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// remeasure measures the broadcast of iteration rec of a run with opts over
+// hosts once more, through the sim substrate directly, handing it what
+// measure would: the iteration's hosts, broadcast configuration and RNG
+// stream. A Result keeps no broadcast, so this is how a test looks at one;
+// rec's Duration and Flows must match.
+func remeasure(t *testing.T, net *simnet.Network, hosts []int, opts Options, rec IterationRecord) *bittorrent.Result {
+	t.Helper()
+	plans, err := planIterations(opts.Dynamics, hosts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, iterHosts := rec.Iteration, hosts
+	if plans != nil {
+		iterHosts = plans[it].hosts
+	}
+	sub, err := substrate.New("sim", substrate.Env{Net: net, Hosts: hosts, Timeline: opts.Dynamics, Seed: opts.Seed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	bres, err := sub.Measure(context.Background(), substrate.Request{
+		Iter:   it,
+		Hosts:  iterHosts,
+		Config: broadcastConfig(opts, it, len(iterHosts)),
+		RNG:    sim.NewRNG(opts.Seed).Streamf("broadcast", it),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bres.Duration != rec.Duration || bres.Flows != rec.Flows {
+		t.Fatalf("iteration %d measured again: duration %v, %d flows; the run recorded %v, %d",
+			rec.Iteration, bres.Duration, bres.Flows, rec.Duration, rec.Flows)
+	}
+	return bres
 }
 
 // smallDumbbell builds a 2x6-node WAN-divided network with truth labels:
@@ -72,8 +110,8 @@ func TestRunProducesPerIterationRecords(t *testing.T) {
 		if math.IsNaN(rec.NMI) {
 			t.Fatalf("iteration %d NMI is NaN despite ground truth", i+1)
 		}
-		if rec.Broadcast == nil || rec.Broadcast.Duration <= 0 {
-			t.Fatalf("iteration %d missing broadcast result", i+1)
+		if rec.Duration <= 0 || rec.Flows == 0 {
+			t.Fatalf("iteration %d missing its broadcast's duration (%v) or flows (%d)", i+1, rec.Duration, rec.Flows)
 		}
 	}
 	if res.Graph == nil || res.Graph.N() != 12 {
@@ -103,13 +141,14 @@ func TestMetricIsMeanOverIterations(t *testing.T) {
 	// equals the total exchanged fragments over all iterations.
 	net, hosts, truth := smallDumbbell()
 	iters := 3
-	res, err := Run(net, hosts, truth, testOptions(iters))
+	opts := testOptions(iters)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var totalFrags float64
 	for _, rec := range res.Iterations {
-		totalFrags += float64(rec.Broadcast.TotalFragments())
+		totalFrags += float64(remeasure(t, net, hosts, opts, rec).TotalFragments())
 	}
 	got := res.Graph.TotalWeight() * float64(iters)
 	if math.Abs(got-totalFrags) > 1e-6*totalFrags {
@@ -170,11 +209,16 @@ func TestRotateRoot(t *testing.T) {
 	}
 	// With rotation, iteration k's root is host k-1, which receives 0.
 	for k, rec := range res.Iterations {
-		rootRow := rec.Broadcast.Fragments[k]
-		for _, v := range rootRow {
-			if v != 0 {
-				t.Fatalf("iteration %d: rotated root %d received fragments", k+1, k)
-			}
+		assertRootReceivedNothing(t, remeasure(t, net, hosts, opts, rec), k)
+	}
+}
+
+// assertRootReceivedNothing fails if host root of bres received a fragment.
+func assertRootReceivedNothing(t *testing.T, bres *bittorrent.Result, root int) {
+	t.Helper()
+	for s := 0; s < bres.N; s++ {
+		if bres.Sent(s, root) != 0 {
+			t.Fatalf("root %d received %d fragments from %d", root, bres.Sent(s, root), s)
 		}
 	}
 }

@@ -109,7 +109,7 @@ func TestWindowedMeanIsOverWindowOnly(t *testing.T) {
 	// exchanges.
 	last2 := 0.0
 	for _, rec := range res.Iterations[4:] {
-		last2 += float64(rec.Broadcast.TotalFragments())
+		last2 += float64(remeasure(t, net, hosts, opts, rec).TotalFragments())
 	}
 	// TotalFragments counts directed receptions = undirected edge sum.
 	want := last2 / 2

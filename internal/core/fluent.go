@@ -9,6 +9,8 @@ package core
 // override get a method; everything else stays a plain field set, which
 // composes with the fluent chain (the chain produces a value).
 
+import "math"
+
 // WithWorkers returns a copy of o with the measurement fanned out over
 // n workers (see Options.Workers for the bit-identity contract; any
 // n >= 1 produces identical results, only wall-clock changes).
@@ -43,9 +45,15 @@ func (o Options) WithBackend(name string) Options {
 // the knob that turns a full measurement into a cheap smoke cell. It is
 // the one payload-scale rule: campaign scale axes, the experiment
 // harness and every CLI -scale flag go through it, and campaign content
-// keys hash the FileBytes it resolves, not f.
+// keys hash the FileBytes it resolves, not f. A payload past the int range
+// saturates at math.MaxInt instead of wrapping, so the broadcast rejects it
+// rather than measuring one fragment.
 func (o Options) WithScale(f float64) Options {
-	o.BT.FileBytes = int(float64(o.BT.FileBytes) * f)
+	if b := float64(o.BT.FileBytes) * f; b < math.MaxInt {
+		o.BT.FileBytes = int(b)
+	} else {
+		o.BT.FileBytes = math.MaxInt
+	}
 	if o.BT.FileBytes < o.BT.FragmentSize {
 		o.BT.FileBytes = o.BT.FragmentSize
 	}

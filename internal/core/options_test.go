@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/bittorrent"
 )
 
 // Options.Validate must reject every misconfiguration with an error that
@@ -59,5 +63,34 @@ func TestRunRejectsInvalidOptionsViaValidate(t *testing.T) {
 	opts.ClusterEvery = -1
 	if _, err := Run(net, hosts, truth, opts); err == nil || !strings.Contains(err.Error(), "ClusterEvery") {
 		t.Fatalf("Run did not surface the ClusterEvery error, got %v", err)
+	}
+}
+
+// TestWithScaleSaturates: a scale whose payload does not fit the swarm is
+// rejected by the broadcast, naming FileBytes, instead of wrapping to a
+// one-fragment broadcast or a wrapped piece index.
+func TestWithScaleSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		scale     float64
+		fileBytes int // 0: whatever the product is
+	}{
+		{1e6, 0},                  // bttomo -scale 1e6: 1.5×10¹⁰ fragments
+		{1e11, math.MaxInt},       // past the int range
+		{math.NaN(), math.MaxInt}, // no payload at all
+	} {
+		t.Run(fmt.Sprint(tc.scale), func(t *testing.T) {
+			opts := DefaultOptions().WithIterations(1).WithScale(tc.scale)
+			if tc.fileBytes != 0 && opts.BT.FileBytes != tc.fileBytes {
+				t.Fatalf("FileBytes = %d, want %d", opts.BT.FileBytes, tc.fileBytes)
+			}
+			net, hosts, truth := smallDumbbell()
+			_, err := Run(net, hosts, truth, opts)
+			if err == nil || !strings.Contains(err.Error(), "FileBytes") || !strings.Contains(err.Error(), "a swarm can index") {
+				t.Fatalf("scale %g: err = %v, want FileBytes named and the int32 bound", tc.scale, err)
+			}
+		})
+	}
+	if got := DefaultOptions().WithScale(1e-9).BT.FileBytes; got != bittorrent.DefaultFragmentSize {
+		t.Fatalf("a tiny scale gives FileBytes %d, want one fragment", got)
 	}
 }

@@ -154,18 +154,20 @@ func TestDynamicsChurnScoresActiveHosts(t *testing.T) {
 	}
 	opts := dynamicsOptions(4, 2)
 	opts.BT.FileBytes = 3000 * opts.BT.FragmentSize
+	opts.Dynamics = d.Timeline
 	res, err := RunDataset(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations[0].ActiveHosts != nil || res.Iterations[0].Broadcast.N != 12 {
-		t.Fatalf("iteration 1 should include all 12 hosts, got active=%v N=%d",
-			res.Iterations[0].ActiveHosts, res.Iterations[0].Broadcast.N)
+	if res.Iterations[0].ActiveHosts != nil {
+		t.Fatalf("iteration 1 should include all 12 hosts, got active=%v", res.Iterations[0].ActiveHosts)
 	}
 	for _, rec := range res.Iterations[1:] {
-		if len(rec.ActiveHosts) != 11 || rec.Broadcast.N != 11 {
-			t.Fatalf("iteration %d: active=%v N=%d, want 11 hosts without right-5",
-				rec.Iteration, rec.ActiveHosts, rec.Broadcast.N)
+		if len(rec.ActiveHosts) != 11 {
+			t.Fatalf("iteration %d: active=%v, want 11 hosts without right-5", rec.Iteration, rec.ActiveHosts)
+		}
+		if n := remeasure(t, d.Net, d.Hosts, opts, rec).N; n != 11 {
+			t.Fatalf("iteration %d broadcast over %d hosts, want 11", rec.Iteration, n)
 		}
 		for _, a := range rec.ActiveHosts {
 			if a == 11 {
@@ -222,15 +224,8 @@ func TestDynamicsBurstPerturbsOnlyItsIteration(t *testing.T) {
 	}
 	static, bursty := run(build(false)), run(build(true))
 	same := func(i int) bool {
-		a, b := static.Iterations[i].Broadcast, bursty.Iterations[i].Broadcast
-		for r := range a.Fragments {
-			for s := range a.Fragments[r] {
-				if a.Fragments[r][s] != b.Fragments[r][s] {
-					return false
-				}
-			}
-		}
-		return a.Duration == b.Duration
+		a, b := static.Iterations[i], bursty.Iterations[i]
+		return a.Duration == b.Duration && a.Flows == b.Flows
 	}
 	if !same(0) || !same(2) {
 		t.Fatal("iterations without the burst diverged from the static run")

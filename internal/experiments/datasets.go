@@ -84,7 +84,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 		}
 		var totalDur float64
 		for _, rec := range res.Iterations {
-			totalDur += rec.Broadcast.Duration
+			totalDur += rec.Duration
 			if rec.Clustered {
 				out.Series.Add(float64(rec.Iteration), rec.NMI)
 				fig13.AddRow(name, rec.Iteration, rec.NMI)

@@ -2,6 +2,7 @@ package substrate
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,12 +101,8 @@ func TestSimMeasureDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := measure(), measure()
-	for i := range a.Fragments {
-		for j := range a.Fragments[i] {
-			if a.Fragments[i][j] != b.Fragments[i][j] {
-				t.Fatalf("fragment count [%d][%d] differs: %d vs %d", i, j, a.Fragments[i][j], b.Fragments[i][j])
-			}
-		}
+	if !slices.Equal(a.Pairs, b.Pairs) {
+		t.Fatalf("fragment counts differ: %v vs %v", a.Pairs, b.Pairs)
 	}
 	if a.Duration != b.Duration {
 		t.Fatalf("durations differ: %v vs %v", a.Duration, b.Duration)

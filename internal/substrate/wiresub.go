@@ -98,10 +98,12 @@ func (s *wireSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.R
 	if err != nil {
 		return nil, fmt.Errorf("substrate: wire iteration %d: %w", req.Iter, err)
 	}
+	// The full mesh costs n² sockets already; its n² count matrix is no
+	// worse, and the Result keeps only the pairs that exchanged fragments.
 	return &bittorrent.Result{
-		N:         n,
-		Fragments: sres.Fragments,
-		Duration:  sres.Duration.Seconds(),
+		N:        n,
+		Pairs:    bittorrent.PairsOf(sres.Fragments),
+		Duration: sres.Duration.Seconds(),
 	}, nil
 }
 

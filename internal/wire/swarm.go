@@ -11,8 +11,8 @@ import (
 // SwarmResult is the instrumentation of one real-socket broadcast.
 type SwarmResult struct {
 	N int
-	// Fragments[receiver][sender] counts 16 KiB fragments, exactly like
-	// the simulator's bittorrent.Result.
+	// Fragments[receiver][sender] counts 16 KiB fragments, the counts
+	// bittorrent.PairsOf turns into a broadcast Result's pairs.
 	Fragments [][]int
 	// Duration is the wall-clock time until every client completed.
 	Duration time.Duration
