@@ -436,6 +436,9 @@ type merger struct {
 	plans []iterPlan
 	// counts accumulates exchanged fragments (the numerator of Eq. 2).
 	counts *graph.Graph
+	// mean is Eq. 2 over counts, rebuilt in place at every clustering;
+	// the last rebuild becomes Result.Graph.
+	mean *graph.Graph
 	// window is a ring of the last Window broadcasts, the only ones the
 	// run keeps: retirement subtracts them again.
 	window []measured
@@ -490,7 +493,11 @@ func (m *merger) add(it int, bres *bittorrent.Result) {
 			window = m.opts.Window
 		}
 		csp := m.opts.Trace.StartIter("cluster", it)
-		mean := meanGraph(m.counts, window, m.opts.TopFraction)
+		m.mean = m.counts.ScaleInto(m.mean, 1/float64(window))
+		mean := m.mean
+		if f := m.opts.TopFraction; f > 0 && f < 1 {
+			mean = mean.TopFraction(f)
+		}
 		lou := cluster.Louvain(mean, m.rng.Streamf("louvain", it))
 		mClusterSeconds.Add(csp.End())
 		rec.Partition = lou.Partition
@@ -550,16 +557,6 @@ func RunDataset(d *topology.Dataset, opts Options) (*Result, error) {
 		opts.Dynamics = d.Timeline
 	}
 	return Run(d.Net, d.Hosts, d.GroundTruth, opts)
-}
-
-// meanGraph applies Eq. 2 (divide cumulative counts by the iteration
-// count) and the optional edge filter.
-func meanGraph(counts *graph.Graph, iterations int, topFraction float64) *graph.Graph {
-	g := counts.Scale(1 / float64(iterations))
-	if topFraction > 0 && topFraction < 1 {
-		g = g.TopFraction(topFraction)
-	}
-	return g
 }
 
 func nan() float64 { return math.NaN() }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/persist"
@@ -86,4 +88,51 @@ func TestResultDocumentsArePinned(t *testing.T) {
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// TestWindowedRunIsPinned holds a BGTL run that clusters every iteration
+// over a three-iteration sliding window, with and without TopFraction, to
+// the bits recorded at commit af42d90, when every clustering built a fresh
+// mean graph: per iteration the Q bits and the partition, then the final
+// measurement graph with its strengths and total. Retirement shrinks
+// vertex degrees between clusterings, so a reused mean graph that kept a
+// stale row, strength or total moves the digest; with TopFraction the
+// filtered copy is taken over the reused graph.
+func TestWindowedRunIsPinned(t *testing.T) {
+	var bgtl *scenario.Spec
+	for _, spec := range scenario.BuiltinSpecs() {
+		if spec.Name == "BGTL" {
+			bgtl = spec
+		}
+	}
+	d, err := bgtl.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[float64]string{ // TopFraction -> digest
+		0:   "bddb7f349d5d4cb4ea3b3d6e4169ce6aa683bf7bfd82ebc6dd0231479c01e91d",
+		0.5: "a3bf3cde72dbee3c2f28fe32f1c21a8a35169fe623dc085bed809d0eaa96b16a",
+	}
+	for _, frac := range []float64{0, 0.5} {
+		opts := parallelTestOptions(6, 1)
+		opts.ClusterEvery, opts.Window, opts.TopFraction = 1, 3, frac
+		res, err := RunDataset(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, rec := range res.Iterations {
+			fmt.Fprintf(h, "%d %v %x %v\n", rec.Iteration, rec.Clustered, math.Float64bits(rec.Q), rec.Partition.Labels)
+		}
+		if err := persist.WriteGraph(h, res.Graph); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < res.Graph.N(); v++ {
+			fmt.Fprintf(h, "%x\n", math.Float64bits(res.Graph.Strength(v)))
+		}
+		fmt.Fprintf(h, "%x %d\n", math.Float64bits(res.Graph.TotalWeight()), res.Graph.EdgeCount())
+		if got := hex.EncodeToString(h.Sum(nil)); got != pins[frac] {
+			t.Errorf("TopFraction %g: run sha256 %s, pinned %s", frac, got, pins[frac])
+		}
+	}
 }

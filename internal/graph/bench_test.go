@@ -68,3 +68,34 @@ func BenchmarkSortedNeighbors1k(b *testing.B) {
 		sinkWeight = sum
 	}
 }
+
+// BenchmarkScaleInto is the measurement merge's Eq. 2 step on a
+// tomo-fattree256-sized counts graph (256 vertices, 35 neighbours each):
+// a fresh Scale against a warm ScaleInto that rebuilds the last mean
+// graph in place.
+func BenchmarkScaleInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := New(256)
+	for u := 0; u < 256; u++ {
+		// A circulant graph: 17 neighbours either side and the antipode.
+		for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 128} {
+			if v := (u + d) % 256; d < 128 || u < v {
+				g.AddWeight(u, v, float64(1+rng.Intn(300)))
+			}
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkGraph = g.Scale(0.125)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		dst := g.ScaleInto(g.Scale(0.125), 0.125)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkGraph = g.ScaleInto(dst, 0.125)
+		}
+	})
+}

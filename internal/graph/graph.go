@@ -3,13 +3,15 @@
 // layout engine.
 //
 // Vertices are dense integer identifiers 0..N-1 with optional string
-// labels. Edge weights are float64 and accumulate: adding weight to an
-// existing edge sums the weights, which is exactly the aggregation the
-// paper's metric w(e) (Eq. 2) requires across BitTorrent iterations.
+// labels (vertex v reads "v<v>" until a label is set). Edge weights are
+// float64 and accumulate: adding weight to an existing edge sums the
+// weights, which is exactly the aggregation the paper's metric w(e)
+// (Eq. 2) requires across BitTorrent iterations.
 //
-// Representation: one slice of incident edges per vertex, kept sorted by
-// neighbour id (an undirected edge is stored at both endpoints, a
-// self-loop once). Every traversal the package offers — SortedNeighbors,
+// Representation: one slice of 16-byte Neighbor entries per vertex — the
+// other endpoint and the weight, the row being the vertex itself — kept
+// sorted by neighbour id (an undirected edge is stored at both endpoints,
+// a self-loop once). Every traversal the package offers — SortedNeighbors,
 // Edges, ConnectedComponents — therefore runs in ascending vertex order
 // with no sorting and no hashing, and that order is part of the contract:
 // the clustering and reporting layers accumulate floating-point sums along
@@ -26,24 +28,32 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 )
 
-// Edge is an undirected weighted edge. Edges reports it with U <= V;
-// SortedNeighbors(v) reports it with U == v.
+// Edge is an undirected weighted edge, as Edges reports it: U <= V.
 type Edge struct {
 	U, V   int
 	Weight float64
 }
 
+// Neighbor is one entry of a vertex's adjacency, as SortedNeighbors
+// reports it: the other endpoint and the edge weight.
+type Neighbor struct {
+	V      int
+	Weight float64
+}
+
 // Graph is a weighted undirected graph. Self-loops are permitted (they
-// matter for modularity on coarsened graphs) and are stored with U == V.
+// matter for modularity on coarsened graphs) and are stored once, in their
+// vertex's own row.
 type Graph struct {
 	n        int
-	labels   []string
-	adj      [][]Edge  // adj[u]: edges {u, neighbour, w}, ascending by neighbour
-	edges    int       // distinct edges, self-loops included
-	strength []float64 // incremental weighted degrees
-	total    float64   // sum of edge weights (self-loops counted once)
+	labels   []string     // nil until the first SetLabel
+	adj      [][]Neighbor // adj[u]: u's neighbours and weights, ascending by neighbour
+	edges    int          // distinct edges, self-loops included
+	strength []float64    // incremental weighted degrees
+	total    float64      // sum of edge weights (self-loops counted once)
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -51,16 +61,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	g := &Graph{
-		n:        n,
-		labels:   make([]string, n),
-		adj:      make([][]Edge, n),
-		strength: make([]float64, n),
-	}
-	for i := range g.labels {
-		g.labels[i] = fmt.Sprintf("v%d", i)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]Neighbor, n), strength: make([]float64, n)}
 }
 
 // N returns the number of vertices.
@@ -69,14 +70,26 @@ func (g *Graph) N() int { return g.n }
 // SetLabel assigns a display label to vertex v.
 func (g *Graph) SetLabel(v int, label string) {
 	g.check(v)
+	if g.labels == nil {
+		g.labels = make([]string, g.n)
+		for i := range g.labels {
+			g.labels[i] = defaultLabel(i)
+		}
+	}
 	g.labels[v] = label
 }
 
-// Label returns the display label of vertex v.
+// Label returns the display label of vertex v: "v<v>" while no label of
+// the graph has been set.
 func (g *Graph) Label(v int) string {
 	g.check(v)
+	if g.labels == nil {
+		return defaultLabel(v)
+	}
 	return g.labels[v]
 }
+
+func defaultLabel(v int) string { return "v" + strconv.Itoa(v) }
 
 func (g *Graph) check(v int) {
 	if v < 0 || v >= g.n {
@@ -116,9 +129,9 @@ func (g *Graph) put(u, v, i int, present bool, w float64) {
 	case present:
 		a[i].Weight = w
 	case w != 0:
-		a = append(a, Edge{})
+		a = append(a, Neighbor{})
 		copy(a[i+1:], a[i:])
-		a[i] = Edge{U: u, V: v, Weight: w}
+		a[i] = Neighbor{V: v, Weight: w}
 		g.adj[u] = a
 	}
 }
@@ -197,18 +210,18 @@ func (g *Graph) Strength(v int) float64 {
 	return g.strength[v]
 }
 
-// SortedNeighbors returns the edges incident to v in ascending neighbour
-// order, each with U == v; the self-loop, if any, appears once. The slice
-// is a view of the graph's own storage: callers must not modify it, and
-// any AddWeight on this graph invalidates it.
-func (g *Graph) SortedNeighbors(v int) []Edge {
+// SortedNeighbors returns the neighbours of v and the weights of the edges
+// to them, in ascending neighbour order; the self-loop, if any, appears
+// once. The slice is a view of the graph's own storage: callers must not
+// modify it, and any AddWeight on this graph invalidates it.
+func (g *Graph) SortedNeighbors(v int) []Neighbor {
 	g.check(v)
 	return g.adj[v]
 }
 
-// upper returns the edges of u whose other endpoint is u or higher — u's
-// share of Edges().
-func (g *Graph) upper(u int) []Edge {
+// upper returns the neighbours of u that are u or higher — u's share of
+// Edges().
+func (g *Graph) upper(u int) []Neighbor {
 	i, _ := g.find(u, u)
 	return g.adj[u][i:]
 }
@@ -221,7 +234,9 @@ func (g *Graph) Edges() []Edge {
 	}
 	out := make([]Edge, 0, g.edges)
 	for u := range g.adj {
-		out = append(out, g.upper(u)...)
+		for _, e := range g.upper(u) {
+			out = append(out, Edge{U: u, V: e.V, Weight: e.Weight})
+		}
 	}
 	return out
 }
@@ -236,16 +251,22 @@ func (g *Graph) Reserve(degrees []int) {
 	if len(degrees) != g.n {
 		panic(fmt.Sprintf("graph: Reserve got %d degrees for %d vertices", len(degrees), g.n))
 	}
+	g.reserve(func(v int) int { return degrees[v] })
+}
+
+// reserve is Reserve with the degrees given as a function, so a caller
+// with them at hand in another shape builds no slice to pass them.
+func (g *Graph) reserve(degree func(v int) int) {
 	need := 0
-	for v, d := range degrees {
-		if d > cap(g.adj[v]) {
+	for v, a := range g.adj {
+		if d := degree(v); d > cap(a) {
 			need += d
 		}
 	}
-	slab := make([]Edge, need)
-	for v, d := range degrees {
-		if d > cap(g.adj[v]) {
-			k := copy(slab[:d], g.adj[v])
+	slab := make([]Neighbor, need)
+	for v, a := range g.adj {
+		if d := degree(v); d > cap(a) {
+			k := copy(slab[:d], a)
 			g.adj[v], slab = slab[:k:d], slab[d:]
 		}
 	}
@@ -255,12 +276,8 @@ func (g *Graph) Reserve(degrees []int) {
 // room for g's own adjacency.
 func (g *Graph) shell() *Graph {
 	out := New(g.n)
-	copy(out.labels, g.labels)
-	degrees := make([]int, g.n)
-	for v := range degrees {
-		degrees[v] = len(g.adj[v])
-	}
-	out.Reserve(degrees)
+	out.labels = slices.Clone(g.labels)
+	out.reserve(func(v int) int { return len(g.adj[v]) })
 	return out
 }
 
@@ -304,17 +321,43 @@ func (g *Graph) TopFraction(frac float64) *Graph {
 // The copy is rebuilt edge by edge through AddWeight, in Edges() order, so
 // that its strengths and total are the sums a graph built from the scaled
 // weights would hold — not g's sums times k, which differ in the last bit.
-func (g *Graph) Scale(k float64) *Graph {
+func (g *Graph) Scale(k float64) *Graph { return g.ScaleInto(nil, k) }
+
+// ScaleInto is Scale building its copy in dst: when dst has g's vertex
+// count, dst is emptied, takes g's labels, is rebuilt in place and
+// returned — its rows keep their storage and grow to the capacity of g's
+// rows, so a graph rescaled from the same growing source settles into
+// reusing all of it. Otherwise (a nil dst included) it returns a fresh
+// graph as Scale does. Either way the result equals Scale(k) bit for bit.
+// dst must not be g.
+func (g *Graph) ScaleInto(dst *Graph, k float64) *Graph {
 	if k <= 0 {
 		panic("graph: Scale factor must be positive")
 	}
-	out := g.shell()
+	switch {
+	case dst == g:
+		panic("graph: ScaleInto onto its own source")
+	case dst == nil || dst.n != g.n:
+		dst = g.shell()
+	default:
+		if g.labels == nil {
+			dst.labels = nil
+		} else {
+			dst.labels = append(dst.labels[:0], g.labels...)
+		}
+		for v := range dst.adj {
+			dst.adj[v] = dst.adj[v][:0]
+		}
+		clear(dst.strength)
+		dst.total, dst.edges = 0, 0
+		dst.reserve(func(v int) int { return cap(g.adj[v]) })
+	}
 	for u := range g.adj {
 		for _, e := range g.upper(u) {
-			out.AddWeight(e.U, e.V, e.Weight*k)
+			dst.AddWeight(u, e.V, e.Weight*k)
 		}
 	}
-	return out
+	return dst
 }
 
 // ConnectedComponents returns a partition of vertices into connected
@@ -393,7 +436,7 @@ func (l *EdgeList) Add(u, v int, w float64) {
 // and is quadratic in a vertex's degree.
 func FromEdges(labels []string, edges *EdgeList) *Graph {
 	n := len(labels)
-	g := &Graph{n: n, labels: labels, adj: make([][]Edge, n), strength: make([]float64, n)}
+	g := &Graph{n: n, labels: labels, adj: make([][]Neighbor, n), strength: make([]float64, n)}
 	room := make([]int, n)
 	for _, c := range edges.chunks {
 		for _, e := range c {
@@ -415,26 +458,26 @@ func FromEdges(labels []string, edges *EdgeList) *Graph {
 	for _, c := range edges.chunks {
 		for _, e := range c {
 			u, v := int(e.u), int(e.v)
-			g.adj[u] = append(g.adj[u], Edge{U: u, V: v, Weight: e.w})
+			g.adj[u] = append(g.adj[u], Neighbor{V: v, Weight: e.w})
 			if u != v {
-				g.adj[v] = append(g.adj[v], Edge{U: v, V: u, Weight: e.w})
+				g.adj[v] = append(g.adj[v], Neighbor{V: u, Weight: e.w})
 			}
 		}
 	}
 	for u := range g.adj {
-		g.adj[u] = mergeNeighbors(g.adj[u])
+		g.adj[u] = mergeNeighbors(u, g.adj[u])
 		g.edges += len(g.upper(u))
 	}
 	return g
 }
 
-// mergeNeighbors turns one vertex's entries in insertion order, repeats
+// mergeNeighbors turns vertex u's entries in insertion order, repeats
 // included, into its adjacency: ascending by neighbour, each neighbour's
 // weights summed in insertion order as successive AddWeight calls sum
 // them, and a neighbour whose weights cancel left out. Entries that
 // already are an adjacency — strictly ascending, every weight positive —
 // are returned as they came.
-func mergeNeighbors(a []Edge) []Edge {
+func mergeNeighbors(u int, a []Neighbor) []Neighbor {
 	settled := true
 	for i, e := range a {
 		if !(e.Weight > 0) || i > 0 && a[i-1].V >= e.V {
@@ -445,7 +488,7 @@ func mergeNeighbors(a []Edge) []Edge {
 	if settled {
 		return a
 	}
-	slices.SortStableFunc(a, func(x, y Edge) int { return cmp.Compare(x.V, y.V) })
+	slices.SortStableFunc(a, func(x, y Neighbor) int { return cmp.Compare(x.V, y.V) })
 	out := a[:0]
 	for i := 0; i < len(a); {
 		e := a[i]
@@ -453,7 +496,7 @@ func mergeNeighbors(a []Edge) []Edge {
 		for ; i < len(a) && a[i].V == e.V; i++ {
 			e.Weight += a[i].Weight
 			if e.Weight < 0 {
-				panic(fmt.Sprintf("graph: edge (%d,%d) weight would become negative (%g)", e.U, e.V, e.Weight))
+				panic(fmt.Sprintf("graph: edge (%d,%d) weight would become negative (%g)", u, e.V, e.Weight))
 			}
 		}
 		if e.Weight != 0 {

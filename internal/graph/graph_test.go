@@ -1,10 +1,14 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddWeightAccumulates(t *testing.T) {
@@ -232,4 +236,172 @@ func TestCloneEqualProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Default labels are formatted on demand; the first SetLabel stores them
+// all, and an explicit empty label is a label like any other.
+func TestDefaultLabels(t *testing.T) {
+	g := New(3)
+	if got := g.Label(2); got != "v2" {
+		t.Fatalf("Label(2) = %q, want v2", got)
+	}
+	g.SetLabel(1, "")
+	for v, want := range []string{"v0", "", "v2"} {
+		if got := g.Label(v); got != want {
+			t.Errorf("Label(%d) = %q, want %q", v, got, want)
+		}
+		if got := g.Clone().Label(v); got != want {
+			t.Errorf("Clone().Label(%d) = %q, want %q", v, got, want)
+		}
+	}
+	if got := New(2).Clone().Label(1); got != "v1" {
+		t.Errorf("unlabelled Clone().Label(1) = %q, want v1", got)
+	}
+}
+
+// A pair whose weights sum below zero panics naming the pair as AddWeight
+// names it, lower endpoint first, whichever way round the list holds it.
+func TestFromEdgesNegativeSumNamesBothEndpoints(t *testing.T) {
+	var list EdgeList
+	list.Add(0, 1, 1)
+	list.Add(4, 2, 2)
+	list.Add(2, 4, -5)
+	defer func() {
+		want := "graph: edge (2,4) weight would become negative (-3)"
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	FromEdges(make([]string, 5), &list)
+}
+
+// scaleCase builds a graph with labels, self-loops and varied degrees.
+func scaleCase(seed int64, n, m int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New(n)
+	for i := 0; i < m; i++ {
+		g.AddWeight(rng.Intn(n), rng.Intn(n), 1+float64(rng.Intn(97)))
+	}
+	return g
+}
+
+// requireEqualBits fails unless got holds what want holds: edges, every
+// strength, the total and the edge count bit for bit, and the labels.
+func requireEqualBits(t *testing.T, ctx string, got, want *Graph) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("%s: %d vertices, want %d", ctx, got.N(), want.N())
+	}
+	if g, w := got.Edges(), want.Edges(); !sameEdges(g, w) {
+		t.Fatalf("%s: Edges() = %v, want %v", ctx, g, w)
+	}
+	if got.EdgeCount() != want.EdgeCount() {
+		t.Fatalf("%s: EdgeCount() = %d, want %d", ctx, got.EdgeCount(), want.EdgeCount())
+	}
+	if g, w := math.Float64bits(got.TotalWeight()), math.Float64bits(want.TotalWeight()); g != w {
+		t.Fatalf("%s: TotalWeight bits %#x, want %#x", ctx, g, w)
+	}
+	for v := 0; v < got.N(); v++ {
+		if g, w := math.Float64bits(got.Strength(v)), math.Float64bits(want.Strength(v)); g != w {
+			t.Fatalf("%s: Strength(%d) bits %#x, want %#x", ctx, v, g, w)
+		}
+		if got.Label(v) != want.Label(v) {
+			t.Fatalf("%s: Label(%d) = %q, want %q", ctx, v, got.Label(v), want.Label(v))
+		}
+	}
+}
+
+// ScaleInto is Scale whatever dst held: a dirty graph of the same size
+// with more, fewer or other edges and labels, a graph of another size, or
+// the warm result of rescaling the same source as it grows and shrinks.
+func TestScaleIntoMatchesScale(t *testing.T) {
+	const n, k = 24, 1.0 / 3
+	g := scaleCase(1, n, 150)
+	g.SetLabel(3, "host-3")
+	dirty := map[string]*Graph{
+		"more edges":   scaleCase(2, n, 400),
+		"fewer edges":  scaleCase(3, n, 10),
+		"other edges":  scaleCase(4, n, 150),
+		"edgeless":     New(n),
+		"other size":   scaleCase(5, n+1, 150),
+		"smaller size": scaleCase(6, n-1, 150),
+	}
+	dirty["more edges"].SetLabel(0, "stale")
+	for name, dst := range dirty {
+		got := g.ScaleInto(dst, k)
+		requireEqualBits(t, name, got, g.Scale(k))
+		if (got == dst) != (dst.N() == n) {
+			t.Errorf("%s: rebuilt in place %v, want %v", name, got == dst, dst.N() == n)
+		}
+	}
+	// An unlabelled source leaves no stale label behind.
+	requireEqualBits(t, "unlabelled source", scaleCase(7, n, 50).ScaleInto(dirty["more edges"], k), scaleCase(7, n, 50).Scale(k))
+
+	// Warm: the mean graph of a sliding window, rebuilt after every step.
+	rng := rand.New(rand.NewSource(8))
+	src, warm := New(n), (*Graph)(nil)
+	var added [][3]int
+	for step := 0; step < 60; step++ {
+		for i := 0; i < 20; i++ {
+			e := [3]int{rng.Intn(n), rng.Intn(n), 1 + rng.Intn(9)}
+			src.AddWeight(e[0], e[1], float64(e[2]))
+			added = append(added, e)
+		}
+		if len(added) > 60 { // retire the oldest: degrees shrink
+			for _, e := range added[:20] {
+				src.AddWeight(e[0], e[1], -float64(e[2]))
+			}
+			added = added[20:]
+		}
+		warm = src.ScaleInto(warm, k)
+		requireEqualBits(t, fmt.Sprintf("warm step %d", step), warm, src.Scale(k))
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ScaleInto onto its own source did not panic")
+			}
+		}()
+		g.ScaleInto(g, k)
+	}()
+
+	dst := g.Scale(k)
+	if allocs := testing.AllocsPerRun(10, func() { g.ScaleInto(dst, k) }); allocs > 1 {
+		t.Errorf("warm ScaleInto made %v allocations, want at most 1", allocs)
+	}
+}
+
+// An adjacency entry is 16 bytes, so reserving a 1024-vertex complete
+// graph costs its 1024·1023 entries and little else.
+func TestAdjacencyBudget(t *testing.T) {
+	if size := unsafe.Sizeof(Neighbor{}); size != 16 {
+		t.Fatalf("Neighbor is %d bytes, want 16", size)
+	}
+	if raceEnabled() {
+		t.Skip("allocation sizes are meaningless under the race detector")
+	}
+	const n = 1024
+	degrees := make([]int, n)
+	for v := range degrees {
+		degrees[v] = n - 1
+	}
+	g := New(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Reserve(degrees)
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(n*(n-1)*16+1<<20); got > budget {
+		t.Errorf("Reserve for the complete graph on %d vertices allocated %d bytes, budget %d", n, got, budget)
+	}
+}
+
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }

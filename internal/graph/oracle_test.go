@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -78,10 +79,10 @@ func (g *mapGraph) Weight(u, v int) float64 {
 
 func (g *mapGraph) Degree(v int) int { return len(g.adj[v]) }
 
-func (g *mapGraph) SortedNeighbors(v int) []Edge {
-	out := make([]Edge, 0, len(g.adj[v]))
+func (g *mapGraph) SortedNeighbors(v int) []Neighbor {
+	out := make([]Neighbor, 0, len(g.adj[v]))
 	for u, w := range g.adj[v] {
-		out = append(out, Edge{U: v, V: u, Weight: w})
+		out = append(out, Neighbor{V: u, Weight: w})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
 	return out
@@ -200,6 +201,13 @@ func sameEdges(a, b []Edge) bool {
 	return true
 }
 
+// sameNeighbors is sameEdges for adjacency rows.
+func sameNeighbors(a, b []Neighbor) bool {
+	return slices.EqualFunc(a, b, func(x, y Neighbor) bool {
+		return x.V == y.V && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
+	})
+}
+
 // requireSame fails unless g and the oracle are observationally identical,
 // floats compared as bits.
 func requireSame(t *testing.T, ctx string, g *Graph, o *mapGraph) {
@@ -217,7 +225,7 @@ func requireSame(t *testing.T, ctx string, g *Graph, o *mapGraph) {
 		t.Fatalf("%s: ConnectedComponents() = %v, oracle %v", ctx, got, want)
 	}
 	for v := 0; v < g.N(); v++ {
-		if got, want := g.SortedNeighbors(v), o.SortedNeighbors(v); !sameEdges(got, want) {
+		if got, want := g.SortedNeighbors(v), o.SortedNeighbors(v); !sameNeighbors(got, want) {
 			t.Fatalf("%s: SortedNeighbors(%d) = %v, oracle %v", ctx, v, got, want)
 		}
 		if got, want := g.Degree(v), o.Degree(v); got != want {

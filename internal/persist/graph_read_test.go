@@ -162,9 +162,9 @@ func TestReadGraphAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, read); allocs > n+40 {
 		t.Errorf("ReadGraph of %d vertices made %v allocations, budget %d", n, allocs, n+40)
 	}
-	// The finished graph: two 24-byte adjacency entries per edge, and per
+	// The finished graph: two 16-byte adjacency entries per edge, and per
 	// vertex a slice header, a strength and a label.
-	finished := uint64(2*24*g.EdgeCount() + n*(24+8+16+len("site-0.host-000")))
+	finished := uint64(2*16*g.EdgeCount() + n*(24+8+16+len("site-0.host-000")))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	read()

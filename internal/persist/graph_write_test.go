@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -177,6 +178,62 @@ func TestWriteGraphRejectsUnencodableWeight(t *testing.T) {
 		}
 		if err := writeGraphViaEncoder(io.Discard, g); err == nil {
 			t.Errorf("json.Encoder accepted weight %v", w)
+		}
+	}
+}
+
+// The error names the edge lower endpoint first, as the document would.
+func TestWriteGraphNamesUnencodableEdge(t *testing.T) {
+	g := graph.New(6)
+	g.AddWeight(0, 1, 1)
+	g.AddWeight(5, 2, math.NaN())
+	err := WriteGraph(io.Discard, g)
+	if want := "persist: edge (2,5) has unencodable weight NaN"; err == nil || err.Error() != want {
+		t.Fatalf("WriteGraph error %v, want %q", err, want)
+	}
+}
+
+// Default labels are not stored but formatted on demand; an archive cannot
+// tell. An unlabelled graph writes "v0", "v1", ..., an explicitly empty
+// label writes "", and either document reads back to a graph that writes
+// it again byte for byte.
+func TestLabelsRoundTrip(t *testing.T) {
+	unlabelled := graph.New(3)
+	unlabelled.AddWeight(0, 2, 1)
+	relabelled := graph.New(3)
+	relabelled.SetLabel(1, "")
+	relabelled.AddWeight(0, 2, 1)
+	for name, c := range map[string]struct {
+		g      *graph.Graph
+		labels string
+	}{
+		"unlabelled": {unlabelled, `"labels": [
+    "v0",
+    "v1",
+    "v2"
+  ]`},
+		"empty label": {relabelled, `"labels": [
+    "v0",
+    "",
+    "v2"
+  ]`},
+	} {
+		var doc, again bytes.Buffer
+		if err := WriteGraph(&doc, c.g); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(doc.String(), c.labels) {
+			t.Errorf("%s: document %s\nwant labels %s", name, doc.Bytes(), c.labels)
+		}
+		read, err := ReadGraph(bytes.NewReader(doc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteGraph(&again, read); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), doc.Bytes()) {
+			t.Errorf("%s: rewritten document differs\n got: %s\nwant: %s", name, again.Bytes(), doc.Bytes())
 		}
 	}
 }

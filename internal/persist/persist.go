@@ -114,11 +114,11 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 					continue
 				}
 				if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
-					return fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", e.U, e.V, e.Weight)
+					return fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", u, e.V, e.Weight)
 				}
 				buf = append(buf[:0], sep...)
 				buf = append(buf, "    [\n      "...)
-				buf = strconv.AppendInt(buf, int64(e.U), 10)
+				buf = strconv.AppendInt(buf, int64(u), 10)
 				buf = append(buf, ",\n      "...)
 				buf = strconv.AppendInt(buf, int64(e.V), 10)
 				buf = append(buf, ",\n      "...)
