@@ -86,8 +86,9 @@ bench-smoke:
 # FuzzDecode and FuzzReadHandshake: whatever bytes a remote peer sends,
 # the wire decoders never panic, and a message Decode accepts re-encodes
 # to exactly the bytes it consumed. FuzzSpecCompile: whatever a spec
-# file holds, Decode and Compile never panic, and a spec Decode accepts
-# compiles to a dataset of exactly its NumHosts hosts. A failing input is
+# file holds, Decode and Compile never panic, a spec Decode accepts
+# compiles to a dataset of exactly its NumHosts hosts, and the same bytes
+# followed by one stray byte are refused. A failing input is
 # written to that corpus directory; check it in with the fix (a spec
 # panic is fixed in Spec.Validate).
 fuzz-smoke:

@@ -51,7 +51,7 @@ func run(dataset string, iterations int, scale float64, seed int64, edges float6
 	if err != nil {
 		return err
 	}
-	pos := layout.KamadaKawai(res.Graph, layout.DefaultOptions())
+	pos := layout.KamadaKawai(res.Graph)
 	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: edges, Scale: 10}
 
 	if outBase == "" {

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// Render the Fig. 12 style layout.
-	pos := layout.KamadaKawai(res.Graph, layout.DefaultOptions())
+	pos := layout.KamadaKawai(res.Graph)
 	f, err := os.Create("bgtl.svg")
 	if err != nil {
 		log.Fatal(err)

@@ -2,19 +2,11 @@
 // piece bookkeeping (have/in-flight maps over ~15k fragments).
 package bitset
 
-import "math/bits"
-
-// Set is a fixed-capacity bit set. The zero value is unusable; call New.
+// Set is a fixed-capacity bit set. The zero value is unusable; call Over.
 type Set struct {
 	words []uint64
 	n     int
 	count int
-}
-
-// New returns a set able to hold bits 0..n-1, all clear.
-func New(n int) *Set {
-	s := Over(n, make([]uint64, Words(n)))
-	return &s
 }
 
 // Words returns the number of uint64 words a set of n bits occupies.
@@ -84,31 +76,4 @@ func (s *Set) SetAll() {
 		s.words[len(s.words)-1] = (1 << uint(tail)) - 1
 	}
 	s.count = s.n
-}
-
-// AnyAndNot reports whether the set contains a bit that other lacks, i.e.
-// whether s \ other is non-empty. This is the "remote has a piece I need"
-// interest test (called with s = remote.have, other = local.have).
-func (s *Set) AnyAndNot(other *Set) bool {
-	if other.n != s.n {
-		panic("bitset: size mismatch")
-	}
-	for i, w := range s.words {
-		if w&^other.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CountAndNot returns |s \ other|.
-func (s *Set) CountAndNot(other *Set) int {
-	if other.n != s.n {
-		panic("bitset: size mismatch")
-	}
-	total := 0
-	for i, w := range s.words {
-		total += bits.OnesCount64(w &^ other.words[i])
-	}
-	return total
 }

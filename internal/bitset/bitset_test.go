@@ -6,8 +6,14 @@ import (
 	"testing/quick"
 )
 
+// newSet returns a set of bits 0..n-1, all clear, with its own storage.
+func newSet(n int) *Set {
+	s := Over(n, make([]uint64, Words(n)))
+	return &s
+}
+
 func TestBasicSetGetClear(t *testing.T) {
-	s := New(130) // spans three words
+	s := newSet(130) // spans three words
 	if s.Count() != 0 || s.Len() != 130 {
 		t.Fatal("fresh set not empty")
 	}
@@ -38,7 +44,7 @@ func TestBasicSetGetClear(t *testing.T) {
 
 func TestSetAllAndFull(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 128, 1000} {
-		s := New(n)
+		s := newSet(n)
 		s.SetAll()
 		if !s.Full() || s.Count() != n {
 			t.Fatalf("n=%d: SetAll gave Count=%d Full=%v", n, s.Count(), s.Full())
@@ -52,7 +58,7 @@ func TestSetAllAndFull(t *testing.T) {
 }
 
 func TestSetAllTailDoesNotOverflow(t *testing.T) {
-	s := New(70)
+	s := newSet(70)
 	s.SetAll()
 	if s.Count() != 70 {
 		t.Fatalf("Count = %d, want 70", s.Count())
@@ -70,47 +76,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(10).Get(10)
-}
-
-func TestAnyAndNot(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	if a.AnyAndNot(b) {
-		t.Fatal("empty \\ empty should be empty")
-	}
-	a.Set(42)
-	if !a.AnyAndNot(b) {
-		t.Fatal("a has 42, b empty: difference should be non-empty")
-	}
-	b.Set(42)
-	if a.AnyAndNot(b) {
-		t.Fatal("b covers a: difference should be empty")
-	}
-	b.Set(50)
-	if a.AnyAndNot(b) {
-		t.Fatal("b superset of a: difference should be empty")
-	}
-	if !b.AnyAndNot(a) {
-		t.Fatal("b \\ a should be non-empty")
-	}
-}
-
-func TestCountAndNot(t *testing.T) {
-	a := New(200)
-	b := New(200)
-	for i := 0; i < 200; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 200; i += 4 {
-		b.Set(i)
-	}
-	if got := a.CountAndNot(b); got != 50 {
-		t.Fatalf("CountAndNot = %d, want 50", got)
-	}
-	if got := b.CountAndNot(a); got != 0 {
-		t.Fatalf("CountAndNot = %d, want 0", got)
-	}
+	newSet(10).Get(10)
 }
 
 func TestSizeMismatchPanics(t *testing.T) {
@@ -119,42 +85,35 @@ func TestSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(10).AnyAndNot(New(11))
+	Over(65, make([]uint64, 1)) // 65 bits need two words
 }
 
-// Property: Count always equals the number of Get-true bits, and
-// CountAndNot matches a brute-force count.
+// Property: Count always equals the number of Get-true bits.
 func TestCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(300) + 1
-		a, b := New(n), New(n)
+		a := newSet(n)
 		ref := make(map[int]bool)
 		for i := 0; i < 200; i++ {
 			k := rng.Intn(n)
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				a.Set(k)
 				ref[k] = true
-			case 1:
+			} else {
 				a.Clear(k)
 				delete(ref, k)
-			case 2:
-				b.Set(k)
 			}
 		}
 		if a.Count() != len(ref) {
 			return false
 		}
-		diff := 0
-		any := false
-		for k := range ref {
-			if !b.Get(k) {
-				diff++
-				any = true
+		for k := 0; k < n; k++ {
+			if a.Get(k) != ref[k] {
+				return false
 			}
 		}
-		return a.CountAndNot(b) == diff && a.AnyAndNot(b) == any
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -292,10 +292,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.FragmentSize = -1 },
 		func(c *Config) { c.MaxPeers = 0 },
 		func(c *Config) { c.UploadSlots = 0 },
-		func(c *Config) { c.RechokeInterval = 0 },
-		func(c *Config) { c.OptimisticInterval = -1 },
 		func(c *Config) { c.BatchFragments = 0 },
-		func(c *Config) { c.RarestSampling = 0 },
 		func(c *Config) { c.Root = 17 },
 		func(c *Config) { c.Root = -1 },
 	}

@@ -7,7 +7,7 @@ import "math"
 // Following the mainline client the paper instruments, each peer uploads
 // to at most UploadSlots others: the top UploadSlots-1 ranked by transfer
 // rate (tit-for-tat for leechers, delivery rate for seeds) plus one
-// optimistic unchoke rotated every OptimisticInterval. As in the mainline
+// optimistic unchoke rotated every optimisticInterval. As in the mainline
 // Choker, a re-rank runs not only on the periodic timer but also whenever
 // a peer's interest changes — this responsiveness is what concentrates
 // upload slots on fast (local) connections within a single ~20 s
@@ -79,7 +79,7 @@ func (s *swarm) fillSlots(p *peer) {
 }
 
 // rechoke re-ranks p's upload slots. rotate selects a fresh optimistic
-// unchoke; it is set by the periodic tick every OptimisticInterval.
+// unchoke; it is set by the periodic tick every optimisticInterval.
 func (s *swarm) rechoke(p *peer, rotate bool) {
 	if p.rechoking {
 		return // re-entrant call via unchoke->tryRequest; state already settling
@@ -167,14 +167,13 @@ func (s *swarm) rechoke(p *peer, rotate bool) {
 	// eager refills as new interest arrives.
 }
 
-// tick is the periodic choker timer (every RechokeInterval), which also
-// rotates the optimistic unchoke every OptimisticInterval.
+// rotateEvery is the number of rechokes per optimistic rotation.
+const rotateEvery = int(optimisticInterval / rechokeInterval)
+
+// tick is the periodic choker timer (every rechokeInterval), which also
+// rotates the optimistic unchoke every optimisticInterval.
 func (s *swarm) tick(p *peer) {
 	p.rechokes++
-	rotateEvery := int(s.cfg.OptimisticInterval/s.cfg.RechokeInterval + 0.5)
-	if rotateEvery < 1 {
-		rotateEvery = 1
-	}
 	s.rechoke(p, p.rechokes%rotateEvery == 1)
-	s.eng.Reschedule(p.rechokeEv, s.cfg.RechokeInterval)
+	s.eng.Reschedule(p.rechokeEv, rechokeInterval)
 }

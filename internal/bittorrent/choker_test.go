@@ -258,7 +258,7 @@ func TestPipelineCapReflectsRTT(t *testing.T) {
 		t.Fatalf("WAN cap %.0f should be far below local %.0f", wan, local)
 	}
 	// 80 KiB over ~10.2 ms RTT ≈ 8 MB/s.
-	wantWan := float64(cfg.PipelineBytes) / (2 * (5e-3 + 2*50e-6))
+	wantWan := float64(pipelineBytes) / (2 * (5e-3 + 2*50e-6))
 	if math.Abs(wan-wantWan)/wantWan > 0.01 {
 		t.Fatalf("WAN cap = %.0f, want %.0f", wan, wantWan)
 	}

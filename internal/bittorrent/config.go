@@ -10,6 +10,15 @@
 //     tit-for-tat (reciprocation rate) plus one optimistic unchoke;
 //   - piece selection is (sampled) rarest-first with random tie-breaking.
 //
+// Two kinds of protocol setting exist. The tit-for-tat period (10 s), the
+// optimistic-unchoke period (30 s), the rarest-first sampling factor (×3)
+// and the request pipeline (5 requests of 16 KiB per connection) are the
+// mainline client's and fixed: they are unexported constants. The peer-set
+// cap, the upload slots and the fragments per simulated transfer are
+// Config fields, because experiments.Ablation varies them; the payload
+// and fragment size are Config fields because the scale of a run sets
+// them.
+//
 // Every client counts the fragments it receives per sending peer, exactly
 // like the instrumented client of §II-A; the counts form the Result's
 // pairs, from which the tomography metric w(e) is built.
@@ -21,7 +30,7 @@ import (
 )
 
 // Default protocol parameters, matching the paper and the mainline client
-// it instruments.
+// it instruments. Each is the default of the Config field of the same name.
 const (
 	// DefaultFileBytes is the paper's broadcast payload: 15259 fragments
 	// of 16 KiB ≈ 239 MB (§II-A).
@@ -33,54 +42,51 @@ const (
 	// DefaultUploadSlots is the mainline client's parallel-upload limit
 	// (§II-C): 3 tit-for-tat slots plus 1 optimistic slot.
 	DefaultUploadSlots = 4
-	// DefaultRechokeInterval is the mainline tit-for-tat period (seconds).
-	DefaultRechokeInterval = 10.0
-	// DefaultOptimisticInterval is the optimistic-unchoke rotation period.
-	DefaultOptimisticInterval = 30.0
 	// DefaultBatchFragments is the request-pipeline granularity: how many
 	// fragments ride one simulated connection transfer. It trades event
 	// count against fragment-count granularity and is an ablation knob
 	// (experiments.Ablation).
 	DefaultBatchFragments = 16
-	// DefaultRarestSampling is how many candidate pieces the sampled
-	// rarest-first selector weighs per request batch.
-	DefaultRarestSampling = 3
-	// DefaultPipelineBytes is the volume of outstanding requests a client
-	// keeps per connection: the mainline client pipelines 5 requests of
-	// 16 KiB. A connection's throughput is limited to PipelineBytes/RTT,
-	// which is why a single BitTorrent stream across a high-latency WAN
-	// runs far below link capacity — a key source of the locality
-	// preference underlying the paper's metric.
-	DefaultPipelineBytes = 5 * DefaultFragmentSize
+)
+
+// The mainline client's fixed protocol settings. No experiment varies
+// them, so they are not Config fields.
+const (
+	// rechokeInterval is the tit-for-tat re-ranking period (seconds).
+	rechokeInterval = 10.0
+	// optimisticInterval is the optimistic-unchoke rotation period.
+	optimisticInterval = 30.0
+	// rarestSampling is how many candidate pieces per requested fragment
+	// the sampled rarest-first selector weighs.
+	rarestSampling = 3
+	// pipelineBytes is the volume of outstanding requests a client keeps
+	// per connection: the mainline client pipelines 5 requests of 16 KiB.
+	// A connection's throughput is limited to pipelineBytes/RTT, which is
+	// why a single BitTorrent stream across a high-latency WAN runs far
+	// below link capacity — a key source of the locality preference
+	// underlying the paper's metric.
+	pipelineBytes = 5 * DefaultFragmentSize
 )
 
 // Config parameterises one broadcast.
 type Config struct {
-	FileBytes          int     // total payload; rounded up to whole fragments
-	FragmentSize       int     // bytes per fragment
-	MaxPeers           int     // tracker peer-set cap
-	UploadSlots        int     // parallel uploads per client
-	RechokeInterval    float64 // seconds between tit-for-tat re-rankings
-	OptimisticInterval float64 // seconds between optimistic rotations
-	BatchFragments     int     // fragments per request batch
-	RarestSampling     int     // candidate multiplier for rarest-first
-	PipelineBytes      int     // outstanding request window per connection
-	Root               int     // host index of the initial seed
+	FileBytes      int // total payload; rounded up to whole fragments
+	FragmentSize   int // bytes per fragment
+	MaxPeers       int // tracker peer-set cap
+	UploadSlots    int // parallel uploads per client
+	BatchFragments int // fragments per request batch
+	Root           int // host index of the initial seed
 }
 
-// DefaultConfig returns the paper's configuration with the given root.
+// DefaultConfig returns the paper's configuration with host 0 as root.
 func DefaultConfig() Config {
 	return Config{
-		FileBytes:          DefaultFileBytes,
-		FragmentSize:       DefaultFragmentSize,
-		MaxPeers:           DefaultMaxPeers,
-		UploadSlots:        DefaultUploadSlots,
-		RechokeInterval:    DefaultRechokeInterval,
-		OptimisticInterval: DefaultOptimisticInterval,
-		BatchFragments:     DefaultBatchFragments,
-		RarestSampling:     DefaultRarestSampling,
-		PipelineBytes:      DefaultPipelineBytes,
-		Root:               0,
+		FileBytes:      DefaultFileBytes,
+		FragmentSize:   DefaultFragmentSize,
+		MaxPeers:       DefaultMaxPeers,
+		UploadSlots:    DefaultUploadSlots,
+		BatchFragments: DefaultBatchFragments,
+		Root:           0,
 	}
 }
 
@@ -111,16 +117,8 @@ func (c Config) validate(numHosts int) error {
 		return fmt.Errorf("bittorrent: MaxPeers must be at least 1, got %d", c.MaxPeers)
 	case c.UploadSlots < 1:
 		return fmt.Errorf("bittorrent: UploadSlots must be at least 1, got %d", c.UploadSlots)
-	case c.RechokeInterval <= 0:
-		return fmt.Errorf("bittorrent: RechokeInterval must be positive, got %g", c.RechokeInterval)
-	case c.OptimisticInterval <= 0:
-		return fmt.Errorf("bittorrent: OptimisticInterval must be positive, got %g", c.OptimisticInterval)
 	case c.BatchFragments < 1:
 		return fmt.Errorf("bittorrent: BatchFragments must be at least 1, got %d", c.BatchFragments)
-	case c.RarestSampling < 1:
-		return fmt.Errorf("bittorrent: RarestSampling must be at least 1, got %d", c.RarestSampling)
-	case c.PipelineBytes < 1:
-		return fmt.Errorf("bittorrent: PipelineBytes must be at least 1, got %d", c.PipelineBytes)
 	case c.Root < 0 || c.Root >= numHosts:
 		return fmt.Errorf("bittorrent: Root %d out of range [0,%d)", c.Root, numHosts)
 	}

@@ -298,7 +298,7 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 	s.remaining, s.flows, s.start = n-1, 0, eng.Now()
 	s.peers = reuse(s.peers, n)
 	s.avail = reuse(s.avail, pieces) // all ones once the root is set up below
-	s.candScratch = reuse(s.candScratch, cfg.BatchFragments*cfg.RarestSampling)[:0]
+	s.candScratch = reuse(s.candScratch, cfg.BatchFragments*rarestSampling)[:0]
 	w := bitset.Words(pieces)
 	s.peerSlab = reuse(s.peerSlab, n)
 	s.words = reuse(s.words, 2*n*w)
@@ -353,7 +353,7 @@ func (s *swarm) begin() {
 		s.fillSlots(p)
 	}
 	for _, p := range s.peers {
-		first := s.cfg.RechokeInterval * (0.9 + 0.2*s.rng.Float64())
+		first := rechokeInterval * (0.9 + 0.2*s.rng.Float64())
 		s.eng.Reschedule(p.rechokeEv, first)
 	}
 }

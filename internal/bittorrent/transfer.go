@@ -36,7 +36,7 @@ func (s *swarm) tryRequest(c *conn, up int) {
 }
 
 // pipelineCap returns the window-limited throughput ceiling of connection
-// c with p[up] uploading: PipelineBytes outstanding over the path
+// c with p[up] uploading: pipelineBytes outstanding over the path
 // round-trip time. This reproduces the real client's behaviour of a single
 // stream across a high-latency WAN running far below link capacity.
 func (s *swarm) pipelineCap(c *conn, up int) float64 {
@@ -46,14 +46,14 @@ func (s *swarm) pipelineCap(c *conn, up int) float64 {
 	rtt := 2 * s.net.Path(c.p[up].host, c.p[1-up].host).Latency
 	cap := 0.0
 	if rtt > 0 {
-		cap = float64(s.cfg.PipelineBytes) / rtt
+		cap = float64(pipelineBytes) / rtt
 	}
 	c.pipeCap[up] = cap
 	return cap
 }
 
 // selectPieces picks up to BatchFragments pieces for d to request from u,
-// using sampled rarest-first: gather up to RarestSampling×BatchFragments
+// using sampled rarest-first: gather up to rarestSampling×BatchFragments
 // candidates in d's (shuffled) need order, then keep those with the lowest
 // global availability. The shuffled need order provides the random
 // tie-breaking of the real client.
@@ -63,7 +63,7 @@ func (s *swarm) pipelineCap(c *conn, up int) float64 {
 // pieces are returned in the swarm's scratch, valid until the next call.
 func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 	want := s.cfg.BatchFragments
-	sampleCap := want * s.cfg.RarestSampling
+	sampleCap := want * rarestSampling
 
 	cand := s.candScratch[:0]
 	sawUseful := false

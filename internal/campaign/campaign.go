@@ -45,6 +45,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -182,13 +183,18 @@ func (s *Spec) Encode() ([]byte, error) {
 
 // Decode parses and validates a JSON campaign spec. Unknown fields are
 // rejected: campaign files are written by hand, and a typo'd axis name
-// must fail loudly instead of silently sweeping a default.
+// must fail loudly instead of silently sweeping a default. So is anything
+// but white space after the spec's object: a file holding two campaigns,
+// or a campaign and junk, is not its first campaign.
 func Decode(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("campaign: data after the campaign spec's JSON object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +41,24 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	_, err := Decode([]byte(`{"name": "g", "scenarios": [{"name": "GT"}], "axes": {"iteration": [3]}}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("typo'd axis accepted: %v", err)
+	}
+}
+
+// A campaign file holds one campaign: a valid spec followed by junk or by
+// a second spec is refused, not read as its first object. Trailing white
+// space is accepted.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	data, err := gridBuilder().MustSpec().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(data, " \n"...)); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
+	for _, tail := range []string{"x", "\n" + string(data)} {
+		if _, err := Decode(append(slices.Clip(data), tail...)); err == nil {
+			t.Errorf("campaign followed by %q accepted", tail)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func TestModularityTwoCliques(t *testing.T) {
 	g, truth := twoCliques(8, 1, 0.1)
 	qTruth := Modularity(g, truth)
 	qOne := Modularity(g, NewPartition(make([]int, 16)))
-	qSingle := Modularity(g, Singletons(16))
+	qSingle := Modularity(g, singletons(16))
 	if qTruth <= qOne {
 		t.Fatalf("truth Q=%g should beat all-in-one Q=%g", qTruth, qOne)
 	}
@@ -117,7 +117,7 @@ func TestModularitySelfLoopHandling(t *testing.T) {
 	// preserve modularity (the invariant Louvain relies on).
 	g, truth := twoCliques(6, 1, 0.3)
 	agg := aggregate(g, truth)
-	aggPart := Singletons(agg.N())
+	aggPart := singletons(agg.N())
 	q1, q2 := Modularity(g, truth), Modularity(agg, aggPart)
 	if math.Abs(q1-q2) > 1e-12 {
 		t.Fatalf("aggregation changed modularity: %g vs %g", q1, q2)
@@ -249,7 +249,7 @@ func TestLouvainBeatsTrivialProperty(t *testing.T) {
 		}
 		res := Louvain(g, rng)
 		qOne := Modularity(g, NewPartition(make([]int, n)))
-		qSingle := Modularity(g, Singletons(n))
+		qSingle := Modularity(g, singletons(n))
 		return res.Q >= qOne-1e-9 && res.Q >= qSingle-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -281,7 +281,7 @@ func TestMapEquationPrefersTruthOnCliques(t *testing.T) {
 	g, truth := twoCliques(8, 1, 0.1)
 	lTruth := MapEquation(g, truth)
 	lOne := MapEquation(g, NewPartition(make([]int, 16)))
-	lSingle := MapEquation(g, Singletons(16))
+	lSingle := MapEquation(g, singletons(16))
 	if lTruth >= lOne {
 		t.Fatalf("truth L=%g should beat all-in-one L=%g", lTruth, lOne)
 	}
@@ -332,4 +332,13 @@ func TestAggregatePreservesTotalWeight(t *testing.T) {
 	if agg.Weight(0, 1) != 0.5 {
 		t.Fatalf("inter-cluster weight = %g, want 0.5", agg.Weight(0, 1))
 	}
+}
+
+// singletons returns the partition placing every vertex alone.
+func singletons(n int) Partition {
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i
+	}
+	return NewPartition(labels)
 }

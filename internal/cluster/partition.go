@@ -33,15 +33,6 @@ func NewPartition(labels []int) Partition {
 	return Partition{Labels: out, k: len(remap)}
 }
 
-// Singletons returns the partition placing every vertex alone.
-func Singletons(n int) Partition {
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i
-	}
-	return Partition{Labels: labels, k: n}
-}
-
 // N returns the number of vertices.
 func (p Partition) N() int { return len(p.Labels) }
 
@@ -69,9 +60,6 @@ func (p Partition) Sizes() []int {
 	}
 	return out
 }
-
-// SameCluster reports whether u and v share a cluster.
-func (p Partition) SameCluster(u, v int) bool { return p.Labels[u] == p.Labels[v] }
 
 // Equal reports whether two partitions induce the same grouping
 // (label-permutation invariant).

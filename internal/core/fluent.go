@@ -26,13 +26,6 @@ func (o Options) WithIterations(n int) Options {
 	return o
 }
 
-// WithSeed returns a copy of o with the RNG seed set. A fixed seed
-// makes the whole run deterministic.
-func (o Options) WithSeed(seed int64) Options {
-	o.Seed = seed
-	return o
-}
-
 // WithBackend returns a copy of o measuring through the named substrate
 // ("sim" or "wire"; see Options.Backend for what each supports).
 func (o Options) WithBackend(name string) Options {

@@ -114,7 +114,7 @@ func TestHierarchyLevelPartitions(t *testing.T) {
 	// pair was together at level 0; deeper levels only split.
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {
-			if p2.SameCluster(i, j) && !p1.SameCluster(i, j) {
+			if p2.Labels[i] == p2.Labels[j] && p1.Labels[i] != p1.Labels[j] {
 				t.Fatalf("vertices %d,%d together at depth 2 but apart at depth 1", i, j)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/persist"
@@ -15,7 +17,7 @@ import (
 // TestResultDocumentsArePinned holds one small measurement of every
 // registered paper dataset, a 64-host fat tree and the drift fixture to the
 // bytes it archived at commit c22a285: the SHA-256 of the result document
-// (persist.WriteResult, as a campaign cell archives it) and of the
+// (persist.SaveResult, as a campaign cell archives it) and of the
 // measurement graph (persist.WriteGraph, as bttomo -save writes it) at
 // Workers 1. Any change that reorders a float sum in the solver or an RNG
 // draw in the swarm moves a digest here; moving one on purpose is a
@@ -64,10 +66,15 @@ func TestResultDocumentsArePinned(t *testing.T) {
 				}
 			}
 			doc := persist.EncodeResult(c.spec.Name, res.Partition, res.Q, res.NMI, res.TotalMeasurementTime, series)
-			var result, graph bytes.Buffer
-			if err := persist.WriteResult(&result, doc); err != nil {
+			path := filepath.Join(t.TempDir(), "result.json")
+			if err := persist.SaveResult(path, doc); err != nil {
 				t.Fatal(err)
 			}
+			result, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var graph bytes.Buffer
 			if err := persist.WriteGraph(&graph, res.Graph); err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +82,7 @@ func TestResultDocumentsArePinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pin for %q", c.spec.Name)
 			}
-			if got := digest(result.Bytes()); got != pin[0] {
+			if got := digest(result); got != pin[0] {
 				t.Errorf("result document sha256 %s, pinned %s", got, pin[0])
 			}
 			if got := digest(graph.Bytes()); got != pin[1] {

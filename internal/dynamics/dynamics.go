@@ -304,28 +304,6 @@ func (t *Timeline) Len() int {
 // NumHosts returns the host count the timeline was compiled against.
 func (t *Timeline) NumHosts() int { return t.numHosts }
 
-// Events returns a copy of the compiled schedule in replay order, for
-// reporting and tests.
-func (t *Timeline) Events() []Event {
-	out := make([]Event, len(t.events))
-	for i, e := range t.events {
-		out[i] = e.Event
-	}
-	return out
-}
-
-// MaxIter returns the largest iteration any event targets (0 for an empty
-// timeline).
-func (t *Timeline) MaxIter() int {
-	max := 0
-	for _, e := range t.events {
-		if e.Iter > max {
-			max = e.Iter
-		}
-	}
-	return max
-}
-
 // ActiveHosts returns the dense host indices participating in iteration
 // it (1-based), in ascending order, or nil when every host participates.
 // The result is freshly allocated.

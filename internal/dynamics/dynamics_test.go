@@ -36,8 +36,8 @@ func mustCompile(t *testing.T, events []Event, b Binding) *Timeline {
 
 func TestCompileEmpty(t *testing.T) {
 	tl := mustCompile(t, nil, toyBinding())
-	if tl.Len() != 0 || tl.MaxIter() != 0 {
-		t.Fatalf("empty timeline: Len=%d MaxIter=%d", tl.Len(), tl.MaxIter())
+	if tl.Len() != 0 {
+		t.Fatalf("empty timeline: Len=%d", tl.Len())
 	}
 	if tl.ActiveHosts(1) != nil {
 		t.Fatal("empty timeline restricted the host set")
@@ -54,12 +54,9 @@ func TestCompileSortsEvents(t *testing.T) {
 		{Iter: 1, At: 5, Kind: Burst, Target: "h0>h1", Param: 1},
 		{Iter: 1, Kind: LinkScale, Target: "wan", Param: 0.5},
 	}, toyBinding())
-	got := tl.Events()
+	got := tl.events
 	if got[0].Kind != LinkScale || got[0].Iter != 1 || got[1].Kind != Burst || got[2].Iter != 3 {
 		t.Fatalf("events not sorted by (iter, at): %v", got)
-	}
-	if tl.MaxIter() != 3 {
-		t.Fatalf("MaxIter = %d, want 3", tl.MaxIter())
 	}
 }
 
@@ -221,22 +218,20 @@ func TestApplyBurstOnlyInItsIteration(t *testing.T) {
 		{Iter: 2, At: 0, Kind: Burst, Target: "h0>h1", Param: 1e-4}, // 100 bytes
 	}, toyBinding())
 
-	eng, net, _ := applyNet()
+	// In its own iteration the 100-byte burst crosses the 100 B/s trunk
+	// alone: it ends one path latency plus 100 B over the bottleneck in.
+	eng, net, v := applyNet()
 	tl.Apply(2, eng, net)
-	end := eng.Run()
-	if end == 0 {
-		t.Fatal("burst did not run in its own iteration")
-	}
-	util := net.LinkUtilization()
-	if got := util["a->b"]; math.Abs(got-100) > 1e-6 {
-		t.Fatalf("burst carried %g bytes over the trunk, want 100", got)
+	p := net.Path(v[2], v[3])
+	want := p.Latency + 100/p.Capacity
+	if end := eng.Run(); math.Abs(end-want) > 1e-6 {
+		t.Fatalf("burst ended at t=%g, want %g (100 B over %g B/s)", end, want, p.Capacity)
 	}
 
 	eng, net, _ = applyNet()
 	tl.Apply(3, eng, net)
-	eng.Run()
-	if got := net.LinkUtilization()["a->b"]; got != 0 {
-		t.Fatalf("burst replayed outside its iteration: %g bytes carried", got)
+	if end := eng.Run(); end != 0 || net.Solves() != 0 {
+		t.Fatalf("burst replayed outside its iteration: ran to t=%g with %d solves", end, net.Solves())
 	}
 }
 

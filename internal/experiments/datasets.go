@@ -140,7 +140,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 
 // writeLayout renders the Figs. 8-12 Kamada-Kawai visualisations.
 func (r *Runner) writeLayout(name string, d *topology.Dataset, res *core.Result) error {
-	pos := layout.KamadaKawai(res.Graph, layout.DefaultOptions())
+	pos := layout.KamadaKawai(res.Graph)
 	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: 0.5, Scale: 10}
 	if err := os.MkdirAll(r.cfg.DataDir, 0o755); err != nil {
 		return err

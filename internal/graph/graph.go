@@ -12,7 +12,7 @@
 // other endpoint and the weight, the row being the vertex itself — kept
 // sorted by neighbour id (an undirected edge is stored at both endpoints,
 // a self-loop once). Every traversal the package offers — SortedNeighbors,
-// Edges, ConnectedComponents — therefore runs in ascending vertex order
+// Edges — therefore runs in ascending vertex order
 // with no sorting and no hashing, and that order is part of the contract:
 // the clustering and reporting layers accumulate floating-point sums along
 // it, and their results are content-addressed bit for bit. AddWeight is an
@@ -186,19 +186,9 @@ func (g *Graph) Weight(u, v int) float64 {
 	return 0
 }
 
-// HasEdge reports whether edge (u,v) exists with non-zero weight.
-func (g *Graph) HasEdge(u, v int) bool { return g.Weight(u, v) != 0 }
-
 // TotalWeight returns the sum of all edge weights, counting each
 // undirected edge (and each self-loop) once.
 func (g *Graph) TotalWeight() float64 { return g.total }
-
-// Degree returns the number of distinct neighbours of v (self-loop
-// included if present).
-func (g *Graph) Degree(v int) int {
-	g.check(v)
-	return len(g.adj[v])
-}
 
 // Strength returns the weighted degree of v: the sum of weights of
 // incident edges, with self-loops counted twice (the standard convention
@@ -358,37 +348,6 @@ func (g *Graph) ScaleInto(dst *Graph, k float64) *Graph {
 		}
 	}
 	return dst
-}
-
-// ConnectedComponents returns a partition of vertices into connected
-// components (isolated vertices are singleton components), as a slice of
-// component ids indexed by vertex.
-func (g *Graph) ConnectedComponents() []int {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = next
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[v] {
-				if comp[e.V] == -1 {
-					comp[e.V] = next
-					stack = append(stack, e.V)
-				}
-			}
-		}
-		next++
-	}
-	return comp
 }
 
 // edgeChunk is the number of pairs an EdgeList allocates at a time (64 KB).

@@ -18,27 +18,25 @@ import (
 // Point is a 2-D position.
 type Point struct{ X, Y float64 }
 
-// Options configures the layout.
-type Options struct {
-	// MaxSweeps bounds the outer Newton iterations (node visits).
-	MaxSweeps int
-	// Tolerance stops the optimisation when the largest node gradient
+// The Kamada–Kawai optimisation settings. Every figure uses the same
+// ones, so a layout is a function of the graph alone.
+const (
+	// maxSweeps bounds the outer Newton iterations per node.
+	maxSweeps = 200
+	// tolerance stops the optimisation when the largest node gradient
 	// falls below it.
-	Tolerance float64
-	// Seed drives the initial circular arrangement's jitter.
-	Seed int64
-}
+	tolerance = 1e-3
+	// layoutSeed drives the initial circular arrangement's jitter.
+	layoutSeed = 1
+)
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options {
-	return Options{MaxSweeps: 200, Tolerance: 1e-3, Seed: 1}
-}
-
-// KamadaKawai computes a 2-D embedding of the weighted graph. Edge target
-// lengths are 1/weight (normalised); unconnected pairs sit at their
-// shortest-path distance; disconnected components are pushed apart by a
-// large synthetic distance.
-func KamadaKawai(g *graph.Graph, opts Options) []Point {
+// KamadaKawai computes a deterministic 2-D embedding of the weighted
+// graph. Edge target lengths are 1/weight (normalised); unconnected pairs
+// sit at their shortest-path distance; disconnected components are pushed
+// apart by a large synthetic distance. Starting from a jittered circle,
+// it relaxes the node with the largest energy gradient by Newton steps,
+// for at most 200 sweeps per node or until every gradient is below 1e-3.
+func KamadaKawai(g *graph.Graph) []Point {
 	n := g.N()
 	pos := make([]Point, n)
 	if n == 0 {
@@ -53,7 +51,7 @@ func KamadaKawai(g *graph.Graph, opts Options) []Point {
 	const springK = 1.0
 
 	// Initial placement: circle with deterministic jitter.
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(layoutSeed))
 	r := 0.0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -66,13 +64,6 @@ func KamadaKawai(g *graph.Graph, opts Options) []Point {
 	for i := range pos {
 		angle := 2*math.Pi*float64(i)/float64(n) + 0.01*rng.Float64()
 		pos[i] = Point{X: r * math.Cos(angle), Y: r * math.Sin(angle)}
-	}
-
-	if opts.MaxSweeps <= 0 {
-		opts.MaxSweeps = DefaultOptions().MaxSweeps
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = DefaultOptions().Tolerance
 	}
 
 	// Classic KK: repeatedly pick the node with the largest gradient and
@@ -95,9 +86,9 @@ func KamadaKawai(g *graph.Graph, opts Options) []Point {
 		return gx, gy, math.Hypot(gx, gy)
 	}
 
-	for sweep := 0; sweep < opts.MaxSweeps*n; sweep++ {
+	for sweep := 0; sweep < maxSweeps*n; sweep++ {
 		// Find the worst node.
-		worst, worstDelta := -1, opts.Tolerance
+		worst, worstDelta := -1, tolerance
 		for m := 0; m < n; m++ {
 			if _, _, dl := grad(m); dl > worstDelta {
 				worst, worstDelta = m, dl
@@ -110,7 +101,7 @@ func KamadaKawai(g *graph.Graph, opts Options) []Point {
 		m := worst
 		for inner := 0; inner < 40; inner++ {
 			gx, gy, dl := grad(m)
-			if dl < opts.Tolerance {
+			if dl < tolerance {
 				break
 			}
 			var exx, exy, eyy float64

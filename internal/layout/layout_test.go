@@ -28,7 +28,7 @@ func clusteredGraph() (*graph.Graph, []int) {
 
 func TestKamadaKawaiSeparatesClusters(t *testing.T) {
 	g, truth := clusteredGraph()
-	pos := KamadaKawai(g, DefaultOptions())
+	pos := KamadaKawai(g)
 	var intra, inter, nIntra, nInter float64
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
@@ -56,7 +56,7 @@ func TestKamadaKawaiReducesStress(t *testing.T) {
 		angle := 2 * math.Pi * float64(i) / float64(g.N())
 		init[i] = Point{X: math.Cos(angle), Y: math.Sin(angle)}
 	}
-	pos := KamadaKawai(g, DefaultOptions())
+	pos := KamadaKawai(g)
 	if Stress(g, pos) >= Stress(g, init) {
 		t.Fatalf("optimised stress %.3f not below initial %.3f", Stress(g, pos), Stress(g, init))
 	}
@@ -67,7 +67,7 @@ func TestKamadaKawaiEdgeLengthInverseToWeight(t *testing.T) {
 	g := graph.New(3)
 	g.AddWeight(0, 1, 10)
 	g.AddWeight(1, 2, 1)
-	pos := KamadaKawai(g, DefaultOptions())
+	pos := KamadaKawai(g)
 	dHeavy := math.Hypot(pos[0].X-pos[1].X, pos[0].Y-pos[1].Y)
 	dLight := math.Hypot(pos[1].X-pos[2].X, pos[1].Y-pos[2].Y)
 	if dHeavy >= dLight {
@@ -76,17 +76,17 @@ func TestKamadaKawaiEdgeLengthInverseToWeight(t *testing.T) {
 }
 
 func TestKamadaKawaiHandlesTrivialGraphs(t *testing.T) {
-	if got := KamadaKawai(graph.New(0), DefaultOptions()); len(got) != 0 {
+	if got := KamadaKawai(graph.New(0)); len(got) != 0 {
 		t.Fatal("empty graph should give empty layout")
 	}
-	if got := KamadaKawai(graph.New(1), DefaultOptions()); len(got) != 1 {
+	if got := KamadaKawai(graph.New(1)); len(got) != 1 {
 		t.Fatal("single vertex layout wrong size")
 	}
 	// Disconnected pairs must not produce NaN positions.
 	g := graph.New(4)
 	g.AddWeight(0, 1, 1)
 	g.AddWeight(2, 3, 1)
-	for _, p := range KamadaKawai(g, DefaultOptions()) {
+	for _, p := range KamadaKawai(g) {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) {
 			t.Fatal("NaN position on disconnected graph")
 		}
@@ -95,8 +95,8 @@ func TestKamadaKawaiHandlesTrivialGraphs(t *testing.T) {
 
 func TestKamadaKawaiDeterministic(t *testing.T) {
 	g, _ := clusteredGraph()
-	a := KamadaKawai(g, DefaultOptions())
-	b := KamadaKawai(g, DefaultOptions())
+	a := KamadaKawai(g)
+	b := KamadaKawai(g)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("layout not deterministic for fixed options")
@@ -107,7 +107,7 @@ func TestKamadaKawaiDeterministic(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	g, truth := clusteredGraph()
 	g.SetLabel(0, "bordeplage-0")
-	pos := KamadaKawai(g, DefaultOptions())
+	pos := KamadaKawai(g)
 	var sb strings.Builder
 	if err := WriteDOT(&sb, g, pos, RenderOptions{Truth: truth, EdgeFraction: 0.5}); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestWriteDOTSizeMismatch(t *testing.T) {
 
 func TestWriteSVG(t *testing.T) {
 	g, truth := clusteredGraph()
-	pos := KamadaKawai(g, DefaultOptions())
+	pos := KamadaKawai(g)
 	var sb strings.Builder
 	if err := WriteSVG(&sb, g, pos, RenderOptions{Truth: truth}); err != nil {
 		t.Fatal(err)

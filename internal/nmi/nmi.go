@@ -1,9 +1,9 @@
 // Package nmi implements the cluster-comparison measures used by the
 // paper's evaluation (§III-E): the overlap-capable Normalized Mutual
 // Information of Lancichinetti, Fortunato and Kertész (LFK), which is the
-// "NMI method of [30]" the paper reports in Fig. 13, and the classic
-// partition NMI for cross-checking. Both range over [0,1]; 1 means
-// perfect agreement with the ground truth.
+// "NMI method of [30]" the paper reports in Fig. 13, and the Adjusted Rand
+// Index. NMI ranges over [0,1]; 1 means perfect agreement with the ground
+// truth.
 package nmi
 
 import (
@@ -155,52 +155,4 @@ func condEntropy(x, y []bool, n int) (float64, bool) {
 	py1 := float64(n11+n01) / fn
 	hy := h(py1) + h(1-py1)
 	return hxy - hy, true
-}
-
-// Partition computes the classic partition NMI with arithmetic-mean
-// normalisation: 2·I(A;B) / (H(A)+H(B)). Both inputs are label slices of
-// equal length. By convention the NMI of two identical one-cluster
-// partitions is 1.
-func Partition(a, b []int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("nmi: label slices differ in length: %d vs %d", len(a), len(b)))
-	}
-	n := len(a)
-	if n == 0 {
-		panic("nmi: empty label slices")
-	}
-	ca := map[int]int{}
-	cb := map[int]int{}
-	joint := map[[2]int]int{}
-	for i := range a {
-		ca[a[i]]++
-		cb[b[i]]++
-		joint[[2]int{a[i], b[i]}]++
-	}
-	fn := float64(n)
-	var ha, hb, mi float64
-	for _, c := range ca {
-		ha += h(float64(c) / fn)
-	}
-	for _, c := range cb {
-		hb += h(float64(c) / fn)
-	}
-	for key, c := range joint {
-		pxy := float64(c) / fn
-		px := float64(ca[key[0]]) / fn
-		py := float64(cb[key[1]]) / fn
-		mi += pxy * math.Log2(pxy/(px*py))
-	}
-	if ha+hb == 0 {
-		return 1 // both trivial single-cluster partitions
-	}
-	v := 2 * mi / (ha + hb)
-	// Clamp float noise.
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
 }

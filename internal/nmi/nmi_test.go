@@ -12,9 +12,6 @@ func TestIdenticalPartitionsScoreOne(t *testing.T) {
 	if got := LFKPartition(labels, labels); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("LFK identical = %g, want 1", got)
 	}
-	if got := Partition(labels, labels); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Partition identical = %g, want 1", got)
-	}
 }
 
 func TestLabelPermutationInvariant(t *testing.T) {
@@ -22,9 +19,6 @@ func TestLabelPermutationInvariant(t *testing.T) {
 	b := []int{5, 5, 9, 9, 1, 1}
 	if got := LFKPartition(a, b); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("LFK permuted labels = %g, want 1", got)
-	}
-	if got := Partition(a, b); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Partition permuted labels = %g, want 1", got)
 	}
 }
 
@@ -36,9 +30,6 @@ func TestIndependentPartitionsScoreLow(t *testing.T) {
 		a[i] = i / 8
 		b[i] = i % 8
 	}
-	if got := Partition(a, b); got > 1e-9 {
-		t.Fatalf("Partition orthogonal = %g, want 0", got)
-	}
 	if got := LFKPartition(a, b); got > 0.2 {
 		t.Fatalf("LFK orthogonal = %g, want near 0", got)
 	}
@@ -47,17 +38,14 @@ func TestIndependentPartitionsScoreLow(t *testing.T) {
 func TestSymmetry(t *testing.T) {
 	a := []int{0, 0, 0, 1, 1, 2, 2, 2, 2}
 	b := []int{0, 1, 0, 1, 1, 2, 2, 0, 2}
-	if p, q := Partition(a, b), Partition(b, a); math.Abs(p-q) > 1e-12 {
-		t.Fatalf("Partition not symmetric: %g vs %g", p, q)
-	}
 	if p, q := LFKPartition(a, b), LFKPartition(b, a); math.Abs(p-q) > 1e-12 {
 		t.Fatalf("LFK not symmetric: %g vs %g", p, q)
 	}
 }
 
 func TestMergedClustersIntermediate(t *testing.T) {
-	// Truth has 3 clusters; the candidate merges two of them. Both
-	// measures should land strictly between 0 and 1.
+	// Truth has 3 clusters; the candidate merges two of them. LFK should
+	// land strictly between 0 and 1.
 	truth := make([]int, 64)
 	found := make([]int, 64)
 	for i := range truth {
@@ -74,12 +62,8 @@ func TestMergedClustersIntermediate(t *testing.T) {
 		}
 	}
 	lfk := LFKPartition(truth, found)
-	cls := Partition(truth, found)
 	if lfk <= 0.3 || lfk >= 0.95 {
 		t.Fatalf("LFK merged = %g, want intermediate", lfk)
-	}
-	if cls <= 0.3 || cls >= 0.95 {
-		t.Fatalf("Partition merged = %g, want intermediate", cls)
 	}
 	// This is the paper's BT scenario (§IV-C): a two-cluster answer
 	// against a three-partition hierarchical truth scores around 0.6-0.7
@@ -90,16 +74,18 @@ func TestMergedClustersIntermediate(t *testing.T) {
 }
 
 func TestKnownPartitionNMIValue(t *testing.T) {
-	// Hand-computable case: n=4, a={01|23}, b={0|123}.
+	// Hand-computable case: n=4, a={01|23}, b={0|123}. With h(1/4)=0.5
+	// and h(3/4)=0.311278 bits, H({0})=H({123})=0.811278 and
+	// H({01})=H({23})=1. Each community of a has one admissible match in
+	// b ({01}→{0}, {23}→{123}) with joint entropy 1.5, so
+	// H(X|Y)_norm = (1.5-0.811278)/1 = 0.688722; each community of b has
+	// one admissible match in a with H = 1.5-1, so
+	// H(Y|X)_norm = 0.5/0.811278 = 0.616311.
 	a := []int{0, 0, 1, 1}
 	b := []int{0, 1, 1, 1}
-	// H(A)=1 bit. H(B)=h(1/4)+h(3/4)=0.811278 bits.
-	// I = sum over cells: (1/4)log2((1/4)/(1/2*1/4)) + (1/4)log2((1/4)/(1/2*3/4))
-	//   + (1/2)log2((1/2)/(1/2*3/4)) = 0.25*1 + 0.25*(-0.584963) + 0.5*0.415037
-	//   = 0.311278 bits.
-	want := 2 * 0.311278 / (1 + 0.811278)
-	if got := Partition(a, b); math.Abs(got-want) > 1e-5 {
-		t.Fatalf("Partition = %g, want %g", got, want)
+	want := 1 - (0.688722+0.616311)/2
+	if got := LFKPartition(a, b); math.Abs(got-want) > 1e-5 {
+		t.Fatalf("LFKPartition = %g, want %g", got, want)
 	}
 }
 
@@ -130,7 +116,7 @@ func TestLFKAdmissibilityConstraint(t *testing.T) {
 
 func TestSingleClusterBothSides(t *testing.T) {
 	a := []int{0, 0, 0, 0}
-	if got := Partition(a, a); got != 1 {
+	if got := LFKPartition(a, a); got != 1 {
 		t.Fatalf("trivial partitions NMI = %g, want 1", got)
 	}
 }
@@ -141,7 +127,7 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Partition([]int{0, 1}, []int{0})
+	LFKPartition([]int{0, 1}, []int{0})
 }
 
 func TestNodeOutOfRangePanics(t *testing.T) {
@@ -153,7 +139,7 @@ func TestNodeOutOfRangePanics(t *testing.T) {
 	LFK(Cover{{0, 7}}, Cover{{0}}, 4)
 }
 
-// Property: both measures stay in [0,1], are symmetric, and score 1 for a
+// Property: LFK stays in [0,1], is symmetric, and scores 1 for a
 // partition against itself.
 func TestRangeAndSymmetryProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -167,15 +153,11 @@ func TestRangeAndSymmetryProperty(t *testing.T) {
 			a[i] = rng.Intn(ka)
 			b[i] = rng.Intn(kb)
 		}
-		p1, p2 := Partition(a, b), Partition(b, a)
 		l1, l2 := LFKPartition(a, b), LFKPartition(b, a)
-		if math.Abs(p1-p2) > 1e-9 || math.Abs(l1-l2) > 1e-9 {
+		if math.Abs(l1-l2) > 1e-9 || l1 < -1e-9 || l1 > 1+1e-9 {
 			return false
 		}
-		if p1 < 0 || p1 > 1 || l1 < -1e-9 || l1 > 1+1e-9 {
-			return false
-		}
-		return math.Abs(Partition(a, a)-1) < 1e-9 && math.Abs(LFKPartition(a, a)-1) < 1e-9
+		return math.Abs(LFKPartition(a, a)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -203,7 +185,7 @@ func TestRefinementBeatsRandomProperty(t *testing.T) {
 		for i := range random {
 			random[i] = rng.Intn(4)
 		}
-		return Partition(truth, refined) >= Partition(truth, random)-1e-9
+		return LFKPartition(truth, refined) >= LFKPartition(truth, random)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

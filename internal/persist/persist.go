@@ -218,38 +218,32 @@ func (d *ResultDoc) Partition() (cluster.Partition, error) {
 	return cluster.NewPartition(d.Labels), nil
 }
 
-// WriteResult writes a result document as JSON.
-func WriteResult(w io.Writer, doc *ResultDoc) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// ReadResult reads a result document from JSON.
-func ReadResult(r io.Reader) (*ResultDoc, error) {
-	var doc ResultDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return &doc, nil
-}
-
-// SaveResult writes a result document to a file atomically (temp file +
-// rename), creating missing parent directories. Campaign run archives are
-// written through this path, so an interrupted campaign can never leave a
-// torn archive that poisons its content-addressed cache.
+// SaveResult writes a result document as indented JSON to a file
+// atomically (temp file + rename), creating missing parent directories.
+// Campaign run archives are written through this path, so an interrupted
+// campaign can never leave a torn archive that poisons its
+// content-addressed cache.
 func SaveResult(path string, doc *ResultDoc) error {
-	return WriteAtomic(path, func(w io.Writer) error { return WriteResult(w, doc) })
+	return WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }
 
-// LoadResult reads a result document from a file.
+// LoadResult reads a result document from a file. The file must hold
+// exactly one JSON document: anything but white space after it is an
+// error, so an archive with bytes appended is not a cache hit.
 func LoadResult(path string) (*ResultDoc, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadResult(f)
+	var doc ResultDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("persist: %s: %w", path, err)
+	}
+	return &doc, nil
 }
 
 // SaveJSON writes any value as indented JSON atomically — the shared
@@ -263,40 +257,28 @@ func SaveJSON(path string, v any) error {
 	})
 }
 
-// WriteSpec writes a validated scenario spec as JSON. Spec files are the
-// declarative scenario interchange format: hand-written or generated, they
-// load back with LoadSpec and run via `bttomo -spec` or repro.RunSpec.
-func WriteSpec(w io.Writer, s *scenario.Spec) error {
+// SaveSpec writes a validated scenario spec as JSON to a file atomically
+// (temp file + rename), creating missing parent directories. Spec files
+// are the declarative scenario interchange format: hand-written or
+// generated, they load back with LoadSpec and run via `bttomo -spec` or
+// repro.RunSpec.
+func SaveSpec(path string, s *scenario.Spec) error {
 	data, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 }
 
-// ReadSpec reads and validates a scenario spec from JSON.
-func ReadSpec(r io.Reader) (*scenario.Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return scenario.Decode(data)
-}
-
-// SaveSpec writes a scenario spec to a file atomically (temp file +
-// rename), creating missing parent directories.
-func SaveSpec(path string, s *scenario.Spec) error {
-	return WriteAtomic(path, func(w io.Writer) error { return WriteSpec(w, s) })
-}
-
-// LoadSpec reads a scenario spec from a file.
+// LoadSpec reads and validates a scenario spec from a file
+// (scenario.Decode).
 func LoadSpec(path string) (*scenario.Spec, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadSpec(f)
+	return scenario.Decode(data)
 }

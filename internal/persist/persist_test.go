@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -105,11 +106,11 @@ func TestReadGraphRejectsGarbage(t *testing.T) {
 func TestResultRoundTrip(t *testing.T) {
 	p := cluster.NewPartition([]int{0, 0, 1, 1, 2})
 	doc := EncodeResult("GT", p, 0.28, 1.0, 123.4, []float64{0.3, 0.7, 1.0})
-	var sb strings.Builder
-	if err := WriteResult(&sb, doc); err != nil {
+	path := filepath.Join(t.TempDir(), "gt.json")
+	if err := SaveResult(path, doc); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResult(strings.NewReader(sb.String()))
+	back, err := LoadResult(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +138,49 @@ func TestResultWithoutTruthOmitsNMI(t *testing.T) {
 	if doc.NMI != nil {
 		t.Fatal("NaN NMI should be omitted")
 	}
-	var sb strings.Builder
-	if err := WriteResult(&sb, doc); err != nil {
+	path := filepath.Join(t.TempDir(), "r.json")
+	if err := SaveResult(path, doc); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), "nmi\"") {
-		t.Fatalf("serialised NMI despite no truth: %s", sb.String())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "nmi\"") {
+		t.Fatalf("serialised NMI despite no truth: %s", data)
+	}
+}
+
+// An archive holds exactly one document: bytes appended after it — junk
+// or a second document — make LoadResult fail, so a campaign never takes
+// such a file for a cache hit. The trailing newline every writer ends
+// with, and other white space, is accepted.
+func TestLoadResultRejectsTrailingData(t *testing.T) {
+	const doc = `{"version":1,"n":2,"labels":[0,1],"q":0.5,"sim_time_seconds":1}`
+	dir := t.TempDir()
+	for i, c := range []struct {
+		data string
+		ok   bool
+	}{
+		{doc + "\n", true},
+		{doc + " \n\t\n", true},
+		{doc + "x", false},
+		{doc + "\n" + doc + "\n", false},
+		{doc + ` trailing garbage {"x":`, false},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.json", i))
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadResult(path)
+		if (err == nil) != c.ok {
+			t.Errorf("LoadResult(%q): err = %v, want ok %v", c.data, err, c.ok)
+		}
+		if err == nil {
+			if _, err := back.Partition(); err != nil {
+				t.Errorf("LoadResult(%q): %v", c.data, err)
+			}
+		}
 	}
 }
 
@@ -214,11 +252,19 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	if _, err := LoadSpec(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing spec file loaded")
 	}
-	if _, err := ReadSpec(strings.NewReader(`{"name":"x"}`)); err == nil {
-		t.Fatal("invalid spec accepted through ReadSpec")
+	invalid := filepath.Join(dir, "invalid.json")
+	if err := os.WriteFile(invalid, []byte(`{"name":"x"}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteSpec(&strings.Builder{}, &scenario.Spec{}); err == nil {
-		t.Fatal("WriteSpec serialised an invalid spec")
+	if _, err := LoadSpec(invalid); err == nil {
+		t.Fatal("invalid spec accepted through LoadSpec")
+	}
+	unsaved := filepath.Join(dir, "unsaved.json")
+	if err := SaveSpec(unsaved, &scenario.Spec{}); err == nil {
+		t.Fatal("SaveSpec serialised an invalid spec")
+	}
+	if _, err := os.Stat(unsaved); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SaveSpec of an invalid spec left a file: %v", err)
 	}
 }
 

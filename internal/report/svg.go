@@ -72,11 +72,11 @@ type svgSeries struct {
 	name string
 	xs   []float64
 	ys   []float64
-	step bool
 }
 
-// SVGPlot renders one or more (x, y) series as an SVG line/step chart —
-// the scalable sibling of the ASCII Plot, built for the archive service's
+// SVGPlot renders one or more (x, y) series as an SVG line chart, each
+// series a polyline through its points with a marker on every point — the
+// scalable sibling of the ASCII Plot, built for the archive service's
 // /plots endpoints and for saving next to campaign aggregates.
 type SVGPlot struct {
 	Title  string
@@ -96,16 +96,6 @@ type SVGPlot struct {
 
 // Add appends a line series. Series colors follow the fixed slot order.
 func (p *SVGPlot) Add(name string, xs, ys []float64) {
-	p.add(name, xs, ys, false)
-}
-
-// AddStep appends a step series (step-after: the value holds until the
-// next x).
-func (p *SVGPlot) AddStep(name string, xs, ys []float64) {
-	p.add(name, xs, ys, true)
-}
-
-func (p *SVGPlot) add(name string, xs, ys []float64, step bool) {
 	if len(xs) != len(ys) {
 		panic("report: series length mismatch")
 	}
@@ -113,7 +103,6 @@ func (p *SVGPlot) add(name string, xs, ys []float64, step bool) {
 		name: name,
 		xs:   append([]float64(nil), xs...),
 		ys:   append([]float64(nil), ys...),
-		step: step,
 	})
 }
 
@@ -228,12 +217,9 @@ func (p *SVGPlot) WriteSVG(w io.Writer) error {
 		var path strings.Builder
 		for i := range s.xs {
 			x, y := px(s.xs[i]), py(s.ys[i])
-			switch {
-			case i == 0:
+			if i == 0 {
 				fmt.Fprintf(&path, "M%s %s", svgF(x), svgF(y))
-			case s.step:
-				fmt.Fprintf(&path, " H%s V%s", svgF(x), svgF(y))
-			default:
+			} else {
 				fmt.Fprintf(&path, " L%s %s", svgF(x), svgF(y))
 			}
 		}

@@ -38,7 +38,7 @@ func TestSVGPlotEmpty(t *testing.T) {
 
 func TestSVGPlotSinglePointAndTicks(t *testing.T) {
 	p := &SVGPlot{Title: "one"}
-	p.AddStep("series", []float64{0}, []float64{3.5})
+	p.Add("series", []float64{0}, []float64{3.5})
 	p.XTicks = []SVGTick{{X: 0, Label: "2x2"}}
 	s := string(p.Bytes())
 	if !strings.Contains(s, "2x2") {

@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "fmt"
 
 // Builder assembles a Spec fluently. Every method returns the receiver,
 // so scenarios read as a declaration:
@@ -108,13 +104,4 @@ func (b *Builder) MustSpec() *Spec {
 		panic(fmt.Sprintf("scenario: invalid built-in spec: %v", err))
 	}
 	return s
-}
-
-// Build compiles the assembled spec into a ready-to-measure dataset.
-func (b *Builder) Build() (*topology.Dataset, error) {
-	s, err := b.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return s.Compile()
 }

@@ -3,13 +3,15 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // FuzzSpecCompile feeds Decode whatever a hand-written spec file can hold.
 // Decode and Compile must never panic, a spec Decode accepts must compile,
-// and the compiled dataset has exactly the spec's NumHosts hosts, each
-// with a ground-truth label. The seeds are the spec files under
+// the compiled dataset has exactly the spec's NumHosts hosts, each with a
+// ground-truth label, and the accepted bytes followed by one more
+// non-space byte are refused. The seeds are the spec files under
 // testdata/specs and the six built-in specs, encoded.
 func FuzzSpecCompile(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "specs", "*.json"))
@@ -34,6 +36,9 @@ func FuzzSpecCompile(f *testing.F) {
 		s, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if _, err := Decode(append(slices.Clip(data), 'x')); err == nil {
+			t.Fatalf("Decode accepted a spec followed by a stray byte\n%s", data)
 		}
 		d, err := s.Compile()
 		if err != nil {

@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/dynamics"
@@ -346,12 +347,17 @@ func (s *Spec) Encode() ([]byte, error) {
 // Decode parses and validates a JSON spec. Unknown fields are rejected:
 // spec files are written by hand, and a typo'd key (say "latency" for
 // "latency_s") must fail loudly instead of silently zeroing a parameter.
+// So is anything but white space after the spec's object: a file holding
+// two specs, or a spec and junk, is not its first spec.
 func Decode(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: data after the spec's JSON object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

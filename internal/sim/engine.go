@@ -32,18 +32,14 @@ type Event struct {
 // have fired, if cancelled).
 func (e *Event) Time() float64 { return e.time }
 
-// Stopped reports whether the event has been cancelled.
-func (e *Event) Stopped() bool { return e.stopped }
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    float64
-	seq    uint64
-	queue  eventHeap
-	free   []*Event // fired or reset Post events, reused by the next Post
-	fired  uint64
-	halted bool
+	now   float64
+	seq   uint64
+	queue eventHeap
+	free  []*Event // fired or reset Post events, reused by the next Post
+	fired uint64
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -134,7 +130,7 @@ func (e *Engine) Reset() {
 		e.queue[i] = nil
 	}
 	e.queue = e.queue[:0]
-	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
+	e.now, e.seq, e.fired = 0, 0, 0
 }
 
 // recycle returns a Post event that has left the queue to the free list.
@@ -164,10 +160,6 @@ func (e *Engine) Cancel(ev *Event) {
 	heap.Remove(&e.queue, ev.index)
 }
 
-// Halt stops the current Run/RunUntil loop after the event being executed
-// returns. Pending events remain queued.
-func (e *Engine) Halt() { e.halted = true }
-
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -190,11 +182,10 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Halt is called. It returns
-// the final simulated time.
+// Run executes events until the queue drains. It returns the final
+// simulated time.
 func (e *Engine) Run() float64 {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 	return e.now
 }
@@ -203,8 +194,7 @@ func (e *Engine) Run() float64 {
 // clock to the deadline (if it is later than the last event). Events after
 // the deadline stay queued.
 func (e *Engine) RunUntil(deadline float64) float64 {
-	e.halted = false
-	for !e.halted {
+	for {
 		next, ok := e.peekTime()
 		if !ok || next > deadline {
 			break

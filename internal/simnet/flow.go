@@ -60,16 +60,6 @@ func (f *Flow) Dst() int { return f.dst }
 // Size returns the flow's total byte size.
 func (f *Flow) Size() float64 { return f.size }
 
-// Rate returns the most recently allocated rate in bytes/s. It is only
-// meaningful after the allocation following the flow's activation; callers
-// inside the simulation should read it from a scheduled event, not at
-// StartFlow time.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Remaining returns the bytes not yet transferred as of the last
-// allocation point.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // StartFlow begins a transfer of size bytes from host src to host dst and
 // invokes done (if non-nil) when the last byte arrives. The flow becomes
 // active after the one-way path latency. It returns the flow handle, which
@@ -194,9 +184,8 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // precondition for Clone.
 func (n *Network) PendingFlows() int { return n.pendingFlows }
 
-// removeFlow drops f from the active set with a swap-remove, releases its
-// channels' occupancy and settles the bytes it moved into their carried
-// totals.
+// removeFlow drops f from the active set with a swap-remove and releases
+// its channels' occupancy.
 func (n *Network) removeFlow(f *Flow) {
 	last := len(n.flows) - 1
 	moved := n.flows[last]
@@ -206,9 +195,7 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows = n.flows[:last]
 	f.slot = -1
 	f.active = false
-	sent := f.size - f.remaining
 	for _, c := range f.path {
-		c.carried += sent
 		c.nFlows--
 		if c.nFlows == 0 {
 			end := len(n.occupied) - 1

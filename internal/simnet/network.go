@@ -68,9 +68,6 @@ type channel struct {
 	slot   int32 // index in Network.occupied while nFlows > 0
 
 	capacity float64
-	// carried is the total bytes moved by flows that have left the
-	// channel; LinkUtilization adds the progress of those still on it.
-	carried float64
 }
 
 // effectiveCapacity is the capacity the bandwidth solver sees: zero while
@@ -173,9 +170,6 @@ func (n *Network) AddSwitch(name string) int {
 	t.verts = append(t.verts, vertex{name: name})
 	return len(t.verts) - 1
 }
-
-// NumVertices returns the total number of hosts and switches.
-func (n *Network) NumVertices() int { return len(n.topo.verts) }
 
 // Name returns the name of vertex v.
 func (n *Network) Name(v int) string { return n.topo.verts[v].name }
@@ -397,7 +391,7 @@ func (n *Network) Clone(eng *sim.Engine) *Network {
 }
 
 // takeLinkState sets every channel to src's capacity and up/down state
-// with no occupancy and nothing carried.
+// with no occupancy.
 func (n *Network) takeLinkState(src *Network) {
 	for i, chunk := range n.chans {
 		for j := range chunk {
@@ -418,9 +412,9 @@ func (n *Network) mustBeIdle() {
 // state src.Clone on a new engine would produce — clock, flow ids and solve
 // count at zero, nothing queued, no flows, every channel's capacity and
 // up/down state taken from src (not from n's own history, so scales never
-// compound) and its occupancy and carried bytes zeroed — while keeping what
-// is expensive to rebuild and independent of all that: the routes n has
-// materialised and the engine's and network's free lists. Whatever was
+// compound) and its occupancy zeroed — while keeping what is expensive to
+// rebuild and independent of all that: the routes n has materialised and
+// the engine's and network's free lists. Whatever was
 // still in flight is dropped without its callbacks running; handles to it
 // stay valid no-ops. Like Clone it panics if src is not idle.
 func (n *Network) Reset(src *Network) {
@@ -449,25 +443,4 @@ func (n *Network) FindVertex(name string) int {
 		}
 	}
 	return -1
-}
-
-// LinkUtilization reports total bytes carried per directed channel, keyed
-// by "from->to" vertex names. Active flows count with their progress as of
-// the last allocation point.
-func (n *Network) LinkUtilization() map[string]float64 {
-	key := func(id int32) string {
-		l := n.topo.links[id]
-		return n.Name(int(l.from)) + "->" + n.Name(int(l.to))
-	}
-	out := make(map[string]float64)
-	for id := range n.topo.links {
-		out[key(int32(id))] = n.channel(int32(id)).carried
-	}
-	for _, f := range n.flows {
-		ids, _ := n.route(f.src, f.dst)
-		for _, id := range ids {
-			out[key(id)] += f.size - f.remaining
-		}
-	}
-	return out
 }

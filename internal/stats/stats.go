@@ -97,7 +97,8 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 		case x >= hi:
 			h.Overflow++
 		default:
-			h.Counts[int((x-lo)/h.BinWidth)]++
+			// (x-lo)/BinWidth can round up to bins for x just below hi.
+			h.Counts[min(int((x-lo)/h.BinWidth), bins-1)]++
 		}
 	}
 	return h

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,23 +62,15 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Underflow != 1 || h.Overflow != 2 {
 		t.Fatalf("under/overflow = %d/%d, want 1/2", h.Underflow, h.Overflow)
 	}
-	wantCounts := []int{4, 0, 0, 0, 2} // [0,2): 0,0.5,1,1.5; [8,10): 9.9... wait 2 goes to bin 1
-	_ = wantCounts
-	if h.Counts[0] != 4 {
-		t.Fatalf("bin 0 = %d, want 4 (0, 0.5, 1, 1.5)", h.Counts[0])
+	// [0,2): 0, 0.5, 1, 1.5; [2,4): 2; [8,10): 9.9.
+	if want := []int{4, 1, 0, 0, 1}; !slices.Equal(h.Counts, want) {
+		t.Fatalf("counts = %v, want %v", h.Counts, want)
 	}
-	if h.Counts[1] != 1 {
-		t.Fatalf("bin 1 = %d, want 1 (the value 2)", h.Counts[1])
-	}
-	if h.Counts[4] != 1 {
-		t.Fatalf("bin 4 = %d, want 1 (9.9)", h.Counts[4])
-	}
-	total := h.Underflow + h.Overflow
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("histogram lost observations: %d of 9", total)
+	// (x-lo)/BinWidth rounds up to the bin count for this x just below
+	// hi; it belongs in the last bin.
+	h = NewHistogram([]float64{94.99999999999999}, 22.9, 95, 22)
+	if h.Counts[21] != 1 || h.Overflow != 0 {
+		t.Fatalf("x just below hi: last bin %d, overflow %d, want 1, 0", h.Counts[21], h.Overflow)
 	}
 }
 

@@ -258,8 +258,8 @@ type Spec = scenario.Spec
 type SpecBuilder = scenario.Builder
 
 // NewSpec starts a fluent scenario declaration. Finish the chain with
-// Spec() (a validated declarative spec) or Build() (a compiled,
-// ready-to-measure Dataset).
+// Spec(), which returns a validated declarative spec; Spec.Compile turns
+// that into a ready-to-measure Dataset, and RunSpec measures it.
 func NewSpec(name string) *SpecBuilder { return scenario.NewBuilder(name) }
 
 // RegisterSpec validates the spec and adds it to the dataset registry

@@ -278,8 +278,8 @@ func TestWithWorkersRunsIdenticallyToSingleWorker(t *testing.T) {
 // receiver).
 func TestFluentOptionDerivations(t *testing.T) {
 	base := DefaultOptions()
-	derived := base.WithWorkers(4).WithIterations(10).WithSeed(7)
-	if derived.Workers != 4 || derived.Iterations != 10 || derived.Seed != 7 {
+	derived := base.WithWorkers(4).WithIterations(10)
+	if derived.Workers != 4 || derived.Iterations != 10 {
 		t.Fatalf("chain did not apply: %+v", derived)
 	}
 	if base.Workers != DefaultOptions().Workers || base.Iterations != DefaultOptions().Iterations {
