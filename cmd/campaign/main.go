@@ -37,7 +37,7 @@
 // phase breakdown — where the wall-clock actually went.
 //
 // serve exposes the same read path over HTTP (GET /status, /runs,
-// /runs/{key}, /marginals/{axis}, /diff?base=) with ETag/If-None-Match
+// /runs/{key}, /marginals/{axis}) with ETag/If-None-Match
 // keyed on the ledger, so dashboards and CI can poll cheaply while a
 // fleet is still writing. "/marginals/intensity" is the dynamics axis.
 // On top of the JSON views it serves the live observatory: GET
@@ -459,7 +459,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	endpoints := "/dashboard /events /status /runs /runs/{key} /marginals/{axis} /plots/{axis}.svg /plots/phases.svg /diff?base= /metrics"
+	endpoints := "/dashboard /events /status /runs /runs/{key} /marginals/{axis} /plots/{axis}.svg /plots/phases.svg /metrics"
 	if *withIngest {
 		endpoints += " POST:/ingest"
 	}

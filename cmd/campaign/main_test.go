@@ -313,8 +313,8 @@ func TestFleetProcessesExecuteExactlyOnce(t *testing.T) {
 
 // The query layer over a finished archive: /status counts match the
 // ledger's exactly-once counts, /marginals/intensity aggregates every
-// cell on the dynamics axis, an ETag replay is a 304, and the archive
-// diffed against itself has no regressions.
+// cell on the dynamics axis, an ETag replay is a 304, and no endpoint
+// reads an archive the client names (there is no /diff).
 func TestServeAnswersFromTheArchive(t *testing.T) {
 	dir := t.TempDir()
 	runMain(t, "run", "-spec", grid, "-out", dir, "-jobs", "2")
@@ -327,7 +327,9 @@ func TestServeAnswersFromTheArchive(t *testing.T) {
 	if code, _, body := get(t, base+"/status", etag); code != http.StatusNotModified || body != "" {
 		t.Fatalf("ETag replay: status %d, %d body bytes, want a bodyless 304", code, len(body))
 	}
-	get200(t, base+"/diff?base="+url.QueryEscape(dir), `"regression_count": 0`)
+	if code, _, _ := get(t, base+"/diff?base="+url.QueryEscape(dir), ""); code != http.StatusNotFound {
+		t.Fatalf("/diff: status %d, want 404", code)
+	}
 }
 
 // The real-socket backend: a wire campaign run twice into one archive

@@ -1,7 +1,8 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (experiments.Names is the index) and writes CSV series and
-// DOT/SVG layout figures under -out. Sweeping scenario spec files is a
-// campaign: list them in a campaign spec and `campaign run` it.
+// evaluation (experiments.Names is the index): the tables on stdout, and
+// under -out the CSV series, the SVG figures (Fig. 5's histogram, Fig.
+// 13's NMI curves) and the DOT/SVG layouts. Sweeping scenario spec files
+// is a campaign: list them in a campaign spec and `campaign run` it.
 //
 // Usage:
 //

@@ -11,11 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro"
 	"repro/internal/layout"
+	"repro/internal/persist"
 )
 
 func main() {
@@ -52,25 +54,19 @@ func run(dataset string, iterations int, scale float64, seed int64, edges float6
 		return err
 	}
 	pos := layout.KamadaKawai(res.Graph)
-	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: edges, Scale: 10}
+	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: edges}
 
 	if outBase == "" {
 		outBase = strings.ToLower(dataset)
 	}
-	dot, err := os.Create(outBase + ".dot")
-	if err != nil {
+	if err := persist.WriteAtomic(outBase+".dot", func(w io.Writer) error {
+		return layout.WriteDOT(w, res.Graph, pos, ropts)
+	}); err != nil {
 		return err
 	}
-	defer dot.Close()
-	if err := layout.WriteDOT(dot, res.Graph, pos, ropts); err != nil {
-		return err
-	}
-	svg, err := os.Create(outBase + ".svg")
-	if err != nil {
-		return err
-	}
-	defer svg.Close()
-	if err := layout.WriteSVG(svg, res.Graph, pos, ropts); err != nil {
+	if err := persist.WriteAtomic(outBase+".svg", func(w io.Writer) error {
+		return layout.WriteSVG(w, res.Graph, pos, ropts)
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d nodes, %d measured edges; wrote %s.dot and %s.svg (NMI vs truth: %.3f)\n",

@@ -9,11 +9,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 
 	"repro"
 	"repro/internal/layout"
+	"repro/internal/persist"
 )
 
 func main() {
@@ -56,14 +57,11 @@ func main() {
 
 	// Render the Fig. 12 style layout.
 	pos := layout.KamadaKawai(res.Graph)
-	f, err := os.Create("bgtl.svg")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := layout.WriteSVG(f, res.Graph, pos, layout.RenderOptions{
-		Truth:        dataset.GroundTruth,
-		EdgeFraction: 0.5,
+	if err := persist.WriteAtomic("bgtl.svg", func(w io.Writer) error {
+		return layout.WriteSVG(w, res.Graph, pos, layout.RenderOptions{
+			Truth:        dataset.GroundTruth,
+			EdgeFraction: 0.5,
+		})
 	}); err != nil {
 		log.Fatal(err)
 	}

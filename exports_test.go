@@ -2,13 +2,14 @@ package repro
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,34 +25,40 @@ var interfaceMethods = map[string]bool{
 	"MarshalText": true, "UnmarshalText": true,
 }
 
-// keptExports are exported functions under internal/ that no product
-// path calls but that stay, each with its reason.
+// keptExports are exported identifiers under internal/ that no product
+// path uses but that stay, each with its reason.
 var keptExports = map[string]string{
 	"sim.Engine.Pending":                   "tests in other packages probe the event queue through it",
 	"simnet.Network.FindVertex":            "tests in other packages look vertices up through it",
+	"simnet.Network.LinkUp":                "dynamics tests probe link state through it",
+	"bitset.Set.Count":                     "bittorrent's invariant tests count in-flight pieces with it",
 	"collective.Schedule.ValidateOneToOne": "a property check that tests assert against",
 	"layout.Stress":                        "a property check that tests assert against",
 	"core.Options.WithIterations":          "documented in repro.go and README",
 	"core.Options.WithBackend":             "documented in repro.go and README",
+	"campaign.Builder.Backends":            "the builder has one method per ConfigAxes axis",
+	"campaign.Builder.RotateRoot":          "the builder has one method per ConfigAxes axis",
 	"campaign.Builder.ScenarioFile":        "the builder has one method per ConfigAxes axis",
 	"campaign.Builder.TopFractions":        "the builder has one method per ConfigAxes axis",
+	"campaign.Builder.Window":              "the builder has one method per ConfigAxes axis",
+	"campaign.Builder.Workers":             "the builder has one method per ConfigAxes axis",
 }
 
-// TestOnlyProductPathsExport fails for every exported function or method
-// declared under internal/ that no product path — a non-test .go file of
-// the module or of bench/ — refers to. A package-level function counts
-// as used when its package spells it or another file names it through
-// the package's import; a method counts as used when any product file
-// spells its name outside a declaration. So a name collision can hide a
-// dead export but never flag a live one (golang.org/x/tools, which could
-// resolve types, is not a dependency). Delete what it names, or add it
-// to keptExports with a reason.
+// TestOnlyProductPathsExport fails for every exported identifier declared
+// under internal/ — a package-level func, var, const or type, a method,
+// or a struct field without a tag (encoding/json fills tagged ones) —
+// that no product path, a non-test .go file of the module or of bench/,
+// uses. Every package is type-checked, so an identifier counts as used
+// only when a product file resolves to that very object; a method also
+// counts when it shares its name with an interface method a product file
+// calls, or with a standard-library interface's. Delete what it names,
+// or add it to keptExports with a reason.
 func TestOnlyProductPathsExport(t *testing.T) {
-	type decl struct{ key, where string }
-	usedFuncs := map[string]bool{} // "internal/layout.Stress"
-	usedNames := map[string]bool{} // any identifier, for methods
-	var funcs, methods []decl
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
 	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → product files
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -69,103 +76,146 @@ func TestOnlyProductPathsExport(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dir := path.Dir(filepath.ToSlash(file))
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(p)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = strings.TrimPrefix(p, "repro/")
-		}
-		declNames := map[*ast.Ident]bool{}
-		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if !strings.HasPrefix(dir, "internal/") || !fd.Name.IsExported() {
-				continue
-			}
-			where := fset.Position(fd.Pos()).String()
-			if fd.Recv == nil {
-				funcs = append(funcs, decl{dir + "." + fd.Name.Name, where})
-			} else {
-				key := path.Base(dir) + "." + receiverName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-				methods = append(methods, decl{key, where})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					usedFuncs[imports[x.Name]+"."+n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if !declNames[n] {
-					usedNames[n.Name] = true
-					usedFuncs[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		})
+		pkg := path.Join("repro", path.Dir(filepath.ToSlash(file)))
+		files[pkg] = append(files[pkg], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(funcs) == 0 || len(methods) == 0 {
-		t.Fatal("found no exported function or method under internal/")
+
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
+	imp := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		files: files,
+		info:  info,
+		pkgs:  map[string]*types.Package{},
+	}
+	for pkg := range files {
+		if _, err := imp.Import(pkg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	used := map[types.Object]bool{}
+	dynamic := map[string]bool{} // names of interface methods product files call
+	use := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				dynamic[o.Name()] = true
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
+	for _, obj := range info.Uses {
+		use(obj)
+	}
+	for _, sel := range info.Selections {
+		use(sel.Obj())
+		// A promoted field or method uses the embedded fields it is reached through.
+		typ := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			field := typ.Underlying().(*types.Struct).Field(i)
+			use(field)
+			typ = field.Type()
+		}
+	}
+
 	var dead []string
 	kept := map[string]bool{}
-	check := func(short, where string, used bool) {
-		if _, ok := keptExports[short]; ok {
-			kept[short] = true
-			if used {
-				t.Errorf("keptExports lists %s, which a product path now calls", short)
+	check := func(key string, obj types.Object, isUsed bool) {
+		if _, ok := keptExports[key]; ok {
+			kept[key] = true
+			if isUsed {
+				t.Errorf("keptExports lists %s, which a product path now uses", key)
 			}
 			return
 		}
-		if !used {
-			dead = append(dead, where+": "+short)
+		if !isUsed {
+			dead = append(dead, fset.Position(obj.Pos()).String()+": "+key)
 		}
 	}
-	for _, d := range funcs {
-		check(strings.TrimPrefix(d.key, path.Dir(d.key)+"/"), d.where, usedFuncs[d.key])
-	}
-	for _, d := range methods {
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		check(d.key, d.where, usedNames[name] || interfaceMethods[name])
+	for pkgPath, pkg := range imp.pkgs {
+		if !strings.HasPrefix(pkgPath, "repro/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			check(pkg.Name()+"."+name, obj, used[obj])
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() {
+					check(pkg.Name()+"."+name+"."+m.Name(), m, used[m] || dynamic[m.Name()] || interfaceMethods[m.Name()])
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && st.Tag(i) == "" {
+						check(pkg.Name()+"."+name+"."+f.Name(), f, used[f])
+					}
+				}
+			}
+		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is exported but no product path calls it", d)
+		t.Errorf("%s is exported but no product path uses it: delete it, or add it to keptExports with a reason", d)
 	}
-	for name := range keptExports {
-		if !kept[name] {
-			t.Errorf("keptExports lists %s, which is not an exported function under internal/", name)
+	for key := range keptExports {
+		if !kept[key] {
+			t.Errorf("keptExports lists %s, which is not an exported identifier under internal/", key)
 		}
 	}
 }
 
-// receiverName is the type name of a method receiver: T of T, *T, T[P]
-// or *T[P].
-func receiverName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
+// moduleImporter type-checks the walked packages from their product
+// files, recording every use into one types.Info, and takes everything
+// else from the standard library's source.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	files map[string][]*ast.File
+	info  *types.Info
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	return m.ImportFrom(p, "", 0)
+}
+
+func (m *moduleImporter) ImportFrom(p, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := m.pkgs[p]; ok {
+		return pkg, nil
 	}
+	files, ok := m.files[p]
+	if !ok {
+		return m.std.ImportFrom(p, dir, mode)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(p, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[p] = pkg
+	return pkg, nil
 }

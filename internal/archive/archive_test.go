@@ -23,13 +23,17 @@ func testCampaign(t *testing.T) *campaign.Spec {
 	if err := persist.SaveSpec(specPath, scenario.NSites(2, 3, 890, 100)); err != nil {
 		t.Fatal(err)
 	}
-	return campaign.NewBuilder("archive-test").
+	spec, err := campaign.NewBuilder("archive-test").
 		Scenario("2x2").
 		ScenarioFile(specPath).
 		Iterations(2).
 		Seeds(1, 2).
 		Scales(0.02).
-		MustSpec()
+		Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 // writtenArchive executes the test campaign into a fresh directory and

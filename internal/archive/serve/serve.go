@@ -12,7 +12,6 @@
 //	             "iterations", ...; "intensity" aliases "dynamics")
 //	/plots/{axis}.svg  the same marginal curve rendered as an SVG chart
 //	/plots/phases.svg  aggregated phase breakdown from traces/, as SVG
-//	/diff?base=DIR     regression report against another archive
 //	/dashboard   live HTML dashboard (subscribes to /events)
 //	/events      archive change feed, Server-Sent Events (no ETag:
 //	             a stream has no representation to cache; reconnect
@@ -40,15 +39,14 @@
 // keeps the body it last encoded and serves it again while the listing
 // is equal. What a 200 still reads on every request is what the Snapshot
 // does not hold: the leases (/status), one result document
-// (/runs/{key}), and whatever /plots/phases.svg and /diff read through
-// the Store. The consequence of the ETag design:
-// an ETag names archive state, not a URL, so a request replaying the
-// current tag is answered 304 without its path arguments being examined
-// (/diff excepted — its stamp needs base opened, so its 400s come
-// first). Lease heartbeats deliberately do not enter the ETag: they
-// refresh every TTL/3 without changing any completed result. Trace
-// files under traces/ are equally excluded, so /plots/phases.svg keys
-// its ETag on Stamp() plus the separate TracesStamp().
+// (/runs/{key}), and what /plots/phases.svg reads through the Store.
+// The consequence of the ETag design: an ETag names archive state, not a
+// URL, so a request replaying the current tag is answered 304 without its
+// path arguments being examined. Lease heartbeats deliberately do not
+// enter the ETag: they refresh every TTL/3 without changing any completed
+// result. Trace files under traces/ are equally excluded, so
+// /plots/phases.svg keys its ETag on Stamp() plus the separate
+// TracesStamp().
 //
 // Error classification is the archive package's job, not a handler
 // string-match: archive.ErrBadKey maps to 400 (malformed request),
@@ -129,7 +127,7 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 	mux.HandleFunc("GET /{$}", counted("index", view(archiveStamp, func(*http.Request) (any, error) {
 		endpoints := []string{
 			"/status", "/runs", "/runs/{key}", "/marginals/{axis}",
-			"/plots/{axis}.svg", "/plots/phases.svg", "/diff?base=DIR",
+			"/plots/{axis}.svg", "/plots/phases.svg",
 			"/dashboard", "/events", "/metrics",
 		}
 		if opt.Ingest {
@@ -202,24 +200,6 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 			return marginalSVG(m), nil
 		})
 	})))
-	mux.HandleFunc("GET /diff", counted("diff", func(w http.ResponseWriter, r *http.Request) {
-		base := r.URL.Query().Get("base")
-		if base == "" {
-			http.Error(w, "diff: query parameter base=DIR is required", http.StatusBadRequest)
-			return
-		}
-		baseStore, err := archive.Open(base)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// The diff depends on both archives, so both stamps key the ETag.
-		view(func(*http.Request) string {
-			return st.Stamp() + "|" + baseStore.Stamp()
-		}, func(*http.Request) (any, error) {
-			return st.Diff(base)
-		})(w, r)
-	}))
 	mux.HandleFunc("GET /events", counted("events", func(w http.ResponseWriter, r *http.Request) {
 		serveSSE(w, r, stream)
 	}))

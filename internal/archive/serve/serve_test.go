@@ -29,13 +29,16 @@ func servedArchive(t *testing.T) (string, http.Handler) {
 	if err := persist.SaveSpec(specPath, scenario.NSites(2, 3, 890, 100)); err != nil {
 		t.Fatal(err)
 	}
-	spec := campaign.NewBuilder("serve-test").
+	spec, err := campaign.NewBuilder("serve-test").
 		Scenario("2x2").
 		ScenarioFile(specPath).
 		Iterations(2).
 		Seeds(1, 2).
 		Scales(0.02).
-		MustSpec()
+		Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := filepath.Join(t.TempDir(), "camp")
 	if _, err := campaign.Execute(spec, campaign.ExecOptions{OutDir: dir, Jobs: 2, Resume: true}); err != nil {
 		t.Fatal(err)
@@ -209,9 +212,7 @@ func TestStatusCodeMapping(t *testing.T) {
 		{"plot phases", "/plots/phases.svg", http.StatusOK},
 		{"plot unknown axis", "/plots/flavour.svg", http.StatusNotFound},
 		{"plot without suffix", "/plots/intensity", http.StatusNotFound},
-		{"diff ok", "/diff?base=" + dir, http.StatusOK},
-		{"diff missing base", "/diff", http.StatusBadRequest},
-		{"diff bad base", "/diff?base=" + filepath.Join(dir, "absent"), http.StatusBadRequest},
+		{"diff removed", "/diff?base=" + dir, http.StatusNotFound},
 		{"dashboard", "/dashboard", http.StatusOK},
 		{"unknown path", "/nonsense", http.StatusNotFound},
 		{"ingest off", "/ingest", http.StatusNotFound},
@@ -279,20 +280,14 @@ func TestNotModifiedCostsNoRead(t *testing.T) {
 	}
 }
 
+// The server opens no directory a client names: there is no /diff (an
+// archive is compared with `campaign diff`), whatever base is asked for.
 func TestDiffEndpoint(t *testing.T) {
 	dir, h := servedArchive(t)
-	var rep archive.DiffReport
-	if rec := get(t, h, "/diff?base="+dir, nil, &rep); rec.Code != http.StatusOK {
-		t.Fatalf("/diff: %d", rec.Code)
-	}
-	if rep.Common != 4 || rep.RegressionCount != 0 {
-		t.Fatalf("self-diff not clean: %+v", rep)
-	}
-	if rec := get(t, h, "/diff", nil, nil); rec.Code != http.StatusBadRequest {
-		t.Fatalf("missing base: want 400, got %d", rec.Code)
-	}
-	if rec := get(t, h, "/diff?base="+filepath.Join(dir, "absent"), nil, nil); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad base: want 400, got %d", rec.Code)
+	for _, url := range []string{"/diff?base=" + dir, "/diff?base=/", "/diff"} {
+		if rec := get(t, h, url, nil, nil); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: want 404, got %d", url, rec.Code)
+		}
 	}
 }
 

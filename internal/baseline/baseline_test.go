@@ -14,6 +14,15 @@ import (
 
 const probeMB = 8 << 20 // small probes keep tests fast
 
+// The Grid'5000 link classes of the built-in datasets (§IV-A), for the
+// hand-built networks below: a 1 GbE host link, a 10 GbE cluster uplink
+// and the 1 GbE Dell-Cisco inter-switch bottleneck.
+var (
+	hostLink       = simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6}
+	uplinkLink     = simnet.LinkSpec{Capacity: simnet.Mbps(10000), Latency: 50e-6}
+	bottleneckLink = simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6}
+)
+
 // builtin compiles one of the paper's six registered datasets.
 func builtin(t *testing.T, name string) *topology.Dataset {
 	t.Helper()
@@ -88,8 +97,8 @@ func TestPairwiseBlindToBottleneck(t *testing.T) {
 	router := net.AddSwitch("router")
 	dell := net.AddSwitch("dell")
 	cisco := net.AddSwitch("cisco")
-	net.Connect(dell, cisco, topology.BordeauxBottleneck)
-	net.Connect(cisco, router, topology.ClusterUplink)
+	net.Connect(dell, cisco, bottleneckLink)
+	net.Connect(cisco, router, uplinkLink)
 	var hosts []int
 	for i := 0; i < 8; i++ {
 		h := net.AddHost("h")
@@ -97,7 +106,7 @@ func TestPairwiseBlindToBottleneck(t *testing.T) {
 		if i >= 4 {
 			sw = cisco
 		}
-		net.Connect(h, sw, topology.HostLink)
+		net.Connect(h, sw, hostLink)
 		hosts = append(hosts, h)
 	}
 	rep, err := Pairwise(eng, net, hosts, probeMB, rand.New(rand.NewSource(1)))
@@ -127,7 +136,7 @@ func TestPairwiseLoadedFindsBottleneck(t *testing.T) {
 	net := simnet.New(eng)
 	dell := net.AddSwitch("dell")
 	cisco := net.AddSwitch("cisco")
-	net.Connect(dell, cisco, topology.BordeauxBottleneck)
+	net.Connect(dell, cisco, bottleneckLink)
 	var hosts []int
 	truth := make([]int, 8)
 	for i := 0; i < 8; i++ {
@@ -137,7 +146,7 @@ func TestPairwiseLoadedFindsBottleneck(t *testing.T) {
 			sw = cisco
 			truth[i] = 1
 		}
-		net.Connect(h, sw, topology.HostLink)
+		net.Connect(h, sw, hostLink)
 		hosts = append(hosts, h)
 	}
 	rep, err := PairwiseLoaded(eng, net, hosts, probeMB, rand.New(rand.NewSource(2)))
@@ -161,7 +170,7 @@ func TestPairwiseCostScalesQuadratically(t *testing.T) {
 		var hosts []int
 		for i := 0; i < n; i++ {
 			h := net.AddHost("h")
-			net.Connect(h, sw, topology.HostLink)
+			net.Connect(h, sw, hostLink)
 			hosts = append(hosts, h)
 		}
 		rep, err := Pairwise(eng, net, hosts, probeMB, rand.New(rand.NewSource(3)))
@@ -188,7 +197,7 @@ func TestTripletProbeCountCubic(t *testing.T) {
 	var hosts []int
 	for i := 0; i < 5; i++ {
 		h := net.AddHost("h")
-		net.Connect(h, sw, topology.HostLink)
+		net.Connect(h, sw, hostLink)
 		hosts = append(hosts, h)
 	}
 	rep, err := TripletInterference(eng, net, hosts, probeMB, rand.New(rand.NewSource(4)))
@@ -215,7 +224,7 @@ func TestTripletSeesNICInterferenceEverywhere(t *testing.T) {
 	var hosts []int
 	for i := 0; i < 4; i++ {
 		h := net.AddHost("h")
-		net.Connect(h, sw, topology.HostLink)
+		net.Connect(h, sw, hostLink)
 		hosts = append(hosts, h)
 	}
 	rep, err := TripletInterference(eng, net, hosts, probeMB, rand.New(rand.NewSource(5)))

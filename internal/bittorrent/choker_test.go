@@ -239,7 +239,7 @@ func TestPipelineCapReflectsRTT(t *testing.T) {
 	net := simnet.New(eng)
 	s1 := net.AddSwitch("s1")
 	s2 := net.AddSwitch("s2")
-	net.Connect(s1, s2, simnet.LinkSpec{Capacity: simnet.Gbps(10), Latency: 5e-3})
+	net.Connect(s1, s2, simnet.LinkSpec{Capacity: simnet.Mbps(10000), Latency: 5e-3})
 	a := net.AddHost("a")
 	b := net.AddHost("b")
 	c := net.AddHost("c")

@@ -49,12 +49,12 @@ func TestGridExpansionIsPinned(t *testing.T) {
 			TopFractions(0, 0.5).
 			Backends("sim", "wire").
 			Workers(1, 2).
-			MustSpec(), 1024, "5bffa27c673a96a392e4a0c2145611fa59b2d539120fe2594b18b2c21d43422c"},
+			mustSpec(), 1024, "5bffa27c673a96a392e4a0c2145611fa59b2d539120fe2594b18b2c21d43422c"},
 		{"drift", NewBuilder("pin-drift").
 			ScenarioFile("../../testdata/specs/drift.json").
 			Dynamics(0, 0.5, 1).
 			Iterations(6, 8).
-			MustSpec(), 6, "e2bf9d75b39c90608df4471ce616880ed5fb01e10fed620f79db3f0fc27f3700"},
+			mustSpec(), 6, "e2bf9d75b39c90608df4471ce616880ed5fb01e10fed620f79db3f0fc27f3700"},
 	}
 	for _, c := range cases {
 		got, n := gridDigest(t, c.spec)

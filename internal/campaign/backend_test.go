@@ -35,7 +35,7 @@ func TestBackendAxisEntersKeyAndGrid(t *testing.T) {
 	spec := NewBuilder("backends").
 		Scenario("2x2").
 		Backends("sim", "torn").
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestBackendAxisEntersKeyAndGrid(t *testing.T) {
 // TestBackendAxisValidation: unknown backends and backend/dynamics
 // conflicts are spec errors, caught before any execution.
 func TestBackendAxisValidation(t *testing.T) {
-	s := NewBuilder("bad").Scenario("2x2").Backends("sim").MustSpec()
+	s := NewBuilder("bad").Scenario("2x2").Backends("sim").mustSpec()
 	s.Axes.Backend = []string{"carrier-pigeon"}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Fatalf("unknown backend axis: err = %v", err)
@@ -79,7 +79,7 @@ func TestFailingBackendNeverCorruptsArchive(t *testing.T) {
 		Iterations(2).
 		Scales(0.02).
 		Backends("torn").
-		MustSpec()
+		mustSpec()
 
 	res, err := Execute(torn, ExecOptions{OutDir: out, Resume: true})
 	if err == nil {
@@ -111,7 +111,7 @@ func TestFailingBackendNeverCorruptsArchive(t *testing.T) {
 		Scenario("2x2").
 		Iterations(2).
 		Scales(0.02).
-		MustSpec()
+		mustSpec()
 	ok, err := Execute(good, ExecOptions{OutDir: out, Resume: true})
 	if err != nil {
 		t.Fatalf("archive unusable after failed campaign: %v", err)

@@ -173,14 +173,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Encode renders the campaign spec as indented JSON.
-func (s *Spec) Encode() ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Decode parses and validates a JSON campaign spec. Unknown fields are
 // rejected: campaign files are written by hand, and a typo'd axis name
 // must fail loudly instead of silently sweeping a default. So is anything
@@ -327,14 +319,4 @@ func (b *Builder) Spec() (*Spec, error) {
 		return nil, err
 	}
 	return b.spec.Clone(), nil
-}
-
-// MustSpec is Spec for statically-known campaigns; it panics on
-// validation failure.
-func (b *Builder) MustSpec() *Spec {
-	s, err := b.Spec()
-	if err != nil {
-		panic(fmt.Sprintf("campaign: invalid spec: %v", err))
-	}
-	return s
 }

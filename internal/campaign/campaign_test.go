@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
@@ -22,13 +24,29 @@ func gridBuilder() *Builder {
 		Scales(0.02)
 }
 
-func TestSpecJSONRoundTrip(t *testing.T) {
-	spec := gridBuilder().Window(0, 2).RotateRoot(false, true).Dynamics(0, 1).Workers(1, 2).MustSpec()
-	data, err := spec.Encode()
+// mustSpec is Spec for the statically-known campaigns of these tests; it
+// panics on validation failure.
+func (b *Builder) mustSpec() *Spec {
+	s, err := b.Spec()
+	if err != nil {
+		panic(fmt.Sprintf("campaign: invalid spec: %v", err))
+	}
+	return s
+}
+
+// encode renders a campaign spec as the indented JSON of a campaign file.
+func encode(t *testing.T, s *Spec) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data)
+	return data
+}
+
+func TestSpecJSONRoundTrip(t *testing.T) {
+	spec := gridBuilder().Window(0, 2).RotateRoot(false, true).Dynamics(0, 1).Workers(1, 2).mustSpec()
+	back, err := Decode(encode(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +66,7 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 // a second spec is refused, not read as its first object. Trailing white
 // space is accepted.
 func TestDecodeRejectsTrailingData(t *testing.T) {
-	data, err := gridBuilder().MustSpec().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encode(t, gridBuilder().mustSpec())
 	if _, err := Decode(append(data, " \n"...)); err != nil {
 		t.Fatalf("trailing white space refused: %v", err)
 	}
@@ -117,11 +132,8 @@ func TestLoadResolvesScenarioFilesRelatively(t *testing.T) {
 		t.Fatal(err)
 	}
 	camPath := filepath.Join(dir, "campaigns", "c.json")
-	cam := NewBuilder("c").ScenarioFile("../specs/tiny.json").Iterations(2).MustSpec()
-	data, err := cam.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cam := NewBuilder("c").ScenarioFile("../specs/tiny.json").Iterations(2).mustSpec()
+	data := encode(t, cam)
 	if err := persist.WriteAtomic(camPath, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
@@ -143,7 +155,7 @@ func TestLoadResolvesScenarioFilesRelatively(t *testing.T) {
 
 func TestBuilderSpecIsACopy(t *testing.T) {
 	b := gridBuilder()
-	first := b.MustSpec()
+	first := b.mustSpec()
 	b.Seeds(99)
 	if len(first.Axes.Seed) != 2 {
 		t.Fatal("builder mutation aliased a finalised spec")

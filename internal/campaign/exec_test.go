@@ -25,7 +25,7 @@ func testCampaign(t *testing.T) *Spec {
 		Iterations(2).
 		Seeds(1, 2).
 		Scales(0.02).
-		MustSpec()
+		mustSpec()
 }
 
 func mustExecute(t *testing.T, s *Spec, opt ExecOptions) *Outcome {
@@ -145,7 +145,7 @@ func TestExecuteDeduplicatesSharedKeys(t *testing.T) {
 		Iterations(2).
 		Scales(0.02).
 		Dynamics(0, 1).
-		MustSpec()
+		mustSpec()
 	out := filepath.Join(t.TempDir(), "camp")
 	res := mustExecute(t, spec, ExecOptions{OutDir: out, Jobs: 4, Resume: true})
 	if res.Runs[0].Key != res.Runs[1].Key {

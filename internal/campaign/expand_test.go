@@ -15,7 +15,7 @@ func TestExpandOrderAndCount(t *testing.T) {
 		Scenario("2x2", "GT").
 		Iterations(2, 3).
 		Seeds(1, 2).
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestKeysSeparateContentNotPolicy(t *testing.T) {
 		Seeds(1, 2).
 		Scales(0.02, 0.04).
 		Workers(1, 4).
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestExpandScalesDynamics(t *testing.T) {
 		Scenario(drift.Name).
 		Dynamics(0, 0.5, 1).
 		Iterations(12).
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestExpandRejectsTimelineBeyondIterations(t *testing.T) {
 	if err := scenario.Register(drift); err != nil {
 		t.Fatal(err)
 	}
-	spec := NewBuilder("g").Scenario(name).Iterations(3).MustSpec()
+	spec := NewBuilder("g").Scenario(name).Iterations(3).mustSpec()
 	_, err := spec.Expand()
 	if err == nil || !strings.Contains(err.Error(), "never fire") {
 		t.Fatalf("error = %v, want the never-fires rejection", err)
@@ -162,16 +162,16 @@ func TestExpandRejectsTimelineBeyondIterations(t *testing.T) {
 	}
 	// The same scenario at a sufficient budget expands, and intensity 0
 	// strips the timeline so even the short budget is fine.
-	if _, err := NewBuilder("g").Scenario(name).Iterations(12).MustSpec().Expand(); err != nil {
+	if _, err := NewBuilder("g").Scenario(name).Iterations(12).mustSpec().Expand(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBuilder("g").Scenario(name).Dynamics(0).Iterations(3).MustSpec().Expand(); err != nil {
+	if _, err := NewBuilder("g").Scenario(name).Dynamics(0).Iterations(3).mustSpec().Expand(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExpandUnknownScenario(t *testing.T) {
-	_, err := NewBuilder("g").Scenario("no-such-scenario").MustSpec().Expand()
+	_, err := NewBuilder("g").Scenario("no-such-scenario").mustSpec().Expand()
 	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Fatalf("error = %v, want unknown-scenario", err)
 	}

@@ -32,7 +32,7 @@ func TestBuiltinCacheKeysArePinned(t *testing.T) {
 	}
 	spec := NewBuilder("golden").
 		Scenario("2x2", "B", "BGT", "BGTL", "BT", "GT").
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)

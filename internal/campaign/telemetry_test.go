@@ -27,7 +27,7 @@ func workersCampaign(t *testing.T, workers int) *Spec {
 		Seeds(1, 2).
 		Scales(0.02).
 		Workers(workers).
-		MustSpec()
+		mustSpec()
 }
 
 // readRunDocs maps key -> archived document bytes for every run file.

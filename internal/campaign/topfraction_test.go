@@ -12,7 +12,7 @@ func TestTopFractionAxisIsResultRelevant(t *testing.T) {
 		Scenario("2x2").
 		Iterations(2).
 		TopFractions(0, 0.5).
-		MustSpec()
+		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestTopFractionAxisIsResultRelevant(t *testing.T) {
 		t.Fatalf("Config misses the coordinate: %s", runs[1].Config())
 	}
 	// The default (no axis) is the paper's setting: keep every edge.
-	def, err := NewBuilder("d").Scenario("2x2").MustSpec().Expand()
+	def, err := NewBuilder("d").Scenario("2x2").mustSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTopFractionZeroAndOneShareAKey(t *testing.T) {
 		Scenario("2x2").
 		Iterations(2).
 		TopFractions(0, 1).
-		MustSpec().Expand()
+		mustSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTopFractionZeroAndOneShareAKey(t *testing.T) {
 	if runs[0].Key != runs[1].Key {
 		t.Fatal("top_fraction 0 and 1 are the same measurement but got distinct keys")
 	}
-	if def, _ := NewBuilder("d").Scenario("2x2").Iterations(2).MustSpec().Expand(); def[0].Key != runs[0].Key {
+	if def, _ := NewBuilder("d").Scenario("2x2").Iterations(2).mustSpec().Expand(); def[0].Key != runs[0].Key {
 		t.Fatal("canonicalised key differs from the default (keep-all) key")
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // Partition is a cluster assignment: Labels[v] is the cluster id of vertex
-// v. Ids are dense, 0..NumClusters-1, in order of first appearance.
+// v. Ids are dense, 0..NumClusters-1, in order of first appearance, so two
+// partitions induce the same grouping exactly when their Labels are equal.
 type Partition struct {
 	Labels []int
 	k      int
@@ -59,28 +60,6 @@ func (p Partition) Sizes() []int {
 		out[l]++
 	}
 	return out
-}
-
-// Equal reports whether two partitions induce the same grouping
-// (label-permutation invariant).
-func (p Partition) Equal(q Partition) bool {
-	if len(p.Labels) != len(q.Labels) || p.k != q.k {
-		return false
-	}
-	fwd := make(map[int]int)
-	for i := range p.Labels {
-		a, b := p.Labels[i], q.Labels[i]
-		if want, ok := fwd[a]; ok {
-			if want != b {
-				return false
-			}
-		} else {
-			fwd[a] = b
-		}
-	}
-	// p.k == q.k and fwd is a function from p-labels onto q-labels; with
-	// equal cluster counts it must be a bijection.
-	return true
 }
 
 func (p Partition) String() string {

@@ -75,7 +75,7 @@ func smallDumbbell() (*simnet.Network, []int, []int) {
 	net := simnet.New(sim.NewEngine())
 	s1 := net.AddSwitch("s1")
 	s2 := net.AddSwitch("s2")
-	net.Connect(s1, s2, simnet.LinkSpec{Capacity: simnet.Gbps(10), Latency: 5e-3})
+	net.Connect(s1, s2, simnet.LinkSpec{Capacity: simnet.Mbps(10000), Latency: 5e-3})
 	var hosts []int
 	truth := make([]int, 12)
 	for i := 0; i < 12; i++ {

@@ -24,7 +24,7 @@ func reconfigurable() (*simnet.Network, []int, [2]int) {
 		sw[i] = net.AddSwitch("s")
 	}
 	// Start: one flat logical cluster (fast, low-latency interconnect).
-	net.Connect(sw[0], sw[1], simnet.LinkSpec{Capacity: simnet.Gbps(10), Latency: 50e-6})
+	net.Connect(sw[0], sw[1], simnet.LinkSpec{Capacity: simnet.Mbps(10000), Latency: 50e-6})
 	var hosts []int
 	for i := 0; i < 12; i++ {
 		h := net.AddHost("h")

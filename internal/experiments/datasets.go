@@ -6,8 +6,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -57,8 +56,9 @@ var paperConverged = map[string]string{
 	"2x2": "n/a (1 cluster)", "B": "2", "BT": "4 (NMI ≈0.7)", "GT": "2", "BGT": "2", "BGTL": "≈15",
 }
 
-// Datasets runs the full §IV suite and emits the comparison table, the
-// Fig. 13 CSV and (with DataDir set) the Figs. 8-12 DOT/SVG layouts.
+// Datasets runs the full §IV suite and emits the comparison table and,
+// with DataDir set, the Fig. 13 CSV and SVG and the Figs. 8-12 DOT/SVG
+// layouts.
 func (r *Runner) Datasets() (*DatasetsData, error) {
 	data := &DatasetsData{}
 	fig13 := &report.Table{Header: []string{"dataset", "iteration", "nmi"}}
@@ -120,8 +120,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 	if err := r.emit(t); err != nil {
 		return nil, err
 	}
-	// ASCII rendering of the Fig. 13 curves.
-	plot := &report.Plot{
+	plot := &report.SVGPlot{
 		Title:  "Fig.13 — NMI vs iterations",
 		XLabel: "iteration", YLabel: "NMI",
 		YMin: 0, YMax: 1,
@@ -129,7 +128,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 	for _, o := range data.Outcomes {
 		plot.Add(o.Name, o.Series.X, o.Series.Y)
 	}
-	if err := plot.Write(r.cfg.Out); err != nil {
+	if err := r.save("fig13_nmi.svg", plot.WriteSVG); err != nil {
 		return nil, err
 	}
 	if err := r.saveCSV("fig13_nmi.csv", fig13); err != nil {
@@ -141,24 +140,15 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 // writeLayout renders the Figs. 8-12 Kamada-Kawai visualisations.
 func (r *Runner) writeLayout(name string, d *topology.Dataset, res *core.Result) error {
 	pos := layout.KamadaKawai(res.Graph)
-	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: 0.5, Scale: 10}
-	if err := os.MkdirAll(r.cfg.DataDir, 0o755); err != nil {
+	ropts := layout.RenderOptions{Truth: d.GroundTruth, EdgeFraction: 0.5}
+	if err := r.save("layout_"+name+".dot", func(w io.Writer) error {
+		return layout.WriteDOT(w, res.Graph, pos, ropts)
+	}); err != nil {
 		return err
 	}
-	dot, err := os.Create(filepath.Join(r.cfg.DataDir, "layout_"+name+".dot"))
-	if err != nil {
-		return err
-	}
-	defer dot.Close()
-	if err := layout.WriteDOT(dot, res.Graph, pos, ropts); err != nil {
-		return err
-	}
-	svg, err := os.Create(filepath.Join(r.cfg.DataDir, "layout_"+name+".svg"))
-	if err != nil {
-		return err
-	}
-	defer svg.Close()
-	return layout.WriteSVG(svg, res.Graph, pos, ropts)
+	return r.save("layout_"+name+".svg", func(w io.Writer) error {
+		return layout.WriteSVG(w, res.Graph, pos, ropts)
+	})
 }
 
 func countLabels(truth []int) int {

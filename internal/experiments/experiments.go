@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -41,11 +41,6 @@ type Config struct {
 	// replicas, bit-identically to a single worker. The experiments
 	// themselves run one after another.
 	Workers int
-}
-
-// DefaultConfig is the full paper-scale configuration printing to stdout.
-func DefaultConfig() Config {
-	return Config{Scale: 1, Seed: 1, Out: os.Stdout}
 }
 
 // Runner executes experiments.
@@ -79,20 +74,16 @@ func (r *Runner) emit(t *report.Table) error {
 	return t.Write(r.cfg.Out)
 }
 
-func (r *Runner) saveCSV(name string, t *report.Table) error {
+// save writes the named artifact into DataDir, atomically: a failed write
+// leaves no truncated file behind. Without a DataDir it writes nothing.
+func (r *Runner) save(name string, write func(io.Writer) error) error {
 	if r.cfg.DataDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(r.cfg.DataDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(r.cfg.DataDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	return persist.WriteAtomic(filepath.Join(r.cfg.DataDir, name), write)
 }
+
+func (r *Runner) saveCSV(name string, t *report.Table) error { return r.save(name, t.WriteCSV) }
 
 // experimentTable is the index, in paper order followed by the
 // Future-Work extensions (E15 hierarchy, E16 randomized stress, E17

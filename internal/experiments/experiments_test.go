@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/xml"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +20,33 @@ func quick(t *testing.T, iters int) (*Runner, *strings.Builder, string) {
 	dir := t.TempDir()
 	r := New(Config{Scale: 0.05, Iterations: iters, Seed: 1, Out: &sb, DataDir: dir})
 	return r, &sb, dir
+}
+
+// requireXML fails unless the file exists and is a well-formed XML
+// document with an <svg> root.
+func requireXML(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing artifact: %v", err)
+	}
+	dec := xml.NewDecoder(bytes.NewReader(data))
+	var root string
+	for {
+		tok, err := dec.Token()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s is not well-formed XML: %v", path, err)
+		}
+		if el, ok := tok.(xml.StartElement); ok && root == "" {
+			root = el.Name.Local
+		}
+	}
+	if root != "svg" {
+		t.Fatalf("%s has root element %q, want svg", path, root)
+	}
 }
 
 func TestFig4SmallScale(t *testing.T) {
@@ -60,12 +90,13 @@ func TestFig5SmallScale(t *testing.T) {
 	if data.NetPipeMbps < 850 {
 		t.Fatalf("NetPIPE = %.1f Mbps, want ~890", data.NetPipeMbps)
 	}
-	if !strings.Contains(out.String(), "#") {
-		t.Fatal("histogram not rendered")
+	if !strings.Contains(out.String(), "Fig.5") {
+		t.Fatal("table not emitted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig5_samples.csv")); err != nil {
 		t.Fatal("fig5 CSV not written")
 	}
+	requireXML(t, filepath.Join(dir, "fig5_hist.svg"))
 }
 
 func TestEfficiencySmallScale(t *testing.T) {
@@ -180,10 +211,13 @@ func TestDatasetsSmallScale(t *testing.T) {
 	if !strings.Contains(out.String(), "dataset suite") {
 		t.Fatal("table not emitted")
 	}
-	for _, f := range []string{"fig13_nmi.csv", "layout_B.dot", "layout_B.svg"} {
+	for _, f := range []string{"fig13_nmi.csv", "layout_B.dot"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing artifact %s", f)
 		}
+	}
+	for _, f := range []string{"fig13_nmi.svg", "layout_B.svg"} {
+		requireXML(t, filepath.Join(dir, f))
 	}
 }
 

@@ -103,8 +103,13 @@ func (r *Runner) Fig5() (*Fig5Data, error) {
 	if err := r.emit(t); err != nil {
 		return nil, err
 	}
-	if r.cfg.Out != nil {
-		fmt.Fprintln(r.cfg.Out, data.Histogram.Render(48))
+	hist := &report.SVGBars{Title: "Fig.5 — runs per single-run w(e) bin"}
+	for i, c := range data.Histogram.Counts {
+		lo := data.Histogram.Lo + float64(i)*data.Histogram.BinWidth
+		hist.Add(fmt.Sprintf("%.0f-%.0f", lo, lo+data.Histogram.BinWidth), float64(c))
+	}
+	if err := r.save("fig5_hist.svg", hist.WriteSVG); err != nil {
+		return nil, err
 	}
 	samples := &report.Table{Header: []string{"run", "w"}}
 	for i, w := range data.Samples {

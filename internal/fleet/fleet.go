@@ -117,9 +117,6 @@ func New(dir, owner string, ttl time.Duration) (*Tracker, error) {
 	return t, nil
 }
 
-// Owner returns the worker id leases are claimed under.
-func (t *Tracker) Owner() string { return t.owner }
-
 // TTL returns the staleness horizon this tracker promises in its leases.
 func (t *Tracker) TTL() time.Duration { return t.ttl }
 

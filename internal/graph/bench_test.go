@@ -29,7 +29,7 @@ var (
 )
 
 // BenchmarkAddWeightDense1k builds the dense graph edge by edge in
-// Edges() order — what Scale and the measurement merge do.
+// Edges() order — what ScaleInto and the measurement merge do.
 func BenchmarkAddWeightDense1k(b *testing.B) {
 	edges := dense1k().Edges()
 	b.ReportAllocs()
@@ -71,7 +71,7 @@ func BenchmarkSortedNeighbors1k(b *testing.B) {
 
 // BenchmarkScaleInto is the measurement merge's Eq. 2 step on a
 // tomo-fattree256-sized counts graph (256 vertices, 35 neighbours each):
-// a fresh Scale against a warm ScaleInto that rebuilds the last mean
+// a fresh copy against a warm ScaleInto that rebuilds the last mean
 // graph in place.
 func BenchmarkScaleInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -87,11 +87,11 @@ func BenchmarkScaleInto(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkGraph = g.Scale(0.125)
+			sinkGraph = g.ScaleInto(nil, 0.125)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		dst := g.ScaleInto(g.Scale(0.125), 0.125)
+		dst := g.ScaleInto(g.ScaleInto(nil, 0.125), 0.125)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -271,18 +271,6 @@ func (g *Graph) shell() *Graph {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := g.shell()
-	for u, a := range g.adj {
-		c.adj[u] = append(c.adj[u], a...)
-	}
-	copy(c.strength, g.strength)
-	c.edges = g.edges
-	c.total = g.total
-	return c
-}
-
 // TopFraction returns a copy of the graph keeping only the strongest
 // fraction of edges by weight (0 < frac <= 1). The paper renders layouts
 // with the top 50% of edges; the tomography pipeline can also use this to
@@ -304,22 +292,20 @@ func (g *Graph) TopFraction(frac float64) *Graph {
 	return out
 }
 
-// Scale returns a copy with every edge weight multiplied by k (k > 0).
-// Dividing aggregated fragment counts by the iteration count (Eq. 2) is a
-// Scale(1/n).
+// ScaleInto returns a copy of g with every edge weight multiplied by k
+// (k > 0). Dividing aggregated fragment counts by the iteration count
+// (Eq. 2) is a ScaleInto(dst, 1/n).
 //
 // The copy is rebuilt edge by edge through AddWeight, in Edges() order, so
 // that its strengths and total are the sums a graph built from the scaled
 // weights would hold — not g's sums times k, which differ in the last bit.
-func (g *Graph) Scale(k float64) *Graph { return g.ScaleInto(nil, k) }
-
-// ScaleInto is Scale building its copy in dst: when dst has g's vertex
-// count, dst is emptied, takes g's labels, is rebuilt in place and
-// returned — its rows keep their storage and grow to the capacity of g's
-// rows, so a graph rescaled from the same growing source settles into
-// reusing all of it. Otherwise (a nil dst included) it returns a fresh
-// graph as Scale does. Either way the result equals Scale(k) bit for bit.
-// dst must not be g.
+//
+// When dst has g's vertex count, dst is emptied, takes g's labels, is
+// rebuilt in place and returned — its rows keep their storage and grow to
+// the capacity of g's rows, so a graph rescaled from the same growing
+// source settles into reusing all of it. Otherwise (a nil dst included)
+// the copy is a fresh graph. Either way the result is the same bit for
+// bit. dst must not be g.
 func (g *Graph) ScaleInto(dst *Graph, k float64) *Graph {
 	if k <= 0 {
 		panic("graph: Scale factor must be positive")

@@ -119,24 +119,6 @@ func TestSortedNeighbors(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New(3)
-	g.SetLabel(0, "a")
-	g.AddWeight(0, 1, 2)
-	c := g.Clone()
-	c.AddWeight(0, 1, 5)
-	c.AddWeight(1, 2, 1)
-	if g.Weight(0, 1) != 2 {
-		t.Fatal("mutating clone changed original")
-	}
-	if g.Weight(1, 2) != 0 {
-		t.Fatal("clone edge leaked into original")
-	}
-	if c.Label(0) != "a" {
-		t.Fatal("clone lost label")
-	}
-}
-
 func TestTopFraction(t *testing.T) {
 	g := New(5)
 	g.AddWeight(0, 1, 10)
@@ -159,7 +141,7 @@ func TestScale(t *testing.T) {
 	g := New(3)
 	g.AddWeight(0, 1, 6)
 	g.AddWeight(1, 2, 3)
-	s := g.Scale(1.0 / 3.0)
+	s := g.ScaleInto(nil, 1.0/3.0)
 	if w := s.Weight(0, 1); math.Abs(w-2) > 1e-12 {
 		t.Fatalf("scaled weight = %g, want 2", w)
 	}
@@ -194,33 +176,6 @@ func TestHandshakeProperty(t *testing.T) {
 	}
 }
 
-// Property: Clone is observationally identical.
-func TestCloneEqualProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(15) + 1
-		g := New(n)
-		for i := 0; i < 30; i++ {
-			g.AddWeight(rng.Intn(n), rng.Intn(n), float64(rng.Intn(5)+1))
-		}
-		c := g.Clone()
-		if c.N() != g.N() || c.EdgeCount() != g.EdgeCount() {
-			return false
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if g.Weight(u, v) != c.Weight(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Default labels are formatted on demand; the first SetLabel stores them
 // all, and an explicit empty label is a label like any other.
 func TestDefaultLabels(t *testing.T) {
@@ -233,12 +188,12 @@ func TestDefaultLabels(t *testing.T) {
 		if got := g.Label(v); got != want {
 			t.Errorf("Label(%d) = %q, want %q", v, got, want)
 		}
-		if got := g.Clone().Label(v); got != want {
-			t.Errorf("Clone().Label(%d) = %q, want %q", v, got, want)
+		if got := g.ScaleInto(nil, 1).Label(v); got != want {
+			t.Errorf("copy's Label(%d) = %q, want %q", v, got, want)
 		}
 	}
-	if got := New(2).Clone().Label(1); got != "v1" {
-		t.Errorf("unlabelled Clone().Label(1) = %q, want v1", got)
+	if got := New(2).ScaleInto(nil, 1).Label(1); got != "v1" {
+		t.Errorf("unlabelled copy's Label(1) = %q, want v1", got)
 	}
 }
 
@@ -294,7 +249,7 @@ func requireEqualBits(t *testing.T, ctx string, got, want *Graph) {
 	}
 }
 
-// ScaleInto is Scale whatever dst held: a dirty graph of the same size
+// ScaleInto builds the same graph whatever dst held: a dirty graph of the same size
 // with more, fewer or other edges and labels, a graph of another size, or
 // the warm result of rescaling the same source as it grows and shrinks.
 func TestScaleIntoMatchesScale(t *testing.T) {
@@ -312,13 +267,13 @@ func TestScaleIntoMatchesScale(t *testing.T) {
 	dirty["more edges"].SetLabel(0, "stale")
 	for name, dst := range dirty {
 		got := g.ScaleInto(dst, k)
-		requireEqualBits(t, name, got, g.Scale(k))
+		requireEqualBits(t, name, got, g.ScaleInto(nil, k))
 		if (got == dst) != (dst.N() == n) {
 			t.Errorf("%s: rebuilt in place %v, want %v", name, got == dst, dst.N() == n)
 		}
 	}
 	// An unlabelled source leaves no stale label behind.
-	requireEqualBits(t, "unlabelled source", scaleCase(7, n, 50).ScaleInto(dirty["more edges"], k), scaleCase(7, n, 50).Scale(k))
+	requireEqualBits(t, "unlabelled source", scaleCase(7, n, 50).ScaleInto(dirty["more edges"], k), scaleCase(7, n, 50).ScaleInto(nil, k))
 
 	// Warm: the mean graph of a sliding window, rebuilt after every step.
 	rng := rand.New(rand.NewSource(8))
@@ -337,7 +292,7 @@ func TestScaleIntoMatchesScale(t *testing.T) {
 			added = added[20:]
 		}
 		warm = src.ScaleInto(warm, k)
-		requireEqualBits(t, fmt.Sprintf("warm step %d", step), warm, src.Scale(k))
+		requireEqualBits(t, fmt.Sprintf("warm step %d", step), warm, src.ScaleInto(nil, k))
 	}
 
 	func() {
@@ -349,7 +304,7 @@ func TestScaleIntoMatchesScale(t *testing.T) {
 		g.ScaleInto(g, k)
 	}()
 
-	dst := g.Scale(k)
+	dst := g.ScaleInto(nil, k)
 	if allocs := testing.AllocsPerRun(10, func() { g.ScaleInto(dst, k) }); allocs > 1 {
 		t.Errorf("warm ScaleInto made %v allocations, want at most 1", allocs)
 	}

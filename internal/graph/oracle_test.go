@@ -115,23 +115,6 @@ func (g *mapGraph) EdgeCount() int {
 	return c
 }
 
-func (g *mapGraph) Clone() *mapGraph {
-	c := newMapGraph(g.n)
-	copy(c.labels, g.labels)
-	copy(c.strength, g.strength)
-	for u := 0; u < g.n; u++ {
-		if g.adj[u] == nil {
-			continue
-		}
-		c.adj[u] = make(map[int]float64, len(g.adj[u]))
-		for v, w := range g.adj[u] {
-			c.adj[u][v] = w
-		}
-	}
-	c.total = g.total
-	return c
-}
-
 func (g *mapGraph) TopFraction(frac float64) *mapGraph {
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Weight > edges[j].Weight })
@@ -212,7 +195,7 @@ func requireSame(t *testing.T, ctx string, g *Graph, o *mapGraph) {
 // same seeded operation sequences — fresh edges in any endpoint order,
 // repeated adds, partial and exact (edge-deleting) negative deltas,
 // self-loops, re-adds after a delete — and requires bit-identical state
-// after every step, and from Clone, Scale and TopFraction of the result.
+// after every step, and from ScaleInto and TopFraction of the result.
 func TestMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -252,16 +235,15 @@ func TestMatchesMapOracle(t *testing.T) {
 		g.SetLabel(0, "relabelled")
 		o.labels[0] = "relabelled"
 		ctx := fmt.Sprintf("seed %d", seed)
-		requireSame(t, ctx+" Clone", g.Clone(), o.Clone())
 		k := 1 / float64(1+rng.Intn(9))
-		requireSame(t, ctx+" Scale", g.Scale(k), o.Scale(k))
+		requireSame(t, ctx+" ScaleInto", g.ScaleInto(nil, k), o.Scale(k))
 		for _, frac := range []float64{0.1, 0.5, 1} {
 			requireSame(t, fmt.Sprintf("%s TopFraction(%g)", ctx, frac), g.TopFraction(frac), o.TopFraction(frac))
 		}
-		// A clone shares nothing with its source.
-		c := g.Clone()
+		// A copy shares nothing with its source.
+		c := g.ScaleInto(nil, 1)
 		c.AddWeight(0, n-1, 3)
-		requireSame(t, ctx+" after mutating a clone", g, o)
+		requireSame(t, ctx+" after mutating a copy", g, o)
 	}
 }
 

@@ -1,6 +1,9 @@
 package layout
 
 import (
+	"encoding/xml"
+	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -152,6 +155,42 @@ func TestWriteSVG(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") {
 		t.Fatal("SVG contains NaN coordinates")
+	}
+}
+
+// Vertex labels come from spec host prefixes, which Spec.Validate does
+// not restrict: markup in a label must reach the SVG as text.
+func TestWriteSVGEscapesLabels(t *testing.T) {
+	g, truth := clusteredGraph()
+	g.SetLabel(0, "a<b&c")
+	var sb strings.Builder
+	if err := WriteSVG(&sb, g, KamadaKawai(g), RenderOptions{Truth: truth}); err != nil {
+		t.Fatal(err)
+	}
+	dec := xml.NewDecoder(strings.NewReader(sb.String()))
+	var titles []string
+	inTitle := false
+	for {
+		tok, err := dec.Token()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("SVG is not well-formed XML: %v\n%s", err, sb.String())
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			inTitle = tok.Name.Local == "title"
+		case xml.CharData:
+			if inTitle {
+				titles = append(titles, string(tok))
+			}
+		case xml.EndElement:
+			inTitle = false
+		}
+	}
+	if len(titles) != 8 || titles[0] != "a<b&c" {
+		t.Fatalf("titles = %q, want 8 with the first a<b&c", titles)
 	}
 }
 

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"html"
 	"io"
 	"math"
 	"sort"
@@ -23,21 +24,17 @@ type RenderOptions struct {
 	// EdgeFraction keeps only the strongest fraction of edges in the
 	// rendering (the paper draws the top 50%). 0 or 1 draws all.
 	EdgeFraction float64
-	// Scale multiplies positions before writing (DOT pos units).
-	Scale float64
 }
 
 // WriteDOT emits a Graphviz-compatible .dot file with pinned Kamada-Kawai
 // positions, node shapes by ground-truth cluster, and the top fraction of
 // edges by weight — the same presentation as the paper's figures.
+// Positions are written ten times their layout coordinates (DOT pos units).
 func WriteDOT(w io.Writer, g *graph.Graph, pos []Point, opts RenderOptions) error {
 	if len(pos) != g.N() {
 		return fmt.Errorf("layout: %d positions for %d vertices", len(pos), g.N())
 	}
-	scale := opts.Scale
-	if scale == 0 {
-		scale = 1
-	}
+	const scale = 10
 	if _, err := fmt.Fprintln(w, "graph tomography {"); err != nil {
 		return err
 	}
@@ -92,7 +89,7 @@ func WriteSVG(w io.Writer, g *graph.Graph, pos []Point, opts RenderOptions) erro
 		if opts.Truth != nil {
 			color = svgColors[opts.Truth[v]%len(svgColors)]
 		}
-		fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="6" fill="%s"><title>%s</title></circle>`+"\n", x, y, color, g.Label(v))
+		fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="6" fill="%s"><title>%s</title></circle>`+"\n", x, y, color, html.EscapeString(g.Label(v)))
 	}
 	_, err := fmt.Fprintln(w, "</svg>")
 	return err

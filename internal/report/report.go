@@ -1,5 +1,6 @@
 // Package report renders the experiment harness output: aligned ASCII
-// tables for the terminal and CSV files for plotting.
+// tables for the terminal, CSV files for plotting, and the deterministic
+// SVG charts (svg.go) that the harness saves and `campaign serve` serves.
 package report
 
 import (

@@ -69,52 +69,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("quote row = %q", lines[3])
 	}
 }
-
-func TestPlotRendersSeries(t *testing.T) {
-	p := &Plot{Title: "NMI vs iterations", Width: 30, Height: 8, YMin: 0, YMax: 1}
-	p.Add("GT", []float64{1, 2, 3, 4}, []float64{0.3, 0.6, 1, 1})
-	p.Add("BGTL", []float64{1, 2, 3, 4}, []float64{0.1, 0.2, 0.5, 0.9})
-	out := p.String()
-	if !strings.Contains(out, "NMI vs iterations") {
-		t.Fatal("missing title")
-	}
-	if !strings.Contains(out, "*") || !strings.Contains(out, "o") {
-		t.Fatalf("series glyphs missing:\n%s", out)
-	}
-	if !strings.Contains(out, "*=GT") || !strings.Contains(out, "o=BGTL") {
-		t.Fatalf("legend missing:\n%s", out)
-	}
-	if !strings.Contains(out, "1.00") || !strings.Contains(out, "0.00") {
-		t.Fatalf("y-axis labels missing:\n%s", out)
-	}
-}
-
-func TestPlotEmpty(t *testing.T) {
-	p := &Plot{}
-	if !strings.Contains(p.String(), "empty plot") {
-		t.Fatal("empty plot not flagged")
-	}
-}
-
-func TestPlotMismatchedSeriesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Plot{}).Add("bad", []float64{1}, []float64{1, 2})
-}
-
-func TestPlotGlyphPlacement(t *testing.T) {
-	// A single point at (0,0) with fixed bounds lands bottom-left.
-	p := &Plot{Width: 10, Height: 5, YMin: 0, YMax: 1}
-	p.Add("pt", []float64{0, 1}, []float64{0, 1})
-	lines := strings.Split(p.String(), "\n")
-	// Row 0 is the top: must contain the (1,1) point at the right edge.
-	if !strings.Contains(lines[0], "*") {
-		t.Fatalf("top row missing high point:\n%s", p.String())
-	}
-	if !strings.Contains(lines[4], "*") {
-		t.Fatalf("bottom row missing low point:\n%s", p.String())
-	}
-}

@@ -76,8 +76,8 @@ type svgSeries struct {
 
 // SVGPlot renders one or more (x, y) series as an SVG line chart, each
 // series a polyline through its points with a marker on every point — the
-// scalable sibling of the ASCII Plot, built for the archive service's
-// /plots endpoints and for saving next to campaign aggregates.
+// archive service's /plots endpoints and the experiment harness's Fig. 13
+// both draw with it.
 type SVGPlot struct {
 	Title  string
 	XLabel string
@@ -265,12 +265,12 @@ type svgBar struct {
 }
 
 // SVGBars renders labeled values as a horizontal bar chart — the phase
-// breakdown's natural form (magnitude per named phase). Single-hue by
+// breakdown's natural form (magnitude per named phase), and the Fig. 5
+// histogram's (runs per bin). Single-hue by
 // design: the bars encode one measure, not identities.
 type SVGBars struct {
-	Title  string
-	XLabel string
-	Width  int // pixel width (default 640)
+	Title string
+	Width int // pixel width (default 640)
 	// Unit suffixes each value's direct label ("s" for seconds).
 	Unit string
 	bars []svgBar

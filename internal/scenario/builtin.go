@@ -4,13 +4,26 @@ package scenario
 // host order, ground-truth labels and link parameters are pinned: the
 // campaign content keys and the frozen digests in parity_test.go move if
 // any of them does.
-//
-// The link classes mirror topology's shared link variables: "eth" is
-// HostLink, "uplink" is ClusterUplink, "bottleneck" is the Dell-Cisco
-// BordeauxBottleneck, "fast" is FastInterSwitch and "wan" is the Renater
-// WanLink with its 787 Mbit/s per-flow cap (§IV-A).
 
-// builtinLinks declares the Grid'5000 link classes on a builder.
+// builtinLinks declares the Grid'5000 link classes on a builder, with the
+// numbers §IV-A of the paper reports. Capacities are application-level
+// achievable rates in Mbit/s (protocol efficiency folded in; see
+// simnet.LinkSpec):
+//
+//   - "eth" connects a compute node to its cluster switch: intra-cluster
+//     1 GbE Ethernet delivers about 890 Mbit/s of application payload
+//     (NetPIPE, Bordeaux).
+//   - "uplink" connects a cluster switch to the site router (10 GbE).
+//   - "bottleneck" is the single 1 GbE connection between the Dell and
+//     Cisco switches through which the Bordeplage cluster reaches the
+//     rest of Bordeaux — the bottleneck the tomography method must
+//     discover.
+//   - "fast" joins Bordereau and Borderline, which form one logical
+//     cluster (no bottleneck).
+//   - "wan" connects a site router to the Renater core, star-like with
+//     Lyon central (Fig. 6). A single stream between sites reaches about
+//     787 Mbit/s even though the optic-fibre backbone is 10 Gbit/s
+//     aggregate, so the class carries a per-flow cap.
 func builtinLinks(b *Builder) *Builder {
 	return b.
 		Link("eth", 890, 50e-6).

@@ -28,10 +28,6 @@ type Event struct {
 	pooled bool
 }
 
-// Time reports the simulated time at which the event will fire (or would
-// have fired, if cancelled).
-func (e *Event) Time() float64 { return e.time }
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {

@@ -18,21 +18,9 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
-// Seed returns the root seed.
-func (r *RNG) Seed() int64 { return r.seed }
-
-// Stream returns an independent *rand.Rand for the given label. Calling
-// Stream twice with the same label yields generators that produce the same
-// sequence.
-func (r *RNG) Stream(label string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	mixed := int64(h.Sum64() ^ (uint64(r.seed) * 0x9E3779B97F4A7C15))
-	return rand.New(rand.NewSource(mixed))
-}
-
-// Streamf is Stream with a numeric suffix, convenient for per-iteration or
-// per-node streams.
+// Streamf returns an independent *rand.Rand for the given label and
+// number — one stream per iteration or per node. Calling it twice with the
+// same label and number yields generators that produce the same sequence.
 func (r *RNG) Streamf(label string, n int) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(label))
@@ -44,9 +32,4 @@ func (r *RNG) Streamf(label string, n int) *rand.Rand {
 	h.Write(buf[:])
 	mixed := int64(h.Sum64() ^ (uint64(r.seed) * 0x9E3779B97F4A7C15))
 	return rand.New(rand.NewSource(mixed))
-}
-
-// Perm returns a random permutation of n drawn from the labelled stream.
-func (r *RNG) Perm(label string, n int) []int {
-	return r.Stream(label).Perm(n)
 }

@@ -23,7 +23,6 @@ type Flow struct {
 	eps       float64 // completion threshold for this flow
 
 	id        int
-	src, dst  int
 	size      float64
 	done      Arrival
 	started   float64 // time the flow became active (after latency)
@@ -50,12 +49,6 @@ type Arrival interface{ Arrived() }
 type arrivalFunc func()
 
 func (f arrivalFunc) Arrived() { f() }
-
-// Src returns the source host id.
-func (f *Flow) Src() int { return f.src }
-
-// Dst returns the destination host id.
-func (f *Flow) Dst() int { return f.dst }
 
 // Size returns the flow's total byte size.
 func (f *Flow) Size() float64 { return f.size }
@@ -119,7 +112,7 @@ func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
 		panic("simnet: negative rate cap")
 	}
 	ids, p := n.route(src, dst)
-	f.id, f.src, f.dst = n.nextFlow, src, dst
+	f.id = n.nextFlow
 	f.size, f.remaining, f.eps = size, size, completionEps+1e-9*size
 	f.path, f.rate = p, 0
 	n.nextFlow++

@@ -31,9 +31,6 @@ import (
 // second.
 func Mbps(v float64) float64 { return v * 1e6 / 8 }
 
-// Gbps converts gigabits per second to bytes per second.
-func Gbps(v float64) float64 { return v * 1e9 / 8 }
-
 // ToMbps converts bytes per second back to megabits per second.
 func ToMbps(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
 

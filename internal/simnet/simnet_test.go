@@ -279,9 +279,6 @@ func TestUnitConversions(t *testing.T) {
 	if Mbps(8) != 1e6 {
 		t.Fatalf("Mbps(8) = %g, want 1e6 B/s", Mbps(8))
 	}
-	if Gbps(1) != 1.25e8 {
-		t.Fatalf("Gbps(1) = %g, want 1.25e8 B/s", Gbps(1))
-	}
 	if ToMbps(Mbps(890)) != 890 {
 		t.Fatalf("round trip ToMbps(Mbps(890)) = %g", ToMbps(Mbps(890)))
 	}

@@ -4,10 +4,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the usual descriptive statistics of a sample.
@@ -102,30 +100,6 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 		}
 	}
 	return h
-}
-
-// Render draws the histogram as rows of '#' characters, one per bin —
-// enough to eyeball the Fig. 5 distribution in a terminal.
-func (h *Histogram) Render(maxWidth int) string {
-	if maxWidth < 1 {
-		maxWidth = 40
-	}
-	peak := 1
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	for i, c := range h.Counts {
-		lo := h.Lo + float64(i)*h.BinWidth
-		bar := strings.Repeat("#", c*maxWidth/peak)
-		fmt.Fprintf(&sb, "%10.0f-%-10.0f |%-*s %d\n", lo, lo+h.BinWidth, maxWidth, bar, c)
-	}
-	if h.Underflow > 0 || h.Overflow > 0 {
-		fmt.Fprintf(&sb, "(underflow %d, overflow %d)\n", h.Underflow, h.Overflow)
-	}
-	return sb.String()
 }
 
 // Series is a named (x, y) sequence, e.g. NMI per iteration for one

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -71,18 +70,6 @@ func TestHistogramBinning(t *testing.T) {
 	h = NewHistogram([]float64{94.99999999999999}, 22.9, 95, 22)
 	if h.Counts[21] != 1 || h.Overflow != 0 {
 		t.Fatalf("x just below hi: last bin %d, overflow %d, want 1, 0", h.Counts[21], h.Overflow)
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram([]float64{1, 1, 1, 5}, 0, 10, 2)
-	out := h.Render(10)
-	if !strings.Contains(out, "#") {
-		t.Fatal("render has no bars")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("render has %d lines, want 2 bins", len(lines))
 	}
 }
 

@@ -119,13 +119,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()

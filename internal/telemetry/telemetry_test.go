@@ -120,8 +120,10 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("cc_total", "h").Value(); got != 8000 {
 		t.Fatalf("counter = %v, want 8000", got)
 	}
-	if got := r.Histogram("ch_seconds", "h", nil).Count(); got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if !strings.Contains(b.String(), "\nch_seconds_count 8000\n") {
+		t.Fatalf("histogram count is not 8000:\n%s", b.String())
 	}
 }
 

@@ -95,9 +95,6 @@ func NewClient(t Torrent, index int, seed bool, rngSeed int64) *Client {
 	return c
 }
 
-// Index returns the client's swarm index.
-func (c *Client) Index() int { return c.index }
-
 // Done returns a channel closed once the client holds every piece.
 func (c *Client) Done() <-chan struct{} { return c.completeC }
 
