@@ -29,9 +29,10 @@ bench-test:
 # race runs the -short suite: the skipped tests re-drive paths the short
 # suite already races (core's worker pool through core's own tests, the
 # wire check through internal/wire, substrate and cmd/campaign), or, like
-# the export guard (exports_test.go), have no concurrency for the race
-# detector to check. `test` runs everything. It still needs more than go test's default 10m on slow
-# machines.
+# the export guard (exports_test.go) and the fused multiply-add guard
+# (fma_test.go), have no concurrency for the race detector to check.
+# `test` runs everything. It still needs more than go test's default 10m
+# on slow machines.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

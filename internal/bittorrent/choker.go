@@ -24,7 +24,7 @@ type rateEst struct {
 }
 
 func (r *rateEst) add(now, bytes float64) {
-	r.v = r.v*math.Exp(-(now-r.t)/rateTau) + bytes/rateTau
+	r.v = float64(r.v*math.Exp(-(now-r.t)/rateTau)) + bytes/rateTau
 	r.t = now
 }
 

@@ -353,7 +353,7 @@ func (s *swarm) begin() {
 		s.fillSlots(p)
 	}
 	for _, p := range s.peers {
-		first := rechokeInterval * (0.9 + 0.2*s.rng.Float64())
+		first := rechokeInterval * (0.9 + float64(0.2*s.rng.Float64()))
 		s.eng.Reschedule(p.rechokeEv, first)
 	}
 }

@@ -61,7 +61,7 @@ func MapEquation(g *graph.Graph, p Partition) float64 {
 	}
 	l := plogp(q) - nodeTerm
 	for c := 0; c < k; c++ {
-		l += -2*plogp(qc[c]) + plogp(qc[c]+pc[c])
+		l += float64(-2*plogp(qc[c])) + plogp(qc[c]+pc[c])
 	}
 	return l
 }

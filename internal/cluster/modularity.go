@@ -38,7 +38,7 @@ func Modularity(g *graph.Graph, p Partition) float64 {
 	}
 	q := 0.0
 	for c := 0; c < k; c++ {
-		q += in[c]/m2 - (tot[c]/m2)*(tot[c]/m2)
+		q += in[c]/m2 - float64((tot[c]/m2)*(tot[c]/m2))
 	}
 	return q
 }

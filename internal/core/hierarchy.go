@@ -16,7 +16,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -124,7 +123,10 @@ func DefaultHierarchyOptions() HierarchyOptions {
 // Hierarchy decomposes a measurement graph recursively: Louvain on the
 // whole graph gives the top level; each cluster's induced subgraph is
 // re-clustered in isolation, where local bandwidth contrasts dominate the
-// objective again.
+// objective again. The top level is cluster.Louvain on g itself, so it
+// reads g's own strengths and total, in whatever order g summed them; a
+// subgraph sums its strengths in ascending-neighbour order and its total
+// in Edges() order.
 func Hierarchy(g *graph.Graph, opts HierarchyOptions) *HierarchyNode {
 	if opts.MaxDepth < 1 {
 		opts.MaxDepth = DefaultHierarchyOptions().MaxDepth
@@ -136,66 +138,61 @@ func Hierarchy(g *graph.Graph, opts HierarchyOptions) *HierarchyNode {
 	for i := range all {
 		all[i] = i
 	}
-	return split(g, all, opts, opts.MaxDepth)
+	return split(g, all, make([]int, g.N()), opts, opts.MaxDepth)
 }
 
-func split(g *graph.Graph, members []int, opts HierarchyOptions, depth int) *HierarchyNode {
-	node := &HierarchyNode{Members: append([]int(nil), members...)}
-	sort.Ints(node.Members)
+// split decomposes g over members (ascending, owned by the node it returns).
+func split(g *graph.Graph, members, toSub []int, opts HierarchyOptions, depth int) *HierarchyNode {
+	node := &HierarchyNode{Members: members}
 	if depth <= 0 || len(members) <= opts.MinClusterSize {
 		return node
 	}
-	sub, fromSub := induced(g, node.Members)
+	sub := g
+	if len(members) < g.N() {
+		sub = induced(g, members, toSub)
+	}
 	res := cluster.Louvain(sub, rand.New(rand.NewSource(opts.Seed)))
 	if res.Partition.NumClusters() < 2 || res.Q < opts.MinQ {
 		return node
 	}
 	node.Q = res.Q
 	for _, subMembers := range res.Partition.Clusters() {
-		orig := make([]int, len(subMembers))
 		for i, sv := range subMembers {
-			orig[i] = fromSub[sv]
+			subMembers[i] = members[sv]
 		}
-		node.Children = append(node.Children, split(g, orig, opts, depth-1))
+		node.Children = append(node.Children, split(g, subMembers, toSub, opts, depth-1))
 	}
 	return node
 }
 
-// induced builds the subgraph over members, returning it and the mapping
-// from subgraph vertex to original vertex.
-func induced(g *graph.Graph, members []int) (*graph.Graph, []int) {
-	toSub := make([]int, g.N()) // original vertex -> subgraph vertex, -1 outside
-	for v := range toSub {
-		toSub[v] = -1
-	}
-	fromSub := make([]int, len(members))
+// induced builds the unlabelled subgraph of g over members (ascending): its
+// vertex i is members[i]. toSub is scratch of g.N() entries, shared by every
+// call: u is a member at i exactly when toSub[u] = i and members[i] = u, so
+// what earlier calls left in it does no harm.
+func induced(g *graph.Graph, members, toSub []int) *graph.Graph {
 	for i, v := range members {
 		toSub[v] = i
-		fromSub[i] = v
 	}
 	sub := graph.New(len(members))
-	// Size the adjacency before filling it: at the root this is a copy of
-	// every entry of g, too many to grow by doubling.
+	// Size the adjacency first: a large cluster would grow it by doubling.
 	degrees := make([]int, len(members))
 	for i, v := range members {
 		for _, e := range g.SortedNeighbors(v) {
-			if toSub[e.V] >= 0 {
+			if j := toSub[e.V]; j < len(members) && members[j] == e.V {
 				degrees[i]++
 			}
 		}
 	}
 	sub.Reserve(degrees)
 	for i, v := range members {
-		sub.SetLabel(i, g.Label(v))
 		for _, e := range g.SortedNeighbors(v) {
-			if j := toSub[e.V]; j >= 0 && e.V > v {
+			// Each edge once, from its lower end: Edges() order.
+			if j := toSub[e.V]; j >= i && j < len(members) && members[j] == e.V {
 				sub.AddWeight(i, j, e.Weight)
-			} else if e.V == v {
-				sub.AddWeight(i, i, e.Weight)
 			}
 		}
 	}
-	return sub, fromSub
+	return sub
 }
 
 // HierarchicalNMI scores a hierarchy against a flat ground truth with the

@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/nmi"
+	"repro/internal/persist"
 )
 
 // nestedGraph builds a 2-level planted hierarchy over 16 vertices:
@@ -218,16 +225,80 @@ func TestHierarchicalNMIEmptyTruthSafe(t *testing.T) {
 	}
 }
 
+// TestHierarchyRootIsLouvainOnG holds the top level of the hierarchy to
+// cluster.Louvain on the graph Hierarchy is given, bit for bit: on a graph
+// built in Edges() order (as core's mean graph is), on its archive round
+// trip (as a loaded graph is), and on the same edges inserted in descending
+// order, whose strengths and total are summed in another order and so may
+// differ from a canonical copy's in the last bit.
+func TestHierarchyRootIsLouvainOnG(t *testing.T) {
+	var doc bytes.Buffer
+	if err := persist.WriteGraph(&doc, planted256()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := persist.ReadGraph(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := planted256().Edges()
+	descending := graph.New(256)
+	for i := len(edges) - 1; i >= 0; i-- {
+		descending.AddWeight(edges[i].U, edges[i].V, edges[i].Weight)
+	}
+	opts := DefaultHierarchyOptions()
+	opts.Seed = 7
+	for name, g := range map[string]*graph.Graph{"planted256": planted256(), "loaded": loaded, "descending": descending} {
+		want := cluster.Louvain(g, rand.New(rand.NewSource(opts.Seed)))
+		h := Hierarchy(g, opts)
+		if got := math.Float64bits(h.Q); got != math.Float64bits(want.Q) {
+			t.Errorf("%s: root Q bits %#x, want Louvain's %#x", name, got, math.Float64bits(want.Q))
+		}
+		clusters := want.Partition.Clusters()
+		if len(h.Children) != len(clusters) {
+			t.Fatalf("%s: %d top-level clusters, want Louvain's %d", name, len(h.Children), len(clusters))
+		}
+		for i, c := range h.Children {
+			if !slices.Equal(c.Members, clusters[i]) {
+				t.Errorf("%s: top-level cluster %d = %v, want Louvain's %v", name, i, c.Members, clusters[i])
+			}
+		}
+	}
+}
+
+// TestHierarchyAllocatesLessThanACopy: Hierarchy clusters the graph it is
+// given, so one decomposition of a labelled graph allocates less than one
+// copy of that graph's adjacency (16 bytes per entry, two entries per
+// edge) — no root copy, and no labels for subgraphs only Louvain reads.
+func TestHierarchyAllocatesLessThanACopy(t *testing.T) {
+	if info, _ := debug.ReadBuildInfo(); slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	g := planted256()
+	for v := 0; v < g.N(); v++ {
+		g.SetLabel(v, fmt.Sprintf("site-%d.host-%d", v/64, v))
+	}
+	copyBytes := uint64(2 * 16 * g.EdgeCount())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Hierarchy(g, DefaultHierarchyOptions())
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= copyBytes {
+		t.Errorf("Hierarchy allocated %d bytes, not less than one adjacency copy's %d", got, copyBytes)
+	}
+}
+
 var sinkHierarchy *HierarchyNode
 
 // BenchmarkHierarchyPlanted1k decomposes the shape of the repo benchmark's
 // analyze-1k workload — the complete graph on 1024 vertices in 16 planted
-// clusters, cluster.BenchmarkLouvainPlanted1k's graph — so the root's
-// induced copy of all 1M adjacency entries is what gets timed.
+// clusters, cluster.BenchmarkLouvainPlanted1k's graph, labelled as a loaded
+// graph is — so Louvain on the whole graph and on the 16 induced subgraphs
+// of 64 vertices is what gets timed.
 func BenchmarkHierarchyPlanted1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.New(1024)
 	for u := 0; u < 1024; u++ {
+		g.SetLabel(u, fmt.Sprintf("h%d", u))
 		for v := u + 1; v < 1024; v++ {
 			if u/64 == v/64 {
 				g.AddWeight(u, v, 40+40*rng.Float64())

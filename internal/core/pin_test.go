@@ -56,8 +56,10 @@ func checkBoundaries(t *testing.T, name string, got []Boundary, want []pinnedBou
 // TestHierarchyAndBottlenecksPlanted256Pinned holds Hierarchy (induced
 // subgraphs re-clustered in isolation) and Bottlenecks to the bits they
 // produced when the graph was a map of maps (recorded at commit f7a1e26).
-// induced re-inserts through AddWeight and Bottlenecks sums in Edges()
-// order; changing either order moves these floats.
+// The root is Louvain on g, whose sums planted256 builds in Edges() order;
+// induced re-inserts each site's and cluster's edges through AddWeight in
+// Edges() order, and Bottlenecks sums in Edges() order; changing any of
+// these orders moves these floats.
 func TestHierarchyAndBottlenecksPlanted256Pinned(t *testing.T) {
 	g := planted256()
 

@@ -281,7 +281,7 @@ func (g *Graph) TopFraction(frac float64) *Graph {
 	}
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Weight > edges[j].Weight })
-	keep := int(float64(len(edges))*frac + 0.5)
+	keep := int(float64(float64(len(edges))*frac) + 0.5)
 	if keep > len(edges) {
 		keep = len(edges)
 	}

@@ -25,7 +25,7 @@ func ARI(a, b []int) float64 {
 		cb[b[i]]++
 		joint[[2]int{a[i], b[i]}]++
 	}
-	choose2 := func(k int) float64 { return float64(k) * float64(k-1) / 2 }
+	choose2 := func(k int) float64 { return float64(float64(k) * float64(k-1) / 2) }
 	var sumJoint, sumA, sumB float64
 	for _, c := range joint {
 		sumJoint += choose2(c)
@@ -41,7 +41,7 @@ func ARI(a, b []int) float64 {
 		return 1 // a single node: trivially identical
 	}
 	expected := sumA * sumB / total
-	maxIndex := (sumA + sumB) / 2
+	maxIndex := float64((sumA + sumB) / 2)
 	if maxIndex == expected {
 		// Degenerate cases (e.g. both partitions all-singletons or
 		// all-in-one): agreement is exact iff the groupings coincide.

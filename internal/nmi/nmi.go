@@ -63,7 +63,7 @@ func LFK(x, y Cover, n int) float64 {
 	}
 	xs := memberships(x, n)
 	ys := memberships(y, n)
-	return 1 - (condNorm(xs, ys, n)+condNorm(ys, xs, n))/2
+	return 1 - float64((condNorm(xs, ys, n)+condNorm(ys, xs, n))/2)
 }
 
 // LFKPartition is LFK on two partition label slices.

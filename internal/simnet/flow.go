@@ -113,7 +113,7 @@ func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
 	}
 	ids, p := n.route(src, dst)
 	f.id = n.nextFlow
-	f.size, f.remaining, f.eps = size, size, completionEps+1e-9*size
+	f.size, f.remaining, f.eps = size, size, completionEps+float64(1e-9*size)
 	f.path, f.rate = p, 0
 	n.nextFlow++
 	var lat float64
@@ -244,7 +244,7 @@ const saturationEps = 1e-9
 // room is the capacity left on the channel once its unfixed flows all run
 // at level. It reads the effective capacity solve stored in the channel.
 func (c *channel) room(level float64) float64 {
-	return c.eff - c.usedFixed - level*float64(c.nUnfixed)
+	return c.eff - c.usedFixed - float64(level*float64(c.nUnfixed))
 }
 
 // saturatedAt reports whether the channel has no room left at level.
@@ -365,7 +365,7 @@ func (n *Network) scheduleCompletion() {
 		if f.rate <= 0 {
 			continue
 		}
-		t := (f.remaining - f.eps/2) / f.rate
+		t := (f.remaining - float64(f.eps/2)) / f.rate
 		if t < 0 {
 			t = 0
 		}
@@ -394,7 +394,7 @@ func (n *Network) completions() {
 	finished := n.finished[:0]
 	n.finished = nil
 	for _, f := range n.flows {
-		if f.remaining <= f.eps+4*f.rate*ulp {
+		if f.remaining <= f.eps+float64(4*f.rate*ulp) {
 			finished = append(finished, f)
 		}
 	}
