@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race vet fmt-check size layout-check bench-smoke fuzz-smoke ci
+.PHONY: all build examples test bench-test race budgets vet fmt-check size layout-check bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -35,6 +35,15 @@ bench-test:
 # on slow machines.
 race:
 	$(GO) test -race -short -timeout 30m ./...
+
+# budgets runs, without the race detector, the nine allocation and byte
+# budget tests that skip themselves under it: CI otherwise runs only
+# `race`. `go test -list` with this pattern over ./... names these nine
+# and nothing else.
+BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestHierarchyAllocatesLessThanACopy)$$
+BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core
+budgets:
+	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)
 
 vet:
 	$(GO) vet ./...
@@ -102,4 +111,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadHandshake -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzSpecCompile -fuzztime=10s ./internal/scenario
 
-ci: fmt-check vet layout-check build examples bench-test race bench-smoke fuzz-smoke
+ci: fmt-check vet layout-check build examples bench-test race budgets bench-smoke fuzz-smoke

@@ -30,10 +30,11 @@ import (
 // more.
 //
 // The input is read once through a 64 KB window and never held whole;
-// memory is the finished graph plus 16 bytes per edge while reading, a
-// small multiple of the bytes read whatever n the document claims. Errors
-// carry the byte offset reached; a document that ends early is an
-// io.ErrUnexpectedEOF, and an error from r is returned as it came.
+// memory is the finished graph, whose labels all share one string, plus
+// 16 bytes per edge while reading, a small multiple of the bytes read
+// whatever n the document claims. Errors carry the byte offset reached; a
+// document that ends early is an io.ErrUnexpectedEOF, and an error from r
+// is returned as it came.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	s := &graphScanner{br: bufio.NewReaderSize(r, 64<<10), maxVertex: -1}
 	var (
@@ -224,7 +225,7 @@ func (s *graphScanner) number() []byte {
 	s.peek()
 	tok := s.token(func(b []byte) int {
 		for i, c := range b {
-			if !('0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E') {
+			if !numberByte(c) {
 				return i
 			}
 		}
@@ -296,19 +297,6 @@ func (s *graphScanner) float(tok []byte) float64 {
 // and "3e0" alike) in [0, 2^31).
 func (s *graphScanner) endpoint() int {
 	tok := s.number()
-	if len(tok) < 10 { // what WriteGraph writes: a few digits, nothing else
-		v := 0
-		for _, c := range tok {
-			if c < '0' || c > '9' {
-				v = -1
-				break
-			}
-			v = 10*v + int(c-'0')
-		}
-		if v >= 0 {
-			return v
-		}
-	}
 	f := s.float(tok)
 	if s.err == nil && !(f >= 0 && f <= math.MaxInt32 && f == math.Trunc(f)) {
 		s.fail("edge endpoint %s is not a vertex", tok)
@@ -322,16 +310,10 @@ func (s *graphScanner) edges(list *graph.EdgeList) {
 	}
 	s.expect('[')
 	for i := 0; s.more(']', i == 0); i++ {
-		s.expect('[')
-		u := s.endpoint()
-		s.expect(',')
-		v := s.endpoint()
-		s.expect(',')
-		w := s.float(s.number())
-		if s.err == nil && w < 0 {
-			s.fail("edge %d has negative weight %v", i, w)
+		u, v, w, ok := s.plainTriple()
+		if !ok {
+			u, v, w = s.triple(i)
 		}
-		s.expect(']')
 		if s.err != nil {
 			return
 		}
@@ -344,24 +326,142 @@ func (s *graphScanner) edges(list *graph.EdgeList) {
 	}
 }
 
+// triple reads edge i's [u, v, weight] token by token.
+func (s *graphScanner) triple(i int) (u, v int, w float64) {
+	s.expect('[')
+	u = s.endpoint()
+	s.expect(',')
+	v = s.endpoint()
+	s.expect(',')
+	w = s.float(s.number())
+	if s.err == nil && w < 0 {
+		s.fail("edge %d has negative weight %v", i, w)
+	}
+	s.expect(']')
+	return u, v, w
+}
+
+// plainTriple reads a triple in the form WriteGraph writes — endpoints of
+// at most nine digits, a weight of digits and an optional fraction, no
+// sign, exponent or leading zero — that lies wholly in the window, in one
+// pass over its bytes. It consumes the triple and reports true, or
+// consumes nothing and reports false, leaving every other triple and
+// every error to triple: what it accepts, triple accepts as the same
+// numbers.
+func (s *graphScanner) plainTriple() (u, v int, w float64, ok bool) {
+	b := s.win
+	i := skipSpace(b, s.pos)
+	if i == len(b) || b[i] != '[' {
+		return 0, 0, 0, false
+	}
+	if i, u = plainInt(b, skipSpace(b, i+1)); i < 0 {
+		return 0, 0, 0, false
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != ',' {
+		return 0, 0, 0, false
+	}
+	if i, v = plainInt(b, skipSpace(b, i+1)); i < 0 {
+		return 0, 0, 0, false
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != ',' {
+		return 0, 0, 0, false
+	}
+	start := skipSpace(b, i+1)
+	if i = digitsEnd(b, start); i == start || b[start] == '0' && i > start+1 {
+		return 0, 0, 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		frac := i + 1
+		if i = digitsEnd(b, frac); i == frac {
+			return 0, 0, 0, false
+		}
+	}
+	if i == len(b) || numberByte(b[i]) {
+		return 0, 0, 0, false
+	}
+	w, err := strconv.ParseFloat(string(b[start:i]), 64)
+	if err != nil {
+		return 0, 0, 0, false
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != ']' {
+		return 0, 0, 0, false
+	}
+	s.pos = i + 1
+	return u, v, w, true
+}
+
+// skipSpace returns the index of the first byte of b from i on that is
+// not JSON white space, or len(b).
+func skipSpace(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		if c := b[i]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			break
+		}
+	}
+	return i
+}
+
+// digitsEnd returns the end of the run of decimal digits starting at i.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
+	}
+	return i
+}
+
+// plainInt reads an endpoint at i: one to nine digits, no leading zero,
+// ending the number. It returns the index after it and its value, or -1.
+func plainInt(b []byte, i int) (end, v int) {
+	for end = i; end < len(b) && end-i < 10; end++ {
+		d := b[end] - '0'
+		if d > 9 {
+			break
+		}
+		v = 10*v + int(d)
+	}
+	if end == i || end-i > 9 || b[i] == '0' && end > i+1 || end == len(b) || numberByte(b[end]) {
+		return -1, 0
+	}
+	return end, v
+}
+
+// numberByte reports whether c continues a number token as number reads it.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
+}
+
+// labels reads the label array into one string: each label's bytes, as
+// they stand or as unquote decodes them, are appended to one buffer, and
+// every label is a substring of that buffer converted once.
 func (s *graphScanner) labels() []string {
 	if s.null() {
 		return nil
 	}
 	s.expect('[')
-	var labels []string
+	var (
+		arena []byte
+		ends  []int
+	)
 	for first := true; s.more(']', first); first = false {
 		tok, plain := s.str()
 		if s.err != nil {
 			return nil
 		}
 		if plain {
-			labels = append(labels, string(tok))
-		} else if l, ok := unquote(tok); ok {
-			labels = append(labels, l)
+			arena = append(arena, tok...)
+		} else if decoded, ok := unquote(arena, tok); ok {
+			arena = decoded
 		} else {
-			s.fail("label %d has an invalid escape", len(labels))
+			s.fail("label %d has an invalid escape", len(ends))
 		}
+		ends = append(ends, len(arena))
+	}
+	if s.err != nil {
+		return nil
+	}
+	all, labels, start := string(arena), make([]string, len(ends)), 0
+	for i, end := range ends {
+		labels[i], start = all[start:end], end
 	}
 	return labels
 }
@@ -395,17 +495,17 @@ func (s *graphScanner) str() (tok []byte, plain bool) {
 	return tok, !escapes && utf8.Valid(tok)
 }
 
-// unquote decodes the inside of a JSON string as encoding/json does: the
-// escapes \" \\ \/ \b \f \n \r \t and \uXXXX, a surrogate pair making one
-// rune, and a lone surrogate or a byte that is not UTF-8 becoming U+FFFD.
-func unquote(s []byte) (string, bool) {
-	out := make([]byte, 0, len(s)+utf8.UTFMax)
+// unquote appends to out the inside of a JSON string decoded as
+// encoding/json does: the escapes \" \\ \/ \b \f \n \r \t and \uXXXX, a
+// surrogate pair making one rune, and a lone surrogate or a byte that is
+// not UTF-8 becoming U+FFFD.
+func unquote(out, s []byte) ([]byte, bool) {
 	for len(s) > 0 {
 		switch c := s[0]; {
 		case c == '\\' && len(s) > 1 && s[1] == 'u':
 			r := hex4(s[2:])
 			if r < 0 {
-				return "", false
+				return nil, false
 			}
 			s = s[6:]
 			if utf16.IsSurrogate(r) {
@@ -421,12 +521,12 @@ func unquote(s []byte) (string, bool) {
 		case c == '\\' && len(s) > 1:
 			i := strings.IndexByte(`"\/bfnrt`, s[1])
 			if i < 0 {
-				return "", false
+				return nil, false
 			}
 			out = append(out, "\"\\/\b\f\n\r\t"[i])
 			s = s[2:]
 		case c == '\\':
-			return "", false
+			return nil, false
 		case c < utf8.RuneSelf:
 			out = append(out, c)
 			s = s[1:]
@@ -436,7 +536,7 @@ func unquote(s []byte) (string, bool) {
 			s = s[size:]
 		}
 	}
-	return string(out), true
+	return out, true
 }
 
 // hex4 decodes the four hex digits b starts with, or returns -1.

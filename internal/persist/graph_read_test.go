@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -136,41 +137,47 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// Reading a dense graph costs one allocation per label plus a handful —
-// the window, the edge chunks, the label slice's growth, the adjacency —
-// and at most twice the finished graph in bytes: no per-edge garbage, no
-// second copy of the document.
+// Reading a dense graph stays inside one allocation budget at 256
+// vertices as at 1024 — the window, the edge chunks (128 of 4096 pairs at
+// n = 1024), the growth of the label buffer and its index, the one string
+// all labels share, the adjacency — and inside twice the finished graph
+// in bytes. An allocation per label would cost 1024 more at n = 1024, one
+// per edge 32,640 more at n = 256; a copy of the document breaks the
+// byte bound.
 func TestReadGraphAllocBudget(t *testing.T) {
 	skipUnderRace(t)
-	const n = 256
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		g.SetLabel(u, fmt.Sprintf("site-%d.host-%d", u/32, u))
-		for v := u + 1; v < n; v++ {
-			g.AddWeight(u, v, 1+float64(u*n+v)/7)
+	const budget = 200
+	for _, n := range []int{256, 1024} {
+		g, labelBytes := graph.New(n), 0
+		for u := 0; u < n; u++ {
+			g.SetLabel(u, fmt.Sprintf("site-%d.host-%d", u/32, u))
+			labelBytes += len(g.Label(u))
+			for v := u + 1; v < n; v++ {
+				g.AddWeight(u, v, 1+float64(u*n+v)/7)
+			}
 		}
-	}
-	var doc bytes.Buffer
-	if err := WriteGraph(&doc, g); err != nil {
-		t.Fatal(err)
-	}
-	read := func() {
-		if _, err := ReadGraph(bytes.NewReader(doc.Bytes())); err != nil {
+		var doc bytes.Buffer
+		if err := WriteGraph(&doc, g); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if allocs := testing.AllocsPerRun(5, read); allocs > n+40 {
-		t.Errorf("ReadGraph of %d vertices made %v allocations, budget %d", n, allocs, n+40)
-	}
-	// The finished graph: two 16-byte adjacency entries per edge, and per
-	// vertex a slice header, a strength and a label.
-	finished := uint64(2*16*g.EdgeCount() + n*(24+8+16+len("site-0.host-000")))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	read()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2*finished {
-		t.Errorf("ReadGraph allocated %d bytes for a graph of %d", got, finished)
+		read := func() {
+			if _, err := ReadGraph(bytes.NewReader(doc.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(2, read); allocs > budget {
+			t.Errorf("ReadGraph of %d vertices made %v allocations, budget %d", n, allocs, budget)
+		}
+		// The finished graph: two 16-byte adjacency entries per edge, and per
+		// vertex a slice header, a strength and a label.
+		finished := uint64(2*16*g.EdgeCount() + n*(24+8+16) + labelBytes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*finished {
+			t.Errorf("ReadGraph of %d vertices allocated %d bytes for a graph of %d", n, got, finished)
+		}
 	}
 }
 
@@ -283,6 +290,71 @@ func TestReadGraphTokensLargerThanWindow(t *testing.T) {
 		}
 		if g.Label(0) != long || g.Label(1) != "é"+long || g.Weight(0, 1) != 1.5 || g.EdgeCount() != 1 {
 			t.Fatalf("misread: labels of %d and %d bytes, weight %v, %d edges", len(g.Label(0)), len(g.Label(1)), g.Weight(0, 1), g.EdgeCount())
+		}
+	}
+}
+
+// The 64 KB window's edge may fall anywhere: with it put before every
+// byte of one triple and of one escaped label, and after the last, each
+// read is the decoder's graph bit for bit.
+func TestReadGraphTripleAcrossWindow(t *testing.T) {
+	const window = 64 << 10
+	var whole bytes.Buffer
+	if err := WriteGraph(&whole, archiveGraphs()["escapes"]); err != nil {
+		t.Fatal(err)
+	}
+	doc := whole.Bytes()
+	for _, tok := range []string{"[\n      3,\n      3,\n      2.5\n    ]", `"quote\"back\\slash"`} {
+		start := bytes.Index(doc, []byte(tok))
+		if start < 0 {
+			t.Fatalf("%q is not in the document", tok)
+		}
+		for at := start; at <= start+len(tok); at++ {
+			padded := append(bytes.Repeat([]byte(" "), window-at), doc...)
+			if _, err, _ := readBoth(t, padded); err != nil {
+				t.Fatalf("window edge at byte %d of %q: %v", at-start, tok, err)
+			}
+		}
+	}
+}
+
+// plainTriple, the one-pass reader of a triple inside the window, takes
+// every triple WriteGraph writes but those with a weight in exponent form,
+// reads it as triple does, and consumes nothing of a triple it refuses.
+func TestPlainTripleTakesWhatWriteGraphWrites(t *testing.T) {
+	for name, g := range archiveGraphs() {
+		var doc bytes.Buffer
+		if err := WriteGraph(&doc, g); err != nil {
+			t.Fatal(err)
+		}
+		const open = `"edges": [`
+		start := bytes.Index(doc.Bytes(), []byte(open))
+		if start < 0 {
+			continue // "edges": null
+		}
+		// The window is the whole document, so the scanner never refills.
+		s := &graphScanner{win: doc.Bytes(), pos: start + len(open)}
+		for i, e := range g.Edges() {
+			if !s.more(']', i == 0) {
+				t.Fatalf("%s: edge %d: %v", name, i, s.err)
+			}
+			at := s.pos
+			u, v, w, ok := s.plainTriple()
+			if exponent := bytes.ContainsAny(appendFloat(nil, e.Weight), "eE"); ok == exponent {
+				t.Errorf("%s: edge %d, weight %v: plainTriple took it %v, want %v", name, i, e.Weight, ok, !exponent)
+			}
+			if !ok {
+				if s.pos != at {
+					t.Fatalf("%s: edge %d: refused triple consumed %d bytes", name, i, s.pos-at)
+				}
+				u, v, w = s.triple(i)
+			}
+			if s.err != nil || u != e.U || v != e.V || math.Float64bits(w) != math.Float64bits(e.Weight) {
+				t.Fatalf("%s: edge %d read as (%d,%d,%v), want (%d,%d,%v): %v", name, i, u, v, w, e.U, e.V, e.Weight, s.err)
+			}
+		}
+		if s.more(']', false) || s.err != nil {
+			t.Fatalf("%s: edges do not end after %d triples: %v", name, g.EdgeCount(), s.err)
 		}
 	}
 }

@@ -93,8 +93,11 @@ type graphHeader struct {
 // memory and buffered twice by the encoder.
 func WriteGraph(w io.Writer, g *graph.Graph) error {
 	hdr := graphHeader{Version: formatVersion, N: g.N()}
-	for v := 0; v < g.N(); v++ {
-		hdr.Labels = append(hdr.Labels, g.Label(v))
+	if g.N() > 0 { // no vertices writes "labels": null, as the encoder does
+		hdr.Labels = make([]string, g.N())
+		for v := range hdr.Labels {
+			hdr.Labels[v] = g.Label(v)
+		}
 	}
 	head, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
