@@ -99,7 +99,12 @@ bench-smoke:
 # to exactly the bytes it consumed. FuzzSpecCompile: whatever a spec
 # file holds, Decode and Compile never panic, a spec Decode accepts
 # compiles to a dataset of exactly its NumHosts hosts, and the same bytes
-# followed by one stray byte are refused. A failing input is
+# followed by one stray byte are refused. FuzzIngest: whatever body a
+# remote writer posts to POST /ingest, the handler never panics and
+# answers 200, 400 or 413, a 200's "ingested" is the number of lines
+# appended to manifest.log, no appended line is longer than
+# fleet.MaxLine, a fresh archive.Snapshot advances over the result, and
+# Stamp() moves exactly when a line was appended. A failing input is
 # written to that corpus directory; check it in with the fix (a spec
 # panic is fixed in Spec.Validate).
 fuzz-smoke:
@@ -110,5 +115,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadHandshake -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzSpecCompile -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/archive/serve
 
 ci: fmt-check vet layout-check build examples bench-test race budgets bench-smoke fuzz-smoke

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
@@ -58,6 +59,9 @@ type Store struct {
 	// at is the directory as the campaign layout: the Store never spells
 	// a file name of the archive itself.
 	at campaign.Dir
+	// stamped are the files Stamp() stats, in its order, asked of the
+	// layout once so that a poll joins no path.
+	stamped [4]string
 }
 
 // Open opens the campaign archive rooted at dir. The directory must
@@ -71,7 +75,8 @@ func Open(dir string) (*Store, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("archive: %s is not a directory", dir)
 	}
-	return &Store{at: campaign.Dir(dir)}, nil
+	at := campaign.Dir(dir)
+	return &Store{at: at, stamped: [...]string{at.Index(), at.Log(), at.Manifest(), at.CSV()}}, nil
 }
 
 // Dir returns the archive directory this store reads.
@@ -224,14 +229,26 @@ func (s *Snapshot) Get(key string) (*RunDetail, error) {
 // between-completions) archive pay a handful of stats, not a re-read.
 // Lease heartbeats are deliberately excluded: they refresh every TTL/3
 // without changing any completed result.
+//
+// The string is the four files' "size.mtime" (mtime in Unix
+// nanoseconds; "-" for a file that is not there), ';'-separated, in
+// that order. It is appended into one stack buffer, so a call costs the
+// four stats and the string: the stamp is on every request's path.
 func (s *Store) Stamp() string {
-	part := func(path string) string {
+	var buf [4*41 + 3]byte // four parts of two int64s and a dot, three separators
+	b := buf[:0]
+	for i, path := range s.stamped {
+		if i > 0 {
+			b = append(b, ';')
+		}
 		fi, err := os.Stat(path)
 		if err != nil {
-			return "-"
+			b = append(b, '-')
+			continue
 		}
-		return fmt.Sprintf("%d.%d", fi.Size(), fi.ModTime().UnixNano())
+		b = strconv.AppendInt(b, fi.Size(), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, fi.ModTime().UnixNano(), 10)
 	}
-	return fmt.Sprintf("%s;%s;%s;%s",
-		part(s.at.Index()), part(s.at.Log()), part(s.at.Manifest()), part(s.at.CSV()))
+	return string(b)
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
@@ -171,6 +172,58 @@ func TestStampTracksLedger(t *testing.T) {
 	if s2 := st.Stamp(); s2 == s1 {
 		t.Fatal("ledger append did not change the stamp")
 	}
+}
+
+// stampReference is Stamp() as first written, with fmt. Clients hold
+// ETags spelled this way, so Stamp() must spell the same facts the same
+// bytes.
+func stampReference(dir campaign.Dir) string {
+	part := func(path string) string {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return "-"
+		}
+		return fmt.Sprintf("%d.%d", fi.Size(), fi.ModTime().UnixNano())
+	}
+	return fmt.Sprintf("%s;%s;%s;%s",
+		part(dir.Index()), part(dir.Log()), part(dir.Manifest()), part(dir.CSV()))
+}
+
+// Stamp() equals the reference byte for byte with all four files
+// missing, some present, and all present, empty files and an mtime
+// before 1970 (a negative UnixNano) included.
+func TestStampIsTheReferenceSpelling(t *testing.T) {
+	dir := campaign.Dir(t.TempDir())
+	st, err := Open(string(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		if got, want := st.Stamp(), stampReference(dir); got != want {
+			t.Fatalf("%s: Stamp() %q, the reference %q", step, got, want)
+		}
+	}
+	if got := st.Stamp(); got != "-;-;-;-" {
+		t.Fatalf("an empty directory's Stamp() is %q, want -;-;-;-", got)
+	}
+	check("all missing")
+	appendBytes(t, dir.Log(), logLine(0, syntheticKey(0), "done", 0.5))
+	check("the log alone")
+	appendBytes(t, dir.Index(), "")
+	check("an empty ledger and the log")
+	publish(t, dir.Manifest(), manifestDoc("grid", 1, ""))
+	publish(t, dir.CSV(), "index,key\n")
+	check("all present")
+	past := time.Date(1955, 11, 5, 6, 15, 0, 123456789, time.UTC)
+	if err := os.Chtimes(dir.CSV(), past, past); err != nil {
+		t.Fatal(err)
+	}
+	check("an aggregate dated before 1970")
+	if err := os.Remove(dir.Manifest()); err != nil {
+		t.Fatal(err)
+	}
+	check("the manifest removed")
 }
 
 // Status must report exactly-once counts even when the ledger carries

@@ -31,22 +31,34 @@
 // until a new completion lands, and the 304 is decided from the stamp
 // before any view is built (see view), so heavy read traffic against an
 // idle archive costs a handful of stat calls per poll, no file reads,
-// and responses are byte-stable between state changes. A 200 is built
-// from the handler's one archive.Snapshot, advanced first by reading
-// only the bytes appended since the previous 200, and listing runs/
-// again only when the directory or the ledger or log moved: O(what
-// changed), not O(archive), for about 1 MB held per 10^3 runs. /runs
-// keeps the body it last encoded and serves it again while the listing
-// is equal. What a 200 still reads on every request is what the Snapshot
-// does not hold: the leases (/status), one result document
-// (/runs/{key}), and what /plots/phases.svg reads through the Store.
-// The consequence of the ETag design: an ETag names archive state, not a
-// URL, so a request replaying the current tag is answered 304 without its
-// path arguments being examined. Lease heartbeats deliberately do not
-// enter the ETag: they refresh every TTL/3 without changing any completed
+// and responses are byte-stable between state changes. The consequence
+// of the ETag design: an ETag names archive state, not a URL, so a
+// request replaying the current tag is answered 304 without its path
+// arguments being examined. Lease heartbeats deliberately do not enter
+// the ETag: they refresh every TTL/3 without changing any completed
 // result. Trace files under traces/ are equally excluded, so
 // /plots/phases.svg keys its ETag on Stamp() plus the separate
 // TracesStamp().
+//
+// The bodies of /marginals/{axis} and /plots/{axis}.svg are a function
+// of Stamp() alone (the finished cells of manifest.log, or manifest.json
+// without a log). Each keeps the body it last built per URL path under
+// the current ETag — for the canonical axis names only, so the paths a
+// client invents cannot grow it — and a plain GET under that ETag is
+// answered from it: no lock, no Advance, no aggregation, no rendering.
+// The first request that computes another ETag drops them. Every other
+// view is built on every 200. /status, /runs and /runs/{key} read files
+// the stamp does not cover: the leases, the runs/ listing, one result
+// document. They are built from the handler's one archive.Snapshot,
+// advanced first by reading only the bytes appended since the previous
+// 200, and listing runs/ again only when the directory or the ledger or
+// log moved: O(what changed), not O(archive), for about 1 MB held per
+// 10^3 runs. /runs keeps the body it last encoded and serves it again
+// while the listing is equal (a document renamed into runs/ moves the
+// listing, not the stamp). /plots/phases.svg reads the trace files
+// through the Store on every 200: TracesStamp() (file count, summed
+// size, newest mtime) decides its 304s, never which body a 200 gets.
+// The index reads no archive file.
 //
 // Error classification is the archive package's job, not a handler
 // string-match: archive.ErrBadKey maps to 400 (malformed request),
@@ -106,10 +118,14 @@ func Handler(st *archive.Store) http.Handler {
 
 // NewHandler returns the HTTP handler serving the store's read path.
 func NewHandler(st *archive.Store, opt Options) http.Handler {
+	h, _ := newHandler(st, opt)
+	return h
+}
+
+// newHandler is NewHandler, also returning the body cache of the
+// marginals and their plots.
+func newHandler(st *archive.Store, opt Options) (http.Handler, *bodies) {
 	stream := events.NewStream(events.NewWatcher(st), opt.EventInterval)
-	// What a response depends on: every view but two is a function of the
-	// archive's Stamp() alone.
-	archiveStamp := func(*http.Request) string { return st.Stamp() }
 	// The handler's one Snapshot. A 200 advances it (reading what was
 	// appended since the last one) and builds its view under the lock; a
 	// view aliases nothing of the Snapshot, so it is encoded outside it.
@@ -123,8 +139,15 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 		}
 		return build(snap)
 	}
+	// The bodies of each axis's marginal and plot, a function of Stamp()
+	// alone.
+	var paths []string
+	for _, axis := range archive.MarginalAxes() {
+		paths = append(paths, "/marginals/"+axis, "/plots/"+axis+".svg")
+	}
+	stamped := newBodies(paths...)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", counted("index", view(archiveStamp, func(*http.Request) (any, error) {
+	mux.HandleFunc("GET /{$}", counted("index", view(st.Stamp, nil, func(*http.Request) (any, error) {
 		endpoints := []string{
 			"/status", "/runs", "/runs/{key}", "/marginals/{axis}",
 			"/plots/{axis}.svg", "/plots/phases.svg",
@@ -142,14 +165,14 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 			"axes":      archive.MarginalAxes(),
 		}, nil
 	})))
-	mux.HandleFunc("GET /status", counted("status", view(archiveStamp, func(*http.Request) (any, error) {
+	mux.HandleFunc("GET /status", counted("status", view(st.Stamp, nil, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) { return s.Status() })
 	})))
 	// The last listing /runs encoded and its body, under mu: an unchanged
 	// listing is served the same bytes without encoding it again.
 	var lastRuns []archive.RunInfo
 	var lastBody json.RawMessage
-	mux.HandleFunc("GET /runs", counted("runs", view(archiveStamp, func(*http.Request) (any, error) {
+	mux.HandleFunc("GET /runs", counted("runs", view(st.Stamp, nil, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) {
 			runs, err := s.Runs()
 			if err != nil {
@@ -167,38 +190,34 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 			return lastBody, nil
 		})
 	})))
-	mux.HandleFunc("GET /runs/{key}", counted("run", view(archiveStamp, func(r *http.Request) (any, error) {
+	mux.HandleFunc("GET /runs/{key}", counted("run", view(st.Stamp, nil, func(r *http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) { return s.Get(r.PathValue("key")) })
 	})))
-	mux.HandleFunc("GET /marginals/{axis}", counted("marginals", view(archiveStamp, func(r *http.Request) (any, error) {
+	mux.HandleFunc("GET /marginals/{axis}", counted("marginals", view(st.Stamp, stamped, func(r *http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) { return s.Marginals(r.PathValue("axis")) })
 	})))
-	mux.HandleFunc("GET /plots/{name}", counted("plots", view(func(r *http.Request) string {
-		if r.PathValue("name") == "phases.svg" {
-			// Traces sit outside Stamp() by design, so the phase plot
-			// needs both change detectors in its ETag.
-			return st.Stamp() + "|" + st.TracesStamp()
-		}
-		return st.Stamp()
-	}, func(r *http.Request) (any, error) {
-		name, ok := strings.CutSuffix(r.PathValue("name"), ".svg")
+	mux.HandleFunc("GET /plots/{name}", counted("plots", view(st.Stamp, stamped, func(r *http.Request) (any, error) {
+		axis, ok := strings.CutSuffix(r.PathValue("name"), ".svg")
 		if !ok {
 			return nil, fmt.Errorf("plots: want /plots/{axis}.svg or /plots/phases.svg: %w", os.ErrNotExist)
 		}
-		if name == "phases" {
-			sum, err := st.Traces()
-			if err != nil {
-				return nil, err
-			}
-			return phasesSVG(sum), nil
-		}
 		return current(func(s *archive.Snapshot) (any, error) {
-			m, err := s.Marginals(name)
+			m, err := s.Marginals(axis)
 			if err != nil {
 				return nil, err
 			}
 			return marginalSVG(m), nil
 		})
+	})))
+	// Traces sit outside Stamp() by design, so the phase plot needs both
+	// change detectors in its ETag.
+	phasesStamp := func() string { return st.Stamp() + "|" + st.TracesStamp() }
+	mux.HandleFunc("GET /plots/phases.svg", counted("plots", view(phasesStamp, nil, func(*http.Request) (any, error) {
+		sum, err := st.Traces()
+		if err != nil {
+			return nil, err
+		}
+		return phasesSVG(sum), nil
 	})))
 	mux.HandleFunc("GET /events", counted("events", func(w http.ResponseWriter, r *http.Request) {
 		serveSSE(w, r, stream)
@@ -222,7 +241,7 @@ func NewHandler(st *archive.Store, opt Options) http.Handler {
 	if opt.Pprof {
 		MountPprof(mux)
 	}
-	return mux
+	return mux, stamped
 }
 
 // MountPprof mounts net/http/pprof's profiling handlers under
@@ -428,44 +447,124 @@ func counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // finished JSON body (encodeJSON's), anything else is encoded by
 // encodeJSON. If-None-Match is answered from the stamp alone, before
 // build runs, so a poller of an unchanged archive costs the stamp's stat
-// calls and nothing else. Validators compare weakly (a
-// compressing proxy rewrites "tag" to W/"tag"). A failed build is
-// answered by fail and carries no ETag.
-func view(stamp func(*http.Request) string, build func(*http.Request) (any, error)) http.HandlerFunc {
+// calls and nothing else. A view whose body is a function of its ETag
+// alone passes a cache: a plain GET under the ETag of the body kept for
+// its path is answered from that body, without build. A failed build is
+// answered by fail, carries no ETag and is never kept.
+func view(stamp func() string, cache *bodies, build func(*http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		etag := strconv.Quote(stamp(r))
-		for _, cand := range strings.Split(r.Header.Get("If-None-Match"), ",") {
-			cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
-			if cand == etag || cand == "*" {
-				w.Header().Set("ETag", etag)
-				w.Header().Set("Cache-Control", "no-cache")
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
-		v, err := build(r)
-		if err != nil {
-			fail(w, err)
+		etag := strconv.Quote(stamp())
+		if matches(r.Header.Get("If-None-Match"), etag) {
+			w.Header().Set("ETag", etag)
+			w.Header().Set("Cache-Control", "no-cache")
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		var body []byte
-		contentType := "application/json"
-		switch v := v.(type) {
-		case []byte:
-			body, contentType = v, "image/svg+xml"
-		case json.RawMessage:
-			body = v
-		default:
-			if body, err = encodeJSON(v); err != nil {
+		b, ok := cache.get(etag, r.URL.Path)
+		if !ok {
+			v, err := build(r)
+			if err == nil {
+				b, err = encode(v)
+			}
+			if err != nil {
 				fail(w, err)
 				return
 			}
+			cache.put(etag, r.URL.Path, b)
 		}
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
+		w.Header().Set("Content-Type", b.contentType)
+		w.Header().Set("Content-Length", b.length)
+		w.Write(b.data)
+	}
+}
+
+// matches reports whether an If-None-Match header names etag or "*".
+// Validators compare weakly: a compressing proxy rewrites "tag" to
+// W/"tag".
+func matches(header, etag string) bool {
+	for header != "" {
+		var cand string
+		cand, header, _ = strings.Cut(header, ",")
+		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
+		if cand == etag || cand == "*" {
+			return true
+		}
+	}
+	return false
+}
+
+// body is one finished 200: the bytes and the headers that describe them.
+type body struct {
+	data                []byte
+	contentType, length string
+}
+
+// encode finishes what a view's build returned.
+func encode(v any) (body, error) {
+	contentType := "application/json"
+	var data []byte
+	switch v := v.(type) {
+	case []byte:
+		data, contentType = v, "image/svg+xml"
+	case json.RawMessage:
+		data = v
+	default:
+		var err error
+		if data, err = encodeJSON(v); err != nil {
+			return body{}, err
+		}
+	}
+	return body{data, contentType, strconv.Itoa(len(data))}, nil
+}
+
+// bodies keeps the last body served per URL path under one ETag, for
+// the paths it was made with only. The first request that computes
+// another ETag drops every entry, and only a built body is put, so it
+// holds at most one body per path it was made with, whatever paths
+// clients send (an axis alias or another case is built every time). A
+// nil *bodies keeps nothing.
+type bodies struct {
+	mu    sync.Mutex
+	etag  string
+	paths map[string]bool // the paths a body may be kept for
+	by    map[string]body
+}
+
+func newBodies(paths ...string) *bodies {
+	c := &bodies{paths: make(map[string]bool)}
+	for _, p := range paths {
+		c.paths[p] = true
+	}
+	return c
+}
+
+// get returns the body kept for path under etag.
+func (c *bodies) get(etag, path string) (body, bool) {
+	if c == nil {
+		return body{}, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if etag != c.etag {
+		c.etag, c.by = etag, make(map[string]body)
+		return body{}, false
+	}
+	b, ok := c.by[path]
+	return b, ok
+}
+
+// put keeps b for path, unless path is not one of the cache's or another
+// ETag has been computed since the request that built b computed etag.
+func (c *bodies) put(etag, path string, b body) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if etag == c.etag && c.paths[path] {
+		c.by[path] = b
 	}
 }
 

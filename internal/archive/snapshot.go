@@ -194,16 +194,22 @@ func (s *Snapshot) finished() []campaign.Entry {
 
 func (s *Snapshot) advanceHeads() error {
 	next := make(map[string]head, len(s.heads))
-	keep := func(name, path string, fi os.FileInfo) {
+	// keep carries a head over while its file's facts hold; a head whose
+	// file moved is read again, manifest.json under "" and an owner's
+	// manifest under the owner.
+	keep := func(name string, fi os.FileInfo) {
 		h, ok := s.heads[name]
 		if !ok || !sameFacts(h.fi, fi) {
-			h = head{fi: fi}
-			h.ok = readJSON(path, &h) == nil
+			path := s.at.Manifest()
+			if name != "" {
+				path = s.at.OwnerManifest(name)
+			}
+			h = readHead(path, fi)
 		}
 		next[name] = h
 	}
 	if fi, err := os.Stat(s.at.Manifest()); err == nil {
-		keep("", s.at.Manifest(), fi)
+		keep("", fi)
 	}
 	dir, err := os.ReadDir(s.at.Manifests())
 	if err != nil && !os.IsNotExist(err) {
@@ -215,11 +221,20 @@ func (s *Snapshot) advanceHeads() error {
 			continue
 		}
 		if fi, err := d.Info(); err == nil {
-			keep(owner, s.at.OwnerManifest(owner), fi)
+			keep(owner, fi)
 		}
 	}
 	s.heads = next
 	return nil
+}
+
+// readHead decodes the head of the manifest at path, stat'ed as fi. It
+// is apart from keep so that only a head read again escapes to the heap:
+// one carried over costs an idle Advance nothing.
+func readHead(path string, fi os.FileInfo) head {
+	h := head{fi: fi}
+	h.ok = readJSON(path, &h) == nil
+	return h
 }
 
 // advanceRuns lists runs/ again when moved is set or the directory's
