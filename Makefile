@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race budgets vet fmt-check size layout-check bench-smoke fuzz-smoke ci
+.PHONY: all build examples test bench-test race budgets guards vet fmt-check size layout-check bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -44,6 +44,14 @@ BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWar
 BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core
 budgets:
 	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)
+
+# guards runs the two whole-module checks that skip under -short, so
+# `race` never runs them: the export guard (exports_test.go: every
+# exported identifier under internal/ is used by a product path) and the
+# fused multiply-add guard (fma_test.go: the measured packages compile to
+# no implicit FMA on arm64, ppc64le, s390x or riscv64).
+guards:
+	$(GO) test -run '^(TestOnlyProductPathsExport|TestNoImplicitFusedMultiplyAdd)$$' .
 
 vet:
 	$(GO) vet ./...
@@ -117,4 +125,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSpecCompile -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/archive/serve
 
-ci: fmt-check vet layout-check build examples bench-test race budgets bench-smoke fuzz-smoke
+ci: fmt-check vet layout-check build examples bench-test race budgets guards bench-smoke fuzz-smoke

@@ -338,7 +338,7 @@ func TestConfigRejectsUnindexablePayloads(t *testing.T) {
 	cfg := testConfig()
 	cfg.FragmentSize = 1
 	cfg.FileBytes = math.MaxInt32
-	if err := cfg.validate(len(hosts)); err != nil {
+	if err := cfg.Validate(len(hosts)); err != nil {
 		t.Fatalf("exactly MaxInt32 fragments rejected: %v", err)
 	}
 }

@@ -70,7 +70,7 @@ func buildSwarm(t *testing.T, n, pieces int) (*swarm, *sim.Engine) {
 	}
 	cfg := DefaultConfig()
 	cfg.FileBytes = pieces * cfg.FragmentSize
-	if err := cfg.validate(n); err != nil {
+	if err := cfg.Validate(n); err != nil {
 		t.Fatal(err)
 	}
 	// Root 0, need lists left in piece order.

@@ -101,7 +101,10 @@ func (c Config) NumFragments() int {
 	return n
 }
 
-func (c Config) validate(numHosts int) error {
+// Validate reports why a broadcast of c over numHosts hosts cannot run,
+// before anything is allocated for it: a backend calls it first, so a
+// payload no swarm can index is an error, not an attempt.
+func (c Config) Validate(numHosts int) error {
 	switch {
 	case numHosts < 2:
 		return fmt.Errorf("bittorrent: need at least 2 hosts, have %d", numHosts)

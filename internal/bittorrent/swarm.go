@@ -213,7 +213,7 @@ func RunBroadcast(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config,
 // A failed run drops the storage instead: its uploads may still be in
 // flight on net, and they point into it.
 func (b *Broadcaster) Run(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Config, rng *rand.Rand) (*Result, error) {
-	if err := cfg.validate(len(hosts)); err != nil {
+	if err := cfg.Validate(len(hosts)); err != nil {
 		return nil, err
 	}
 	s := b.s

@@ -1,32 +1,13 @@
 package campaign
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/bittorrent"
 	"repro/internal/fleet"
-	"repro/internal/substrate"
 )
-
-// tornSubstrate fails every measurement — the campaign-level stand-in
-// for a wire swarm that times out or tears mid-iteration.
-type tornSubstrate struct{}
-
-func (tornSubstrate) Close() error { return nil }
-func (tornSubstrate) Measure(context.Context, substrate.Request) (*bittorrent.Result, error) {
-	return nil, errors.New("swarm torn mid-iteration")
-}
-
-func init() {
-	substrate.Register("torn", substrate.Capabilities{}, func(substrate.Env) (substrate.Substrate, error) {
-		return tornSubstrate{}, nil
-	})
-}
 
 // TestBackendAxisEntersKeyAndGrid: the backend axis multiplies the grid
 // and distinguishes content keys — the same scenario measured by two
@@ -34,7 +15,7 @@ func init() {
 func TestBackendAxisEntersKeyAndGrid(t *testing.T) {
 	spec := NewBuilder("backends").
 		Scenario("2x2").
-		Backends("sim", "torn").
+		Backends("sim", "wire").
 		mustSpec()
 	runs, err := spec.Expand()
 	if err != nil {
@@ -67,26 +48,28 @@ func TestBackendAxisValidation(t *testing.T) {
 	}
 }
 
-// TestFailingBackendNeverCorruptsArchive: a campaign whose substrate
-// fails every measurement must report the failure — and leave the
-// archive exactly as it found it: no archive documents, no ledger
-// attributions, and a subsequent sim campaign into the same directory
-// unharmed.
+// TestFailingBackendNeverCorruptsArchive: a campaign whose measurement
+// fails — here a payload past the swarm's int32 piece index, which the
+// broadcast refuses — must report the failure, and leave the archive
+// exactly as it found it: no archive documents, no ledger attributions,
+// and a subsequent campaign into the same directory unharmed.
 func TestFailingBackendNeverCorruptsArchive(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "camp")
-	torn := NewBuilder("torn-camp").
+	failing := NewBuilder("failing-camp").
 		Scenario("2x2").
 		Iterations(2).
-		Scales(0.02).
-		Backends("torn").
+		Scales(1e6).
 		mustSpec()
 
-	res, err := Execute(torn, ExecOptions{OutDir: out, Resume: true})
+	res, err := Execute(failing, ExecOptions{OutDir: out, Resume: true})
 	if err == nil {
-		t.Fatal("campaign over a failing substrate reported success")
+		t.Fatal("campaign over a failing measurement reported success")
 	}
 	if res == nil || res.Manifest.Failures != 1 {
 		t.Fatalf("failures not accounted: %+v", res)
+	}
+	if cause := res.Manifest.Entries[0].Error; !strings.Contains(cause, "FileBytes") {
+		t.Fatalf("failed cell records %q, want the broadcast's FileBytes refusal", cause)
 	}
 
 	// No archive document may exist for the failed run.
@@ -107,7 +90,7 @@ func TestFailingBackendNeverCorruptsArchive(t *testing.T) {
 	}
 
 	// The directory still works as an archive for a healthy campaign.
-	good := NewBuilder("torn-camp").
+	good := NewBuilder("failing-camp").
 		Scenario("2x2").
 		Iterations(2).
 		Scales(0.02).

@@ -140,11 +140,11 @@ func admitIf[T int | float64](ok func(T) bool, why string) func(T) (T, string) {
 	}
 }
 
-// knownBackend admits a registered backend under its canonical name (""
-// and "sim" are the same value).
+// knownBackend admits a backend substrate.Check knows, under its
+// canonical name ("" and "sim" are the same value).
 func knownBackend(v string) (string, string) {
-	b := substrate.Canonical(v)
-	if _, ok := substrate.Describe(b); !ok {
+	b, err := substrate.Check(v, false)
+	if err != nil {
 		return b, fmt.Sprintf("is unknown (have %v)", substrate.Names())
 	}
 	return b, ""
@@ -246,7 +246,7 @@ func (s *Spec) Expand() ([]Run, error) {
 				}
 				checked = run.Iterations
 			}
-			if caps, _ := substrate.Describe(run.Backend); len(variant.Dynamics) > 0 && !caps.Dynamics {
+			if _, err := substrate.Check(run.Backend, len(variant.Dynamics) > 0); err != nil {
 				return nil, fmt.Errorf("campaign %s: scenario %s has a dynamics timeline, which backend %q cannot replay (drop the backend or add dynamics=[0] to strip the timeline)",
 					s.Name, name, run.Backend)
 			}

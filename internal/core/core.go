@@ -82,9 +82,9 @@ type Options struct {
 	// iterations: "sim" (default; the discrete-event simulator on
 	// one replica per worker) or "wire" (real BitTorrent swarms over
 	// loopback TCP, paced to the scenario's bottleneck capacities). The
-	// empty string means "sim". Backends declare capabilities, and
-	// Validate rejects options they cannot honor — "wire" refuses
-	// Dynamics timelines.
+	// empty string means "sim". Validate rejects a name
+	// substrate.Check does not know and a Dynamics timeline the backend
+	// cannot replay — "wire" cannot.
 	Backend string
 	// Trace, when non-nil, receives the run's phase spans (per-iteration
 	// measure/clone, merge, cluster, NMI) for structured trace output.
@@ -111,7 +111,8 @@ func DefaultOptions() Options {
 
 // Validate checks the option fields for consistency before a run: counts
 // must be non-negative, TopFraction must lie in [0,1], and the backend
-// must exist and support what the run asks of it. Run and
+// must pass substrate.Check: it exists, and it replays a Dynamics
+// timeline when the run has one. Run and
 // RunDataset call it first, so misconfigurations surface as clear errors
 // instead of silent misbehavior; callers assembling options far from the
 // run site (CLI flag parsing, experiment configs, spec files) can call it
@@ -122,7 +123,7 @@ func (o Options) Validate() error {
 	if o.Iterations < 1 {
 		return fmt.Errorf("core: need at least 1 iteration, have %d", o.Iterations)
 	}
-	if o.TopFraction < 0 || o.TopFraction > 1 {
+	if !(o.TopFraction >= 0 && o.TopFraction <= 1) {
 		return fmt.Errorf("core: TopFraction %g out of [0,1]", o.TopFraction)
 	}
 	if o.ClusterEvery < 0 {
@@ -134,15 +135,8 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
 	}
-	backend := substrate.Canonical(o.Backend)
-	caps, ok := substrate.Describe(backend)
-	if !ok {
-		return fmt.Errorf("core: unknown measurement backend %q (have %v)", o.Backend, substrate.Names())
-	}
-	if o.Dynamics.Len() > 0 && !caps.Dynamics {
-		return fmt.Errorf("core: backend %q cannot replay a Dynamics timeline", backend)
-	}
-	return nil
+	_, err := substrate.Check(o.Backend, o.Dynamics.Len() > 0)
+	return err
 }
 
 // IterationRecord captures the state after one measurement iteration.
@@ -230,11 +224,10 @@ func Run(net *simnet.Network, hosts []int, truth []int, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	sub, err := substrate.New(substrate.Canonical(opts.Backend), substrate.Env{
+	sub, err := substrate.New(opts.Backend, substrate.Env{
 		Net:      net,
 		Hosts:    hosts,
 		Timeline: opts.Dynamics,
-		Seed:     opts.Seed,
 		Workers:  opts.Workers,
 		Trace:    opts.Trace,
 	})

@@ -33,6 +33,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"iteration", func(o *Options) { o.Iterations = -3 }},
 		{"TopFraction", func(o *Options) { o.TopFraction = -0.1 }},
 		{"TopFraction", func(o *Options) { o.TopFraction = 1.5 }},
+		{"TopFraction", func(o *Options) { o.TopFraction = math.NaN() }},
 		{"ClusterEvery", func(o *Options) { o.ClusterEvery = -1 }},
 		{"Window", func(o *Options) { o.Window = -2 }},
 		{"Workers", func(o *Options) { o.Workers = -1 }},
@@ -67,8 +68,9 @@ func TestRunRejectsInvalidOptionsViaValidate(t *testing.T) {
 }
 
 // TestWithScaleSaturates: a scale whose payload does not fit the swarm is
-// rejected by the broadcast, naming FileBytes, instead of wrapping to a
-// one-fragment broadcast or a wrapped piece index.
+// rejected by the broadcast on either backend, naming FileBytes, instead
+// of wrapping to a one-fragment broadcast or a wrapped piece index, or of
+// the wire backend allocating the payload's piece bitmaps.
 func TestWithScaleSaturates(t *testing.T) {
 	for _, tc := range []struct {
 		scale     float64
@@ -83,10 +85,12 @@ func TestWithScaleSaturates(t *testing.T) {
 			if tc.fileBytes != 0 && opts.BT.FileBytes != tc.fileBytes {
 				t.Fatalf("FileBytes = %d, want %d", opts.BT.FileBytes, tc.fileBytes)
 			}
-			net, hosts, truth := smallDumbbell()
-			_, err := Run(net, hosts, truth, opts)
-			if err == nil || !strings.Contains(err.Error(), "FileBytes") || !strings.Contains(err.Error(), "a swarm can index") {
-				t.Fatalf("scale %g: err = %v, want FileBytes named and the int32 bound", tc.scale, err)
+			for _, backend := range []string{"sim", "wire"} {
+				net, hosts, truth := smallDumbbell()
+				_, err := Run(net, hosts, truth, opts.WithBackend(backend))
+				if err == nil || !strings.Contains(err.Error(), "FileBytes") || !strings.Contains(err.Error(), "a swarm can index") {
+					t.Fatalf("scale %g on %s: err = %v, want FileBytes named and the int32 bound", tc.scale, backend, err)
+				}
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bittorrent"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/substrate"
 )
 
@@ -102,24 +103,20 @@ func (failingSubstrate) Measure(context.Context, substrate.Request) (*bittorrent
 	return nil, errors.New("substrate torn mid-measurement")
 }
 
-func init() {
-	substrate.Register("failing", substrate.Capabilities{}, func(substrate.Env) (substrate.Substrate, error) {
-		return failingSubstrate{}, nil
-	})
-}
-
-// TestFailingBackendFailsRun: a substrate error is a run failure naming
-// the iteration — never a silent partial result.
+// TestFailingBackendFailsRun: a substrate error fails the measurement,
+// naming the iteration — never a silent partial result.
 func TestFailingBackendFailsRun(t *testing.T) {
 	net, hosts, truth := smallDumbbell()
 	opts := testOptions(3)
-	opts.Backend = "failing"
-	res, err := Run(net, hosts, truth, opts)
+	opts.Workers = 2
+	rng := sim.NewRNG(opts.Seed)
+	m := newMerger(net, hosts, truth, opts, rng, nil)
+	err := measure(failingSubstrate{}, hosts, opts, rng, m, nil)
 	if err == nil {
-		t.Fatal("failing substrate produced a result")
+		t.Fatal("failing substrate measured successfully")
 	}
-	if res != nil {
-		t.Fatal("failing substrate returned a partial result alongside its error")
+	if n := len(m.res.Iterations); n != 0 {
+		t.Fatalf("failing substrate merged %d iterations alongside its error", n)
 	}
 	if !strings.Contains(err.Error(), "iteration") || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("err = %v, want the iteration and cause named", err)

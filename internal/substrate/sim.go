@@ -17,10 +17,6 @@ import (
 var mCloneSeconds = telemetry.Default().Counter("repro_substrate_clone_seconds_total",
 	"wall-clock seconds spent preparing engine+network replicas: take or clone one, reset it, replay the dynamics timeline")
 
-func init() {
-	mustRegister("sim", Capabilities{Dynamics: true}, newSim)
-}
-
 // simSubstrate measures each iteration on a private engine+network
 // replica of the run's network, reset before the iteration so that it
 // starts from an idle network at t=0 whatever ran on the replica before

@@ -23,32 +23,24 @@
 //     scheduler and network timing leak in); they reject options they
 //     cannot honor (dynamics timelines).
 //
-// Substrates register by name; core.Options.Backend selects one, and the
-// campaign layer sweeps the choice as a content-hashed axis.
+// The two are a fixed table, and Check is the one place that decides
+// whether a backend exists and can run what is asked of it;
+// core.Options.Backend selects one, and the campaign layer sweeps the
+// choice as a content-hashed axis.
 package substrate
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/bittorrent"
 	"repro/internal/dynamics"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
-
-// Capabilities declares what a substrate can honor. The core pipeline
-// validates a run's options against them before measuring, so an
-// unsupported combination fails fast instead of silently measuring the
-// wrong thing.
-type Capabilities struct {
-	// Dynamics reports whether the substrate can replay a scripted
-	// network-dynamics timeline per iteration.
-	Dynamics bool
-}
 
 // Request is one measurement iteration handed to a substrate.
 type Request struct {
@@ -78,7 +70,8 @@ type Env struct {
 	// static runs. Construction fails when the substrate cannot honor a
 	// non-empty timeline.
 	Timeline *dynamics.Timeline
-	// Seed is the run seed (Options.Seed), for substrate-level salting.
+	// Seed is the run seed (Options.Seed). No substrate reads it: each
+	// Request carries its iteration's RNG stream.
 	Seed int64
 	// Workers is the measurement fan-out the run will drive this
 	// substrate with; substrates holding real resources (ports,
@@ -101,82 +94,51 @@ type Substrate interface {
 	Close() error
 }
 
-// Factory builds a substrate for one run.
-type Factory func(Env) (Substrate, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-	caps      = map[string]Capabilities{}
-)
-
-// Register adds a named substrate factory. Registering a duplicate name
-// is an error: backend names enter campaign cache keys, so two meanings
-// for one name would silently alias distinct measurements.
-func Register(name string, c Capabilities, f Factory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("substrate: Register needs a name and a factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := factories[name]; ok {
-		return fmt.Errorf("substrate: backend %q already registered", name)
-	}
-	factories[name] = f
-	caps[name] = c
-	return nil
+// backend is one built-in substrate: whether it can replay a dynamics
+// timeline, and how to build it for a run.
+type backend struct {
+	dynamics bool
+	build    func(Env) (Substrate, error)
 }
 
-// Canonical maps a backend name to its canonical form: the empty name
-// means the default "sim" backend. Everything that keys on the backend —
-// option validation, campaign content hashes, run attribution — must go
-// through this, so "" and "sim" can never label the same measurement two
-// different ways.
-func Canonical(name string) string {
+// backends holds every substrate the binary measures with. A name enters
+// campaign cache keys, so it keeps its meaning once given.
+var backends = map[string]backend{
+	"sim":  {dynamics: true, build: newSim},
+	"wire": {build: newWire},
+}
+
+// Check resolves the backend a run names to its canonical name ("" means
+// "sim"), failing on a name no backend has and, when dynamics is set, on
+// a backend that cannot replay a dynamics timeline. Everything that keys
+// on the backend (option validation, campaign content hashes, run
+// attribution) goes through it, so "" and "sim" never label one
+// measurement two ways.
+func Check(name string, dynamics bool) (string, error) {
 	if name == "" {
-		return "sim"
+		name = "sim"
 	}
-	return name
+	b, ok := backends[name]
+	switch {
+	case !ok:
+		return name, fmt.Errorf("substrate: unknown backend %q (have %v)", name, Names())
+	case dynamics && !b.dynamics:
+		return name, fmt.Errorf("substrate: backend %q cannot replay a Dynamics timeline", name)
+	}
+	return name, nil
 }
 
-// Describe reports a registered backend's capabilities.
-func Describe(name string) (Capabilities, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := caps[name]
-	return c, ok
-}
-
-// Names lists the registered backends, sorted.
+// Names lists the backends, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(factories))
-	for n := range factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(backends))
 }
 
-// New builds the named substrate for a run, enforcing its capability
-// contract against the env (a non-empty timeline needs Dynamics).
+// New builds the named substrate for a run, checking it against the env
+// (a non-empty timeline needs a backend that replays dynamics).
 func New(name string, env Env) (Substrate, error) {
-	regMu.RLock()
-	f, ok := factories[name]
-	c := caps[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("substrate: unknown backend %q (have %v)", name, Names())
+	name, err := Check(name, env.Timeline.Len() > 0)
+	if err != nil {
+		return nil, err
 	}
-	if env.Timeline.Len() > 0 && !c.Dynamics {
-		return nil, fmt.Errorf("substrate: backend %q cannot replay a dynamics timeline", name)
-	}
-	return f(env)
-}
-
-func mustRegister(name string, c Capabilities, f Factory) {
-	if err := Register(name, c, f); err != nil {
-		panic(err)
-	}
+	return backends[name].build(env)
 }

@@ -11,51 +11,31 @@ import (
 	"repro/internal/simnet"
 )
 
-func TestBuiltinsRegistered(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"sim", "wire"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("builtin backend %q not registered (have %v)", want, names)
+// TestCheckBuiltins: the binary measures with exactly "sim" and "wire",
+// and only "sim" replays a dynamics timeline.
+func TestCheckBuiltins(t *testing.T) {
+	if names := Names(); !slices.Equal(names, []string{"sim", "wire"}) {
+		t.Fatalf("Names() = %v, want [sim wire]", names)
+	}
+	for _, name := range []string{"sim", "wire"} {
+		if got, err := Check(name, false); got != name || err != nil {
+			t.Fatalf("Check(%q, false) = %q, %v", name, got, err)
 		}
 	}
-	simCaps, ok := Describe("sim")
-	if !ok || !simCaps.Dynamics {
-		t.Fatalf("sim capabilities = %+v, %v", simCaps, ok)
+	if _, err := Check("sim", true); err != nil {
+		t.Fatalf("sim refuses dynamics: %v", err)
 	}
-	wireCaps, ok := Describe("wire")
-	if !ok || wireCaps.Dynamics {
-		t.Fatalf("wire capabilities = %+v, %v", wireCaps, ok)
+	if _, err := Check("wire", true); err == nil || !strings.Contains(err.Error(), "Dynamics") {
+		t.Fatalf("Check(wire, dynamics) = %v, want the Dynamics conflict named", err)
 	}
 }
 
 func TestCanonicalDefaultsToSim(t *testing.T) {
-	if Canonical("") != "sim" {
-		t.Fatalf(`Canonical("") = %q, want "sim"`, Canonical(""))
+	if got, err := Check("", false); got != "sim" || err != nil {
+		t.Fatalf(`Check("", false) = %q, %v, want "sim"`, got, err)
 	}
-	if Canonical("wire") != "wire" {
-		t.Fatal("Canonical must not rewrite explicit names")
-	}
-}
-
-func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	nop := func(Env) (Substrate, error) { return nil, nil }
-	if err := Register("", Capabilities{}, nop); err == nil {
-		t.Fatal("empty name registered")
-	}
-	if err := Register("dup-test", Capabilities{}, nil); err == nil {
-		t.Fatal("nil factory registered")
-	}
-	if err := Register("dup-test", Capabilities{}, nop); err != nil {
-		t.Fatal(err)
-	}
-	if err := Register("dup-test", Capabilities{}, nop); err == nil {
-		t.Fatal("duplicate name registered — two meanings for one cache-key component")
+	if got, err := Check("", true); got != "sim" || err != nil {
+		t.Fatalf(`Check("", true) = %q, %v, want "sim"`, got, err)
 	}
 }
 
@@ -63,6 +43,9 @@ func TestNewUnknownBackend(t *testing.T) {
 	_, err := New("carrier-pigeon", Env{})
 	if err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Fatalf("err = %v, want the unknown name echoed", err)
+	}
+	if got, err := Check("carrier-pigeon", false); got != "carrier-pigeon" || err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
+		t.Fatalf("Check = %q, %v, want the unknown name echoed", got, err)
 	}
 }
 

@@ -10,10 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-func init() {
-	mustRegister("wire", Capabilities{}, newWire)
-}
-
 // wireIterationTimeout bounds one loopback broadcast. Real sockets can
 // wedge in ways the simulator cannot; a wedged iteration must become a
 // run failure, not a hung campaign.
@@ -73,6 +69,18 @@ func newWire(env Env) (Substrate, error) {
 }
 
 func (s *wireSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.Result, error) {
+	n := len(req.Hosts)
+	if n != len(s.env.Hosts) {
+		// Check rejects dynamics timelines up front, so the iteration host
+		// set always is the full run host set; anything else means a
+		// plumbing bug, not a user error.
+		return nil, fmt.Errorf("substrate: wire iteration %d measures %d of %d hosts", req.Iter, n, len(s.env.Hosts))
+	}
+	// The swarm sizes every client's piece bitmaps from the payload, so
+	// refuse one it cannot index before allocating them.
+	if err := req.Config.Validate(n); err != nil {
+		return nil, fmt.Errorf("substrate: wire iteration %d: %w", req.Iter, err)
+	}
 	select {
 	case <-s.slots:
 	case <-ctx.Done():
@@ -80,13 +88,6 @@ func (s *wireSubstrate) Measure(ctx context.Context, req Request) (*bittorrent.R
 	}
 	defer func() { s.slots <- struct{}{} }()
 
-	n := len(req.Hosts)
-	if n != len(s.env.Hosts) {
-		// Capability gating rejects dynamics timelines up front, so the
-		// iteration host set always is the full run host set; anything
-		// else means a plumbing bug, not a user error.
-		return nil, fmt.Errorf("substrate: wire iteration %d measures %d of %d hosts", req.Iter, n, len(s.env.Hosts))
-	}
 	sres, err := wire.RunSwarm(ctx, wire.SwarmOptions{
 		N:         n,
 		NumPieces: req.Config.NumFragments(),

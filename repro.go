@@ -51,7 +51,7 @@
 //	opts := repro.DefaultOptions().WithBackend("wire").WithIterations(3)
 //	res, err := repro.Run(dataset, opts)
 //
-// Backends() lists what is registered; wire results are reproducible in
+// Backends() lists the two; wire results are reproducible in
 // distribution, not byte-for-byte, and wire cannot replay Dynamics
 // timelines (Options.Validate rejects the combination).
 //
@@ -211,7 +211,7 @@ func Datasets() []string {
 	return scenario.Names()
 }
 
-// Backends lists the registered measurement substrates, sorted: "sim"
+// Backends lists the measurement substrates, sorted: "sim"
 // (the discrete-event simulator, the default) and "wire" (real loopback
 // TCP swarms speaking the BitTorrent wire protocol). Select one with
 // Options.Backend / WithBackend, a campaign's backend axis, or `bttomo
