@@ -88,9 +88,12 @@ func deepCopy(r *bittorrent.Result) *bittorrent.Result {
 }
 
 // TestBroadcasterReuseMatchesFresh drives one Broadcaster through runs that
-// shrink and regrow the swarm, change its payload, batch size and peer cap,
-// and move between two engines. Each Result must equal a fresh
-// RunBroadcast's, and no later run may write into an earlier Result.
+// shrink and regrow the swarm, change its payload, shrink and regrow its
+// batch size, change its peer cap, and move between two engines. Each
+// Result must equal a fresh RunBroadcast's, and no later run may write into
+// an earlier Result. A warm repeat of the regrown batch size allocates no
+// more than a warm broadcast (BenchmarkBroadcast/warm): no request buffer
+// of the old, smaller capacity is handed out again.
 func TestBroadcasterReuseMatchesFresh(t *testing.T) {
 	spec := bgtl(t)
 	d := compile(t, spec)
@@ -110,19 +113,21 @@ func TestBroadcasterReuseMatchesFresh(t *testing.T) {
 		cfg     bittorrent.Config
 		seed    int64
 		repair  bool // the tracker's draw leaves peers the connectivity repair must reach
+		repeat  bool // a warm repeat allocates only the Result
 	}{
-		{"64 hosts", 0, nil, fivePercent(), 1, false},
-		{"16-host subset", 0, subset, with(func(c *bittorrent.Config) { c.Root = 3 }), 2, false},
-		{"64 hosts, another root", 0, nil, with(func(c *bittorrent.Config) { c.Root = 37 }), 3, false},
+		{"64 hosts", 0, nil, fivePercent(), 1, false, false},
+		{"16-host subset", 0, subset, with(func(c *bittorrent.Config) { c.Root = 3 }), 2, false, false},
+		{"64 hosts, another root", 0, nil, with(func(c *bittorrent.Config) { c.Root = 37 }), 3, false, false},
 		{"another payload and batch size", 0, nil, with(func(c *bittorrent.Config) {
 			c.FileBytes = bittorrent.DefaultFileBytes / 40
 			c.BatchFragments = 8
-		}), 4, false},
+		}), 4, false, false},
+		{"batch size grown again", 0, nil, with(func(c *bittorrent.Config) { c.BatchFragments = 32 }), 5, false, true},
 		// Two peers each would almost surely draw a connected graph; one
 		// each, on this seed, leaves 24 peers outside the root's component.
-		{"one peer each", 0, nil, with(func(c *bittorrent.Config) { c.MaxPeers = 1 }), 2, true},
-		{"second engine", 1, nil, fivePercent(), 6, false},
-		{"first engine again", 0, subset, fivePercent(), 7, false},
+		{"one peer each", 0, nil, with(func(c *bittorrent.Config) { c.MaxPeers = 1 }), 2, true, false},
+		{"second engine", 1, nil, fivePercent(), 6, false, false},
+		{"first engine again", 0, subset, fivePercent(), 7, false, false},
 	}
 	replicas := []*simnet.Network{d.Net.Clone(sim.NewEngine()), d.Net.Clone(sim.NewEngine())}
 	var (
@@ -144,6 +149,19 @@ func TestBroadcasterReuseMatchesFresh(t *testing.T) {
 		}
 		if st.repair && b.Connections() <= len(hosts)*st.cfg.MaxPeers {
 			t.Fatalf("%s: %d connections, no more than the tracker hands out: the repair added none", st.name, b.Connections())
+		}
+		if st.repeat && !raceEnabled() {
+			rng := rand.New(rand.NewSource(st.seed))
+			allocs := testing.AllocsPerRun(2, func() {
+				rep.Reset(d.Net)
+				rng.Seed(st.seed)
+				if _, err := b.Run(rep.Engine(), rep, hosts, st.cfg, rng); err != nil {
+					t.Fatalf("%s, repeated: %v", st.name, err)
+				}
+			})
+			if allocs > 3 { // the Result, its Pairs and its CompletionTimes
+				t.Fatalf("%s: a warm repeat allocates %v times, want at most 3", st.name, allocs)
+			}
 		}
 		if i > 0 {
 			engineChanged := st.replica != steps[i-1].replica
@@ -210,16 +228,47 @@ func TestFailedRunDropsStorage(t *testing.T) {
 	}
 }
 
-// skipUnderRace skips a test that counts allocations: the race detector's
-// instrumentation allocates.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
 	info, _ := debug.ReadBuildInfo()
 	for _, s := range info.Settings {
 		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are meaningless under the race detector")
+			return true
 		}
 	}
+	return false
+}
+
+// skipUnderRace skips a test that counts allocations.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+}
+
+// coldBytes returns the bytes a cold Run of a broadcast over every host of
+// d allocates on a replica whose routes an identical run has already
+// materialised, and the Broadcaster that ran it.
+func coldBytes(t *testing.T, d *topology.Dataset, cfg bittorrent.Config) (uint64, *bittorrent.Broadcaster) {
+	t.Helper()
+	rep := d.Net.Clone(sim.NewEngine())
+	var warm, cold bittorrent.Broadcaster
+	if _, err := warm.Run(rep.Engine(), rep, d.Hosts, cfg, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	rep.Reset(d.Net)
+	rng := rand.New(rand.NewSource(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cold.Run(rep.Engine(), rep, d.Hosts, cfg, rng)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc, &cold
 }
 
 // TestColdBroadcastBytesPerConnection holds a broadcast's storage to
@@ -233,22 +282,7 @@ func TestColdBroadcastBytesPerConnection(t *testing.T) {
 	cfg.FileBytes = 64 * cfg.FragmentSize
 	perConn := func(spec *scenario.Spec) float64 {
 		d := compile(t, spec)
-		rep := d.Net.Clone(sim.NewEngine())
-		var warm, cold bittorrent.Broadcaster
-		if _, err := warm.Run(rep.Engine(), rep, d.Hosts, cfg, rand.New(rand.NewSource(1))); err != nil {
-			t.Fatal(err)
-		}
-		rep.Reset(d.Net)
-		rng := rand.New(rand.NewSource(1))
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := cold.Run(rep.Engine(), rep, d.Hosts, cfg, rng)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes := after.TotalAlloc - before.TotalAlloc
+		bytes, cold := coldBytes(t, d, cfg)
 		t.Logf("%d hosts: %d bytes over %d connections, %.0f B/conn",
 			len(d.Hosts), bytes, cold.Connections(), float64(bytes)/float64(cold.Connections()))
 		return float64(bytes) / float64(cold.Connections())
@@ -257,6 +291,43 @@ func TestColdBroadcastBytesPerConnection(t *testing.T) {
 	large := perConn(scenario.NSites(4, 256, 890, 100))
 	if r := large / small; r > 1.1 || r < 1/1.1 {
 		t.Fatalf("a cold broadcast allocates %.0f B/conn at 1024 hosts and %.0f at 256: not O(connections)", large, small)
+	}
+}
+
+// TestColdBroadcastBytesPerPiece holds a broadcast's per-piece storage to
+// what it reads: going from 1,024 to 8,192 pieces, a cold Run allocates at
+// most 4.5 bytes per host for each piece added. A peer's need list is 4 of
+// them; a haveList as long as the payload would be 4 more.
+func TestColdBroadcastBytesPerPiece(t *testing.T) {
+	skipUnderRace(t)
+	d := compile(t, scenario.NSites(2, 8, 890, 100))
+	at := func(pieces int) uint64 {
+		cfg := bittorrent.DefaultConfig()
+		cfg.FileBytes = pieces * cfg.FragmentSize
+		bytes, _ := coldBytes(t, d, cfg)
+		return bytes
+	}
+	small, large := at(1024), at(8192)
+	perPiece := (float64(large) - float64(small)) / float64(len(d.Hosts)*(8192-1024))
+	t.Logf("%d hosts: %d bytes at 1,024 pieces, %d at 8,192: %.2f B per host per added piece",
+		len(d.Hosts), small, large, perPiece)
+	if perPiece > 4.5 {
+		t.Fatalf("a cold broadcast allocates %.2f bytes per host per added piece, budget 4.5", perPiece)
+	}
+}
+
+// TestBatchLargerThanPayload: a batch never holds more than the payload, so
+// a BatchFragments far past it sizes no buffer by its own value and picks
+// the pieces a BatchFragments of exactly the payload does.
+func TestBatchLargerThanPayload(t *testing.T) {
+	spec := scenario.NSites(2, 4, 890, 100)
+	cfg := bittorrent.DefaultConfig()
+	cfg.FileBytes = 64 * cfg.FragmentSize
+	cfg.BatchFragments = cfg.NumFragments()
+	want := freshRun(t, spec, nil, cfg, 1)
+	cfg.BatchFragments = 1 << 40
+	if got := freshRun(t, spec, nil, cfg, 1); !reflect.DeepEqual(got, want) {
+		t.Fatal("a BatchFragments of 1<<40 broadcasts differently from one of the payload's 64 fragments")
 	}
 }
 

@@ -97,7 +97,7 @@ type peer struct {
 	host     int // simnet vertex
 	have     bitset.Set
 	inflight bitset.Set
-	haveList []int32 // pieces in acquisition order (empty for the root)
+	haveList []int32 // the first pieces acquired, in order, up to keep (see reset)
 	need     []int32 // shuffled pieces still wanted; lazily compacted
 	conns    []*conn
 
@@ -118,7 +118,7 @@ type conn struct {
 	interested [2]bool    // interested[s]: p[s] wants data from p[1-s]
 	busy       [2]bool    // busy[s]: a batch from p[s] is in flight
 	keep       [2]bool    // rechoke scratch: p[s] keeps this upload slot open
-	batch      [2][]int32 // the batch in flight from p[s]; BatchFragments capacity
+	batch      [2][]int32 // the batch in flight from p[s], from swarm.batchFree; nil while idle
 	sentAt     [2]float64 // start time of the active batch from p[s]
 	rate       [2]rateEst // throughput p[s] receives from p[1-s]
 	up         [2]upload
@@ -134,7 +134,7 @@ type upload struct {
 	side int
 }
 
-func (u *upload) Arrived() { u.s.deliver(u.c, u.side) }
+func (u *upload) Fire() { u.s.deliver(u.c, u.side) }
 
 // side returns the index of pr within the connection.
 func (c *conn) side(pr *peer) int {
@@ -155,6 +155,7 @@ type swarm struct {
 	peers []*peer
 	avail []int32 // availability per piece (count of peers holding it)
 
+	batchLen    int     // fragments a request batch may carry: BatchFragments, at most the payload
 	candScratch []int32 // selectPieces' candidate sample, reused per call
 	// connStack holds fillSlots' idle list and rechoke's candidates. They
 	// re-enter (fillSlots → unchoke → tryRequest → choke → fillSlots), so
@@ -178,7 +179,7 @@ type swarm struct {
 	lists     []int32
 	conns     []conn // the connections this run wired
 	connLists []*conn
-	batches   []int32
+	batchFree [][]int32 // request buffers no upload has in flight (takeBatch)
 	// wirePeers' scratch.
 	connected []uint64
 	edges     [][2]int
@@ -294,16 +295,24 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 	if eng != s.eng {
 		s.peerSlab = nil // the timers must come from eng
 	}
+	// No batch or candidate sample outgrows the payload, so the clamp
+	// picks the pieces BatchFragments would.
+	if b := min(cfg.BatchFragments, pieces); b != s.batchLen {
+		s.batchLen, s.batchFree = b, nil
+	}
 	s.eng, s.net, s.cfg, s.rng = eng, net, cfg, rng
 	s.remaining, s.flows, s.start = n-1, 0, eng.Now()
 	s.peers = reuse(s.peers, n)
 	s.avail = reuse(s.avail, pieces) // all ones once the root is set up below
-	s.candScratch = reuse(s.candScratch, cfg.BatchFragments*rarestSampling)[:0]
+	s.candScratch = reuse(s.candScratch, s.batchLen*rarestSampling)[:0]
 	w := bitset.Words(pieces)
 	s.peerSlab = reuse(s.peerSlab, n)
 	s.words = reuse(s.words, 2*n*w)
 	clear(s.words)
-	s.lists = reuse(s.lists, 2*(n-1)*pieces) // need and haveList of every non-root peer
+	// selectPieces reads a haveList only up to 4 samples long, so it keeps
+	// one piece more: a full list turns the fast path off as a longer would.
+	keep := min(pieces, 4*s.batchLen*rarestSampling+1)
+	s.lists = reuse(s.lists, (n-1)*(pieces+keep)) // need and haveList of every non-root peer
 	words, lists := s.words, s.lists
 	for i, h := range hosts {
 		p := &s.peerSlab[i]
@@ -324,8 +333,8 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 			continue
 		}
 		p.need = lists[:pieces:pieces]
-		p.haveList = lists[pieces : pieces : 2*pieces]
-		lists = lists[2*pieces:]
+		p.haveList = lists[pieces : pieces : pieces+keep]
+		lists = lists[pieces+keep:]
 		for k := range p.need {
 			p.need[k] = int32(k)
 		}
@@ -373,8 +382,8 @@ func (s *swarm) finish() {
 // probability, as in practice).
 //
 // The edges are collected first and the connections built from them
-// afterwards, so the connections, every peer's list of them and the batch
-// buffers are one slab each.
+// afterwards, so the connections and every peer's list of them are one
+// slab each.
 func (s *swarm) wirePeers() {
 	n := len(s.peers)
 	s.connected = reuse(s.connected, bitset.Words(n*n))
@@ -441,11 +450,9 @@ func (s *swarm) wirePeers() {
 		}
 	}
 
-	b := s.cfg.BatchFragments
 	s.conns = reuse(s.conns, maxEdges)[:len(edges)]
 	s.connLists = reuse(s.connLists, 2*maxEdges)
-	s.batches = reuse(s.batches, 2*maxEdges*b)
-	lists, batches := s.connLists, s.batches
+	lists := s.connLists
 	for i, p := range s.peers {
 		p.conns = lists[:0:degree[i]]
 		lists = lists[degree[i]:]
@@ -455,8 +462,6 @@ func (s *swarm) wirePeers() {
 		*c = conn{p: [2]*peer{s.peers[e[0]], s.peers[e[1]]}, choked: [2]bool{true, true}, pipeCap: [2]float64{-1, -1}}
 		for side := range c.up {
 			c.up[side] = upload{s: s, c: c, side: side}
-			c.batch[side] = batches[:0:b]
-			batches = batches[b:]
 			c.p[side].conns = append(c.p[side].conns, c)
 		}
 	}

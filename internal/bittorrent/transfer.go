@@ -1,5 +1,7 @@
 package bittorrent
 
+import "slices"
+
 // This file implements the data plane: piece selection, request batches
 // and fragment delivery.
 
@@ -27,7 +29,7 @@ func (s *swarm) tryRequest(c *conn, up int) {
 	for _, pc := range picked {
 		d.inflight.Set(int(pc))
 	}
-	c.batch[up] = append(c.batch[up][:0], picked...)
+	c.batch[up] = append(s.takeBatch(), picked...)
 	c.busy[up] = true
 	c.sentAt[up] = s.eng.Now()
 	size := float64(len(picked)) * float64(s.cfg.FragmentSize)
@@ -62,7 +64,7 @@ func (s *swarm) pipelineCap(c *conn, up int) float64 {
 // (counting in-flight ones) — the protocol's "interested" predicate. The
 // pieces are returned in the swarm's scratch, valid until the next call.
 func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
-	want := s.cfg.BatchFragments
+	want := s.batchLen
 	sampleCap := want * rarestSampling
 
 	cand := s.candScratch[:0]
@@ -131,12 +133,11 @@ func (s *swarm) selectPieces(d, u *peer) ([]int32, bool) {
 // complete its download, and pipelines the next request.
 func (s *swarm) deliver(c *conn, up int) {
 	d := c.p[1-up]
-	// The buffer stays readable through batch until the tryRequest that
-	// ends this call refills it: nothing before that starts an upload from
-	// c.p[up], only from d.
+	// The buffer goes back to the free list only where this call no longer
+	// reads it: the uploads started before then take others.
 	batch := c.batch[up]
 	c.busy[up] = false
-	c.batch[up] = batch[:0]
+	c.batch[up] = nil
 
 	c.frags[up] += int32(len(batch))
 	c.rate[1-up].add(s.eng.Now(), float64(len(batch))*float64(s.cfg.FragmentSize))
@@ -145,13 +146,16 @@ func (s *swarm) deliver(c *conn, up int) {
 		d.inflight.Clear(int(pc))
 		if d.have.Set(int(pc)) {
 			s.avail[pc]++
-			d.haveList = append(d.haveList, pc)
+			if len(d.haveList) < cap(d.haveList) {
+				d.haveList = append(d.haveList, pc)
+			}
 		}
 	}
 
 	if !d.complete && d.have.Full() {
 		s.completeDownload(d)
 		if s.remaining == 0 {
+			s.batchFree = append(s.batchFree, batch[:0])
 			return
 		}
 	}
@@ -188,7 +192,25 @@ func (s *swarm) deliver(c *conn, up int) {
 	}
 
 	// Pipeline the next batch on this connection.
+	s.batchFree = append(s.batchFree, batch[:0])
 	s.tryRequest(c, up)
+}
+
+// takeBatch returns an empty request buffer of batchLen capacity from the
+// free list, which it refills 64 buffers at a time from a new slab. Every
+// buffer is back on the list when a run ends, for the next run to reuse.
+func (s *swarm) takeBatch() []int32 {
+	if len(s.batchFree) == 0 {
+		slab := make([]int32, 64*s.batchLen)
+		s.batchFree = slices.Grow(s.batchFree, 64)
+		for i := 0; i < len(slab); i += s.batchLen {
+			s.batchFree = append(s.batchFree, slab[i:i:i+s.batchLen])
+		}
+	}
+	k := len(s.batchFree) - 1
+	buf := s.batchFree[k]
+	s.batchFree = s.batchFree[:k]
+	return buf
 }
 
 // completeDownload marks d as finished. d stays in the swarm as a seed.

@@ -36,6 +36,7 @@ package dynamics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -180,8 +181,8 @@ func Compile(events []Event, b Binding) (*Timeline, error) {
 					i, e, e.Target, "a"+LinkTargetSep+"b")
 			}
 			c.pairs = pairs
-			if e.Kind == LinkScale && e.Param <= 0 {
-				return nil, fmt.Errorf("dynamics: event %d (%s): link-scale needs a positive factor", i, e)
+			if e.Kind == LinkScale && !(e.Param > 0 && !math.IsInf(e.Param, 1)) {
+				return nil, fmt.Errorf("dynamics: event %d (%s): link-scale needs a finite positive factor", i, e)
 			}
 		case HostLeave, HostJoin:
 			if e.At != 0 {

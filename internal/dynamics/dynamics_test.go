@@ -71,6 +71,8 @@ func TestCompileValidation(t *testing.T) {
 		{"unknown kind", []Event{{Iter: 1, Kind: "explode", Target: "wan"}}, "unknown kind"},
 		{"unknown link", []Event{{Iter: 1, Kind: LinkScale, Target: "dsl", Param: 2}}, "unknown link target"},
 		{"bad factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan"}}, "positive factor"},
+		{"infinite factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan", Param: math.Inf(1)}}, "finite positive factor"},
+		{"NaN factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan", Param: math.NaN()}}, "finite positive factor"},
 		{"churn with offset", []Event{{Iter: 1, At: 2, Kind: HostLeave, Target: "h0"}}, "at_s must be 0"},
 		{"unknown host", []Event{{Iter: 1, Kind: HostLeave, Target: "h9"}}, "unknown host"},
 		{"burst grammar", []Event{{Iter: 1, Kind: Burst, Target: "h0", Param: 1}}, "burst target"},

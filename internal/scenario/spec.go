@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/dynamics"
@@ -176,6 +177,11 @@ func (s *Spec) Validate() error {
 		}
 		if c.PerFlowMbps < 0 {
 			return fmt.Errorf("scenario %s: link class %q has negative per-flow cap %g", s.Name, c.Name, c.PerFlowMbps)
+		}
+		for _, mbps := range [2]float64{c.Mbps, c.PerFlowMbps} {
+			if r := simnet.Mbps(mbps); math.IsInf(r, 0) || math.IsNaN(r) {
+				return fmt.Errorf("scenario %s: link class %q: %g mbps is not a finite byte rate", s.Name, c.Name, mbps)
+			}
 		}
 	}
 	switches := make(map[string]int, len(s.Switches))

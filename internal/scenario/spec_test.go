@@ -3,12 +3,14 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dynamics"
 	"repro/internal/simnet"
 )
 
@@ -97,6 +99,14 @@ func TestValidateCatchesStructuralErrors(t *testing.T) {
 		{"positive mbps", func(s *Spec) { s.Links[0].Mbps = 0 }},
 		{"negative latency", func(s *Spec) { s.Links[0].LatencyS = -1 }},
 		{"negative per-flow cap", func(s *Spec) { s.Links[1].PerFlowMbps = -1 }},
+		// Mbps(1e303) overflows to +Inf bytes/s, which simnet cannot solve.
+		{"not a finite byte rate", func(s *Spec) { s.Links[0].Mbps = 1e303 }},
+		{"not a finite byte rate", func(s *Spec) { s.Links[0].Mbps = math.NaN() }},
+		{"not a finite byte rate", func(s *Spec) { s.Links[1].PerFlowMbps = 1e303 }},
+		{"not a finite byte rate", func(s *Spec) { s.Links[1].PerFlowMbps = math.NaN() }},
+		{"finite positive factor", func(s *Spec) {
+			s.Dynamics = []dynamics.Event{{Iter: 1, Kind: dynamics.LinkScale, Target: s.Links[0].Name, Param: math.Inf(1)}}
+		}},
 		{"duplicate switch", func(s *Spec) { s.Switches = append(s.Switches, s.Switches[0]) }},
 		{"unknown switch", func(s *Spec) { s.Trunks[0].A = "nowhere" }},
 		{"to itself", func(s *Spec) { s.Trunks[0].B = s.Trunks[0].A }},

@@ -13,12 +13,22 @@ import (
 	"math"
 )
 
+// Handler is what an event runs when it fires. Post takes one, not a
+// func(), so that a caller can post a pointer into storage it already owns
+// rather than allocate a closure per event.
+type Handler interface{ Fire() }
+
+// Func adapts a func() to a Handler without allocating.
+type Func func()
+
+func (f Func) Fire() { f() }
+
 // Event is a scheduled callback. It is returned by Schedule so callers can
 // cancel it before it fires, and by NewTimer so its owner can re-arm it.
 type Event struct {
 	time    float64
 	seq     uint64
-	fn      func()
+	fn      Handler
 	index   int // position in the heap, -1 once removed
 	stopped bool
 	// pooled marks an event scheduled by Post: no handle to it exists, so
@@ -57,7 +67,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // is treated as zero (fire as soon as possible, after already-queued events
 // for the current instant). The returned Event may be cancelled with Cancel.
 func (e *Engine) Schedule(delay float64, fn func()) *Event {
-	ev := &Event{fn: fn}
+	ev := &Event{fn: Func(fn)}
 	e.push(ev, delay)
 	return ev
 }
@@ -65,8 +75,9 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 // Post is Schedule without the handle: the event cannot be cancelled, and
 // because nothing can refer to it the engine reuses its storage once it has
 // fired. It orders with Schedule'd events exactly as a Schedule call at the
-// same point would.
-func (e *Engine) Post(delay float64, fn func()) {
+// same point would. fn is a Handler, so a warm Post of a pointer the caller
+// owns allocates nothing; wrap a func() in Func.
+func (e *Engine) Post(delay float64, fn Handler) {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -84,7 +95,7 @@ func (e *Engine) Post(delay float64, fn func()) {
 // its owner arms it with Reschedule, as often as it likes, and may Cancel
 // it in between.
 func (e *Engine) NewTimer(fn func()) *Event {
-	return &Event{fn: fn, index: -1, stopped: true}
+	return &Event{fn: Func(fn), index: -1, stopped: true}
 }
 
 // Reschedule arms ev to fire after delay seconds, replacing its pending
@@ -100,7 +111,7 @@ func (e *Engine) Reschedule(ev *Event, delay float64) {
 // push stamps ev with its firing time and the next sequence number and
 // queues it.
 func (e *Engine) push(ev *Event, delay float64) {
-	if ev.fn == nil {
+	if f, ok := ev.fn.(Func); ev.fn == nil || ok && f == nil {
 		panic("sim: event scheduled with nil function")
 	}
 	if math.IsNaN(delay) {
@@ -172,7 +183,7 @@ func (e *Engine) Step() bool {
 		e.fired++
 		fn := ev.fn
 		e.recycle(ev)
-		fn()
+		fn.Fire()
 		return true
 	}
 	return false

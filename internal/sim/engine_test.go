@@ -160,12 +160,20 @@ func TestFiredCounter(t *testing.T) {
 }
 
 func TestNilFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for nil fn")
-		}
-	}()
-	NewEngine().Schedule(1, nil)
+	for name, schedule := range map[string]func(*Engine){
+		"Schedule": func(e *Engine) { e.Schedule(1, nil) },
+		"Post":     func(e *Engine) { e.Post(1, nil) },
+		"NewTimer": func(e *Engine) { e.Reschedule(e.NewTimer(nil), 1) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "sim: event scheduled with nil function" {
+					t.Errorf("%s of a nil function: recovered %v, want the nil-function panic", name, r)
+				}
+			}()
+			schedule(NewEngine())
+		}()
+	}
 }
 
 // TestCancelFiredEventAfterReuseIsNoOp: Cancel documents that a handle to
@@ -186,7 +194,7 @@ func TestCancelFiredEventAfterReuseIsNoOp(t *testing.T) {
 			for i := 0; i < n; i++ {
 				k := id
 				id++
-				e.Post(float64(k%7), func() { order = append(order, k) })
+				e.Post(float64(k%7), Func(func() { order = append(order, k) }))
 			}
 		}
 		for round := 0; round < 100; round++ {
@@ -223,10 +231,10 @@ func TestPostOrdersLikeSchedule(t *testing.T) {
 	var order []int
 	timer := e.NewTimer(func() { order = append(order, 9) })
 	e.Reschedule(timer, 1)
-	e.Post(1, func() { order = append(order, 0) })
+	e.Post(1, Func(func() { order = append(order, 0) }))
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Reschedule(timer, 1) // moves behind the two above
-	e.Post(1, func() { order = append(order, 2) })
+	e.Post(1, Func(func() { order = append(order, 2) }))
 	e.Run()
 	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 9 || order[3] != 2 {
 		t.Fatalf("fired in order %v, want [0 1 9 2]", order)
@@ -250,7 +258,7 @@ func TestResetIsANewEngine(t *testing.T) {
 	e.Schedule(1, count)
 	e.Run()
 	held := e.Schedule(5, count)
-	e.Post(5, count)
+	e.Post(5, Func(count))
 	e.Reschedule(timer, 5)
 	e.Reset()
 	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 || !held.stopped {
@@ -263,7 +271,7 @@ func TestResetIsANewEngine(t *testing.T) {
 		t.Fatalf("dropped events ran: %d callbacks by t=%g", ran, e.Now())
 	}
 	first := -1
-	e.Post(2, func() { first = 0 })
+	e.Post(2, Func(func() { first = 0 }))
 	e.Reschedule(timer, 2)
 	e.Run()
 	if first != 0 || ran != 2 || e.Now() != 2 || e.Fired() != 2 {

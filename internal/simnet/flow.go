@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"math"
+
+	"repro/internal/sim"
 )
 
 // completionEps is the base residual byte count below which a flow is
@@ -24,9 +26,9 @@ type Flow struct {
 
 	id        int
 	size      float64
-	done      Arrival
-	started   float64 // time the flow became active (after latency)
-	slot      int     // index in Network.flows, -1 when inactive
+	done      sim.Handler // told when the last byte arrives
+	started   float64     // time the flow became active (after latency)
+	slot      int         // index in Network.flows, -1 when inactive
 	active    bool
 	cancelled bool
 
@@ -35,20 +37,14 @@ type Flow struct {
 	// name (StartFlow*) is never recycled — CancelFlow on a stale handle
 	// must stay a no-op forever.
 	pooled bool
-	// activate is the flow's activation callback, bound when the Flow is
-	// allocated and kept across reuse.
-	activate func()
+	net    *Network // the network that carved it
 }
 
-// Arrival is told when a flow's last byte arrives. Send takes one rather
-// than a func() so that a caller with many connections can hand in a pointer
-// into storage it already owns instead of allocating a closure per transfer.
-type Arrival interface{ Arrived() }
+// activation is a Flow as the engine sees it once its path latency has
+// elapsed: the network posts the flow itself, not a closure over it.
+type activation Flow
 
-// arrivalFunc adapts StartFlow's func() callback.
-type arrivalFunc func()
-
-func (f arrivalFunc) Arrived() { f() }
+func (a *activation) Fire() { a.net.activate((*Flow)(a)) }
 
 // Size returns the flow's total byte size.
 func (f *Flow) Size() float64 { return f.size }
@@ -70,7 +66,7 @@ func (n *Network) StartFlow(src, dst int, size float64, done func()) *Flow {
 func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done func()) *Flow {
 	f := n.newFlow()
 	if done != nil {
-		f.done = arrivalFunc(done)
+		f.done = sim.Func(done)
 	}
 	n.start(f, src, dst, size, rateCap)
 	return f
@@ -78,8 +74,10 @@ func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done
 
 // Send is StartFlowRateLimited for a transfer nobody will cancel: it
 // returns no handle, so the network reuses the flow's storage once the last
-// byte has arrived and a warm Send allocates nothing.
-func (n *Network) Send(src, dst int, size, rateCap float64, done Arrival) {
+// byte has arrived and a warm Send allocates nothing. done (if non-nil) is
+// fired when the last byte arrives; it is a sim.Handler, so a caller with
+// many connections hands in a pointer into storage it already owns.
+func (n *Network) Send(src, dst int, size, rateCap float64, done sim.Handler) {
 	var f *Flow
 	if k := len(n.freeFlows); k > 0 {
 		f = n.freeFlows[k-1]
@@ -93,9 +91,14 @@ func (n *Network) Send(src, dst int, size, rateCap float64, done Arrival) {
 	n.start(f, src, dst, size, rateCap)
 }
 
+// newFlow carves a zero Flow from the network's slab.
 func (n *Network) newFlow() *Flow {
-	f := &Flow{}
-	f.activate = func() { n.activate(f) }
+	if len(n.flowSlab) == 0 {
+		n.flowSlab = make([]Flow, flowChunk)
+	}
+	f := &n.flowSlab[0]
+	n.flowSlab = n.flowSlab[1:]
+	f.net = n
 	return f
 }
 
@@ -128,7 +131,7 @@ func (n *Network) start(f *Flow, src, dst int, size, rateCap float64) {
 	f.cap = capPF
 	f.slot = -1
 	n.pendingFlows++
-	n.eng.Post(lat, f.activate)
+	n.eng.Post(lat, (*activation)(f))
 }
 
 // activate puts f on its channels once its path latency has elapsed.
@@ -413,7 +416,7 @@ func (n *Network) completions() {
 		n.recycle(f)
 		finished[i] = nil
 		if done != nil {
-			done.Arrived()
+			done.Fire()
 		}
 	}
 	n.finished = finished[:0]

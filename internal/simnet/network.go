@@ -91,6 +91,7 @@ type Network struct {
 
 	flows        []*Flow
 	freeFlows    []*Flow    // finished Send flows, reused by the next Send
+	flowSlab     []Flow     // what newFlow has not handed out of its last chunk
 	occupied     []*channel // channels with nFlows > 0, unordered
 	pendingFlows int
 	nextFlow     int
@@ -121,6 +122,7 @@ type srcPaths struct {
 const (
 	chanChunk = 64      // channels per chunk of Network.chans; even, so a link never straddles two
 	hopChunk  = 1 << 12 // route hops a Network allocates at a time
+	flowChunk = 64      // Flows newFlow carves from one allocation
 )
 
 // channel returns the channel with the given index.
@@ -181,8 +183,8 @@ func (n *Network) Connect(a, b int, spec LinkSpec) {
 	}
 	n.checkVert(a)
 	n.checkVert(b)
-	if spec.Capacity <= 0 {
-		panic(fmt.Sprintf("simnet: link %s-%s needs positive capacity", n.Name(a), n.Name(b)))
+	if !(spec.Capacity > 0 && spec.Capacity < math.Inf(1)) {
+		panic(fmt.Sprintf("simnet: link %s-%s needs finite positive capacity", n.Name(a), n.Name(b)))
 	}
 	if spec.Latency < 0 || spec.PerFlowCap < 0 {
 		panic("simnet: negative latency or per-flow cap")
@@ -316,10 +318,11 @@ func (n *Network) eachLinkChannel(a, b int, set func(c *channel)) {
 // flows immediately. It models dynamically altering underlying topology —
 // overlay networks, virtual machines migrating, hardware degradation —
 // which the paper names as a natural fit for this tomography method (§V).
-// It panics if no such link exists or the capacity is not positive.
+// It panics if no such link exists or the capacity is not finite and
+// positive.
 func (n *Network) SetLinkCapacity(a, b int, capacity float64) {
-	if capacity <= 0 {
-		panic("simnet: link capacity must be positive")
+	if !(capacity > 0 && capacity < math.Inf(1)) {
+		panic("simnet: link capacity must be finite and positive")
 	}
 	n.eachLinkChannel(a, b, func(c *channel) { c.capacity = capacity })
 	// Accrue progress under the old rates, then re-solve.

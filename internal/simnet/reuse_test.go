@@ -48,7 +48,7 @@ func TestCancelFinishedFlowAfterReuseIsNoOp(t *testing.T) {
 				at := id
 				id++
 				size := float64(1000 + 100*(at%13))
-				n.Send(hosts[at%8], hosts[(at+1+at%7)%8], size, 0, arrivalFunc(func() { order = append(order, at) }))
+				n.Send(hosts[at%8], hosts[(at+1+at%7)%8], size, 0, sim.Func(func() { order = append(order, at) }))
 			}
 		}
 		for round := 0; round < 200; round++ {

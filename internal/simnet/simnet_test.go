@@ -816,3 +816,28 @@ func TestLinkStateUnknownLinkPanics(t *testing.T) {
 	}()
 	n.SetLinkState(a, b, false)
 }
+
+// TestCapacityMustBeFiniteAndPositive: the solver counts a channel whose
+// room is within its slack of zero as saturated, and for an infinite
+// capacity both are +Inf, so such a link would cap every flow crossing it
+// at the level of the first constraint to bind anywhere. Connect and
+// SetLinkCapacity refuse it, and NaN, as they refuse zero.
+func TestCapacityMustBeFiniteAndPositive(t *testing.T) {
+	for _, capacity := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted capacity %g", what, capacity)
+				}
+			}()
+			f()
+		}
+		mustPanic("Connect", func() { pair(t, LinkSpec{Capacity: capacity}) })
+		_, n, a, b := pair(t, LinkSpec{Capacity: 100})
+		mustPanic("SetLinkCapacity", func() { n.SetLinkCapacity(a, b, capacity) })
+		if got := n.LinkCapacity(a, b); got != 100 {
+			t.Errorf("a refused SetLinkCapacity(%g) left capacity %g, want 100", capacity, got)
+		}
+	}
+}

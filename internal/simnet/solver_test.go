@@ -266,7 +266,7 @@ func driveChurn(n *Network, hosts []int, links []churnLink, rng *rand.Rand, send
 			size := float64(1 + rng.Intn(8000))
 			limit := float64(rng.Intn(2) * (10 + rng.Intn(400)))
 			if send && i%2 == 1 {
-				arrived := arrivalFunc(func() { run.completed = append(run.completed, -1-i) })
+				arrived := sim.Func(func() { run.completed = append(run.completed, -1-i) })
 				eng.ScheduleAt(at, func() { n.Send(hosts[src], hosts[dst], size, limit, arrived) })
 				continue
 			}
