@@ -112,9 +112,19 @@ bench-smoke:
 # answers 200, 400 or 413, a 200's "ingested" is the number of lines
 # appended to manifest.log, no appended line is longer than
 # fleet.MaxLine, a fresh archive.Snapshot advances over the result, and
-# Stamp() moves exactly when a line was appended. A failing input is
-# written to that corpus directory; check it in with the fix (a spec
-# panic is fixed in Spec.Validate).
+# Stamp() moves exactly when a line was appended. FuzzDecodeIndexEntry,
+# FuzzDecodeEntry and FuzzReadHead: whatever a ledger line, a manifest
+# line or a manifest document holds, the one-pass fast path
+# (fleet.Fields) reads it to a value json.Unmarshal decodes the same,
+# reflect.DeepEqual, or declines it, and so declines everything
+# json.Unmarshal rejects. FuzzSkip: fleet.Fields steps over exactly the
+# values json.Valid accepts (nested at most 64 deep), so the manifest
+# head it reads is valid JSON. FuzzExpand: whatever a campaign file holds,
+# Load and Expand never panic, an accepted grid expands to one cell per
+# point of its cross-product, and every cell's key is 64 lower-case hex
+# digits (fleet.IsArchiveKey), and a grid of more than 2^24 cells is
+# refused. A failing input is written to that corpus directory; check it
+# in with the fix (a spec panic is fixed in Spec.Validate).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
@@ -124,5 +134,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadHandshake -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzSpecCompile -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=10s ./internal/archive/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeIndexEntry -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzSkip -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeEntry -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzReadHead -fuzztime=10s ./internal/archive
+	$(GO) test -run='^$$' -fuzz=FuzzExpand -fuzztime=10s ./internal/campaign
 
 ci: fmt-check vet layout-check build examples bench-test race budgets guards bench-smoke fuzz-smoke

@@ -333,13 +333,13 @@ func serveIngest(w http.ResponseWriter, r *http.Request, st *archive.Store) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	accepted, seen := 0, 0
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		seen++
-		var e campaign.Entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Key == "" || !fleet.IsArchiveKey(e.Key) {
+		e, ok := campaign.DecodeEntry(line)
+		if !ok || !fleet.IsArchiveKey(e.Key) {
 			continue // torn or foreign line: skip, exactly like a reader would
 		}
 		if e.Status != "done" && e.Status != "failed" {

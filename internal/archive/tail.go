@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -29,11 +28,10 @@ func (s *Store) TailLog(offset int64) ([]campaign.Entry, int64, error) {
 }
 
 // scanLog is fleet.ScanLines over a streamed manifest: fn sees every
-// line from offset on that decodes to a keyed cell entry.
+// manifest line (campaign.DecodeEntry) from offset on.
 func scanLog(path string, offset int64, fn func(campaign.Entry)) (int64, error) {
 	return fleet.ScanLines(path, offset, func(line []byte) {
-		var e campaign.Entry
-		if json.Unmarshal(line, &e) == nil && e.Key != "" {
+		if e, ok := campaign.DecodeEntry(line); ok {
 			fn(e)
 		}
 	})

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -121,6 +122,39 @@ type Entry struct {
 	NMI        *float64 `json:"nmi,omitempty"`
 	SimSeconds float64  `json:"sim_seconds"`
 	Error      string   `json:"error,omitempty"`
+}
+
+// DecodeEntry is the one definition of a manifest line: it reports
+// whether line decodes (json.Unmarshal) to an Entry with a key, and
+// returns that Entry. A line in the form fleet.EncodeLine writes is read
+// in one pass by readEntry.
+func DecodeEntry(line []byte) (Entry, bool) {
+	e, ok := readEntry(line)
+	if !ok {
+		e = Entry{}
+		ok = json.Unmarshal(line, &e) == nil
+	}
+	return e, ok && e.Key != ""
+}
+
+// readEntry is DecodeEntry's fast path (see fleet.Fields): it reports
+// false for any line it does not read as json.Unmarshal would.
+func readEntry(line []byte) (e Entry, ok bool) {
+	f := fleet.ReadFields(line)
+	e.Index = f.Int("index")
+	e.Scenario = f.String("scenario")
+	e.Config = f.String("config")
+	e.Key = f.String("key")
+	e.Backend = f.String("backend")
+	e.Status = f.String("status")
+	e.Cache = f.String("cache")
+	e.Owner = f.String("owner")
+	e.WallSeconds = f.Float("wall_seconds")
+	e.Q = f.Float("q")
+	e.NMI = f.FloatPtr("nmi")
+	e.SimSeconds = f.Float("sim_seconds")
+	e.Error = f.String("error")
+	return e, f.Done()
 }
 
 // Outcome is a completed invocation: the expanded grid, the manifest, the

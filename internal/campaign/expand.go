@@ -190,6 +190,10 @@ func (r Run) Options(campaignJobs int) core.Options {
 	return opts
 }
 
+// maxCells bounds a grid's cross-product: its run list alone is
+// gigabytes, and a product past 2^63 would not even count.
+const maxCells = 1 << 24
+
 // Expand resolves the campaign's scenarios and expands the cross-product
 // of all axes into the ordered run list. The order is deterministic:
 // scenarios outermost, then the axes in ConfigAxes order with the last
@@ -197,7 +201,8 @@ func (r Run) Options(campaignJobs int) core.Options {
 // fails — rather than expanding a cell that cannot run — when a scenario
 // does not resolve, a scaled timeline no longer validates, a cell's
 // dynamics events target iterations beyond its budget, or a backend
-// cannot replay the scenario's dynamics timeline.
+// cannot replay the scenario's dynamics timeline, and — rather than
+// allocating the run list — when the grid has more than maxCells cells.
 func (s *Spec) Expand() ([]Run, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -212,7 +217,11 @@ func (s *Spec) Expand() ([]Run, error) {
 	}
 	cells := 1
 	for _, a := range ConfigAxes {
-		cells *= a.count(&s.Axes)
+		n := a.count(&s.Axes)
+		if n > maxCells/(len(specs)*cells) {
+			return nil, fmt.Errorf("campaign %s: the grid has more than %d cells", s.Name, maxCells)
+		}
+		cells *= n
 	}
 	runs := make([]Run, 0, len(specs)*cells)
 	for si, sc := range specs {

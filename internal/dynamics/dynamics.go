@@ -130,6 +130,12 @@ type Binding struct {
 	// before any particular run's iteration count is known, and the same
 	// timeline may legitimately run under several budgets.
 	Iterations int
+	// Capacity, when set, holds the starting capacity in bytes/s of each
+	// link Links covers, keyed by its vertex pair lower id first: the
+	// capacity Network.LinkCapacity reports before the timeline runs.
+	// Compile then rejects a timeline whose link-scale factors take a
+	// link's capacity out of (0, +Inf), which SetLinkCapacity refuses.
+	Capacity map[[2]int]float64
 }
 
 // compiled is one resolved event.
@@ -226,6 +232,9 @@ func Compile(events []Event, b Binding) (*Timeline, error) {
 	if err := t.checkLinkStates(); err != nil {
 		return nil, err
 	}
+	if err := t.checkCapacities(b.Capacity); err != nil {
+		return nil, err
+	}
 	if err := t.checkChurn(); err != nil {
 		return nil, err
 	}
@@ -253,6 +262,35 @@ func (t *Timeline) checkLinkStates() error {
 				}
 				down[norm(p)] = false
 			}
+		}
+	}
+	return nil
+}
+
+// checkCapacities replays link-scale events in timeline order — the
+// order Apply fires them in, so each product is exactly the capacity
+// SetLinkCapacity would be handed — and rejects one that overflows to
+// +Inf or underflows to 0. start holds each link's starting capacity; nil
+// checks nothing.
+func (t *Timeline) checkCapacities(start map[[2]int]float64) error {
+	if start == nil {
+		return nil
+	}
+	scaled := make(map[[2]int]float64)
+	for _, e := range t.events {
+		if e.Kind != LinkScale {
+			continue
+		}
+		for _, p := range e.pairs {
+			c, ok := scaled[norm(p)]
+			if !ok {
+				c = start[norm(p)]
+			}
+			c *= e.Param
+			if !(c > 0 && !math.IsInf(c, 1)) {
+				return fmt.Errorf("dynamics: %s: scales a link's capacity to %g bytes/s; it must stay finite and positive", e.Event, c)
+			}
+			scaled[norm(p)] = c
 		}
 	}
 	return nil

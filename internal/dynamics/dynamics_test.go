@@ -22,6 +22,7 @@ func toyBinding() Binding {
 		},
 		Hosts:      map[string]int{"h0": 0, "h1": 1},
 		HostVertex: []int{2, 3},
+		Capacity:   map[[2]int]float64{{0, 1}: 1e9, {0, 2}: 1e8, {1, 3}: 1e8},
 	}
 }
 
@@ -73,6 +74,15 @@ func TestCompileValidation(t *testing.T) {
 		{"bad factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan"}}, "positive factor"},
 		{"infinite factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan", Param: math.Inf(1)}}, "finite positive factor"},
 		{"NaN factor", []Event{{Iter: 1, Kind: LinkScale, Target: "wan", Param: math.NaN()}}, "finite positive factor"},
+		{"capacity overflows", []Event{{Iter: 1, Kind: LinkScale, Target: "wan", Param: 1e300}}, "must stay finite and positive"},
+		{"product overflows", []Event{
+			{Iter: 2, Kind: LinkScale, Target: "a|b", Param: 1e200},
+			{Iter: 1, Kind: LinkScale, Target: "wan", Param: 1e200},
+		}, "iter 2 link-scale a|b param 1e+200: scales a link's capacity to +Inf"},
+		{"product underflows", []Event{
+			{Iter: 1, Kind: LinkScale, Target: "eth", Param: 1e-300},
+			{Iter: 1, At: 2, Kind: LinkScale, Target: "eth", Param: 1e-300},
+		}, "scales a link's capacity to 0"},
 		{"churn with offset", []Event{{Iter: 1, At: 2, Kind: HostLeave, Target: "h0"}}, "at_s must be 0"},
 		{"unknown host", []Event{{Iter: 1, Kind: HostLeave, Target: "h9"}}, "unknown host"},
 		{"burst grammar", []Event{{Iter: 1, Kind: Burst, Target: "h0", Param: 1}}, "burst target"},

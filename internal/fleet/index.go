@@ -167,11 +167,36 @@ func ScanLines(path string, offset int64, fn func(line []byte)) (next int64, err
 // no event and does not survive a compaction.
 func ScanIndex(path string, offset int64, fn func(IndexEntry)) (next int64, err error) {
 	return ScanLines(path, offset, func(line []byte) {
-		var e IndexEntry
-		if json.Unmarshal(line, &e) == nil && IsArchiveKey(e.Key) {
+		if e, err := decodeIndexEntry(line); err == nil && IsArchiveKey(e.Key) {
 			fn(e)
 		}
 	})
+}
+
+// decodeIndexEntry is json.Unmarshal of one ledger line into an
+// IndexEntry, read in one pass by readIndexEntry when the line is in the
+// form EncodeLine writes.
+func decodeIndexEntry(line []byte) (e IndexEntry, err error) {
+	if e, ok := readIndexEntry(line); ok {
+		return e, nil
+	}
+	err = json.Unmarshal(line, &e)
+	return e, err
+}
+
+// readIndexEntry is decodeIndexEntry's fast path (see Fields): it
+// reports false for any line it does not read as json.Unmarshal would.
+func readIndexEntry(line []byte) (e IndexEntry, ok bool) {
+	f := ReadFields(line)
+	e.Key = f.String("key")
+	e.Run = f.Int("run")
+	e.Scenario = f.String("scenario")
+	e.Backend = f.String("backend")
+	e.Owner = f.String("owner")
+	e.Cache = f.String("cache")
+	e.WallSeconds = f.Float("wall_seconds")
+	e.CompletedUnix = f.Float("completed_unix")
+	return e, f.Done()
 }
 
 // ReadIndex reads every well-formed entry (see ScanIndex) of an index

@@ -14,10 +14,11 @@ import (
 )
 
 // dynamicsBinding builds the target-resolution tables for the spec's
-// dynamics events. switches maps switch name -> vertex id and hostVerts
-// maps dense host index -> vertex id; pass nil for both to validate
-// without a compiled network (synthetic ids stand in — validation only
-// needs resolvability, never id values).
+// dynamics events and each link's starting capacity, against which
+// dynamics.Compile bounds the link-scale factors. switches maps switch
+// name -> vertex id and hostVerts maps dense host index -> vertex id;
+// pass nil for both to validate without a compiled network (synthetic
+// ids stand in — validation only needs resolvability, never id values).
 func (s *Spec) dynamicsBinding(switches map[string]int, hostVerts []int) dynamics.Binding {
 	swID := func(name string) int {
 		if switches != nil {
@@ -31,14 +32,28 @@ func (s *Spec) dynamicsBinding(switches map[string]int, hostVerts []int) dynamic
 		return -1
 	}
 	b := dynamics.Binding{
-		Links: make(map[string][][2]int),
-		Hosts: make(map[string]int),
+		Links:    make(map[string][][2]int),
+		Hosts:    make(map[string]int),
+		Capacity: make(map[[2]int]float64),
+	}
+	capacity := make(map[string]float64, len(s.Links))
+	for _, c := range s.Links {
+		capacity[c.Name] = c.linkSpec().Capacity
+	}
+	// The first link Compile connects between two vertices is the one
+	// Network.LinkCapacity reads.
+	connect := func(u, v int, class string) {
+		pair := [2]int{min(u, v), max(u, v)}
+		if _, ok := b.Capacity[pair]; !ok {
+			b.Capacity[pair] = capacity[class]
+		}
 	}
 	for _, t := range s.Trunks {
 		pair := [2]int{swID(t.A), swID(t.B)}
 		b.Links[t.A+dynamics.LinkTargetSep+t.B] = append(b.Links[t.A+dynamics.LinkTargetSep+t.B], pair)
 		b.Links[t.B+dynamics.LinkTargetSep+t.A] = append(b.Links[t.B+dynamics.LinkTargetSep+t.A], pair)
 		b.Links[t.Link] = append(b.Links[t.Link], pair)
+		connect(pair[0], pair[1], t.Link)
 	}
 	idx := 0
 	for _, g := range s.Groups {
@@ -50,6 +65,7 @@ func (s *Spec) dynamicsBinding(switches map[string]int, hostVerts []int) dynamic
 			b.Hosts[fmt.Sprintf("%s-%d", g.Prefix, i)] = idx
 			b.HostVertex = append(b.HostVertex, vert)
 			b.Links[g.Link] = append(b.Links[g.Link], [2]int{vert, swID(g.Switch)})
+			connect(vert, swID(g.Switch), g.Link)
 			idx++
 		}
 	}

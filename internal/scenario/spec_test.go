@@ -107,6 +107,24 @@ func TestValidateCatchesStructuralErrors(t *testing.T) {
 		{"finite positive factor", func(s *Spec) {
 			s.Dynamics = []dynamics.Event{{Iter: 1, Kind: dynamics.LinkScale, Target: s.Links[0].Name, Param: math.Inf(1)}}
 		}},
+		// Mbps(10000) * 1e303 is +Inf bytes/s, which SetLinkCapacity
+		// refuses mid-run; so is a product of factors that overflows or
+		// underflows to 0 only together.
+		{"must stay finite and positive", func(s *Spec) {
+			s.Dynamics = []dynamics.Event{{Iter: 1, Kind: dynamics.LinkScale, Target: "wan", Param: 1e303}}
+		}},
+		{"must stay finite and positive", func(s *Spec) {
+			s.Dynamics = []dynamics.Event{
+				{Iter: 1, Kind: dynamics.LinkScale, Target: "wan", Param: 1e160},
+				{Iter: 3, Kind: dynamics.LinkScale, Target: "left-sw|core", Param: 1e160},
+			}
+		}},
+		{"must stay finite and positive", func(s *Spec) {
+			s.Dynamics = []dynamics.Event{
+				{Iter: 1, Kind: dynamics.LinkScale, Target: "eth", Param: 1e-300},
+				{Iter: 2, Kind: dynamics.LinkScale, Target: "eth", Param: 1e-100},
+			}
+		}},
 		{"duplicate switch", func(s *Spec) { s.Switches = append(s.Switches, s.Switches[0]) }},
 		{"unknown switch", func(s *Spec) { s.Trunks[0].A = "nowhere" }},
 		{"to itself", func(s *Spec) { s.Trunks[0].B = s.Trunks[0].A }},
