@@ -6,7 +6,7 @@ import (
 )
 
 // The archive facade end to end: run a small campaign, then query it
-// back through OpenArchive / ArchiveStatus / DiffArchives without ever
+// back through OpenArchive and the Store's Status and Diff without ever
 // touching runs/ paths directly.
 func TestArchiveFacadeQueriesCampaignOutput(t *testing.T) {
 	c, err := NewCampaign("facade").
@@ -43,7 +43,7 @@ func TestArchiveFacadeQueriesCampaignOutput(t *testing.T) {
 		t.Fatal("archived document missing")
 	}
 
-	status, err := ArchiveStatus(dir)
+	status, err := st.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestArchiveFacadeQueriesCampaignOutput(t *testing.T) {
 		t.Fatalf("status wrong: %+v", status)
 	}
 
-	rep, err := DiffArchives(dir, dir)
+	rep, err := st.Diff(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,9 @@ func main() {
 		if *list && *load != "" {
 			return fmt.Errorf("-list cannot be combined with -load")
 		}
+		if *save != "" && (*list || *load != "") {
+			return fmt.Errorf("-save cannot be combined with -list or -load")
+		}
 		switch {
 		case *list:
 			return listRegistry(os.Stdout)
@@ -132,7 +135,7 @@ func run(d *repro.Dataset, backend string, iterations int, scale float64, seed i
 	opts.RotateRoot = rotate
 	opts.Workers = workers
 	opts.Backend = backend
-	if scale <= 0 {
+	if !(scale > 0) {
 		return fmt.Errorf("-scale must be positive, have %g", scale)
 	}
 	opts = opts.WithScale(scale)

@@ -75,11 +75,11 @@ func TestDriftArchiveIsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A payload scale that is not positive is refused with exit status 1 and
-// the flag named, before anything is measured, instead of silently
-// measuring the full 239 MB payload.
+// A payload scale that is not positive (NaN included) is refused with exit
+// status 1 and the flag named, before anything is measured, instead of
+// silently measuring the full 239 MB payload.
 func TestNonPositiveScaleFails(t *testing.T) {
-	for _, scale := range []string{"0", "-0.5"} {
+	for _, scale := range []string{"0", "-0.5", "NaN"} {
 		cmd := exec.Command(os.Args[0], "-dataset", "2x2", "-iterations", "1", "-scale", scale)
 		cmd.Env = append(os.Environ(), childEnv+"=1")
 		var stderr bytes.Buffer
@@ -89,8 +89,38 @@ func TestNonPositiveScaleFails(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
 			t.Fatalf("bttomo -scale %s: err %v, stdout %q; want exit status 1 and nothing on stdout", scale, err, out)
 		}
-		if !strings.Contains(stderr.String(), "-scale must be positive") {
-			t.Fatalf("bttomo -scale %s: stderr does not name the flag:\n%s", scale, stderr.Bytes())
+		if !strings.Contains(stderr.String(), "-scale must be positive") || strings.Contains(stderr.String(), "panic") {
+			t.Fatalf("bttomo -scale %s: stderr does not name the flag, or panics:\n%s", scale, stderr.Bytes())
+		}
+	}
+}
+
+// -save writes a measured graph, so with -list or -load, which measure
+// nothing, it is refused with exit status 1 and no file, not ignored.
+func TestSaveWithoutMeasurementFails(t *testing.T) {
+	dir := t.TempDir()
+	loaded, saved := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+	graph := `{"version": 1, "n": 2, "labels": ["a", "b"], "edges": [[0, 1, 3]]}`
+	if err := os.WriteFile(loaded, []byte(graph), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runMain(t, "-load", loaded) // the file is one -load accepts
+	for _, mode := range [][]string{{"-list"}, {"-load", loaded}} {
+		args := append(mode, "-save", saved)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
+			t.Fatalf("bttomo %s: err %v, stdout %q; want exit status 1 and nothing on stdout", strings.Join(args, " "), err, out)
+		}
+		if !strings.Contains(stderr.String(), "-save cannot be combined") {
+			t.Fatalf("bttomo %s: stderr does not name -save:\n%s", strings.Join(args, " "), stderr.Bytes())
+		}
+		if _, err := os.Stat(saved); !os.IsNotExist(err) {
+			t.Fatalf("bttomo %s wrote %s", strings.Join(args, " "), saved)
 		}
 	}
 }

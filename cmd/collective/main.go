@@ -37,7 +37,7 @@ func main() {
 }
 
 func run(dataset string, payloadMB, iters int, scale float64, seed int64) error {
-	if scale <= 0 {
+	if !(scale > 0) {
 		return fmt.Errorf("-scale must be positive, have %g", scale)
 	}
 	d, err := repro.NewDataset(dataset)

@@ -53,11 +53,11 @@ func TestTimesEverySchedule(t *testing.T) {
 	}
 }
 
-// A payload scale that is not positive is refused with exit status 1 and
-// the flag named, before anything is measured, instead of silently
-// measuring a one-fragment broadcast.
+// A payload scale that is not positive (NaN included) is refused with exit
+// status 1 and the flag named, before anything is measured, instead of
+// silently measuring a one-fragment broadcast.
 func TestNonPositiveScaleFails(t *testing.T) {
-	for _, scale := range []string{"0", "-0.5"} {
+	for _, scale := range []string{"0", "-0.5", "NaN"} {
 		cmd := exec.Command(os.Args[0], "-dataset", "2x2", "-iterations", "1", "-scale", scale)
 		cmd.Env = append(os.Environ(), childEnv+"=1")
 		var stderr bytes.Buffer
@@ -67,8 +67,8 @@ func TestNonPositiveScaleFails(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
 			t.Fatalf("collective -scale %s: err %v, stdout %q; want exit status 1 and nothing on stdout", scale, err, out)
 		}
-		if !strings.Contains(stderr.String(), "-scale must be positive") {
-			t.Fatalf("collective -scale %s: stderr does not name the flag:\n%s", scale, stderr.Bytes())
+		if !strings.Contains(stderr.String(), "-scale must be positive") || strings.Contains(stderr.String(), "panic") {
+			t.Fatalf("collective -scale %s: stderr does not name the flag, or panics:\n%s", scale, stderr.Bytes())
 		}
 	}
 }

@@ -45,7 +45,7 @@ func main() {
 	start := time.Now()
 	var err error
 	switch {
-	case *scale <= 0:
+	case !(*scale > 0):
 		err = fmt.Errorf("-scale must be positive, have %g", *scale)
 	case *iters < 0:
 		err = fmt.Errorf("-iterations must be 0 (paper values) or positive, have %d", *iters)

@@ -53,9 +53,10 @@ func TestRunOneExperimentWritesItsSeries(t *testing.T) {
 	}
 }
 
-// A payload scale that is not positive or a negative iteration count is
-// refused with exit status 1 and the flag named, instead of silently
-// falling back to the paper's payload or iteration counts.
+// A payload scale that is not positive (NaN included) or a negative
+// iteration count is refused with exit status 1 and the flag named,
+// instead of silently falling back to the paper's payload or iteration
+// counts.
 func TestBadScaleOrIterationsFails(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -63,6 +64,7 @@ func TestBadScaleOrIterationsFails(t *testing.T) {
 	}{
 		{[]string{"-scale", "0"}, "-scale must be positive"},
 		{[]string{"-scale", "-1"}, "-scale must be positive"},
+		{[]string{"-scale", "NaN"}, "-scale must be positive"},
 		{[]string{"-iterations", "-1"}, "-iterations must be 0"},
 	} {
 		args := append([]string{"-run", "netpipe", "-out", ""}, tc.args...)

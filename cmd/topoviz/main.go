@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -38,8 +39,11 @@ func main() {
 }
 
 func run(dataset string, iterations int, scale float64, seed int64, edges float64, outBase string) error {
-	if scale <= 0 {
+	if !(scale > 0) {
 		return fmt.Errorf("-scale must be positive, have %g", scale)
+	}
+	if math.IsNaN(edges) {
+		return fmt.Errorf("-edges must be a fraction, have %g", edges)
 	}
 	d, err := repro.NewDataset(dataset)
 	if err != nil {

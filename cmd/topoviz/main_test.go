@@ -53,26 +53,33 @@ func TestWritesDOTAndSVG(t *testing.T) {
 	}
 }
 
-// A payload scale that is not positive is refused with exit status 1 and
-// the flag named, before anything is measured or written, instead of
-// silently measuring the full 239 MB payload.
+// A payload scale that is not positive (NaN included), or an edge
+// fraction that is NaN, is refused with exit status 1 and the flag named,
+// before anything is measured or written, instead of silently measuring
+// the full 239 MB payload or panicking while rendering.
 func TestNonPositiveScaleFails(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "viz")
-	for _, scale := range []string{"0", "-0.5"} {
-		cmd := exec.Command(os.Args[0], "-dataset", "2x2", "-iterations", "1", "-scale", scale, "-o", base)
+	for _, c := range []struct{ flag, value, want string }{
+		{"-scale", "0", "-scale must be positive"},
+		{"-scale", "-0.5", "-scale must be positive"},
+		{"-scale", "NaN", "-scale must be positive"},
+		{"-edges", "NaN", "-edges must be a fraction"},
+	} {
+		// A repeated flag takes its last value.
+		cmd := exec.Command(os.Args[0], "-dataset", "2x2", "-iterations", "1", "-scale", "0.05", c.flag, c.value, "-o", base)
 		cmd.Env = append(os.Environ(), childEnv+"=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
-			t.Fatalf("topoviz -scale %s: err %v, stdout %q; want exit status 1 and nothing on stdout", scale, err, out)
+			t.Fatalf("topoviz %s %s: err %v, stdout %q; want exit status 1 and nothing on stdout", c.flag, c.value, err, out)
 		}
-		if !strings.Contains(stderr.String(), "-scale must be positive") {
-			t.Fatalf("topoviz -scale %s: stderr does not name the flag:\n%s", scale, stderr.Bytes())
+		if !strings.Contains(stderr.String(), c.want) || strings.Contains(stderr.String(), "panic") {
+			t.Fatalf("topoviz %s %s: stderr does not name the flag, or panics:\n%s", c.flag, c.value, stderr.Bytes())
 		}
 		if _, err := os.Stat(base + ".dot"); !os.IsNotExist(err) {
-			t.Fatalf("topoviz -scale %s wrote %s.dot", scale, base)
+			t.Fatalf("topoviz %s %s wrote %s.dot", c.flag, c.value, base)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Bottleneck discovery: the Fig. 8 scenario. The Bordeaux site has three
 // physical compute clusters; the Bordeplage cluster reaches the other two
 // only through a single 1 GbE inter-switch link. An isolated
-// point-to-point probe (NetPIPE) sees the full 890 Mbit/s across that
-// link and is therefore blind to the bottleneck; BitTorrent tomography
-// finds it because the link saturates under collective load.
+// point-to-point probe sees the full 890 Mbit/s across that link and is
+// therefore blind to the bottleneck (`cmd/experiments -run netpipe`
+// measures it); BitTorrent tomography finds it because the link saturates
+// under collective load.
 //
 //	go run ./examples/bottleneck
 package main
@@ -13,7 +14,6 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/baseline"
 )
 
 func main() {
@@ -22,17 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Step 1: what a point-to-point probe sees across the bottleneck.
-	// Host 0 is in Bordeplage (behind the Dell switch), host 40 is in
-	// Bordereau (behind the Cisco switch).
-	np, err := baseline.NetPipe(dataset.Eng, dataset.Net, dataset.Hosts[0], dataset.Hosts[40], 64<<20)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("NetPIPE %s -> %s: %.0f Mbit/s — the idle network shows no bottleneck\n\n",
-		dataset.HostName(0), dataset.HostName(40), np.MaxMbps)
-
-	// Step 2: BitTorrent tomography under collective load.
+	// BitTorrent tomography under collective load.
 	opts := repro.DefaultOptions()
 	opts.Iterations = 5
 	opts.BT.FileBytes /= 2

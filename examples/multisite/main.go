@@ -1,20 +1,17 @@
 // Multi-site convergence study: the Fig. 12/13 scenario. Four Grid'5000
 // sites (Bordeaux, Grenoble, Toulouse, Lyon) with 16 nodes each — the
 // paper's hardest setting, which needed the most iterations (~15) to
-// reach perfect accuracy. This example runs the convergence study and
-// renders the measurement graph as an SVG like Fig. 12.
+// reach perfect accuracy. This example runs the convergence study;
+// `cmd/topoviz -dataset BGTL` renders the measurement graph like Fig. 12.
 //
 //	go run ./examples/multisite
 package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 
 	"repro"
-	"repro/internal/layout"
-	"repro/internal/persist"
 )
 
 func main() {
@@ -54,16 +51,4 @@ func main() {
 		fmt.Printf("\nfinal NMI %.3f with %d clusters (truth: 4 sites)\n",
 			res.NMI, res.Partition.NumClusters())
 	}
-
-	// Render the Fig. 12 style layout.
-	pos := layout.KamadaKawai(res.Graph)
-	if err := persist.WriteAtomic("bgtl.svg", func(w io.Writer) error {
-		return layout.WriteSVG(w, res.Graph, pos, layout.RenderOptions{
-			Truth:        dataset.GroundTruth,
-			EdgeFraction: 0.5,
-		})
-	}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("wrote bgtl.svg — nodes coloured by site, top-50% edges, Kamada-Kawai layout")
 }

@@ -1,21 +1,17 @@
 // Command query demonstrates the archive query layer: run a small
 // campaign, then read it back through the typed Store — listing,
-// status, a per-axis marginal curve, a self-diff — and finally poll the
-// same read path over HTTP the way a dashboard would, including the
-// ETag/If-None-Match contract that makes heavy polling cheap.
+// status, a per-axis marginal curve, a self-diff. `campaign serve`
+// exposes the same read path over HTTP, with ETag/If-None-Match
+// polling for dashboards.
 package main
 
 import (
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 
 	"repro"
-	"repro/internal/archive/serve"
 )
 
 func main() {
@@ -50,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("archive holds %d runs; first key %s...\n", len(runs), runs[0].Key[:12])
 
-	status, err := repro.ArchiveStatus(dir)
+	status, err := st.Status()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,41 +68,9 @@ func main() {
 
 	// Regression gate: an archive diffed against itself is clean by the
 	// bit-identity contract.
-	rep, err := repro.DiffArchives(dir, dir)
+	rep, err := st.Diff(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("self-diff: %d common keys, %d regressions\n", rep.Common, rep.RegressionCount)
-
-	// The same read path over HTTP — what `campaign serve` runs.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: serve.Handler(st)}
-	go srv.Serve(l)
-	defer srv.Close()
-	url := fmt.Sprintf("http://%s", l.Addr())
-
-	res, err := http.Get(url + "/status")
-	if err != nil {
-		log.Fatal(err)
-	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	etag := res.Header.Get("ETag")
-	fmt.Printf("GET /status: %s (ETag %s...)\n", res.Status, etag[:10])
-
-	// A poller replays the ETag: nothing changed, so the body stays home.
-	req, err := http.NewRequest("GET", url+"/status", nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", etag)
-	res, err = http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res.Body.Close()
-	fmt.Printf("GET /status with If-None-Match: %s\n", res.Status)
 }

@@ -3,9 +3,9 @@
 // collective operations can be scheduled hierarchically: cross each
 // bottleneck once, then redistribute inside each fast cluster. This
 // example compares a topology-agnostic binomial-tree broadcast against
-// the cluster-aware scheduler from internal/collective on the Bordeaux
-// site, whose Bordeplage cluster sits behind a single 1 GbE inter-switch
-// link. The clusters used by the aware schedule are the ones the
+// the cluster-aware scheduler (repro.BroadcastClusterAware) on the
+// Bordeaux site, whose Bordeplage cluster sits behind a single 1 GbE
+// inter-switch link. The clusters used by the aware schedule are the ones the
 // tomography method itself discovered.
 //
 //	go run ./examples/scheduling
@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"repro"
-	"repro/internal/collective"
 )
 
 const payload = 64 << 20 // 64 MB broadcast payload
@@ -46,22 +45,22 @@ func main() {
 			order = append(order, v)
 		}
 	}
-	agnosticSched, err := collective.BroadcastBinomial(order)
+	agnosticSched, err := repro.BroadcastBinomial(order)
 	if err != nil {
 		log.Fatal(err)
 	}
-	agnostic, err := collective.ExecuteBroadcast(dataset.Eng, dataset.Net, dataset.Hosts, agnosticSched, 0, payload)
+	agnostic, err := repro.ExecuteBroadcast(dataset, agnosticSched, 0, payload)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("topology-agnostic binomial tree (random order):      %6.2f s  (%d stages)\n",
 		agnostic.Duration, agnostic.Stages)
 
-	awareSched, err := collective.BroadcastClusterAware(clusters, 0)
+	awareSched, err := repro.BroadcastClusterAware(clusters, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	aware, err := collective.ExecuteBroadcast(dataset.Eng, dataset.Net, dataset.Hosts, awareSched, 0, payload)
+	aware, err := repro.ExecuteBroadcast(dataset, awareSched, 0, payload)
 	if err != nil {
 		log.Fatal(err)
 	}

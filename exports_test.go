@@ -10,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,8 @@ var interfaceMethods = map[string]bool{
 }
 
 // keptExports are exported identifiers under internal/ that no product
-// path uses but that stay, each with its reason.
+// path uses, or facade functions in repro.go that no example or cmd/ main
+// calls, that stay, each with its reason.
 var keptExports = map[string]string{
 	"sim.Engine.Pending":                   "tests in other packages probe the event queue through it",
 	"simnet.Network.FindVertex":            "tests in other packages look vertices up through it",
@@ -34,8 +36,6 @@ var keptExports = map[string]string{
 	"bitset.Set.Count":                     "bittorrent's invariant tests count in-flight pieces with it",
 	"collective.Schedule.ValidateOneToOne": "a property check that tests assert against",
 	"layout.Stress":                        "a property check that tests assert against",
-	"core.Options.WithIterations":          "documented in repro.go and README",
-	"core.Options.WithBackend":             "documented in repro.go and README",
 	"campaign.Builder.Backends":            "the builder has one method per ConfigAxes axis",
 	"campaign.Builder.RotateRoot":          "the builder has one method per ConfigAxes axis",
 	"campaign.Builder.ScenarioFile":        "the builder has one method per ConfigAxes axis",
@@ -51,8 +51,14 @@ var keptExports = map[string]string{
 // uses. Every package is type-checked, so an identifier counts as used
 // only when a product file resolves to that very object; a method also
 // counts when it shares its name with an interface method a product file
-// calls, or with a standard-library interface's. Delete what it names,
-// or add it to keptExports with a reason.
+// calls, or with a standard-library interface's.
+//
+// The root package is the module's one importable surface, so two more
+// rules hold it to what its users need: no file under examples/ imports
+// repro/internal/ (a user's module could not), and every func repro.go
+// exports is called from cmd/ or examples/ (a use inside package repro
+// does not count). Delete what the test names, or add it to keptExports
+// with a reason.
 func TestOnlyProductPathsExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -76,7 +82,15 @@ func TestOnlyProductPathsExport(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pkg := path.Join("repro", path.Dir(filepath.ToSlash(file)))
+		file = filepath.ToSlash(file)
+		if strings.HasPrefix(file, "examples/") {
+			for _, spec := range f.Imports {
+				if p, _ := strconv.Unquote(spec.Path.Value); strings.HasPrefix(p, "repro/internal/") {
+					t.Errorf("%s imports %s: an example may import only repro, as a user's module must", file, p)
+				}
+			}
+		}
+		pkg := path.Join("repro", path.Dir(file))
 		files[pkg] = append(files[pkg], f)
 		return nil
 	})
@@ -115,8 +129,13 @@ func TestOnlyProductPathsExport(t *testing.T) {
 		}
 		used[obj] = true
 	}
-	for _, obj := range info.Uses {
+	called := map[types.Object]bool{} // objects a cmd/ or examples/ file uses
+	for id, obj := range info.Uses {
 		use(obj)
+		file := filepath.ToSlash(fset.Position(id.Pos()).Filename)
+		if strings.HasPrefix(file, "cmd/") || strings.HasPrefix(file, "examples/") {
+			called[obj] = true
+		}
 	}
 	for _, sel := range info.Selections {
 		use(sel.Obj())
@@ -134,7 +153,7 @@ func TestOnlyProductPathsExport(t *testing.T) {
 
 	var dead []string
 	kept := map[string]bool{}
-	check := func(key string, obj types.Object, isUsed bool) {
+	check := func(key string, obj types.Object, isUsed bool, unused string) {
 		if _, ok := keptExports[key]; ok {
 			kept[key] = true
 			if isUsed {
@@ -143,9 +162,16 @@ func TestOnlyProductPathsExport(t *testing.T) {
 			return
 		}
 		if !isUsed {
-			dead = append(dead, fset.Position(obj.Pos()).String()+": "+key)
+			dead = append(dead, fset.Position(obj.Pos()).String()+": "+key+" "+unused)
 		}
 	}
+	facade := imp.pkgs["repro"].Scope()
+	for _, name := range facade.Names() {
+		if fn, ok := facade.Lookup(name).(*types.Func); ok && fn.Exported() {
+			check("repro."+name, fn, called[fn], "is a facade function that no example or cmd/ main calls")
+		}
+	}
+	const noUse = "is exported but no product path uses it"
 	for pkgPath, pkg := range imp.pkgs {
 		if !strings.HasPrefix(pkgPath, "repro/internal/") {
 			continue
@@ -156,7 +182,7 @@ func TestOnlyProductPathsExport(t *testing.T) {
 			if !obj.Exported() {
 				continue
 			}
-			check(pkg.Name()+"."+name, obj, used[obj])
+			check(pkg.Name()+"."+name, obj, used[obj], noUse)
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -165,13 +191,13 @@ func TestOnlyProductPathsExport(t *testing.T) {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() {
-					check(pkg.Name()+"."+name+"."+m.Name(), m, used[m] || dynamic[m.Name()] || interfaceMethods[m.Name()])
+					check(pkg.Name()+"."+name+"."+m.Name(), m, used[m] || dynamic[m.Name()] || interfaceMethods[m.Name()], noUse)
 				}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() && st.Tag(i) == "" {
-						check(pkg.Name()+"."+name+"."+f.Name(), f, used[f])
+						check(pkg.Name()+"."+name+"."+f.Name(), f, used[f], noUse)
 					}
 				}
 			}
@@ -179,11 +205,11 @@ func TestOnlyProductPathsExport(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is exported but no product path uses it: delete it, or add it to keptExports with a reason", d)
+		t.Errorf("%s: delete it, or add it to keptExports with a reason", d)
 	}
 	for key := range keptExports {
 		if !kept[key] {
-			t.Errorf("keptExports lists %s, which is not an exported identifier under internal/", key)
+			t.Errorf("keptExports lists %s, which is not an identifier this test checks", key)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func finishRun(dir campaign.Dir, i int) error {
 // instant on the same directory serves.
 func sameBodies(t *testing.T, step string, h http.Handler, st *archive.Store, urls ...string) {
 	t.Helper()
-	fresh := Handler(st)
+	fresh := NewHandler(st, Options{})
 	for _, url := range append(urls, "/runs", "/status", "/marginals/seed", "/plots/seed.svg") {
 		got, want := get(t, h, url, nil, nil), get(t, fresh, url, nil, nil)
 		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
@@ -64,7 +64,7 @@ func TestHandlerFollowsLiveFleetAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(st)
+	h := NewHandler(st, Options{})
 	sameBodies(t, "before the fleet", h, st)
 	if rec := get(t, h, "/runs", nil, nil); rec.Body.String() != "{\n  \"entries\": null,\n  \"runs\": 0\n}\n" {
 		t.Fatalf("/runs over an empty directory moved:\n%s", rec.Body.String())
@@ -160,7 +160,7 @@ func TestWarmViewAllocBudget(t *testing.T) {
 		}
 	}
 	st := thousandRuns(t)
-	h := Handler(st)
+	h := NewHandler(st, Options{})
 	for _, guard := range []struct {
 		url         string
 		conditional bool // replay the 200's ETag and expect a 304
@@ -194,7 +194,7 @@ func TestWarmViewAllocBudget(t *testing.T) {
 		}
 	}
 	// The control: the same requests against a cold handler do read it.
-	cold := testing.AllocsPerRun(1, func() { get(t, Handler(st), "/runs/"+runKey(500), nil, nil) })
+	cold := testing.AllocsPerRun(1, func() { get(t, NewHandler(st, Options{}), "/runs/"+runKey(500), nil, nil) })
 	if cold < 10000 {
 		t.Errorf("the control is broken: a cold GET /runs/{key} over 1000 runs allocates %v times", cold)
 	}
@@ -227,7 +227,7 @@ func BenchmarkWarmViews(b *testing.B) {
 		{"/runs/{key}", "/runs/" + runKey(500)},
 	} {
 		b.Run(view.name, func(b *testing.B) {
-			h := Handler(st)
+			h := NewHandler(st, Options{})
 			req := httptest.NewRequest("GET", view.url, nil)
 			serve := func() {
 				rec := httptest.NewRecorder()

@@ -52,7 +52,7 @@ func TestCachedViewsFollowTheLog(t *testing.T) {
 
 	record(4)
 	for _, url := range urls {
-		got, want := get(t, h, url, nil, nil), get(t, Handler(st), url, nil, nil)
+		got, want := get(t, h, url, nil, nil), get(t, NewHandler(st, Options{}), url, nil, nil)
 		if got.Code != http.StatusOK || got.Header().Get("ETag") == etags[url] {
 			t.Fatalf("%s after a cell landed: %d under ETag %s, the ETag before it", url, got.Code, got.Header().Get("ETag"))
 		}
@@ -81,7 +81,7 @@ func TestUncachedViewsReadPastTheStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(st)
+	h := NewHandler(st, Options{})
 	var status archive.Status
 	first := get(t, h, "/status", nil, &status)
 	if first.Code != http.StatusOK || status.InFlight != 0 {
@@ -120,7 +120,7 @@ func TestUncachedViewsReadPastTheStamp(t *testing.T) {
 			rec.Header().Get("ETag"), first.Header().Get("ETag"), status.InFlight)
 	}
 	rec = get(t, h, "/runs", nil, nil)
-	want := get(t, Handler(st), "/runs", nil, nil)
+	want := get(t, NewHandler(st, Options{}), "/runs", nil, nil)
 	if rec.Header().Get("ETag") != runs.Header().Get("ETag") || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) ||
 		!strings.Contains(rec.Body.String(), key) {
 		t.Fatalf("/runs after a rename into runs/: ETag %s (was %s)\n%s\na fresh handler answers\n%s",

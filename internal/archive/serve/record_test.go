@@ -99,7 +99,7 @@ func TestServedBodiesArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(st)
+	h := NewHandler(st, Options{})
 	for url, golden := range map[string]string{
 		"/status": "status.json",
 		"/runs":   "runs.json",

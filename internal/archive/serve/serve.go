@@ -110,12 +110,6 @@ type Options struct {
 // tests can observe a heartbeat without waiting fifteen seconds.
 var sseHeartbeat = 15 * time.Second
 
-// Handler returns the HTTP handler serving the store's read path with
-// default options (metrics on, pprof and ingest off).
-func Handler(st *archive.Store) http.Handler {
-	return NewHandler(st, Options{})
-}
-
 // NewHandler returns the HTTP handler serving the store's read path.
 func NewHandler(st *archive.Store, opt Options) http.Handler {
 	h, _ := newHandler(st, opt)

@@ -47,7 +47,7 @@ func servedArchive(t *testing.T) (string, http.Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dir, Handler(st)
+	return dir, NewHandler(st, Options{})
 }
 
 // get performs one request and decodes the JSON body into out when the
@@ -247,7 +247,7 @@ func TestNotModifiedCostsNoRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := Handler(st)
+		h := NewHandler(st, Options{})
 		etag := get(t, h, "/runs", nil, nil).Header().Get("ETag")
 		hit := func() {
 			if rec := get(t, h, "/runs", map[string]string{"If-None-Match": etag}, nil); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
@@ -255,7 +255,7 @@ func TestNotModifiedCostsNoRead(t *testing.T) {
 			}
 		}
 		conditional = testing.AllocsPerRun(10, hit)
-		unconditional = testing.AllocsPerRun(3, func() { get(t, Handler(st), "/runs", nil, nil) })
+		unconditional = testing.AllocsPerRun(3, func() { get(t, NewHandler(st, Options{}), "/runs", nil, nil) })
 
 		fi, err := os.Stat(idx)
 		if err != nil {
@@ -388,7 +388,7 @@ func TestMalformedKeyLedgerLineIsNoRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(st)
+	h := NewHandler(st, Options{})
 
 	var listing struct {
 		Entries []archive.RunInfo `json:"entries"`

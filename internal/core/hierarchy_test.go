@@ -219,9 +219,13 @@ func TestHierarchicalNMIEmptyTruthSafe(t *testing.T) {
 	g := graph.New(4)
 	g.AddWeight(0, 1, 1)
 	h := Hierarchy(g, DefaultHierarchyOptions())
-	score := HierarchicalNMI([]int{0, 0, 1, 1}, h)
-	if math.IsNaN(score) || score < 0 || score > 1 {
-		t.Fatalf("degenerate hierarchy NMI = %v", score)
+	if len(h.Members) != 4 {
+		t.Fatalf("root holds %d of 4 vertices", len(h.Members))
+	}
+	for _, truth := range [][]int{{0, 0, 1, 1}, {0, 0, 0, 0}} {
+		if score := HierarchicalNMI(truth, h); math.IsNaN(score) || score < 0 || score > 1 {
+			t.Fatalf("degenerate hierarchy NMI against %v = %v", truth, score)
+		}
 	}
 }
 

@@ -128,6 +128,22 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
+// A fraction outside (0, 1), NaN included, draws every edge: int(NaN)
+// is no slice bound.
+func TestEdgeFractionOutsideUnitIntervalDrawsAll(t *testing.T) {
+	g, _ := clusteredGraph()
+	pos := KamadaKawai(g)
+	for _, f := range []float64{0, 1, -1, math.NaN()} {
+		var sb strings.Builder
+		if err := WriteDOT(&sb, g, pos, RenderOptions{EdgeFraction: f}); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(sb.String(), " -- "); n != 13 {
+			t.Fatalf("EdgeFraction %g rendered %d of 13 edges", f, n)
+		}
+	}
+}
+
 func TestWriteDOTSizeMismatch(t *testing.T) {
 	g, _ := clusteredGraph()
 	var sb strings.Builder

@@ -22,7 +22,8 @@ type RenderOptions struct {
 	// exactly like the ground-truth glyphs in Figs. 8-12.
 	Truth []int
 	// EdgeFraction keeps only the strongest fraction of edges in the
-	// rendering (the paper draws the top 50%). 0 or 1 draws all.
+	// rendering (the paper draws the top 50%). A value outside (0, 1),
+	// NaN included, draws all.
 	EdgeFraction float64
 }
 
@@ -105,7 +106,7 @@ func keptEdges(g *graph.Graph, fraction float64) []graph.Edge {
 		}
 	}
 	edges = kept
-	if fraction <= 0 || fraction >= 1 {
+	if !(fraction > 0 && fraction < 1) {
 		return edges
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Weight > edges[j].Weight })

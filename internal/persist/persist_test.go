@@ -66,8 +66,8 @@ func TestGraphFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.TotalWeight() != sample().TotalWeight() {
-		t.Fatal("file round trip changed total weight")
+	if back.N() != sample().N() || back.TotalWeight() != sample().TotalWeight() {
+		t.Fatal("file round trip changed the vertex count or total weight")
 	}
 }
 

@@ -60,8 +60,8 @@
 // The method is topology-agnostic, and so is the API: a scenario is data,
 // not code. A Spec declares link classes, the switch fabric, host groups
 // and the ground-truth clustering; it can be assembled with the fluent
-// Builder (NewSpec), generated for a synthetic family (NSitesSpec,
-// FatTreeSpec, SkewedSitesSpec), or loaded from a JSON file (LoadSpec).
+// Builder (NewSpec), generated for a synthetic family (SkewedSitesSpec,
+// DriftSitesSpec), or loaded from a JSON file (LoadSpec).
 // RunSpec compiles and measures it in one call, and RegisterSpec adds it
 // to the same registry the built-in datasets live in, so NewDataset and
 // the CLIs (`bttomo -dataset`, `bttomo -list`) see it:
@@ -132,15 +132,15 @@
 // "Distributed campaigns" section).
 //
 // A finished (or in-flight) campaign directory is queryable as a typed
-// archive: OpenArchive returns a read-only Store over it, ArchiveStatus
-// fuses ledger + leases + manifests into live fleet progress, and
-// DiffArchives compares two archives for regressions by content key.
+// archive: OpenArchive returns a read-only Store over it, whose Status
+// fuses ledger + leases + manifests into live fleet progress and whose
+// Diff compares two archives for regressions by content key.
 // `campaign serve` exposes the same read path over HTTP.
 //
 // See `cmd/campaign` for the CLI (subcommands run, status, serve, diff,
-// gc), examples/campaign and examples/fleet for complete programs, and
-// the README's "Campaigns" and "Querying results" sections for the spec
-// format, cache layout, resume semantics and the query API.
+// gc), examples/campaign, examples/fleet and examples/query for complete
+// programs, and the README's "Campaigns" and "Querying results" sections
+// for the spec format, cache layout, resume semantics and the query API.
 //
 // See the examples/ directory for complete programs and cmd/experiments for
 // the harness that regenerates every table and figure of the paper.
@@ -154,11 +154,9 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/dynamics"
-	"repro/internal/graph"
 	"repro/internal/persist"
 	"repro/internal/scenario"
 	"repro/internal/substrate"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -178,15 +176,6 @@ type IterationRecord = core.IterationRecord
 // merge, cluster, NMI). Observability only — the timings never enter
 // archived documents or content keys.
 type PhaseTimings = core.PhaseTimings
-
-// Tracer records phase spans during a run when set on Options.Trace;
-// its spans can be serialized as JSONL and aggregated across runs (see
-// `campaign run -trace` and `campaign status`). A nil *Tracer is valid
-// everywhere and records nothing.
-type Tracer = telemetry.Tracer
-
-// NewTracer returns an empty span recorder for Options.Trace.
-func NewTracer() *Tracer { return telemetry.NewTracer() }
 
 // Dataset is a simulated network with hosts and a ground-truth logical
 // clustering. The built-in datasets model the paper's Grid'5000 settings.
@@ -239,15 +228,6 @@ func Run(d *Dataset, opts Options) (*Result, error) {
 	return core.RunDataset(d, opts)
 }
 
-// RunNamed is Run on a freshly built named dataset.
-func RunNamed(name string, opts Options) (*Result, error) {
-	d, err := NewDataset(name)
-	if err != nil {
-		return nil, err
-	}
-	return Run(d, opts)
-}
-
 // Spec is a declarative measurement scenario: link parameter classes, the
 // switch fabric, host groups and the ground-truth logical clustering. It
 // serialises to JSON (LoadSpec/SaveSpec), compiles to a Dataset
@@ -263,8 +243,8 @@ type SpecBuilder = scenario.Builder
 func NewSpec(name string) *SpecBuilder { return scenario.NewBuilder(name) }
 
 // RegisterSpec validates the spec and adds it to the dataset registry
-// under its name, next to the six built-ins: NewDataset, RunNamed,
-// Datasets and the CLIs all see it. Names are unique; registering an
+// under its name, next to the six built-ins: NewDataset, Datasets and
+// the CLIs all see it. Names are unique; registering an
 // existing name (including a built-in) is an error.
 func RegisterSpec(s *Spec) error { return scenario.Register(s) }
 
@@ -280,23 +260,9 @@ func RunSpec(s *Spec, opts Options) (*Result, error) {
 	return Run(d, opts)
 }
 
-// NSitesSpec generates the k-site star family: hostsPerSite hosts per
-// flat site, intraMbps host links, interMbps uplinks, one ground-truth
-// cluster per site.
-func NSitesSpec(sites, hostsPerSite int, intraMbps, interMbps float64) *Spec {
-	return scenario.NSites(sites, hostsPerSite, intraMbps, interMbps)
-}
-
-// FatTreeSpec generates a three-level hierarchical fabric (root, pods,
-// leaves) with one ground-truth cluster per pod; choose spineMbps below
-// leafMbps so the declared pod boundaries are real bottlenecks.
-func FatTreeSpec(pods, leavesPerPod, hostsPerLeaf int, hostMbps, leafMbps, spineMbps float64) *Spec {
-	return scenario.FatTree(pods, leavesPerPod, hostsPerLeaf, hostMbps, leafMbps, spineMbps)
-}
-
 // SkewedSitesSpec generates a star of sites whose uplink bandwidth decays
 // geometrically (site i uplinks at interMbps * decay^i) — a heterogeneous
-// variant of the NSites family.
+// variant of the k-site star (one flat site per ground-truth cluster).
 func SkewedSitesSpec(sites, hostsPerSite int, intraMbps, interMbps, decay float64) *Spec {
 	return scenario.SkewedSites(sites, hostsPerSite, intraMbps, interMbps, decay)
 }
@@ -318,7 +284,7 @@ type DynamicsEvent = dynamics.Event
 type DynamicsTimeline = dynamics.Timeline
 
 // DriftSitesSpec generates the churn-heavy, time-varying member of the
-// NSites family: as intensity in [0, 1] rises, the site uplinks drift
+// k-site star family: as intensity in [0, 1] rises, the site uplinks drift
 // toward the aggregate intra-site bandwidth, hosts leave and rejoin the
 // swarm, a cross-site burst loads the fabric and (at intensity >= 0.5) a
 // site uplink transiently fails. The E17 drift experiment sweeps it.
@@ -388,52 +354,6 @@ func JoinCampaign(c *Campaign, opts CampaignOptions) (*CampaignOutcome, error) {
 // directory.
 func LoadCampaign(path string) (*Campaign, error) { return campaign.Load(path) }
 
-// HierarchyNode is one cluster of a hierarchical decomposition — the
-// multi-level extension sketched in the paper's Future Work (§V).
-type HierarchyNode = core.HierarchyNode
-
-// HierarchyOptions tunes the hierarchical decomposition.
-type HierarchyOptions = core.HierarchyOptions
-
-// DefaultHierarchyOptions returns the standard hierarchy configuration.
-func DefaultHierarchyOptions() HierarchyOptions { return core.DefaultHierarchyOptions() }
-
-// BuildHierarchy decomposes a tomography result's measurement graph into
-// multi-level logical clusters: the top level separates sites; deeper
-// levels recover intra-site structure (e.g. the Bordeaux sub-clusters the
-// flat BT clustering misses, §IV-C).
-func BuildHierarchy(res *Result, opts HierarchyOptions) *HierarchyNode {
-	return core.Hierarchy(res.Graph, opts)
-}
-
-// HierarchicalNMI scores a hierarchy against a flat ground truth using
-// all hierarchy levels as an overlapping cover (LFK NMI).
-func HierarchicalNMI(truth []int, h *HierarchyNode) float64 {
-	return core.HierarchicalNMI(truth, h)
-}
-
-// Measurement archival and topology-aware collective scheduling. These
-// entry points operate on completed results and are agnostic to how the
-// measurement ran: a Result produced with Options.Workers > 1 is
-// bit-identical to a sequential one, so archived graphs, bottleneck
-// reports and collective schedules never depend on the worker count.
-
-// MeasurementGraph is the aggregated w(e) graph produced by Run (also the
-// type of Result.Graph).
-type MeasurementGraph = graph.Graph
-
-// SaveMeasurement archives a measurement graph as JSON, so the analysis
-// phase can be re-run later without re-measuring (see also
-// `bttomo -save/-load`).
-func SaveMeasurement(path string, g *MeasurementGraph) error {
-	return persist.SaveGraph(path, g)
-}
-
-// LoadMeasurement reads an archived measurement graph.
-func LoadMeasurement(path string) (*MeasurementGraph, error) {
-	return persist.LoadGraph(path)
-}
-
 // SaveSpec writes a scenario spec to a JSON file — the declarative
 // interchange format for scenarios (`bttomo -spec`, LoadSpec).
 func SaveSpec(path string, s *Spec) error {
@@ -482,22 +402,10 @@ func BroadcastClusterAware(clusters [][]int, root int) (Schedule, error) {
 	return collective.BroadcastClusterAware(clusters, root)
 }
 
-// ReduceClusterAware builds the hierarchical reduction dual to
-// BroadcastClusterAware.
-func ReduceClusterAware(clusters [][]int, root int) (Schedule, error) {
-	return collective.ReduceClusterAware(clusters, root)
-}
-
 // ExecuteBroadcast validates and runs a broadcast schedule on a dataset's
 // network, returning its completion time.
 func ExecuteBroadcast(d *Dataset, sched Schedule, root int, bytes float64) (CollectiveResult, error) {
 	return collective.ExecuteBroadcast(d.Eng, d.Net, d.Hosts, sched, root, bytes)
-}
-
-// ExecuteReduce validates and runs a reduce schedule on a dataset's
-// network.
-func ExecuteReduce(d *Dataset, sched Schedule, root int, bytes float64) (CollectiveResult, error) {
-	return collective.ExecuteReduce(d.Eng, d.Net, d.Hosts, sched, root, bytes)
 }
 
 // The archive query surface: the typed read path over a campaign output
@@ -510,13 +418,13 @@ func ExecuteReduce(d *Dataset, sched Schedule, root int, bytes float64) (Collect
 // query re-reads the directory and tolerates concurrent fleet writers:
 // torn ledger lines are skipped, mid-rename documents read as
 // not-yet-archived, and no query ever double-counts an idempotent
-// re-execution. Beyond the methods re-documented here it offers
-// Runs, Get, Marginals, Stamp and GC — see internal/archive.
+// re-execution. Its queries are Status, Diff, Runs, Get, Marginals,
+// Stamp and GC — see internal/archive.
 type Archive = archive.Store
 
 // CampaignStatus is the fused live view of a campaign directory —
 // ledger + leases + per-owner manifests — as returned by
-// Archive.Status / ArchiveStatus and served by `campaign serve` at
+// Archive.Status and served by `campaign serve` at
 // /status.
 type CampaignStatus = archive.Status
 
@@ -535,26 +443,4 @@ type ArchiveMarginal = archive.Marginal
 // is still writing answers queries about the progress so far.
 func OpenArchive(dir string) (*Archive, error) {
 	return archive.Open(dir)
-}
-
-// ArchiveStatus opens dir and reports its live status in one call —
-// the programmatic equivalent of `campaign status -out dir`.
-func ArchiveStatus(dir string) (*CampaignStatus, error) {
-	st, err := archive.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Status()
-}
-
-// DiffArchives compares the archive at dir against the baseline at
-// base — the programmatic equivalent of `campaign diff -out dir -base
-// base`. Shared content keys must hold byte-identical documents (the
-// bit-identity contract); any divergence is reported as a regression.
-func DiffArchives(dir, base string) (*ArchiveDiff, error) {
-	st, err := archive.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Diff(base)
 }

@@ -12,6 +12,20 @@ func smallOptions(iters int) Options {
 	return opts
 }
 
+// runDataset runs tomography on a freshly built registered dataset.
+func runDataset(t *testing.T, name string, opts Options) *Result {
+	t.Helper()
+	d, err := NewDataset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDatasetsList(t *testing.T) {
 	// The registry is extensible (RegisterSpec); names come back sorted,
 	// so CLI listings and docs stay stable no matter when a spec was
@@ -46,11 +60,8 @@ func TestNewDatasetUnknown(t *testing.T) {
 	}
 }
 
-func TestRunNamedTwoByTwo(t *testing.T) {
-	res, err := RunNamed("2x2", smallOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestRunTwoByTwo(t *testing.T) {
+	res := runDataset(t, "2x2", smallOptions(4))
 	if res.Partition.NumClusters() != 1 {
 		t.Fatalf("2x2 clusters = %d, want 1", res.Partition.NumClusters())
 	}
@@ -61,14 +72,8 @@ func TestRunNamedTwoByTwo(t *testing.T) {
 
 func TestRunFreshDatasetTwice(t *testing.T) {
 	// Each NewDataset carries its own simulator; two runs are identical.
-	a, err := RunNamed("2x2", smallOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunNamed("2x2", smallOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runDataset(t, "2x2", smallOptions(2))
+	b := runDataset(t, "2x2", smallOptions(2))
 	if a.Q != b.Q || a.TotalMeasurementTime != b.TotalMeasurementTime {
 		t.Fatal("identical runs diverged")
 	}
@@ -84,29 +89,8 @@ func TestDefaultOptionsArePaperScale(t *testing.T) {
 	}
 }
 
-func TestFacadeMeasurementRoundTrip(t *testing.T) {
-	res, err := RunNamed("2x2", smallOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/m.json"
-	if err := SaveMeasurement(path, res.Graph); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadMeasurement(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != res.Graph.N() || back.TotalWeight() != res.Graph.TotalWeight() {
-		t.Fatal("measurement changed in archive round trip")
-	}
-}
-
 func TestFacadeBottlenecks(t *testing.T) {
-	res, err := RunNamed("2x2", smallOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDataset(t, "2x2", smallOptions(4))
 	// 2x2 finds a single cluster: no bottlenecks.
 	if bs := Bottlenecks(res); len(bs) != 0 {
 		t.Fatalf("2x2 reported %d bottlenecks, want 0", len(bs))
@@ -135,28 +119,6 @@ func TestFacadeCollectiveScheduling(t *testing.T) {
 	}
 	if _, err := ExecuteBroadcast(d, aware, 0, 1<<20); err != nil {
 		t.Fatal(err)
-	}
-	red, err := ReduceClusterAware([][]int{{0, 1}, {2, 3}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExecuteReduce(d, red, 0, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeHierarchy(t *testing.T) {
-	res, err := RunNamed("2x2", smallOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := BuildHierarchy(res, DefaultHierarchyOptions())
-	if h == nil || len(h.Members) != 4 {
-		t.Fatal("hierarchy root malformed")
-	}
-	score := HierarchicalNMI([]int{0, 0, 0, 0}, h)
-	if score < 0 || score > 1 {
-		t.Fatalf("hierarchical NMI out of range: %g", score)
 	}
 }
 
@@ -210,10 +172,7 @@ func TestSpecEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatalf("registered spec missing from Datasets() = %v", Datasets())
 	}
-	viaName, err := RunNamed("e2e-twin", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaName := runDataset(t, "e2e-twin", opts)
 	if viaName.NMI != res.NMI || viaName.Q != res.Q {
 		t.Fatalf("registry run diverged from direct run: NMI %v vs %v, Q %v vs %v",
 			viaName.NMI, res.NMI, viaName.Q, res.Q)
@@ -243,8 +202,6 @@ func TestSpecFixtureLoads(t *testing.T) {
 // The generator re-exports must produce runnable specs.
 func TestGeneratorSpecsCompileAndRun(t *testing.T) {
 	for _, spec := range []*Spec{
-		NSitesSpec(2, 3, 890, 100),
-		FatTreeSpec(2, 2, 2, 890, 890, 100),
 		SkewedSitesSpec(2, 3, 890, 200, 0.5),
 	} {
 		d, err := spec.Compile()
@@ -258,15 +215,8 @@ func TestGeneratorSpecsCompileAndRun(t *testing.T) {
 }
 
 func TestWithWorkersRunsIdenticallyToSingleWorker(t *testing.T) {
-	run := func(opts Options) *Result {
-		res, err := RunNamed("2x2", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	par := run(smallOptions(3).WithWorkers(4))
-	one := run(smallOptions(3).WithWorkers(1))
+	par := runDataset(t, "2x2", smallOptions(3).WithWorkers(4))
+	one := runDataset(t, "2x2", smallOptions(3).WithWorkers(1))
 	if par.NMI != one.NMI || par.Q != one.Q ||
 		par.Graph.TotalWeight() != one.Graph.TotalWeight() {
 		t.Fatalf("Workers=4 diverged from Workers=1: NMI %v vs %v, Q %v vs %v",
