@@ -42,11 +42,11 @@ bench-test:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# budgets runs, without the race detector, the ten allocation and byte
-# budget tests that skip themselves under it: CI otherwise runs only
-# `race`. `go test -list` with this pattern over ./... names these ten
+# budgets runs, without the race detector, the eleven allocation and
+# byte budget tests that skip themselves under it: CI otherwise runs only
+# `race`. `go test -list` with this pattern over ./... names these eleven
 # and nothing else.
-BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestHierarchyAllocatesLessThanACopy)$$
+BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy)$$
 BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core
 budgets:
 	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)

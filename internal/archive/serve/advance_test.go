@@ -6,12 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/campaign"
+	"repro/internal/fleet"
 )
 
 const tinyDoc = `{"version": 1, "n": 2, "labels": [0, 1], "q": 0.5, "sim_time_seconds": 1}`
@@ -145,21 +148,17 @@ func TestHandlerFollowsLiveFleetAndCompaction(t *testing.T) {
 // Cost guards that fail when someone re-reads the archive on a 200: over
 // a 1000-run archive a warm handler answers /runs/{key} from one map
 // lookup and one document (it used to decode the whole ledger: about
-// 10,000 allocations), /status from the fold and runs/ listing it holds
-// (it used to decode the ledger and materialise manifest.json: about
-// 20,000, then list runs/: about 2,100), and /runs from the listing and
-// the body it last encoded (listing and encoding it: about 5,100). A 304
-// costs the stamp, and a warm marginal or plot the stamp and the body
-// kept for its ETag (it used to advance, aggregate and render: 61 and
-// 90). Each budget is the measured count plus about a quarter.
+// 10,000 allocations), /status from the fold, the tally and the runs/
+// listing it holds (it used to decode the ledger and materialise
+// manifest.json: about 20,000, then list runs/: about 2,100), and /runs
+// from the body it encoded at the Snapshot's generation (listing and
+// encoding it: about 5,100). A 304 costs the stamp, and a warm marginal
+// or plot the stamp and the body kept for its ETag (it used to advance,
+// aggregate and render: 61 and 90). Each budget is the measured count
+// plus about a quarter.
 func TestWarmViewAllocBudget(t *testing.T) {
-	info, _ := debug.ReadBuildInfo()
-	for _, s := range info.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are meaningless under the race detector")
-		}
-	}
-	st := thousandRuns(t)
+	skipUnderRace(t)
+	st := archiveOf(t, 1000)
 	h := NewHandler(st, Options{})
 	for _, guard := range []struct {
 		url         string
@@ -168,7 +167,7 @@ func TestWarmViewAllocBudget(t *testing.T) {
 	}{
 		{"/runs/" + runKey(500), false, 80},
 		{"/status", false, 82},
-		{"/runs", false, 56},
+		{"/runs", false, 55},
 		{"/runs", true, 28},
 		{"/marginals/iterations", false, 33},
 		{"/plots/iterations.svg", false, 33},
@@ -200,12 +199,145 @@ func TestWarmViewAllocBudget(t *testing.T) {
 	}
 }
 
-// thousandRuns is a 1000-run archive, every run finished as a worker
+// discard is a ResponseWriter that keeps the status and drops the body,
+// so that what a measurement counts is the handler's own bytes: a
+// recorder's body buffer would add a copy of every body it is sent.
+type discard struct {
+	header http.Header
+	code   int
+}
+
+func (d *discard) Header() http.Header  { return d.header }
+func (d *discard) WriteHeader(code int) { d.code = code }
+func (d *discard) Write(p []byte) (int, error) {
+	if d.code == 0 {
+		d.code = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// Byte guards on the handler's own allocations: over a 1000-run archive
+// a warm /runs 200 serves the body it encoded at the Snapshot's
+// generation, where it used to build the 1000-entry listing (110 KB) and
+// compare it with the last one, and a warm /status reads the leases, the
+// manifest heads it holds and the campaign.csv stat, where it used to
+// fold the whole ledger. The bounds are the measured bytes plus about a
+// quarter.
+func TestWarmViewByteBudget(t *testing.T) {
+	skipUnderRace(t)
+	st := archiveOf(t, 1000)
+	h := NewHandler(st, Options{})
+	for _, guard := range []struct {
+		url    string
+		budget float64 // bytes per request
+	}{
+		{"/runs", 3900},
+		{"/status", 6800},
+	} {
+		req := httptest.NewRequest("GET", guard.url, nil)
+		w := &discard{header: make(http.Header)}
+		serve := func() {
+			clear(w.header)
+			w.code = 0
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s: %d", guard.url, w.code)
+			}
+		}
+		serve() // the first 200 folds the archive
+		perRun := bytesPerRun(20, serve)
+		t.Logf("warm GET %s: %.0f bytes", guard.url, perRun)
+		if perRun > guard.budget {
+			t.Errorf("a warm GET %s allocates %.0f bytes, budget %.0f: it rebuilt what the archive holds", guard.url, perRun, guard.budget)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			t.Skip("allocation counts are meaningless under the race detector")
+		}
+	}
+}
+
+// A warm handler's /runs and /status follow every step that moves what
+// they show, each of which moves the Snapshot's generation or is read
+// fresh: after each, both bodies are, byte for byte, what a handler
+// opened this instant serves, and the step moved at least one of them.
+func TestWarmViewsFollowEveryFold(t *testing.T) {
+	dir := campaign.Dir(t.TempDir())
+	for i := 0; i < 6; i++ {
+		if err := finishRun(dir, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := archive.Open(string(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(st, Options{})
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"a ledger append", func() error { return finishRun(dir, 6) }},
+		{"a duplicate ledger line", func() error {
+			return fleet.AppendIndex(dir.Index(), fleet.IndexEntry{Key: runKey(2), Run: 2, Owner: "w2", Cache: "miss", WallSeconds: 7})
+		}},
+		{"a document renamed into runs/ with no ledger line", func() error {
+			key := runKey(9)
+			if err := os.WriteFile(dir.Archive(key)+".tmp-w", []byte(tinyDoc), 0o644); err != nil {
+				return err
+			}
+			if err := os.Rename(dir.Archive(key)+".tmp-w", dir.Archive(key)); err != nil {
+				return err
+			}
+			// The rename must be seen whatever the kernel's timestamp granularity.
+			later := time.Now().Add(time.Second)
+			return os.Chtimes(dir.Runs(), later, later)
+		}},
+		{"a ledger compaction", func() error {
+			rep, err := st.GC(archive.GCOptions{MaxRuns: 4})
+			if err == nil && !rep.LedgerCompacted {
+				err = fmt.Errorf("GC did not compact the ledger: %+v", rep)
+			}
+			return err
+		}},
+	} {
+		runs, status := get(t, h, "/runs", nil, nil).Body.String(), get(t, h, "/status", nil, nil).Body.String()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		sameBodies(t, step.name, h, st)
+		if get(t, h, "/runs", nil, nil).Body.String() == runs && get(t, h, "/status", nil, nil).Body.String() == status {
+			t.Fatalf("%s moved neither /runs nor /status, so it tests nothing", step.name)
+		}
+	}
+}
+
+// archiveOf is an archive of n runs, every run finished as a worker
 // finishes one.
-func thousandRuns(tb testing.TB) *archive.Store {
+func archiveOf(tb testing.TB, n int) *archive.Store {
 	tb.Helper()
 	dir := campaign.Dir(tb.TempDir())
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < n; i++ {
 		if err := finishRun(dir, i); err != nil {
 			tb.Fatal(err)
 		}
@@ -218,28 +350,33 @@ func thousandRuns(tb testing.TB) *archive.Store {
 }
 
 // BenchmarkWarmViews is the read path's layer number: one 200 of a
-// warm handler over a 1000-run archive nothing is writing to.
+// warm handler over a 1000- and a 10,000-run archive nothing is writing
+// to.
 func BenchmarkWarmViews(b *testing.B) {
-	st := thousandRuns(b)
-	for _, view := range []struct{ name, url string }{
-		{"/runs", "/runs"},
-		{"/status", "/status"},
-		{"/runs/{key}", "/runs/" + runKey(500)},
-	} {
-		b.Run(view.name, func(b *testing.B) {
-			h := NewHandler(st, Options{})
-			req := httptest.NewRequest("GET", view.url, nil)
-			serve := func() {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("%s: %d", view.url, rec.Code)
-				}
-			}
-			serve() // the first 200 folds the archive
-			b.ReportAllocs()
-			for b.Loop() {
-				serve()
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			st := archiveOf(b, n)
+			for _, view := range []struct{ name, url string }{
+				{"/runs", "/runs"},
+				{"/status", "/status"},
+				{"/runs/{key}", "/runs/" + runKey(n/2)},
+			} {
+				b.Run(view.name, func(b *testing.B) {
+					h := NewHandler(st, Options{})
+					req := httptest.NewRequest("GET", view.url, nil)
+					serve := func() {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, req)
+						if rec.Code != http.StatusOK {
+							b.Fatalf("%s: %d", view.url, rec.Code)
+						}
+					}
+					serve() // the first 200 folds the archive
+					b.ReportAllocs()
+					for b.Loop() {
+						serve()
+					}
+				})
 			}
 		})
 	}

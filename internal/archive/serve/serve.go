@@ -46,16 +46,20 @@
 // the current ETag — for the canonical axis names only, so the paths a
 // client invents cannot grow it — and a plain GET under that ETag is
 // answered from it: no lock, no Advance, no aggregation, no rendering.
-// The first request that computes another ETag drops them. Every other
-// view is built on every 200. /status, /runs and /runs/{key} read files
-// the stamp does not cover: the leases, the runs/ listing, one result
-// document. They are built from the handler's one archive.Snapshot,
-// advanced first by reading only the bytes appended since the previous
-// 200, and listing runs/ again only when the directory or the ledger or
-// log moved: O(what changed), not O(archive), for about 1 MB held per
-// 10^3 runs. /runs keeps the body it last encoded and serves it again
-// while the listing is equal (a document renamed into runs/ moves the
-// listing, not the stamp). /plots/phases.svg reads the trace files
+// The first request that computes another ETag drops them. /status,
+// /runs and /runs/{key} read what the stamp does not cover: the leases,
+// the runs/ listing, one result document. A 200 of each first advances
+// the handler's one archive.Snapshot, reading only the bytes appended
+// since the previous 200 and listing runs/ again only when the directory
+// or the ledger or log moved: O(what changed), not O(archive), for about
+// 1 MB held per 10^3 runs. /runs keeps the body it last encoded with the
+// Snapshot's Generation at the time, and serves it again while the
+// generation holds (a document renamed into runs/ moves the generation,
+// not the stamp), so a warm /runs builds no listing. /status is built
+// on every 200, from the ledger counts the Snapshot folded with its
+// lines, the manifest heads it holds, the leases and the campaign.csv
+// stat: its cost does not grow with the ledger. /runs/{key} reads its
+// document on every 200. /plots/phases.svg reads the trace files
 // through the Store on every 200: TracesStamp() (file count, summed
 // size, newest mtime) decides its 304s, never which body a 200 gets.
 // The index reads no archive file.
@@ -76,7 +80,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,26 +165,28 @@ func newHandler(st *archive.Store, opt Options) (http.Handler, *bodies) {
 	mux.HandleFunc("GET /status", counted("status", view(st.Stamp, nil, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) { return s.Status() })
 	})))
-	// The last listing /runs encoded and its body, under mu: an unchanged
-	// listing is served the same bytes without encoding it again.
-	var lastRuns []archive.RunInfo
-	var lastBody json.RawMessage
+	// The body /runs last encoded and the Snapshot generation it was
+	// built at, under mu: while the generation holds, so does the
+	// listing, and a 200 serves the same bytes without building it.
+	var runsGen uint64
+	var runsBody json.RawMessage
 	mux.HandleFunc("GET /runs", counted("runs", view(st.Stamp, nil, func(*http.Request) (any, error) {
 		return current(func(s *archive.Snapshot) (any, error) {
+			if runsBody != nil && s.Generation() == runsGen {
+				return runsBody, nil
+			}
 			runs, err := s.Runs()
 			if err != nil {
 				return nil, err
 			}
-			if lastBody == nil || !slices.Equal(runs, lastRuns) {
-				body, err := encodeJSON(map[string]any{"runs": len(runs), "entries": runs})
-				if err != nil {
-					return nil, err
-				}
-				// MarshalIndent's buffer has room for twice the compact
-				// document; what is kept is the body alone.
-				lastRuns, lastBody = runs, bytes.Clone(body)
+			body, err := encodeJSON(map[string]any{"runs": len(runs), "entries": runs})
+			if err != nil {
+				return nil, err
 			}
-			return lastBody, nil
+			// MarshalIndent's buffer has room for twice the compact
+			// document; what is kept is the body alone.
+			runsGen, runsBody = s.Generation(), bytes.Clone(body)
+			return runsBody, nil
 		})
 	})))
 	mux.HandleFunc("GET /runs/{key}", counted("run", view(st.Stamp, nil, func(r *http.Request) (any, error) {

@@ -10,14 +10,18 @@ import (
 )
 
 // Snapshot is the archive's state in parsed form: the ledger's
-// first-record-per-key fold, the streamed manifest's finished cells, the
-// head of every manifest document, and the listing of the archive
-// documents in runs/. Advance brings it up to date by reading only what
-// moved since the previous Advance, so a long-lived holder (archive/serve
-// keeps one per handler, and events.Watcher one per feed, taking Follow's
-// delta) pays O(what changed) per query where a fresh one (every Store
-// method) pays O(archive), and holds what it parsed while it lives:
-// O(ledger + log + runs/) memory, about 1 MB at 10^3 runs. That first
+// first-record-per-key fold with Status's ledger half (per-backend and
+// per-owner counts and seconds) folded alongside it, the streamed
+// manifest's finished cells, the head of every manifest document, and
+// the listing of the archive documents in runs/. Advance brings it up to
+// date by reading only what moved since the previous Advance, so a
+// long-lived holder (archive/serve keeps one per handler, and
+// events.Watcher one per feed, taking Follow's delta) pays O(what
+// changed) per query where a fresh one (every Store method) pays
+// O(archive), and holds what it parsed while it lives: O(ledger + log +
+// runs/) memory, about 1 MB at 10^3 runs. Status reads no ledger line
+// it holds again, and Generation tells a holder that keeps what it
+// built from Runs when to build it again. That first
 // Advance over 10^3 runs takes about 10 ms and 20,000 allocations on a
 // 2-core Xeon guest (BenchmarkColdAdvance). About half of it reads
 // the ledger and the log, whose lines fleet.Fields decodes in one pass;
@@ -33,6 +37,7 @@ type Snapshot struct {
 
 	index  tail         // runs/index.json, as far as ledger has folded it
 	ledger fleet.Ledger // first record per key, key -> position, line count
+	tally  tally        // Status's ledger half, folded with ledger.First
 
 	log    tail             // manifest.log, as far as cells has folded it
 	cells  []campaign.Entry // its done cells, latest record per (index, key)
@@ -47,7 +52,16 @@ type Snapshot struct {
 	// no directory).
 	runsAt os.FileInfo
 	docs   []doc
+
+	gen uint64 // Generation
 }
+
+// Generation names the state Runs shows: while it holds, Runs returns
+// what it returned when it last read it. It moves with every ledger line
+// an Advance folds (duplicates too), every refold and every listing of
+// runs/, so it may move while Runs' answer stays the same, never the
+// other way.
+func (s *Snapshot) Generation() uint64 { return s.gen }
 
 // doc is one archive document as the runs/ listing saw it.
 type doc struct {
@@ -130,19 +144,23 @@ func (s *Snapshot) Follow(c Changes) error {
 }
 
 func (s *Snapshot) advanceLedger(run func(fleet.IndexEntry)) error {
-	add := s.ledger.Add
 	var before map[string]int // the fold a refold in this advance replaced
-	if run != nil {
-		add = func(e fleet.IndexEntry) {
-			_, held := s.ledger.At[e.Key]
-			_, had := before[e.Key]
-			s.ledger.Add(e)
-			if !held && !had {
-				run(e)
-			}
+	add := func(e fleet.IndexEntry) {
+		s.gen++
+		n := len(s.ledger.First)
+		if s.ledger.Add(e); len(s.ledger.First) == n {
+			return // a later record of a key the fold holds
+		}
+		s.tally.add(e)
+		if _, had := before[e.Key]; run != nil && !had {
+			run(e)
 		}
 	}
-	return s.index.advance(s.at.Index(), func() { before, s.ledger = s.ledger.At, fleet.Ledger{} }, func(offset int64) (int64, error) {
+	refold := func() {
+		before, s.ledger, s.tally = s.ledger.At, fleet.Ledger{}, tally{}
+		s.gen++
+	}
+	return s.index.advance(s.at.Index(), refold, func(offset int64) (int64, error) {
 		return fleet.ScanIndex(s.at.Index(), offset, add)
 	})
 }
@@ -286,6 +304,7 @@ func (s *Snapshot) advanceRuns(moved bool) error {
 	// The facts from before the listing: a change during it is caught by
 	// the next advance. A listing that failed is retried by it.
 	s.runsAt, s.docs = nil, s.docs[:0]
+	s.gen++
 	if fi == nil {
 		return nil
 	}

@@ -327,6 +327,51 @@ func TestSnapshotSurvivesLedgerCompaction(t *testing.T) {
 	sameViews(t, "appends after a compaction", sn, st, keys)
 }
 
+// Generation moves with every fold that can move what Runs returns, and
+// not on an Advance or Follow that finds nothing moved. Follow folds the
+// ledger without listing runs/, so its steps show the ledger's moves
+// apart from the listing's.
+func TestGenerationMovesWithEveryFold(t *testing.T) {
+	dir := campaign.Dir(t.TempDir())
+	st, err := Open(string(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := st.Snapshot()
+	follow := func() error { return sn.Follow(Changes{}) }
+	line := ledgerLine(syntheticKey(0), 0, "w")
+	for _, step := range []struct {
+		name   string
+		change func()
+		fold   func() error
+		moves  bool
+	}{
+		{"a ledger line", func() { appendBytes(t, dir.Index(), line) }, follow, true},
+		{"a duplicate ledger line", func() { appendBytes(t, dir.Index(), line) }, follow, true},
+		{"an idle Follow", func() {}, follow, false},
+		{"the first listing of runs/", func() {}, sn.Advance, true},
+		{"an idle Advance", func() {}, sn.Advance, false},
+		{"a document renamed into runs/", func() {
+			publish(t, dir.Archive(syntheticKey(1)), minimalDoc)
+			later := time.Now().Add(time.Second)
+			if err := os.Chtimes(dir.Runs(), later, later); err != nil {
+				t.Fatal(err)
+			}
+		}, sn.Advance, true},
+		{"another idle Advance", func() {}, sn.Advance, false},
+		{"a refold onto an empty ledger", func() { publish(t, dir.Index(), "") }, follow, true},
+	} {
+		gen := sn.Generation()
+		step.change()
+		if err := step.fold(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if moved := sn.Generation() != gen; moved != step.moves {
+			t.Fatalf("%s: Generation moved: %v, want %v", step.name, moved, step.moves)
+		}
+	}
+}
+
 // skipUnderRace skips a test that counts allocations: the race detector's
 // instrumentation allocates.
 func skipUnderRace(t *testing.T) {

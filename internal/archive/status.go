@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -111,9 +112,18 @@ func (s *Store) Status() (*Status, error) {
 // runs/ listing as of the last Advance, and the leases and campaign.csv
 // as of now.
 func (s *Snapshot) Status() (*Status, error) {
-	st := &Status{Dir: string(s.at), LedgerLines: s.ledger.Lines, Archived: len(s.docs)}
-
-	owners := make(map[string]*OwnerStatus)
+	st := &Status{
+		Dir:            string(s.at),
+		Archived:       len(s.docs),
+		Executed:       len(s.ledger.First),
+		LedgerLines:    s.ledger.Lines,
+		Backends:       maps.Clone(s.tally.backends),
+		BackendSeconds: maps.Clone(s.tally.backendSeconds),
+	}
+	owners := make(map[string]*OwnerStatus, len(s.tally.owners))
+	for name, o := range s.tally.owners {
+		owners[name] = &o
+	}
 	owner := func(name string) *OwnerStatus {
 		o := owners[name]
 		if o == nil {
@@ -121,25 +131,6 @@ func (s *Snapshot) Status() (*Status, error) {
 			owners[name] = o
 		}
 		return o
-	}
-	for _, e := range s.ledger.First {
-		st.Executed++
-		backend := e.Backend
-		if backend == "" {
-			backend = "sim"
-		}
-		if st.Backends == nil {
-			st.Backends = make(map[string]int)
-			st.BackendSeconds = make(map[string]float64)
-		}
-		st.Backends[backend]++
-		st.BackendSeconds[backend] += e.WallSeconds
-		if e.Owner == "" {
-			continue
-		}
-		o := owner(e.Owner)
-		o.Executed++
-		o.WallSeconds += e.WallSeconds
 	}
 
 	leases, err := fleet.Leases(s.at.Leases())
@@ -184,4 +175,37 @@ func (s *Snapshot) Status() (*Status, error) {
 	sort.Slice(st.Owners, func(i, j int) bool { return st.Owners[i].Owner < st.Owners[j].Owner })
 	st.Finalized = finalized(s.at)
 	return st, nil
+}
+
+// tally is Status's ledger half: the per-backend and per-owner counts and
+// seconds of the ledger's first records. A Snapshot folds each first
+// record into it as the ledger's fold takes it, in file order, so every
+// sum adds the same terms in the same order as a fold of ledger.First
+// would, bit for bit.
+type tally struct {
+	backends       map[string]int
+	backendSeconds map[string]float64
+	owners         map[string]OwnerStatus // Executed and WallSeconds
+}
+
+func (t *tally) add(e fleet.IndexEntry) {
+	backend := e.Backend
+	if backend == "" {
+		backend = "sim"
+	}
+	if t.backends == nil {
+		t.backends = make(map[string]int)
+		t.backendSeconds = make(map[string]float64)
+		t.owners = make(map[string]OwnerStatus)
+	}
+	t.backends[backend]++
+	t.backendSeconds[backend] += e.WallSeconds
+	if e.Owner == "" {
+		return
+	}
+	o := t.owners[e.Owner]
+	o.Owner = e.Owner
+	o.Executed++
+	o.WallSeconds += e.WallSeconds
+	t.owners[e.Owner] = o
 }
