@@ -121,9 +121,9 @@ bench-smoke:
 # Stamp() moves exactly when a line was appended. FuzzDecodeIndexEntry,
 # FuzzDecodeEntry and FuzzReadHead: whatever a ledger line, a manifest
 # line or a manifest document holds, the one-pass fast path
-# (fleet.Fields) reads it to a value json.Unmarshal decodes the same,
+# (persist.Fields) reads it to a value json.Unmarshal decodes the same,
 # reflect.DeepEqual, or declines it, and so declines everything
-# json.Unmarshal rejects. FuzzSkip: fleet.Fields steps over exactly the
+# json.Unmarshal rejects. FuzzSkip: persist.Fields steps over exactly the
 # values json.Valid accepts (nested at most 64 deep), so the manifest
 # head it reads is valid JSON. FuzzExpand: whatever a campaign file holds,
 # Load and Expand never panic, an accepted grid expands to one cell per

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
+	"repro/internal/persist"
 )
 
 // Snapshot is the archive's state in parsed form: the ledger's
@@ -24,9 +25,9 @@ import (
 // built from Runs when to build it again. That first
 // Advance over 10^3 runs takes about 10 ms and 20,000 allocations on a
 // 2-core Xeon guest (BenchmarkColdAdvance). About half of it reads
-// the ledger and the log, whose lines fleet.Fields decodes in one pass;
+// the ledger and the log, whose lines persist.Fields decodes in one pass;
 // two fifths list runs/, a stat per document; the rest reads
-// manifest.json, whose entries fleet.Fields steps over unmaterialised.
+// manifest.json, whose entries persist.Fields steps over unmaterialised.
 //
 // It is not safe for concurrent use: Advance writes what the views
 // read. Views only read, and nothing they return aliases the Snapshot,
@@ -270,12 +271,12 @@ func readHead(path string, fi os.FileInfo) head {
 	return h
 }
 
-// readHeadFields is readHead's fast path (see fleet.Fields): the members
+// readHeadFields is readHead's fast path (see persist.Fields): the members
 // of a campaign.Manifest in field order, the head's read and the rest
 // stepped over, each checked as json.Valid would. It reports false for
 // any document it does not read as json.Unmarshal would.
 func readHeadFields(data []byte) (h head, ok bool) {
-	f := fleet.ReadFields(data)
+	f := persist.ReadFields(data)
 	f.Skip("version")
 	h.Campaign = f.String("campaign")
 	f.Skip("jobs")

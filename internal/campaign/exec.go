@@ -137,10 +137,10 @@ func DecodeEntry(line []byte) (Entry, bool) {
 	return e, ok && e.Key != ""
 }
 
-// readEntry is DecodeEntry's fast path (see fleet.Fields): it reports
+// readEntry is DecodeEntry's fast path (see persist.Fields): it reports
 // false for any line it does not read as json.Unmarshal would.
 func readEntry(line []byte) (e Entry, ok bool) {
-	f := fleet.ReadFields(line)
+	f := persist.ReadFields(line)
 	e.Index = f.Int("index")
 	e.Scenario = f.String("scenario")
 	e.Config = f.String("config")

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // What EncodeLine writes is what the fast path reads: if it declined
@@ -40,6 +42,10 @@ func TestFieldsReadWhatEncodeLineWrites(t *testing.T) {
 	}
 }
 
+// maxDepth is the nesting persist.Fields' Skip follows; a deeper value is
+// declined.
+const maxDepth = 64
+
 // Skip steps over any valid JSON value, white space included, and
 // leaves the members after it to be read; it declines what json.Valid
 // refuses.
@@ -65,7 +71,7 @@ func TestFieldsSkipAnyValue(t *testing.T) {
 // skips reports whether Skip steps over v as the value of a member
 // before another.
 func skips(v string) bool {
-	f := ReadFields([]byte(`{ "a" :` + v + `, "b": 2 }` + "\n"))
+	f := persist.ReadFields([]byte(`{ "a" :` + v + `, "b": 2 }` + "\n"))
 	f.Skip("a")
 	return f.Int("b") == 2 && f.Done()
 }

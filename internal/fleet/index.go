@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/persist"
 )
 
 // The archive index, runs/index.json, is the campaign cache's ledger: one
@@ -184,10 +186,10 @@ func decodeIndexEntry(line []byte) (e IndexEntry, err error) {
 	return e, err
 }
 
-// readIndexEntry is decodeIndexEntry's fast path (see Fields): it
+// readIndexEntry is decodeIndexEntry's fast path (see persist.Fields): it
 // reports false for any line it does not read as json.Unmarshal would.
 func readIndexEntry(line []byte) (e IndexEntry, ok bool) {
-	f := ReadFields(line)
+	f := persist.ReadFields(line)
 	e.Key = f.String("key")
 	e.Run = f.Int("run")
 	e.Scenario = f.String("scenario")

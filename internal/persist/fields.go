@@ -1,11 +1,11 @@
-package fleet
+package persist
 
 import "strconv"
 
 // Fields reads one JSON object a member at a time, in the form
 // json.Marshal writes a struct: its members in field order, each at most
 // once, any of them absent (an omitempty field left out), white space
-// between tokens allowed (persist.SaveJSON indents). It is the fast path
+// between tokens allowed (SaveJSON indents). It is the fast path
 // of the decoders of what this program writes — ledger lines, manifest
 // lines, manifest heads — each of which reads its struct's fields in
 // order and falls back to json.Unmarshal unless Done accepts the object.
@@ -285,13 +285,8 @@ func stringEnd(b []byte, i int) int {
 		switch b[i] {
 		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 		case 'u':
-			if i+4 >= len(b) {
+			if hex4(b[i+1:]) < 0 {
 				return -1
-			}
-			for _, h := range b[i+1 : i+5] {
-				if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
-					return -1
-				}
 			}
 			i += 4
 		default:
@@ -343,18 +338,21 @@ func numberEnd(b []byte, i int) int {
 	return i
 }
 
+// skipDigits returns the end of the run of decimal digits starting at i.
 func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+	for i < len(b) && b[i]-'0' <= 9 {
 		i++
 	}
 	return i
 }
 
-// skipSpace returns the index of the first byte at or after i that is
-// not JSON white space.
+// skipSpace returns the index of the first byte of b from i on that is
+// not JSON white space, or len(b).
 func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\r' || b[i] == '\t') {
-		i++
+	for ; i < len(b); i++ {
+		if c := b[i]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			break
+		}
 	}
 	return i
 }

@@ -138,10 +138,8 @@ func (s *graphScanner) fill() bool {
 // or 0 once the scanner has failed.
 func (s *graphScanner) peek() byte {
 	for {
-		for ; s.pos < len(s.win); s.pos++ {
-			if c := s.win[s.pos]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-				return c
-			}
+		if s.pos = skipSpace(s.win, s.pos); s.pos < len(s.win) {
+			return s.win[s.pos]
 		}
 		if !s.fill() {
 			return 0
@@ -235,42 +233,10 @@ func (s *graphScanner) number() []byte {
 	case s.err != nil:
 	case len(tok) == 0:
 		s.fail("found %q, want a number", s.win[s.pos])
-	case !validNumber(tok):
+	case numberEnd(tok, 0) != len(tok):
 		s.fail("%q is not a number", tok)
 	}
 	return tok
-}
-
-func validNumber(b []byte) bool {
-	digits := func() bool {
-		k := len(b)
-		for len(b) > 0 && '0' <= b[0] && b[0] <= '9' {
-			b = b[1:]
-		}
-		return len(b) < k
-	}
-	if len(b) > 0 && b[0] == '-' {
-		b = b[1:]
-	}
-	if len(b) > 0 && b[0] == '0' {
-		b = b[1:]
-	} else if !digits() {
-		return false
-	}
-	if len(b) > 0 && b[0] == '.' {
-		if b = b[1:]; !digits() {
-			return false
-		}
-	}
-	if len(b) > 0 && (b[0] == 'e' || b[0] == 'E') {
-		if b = b[1:]; len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-			b = b[1:]
-		}
-		if !digits() {
-			return false
-		}
-	}
-	return len(b) == 0
 }
 
 // integer reads version or n: a number in integer form, as encoding/json
@@ -367,12 +333,12 @@ func (s *graphScanner) plainTriple() (u, v int, w float64, ok bool) {
 		return 0, 0, 0, false
 	}
 	start := skipSpace(b, i+1)
-	if i = digitsEnd(b, start); i == start || b[start] == '0' && i > start+1 {
+	if i = skipDigits(b, start); i == start || b[start] == '0' && i > start+1 {
 		return 0, 0, 0, false
 	}
 	if i < len(b) && b[i] == '.' {
 		frac := i + 1
-		if i = digitsEnd(b, frac); i == frac {
+		if i = skipDigits(b, frac); i == frac {
 			return 0, 0, 0, false
 		}
 	}
@@ -388,25 +354,6 @@ func (s *graphScanner) plainTriple() (u, v int, w float64, ok bool) {
 	}
 	s.pos = i + 1
 	return u, v, w, true
-}
-
-// skipSpace returns the index of the first byte of b from i on that is
-// not JSON white space, or len(b).
-func skipSpace(b []byte, i int) int {
-	for ; i < len(b); i++ {
-		if c := b[i]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-			break
-		}
-	}
-	return i
-}
-
-// digitsEnd returns the end of the run of decimal digits starting at i.
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && b[i]-'0' <= 9 {
-		i++
-	}
-	return i
 }
 
 // plainInt reads an endpoint at i: one to nine digits, no leading zero,

@@ -2,7 +2,10 @@
 // scenario specs to JSON, so a measurement campaign can be archived,
 // shipped, re-clustered offline, or compared across runs without
 // re-measuring — the workflow a real deployment of the paper's method
-// needs (measurement is cheap but not free; analysis is reusable).
+// needs (measurement is cheap but not free; analysis is reusable). It is
+// also the one package that reads back, by hand, JSON this program
+// wrote: ReadGraph the graph archive, Fields the ledger and manifest
+// lines and manifest heads, both on one copy of the JSON grammar.
 package persist
 
 import (
@@ -227,11 +230,7 @@ func (d *ResultDoc) Partition() (cluster.Partition, error) {
 // campaign can never leave a torn archive that poisons its
 // content-addressed cache.
 func SaveResult(path string, doc *ResultDoc) error {
-	return WriteAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return SaveJSON(path, doc)
 }
 
 // LoadResult reads a result document from a file. The file must hold
