@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test bench-test race budgets guards vet fmt-check size layout-check bench-smoke fuzz-smoke ci
+.PHONY: all build examples test bench-test race budgets guards slow vet fmt-check size layout-check bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -37,8 +37,9 @@ bench-test:
 # wire check through internal/wire, substrate and cmd/campaign), or, like
 # the export guard (exports_test.go) and the fused multiply-add guard
 # (fma_test.go), have no concurrency for the race detector to check.
-# `test` runs everything. It still needs more than go test's default 10m
-# on slow machines.
+# `guards` and `slow` run the skipped tests without it, and `test` runs
+# everything. It still needs more than go test's default 10m on slow
+# machines.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
@@ -58,6 +59,15 @@ budgets:
 # no implicit FMA on arm64, ppc64le, s390x or riscv64).
 guards:
 	$(GO) test -run '^(TestOnlyProductPathsExport|TestNoImplicitFusedMultiplyAdd)$$' .
+
+# slow runs, without the race detector, the other tests that skip under
+# -short, so `race` never runs them: the long experiment tests (the
+# dataset suite and its Workers contract, E13, E15, E16, E17) and core's
+# real-socket wire backend check. `go test -list` with this pattern over
+# ./... names these seven and nothing else.
+SLOW_TESTS = ^(TestDatasetsSmallScale|TestDatasetsOutputIsIdenticalAcrossWorkers|TestAblationSmallScale|TestHierarchyExperimentSmallScale|TestStressExperimentSmallScale|TestDriftExperimentDegradesMonotonically|TestWireBackendClustersTwoSites)$$
+slow:
+	$(GO) test -run '$(SLOW_TESTS)' ./internal/experiments ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -146,4 +156,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadHead -fuzztime=10s ./internal/archive
 	$(GO) test -run='^$$' -fuzz=FuzzExpand -fuzztime=10s ./internal/campaign
 
-ci: fmt-check vet layout-check build examples bench-test race budgets guards bench-smoke fuzz-smoke
+ci: fmt-check vet layout-check build examples bench-test race budgets guards slow bench-smoke fuzz-smoke

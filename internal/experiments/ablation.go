@@ -25,17 +25,7 @@ type AblationRow struct {
 
 // AblationData is the result of the ablation experiment.
 type AblationData struct {
-	Rows  []AblationRow
-	Knobs []KnobRow
-	Table *report.Table
-	KnobT *report.Table
-}
-
-// KnobRow is one design-knob variation on the GT dataset.
-type KnobRow struct {
-	Knob string
-	NMI  float64
-	K    int
+	Rows []AblationRow
 }
 
 // Ablation runs the §III-D comparison — the paper "finds that [Infomap]
@@ -73,11 +63,7 @@ func (r *Runner) Ablation() (*AblationData, error) {
 	for _, row := range data.Rows {
 		t.AddRow(row.Dataset, row.LouvainNMI, row.LouvainK, row.InfomapNMI, row.InfomapK)
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	if err := r.saveCSV("e13_ablation.csv", t); err != nil {
+	if err := r.publish("e13_ablation.csv", t); err != nil {
 		return nil, err
 	}
 
@@ -118,12 +104,7 @@ func (r *Runner) Ablation() (*AblationData, error) {
 		if err != nil {
 			return nil, err
 		}
-		data.Knobs = append(data.Knobs, KnobRow{Knob: k.name, NMI: nmiV, K: kk})
 		kt.AddRow(k.name, fin(nmiV), kk)
 	}
-	data.KnobT = kt
-	if err := r.emit(kt); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e13b_knobs.csv", kt)
+	return data, r.publish("e13b_knobs.csv", kt)
 }

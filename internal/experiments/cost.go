@@ -25,8 +25,7 @@ type CostRow struct {
 
 // CostData is the result of the cost comparison.
 type CostData struct {
-	Rows  []CostRow
-	Table *report.Table
+	Rows []CostRow
 }
 
 // Cost compares measurement procedures on a Bordeaux-style bottlenecked
@@ -117,17 +116,12 @@ func (r *Runner) Cost() (*CostData, error) {
 	for _, row := range data.Rows {
 		t.AddRow(row.Method, row.Nodes, row.Probes, row.Seconds, fin(row.NMI))
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e4_cost.csv", t)
+	return data, r.publish("e4_cost.csv", t)
 }
 
 // NetPipeData is the point-to-point ground-truth table (E5).
 type NetPipeData struct {
 	IntraMbps, InterMbps, CrossBottleneckMbps float64
-	Table                                     *report.Table
 }
 
 // NetPipe reproduces the §IV-A measurements: ~890 Mbit/s inside an
@@ -169,9 +163,5 @@ func (r *Runner) NetPipe() (*NetPipeData, error) {
 	t.AddRow("intra-cluster (Bordeaux)", data.IntraMbps, "≈890")
 	t.AddRow("inter-site (Grenoble-Toulouse)", data.InterMbps, "≈787")
 	t.AddRow("across Bordeaux bottleneck (idle)", data.CrossBottleneckMbps, "n/a (invisible)")
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e5_netpipe.csv", t)
+	return data, r.publish("e5_netpipe.csv", t)
 }

@@ -36,13 +36,11 @@ type DatasetOutcome struct {
 	// MeanDuration is the average broadcast duration (≈20 s in the
 	// paper).
 	MeanDuration float64
-	Result       *core.Result
 }
 
 // DatasetsData aggregates the suite.
 type DatasetsData struct {
 	Outcomes []DatasetOutcome
-	Table    *report.Table
 }
 
 // paperIterations is the per-dataset iteration count used in §IV.
@@ -80,7 +78,6 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 			TruthClusters: countLabels(d.GroundTruth),
 			Q:             res.Q,
 			Series:        &stats.Series{Name: name},
-			Result:        res,
 		}
 		var totalDur float64
 		for _, rec := range res.Iterations {
@@ -116,8 +113,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 		t.AddRow(o.Name, o.TruthClusters, o.FinalClusters, fin(o.FinalNMI), fin(o.FinalARI), o.Q,
 			o.ConvergedAt, paperConverged[o.Name], o.MeanDuration)
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
+	if err := r.publish("datasets_summary.csv", t); err != nil {
 		return nil, err
 	}
 	plot := &report.SVGPlot{
@@ -131,10 +127,7 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 	if err := r.save("fig13_nmi.svg", plot.WriteSVG); err != nil {
 		return nil, err
 	}
-	if err := r.saveCSV("fig13_nmi.csv", fig13); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("datasets_summary.csv", t)
+	return data, r.saveCSV("fig13_nmi.csv", fig13)
 }
 
 // writeLayout renders the Figs. 8-12 Kamada-Kawai visualisations.

@@ -35,8 +35,7 @@ type DriftRow struct {
 
 // DriftData is the E17 result.
 type DriftData struct {
-	Rows  []DriftRow
-	Table *report.Table
+	Rows []DriftRow
 }
 
 // driftIntensities is the swept disturbance grid.
@@ -87,9 +86,5 @@ func (r *Runner) Drift() (*DriftData, error) {
 	for _, row := range data.Rows {
 		t.AddRow(row.Intensity, row.Events, row.ActiveFinal, row.TruthK, row.FoundK, fin(row.NMI), row.Q)
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e17_drift.csv", t)
+	return data, r.publish("e17_drift.csv", t)
 }

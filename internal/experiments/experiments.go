@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Names is the index). Each experiment returns the data it
-// produced together with a rendered table; the Runner optionally writes
-// CSV and figure files for plotting.
+// evaluation (Names is the index). Each experiment emits its tables to
+// Config.Out and returns the data they were rendered from; the Runner
+// optionally writes CSV and figure files for plotting.
 //
 // The experiments are shared by cmd/experiments (full paper scale) and
 // the test suite (small scale). Config.Scale shrinks the broadcast
@@ -85,6 +85,14 @@ func (r *Runner) save(name string, write func(io.Writer) error) error {
 
 func (r *Runner) saveCSV(name string, t *report.Table) error { return r.save(name, t.WriteCSV) }
 
+// publish emits t and saves it as the named CSV.
+func (r *Runner) publish(name string, t *report.Table) error {
+	if err := r.emit(t); err != nil {
+		return err
+	}
+	return r.saveCSV(name, t)
+}
+
 // experimentTable is the index, in paper order followed by the
 // Future-Work extensions (E15 hierarchy, E16 randomized stress, E17
 // network drift, E18 sim-vs-wire substrate comparison).
@@ -149,14 +157,12 @@ func (r *Runner) RunAll() error {
 
 // Fig4Data is the result of the Fig. 4 experiment.
 type Fig4Data struct {
-	Node                  int
 	LocalPerEdge          []float64 // w(e) to same-site peers
 	RemotePerEdge         []float64 // w(e) to remote-site peers
 	LocalTotal            float64
 	RemoteTotal           float64
 	LocalMean, RemoteMean float64
 	Ratio                 float64
-	Table                 *report.Table
 }
 
 // Fig4 reproduces Fig. 4 on the BT dataset (two sites): the per-edge
@@ -176,7 +182,7 @@ func (r *Runner) Fig4() (*Fig4Data, error) {
 		return nil, err
 	}
 	const node = 0 // a Bordeplage node; local peers are all Bordeaux nodes
-	data := &Fig4Data{Node: node}
+	data := &Fig4Data{}
 	localSite := siteOf(d, node)
 	for peer := 0; peer < d.N(); peer++ {
 		if peer == node {
@@ -205,7 +211,6 @@ func (r *Runner) Fig4() (*Fig4Data, error) {
 	}
 	t.AddRow("local site", len(data.LocalPerEdge), data.LocalMean, data.LocalTotal)
 	t.AddRow("remote site", len(data.RemotePerEdge), data.RemoteMean, data.RemoteTotal)
-	data.Table = t
 	if err := r.emit(t); err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,13 +23,12 @@ func quick(t *testing.T, iters int) (*Runner, *strings.Builder, string) {
 	return r, &sb, dir
 }
 
-// requireXML fails unless the file exists and is a well-formed XML
+// requireXML fails unless the named artifact is a well-formed XML
 // document with an <svg> root.
-func requireXML(t *testing.T, path string) {
+func requireXML(t *testing.T, name string, data []byte) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing artifact: %v", err)
+	if data == nil {
+		t.Fatalf("missing artifact %s", name)
 	}
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	var root string
@@ -38,14 +38,14 @@ func requireXML(t *testing.T, path string) {
 			break
 		}
 		if err != nil {
-			t.Fatalf("%s is not well-formed XML: %v", path, err)
+			t.Fatalf("%s is not well-formed XML: %v", name, err)
 		}
 		if el, ok := tok.(xml.StartElement); ok && root == "" {
 			root = el.Name.Local
 		}
 	}
 	if root != "svg" {
-		t.Fatalf("%s has root element %q, want svg", path, root)
+		t.Fatalf("%s has root element %q, want svg", name, root)
 	}
 }
 
@@ -96,7 +96,8 @@ func TestFig5SmallScale(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "fig5_samples.csv")); err != nil {
 		t.Fatal("fig5 CSV not written")
 	}
-	requireXML(t, filepath.Join(dir, "fig5_hist.svg"))
+	svg, _ := os.ReadFile(filepath.Join(dir, "fig5_hist.svg"))
+	requireXML(t, "fig5_hist.svg", svg)
 }
 
 func TestEfficiencySmallScale(t *testing.T) {
@@ -187,15 +188,54 @@ func TestNetPipeTable(t *testing.T) {
 	}
 }
 
+// suiteRun is one Datasets run: its data, the tables it emitted and every
+// artifact it wrote, by file name.
+type suiteRun struct {
+	data  *DatasetsData
+	out   string
+	files map[string][]byte
+}
+
+// runDatasets runs the dataset suite at the quick scale, 8 iterations and
+// the given Workers, and reads back what it wrote.
+func runDatasets(workers int) (suiteRun, error) {
+	dir, err := os.MkdirTemp("", "datasets")
+	if err != nil {
+		return suiteRun{}, err
+	}
+	defer os.RemoveAll(dir)
+	var sb strings.Builder
+	r := New(Config{Scale: 0.05, Iterations: 8, Seed: 1, Out: &sb, DataDir: dir, Workers: workers})
+	data, err := r.Datasets()
+	if err != nil {
+		return suiteRun{}, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return suiteRun{}, err
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			return suiteRun{}, err
+		}
+	}
+	return suiteRun{data, sb.String(), files}, nil
+}
+
+// datasetsOneWorker is the Workers 1 suite, run once: the shape checks
+// and the Workers contract below both read it.
+var datasetsOneWorker = sync.OnceValues(func() (suiteRun, error) { return runDatasets(1) })
+
 func TestDatasetsSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset suite takes a few seconds")
 	}
-	r, out, dir := quick(t, 8)
-	data, err := r.Datasets()
+	run, err := datasetsOneWorker()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := run.data
 	if len(data.Outcomes) != 6 {
 		t.Fatalf("outcomes = %d, want 6 datasets", len(data.Outcomes))
 	}
@@ -208,16 +248,42 @@ func TestDatasetsSmallScale(t *testing.T) {
 	if data.Outcomes[0].Name != "2x2" || data.Outcomes[0].FinalClusters != 1 {
 		t.Fatalf("2x2 outcome wrong: %+v", data.Outcomes[0])
 	}
-	if !strings.Contains(out.String(), "dataset suite") {
+	if !strings.Contains(run.out, "dataset suite") {
 		t.Fatal("table not emitted")
 	}
 	for _, f := range []string{"fig13_nmi.csv", "layout_B.dot"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+		if run.files[f] == nil {
 			t.Fatalf("missing artifact %s", f)
 		}
 	}
 	for _, f := range []string{"fig13_nmi.svg", "layout_B.svg"} {
-		requireXML(t, filepath.Join(dir, f))
+		requireXML(t, f, run.files[f])
+	}
+}
+
+// TestAblationSmallScale is E13's smoke test: both tables are emitted and
+// saved.
+func TestAblationSmallScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation runs ten tomography runs")
+	}
+	r, out, dir := quick(t, 1)
+	data, err := r.Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3 (B, GT, BGT)", len(data.Rows))
+	}
+	for _, title := range []string{"E13 /", "E13b"} {
+		if !strings.Contains(out.String(), title) {
+			t.Fatalf("%s table not emitted", title)
+		}
+	}
+	for _, f := range []string{"e13_ablation.csv", "e13b_knobs.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("missing artifact %s", f)
+		}
 	}
 }
 
@@ -258,7 +324,9 @@ func TestStressExperimentSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress experiment runs many broadcasts")
 	}
-	r, out, _ := quick(t, 0) // keep the experiment's own 15 iterations
+	// 10 of the experiment's own 15 iterations: a Stress run that
+	// aggregates only the last three broadcasts (Window 3) still fails.
+	r, out, _ := quick(t, 10)
 	r.cfg.Workers = runtime.GOMAXPROCS(0)
 	data, err := r.Stress()
 	if err != nil {
@@ -288,35 +356,21 @@ func TestStressExperimentSmallScale(t *testing.T) {
 }
 
 // TestDatasetsOutputIsIdenticalAcrossWorkers: Workers is each run's
-// core.Options.Workers, so the emitted tables, plot and CSV series are
-// byte for byte those of a single-worker run.
+// core.Options.Workers, so the emitted tables, plot, CSV series and
+// layouts are byte for byte those of a single-worker run.
 func TestDatasetsOutputIsIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset suite runs twice; core's own tests race the worker pool")
 	}
-	run := func(workers int) (string, map[string][]byte) {
-		var sb strings.Builder
-		dir := t.TempDir()
-		r := New(Config{Scale: 0.05, Iterations: 2, Seed: 1, Out: &sb, DataDir: dir, Workers: workers})
-		if _, err := r.Datasets(); err != nil {
-			t.Fatal(err)
-		}
-		files := map[string][]byte{}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = data
-		}
-		return sb.String(), files
+	one, err := datasetsOneWorker()
+	if err != nil {
+		t.Fatal(err)
 	}
-	out1, files1 := run(1)
-	out3, files3 := run(3)
+	three, err := runDatasets(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out1, files1, out3, files3 := one.out, one.files, three.out, three.files
 	if out1 != out3 {
 		t.Fatalf("Workers 3 output differs from Workers 1:\n--- 1 ---\n%s\n--- 3 ---\n%s", out1, out3)
 	}

@@ -22,7 +22,6 @@ type HierarchyData struct {
 	HierLeaves     int
 	FinestLevelNMI float64
 	Depth          int
-	Table          *report.Table
 }
 
 // Hierarchy runs E15 on the BT dataset, whose ground truth is nested:
@@ -68,11 +67,7 @@ func (r *Runner) Hierarchy() (*HierarchyData, error) {
 	t.AddRow("flat (paper)", data.FlatClusters, fin(data.FlatNMI))
 	t.AddRow(fmt.Sprintf("hierarchy finest level (depth %d)", data.Depth), data.HierLeaves, fin(data.FinestLevelNMI))
 	t.AddRow("hierarchy all levels (LFK cover)", data.HierLeaves, fin(data.HierNMI))
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e15_hierarchy.csv", t)
+	return data, r.publish("e15_hierarchy.csv", t)
 }
 
 // StressRow is one randomized-topology outcome.
@@ -88,7 +83,6 @@ type StressRow struct {
 type StressData struct {
 	Rows    []StressRow
 	Perfect int
-	Table   *report.Table
 }
 
 // Stress runs E16: tomography on randomized multi-site topologies with
@@ -141,9 +135,5 @@ func (r *Runner) Stress() (*StressData, error) {
 	for _, row := range data.Rows {
 		t.AddRow(row.Seed, row.Nodes, row.TruthK, row.FoundK, fin(row.NMI))
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e16_stress.csv", t)
+	return data, r.publish("e16_stress.csv", t)
 }

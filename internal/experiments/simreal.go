@@ -35,8 +35,7 @@ type SimRealRow struct {
 
 // SimRealData is the E18 result.
 type SimRealData struct {
-	Rows  []SimRealRow
-	Table *report.Table
+	Rows []SimRealRow
 }
 
 // simRealMaxFragments caps the broadcast payload for this experiment.
@@ -92,9 +91,5 @@ func (r *Runner) SimReal() (*SimRealData, error) {
 	for _, row := range data.Rows {
 		t.AddRow(row.Backend, row.Fragments, row.TruthK, row.FoundK, fin(row.NMI), row.Q, row.MeasureSeconds)
 	}
-	data.Table = t
-	if err := r.emit(t); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e18_simreal.csv", t)
+	return data, r.publish("e18_simreal.csv", t)
 }

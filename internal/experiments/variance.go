@@ -31,7 +31,6 @@ type Fig5Data struct {
 	// in the paper).
 	NetPipeMbps   float64
 	NetPipeSpread float64
-	Table         *report.Table
 }
 
 // Fig5 reproduces Fig. 5: 36 independent single-run measurements of one
@@ -99,7 +98,6 @@ func (r *Runner) Fig5() (*Fig5Data, error) {
 	t.AddRow("coefficient of variation", data.Summary.CoefficientOfVar)
 	t.AddRow("NetPIPE mean (Mbit/s)", data.NetPipeMbps)
 	t.AddRow("NetPIPE spread (Mbit/s)", data.NetPipeSpread)
-	data.Table = t
 	if err := r.emit(t); err != nil {
 		return nil, err
 	}
@@ -129,8 +127,6 @@ type EfficiencyData struct {
 	// SizeFractions/SizeDurations sweep the message size at 64 nodes.
 	SizeFractions []float64
 	SizeDurations []float64
-	TableNodes    *report.Table
-	TableSizes    *report.Table
 }
 
 // Efficiency reproduces the §II-B claims: 32, 64 and 128 nodes spread
@@ -160,7 +156,6 @@ func (r *Runner) Efficiency() (*EfficiencyData, error) {
 	for i := range data.Nodes {
 		tn.AddRow(data.Nodes[i], data.NodeDurations[i])
 	}
-	data.TableNodes = tn
 	if err := r.emit(tn); err != nil {
 		return nil, err
 	}
@@ -186,9 +181,5 @@ func (r *Runner) Efficiency() (*EfficiencyData, error) {
 	for i := range data.SizeFractions {
 		ts.AddRow(data.SizeFractions[i], data.SizeDurations[i])
 	}
-	data.TableSizes = ts
-	if err := r.emit(ts); err != nil {
-		return nil, err
-	}
-	return data, r.saveCSV("e3_efficiency.csv", ts)
+	return data, r.publish("e3_efficiency.csv", ts)
 }
