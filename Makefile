@@ -43,12 +43,12 @@ bench-test:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# budgets runs, without the race detector, the eleven allocation and
+# budgets runs, without the race detector, the thirteen allocation and
 # byte budget tests that skip themselves under it: CI otherwise runs only
-# `race`. `go test -list` with this pattern over ./... names these eleven
-# and nothing else.
-BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy)$$
-BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core
+# `race`. `go test -list` with this pattern over ./... names these
+# thirteen and nothing else.
+BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy|TestWarmIterationAllocBudget|TestLouvainAllocBudget)$$
+BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core ./internal/cluster
 budgets:
 	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)
 
@@ -97,9 +97,11 @@ layout-check:
 		echo "archive layout names spelled outside internal/campaign/layout.go:"; echo "$$out"; exit 1; fi
 
 # bench-smoke runs every per-package benchmark exactly once — a
-# compile-and-execute gate, not a timing run.
+# compile-and-execute gate, not a timing run. -short leaves out
+# simnet's 2,048-host broadcast, about three minutes of one run;
+# BenchmarkBroadcastScaling still runs at 64, 256 and 1,024 hosts.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 
 # fuzz-smoke runs each fuzz target's checked-in seed corpus
 # (<package>/testdata/fuzz/<target>) and then ten seconds of new inputs,

@@ -14,6 +14,13 @@ import "repro/internal/graph"
 // degree-squared term, and high for partitions whose clusters concentrate
 // edge weight internally.
 func Modularity(g *graph.Graph, p Partition) float64 {
+	k := p.NumClusters()
+	return modularity(g, p, make([]float64, k), make([]float64, k))
+}
+
+// modularity is Modularity summing into in and tot, one zeroed entry per
+// cluster each.
+func modularity(g *graph.Graph, p Partition, in, tot []float64) float64 {
 	if p.N() != g.N() {
 		panic("cluster: partition size does not match graph")
 	}
@@ -21,9 +28,6 @@ func Modularity(g *graph.Graph, p Partition) float64 {
 	if m2 == 0 {
 		return 0
 	}
-	k := p.NumClusters()
-	in := make([]float64, k)
-	tot := make([]float64, k)
 	for v := 0; v < g.N(); v++ {
 		tot[p.Labels[v]] += g.Strength(v)
 	}
@@ -37,7 +41,7 @@ func Modularity(g *graph.Graph, p Partition) float64 {
 		}
 	}
 	q := 0.0
-	for c := 0; c < k; c++ {
+	for c := range in {
 		q += in[c]/m2 - float64((tot[c]/m2)*(tot[c]/m2))
 	}
 	return q

@@ -435,7 +435,10 @@ type merger struct {
 	// window is a ring of the last Window broadcasts, the only ones the
 	// run keeps: retirement subtracts them again.
 	window []measured
-	res    *Result
+	// room is reserve's per-row count of the neighbours a broadcast
+	// brings, then the rows' new capacities.
+	room []int
+	res  *Result
 }
 
 // measured pairs a broadcast with the active-host mapping it ran under,
@@ -516,12 +519,55 @@ func (m *merger) add(it int, bres *bittorrent.Result) {
 // host indices (nil = identity: every host participated); it ascends, so
 // the pairs reach the graph in (a, b) order either way.
 func (m *merger) applyCounts(bres *bittorrent.Result, active []int, sign float64) {
+	if sign > 0 {
+		m.reserve(bres, active)
+	}
 	for _, p := range bres.Pairs {
 		a, b := int(p.A), int(p.B)
 		if active != nil {
 			a, b = active[a], active[b]
 		}
 		m.counts.AddWeight(a, b, sign*float64(int(p.AB)+int(p.BA)))
+	}
+}
+
+// reserve makes room in the counts' rows for the neighbours a broadcast's
+// pairs are about to add, so that adding them grows no row: the rows that
+// would overflow grow together, in one graph.Reserve slab, to twice what
+// they need and never past the vertex count. Retirement only ever shrinks
+// rows, so it needs none.
+func (m *merger) reserve(bres *bittorrent.Result, active []int) {
+	n := m.counts.N()
+	if m.room == nil {
+		m.room = make([]int, n)
+	}
+	room := m.room
+	clear(room)
+	for _, p := range bres.Pairs {
+		a, b := int(p.A), int(p.B)
+		if active != nil {
+			a, b = active[a], active[b]
+		}
+		if int(p.AB)+int(p.BA) != 0 && m.counts.Weight(a, b) == 0 {
+			room[a]++
+			room[b]++
+		}
+	}
+	grow := false
+	for v, k := range room {
+		if k == 0 {
+			continue
+		}
+		row := m.counts.SortedNeighbors(v)
+		if need := len(row) + k; need > cap(row) {
+			room[v] = min(2*need, n)
+			grow = true
+		} else {
+			room[v] = 0
+		}
+	}
+	if grow {
+		m.counts.Reserve(room)
 	}
 }
 

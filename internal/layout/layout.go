@@ -67,38 +67,62 @@ func KamadaKawai(g *graph.Graph) []Point {
 	}
 
 	// Classic KK: repeatedly pick the node with the largest gradient and
-	// relax it with 2-D Newton steps.
+	// relax it with 2-D Newton steps. pull(m, i) is i's term of m's
+	// energy gradient, and grad(m) sums them over every other node.
+	pull := func(m, i int) (gx, gy float64) {
+		dx := pos[m].X - pos[i].X
+		dy := pos[m].Y - pos[i].Y
+		dist := math.Hypot(dx, dy)
+		if dist < 1e-9 {
+			dist = 1e-9
+		}
+		k := springK / (d[m][i] * d[m][i])
+		return k * (dx - d[m][i]*dx/dist), k * (dy - d[m][i]*dy/dist)
+	}
 	grad := func(m int) (gx, gy, delta float64) {
 		for i := 0; i < n; i++ {
 			if i == m {
 				continue
 			}
-			dx := pos[m].X - pos[i].X
-			dy := pos[m].Y - pos[i].Y
-			dist := math.Hypot(dx, dy)
-			if dist < 1e-9 {
-				dist = 1e-9
-			}
-			k := springK / (d[m][i] * d[m][i])
-			gx += k * (dx - d[m][i]*dx/dist)
-			gy += k * (dy - d[m][i]*dy/dist)
+			px, py := pull(m, i)
+			gx += px
+			gy += py
 		}
 		return gx, gy, math.Hypot(gx, gy)
 	}
 
+	// Every node's gradient is kept between sweeps: a relaxation moves
+	// one node, so each other node's gradient changes only by that
+	// node's term, and picking the worst node costs O(n), not O(n²).
+	// The kept sums drift from fresh ones by rounding, so they are
+	// recomputed from scratch every n sweeps.
+	gxs, gys := make([]float64, n), make([]float64, n)
 	for sweep := 0; sweep < maxSweeps*n; sweep++ {
+		if sweep%n == 0 {
+			for m := 0; m < n; m++ {
+				gxs[m], gys[m], _ = grad(m)
+			}
+		}
 		// Find the worst node.
 		worst, worstDelta := -1, tolerance
 		for m := 0; m < n; m++ {
-			if _, _, dl := grad(m); dl > worstDelta {
+			if dl := math.Hypot(gxs[m], gys[m]); dl > worstDelta {
 				worst, worstDelta = m, dl
 			}
 		}
 		if worst < 0 {
 			break
 		}
-		// Newton-relax the worst node.
+		// Newton-relax the worst node: take its term out of every other
+		// node's gradient, move it, and put its new term back in.
 		m := worst
+		for i := 0; i < n; i++ {
+			if i != m {
+				px, py := pull(i, m)
+				gxs[i] -= px
+				gys[i] -= py
+			}
+		}
 		for inner := 0; inner < 40; inner++ {
 			gx, gy, dl := grad(m)
 			if dl < tolerance {
@@ -128,6 +152,14 @@ func KamadaKawai(g *graph.Graph) []Point {
 			pos[m].X += (exy*gy - eyy*gx) / det
 			pos[m].Y += (exy*gx - exx*gy) / det
 		}
+		for i := 0; i < n; i++ {
+			if i != m {
+				px, py := pull(i, m)
+				gxs[i] += px
+				gys[i] += py
+			}
+		}
+		gxs[m], gys[m], _ = grad(m)
 	}
 	return pos
 }

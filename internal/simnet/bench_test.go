@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bittorrent"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
@@ -80,5 +82,49 @@ func BenchmarkStartFlowWarmPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Net.Send(src, dst, 1e6, 0, nil)
 		d.Eng.Run()
+	}
+}
+
+// BenchmarkBroadcastScaling runs one broadcast of 1,000 fragments
+// (bittorrent.DefaultConfig otherwise, seed 1) over four sites of N/4
+// hosts (scenario.NSites(4, N/4, 890, 300)) at 64, 256 and 1,024 hosts,
+// and at 2,048 outside -short, on a fresh clone of the network each time.
+// Beside the wall time it reports what decides how that time grows with
+// N: the wall per engine event and per solve, and the flows a solve
+// starts from. It does not count progressive-filling rounds: a counter
+// in the filling loop slowed the solve by 5–11% in paired runs of
+// BenchmarkSolveChurn, wherever it sat in the loop.
+func BenchmarkBroadcastScaling(b *testing.B) {
+	sizes := []int{64, 256, 1024}
+	if !testing.Short() {
+		sizes = append(sizes, 2048)
+	}
+	for _, hosts := range sizes {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			d, err := scenario.NSites(4, hosts/4, 890, 300).Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := bittorrent.DefaultConfig()
+			cfg.FileBytes = 1000 * cfg.FragmentSize
+			var events, solves, flows uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := sim.NewEngine()
+				net := d.Net.Clone(eng)
+				b.StartTimer()
+				if _, err := bittorrent.RunBroadcast(eng, net, d.Hosts, cfg, rand.New(rand.NewSource(1))); err != nil {
+					b.Fatal(err)
+				}
+				events += eng.Fired()
+				solves += net.Solves()
+				flows += simnet.FlowsSolved(net)
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(events), "ns/event")
+			b.ReportMetric(ns/1e3/float64(solves), "us/solve")
+			b.ReportMetric(float64(flows)/float64(solves), "flows/solve")
+		})
 	}
 }

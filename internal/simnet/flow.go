@@ -271,6 +271,7 @@ func (n *Network) solve() {
 	n.solves++
 	flows := append(n.flowScratch[:0], n.flows...)
 	n.flowScratch = flows[:0]
+	n.flowsSolved += uint64(len(flows))
 	// The lowest cap among the unfixed flows: subtraction rounds
 	// monotonically, so minCap-level is the minimum of every cap-level.
 	minCap := math.Inf(1)

@@ -111,6 +111,9 @@ type Network struct {
 	flowScratch []*Flow
 	finished    []*Flow
 	solves      uint64
+	// flowsSolved counts the flows every solve started from. Nothing
+	// reads it but the tests' scaling benchmark.
+	flowsSolved uint64
 }
 
 // srcPaths is one source's materialised routes.
@@ -432,7 +435,7 @@ func (n *Network) Reset(src *Network) {
 	n.flows = n.flows[:0]
 	clear(n.occupied)
 	n.occupied = n.occupied[:0]
-	n.pendingFlows, n.nextFlow, n.lastSolve, n.dirty, n.solves = 0, 0, 0, false, 0
+	n.pendingFlows, n.nextFlow, n.lastSolve, n.dirty, n.solves, n.flowsSolved = 0, 0, 0, false, 0, 0
 }
 
 // FindVertex returns the id of the vertex with the given name, or -1.
