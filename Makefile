@@ -43,11 +43,11 @@ bench-test:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# budgets runs, without the race detector, the thirteen allocation and
+# budgets runs, without the race detector, the fourteen allocation and
 # byte budget tests that skip themselves under it: CI otherwise runs only
 # `race`. `go test -list` with this pattern over ./... names these
-# thirteen and nothing else.
-BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy|TestWarmIterationAllocBudget|TestLouvainAllocBudget)$$
+# fourteen and nothing else.
+BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWriteGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy|TestWarmIterationAllocBudget|TestLouvainAllocBudget)$$
 BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core ./internal/cluster
 budgets:
 	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)
@@ -109,7 +109,9 @@ bench-smoke:
 # FuzzReadGraph: the graph-archive reader must never panic, whatever it
 # accepts the encoding/json reader it replaced (kept in the test) must
 # read as the same graph bit for bit, and that graph must survive a write
-# and a re-read unchanged. FuzzScanLines:
+# and a re-read unchanged. FuzzPlainFloat: whatever digits and point the
+# bytes make, the graph reader's one-pass weight converter reads them to
+# exactly strconv.ParseFloat's bits, or refuses what it must. FuzzScanLines:
 # the ledger/manifest line reader must never fail or panic, and resuming
 # from an offset it returned must neither repeat nor lose a line.
 # FuzzSnapshotAdvance: whatever a writer, a crash or an operator does to
@@ -145,6 +147,7 @@ bench-smoke:
 # in with the fix (a spec panic is fixed in Spec.Validate).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzPlainFloat -fuzztime=10s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=10s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotAdvance -fuzztime=10s ./internal/archive
 	$(GO) test -run='^$$' -fuzz=FuzzSolveCertificate -fuzztime=10s ./internal/simnet

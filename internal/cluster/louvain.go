@@ -104,6 +104,8 @@ type workspace struct {
 	// offsets into its grouping, then the coarse graph's row lengths.
 	labels []int
 	start  []int
+	// floats holds k, sumTot and links, and aggregate's dense table.
+	floats []float64
 }
 
 // newWorkspace carves the workspace for an n-vertex input from one slab
@@ -114,7 +116,7 @@ func newWorkspace(n int) *workspace {
 	return &workspace{
 		comm: ints[:n:n], touched: ints[n : n : 2*n], labels: ints[2*n : 3*n : 3*n], start: ints[3*n:],
 		k: floats[:n:n], sumTot: floats[n : 2*n : 2*n], links: floats[2*n:],
-		seen: make([]bool, n),
+		seen: make([]bool, n), floats: floats,
 	}
 }
 
@@ -216,13 +218,38 @@ func (ws *workspace) renumber() ([]int, int) {
 }
 
 // aggregate condenses each of the k communities of labels (dense ids)
-// into a single vertex; intra-community weight becomes a self-loop. The
+// into a single vertex; intra-community weight becomes a self-loop. Its
+// weights, strengths and total are summed over g's edges in Edges()
+// order, the order an AddWeight loop over them would sum in. When the
+// k×k table and k strengths fit the workspace's floats, they are summed
+// there and the coarse graph is laid out from them once. Otherwise the
 // rows are sized first — each community's distinct neighbour
 // communities, counted over its vertices with a stamp per community —
-// so the coarse graph is laid out in one Reserve, and the AddWeight loop
-// then runs in Edges() order, the order its sums depend on.
+// so the AddWeight loop grows the coarse graph in one Reserve.
 func (ws *workspace) aggregate(g *graph.Graph, labels []int, k int) *graph.Graph {
 	n := g.N()
+	if ws.dense(k) {
+		strength, cells := ws.floats[:k], ws.floats[k:k*(k+1)]
+		clear(ws.floats[:k*(k+1)])
+		total := 0.0
+		for u := 0; u < n; u++ {
+			for _, e := range g.UpperNeighbors(u) {
+				a, b := labels[u], labels[e.V]
+				if a > b {
+					a, b = b, a
+				}
+				cells[a*k+b] += e.Weight
+				total += e.Weight
+				if a == b {
+					strength[a] += 2 * e.Weight
+				} else {
+					strength[a] += e.Weight
+					strength[b] += e.Weight
+				}
+			}
+		}
+		return graph.FromDense(cells, strength, total)
+	}
 	start := ws.start[:k+1]
 	clear(start)
 	for _, c := range labels[:n] {
@@ -259,14 +286,15 @@ func (ws *workspace) aggregate(g *graph.Graph, labels []int, k int) *graph.Graph
 	out := graph.New(k)
 	out.Reserve(start[:k])
 	for u := 0; u < n; u++ {
-		for _, e := range g.SortedNeighbors(u) {
-			if e.V >= u { // each edge once, in Edges() order
-				out.AddWeight(labels[u], labels[e.V], e.Weight)
-			}
+		for _, e := range g.UpperNeighbors(u) {
+			out.AddWeight(labels[u], labels[e.V], e.Weight)
 		}
 	}
 	return out
 }
+
+// dense reports whether aggregate sums k communities in a dense table.
+func (ws *workspace) dense(k int) bool { return k*(k+1) <= len(ws.floats) }
 
 // aggregate is the workspace's aggregate for one partition, for callers
 // outside a Louvain call.

@@ -32,11 +32,11 @@ func modularity(g *graph.Graph, p Partition, in, tot []float64) float64 {
 		tot[p.Labels[v]] += g.Strength(v)
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, e := range g.SortedNeighbors(u) {
-			// Each edge once, in Edges() order.
-			if e.V >= u && p.Labels[u] == p.Labels[e.V] {
+		c := p.Labels[u]
+		for _, e := range g.UpperNeighbors(u) { // each edge once, in Edges() order
+			if p.Labels[e.V] == c {
 				// Both orientations (or the doubled self-loop).
-				in[p.Labels[u]] += 2 * e.Weight
+				in[c] += 2 * e.Weight
 			}
 		}
 	}

@@ -37,30 +37,43 @@ func randomWeighted(rng *rand.Rand, n int, density float64) *graph.Graph {
 	return g
 }
 
-// TestAggregateMatchesAddWeightOracle: the sized aggregate builds, bit for
-// bit, the graph the AddWeight loop grew — every weight, every Strength
-// and TotalWeight — on random weighted graphs with self-loops and random
-// partitions, the all-in-one and the singletons included.
+// TestAggregateMatchesAddWeightOracle: aggregate builds, bit for bit, the
+// graph the AddWeight loop grew — every weight, every Strength and
+// TotalWeight — on random weighted graphs with self-loops and random
+// partitions, the all-in-one and the singletons included, and with as
+// many communities as the dense table takes, one more, and fewer.
 func TestAggregateMatchesAddWeightOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(50)
+	paths := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
 		g := randomWeighted(rng, n, rng.Float64())
-		labels := make([]int, n)
+		bound := 0 // the most communities the dense table takes
+		for ws := newWorkspace(n); bound < n && ws.dense(bound+1); bound++ {
+		}
 		k := 1 + rng.Intn(n)
 		switch trial % 10 {
 		case 0:
 			k = 1
 		case 1:
 			k = n
+		case 2, 3:
+			k = bound
+		case 4, 5:
+			k = min(bound+1, n)
+		case 6, 7:
+			k = 1 + rng.Intn(bound)
 		}
+		// Every label in [0, k) is used, so the partition has k clusters.
+		labels := make([]int, n)
 		for v := range labels {
 			labels[v] = rng.Intn(k)
 		}
-		if trial%10 == 1 {
-			labels = rng.Perm(n)
+		for c, v := range rng.Perm(n)[:k] {
+			labels[v] = c
 		}
 		part := NewPartition(labels)
+		paths[newWorkspace(n).dense(k)]++
 		got, want := aggregate(g, part), aggregateOracle(g, part)
 		if got.N() != want.N() || got.EdgeCount() != want.EdgeCount() {
 			t.Fatalf("trial %d: %d vertices and %d edges, the oracle's %d and %d", trial, got.N(), got.EdgeCount(), want.N(), want.EdgeCount())
@@ -81,6 +94,59 @@ func TestAggregateMatchesAddWeightOracle(t *testing.T) {
 		}
 		if math.Float64bits(got.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
 			t.Fatalf("trial %d: TotalWeight = %v, the oracle's %v", trial, got.TotalWeight(), want.TotalWeight())
+		}
+	}
+	if paths[true] < 100 || paths[false] < 50 {
+		t.Fatalf("%d trials summed a dense table and %d did not; want both paths well covered", paths[true], paths[false])
+	}
+}
+
+// modularityOracle is modularity as it was before each row's scan started
+// at its first upper neighbour: every entry of every row tested.
+func modularityOracle(g *graph.Graph, p Partition) float64 {
+	k := p.NumClusters()
+	in, tot := make([]float64, k), make([]float64, k)
+	m2 := 2 * g.TotalWeight()
+	if m2 == 0 {
+		return 0
+	}
+	for v := 0; v < g.N(); v++ {
+		tot[p.Labels[v]] += g.Strength(v)
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.SortedNeighbors(u) {
+			if e.V >= u && p.Labels[u] == p.Labels[e.V] {
+				in[p.Labels[u]] += 2 * e.Weight
+			}
+		}
+	}
+	q := 0.0
+	for c := range in {
+		q += in[c]/m2 - float64((tot[c]/m2)*(tot[c]/m2))
+	}
+	return q
+}
+
+// TestModularityMatchesFullRowOracle: Modularity, and a Louvain
+// workspace's modularity, equal the full-row scan bit for bit on random
+// partitions of random weighted graphs with self-loops.
+func TestModularityMatchesFullRowOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		g := randomWeighted(rng, n, rng.Float64())
+		labels := make([]int, n)
+		k := 1 + rng.Intn(n)
+		for v := range labels {
+			labels[v] = rng.Intn(k)
+		}
+		p := NewPartition(labels)
+		want := math.Float64bits(modularityOracle(g, p))
+		if got := math.Float64bits(Modularity(g, p)); got != want {
+			t.Fatalf("trial %d: Modularity = %v, the full-row scan %v", trial, math.Float64frombits(got), math.Float64frombits(want))
+		}
+		if got := math.Float64bits(newWorkspace(n).modularity(g, p)); got != want {
+			t.Fatalf("trial %d: workspace modularity = %v, the full-row scan %v", trial, math.Float64frombits(got), math.Float64frombits(want))
 		}
 	}
 }

@@ -543,12 +543,22 @@ func (m *merger) reserve(bres *bittorrent.Result, active []int) {
 	}
 	room := m.room
 	clear(room)
+	// The pairs ascend by (a, b), so each a's pairs are one run of
+	// ascending b, walked beside a's sorted upper neighbours: a pair is new
+	// where b is not among them.
+	row, rowOf := []graph.Neighbor(nil), -1
 	for _, p := range bres.Pairs {
 		a, b := int(p.A), int(p.B)
 		if active != nil {
 			a, b = active[a], active[b]
 		}
-		if int(p.AB)+int(p.BA) != 0 && m.counts.Weight(a, b) == 0 {
+		if a != rowOf {
+			row, rowOf = m.counts.UpperNeighbors(a), a
+		}
+		for len(row) > 0 && row[0].V < b {
+			row = row[1:]
+		}
+		if int(p.AB)+int(p.BA) != 0 && (len(row) == 0 || row[0].V != b) {
 			room[a]++
 			room[b]++
 		}

@@ -177,17 +177,17 @@ func induced(g *graph.Graph, members, toSub []int) *graph.Graph {
 	// Size the adjacency first: a large cluster would grow it by doubling.
 	degrees := make([]int, len(members))
 	for i, v := range members {
-		for _, e := range g.SortedNeighbors(v) {
+		for _, e := range g.UpperNeighbors(v) {
 			if j := toSub[e.V]; j < len(members) && members[j] == e.V {
 				degrees[i]++
+				degrees[j] += min(j-i, 1) // a self-loop is one entry
 			}
 		}
 	}
 	sub.Reserve(degrees)
 	for i, v := range members {
-		for _, e := range g.SortedNeighbors(v) {
-			// Each edge once, from its lower end: Edges() order.
-			if j := toSub[e.V]; j >= i && j < len(members) && members[j] == e.V {
+		for _, e := range g.UpperNeighbors(v) { // each edge once: Edges() order
+			if j := toSub[e.V]; j < len(members) && members[j] == e.V {
 				sub.AddWeight(i, j, e.Weight)
 			}
 		}

@@ -117,6 +117,51 @@ func TestPairsWalkMatchesMatrixOracle(t *testing.T) {
 	}
 }
 
+// TestReserveMatchesWeightOracle: reserve finds a broadcast's new
+// neighbours by walking each row beside its run of pairs, and leaves the
+// room that looking every pair up with Weight gives, on graphs with
+// self-loops, with every host active and through an ascending active map.
+func TestReserveMatchesWeightOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := 8 + rng.Intn(60)
+		g := graph.New(n)
+		for k := rng.Intn(n * n / 2); k > 0; k-- {
+			g.AddWeight(rng.Intn(n), rng.Intn(n), 1)
+		}
+		hosts, active := n, []int(nil)
+		if trial%2 == 1 {
+			hosts = n/2 + rng.Intn(n/2)
+			active = rng.Perm(n)[:hosts]
+			slices.Sort(active)
+		}
+		bres := sparseResult(hosts, 1+rng.Intn(hosts-1), rng)
+		want := make([]int, n)
+		for _, p := range bres.Pairs {
+			a, b := int(p.A), int(p.B)
+			if active != nil {
+				a, b = active[a], active[b]
+			}
+			if int(p.AB)+int(p.BA) != 0 && g.Weight(a, b) == 0 {
+				want[a]++
+				want[b]++
+			}
+		}
+		for v, k := range want {
+			if row := g.SortedNeighbors(v); k > 0 && len(row)+k > cap(row) {
+				want[v] = min(2*(len(row)+k), n)
+			} else {
+				want[v] = 0
+			}
+		}
+		m := &merger{counts: g}
+		m.reserve(bres, active)
+		if !slices.Equal(m.room, want) {
+			t.Fatalf("trial %d: reserve left room %v, the Weight lookups %v", trial, m.room, want)
+		}
+	}
+}
+
 // sparseResult is a synthetic broadcast over n hosts in which every host
 // exchanged fragments with about degree others, as a tracker's peer sets
 // allow.

@@ -209,9 +209,10 @@ func (g *Graph) SortedNeighbors(v int) []Neighbor {
 	return g.adj[v]
 }
 
-// upper returns the neighbours of u that are u or higher — u's share of
-// Edges().
-func (g *Graph) upper(u int) []Neighbor {
+// UpperNeighbors returns the neighbours of u that are u or higher — u's
+// share of Edges(), in its order — as a view of SortedNeighbors(u).
+func (g *Graph) UpperNeighbors(u int) []Neighbor {
+	g.check(u)
 	i, _ := g.find(u, u)
 	return g.adj[u][i:]
 }
@@ -224,7 +225,7 @@ func (g *Graph) Edges() []Edge {
 	}
 	out := make([]Edge, 0, g.edges)
 	for u := range g.adj {
-		for _, e := range g.upper(u) {
+		for _, e := range g.UpperNeighbors(u) {
 			out = append(out, Edge{U: u, V: e.V, Weight: e.Weight})
 		}
 	}
@@ -329,7 +330,7 @@ func (g *Graph) ScaleInto(dst *Graph, k float64) *Graph {
 		dst.reserve(func(v int) int { return cap(g.adj[v]) })
 	}
 	for u := range g.adj {
-		for _, e := range g.upper(u) {
+		for _, e := range g.UpperNeighbors(u) {
 			dst.AddWeight(u, e.V, e.Weight*k)
 		}
 	}
@@ -375,7 +376,7 @@ func (l *EdgeList) Add(u, v int, w float64) {
 // are merged in list order, which is all AddWeight's arithmetic depends
 // on; the adjacency is allocated once. A list whose positive-weight pairs
 // reach every vertex in ascending neighbour order — Edges() order, the
-// order archives are written in — is laid out by appends alone; any other
+// order archives are written in — is laid out as it comes; any other
 // vertex's neighbours are put in place by one stable sort, so the worst
 // case is O(E log² E) where the AddWeight loop shifts a tail per insert
 // and is quadratic in a vertex's degree.
@@ -399,19 +400,59 @@ func FromEdges(labels []string, edges *EdgeList) *Graph {
 			}
 		}
 	}
-	g.Reserve(room)
+	// One slab holds every row; room[u] becomes the end of u's entries.
+	end := 0
+	for u, d := range room {
+		room[u] = end
+		end += d
+	}
+	slab := make([]Neighbor, end)
 	for _, c := range edges.chunks {
 		for _, e := range c {
 			u, v := int(e.u), int(e.v)
-			g.adj[u] = append(g.adj[u], Neighbor{V: v, Weight: e.w})
+			slab[room[u]] = Neighbor{V: v, Weight: e.w}
+			room[u]++
 			if u != v {
-				g.adj[v] = append(g.adj[v], Neighbor{V: u, Weight: e.w})
+				slab[room[v]] = Neighbor{V: u, Weight: e.w}
+				room[v]++
 			}
 		}
 	}
+	start := 0
 	for u := range g.adj {
-		g.adj[u] = mergeNeighbors(u, g.adj[u])
-		g.edges += len(g.upper(u))
+		g.adj[u], start = mergeNeighbors(u, slab[start:room[u]:room[u]]), room[u]
+		g.edges += len(g.UpperNeighbors(u))
+	}
+	return g
+}
+
+// FromDense returns the graph on k = len(strength) vertices whose edge
+// (u, v), u <= v, weighs cells[u*k+v] (absent where zero; cells below the
+// diagonal are not read). Strengths (copied) and the total are taken as
+// given, so a caller that summed them in another graph's Edges() order
+// keeps exactly the bits an AddWeight loop in that order would hold.
+func FromDense(cells, strength []float64, total float64) *Graph {
+	k := len(strength)
+	g := &Graph{n: k, adj: make([][]Neighbor, k), strength: slices.Clone(strength), total: total}
+	cell := func(u, v int) float64 { return cells[min(u, v)*k+max(u, v)] }
+	room := 0
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			if cell(u, v) != 0 {
+				room++
+			}
+		}
+	}
+	slab := make([]Neighbor, 0, room)
+	for u := 0; u < k; u++ {
+		start := len(slab)
+		for v := 0; v < k; v++ {
+			if w := cell(u, v); w != 0 {
+				slab = append(slab, Neighbor{V: v, Weight: w})
+			}
+		}
+		g.adj[u] = slab[start:len(slab):len(slab)]
+		g.edges += len(g.UpperNeighbors(u))
 	}
 	return g
 }

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf16"
@@ -218,7 +220,7 @@ func (s *graphScanner) token(span func(b []byte) int) []byte {
 
 // number returns the next value, which must be a JSON number, as text.
 // strconv takes forms JSON does not ("+1", ".5", "0x10", "1_000", "Inf"),
-// so the grammar is checked here and strconv only converts.
+// so the grammar is checked here, before strconv converts.
 func (s *graphScanner) number() []byte {
 	s.peek()
 	tok := s.token(func(b []byte) int {
@@ -332,21 +334,7 @@ func (s *graphScanner) plainTriple() (u, v int, w float64, ok bool) {
 	if i = skipSpace(b, i); i == len(b) || b[i] != ',' {
 		return 0, 0, 0, false
 	}
-	start := skipSpace(b, i+1)
-	if i = skipDigits(b, start); i == start || b[start] == '0' && i > start+1 {
-		return 0, 0, 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		frac := i + 1
-		if i = skipDigits(b, frac); i == frac {
-			return 0, 0, 0, false
-		}
-	}
-	if i == len(b) || numberByte(b[i]) {
-		return 0, 0, 0, false
-	}
-	w, err := strconv.ParseFloat(string(b[start:i]), 64)
-	if err != nil {
+	if i, w = plainFloat(b, skipSpace(b, i+1)); i < 0 {
 		return 0, 0, 0, false
 	}
 	if i = skipSpace(b, i); i == len(b) || b[i] != ']' {
@@ -359,17 +347,102 @@ func (s *graphScanner) plainTriple() (u, v int, w float64, ok bool) {
 // plainInt reads an endpoint at i: one to nine digits, no leading zero,
 // ending the number. It returns the index after it and its value, or -1.
 func plainInt(b []byte, i int) (end, v int) {
-	for end = i; end < len(b) && end-i < 10; end++ {
-		d := b[end] - '0'
-		if d > 9 {
-			break
-		}
-		v = 10*v + int(d)
-	}
+	end, m := digitRun(b, i, 0)
 	if end == i || end-i > 9 || b[i] == '0' && end > i+1 || end == len(b) || numberByte(b[end]) {
 		return -1, 0
 	}
-	return end, v
+	return end, int(m)
+}
+
+// plainFloat reads a weight at i: digits and an optional fraction, no
+// sign, exponent or leading zero, ending the number. It returns the index
+// after it and its value as strconv.ParseFloat rounds it, or -1. The
+// digits are converted as they are validated; only a weight of more than
+// 19 digits, or one too large for a float64, goes to strconv.
+func plainFloat(b []byte, i int) (end int, f float64) {
+	start := i
+	i, m := digitRun(b, i, 0)
+	digits, frac := i-start, 0
+	if digits == 0 || b[start] == '0' && digits > 1 {
+		return -1, 0
+	}
+	if i < len(b) && b[i] == '.' {
+		end, m = digitRun(b, i+1, m)
+		if frac = end - i - 1; frac == 0 {
+			return -1, 0
+		}
+		digits, i = digits+frac, end
+	}
+	if i == len(b) || numberByte(b[i]) {
+		return -1, 0
+	}
+	if f, ok := decimal(m, digits, frac); ok {
+		return i, f
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	if err != nil {
+		return -1, 0
+	}
+	return i, f
+}
+
+// digitRun reads the decimal digits from b[i] on into m: it returns the
+// index after the last and m·10^count plus their value, exact while that
+// stays below 2^64. Eight bytes are tested and converted at a time.
+func digitRun(b []byte, i int, m uint64) (int, uint64) {
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		// A byte's top bit is set in either term unless it is a digit, and
+		// no carry or borrow reaches the digits below the first non-digit.
+		d := bits.TrailingZeros64(((x+0x4646464646464646)|(x-0x3030303030303030))&0x8080808080808080) >> 3
+		if d == 0 {
+			return i, m
+		}
+		// The d digits, as the last of eight with leading zeros (d = 8
+		// shifts by nothing), in three multiply-adds of digit pairs, quads
+		// and halves.
+		x = (x - 0x3030303030303030) << ((64 - 8*d) & 63)
+		x = x*10 + x>>8
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		m = m*pow10u[d] + uint64(uint32(x))
+		if i += d; d < 8 {
+			return i, m
+		}
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = 10*m + uint64(b[i]-'0')
+	}
+	return i, m
+}
+
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimal returns m/10^k, m of the given number of digits and k < digits,
+// correctly rounded (to nearest, ties to even), or false past 19 digits.
+// Below 2^53, m and 10^k are exact float64s and one IEEE division rounds
+// (Clinger 1990). Otherwise m and 10^k, each shifted to fill 64 bits, give
+// a quotient of 63 or 64 bits whose remainder is the sticky bit.
+func decimal(m uint64, digits, k int) (float64, bool) {
+	switch {
+	case digits > 19:
+		return 0, false
+	case m < 1<<53:
+		return float64(m) / float64(pow10u[k]), true
+	}
+	d := pow10u[k]
+	ls, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+	q, r := bits.Div64(m<<ls>>1, m<<ls<<63, d<<ld) // m/d = q·2^(ld-ls-63), q in (2^62, 2^64)
+	shift := 11 - bits.LeadingZeros64(q)
+	mant, rest, half := q>>shift, q&(1<<shift-1), uint64(1)<<(shift-1)
+	if rest > half || rest == half && (r != 0 || mant&1 != 0) {
+		mant++
+	}
+	exp := shift + ld - ls - 63
+	if mant == 1<<53 {
+		mant, exp = mant>>1, exp+1
+	}
+	return math.Float64frombits(uint64(exp+1023+52)<<52 | mant&(1<<52-1)), true
 }
 
 // numberByte reports whether c continues a number token as number reads it.

@@ -143,6 +143,20 @@ func archiveGraphs() map[string]*graph.Graph {
 	}
 	graphs["weights"] = weights
 
+	// Rows whose neighbours run across every digit width (9/10, 99/100,
+	// 999/1000, 9999/10000) in steps of one and in jumps, self-loops, rows
+	// with no neighbour above them, and weights in exponent form.
+	widths := graph.New(10003)
+	for i, w := range []int{1, 10, 100, 1000, 10000} {
+		for v := max(w-2, 0); v <= w+1; v++ {
+			widths.AddWeight(5, v, float64(v)+0.25)
+			widths.AddWeight(w-1, v, weightsAtFormatSwitches[(i+v)%len(weightsAtFormatSwitches)])
+		}
+		widths.AddWeight(w, w, 1e-7)
+	}
+	widths.AddWeight(10002, 3, 1e22)
+	graphs["widths"] = widths
+
 	rng := rand.New(rand.NewSource(5))
 	random := graph.New(40)
 	for k := 0; k < 400; k++ {
@@ -164,6 +178,32 @@ func TestWriteGraphMatchesEncoder(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%s: WriteGraph differs from json.Encoder\n got: %q\nwant: %q", name, got.Bytes(), want.Bytes())
 		}
+	}
+}
+
+// A WriteGraph call allocates for its header and its writer, never per
+// edge: a complete graph costs what a ring on as many vertices does.
+func TestWriteGraphAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	const n = 256
+	ring, complete := graph.New(n), graph.New(n)
+	for u := 0; u < n; u++ {
+		ring.SetLabel(u, fmt.Sprint("host-", u))
+		complete.SetLabel(u, ring.Label(u))
+		ring.AddWeight(u, (u+1)%n, 1.5)
+		for v := u; v < n; v++ {
+			complete.AddWeight(u, v, float64(u*n+v)/7)
+		}
+	}
+	allocs := func(g *graph.Graph) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := WriteGraph(io.Discard, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(ring), allocs(complete); many > few {
+		t.Errorf("WriteGraph made %v allocations for %d edges, %v for %d", many, complete.EdgeCount(), few, ring.EdgeCount())
 	}
 }
 

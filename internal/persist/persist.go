@@ -112,32 +112,58 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	if g.EdgeCount() == 0 {
 		bw.WriteString("null")
 	} else {
-		buf := make([]byte, 0, 128)
-		sep := "[\n"
+		// Each edge is ",\n    [\n      u,\n      v,\n      w\n    ]", the
+		// first without its comma. line holds it up to v: u once per row,
+		// v stepped in place when it follows the last.
+		var line [48]byte
+		bw.WriteByte('[')
+		sep := 1
 		for u := 0; u < g.N(); u++ {
-			for _, e := range g.SortedNeighbors(u) {
-				if e.V < u {
-					continue
-				}
+			p := append(line[:0], ",\n    [\n      "...)
+			p = strconv.AppendInt(p, int64(u), 10)
+			p = append(p, ",\n      "...)
+			head, last := len(p), -2
+			for _, e := range g.UpperNeighbors(u) {
 				if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
 					return fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", u, e.V, e.Weight)
 				}
-				buf = append(buf[:0], sep...)
-				buf = append(buf, "    [\n      "...)
-				buf = strconv.AppendInt(buf, int64(u), 10)
-				buf = append(buf, ",\n      "...)
-				buf = strconv.AppendInt(buf, int64(e.V), 10)
-				buf = append(buf, ",\n      "...)
-				buf = appendFloat(buf, e.Weight)
-				buf = append(buf, "\n    ]"...)
-				bw.Write(buf)
-				sep = ",\n"
+				if e.V == last+1 {
+					p = increment(p)
+				} else {
+					p = strconv.AppendInt(p[:head], int64(e.V), 10)
+				}
+				last = e.V
+				if bw.Available() < 128 { // an edge's text is at most 80 bytes
+					if err := bw.Flush(); err != nil {
+						return err
+					}
+				}
+				b := append(bw.AvailableBuffer(), p[sep:]...)
+				b = append(b, ",\n      "...)
+				b = appendFloat(b, e.Weight)
+				bw.Write(append(b, "\n    ]"...))
+				sep = 0
 			}
 		}
 		bw.WriteString("\n  ]")
 	}
 	bw.WriteString("\n}\n")
 	return bw.Flush() // reports the first failed write, if any
+}
+
+// increment adds one to the decimal number that ends b after a
+// non-digit, in place.
+func increment(b []byte) []byte {
+	i := len(b) - 1
+	for ; b[i] == '9'; i-- {
+		b[i] = '0'
+	}
+	if b[i]-'0' > 9 { // all nines: one digit more
+		b[i+1] = '1'
+		return append(b, '0')
+	}
+	b[i]++
+	return b
 }
 
 // appendFloat appends f as encoding/json writes a float64: shortest
