@@ -43,11 +43,11 @@ bench-test:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# budgets runs, without the race detector, the fourteen allocation and
+# budgets runs, without the race detector, the fifteen allocation and
 # byte budget tests that skip themselves under it: CI otherwise runs only
 # `race`. `go test -list` with this pattern over ./... names these
-# fourteen and nothing else.
-BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWriteGraphAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy|TestWarmIterationAllocBudget|TestLouvainAllocBudget)$$
+# fifteen and nothing else.
+BUDGET_TESTS = ^(TestReadGraphAllocBudget|TestWriteGraphAllocBudget|TestWriteGraphParallelAllocBudget|TestWarmMeasureAllocBudget|TestSendWarmPathAllocatesNothing|TestLinkOperationsAllocateNothing|TestColdBroadcastBytesPerConnection|TestColdBroadcastBytesPerPiece|TestAdvanceCostsWhatWasAppended|TestAdjacencyBudget|TestWarmViewAllocBudget|TestWarmViewByteBudget|TestHierarchyAllocatesLessThanACopy|TestWarmIterationAllocBudget|TestLouvainAllocBudget)$$
 BUDGET_PKGS = ./internal/persist ./internal/substrate ./internal/simnet ./internal/bittorrent ./internal/archive ./internal/graph ./internal/archive/serve ./internal/core ./internal/cluster
 budgets:
 	$(GO) test -run '$(BUDGET_TESTS)' $(BUDGET_PKGS)

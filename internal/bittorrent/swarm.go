@@ -93,6 +93,7 @@ func PairsOf(frag [][]int) []Pair {
 
 // peer is one BitTorrent client.
 type peer struct {
+	s        *swarm
 	idx      int
 	host     int // simnet vertex
 	have     bitset.Set
@@ -103,7 +104,7 @@ type peer struct {
 
 	unchoked   int // upload slots in use
 	rechokes   int
-	rechokeEv  *sim.Event // the choker timer, re-armed by every tick
+	rechokeEv  *sim.Event // the choker timer, firing p itself; re-armed by every tick
 	optimistic *conn
 	rechoking  bool
 	complete   bool
@@ -135,6 +136,9 @@ type upload struct {
 }
 
 func (u *upload) Fire() { u.s.deliver(u.c, u.side) }
+
+// Fire is the peer's choker tick.
+func (p *peer) Fire() { p.s.tick(p) }
 
 // side returns the index of pr within the connection.
 func (c *conn) side(pr *peer) int {
@@ -317,12 +321,12 @@ func (s *swarm) reset(eng *sim.Engine, net *simnet.Network, hosts []int, cfg Con
 	for i, h := range hosts {
 		p := &s.peerSlab[i]
 		s.peers[i] = p
-		*p = peer{idx: i, host: h, rechokeEv: p.rechokeEv}
+		*p = peer{s: s, idx: i, host: h, rechokeEv: p.rechokeEv}
 		p.have = bitset.Over(pieces, words[:w:w])
 		p.inflight = bitset.Over(pieces, words[w:2*w:2*w])
 		words = words[2*w:]
 		if p.rechokeEv == nil {
-			p.rechokeEv = eng.NewTimer(func() { s.tick(p) })
+			p.rechokeEv = eng.NewTimer(p)
 		}
 		if i == cfg.Root {
 			p.have.SetAll()

@@ -3,12 +3,17 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -163,7 +168,34 @@ func archiveGraphs() map[string]*graph.Graph {
 		random.AddWeight(rng.Intn(40), rng.Intn(40), math.Exp(60*rng.Float64()-30))
 	}
 	graphs["random"] = random
+	graphs["chunks"] = manyChunks()
 	return graphs
+}
+
+// manyChunks is a graph of several of WriteGraph's chunks per worker:
+// row 0 alone is longer than a chunk, and the rows after it are of
+// uneven lengths, mixing runs of consecutive neighbours with jumps, so
+// chunk borders fall inside rows.
+func manyChunks() *graph.Graph {
+	const n = 3000
+	rng := rand.New(rand.NewSource(9))
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddWeight(0, v, float64(v)+0.5)
+	}
+	for u := 1; u < n; u += 1 + rng.Intn(4) {
+		for v, k := u, rng.Intn(12); v < n && k > 0; v, k = v+1+rng.Intn(3)*rng.Intn(40), k-1 {
+			w := math.Exp(60*rng.Float64() - 30)
+			if rng.Intn(4) == 0 {
+				w = weightsAtFormatSwitches[rng.Intn(len(weightsAtFormatSwitches))]
+			}
+			g.AddWeight(u, v, w)
+		}
+	}
+	if g.EdgeCount() < 6*chunkEdges || len(g.UpperNeighbors(0)) <= chunkEdges {
+		panic(fmt.Sprintf("manyChunks: %d edges, %d in row 0, for chunks of %d", g.EdgeCount(), len(g.UpperNeighbors(0)), chunkEdges))
+	}
+	return g
 }
 
 func TestWriteGraphMatchesEncoder(t *testing.T) {
@@ -204,6 +236,61 @@ func TestWriteGraphAllocBudget(t *testing.T) {
 	}
 	if few, many := allocs(ring), allocs(complete); many > few {
 		t.Errorf("WriteGraph made %v allocations for %d edges, %v for %d", many, complete.EdgeCount(), few, ring.EdgeCount())
+	}
+}
+
+// testing.AllocsPerRun runs at GOMAXPROCS(1), so the budget above never
+// sees a second worker. At GOMAXPROCS(2) a write still allocates per
+// call, not per chunk: a complete graph on 512 vertices (129 chunks)
+// costs no more allocations than a complete graph on 256 of them (33
+// chunks) with the same header.
+func TestWriteGraphParallelAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 512
+	complete := func(k int) *graph.Graph {
+		g := graph.New(n)
+		for u := 0; u < n; u++ {
+			g.SetLabel(u, fmt.Sprint("host-", u))
+			for v := u; u < k && v < k; v++ {
+				g.AddWeight(u, v, float64(u*n+v)/7)
+			}
+		}
+		return g
+	}
+	// What the runtime allocates for itself is not WriteGraph's: a worker
+	// starts on an exited goroutine or a new one, and a goroutine blocks
+	// on a channel with a waiter from its P's cache or a new one. So
+	// leave plenty of both on every P, and no collection to empty the
+	// caches while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var exited sync.WaitGroup
+	start := make(chan struct{})
+	for range 1024 {
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			<-start
+		}()
+	}
+	close(start)
+	exited.Wait()
+	mallocs := func(g *graph.Graph) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := WriteGraph(io.Discard, g); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := complete(n/2), complete(n)
+	few, many := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 10 {
+		few, many = min(few, mallocs(small)), min(many, mallocs(large))
+	}
+	if many > few {
+		t.Errorf("WriteGraph made %d allocations for %d edges, %d for %d", many, large.EdgeCount(), few, small.EdgeCount())
 	}
 }
 
@@ -276,6 +363,74 @@ func TestLabelsRoundTrip(t *testing.T) {
 			t.Errorf("%s: rewritten document differs\n got: %s\nwant: %s", name, again.Bytes(), doc.Bytes())
 		}
 	}
+}
+
+// WriteGraph returns the first error in document order, and only once
+// every worker has exited: whichever chunk a worker finds its NaN in,
+// and wherever the writer fails.
+func TestWriteGraphErrorsLeaveNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	edges := manyChunks().Edges()
+	withNaN := func(at ...int) *graph.Graph {
+		g := manyChunks()
+		for _, i := range at {
+			g.AddWeight(edges[i].U, edges[i].V, math.NaN())
+		}
+		return g
+	}
+	unencodable := func(i int) string {
+		return fmt.Sprintf("persist: edge (%d,%d) has unencodable weight NaN", edges[i].U, edges[i].V)
+	}
+	var doc bytes.Buffer
+	if err := WriteGraph(&doc, manyChunks()); err != nil {
+		t.Fatal(err)
+	}
+	late, early := len(edges)-5, len(edges)/3
+	type errorCase struct {
+		name string
+		g    *graph.Graph
+		w    io.Writer
+		want func(error) bool
+	}
+	cases := []errorCase{
+		{"NaN in the last chunk", withNaN(late), io.Discard,
+			func(err error) bool { return err != nil && err.Error() == unencodable(late) }},
+		{"NaNs in two chunks", withNaN(late, early), io.Discard,
+			func(err error) bool { return err != nil && err.Error() == unencodable(early) }},
+	}
+	// In the header, at the first chunk, inside a middle one, in the trailer.
+	first := bytes.Index(doc.Bytes(), []byte(`"edges": [`)) + len(`"edges": [`)
+	for _, k := range []int{0, 100, first, doc.Len() / 2, doc.Len() - 3} {
+		cases = append(cases, errorCase{fmt.Sprintf("writer failing after %d bytes", k), manyChunks(), &failAfter{k},
+			func(err error) bool { return errors.Is(err, errDiskFull) }})
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		if err := WriteGraph(c.w, c.g); !c.want(err) {
+			t.Errorf("%s: WriteGraph returned %v", c.name, err)
+		}
+		// A worker's last step, after WriteGraph saw it finish, is to exit.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines outlive WriteGraph", c.name, runtime.NumGoroutine()-before)
+			}
+		}
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failAfter accepts its first left bytes, then fails.
+type failAfter struct{ left int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.left {
+		n := f.left
+		f.left = 0
+		return n, errDiskFull
+	}
+	f.left -= len(p)
+	return len(p), nil
 }
 
 type failingWriter struct{}
@@ -392,6 +547,11 @@ func dense1k() *graph.Graph {
 
 func BenchmarkWriteGraph1k(b *testing.B) {
 	g := dense1k()
+	var doc bytes.Buffer
+	if err := WriteGraph(&doc, g); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,7 +16,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -91,9 +93,18 @@ type graphHeader struct {
 // of "version", "n", "labels" (the vertex display names) and "edges"
 // ([u, v, weight] triples with u <= v, in Edges() order; null when there
 // are none), byte for byte what json.Encoder produces for such a struct.
+//
 // The edge array — all but a few kilobytes of a dense graph's document —
-// is streamed straight from the adjacency instead of being built in
-// memory and buffered twice by the encoder.
+// is formatted straight from the adjacency by GOMAXPROCS worker
+// goroutines (no more than there are chunks of 1,024 consecutive edges),
+// each into two chunk buffers of at most 80 KB, and the calling goroutine
+// copies the chunks, strictly in order, into a 64 KB write buffer; later
+// calls reuse both. So the document is streamed, never held whole, and
+// w sees 64 KB writes whatever a chunk's text weighs: a destination that
+// grows by doubling, such as a bytes.Buffer, grows in powers of two from
+// 64 KB. The error returned is the first in document order — an edge
+// whose weight JSON cannot carry, or a failed write — and WriteGraph
+// returns only once every worker has stopped.
 func WriteGraph(w io.Writer, g *graph.Graph) error {
 	hdr := graphHeader{Version: formatVersion, N: g.N()}
 	if g.N() > 0 { // no vertices writes "labels": null, as the encoder does
@@ -106,49 +117,167 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
+	bw := graphWriters.Get().(*graphWriter)
+	defer graphWriters.Put(bw)
+	bw.Reset(w)
+	defer bw.Reset(nil)
 	bw.Write(head[:len(head)-len("\n}")]) // reopen the object
 	bw.WriteString(",\n  \"edges\": ")
 	if g.EdgeCount() == 0 {
 		bw.WriteString("null")
 	} else {
-		// Each edge is ",\n    [\n      u,\n      v,\n      w\n    ]", the
-		// first without its comma. line holds it up to v: u once per row,
-		// v stepped in place when it follows the last.
-		var line [48]byte
 		bw.WriteByte('[')
-		sep := 1
-		for u := 0; u < g.N(); u++ {
-			p := append(line[:0], ",\n    [\n      "...)
-			p = strconv.AppendInt(p, int64(u), 10)
-			p = append(p, ",\n      "...)
-			head, last := len(p), -2
-			for _, e := range g.UpperNeighbors(u) {
-				if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
-					return fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", u, e.V, e.Weight)
-				}
-				if e.V == last+1 {
-					p = increment(p)
-				} else {
-					p = strconv.AppendInt(p[:head], int64(e.V), 10)
-				}
-				last = e.V
-				if bw.Available() < 128 { // an edge's text is at most 80 bytes
-					if err := bw.Flush(); err != nil {
-						return err
-					}
-				}
-				b := append(bw.AvailableBuffer(), p[sep:]...)
-				b = append(b, ",\n      "...)
-				b = appendFloat(b, e.Weight)
-				bw.Write(append(b, "\n    ]"...))
-				sep = 0
-			}
+		if err := bw.writeEdges(g); err != nil {
+			return err
 		}
 		bw.WriteString("\n  ]")
 	}
 	bw.WriteString("\n}\n")
 	return bw.Flush() // reports the first failed write, if any
+}
+
+// An edge's text is ",\n    [\n      u,\n      v,\n      w\n    ]": 36
+// bytes of punctuation, at most 24 of weight and two vertex numbers of
+// at most ten digits each.
+const (
+	chunkEdges  = 1024 // consecutive edges a worker formats at a time
+	maxEdgeText = 80
+)
+
+// graphWriter is what WriteGraph keeps from one call to the next in
+// graphWriters, so that what a write allocates does not grow with its
+// chunk count: the 64 KB write buffer, and what the workers share — the
+// graph, how its edge array is cut into chunks and dealt out, the ring of
+// chunk buffers and a channel per worker. Only stop changes while they
+// run.
+type graphWriter struct {
+	bufio.Writer
+	g                      *graph.Graph
+	edges, chunks, workers int
+	// ring holds at least min(chunks, 2*workers) slots of slot bytes;
+	// chunk i is formatted into slot i % (2*workers).
+	ring []byte
+	slot int
+	out  []chan chunkText // worker k sends its chunks on out[k]
+	stop chan struct{}    // closed when the writer takes no more chunks
+	wg   sync.WaitGroup   // the workers still running
+}
+
+var graphWriters = sync.Pool{New: func() any {
+	w := new(graphWriter)
+	w.Writer = *bufio.NewWriterSize(nil, 64<<10)
+	return w
+}}
+
+// chunkText is one formatted chunk, or the error that cut it short.
+type chunkText struct {
+	text []byte
+	err  error
+}
+
+// writeEdges writes the elements of g's edge array, each preceded by a
+// comma but the first. Worker k formats chunks k, k+workers, ...; the
+// writer takes chunk i from worker i % workers.
+func (w *graphWriter) writeEdges(g *graph.Graph) error {
+	w.g, w.edges = g, g.EdgeCount()
+	w.chunks = (w.edges + chunkEdges - 1) / chunkEdges
+	w.workers = min(runtime.GOMAXPROCS(0), w.chunks)
+	w.slot = min(w.edges, chunkEdges) * maxEdgeText
+	if n := min(w.chunks, 2*w.workers) * w.slot; len(w.ring) < n {
+		w.ring = make([]byte, n)
+	}
+	if len(w.out) < w.workers {
+		w.out = make([]chan chunkText, w.workers)
+		for k := range w.out {
+			w.out[k] = make(chan chunkText)
+		}
+	}
+	w.stop = make(chan struct{})
+	w.wg.Add(w.workers)
+	for k := range w.workers {
+		go w.format(k)
+	}
+	defer func() {
+		close(w.stop)
+		w.wg.Wait()
+		w.g = nil
+	}()
+	for i := 0; i < w.chunks; i++ {
+		chunk := <-w.out[i%w.workers]
+		if chunk.err != nil {
+			return chunk.err
+		}
+		if _, err := w.Write(chunk.text); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// format formats chunks k, k+workers, ... and sends each on out[k], until
+// its last chunk, an unencodable weight, or stop. Its chunks alternate
+// between two slots of the ring, and out[k] is unbuffered: by the time
+// the writer has taken a chunk it has written the one before it, so the
+// slot format fills next is free.
+func (w *graphWriter) format(k int) {
+	defer w.wg.Done()
+	u, first := 0, 0 // a row, and the index of its first edge in the array
+	row := w.g.UpperNeighbors(0)
+	for i := k; i < w.chunks; i += w.workers {
+		s := i % (2 * w.workers) * w.slot
+		chunk := chunkText{text: w.ring[s : s : s+w.slot]}
+		for at, end := i*chunkEdges, min((i+1)*chunkEdges, w.edges); at < end && chunk.err == nil; {
+			for at >= first+len(row) {
+				first += len(row)
+				u++
+				row = w.g.UpperNeighbors(u)
+			}
+			part := row[at-first : min(end-first, len(row))]
+			chunk.text, chunk.err = appendEdges(chunk.text, u, part, at == 0)
+			at += len(part)
+		}
+		select {
+		case w.out[k] <- chunk:
+		case <-w.stop:
+			return
+		}
+		if chunk.err != nil {
+			return
+		}
+	}
+}
+
+// appendEdges appends the text of the edges from u to each of part,
+// consecutive neighbours in u's row, each preceded by a comma but the
+// document's first edge.
+func appendEdges(b []byte, u int, part []graph.Neighbor, documentFirst bool) ([]byte, error) {
+	// line holds an edge's text up to v: u once, v stepped in place when
+	// it follows the last.
+	var line [48]byte
+	p := append(line[:0], ",\n    [\n      "...)
+	p = strconv.AppendInt(p, int64(u), 10)
+	p = append(p, ",\n      "...)
+	head, last, sep := len(p), -2, 0
+	if documentFirst {
+		sep = 1
+	}
+	for _, e := range part {
+		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+			return b, fmt.Errorf("persist: edge (%d,%d) has unencodable weight %v", u, e.V, e.Weight)
+		}
+		if e.V == last+1 {
+			p = increment(p)
+		} else {
+			p = strconv.AppendInt(p[:head], int64(e.V), 10)
+		}
+		last = e.V
+		b = append(b, p[sep:]...)
+		b = append(b, ",\n      "...)
+		b = appendFloat(b, e.Weight)
+		b = append(b, "\n    ]"...)
+		sep = 0
+	}
+	return b, nil
 }
 
 // increment adds one to the decimal number that ends b after a

@@ -45,8 +45,13 @@ type Engine struct {
 	seq   uint64
 	queue eventHeap
 	free  []*Event // fired or reset Post events, reused by the next Post
+	spare []Event  // what Post has not handed out of its last slab
 	fired uint64
 }
+
+// eventSlab is how many events Post allocates at a time when its free
+// list is empty.
+const eventSlab = 64
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
@@ -85,7 +90,12 @@ func (e *Engine) Post(delay float64, fn Handler) {
 		e.free = e.free[:n-1]
 		ev.fn = fn
 	} else {
-		ev = &Event{fn: fn, pooled: true}
+		if len(e.spare) == 0 {
+			e.spare = make([]Event, eventSlab)
+		}
+		ev = &e.spare[0]
+		e.spare = e.spare[1:]
+		ev.fn, ev.pooled = fn, true
 	}
 	e.push(ev, delay)
 }
@@ -93,9 +103,10 @@ func (e *Engine) Post(delay float64, fn Handler) {
 // NewTimer returns an unscheduled event bound to fn, for a callback that is
 // re-armed over and over (a periodic tick, a completion deadline that moves):
 // its owner arms it with Reschedule, as often as it likes, and may Cancel
-// it in between.
-func (e *Engine) NewTimer(fn func()) *Event {
-	return &Event{fn: Func(fn), index: -1, stopped: true}
+// it in between. fn is a Handler, as for Post, so an owner with a timer
+// per element of its storage binds each to a pointer it already has.
+func (e *Engine) NewTimer(fn Handler) *Event {
+	return &Event{fn: fn, index: -1, stopped: true}
 }
 
 // Reschedule arms ev to fire after delay seconds, replacing its pending

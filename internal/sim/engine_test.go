@@ -229,7 +229,7 @@ func TestCancelFiredEventAfterReuseIsNoOp(t *testing.T) {
 func TestPostOrdersLikeSchedule(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	timer := e.NewTimer(func() { order = append(order, 9) })
+	timer := e.NewTimer(Func(func() { order = append(order, 9) }))
 	e.Reschedule(timer, 1)
 	e.Post(1, Func(func() { order = append(order, 0) }))
 	e.Schedule(1, func() { order = append(order, 1) })
@@ -254,7 +254,7 @@ func TestResetIsANewEngine(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	count := func() { ran++ }
-	timer := e.NewTimer(count)
+	timer := e.NewTimer(Func(count))
 	e.Schedule(1, count)
 	e.Run()
 	held := e.Schedule(5, count)

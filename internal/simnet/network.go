@@ -103,6 +103,7 @@ type Network struct {
 	// The topo's routes as pointers into chans, materialised per (src,
 	// dst) on first use; flows share them read-only.
 	paths     []srcPaths   // by source vertex
+	atSlab    []int32      // what materialise has not handed out of its slab of srcPaths.at rows
 	hopChunks [][]*channel // the routes' storage, hopChunk pointers each (or one longer route)
 	hopsUsed  int          // pointers of hopChunks handed out or skipped
 
@@ -136,8 +137,8 @@ func New(eng *sim.Engine) *Network { return newNetwork(eng, &topo{}) }
 
 func newNetwork(eng *sim.Engine, t *topo) *Network {
 	n := &Network{eng: eng, topo: t}
-	n.resolveEv = eng.NewTimer(n.resolve)
-	n.complEv = eng.NewTimer(n.completions)
+	n.resolveEv = eng.NewTimer(sim.Func(n.resolve))
+	n.complEv = eng.NewTimer(sim.Func(n.completions))
 	return n
 }
 
@@ -146,7 +147,7 @@ func newNetwork(eng *sim.Engine, t *topo) *Network {
 // no routes — neither the shared table's nor the ones n materialised.
 func (n *Network) editTopo() *topo {
 	n.topo = n.topo.forEdit()
-	n.paths, n.hopChunks, n.hopsUsed = nil, nil, 0
+	n.paths, n.atSlab, n.hopChunks, n.hopsUsed = nil, nil, nil, 0
 	return n.topo
 }
 
@@ -241,7 +242,20 @@ func (n *Network) materialise(src, dst int) {
 	}
 	sp := &n.paths[src]
 	if sp.at == nil {
-		sp.routes, sp.at = n.topo.routesFrom(src), make([]int32, len(n.topo.verts))
+		// Flows start at hosts (Send), so a row per host is what a run
+		// needs.
+		v := len(n.topo.verts)
+		if len(n.atSlab) == 0 {
+			hosts := 0
+			for _, vert := range n.topo.verts {
+				if vert.isHost {
+					hosts++
+				}
+			}
+			n.atSlab = make([]int32, max(hosts, 1)*v)
+		}
+		sp.routes, sp.at = n.topo.routesFrom(src), n.atSlab[:v:v]
+		n.atSlab = n.atSlab[v:]
 	}
 	ids := sp.routes.to(dst)
 	if len(ids) == 0 {
