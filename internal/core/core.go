@@ -13,6 +13,10 @@
 // The per-iteration records expose the convergence study of Fig. 13: the
 // NMI between the clustering found after i iterations and the ground
 // truth.
+//
+// A sim-backed Result is the same bits for any worker count
+// (Options.Workers says why); a wire-backed one is reproducible in
+// distribution only (package substrate).
 package core
 
 import (

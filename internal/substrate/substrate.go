@@ -23,6 +23,11 @@
 //     scheduler and network timing leak in); they reject options they
 //     cannot honor (dynamics timelines).
 //
+// So a wire run is reproducible in distribution, not byte for byte: the
+// campaign layer keys it by backend and reuses its archive on resume
+// instead of recomputing it, and the bit-identity contract across
+// worker counts is the sim substrate's alone.
+//
 // The two are a fixed table, and Check is the one place that decides
 // whether a backend exists and can run what is asked of it;
 // core.Options.Backend selects one, and the campaign layer sweeps the
