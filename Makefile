@@ -58,17 +58,21 @@ budgets:
 # exported identifier under internal/ is used by a product path) and the
 # fused multiply-add guard (fma_test.go: the measured packages compile to
 # no implicit FMA on arm64, ppc64le, s390x or riscv64).
+GUARD_TESTS = ^(TestOnlyProductPathsExport|TestNoImplicitFusedMultiplyAdd)$$
 guards:
-	$(GO) test -run '^(TestOnlyProductPathsExport|TestNoImplicitFusedMultiplyAdd)$$' .
+	$(GO) test -run '$(GUARD_TESTS)' .
 
 # slow runs, without the race detector, the other tests that skip under
 # -short, so `race` never runs them: the long experiment tests (the
 # dataset suite and its Workers contract, E13, E15, E16, E17) and core's
 # real-socket wire backend check. `go test -list` with this pattern over
-# ./... names these seven and nothing else.
+# ./... names these seven and nothing else, and budgets_test.go fails for
+# a test that reads testing.Short and neither this list (in SLOW_PKGS)
+# nor GUARD_TESTS matches.
 SLOW_TESTS = ^(TestDatasetsSmallScale|TestDatasetsOutputIsIdenticalAcrossWorkers|TestAblationSmallScale|TestHierarchyExperimentSmallScale|TestStressExperimentSmallScale|TestDriftExperimentDegradesMonotonically|TestWireBackendClustersTwoSites)$$
+SLOW_PKGS = ./internal/experiments ./internal/core
 slow:
-	$(GO) test -run '$(SLOW_TESTS)' ./internal/experiments ./internal/core
+	$(GO) test -run '$(SLOW_TESTS)' $(SLOW_PKGS)
 
 vet:
 	$(GO) vet ./...

@@ -23,12 +23,12 @@ import (
 // in a package BUDGET_PKGS names. Such a test skips its budget under
 // `race`, so `budgets` is the only CI target that runs it.
 func TestBudgetTestsListEveryRaceSkip(t *testing.T) {
-	listed := regexp.MustCompile(strings.ReplaceAll(makeVariable(t, "BUDGET_TESTS"), "$$", "$"))
+	listed := makePattern(t, "BUDGET_TESTS")
 	pkgs := strings.Fields(makeVariable(t, "BUDGET_PKGS"))
 	var missing []string
 	for _, root := range []string{"internal", "cmd"} {
 		for dir, files := range parseTestFiles(t, root) {
-			for _, name := range raceReadingTests(files) {
+			for _, name := range readingTests(files, readsRace) {
 				if !listed.MatchString(name) || !slices.Contains(pkgs, "./"+dir) {
 					missing = append(missing, name+" ("+dir+")")
 				}
@@ -39,6 +39,41 @@ func TestBudgetTestsListEveryRaceSkip(t *testing.T) {
 	for _, m := range missing {
 		t.Errorf("%s reads the -race build setting, so `race` skips its budget: add it to BUDGET_TESTS and its package to BUDGET_PKGS in the Makefile", m)
 	}
+}
+
+// TestSlowAndGuardsListEveryShortSkip fails for every Test* of the
+// module outside bench/ that reads testing.Short — itself or through a
+// helper of its directory — and that neither the Makefile's SLOW_TESTS
+// matches in a package SLOW_PKGS names nor GUARD_TESTS matches in the
+// root package. Such a test skips under `race`, the only CI target that
+// runs the -short suite, so `slow` and `guards` are the only ones that
+// can run it; bench/ is tested without -short by `bench-test`.
+func TestSlowAndGuardsListEveryShortSkip(t *testing.T) {
+	slow, guards := makePattern(t, "SLOW_TESTS"), makePattern(t, "GUARD_TESTS")
+	slowPkgs := strings.Fields(makeVariable(t, "SLOW_PKGS"))
+	var missing []string
+	for dir, files := range parseTestFiles(t, ".") {
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			continue
+		}
+		for _, name := range readingTests(files, readsShort) {
+			inSlow := slow.MatchString(name) && slices.Contains(slowPkgs, "./"+dir)
+			if !inSlow && !(guards.MatchString(name) && dir == ".") {
+				missing = append(missing, name+" ("+dir+")")
+			}
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s skips under -short, so `race` never runs it: add it to SLOW_TESTS and its package to SLOW_PKGS in the Makefile (or, for a whole-module check, to GUARD_TESTS)", m)
+	}
+}
+
+// makePattern compiles the Makefile's `name = value` line as go test's
+// -run sees it, with make's "$$" read as "$".
+func makePattern(t *testing.T, name string) *regexp.Regexp {
+	t.Helper()
+	return regexp.MustCompile(strings.ReplaceAll(makeVariable(t, name), "$$", "$"))
 }
 
 // makeVariable returns the value of the Makefile's `name = value` line.
@@ -88,12 +123,12 @@ func parseTestFiles(t *testing.T, root string) map[string][]*ast.File {
 	return dirs
 }
 
-// raceReadingTests returns the Test* functions of one directory's test
-// files that read the -race build setting. A function reads it when its
-// body calls ReadBuildInfo and spells "-race", or names a function or
-// variable of the directory that reads it; the helpers are found first,
-// to a fixed point, so a helper calling a helper counts too.
-func raceReadingTests(files []*ast.File) []string {
+// readingTests returns the Test* functions of one directory's test
+// files that read a setting: a function reads it when reads reports that
+// its body does, or when it names a function or variable of the
+// directory that reads it; the helpers are found first, to a fixed
+// point, so a helper calling a helper counts too.
+func readingTests(files []*ast.File, reads func(ast.Node) bool) []string {
 	decls := map[string]ast.Node{} // helper name → its body or value
 	var tests []*ast.FuncDecl
 	for _, f := range files {
@@ -119,31 +154,43 @@ func raceReadingTests(files []*ast.File) []string {
 		}
 	}
 	readers := map[string]bool{}
+	readsVia := func(node ast.Node) bool { return reads(node) || namesAny(node, readers) }
 	for grew := true; grew; {
 		grew = false
 		for name, node := range decls {
-			if !readers[name] && readsRace(node, readers) {
+			if !readers[name] && readsVia(node) {
 				readers[name], grew = true, true
 			}
 		}
 	}
 	var names []string
 	for _, fn := range tests {
-		if readsRace(fn.Body, readers) {
+		if readsVia(fn.Body) {
 			names = append(names, fn.Name.Name)
 		}
 	}
 	return names
 }
 
-// readsRace reports whether node calls ReadBuildInfo and spells "-race",
-// or names one of readers, as an identifier or as a qualified name.
-func readsRace(node ast.Node, readers map[string]bool) bool {
-	var buildInfo, raceKey, helper bool
+// namesAny reports whether node names one of names, as an identifier or
+// as a qualified name.
+func namesAny(node ast.Node, names map[string]bool) bool {
+	found := false
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && names[id.Name] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// readsRace reports whether node calls ReadBuildInfo and spells "-race".
+func readsRace(node ast.Node) bool {
+	var buildInfo, raceKey bool
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			helper = helper || readers[n.Name]
 			buildInfo = buildInfo || n.Name == "ReadBuildInfo"
 		case *ast.BasicLit:
 			if s, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING {
@@ -152,5 +199,19 @@ func readsRace(node ast.Node, readers map[string]bool) bool {
 		}
 		return true
 	})
-	return helper || buildInfo && raceKey
+	return buildInfo && raceKey
+}
+
+// readsShort reports whether node names testing.Short.
+func readsShort(node ast.Node) bool {
+	found := false
+	ast.Inspect(node, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Short" {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "testing" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,25 +18,28 @@ type Torrent struct {
 	NumPieces int
 }
 
-// pieceData generates the deterministic content of a piece, so any
-// client can verify what it receives without shipping a payload around.
+// pieceWord is the big-endian word at byte offset i of piece index's
+// deterministic content, so any client can verify what it receives
+// without shipping a payload around.
+func pieceWord(index, i int) uint32 { return uint32(index) ^ uint32(i)*2654435761 }
+
+// pieceData generates the content of a piece.
 func pieceData(index int) []byte {
 	b := make([]byte, BlockSize)
-	binary.BigEndian.PutUint32(b, uint32(index))
-	for i := 4; i < len(b); i += 4 {
-		binary.BigEndian.PutUint32(b[i:], uint32(index)^uint32(i)*2654435761)
+	for i := 0; i < len(b); i += 4 {
+		binary.BigEndian.PutUint32(b[i:], pieceWord(index, i))
 	}
 	return b
 }
 
-// verifyPiece checks a received block against the deterministic content.
+// verifyPiece checks a received block against the deterministic content
+// in place.
 func verifyPiece(index int, data []byte) bool {
 	if len(data) != BlockSize {
 		return false
 	}
-	want := pieceData(index)
-	for i := range want {
-		if data[i] != want[i] {
+	for i := 0; i < len(data); i += 4 {
+		if binary.BigEndian.Uint32(data[i:]) != pieceWord(index, i) {
 			return false
 		}
 	}
@@ -48,7 +52,7 @@ type Client struct {
 	peerID  [20]byte
 	index   int // swarm-wide client index (embedded in peerID)
 
-	mu        sync.Mutex
+	mu        sync.Mutex // guards what follows and every peerConn's protocol state
 	have      []bool
 	haveCount int
 	inflight  []bool
@@ -137,7 +141,7 @@ type peerConn struct {
 	// unpaced), snapshotted from the client's rate table at AddConn.
 	rate float64
 
-	mu             sync.Mutex
+	// The protocol state, guarded by client.mu.
 	remoteHave     []bool
 	amChoking      bool
 	amInterested   bool
@@ -220,8 +224,8 @@ func (c *Client) addConn(conn net.Conn, dial bool) (*peerConn, error) {
 		outstanding: make(map[uint32]bool),
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		conn.Close()
 		return nil, fmt.Errorf("wire: client %d is closed", c.index)
 	}
@@ -229,36 +233,30 @@ func (c *Client) addConn(conn net.Conn, dial bool) (*peerConn, error) {
 		pc.rate = c.rates[idx]
 	}
 	c.conns = append(c.conns, pc)
-	// Announce what we have.
-	bf := c.bitfieldLocked()
-	c.mu.Unlock()
 	go pc.writer()
-	pc.send(Message{ID: MsgBitfield, Payload: bf})
 	go pc.reader()
-	return pc, nil
-}
-
-func (c *Client) bitfieldLocked() []byte {
+	// Announce what we have: the first message, since every other send
+	// to pc waits for the lock.
 	bf := make([]byte, (c.torrent.NumPieces+7)/8)
 	for i, h := range c.have {
 		if h {
 			bf[i/8] |= 0x80 >> (uint(i) % 8)
 		}
 	}
-	return bf
+	pc.send(Message{ID: MsgBitfield, Payload: bf})
+	return pc, nil
 }
 
+// send queues m for the writer; the caller holds c.mu. It never blocks:
+// a full queue means the writer is wedged on a dead transport, so the
+// connection is killed and its reader closes it.
 func (pc *peerConn) send(m Message) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	if pc.closed {
 		return
 	}
 	select {
 	case pc.out <- m:
 	default:
-		// The writer is wedged (dead transport with a full queue): kill
-		// the connection; the reader loop will run teardown.
 		mStalls.Inc()
 		pc.conn.Close()
 	}
@@ -280,160 +278,118 @@ func (pc *peerConn) writer() {
 	}
 }
 
+// reader applies the remote's messages, each in one hold of c.mu; a read
+// error, or a message that valid rejects, closes the connection. A
+// keep-alive (BEP 3) carries no ID and changes no state.
 func (pc *peerConn) reader() {
+	c := pc.client
 	for {
 		m, err := Decode(pc.conn)
-		if err != nil {
-			pc.teardown()
+		if err == nil && m.KeepAlive {
+			continue
+		}
+		ok := err == nil && c.torrent.valid(m)
+		c.mu.Lock()
+		if ok {
+			pc.handle(m)
+		} else {
+			pc.close()
+		}
+		c.mu.Unlock()
+		if !ok {
 			return
 		}
-		pc.handle(m)
 	}
 }
 
-func (pc *peerConn) teardown() {
-	pc.mu.Lock()
+// valid checks a message against the torrent alone — piece indexes in
+// range, whole-block requests, piece content — so it needs no lock.
+func (t Torrent) valid(m Message) bool {
+	switch m.ID {
+	case MsgHave:
+		return int(m.Index) < t.NumPieces
+	case MsgRequest:
+		return int(m.Index) < t.NumPieces && m.Begin == 0 && m.Length == BlockSize
+	case MsgPiece:
+		return int(m.Index) < t.NumPieces && verifyPiece(int(m.Index), m.Payload)
+	}
+	return true
+}
+
+// close ends the connection once; the caller holds c.mu. Its in-flight
+// claims are released and the surviving connections pumped, so the
+// pieces are fetched elsewhere.
+func (pc *peerConn) close() {
 	if pc.closed {
-		pc.mu.Unlock()
 		return
 	}
 	pc.closed = true
-	close(pc.out) // send() holds pc.mu, so no send can race this close
-	drop := pc.outstanding
-	pc.outstanding = map[uint32]bool{}
-	pc.mu.Unlock()
+	close(pc.out) // send checks closed under c.mu, so no send races this
 	pc.conn.Close()
-	// Release in-flight claims so other connections can fetch them.
-	c := pc.client
-	c.mu.Lock()
-	for idx := range drop {
-		c.inflight[idx] = false
-	}
-	others := append([]*peerConn(nil), c.conns...)
-	c.mu.Unlock()
-	// Wake the surviving connections: the released pieces are claimable
-	// again.
-	for _, other := range others {
-		if other != pc {
-			other.pump()
-		}
+	pc.release()
+	for _, other := range pc.client.conns {
+		other.pump()
 	}
 }
 
-// handle dispatches one incoming message.
+// release drops the outstanding requests, so their pieces can be
+// claimed again.
+func (pc *peerConn) release() {
+	for idx := range pc.outstanding {
+		pc.client.inflight[idx] = false
+	}
+	clear(pc.outstanding)
+}
+
+// handle applies one valid message; the caller holds c.mu.
 func (pc *peerConn) handle(m Message) {
 	c := pc.client
 	switch m.ID {
 	case MsgBitfield:
-		// Collect under pc.mu, then update availability under c.mu —
-		// never nest pc.mu inside c.mu acquisition or vice versa here;
-		// every other path takes c.mu before pc.mu.
-		pc.mu.Lock()
-		var fresh []int
 		for i := 0; i < c.torrent.NumPieces && i/8 < len(m.Payload); i++ {
 			if m.Payload[i/8]&(0x80>>(uint(i)%8)) != 0 && !pc.remoteHave[i] {
 				pc.remoteHave[i] = true
-				fresh = append(fresh, i)
-			}
-		}
-		pc.mu.Unlock()
-		if len(fresh) > 0 {
-			c.mu.Lock()
-			for _, i := range fresh {
 				c.avail[i]++
 			}
-			c.mu.Unlock()
 		}
 		pc.updateInterest()
 		pc.pump()
 	case MsgHave:
-		if int(m.Index) >= c.torrent.NumPieces {
-			pc.teardown()
-			return
-		}
-		pc.mu.Lock()
-		fresh := !pc.remoteHave[m.Index]
-		pc.remoteHave[m.Index] = true
-		pc.mu.Unlock()
-		if fresh {
-			c.mu.Lock()
+		if !pc.remoteHave[m.Index] {
+			pc.remoteHave[m.Index] = true
 			c.avail[m.Index]++
-			c.mu.Unlock()
 		}
 		pc.updateInterest()
 		pc.pump()
-	case MsgInterested:
-		pc.mu.Lock()
-		pc.peerInterested = true
-		pc.mu.Unlock()
-		c.rechoke()
-	case MsgNotInterested:
-		pc.mu.Lock()
-		pc.peerInterested = false
-		pc.mu.Unlock()
+	case MsgInterested, MsgNotInterested:
+		pc.peerInterested = m.ID == MsgInterested
 		c.rechoke()
 	case MsgChoke:
-		pc.mu.Lock()
 		pc.peerChoking = true
-		drop := pc.outstanding
-		pc.outstanding = map[uint32]bool{}
-		pc.mu.Unlock()
-		c.mu.Lock()
-		for idx := range drop {
-			c.inflight[idx] = false
-		}
-		c.mu.Unlock()
+		pc.release()
 	case MsgUnchoke:
-		pc.mu.Lock()
 		pc.peerChoking = false
-		pc.mu.Unlock()
 		pc.pump()
 	case MsgRequest:
-		if int(m.Index) >= c.torrent.NumPieces || m.Begin != 0 || m.Length != BlockSize {
-			pc.teardown()
-			return
-		}
-		pc.mu.Lock()
-		choking := pc.amChoking
-		pc.mu.Unlock()
-		c.mu.Lock()
-		has := c.have[m.Index]
-		c.mu.Unlock()
-		if !choking && has {
+		if !pc.amChoking && c.have[m.Index] {
 			mPiecesSent.Inc()
 			pc.send(Message{ID: MsgPiece, Index: m.Index, Begin: 0, Payload: pieceData(int(m.Index))})
 		}
 	case MsgPiece:
-		if int(m.Index) >= c.torrent.NumPieces || !verifyPiece(int(m.Index), m.Payload) {
-			pc.teardown()
-			return
-		}
 		mPiecesReceived.Inc()
-		pc.mu.Lock()
 		delete(pc.outstanding, m.Index)
-		pc.mu.Unlock()
-		c.mu.Lock()
 		c.inflight[m.Index] = false
-		fresh := !c.have[m.Index]
-		if fresh {
+		if !c.have[m.Index] {
 			c.have[m.Index] = true
 			c.haveCount++
 			c.counts[pc.remoteIndex]++
-		}
-		full := c.haveCount == c.torrent.NumPieces
-		var conns []*peerConn
-		if fresh {
-			conns = append(conns, c.conns...)
-		}
-		c.mu.Unlock()
-		for _, other := range conns {
-			other.send(Message{ID: MsgHave, Index: m.Index})
-			other.updateInterest()
-		}
-		if full {
-			c.mu.Lock()
-			c.markComplete()
-			c.mu.Unlock()
+			for _, other := range c.conns {
+				other.send(Message{ID: MsgHave, Index: m.Index})
+				other.updateInterest()
+			}
+			if c.haveCount == c.torrent.NumPieces {
+				c.markComplete()
+			}
 		}
 		pc.pump()
 	case MsgCancel:
@@ -442,11 +398,9 @@ func (pc *peerConn) handle(m Message) {
 }
 
 // updateInterest recomputes and announces whether we want anything from
-// the remote.
+// the remote; the caller holds c.mu.
 func (pc *peerConn) updateInterest() {
 	c := pc.client
-	c.mu.Lock()
-	pc.mu.Lock()
 	want := false
 	if c.haveCount < c.torrent.NumPieces {
 		for i, rh := range pc.remoteHave {
@@ -456,31 +410,23 @@ func (pc *peerConn) updateInterest() {
 			}
 		}
 	}
-	changed := want != pc.amInterested
-	pc.amInterested = want
-	pc.mu.Unlock()
-	c.mu.Unlock()
-	if changed {
-		id := MsgNotInterested
-		if want {
-			id = MsgInterested
-		}
-		pc.send(Message{ID: id})
+	if want == pc.amInterested {
+		return
 	}
+	pc.amInterested = want
+	id := MsgNotInterested
+	if want {
+		id = MsgInterested
+	}
+	pc.send(Message{ID: id})
 }
 
-// pump issues REQUESTs up to the pipeline depth, rarest-first.
+// pump issues REQUESTs up to the pipeline depth, rarest-first; the
+// caller holds c.mu.
 func (pc *peerConn) pump() {
 	c := pc.client
-	for {
-		c.mu.Lock()
-		pc.mu.Lock()
-		if pc.closed || pc.peerChoking || len(pc.outstanding) >= pipelineDepth ||
-			c.haveCount == c.torrent.NumPieces {
-			pc.mu.Unlock()
-			c.mu.Unlock()
-			return
-		}
+	for !pc.closed && !pc.peerChoking && len(pc.outstanding) < pipelineDepth &&
+		c.haveCount < c.torrent.NumPieces {
 		best := -1
 		bestAvail := 1 << 30
 		for i := range c.have {
@@ -492,14 +438,10 @@ func (pc *peerConn) pump() {
 			}
 		}
 		if best < 0 {
-			pc.mu.Unlock()
-			c.mu.Unlock()
 			return
 		}
 		c.inflight[best] = true
 		pc.outstanding[uint32(best)] = true
-		pc.mu.Unlock()
-		c.mu.Unlock()
 		pc.send(Message{ID: MsgRequest, Index: uint32(best), Begin: 0, Length: BlockSize})
 	}
 }
@@ -507,56 +449,37 @@ func (pc *peerConn) pump() {
 // rechoke grants upload slots: up to uploadSlots interested peers,
 // randomly chosen (the loopback client does not need tit-for-tat — there
 // is no bandwidth heterogeneity in-process; the simulator models that).
+// The caller holds c.mu.
 func (c *Client) rechoke() {
-	c.mu.Lock()
-	conns := append([]*peerConn(nil), c.conns...)
-	slots := c.uploadSlots
-	rng := c.rng
 	var interested []*peerConn
-	for _, pc := range conns {
-		pc.mu.Lock()
+	for _, pc := range c.conns {
 		if pc.peerInterested && !pc.closed {
 			interested = append(interested, pc)
 		}
-		pc.mu.Unlock()
 	}
-	rng.Shuffle(len(interested), func(a, b int) { interested[a], interested[b] = interested[b], interested[a] })
-	keep := map[*peerConn]bool{}
-	for i := 0; i < len(interested) && i < slots; i++ {
-		keep[interested[i]] = true
-	}
-	c.mu.Unlock()
-
-	for _, pc := range conns {
-		pc.mu.Lock()
-		closed := pc.closed
-		was := pc.amChoking
-		want := !keep[pc]
-		pc.amChoking = want
-		pc.mu.Unlock()
-		if closed || was == want {
+	c.rng.Shuffle(len(interested), func(a, b int) { interested[a], interested[b] = interested[b], interested[a] })
+	unchoked := interested[:min(len(interested), c.uploadSlots)]
+	for _, pc := range c.conns {
+		choke := !slices.Contains(unchoked, pc)
+		if pc.closed || pc.amChoking == choke {
 			continue
 		}
-		if want {
-			pc.send(Message{ID: MsgChoke})
-		} else {
-			pc.send(Message{ID: MsgUnchoke})
+		pc.amChoking = choke
+		id := MsgUnchoke
+		if choke {
+			id = MsgChoke
 		}
+		pc.send(Message{ID: id})
 	}
 }
 
 // Close tears down every connection.
 func (c *Client) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
+	defer c.mu.Unlock()
 	c.closed = true
-	conns := append([]*peerConn(nil), c.conns...)
-	c.mu.Unlock()
-	for _, pc := range conns {
-		pc.teardown()
+	for _, pc := range c.conns {
+		pc.close()
 	}
 }
 
@@ -569,7 +492,9 @@ func (c *Client) chokerLoop(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
+			c.mu.Lock()
 			c.rechoke()
+			c.mu.Unlock()
 		}
 	}
 }

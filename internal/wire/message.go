@@ -8,6 +8,11 @@
 // handshake, BITFIELD, HAVE, INTERESTED/NOT_INTERESTED, CHOKE/UNCHOKE,
 // REQUEST, PIECE and CANCEL, with 16 KiB blocks as the request unit — the
 // fragment the paper's metric counts.
+//
+// A Client has one lock, Client.mu, which guards its piece state and the
+// protocol state of every connection; send may be called under it
+// because it only queues a message for the connection's writer
+// goroutine and never blocks.
 package wire
 
 import (
@@ -51,49 +56,42 @@ type Message struct {
 	Payload []byte
 }
 
-// Encode writes the message in wire format.
+// Encode writes the message in wire format, length prefix and body in
+// one Write: an unbuffered net.Conn makes each Write a system call.
 func Encode(w io.Writer, m Message) error {
-	if m.KeepAlive {
-		return binary.Write(w, binary.BigEndian, uint32(0))
+	b := make([]byte, 4, 4+13+len(m.Payload)) // the prefix is filled last
+	if !m.KeepAlive {
+		b = append(b, m.ID)
+		switch m.ID {
+		case MsgChoke, MsgUnchoke, MsgInterested, MsgNotInterested:
+		case MsgHave:
+			b = binary.BigEndian.AppendUint32(b, m.Index)
+		case MsgBitfield:
+			b = append(b, m.Payload...)
+		case MsgRequest, MsgCancel:
+			b = binary.BigEndian.AppendUint32(b, m.Index)
+			b = binary.BigEndian.AppendUint32(b, m.Begin)
+			b = binary.BigEndian.AppendUint32(b, m.Length)
+		case MsgPiece:
+			b = binary.BigEndian.AppendUint32(b, m.Index)
+			b = binary.BigEndian.AppendUint32(b, m.Begin)
+			b = append(b, m.Payload...)
+		default:
+			return fmt.Errorf("wire: unknown message id %d", m.ID)
+		}
 	}
-	var body []byte
-	switch m.ID {
-	case MsgChoke, MsgUnchoke, MsgInterested, MsgNotInterested:
-		body = []byte{m.ID}
-	case MsgHave:
-		body = make([]byte, 5)
-		body[0] = m.ID
-		binary.BigEndian.PutUint32(body[1:], m.Index)
-	case MsgBitfield:
-		body = append([]byte{m.ID}, m.Payload...)
-	case MsgRequest, MsgCancel:
-		body = make([]byte, 13)
-		body[0] = m.ID
-		binary.BigEndian.PutUint32(body[1:], m.Index)
-		binary.BigEndian.PutUint32(body[5:], m.Begin)
-		binary.BigEndian.PutUint32(body[9:], m.Length)
-	case MsgPiece:
-		body = make([]byte, 9+len(m.Payload))
-		body[0] = m.ID
-		binary.BigEndian.PutUint32(body[1:], m.Index)
-		binary.BigEndian.PutUint32(body[5:], m.Begin)
-		copy(body[9:], m.Payload)
-	default:
-		return fmt.Errorf("wire: unknown message id %d", m.ID)
-	}
-	if err := binary.Write(w, binary.BigEndian, uint32(len(body))); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	_, err := w.Write(b)
 	return err
 }
 
 // Decode reads one message from the stream.
 func Decode(r io.Reader) (Message, error) {
-	var length uint32
-	if err := binary.Read(r, binary.BigEndian, &length); err != nil {
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Message{}, err
 	}
+	length := binary.BigEndian.Uint32(prefix[:])
 	if length == 0 {
 		return Message{KeepAlive: true}, nil
 	}

@@ -80,11 +80,15 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 	if opt.Rates != nil && len(opt.Rates) != n {
 		return nil, fmt.Errorf("wire: rate matrix has %d rows for %d clients", len(opt.Rates), n)
 	}
+	// The swarm's context also ends when RunSwarm returns, so the
+	// AfterFuncs below always run.
+	var cancel context.CancelFunc
 	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
+	defer cancel()
 
 	var torrent Torrent
 	torrent.NumPieces = opt.NumPieces
@@ -92,8 +96,6 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 
 	clients := make([]*Client, n)
 	listeners := make([]net.Listener, n)
-	var pendMu sync.Mutex
-	var pending []net.Conn // accepted conns still mid-handshake
 	shutdown := func() {
 		for _, l := range listeners {
 			if l != nil {
@@ -105,12 +107,6 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 				c.Close()
 			}
 		}
-		pendMu.Lock()
-		for _, conn := range pending {
-			conn.Close()
-		}
-		pending = nil
-		pendMu.Unlock()
 	}
 	var once sync.Once
 	doShutdown := func() { once.Do(shutdown) }
@@ -130,15 +126,7 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 
 	// Watchdog: a dead ctx tears the whole swarm down, which unwinds
 	// every blocked accept, handshake and completion wait below.
-	watchdogDone := make(chan struct{})
-	defer close(watchdogDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			doShutdown()
-		case <-watchdogDone:
-		}
-	}()
+	context.AfterFunc(ctx, doShutdown)
 
 	// Accept loops.
 	for i := 0; i < n; i++ {
@@ -149,10 +137,10 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 				if err != nil {
 					return
 				}
-				pendMu.Lock()
-				pending = append(pending, conn)
-				pendMu.Unlock()
 				go func() {
+					// A handshake still running when the swarm ends
+					// is cut short; after it, the client owns conn.
+					defer context.AfterFunc(ctx, func() { conn.Close() })()
 					if _, err := clients[i].AddConn(conn, false); err != nil {
 						conn.Close()
 					}
@@ -193,7 +181,9 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 	}
 	// Kick the first slot decisions without waiting for the ticker.
 	for _, c := range clients {
+		c.mu.Lock()
 		c.rechoke()
+		c.mu.Unlock()
 	}
 
 	start := time.Now()

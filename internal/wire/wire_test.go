@@ -25,9 +25,12 @@ func TestMessageRoundTrip(t *testing.T) {
 		{ID: MsgPiece, Index: 3, Begin: 0, Payload: bytes.Repeat([]byte{0xEE}, 64)},
 	}
 	for _, m := range cases {
-		var buf bytes.Buffer
+		var buf writeCounter
 		if err := Encode(&buf, m); err != nil {
 			t.Fatalf("encode %v: %v", m.ID, err)
+		}
+		if buf.writes != 1 {
+			t.Fatalf("encoding %+v took %d Writes, want 1", m, buf.writes)
 		}
 		got, err := Decode(&buf)
 		if err != nil {
@@ -39,6 +42,18 @@ func TestMessageRoundTrip(t *testing.T) {
 			t.Fatalf("round trip changed message: %+v vs %+v", got, m)
 		}
 	}
+}
+
+// writeCounter is a buffer that counts the Write calls it receives: on
+// an unbuffered net.Conn each one is a system call.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
@@ -157,7 +172,9 @@ func TestTwoPeerTransferOverPipe(t *testing.T) {
 	defer close(stop)
 	go seed.chokerLoop(stop)
 	go leech.chokerLoop(stop)
+	seed.mu.Lock()
 	seed.rechoke()
+	seed.mu.Unlock()
 	select {
 	case <-leech.Done():
 	case <-time.After(10 * time.Second):
@@ -169,6 +186,49 @@ func TestTwoPeerTransferOverPipe(t *testing.T) {
 	}
 	seed.Close()
 	leech.Close()
+}
+
+// TestKeepAliveIsNotChoke: a keep-alive carries no ID and changes no
+// state (BEP 3). A seed driven by hand sends one before every PIECE; a
+// leecher that took it for a CHOKE would drop its pipeline and wait for
+// an UNCHOKE that never comes.
+func TestKeepAliveIsNotChoke(t *testing.T) {
+	const pieces = 16
+	torrent := Torrent{NumPieces: pieces}
+	copy(torrent.InfoHash[:], "keepalive-test------")
+	seedID := NewClient(torrent, 0, true, 1).peerID
+	leech := NewClient(torrent, 1, false, 2)
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() {
+		if _, err := ReadHandshake(a); err != nil {
+			return
+		}
+		if WriteHandshake(a, Handshake{InfoHash: torrent.InfoHash, PeerID: seedID}) != nil ||
+			Encode(a, Message{ID: MsgBitfield, Payload: bytes.Repeat([]byte{0xFF}, pieces/8)}) != nil ||
+			Encode(a, Message{ID: MsgUnchoke}) != nil {
+			return
+		}
+		for {
+			m, err := Decode(a)
+			if err != nil {
+				return
+			}
+			if m.ID == MsgRequest && (Encode(a, Message{KeepAlive: true}) != nil ||
+				Encode(a, Message{ID: MsgPiece, Index: m.Index, Payload: pieceData(int(m.Index))}) != nil) {
+				return
+			}
+		}
+	}()
+	if _, err := leech.AddConn(b, true); err != nil {
+		t.Fatal(err)
+	}
+	defer leech.Close()
+	select {
+	case <-leech.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("leecher stalled at %d of %d pieces", leech.Counts()[0], pieces)
+	}
 }
 
 func TestLoopbackSwarmBroadcast(t *testing.T) {
@@ -300,7 +360,9 @@ func TestSwarmSurvivesConnectionFailures(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	for _, c := range clients {
+		c.mu.Lock()
 		c.rechoke()
+		c.mu.Unlock()
 	}
 	// Kill the 1-2, 2-3 and 3-4 links shortly after start. The mesh
 	// stays connected through client 0.
