@@ -114,7 +114,8 @@ bench-smoke:
 # FuzzReadGraph: the graph-archive reader must never panic, whatever it
 # accepts the encoding/json reader it replaced (kept in the test) must
 # read as the same graph bit for bit, and that graph must survive a write
-# and a re-read unchanged. FuzzPlainFloat: whatever digits and point the
+# and a re-read unchanged; a label with escapes or bytes that are not
+# UTF-8 is decoded by encoding/json itself, so only its scanning is tested. FuzzPlainFloat: whatever digits and point the
 # bytes make, the graph reader's one-pass weight converter reads them to
 # exactly strconv.ParseFloat's bits, or refuses what it must. FuzzScanLines:
 # the ledger/manifest line reader must never fail or panic, and resuming

@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -138,7 +139,7 @@ func compareArchives(herePath, basePath, key string) (r Regression, diverged, re
 		r.Field, r.Here, r.Base = "nmi", formatNMI(hereDoc.NMI), formatNMI(baseDoc.NMI)
 	case hereDoc.N != baseDoc.N:
 		r.Field, r.Here, r.Base = "n", formatFloat(float64(hereDoc.N)), formatFloat(float64(baseDoc.N))
-	case !equalInts(hereDoc.Labels, baseDoc.Labels):
+	case !slices.Equal(hereDoc.Labels, baseDoc.Labels):
 		r.Field, r.Here, r.Base = "labels", "differ", "differ"
 	case hereDoc.SimTime != baseDoc.SimTime:
 		r.Field, r.Here, r.Base = "sim_time", formatFloat(hereDoc.SimTime), formatFloat(baseDoc.SimTime)
@@ -157,16 +158,4 @@ func formatNMI(v *float64) string {
 		return "absent"
 	}
 	return formatFloat(*v)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

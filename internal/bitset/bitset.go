@@ -1,5 +1,7 @@
-// Package bitset provides a compact fixed-size bit set used for BitTorrent
-// piece bookkeeping (have/in-flight maps over ~15k fragments).
+// Package bitset provides a compact fixed-size bit set for BitTorrent piece
+// bookkeeping: the have and in-flight maps of the simulated swarm
+// (internal/bittorrent, ~15k fragments) and of the wire client
+// (internal/wire), which also keeps each remote's have map in one.
 package bitset
 
 // Set is a fixed-capacity bit set. The zero value is unusable; call Over.

@@ -3,13 +3,12 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"strconv"
-	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/graph"
@@ -451,8 +450,9 @@ func numberByte(c byte) bool {
 }
 
 // labels reads the label array into one string: each label's bytes, as
-// they stand or as unquote decodes them, are appended to one buffer, and
-// every label is a substring of that buffer converted once.
+// they stand or, with escapes or bytes that are not UTF-8, as encoding/json
+// decodes them, are appended to one buffer, and every label is a substring
+// of that buffer converted once.
 func (s *graphScanner) labels() []string {
 	if s.null() {
 		return nil
@@ -469,10 +469,12 @@ func (s *graphScanner) labels() []string {
 		}
 		if plain {
 			arena = append(arena, tok...)
-		} else if decoded, ok := unquote(arena, tok); ok {
-			arena = decoded
 		} else {
-			s.fail("label %d has an invalid escape", len(ends))
+			var label string
+			if json.Unmarshal(append(append([]byte{'"'}, tok...), '"'), &label) != nil {
+				s.fail("label %d has an invalid escape", len(ends))
+			}
+			arena = append(arena, label...)
 		}
 		ends = append(ends, len(arena))
 	}
@@ -513,50 +515,6 @@ func (s *graphScanner) str() (tok []byte, plain bool) {
 	}
 	s.pos++ // the closing quote
 	return tok, !escapes && utf8.Valid(tok)
-}
-
-// unquote appends to out the inside of a JSON string decoded as
-// encoding/json does: the escapes \" \\ \/ \b \f \n \r \t and \uXXXX, a
-// surrogate pair making one rune, and a lone surrogate or a byte that is
-// not UTF-8 becoming U+FFFD.
-func unquote(out, s []byte) ([]byte, bool) {
-	for len(s) > 0 {
-		switch c := s[0]; {
-		case c == '\\' && len(s) > 1 && s[1] == 'u':
-			r := hex4(s[2:])
-			if r < 0 {
-				return nil, false
-			}
-			s = s[6:]
-			if utf16.IsSurrogate(r) {
-				low := rune(-1)
-				if len(s) > 1 && s[0] == '\\' && s[1] == 'u' {
-					low = hex4(s[2:])
-				}
-				if r = utf16.DecodeRune(r, low); r != utf8.RuneError {
-					s = s[6:] // a pair: the second escape is used up too
-				}
-			}
-			out = utf8.AppendRune(out, r)
-		case c == '\\' && len(s) > 1:
-			i := strings.IndexByte(`"\/bfnrt`, s[1])
-			if i < 0 {
-				return nil, false
-			}
-			out = append(out, "\"\\/\b\f\n\r\t"[i])
-			s = s[2:]
-		case c == '\\':
-			return nil, false
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			s = s[1:]
-		default:
-			r, size := utf8.DecodeRune(s)
-			out = utf8.AppendRune(out, r)
-			s = s[size:]
-		}
-	}
-	return out, true
 }
 
 // hex4 decodes the four hex digits b starts with, or returns -1.

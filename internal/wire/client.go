@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/bitset"
 )
 
 // Torrent describes the broadcast payload: NumPieces pieces of exactly
@@ -23,10 +25,13 @@ type Torrent struct {
 // without shipping a payload around.
 func pieceWord(index, i int) uint32 { return uint32(index) ^ uint32(i)*2654435761 }
 
-// pieceData generates the content of a piece.
-func pieceData(index int) []byte {
-	b := make([]byte, BlockSize)
-	for i := 0; i < len(b); i += 4 {
+// fillPiece writes the content of a piece into b, allocating b when it
+// is nil, and returns it.
+func fillPiece(b []byte, index int) []byte {
+	if b == nil {
+		b = make([]byte, BlockSize)
+	}
+	for i := 0; i < BlockSize; i += 4 {
 		binary.BigEndian.PutUint32(b[i:], pieceWord(index, i))
 	}
 	return b
@@ -52,23 +57,23 @@ type Client struct {
 	peerID  [20]byte
 	index   int // swarm-wide client index (embedded in peerID)
 
+	// rates[j] is the upload pacing toward remote client j in bytes/s
+	// (0 or out of range = unpaced), fixed by NewClient.
+	rates []float64
+
 	mu        sync.Mutex // guards what follows and every peerConn's protocol state
-	have      []bool
-	haveCount int
-	inflight  []bool
+	have      bitset.Set
+	inflight  bitset.Set
 	avail     []int // availability among connected peers
 	conns     []*peerConn
-	counts    map[int]int // fragments received, by remote client index
-	completeC chan struct{}
-	complete  bool
+	counts    map[int]int   // fragments received, by remote client index
+	completeC chan struct{} // closed by the Set that fills have
 	closed    bool
-
-	uploadSlots int
-	rng         *rand.Rand
-	// rates[j] is the upload pacing toward remote client j in bytes/s
-	// (0 or out of range = unpaced). Set before wiring, read-only after.
-	rates []float64
+	rng       *rand.Rand
 }
+
+// uploadSlots is how many interested peers rechoke unchokes at once.
+const uploadSlots = 4
 
 // handshakeTimeout bounds how long AddConn may block in the wire
 // handshake, so an accepted connection whose peer never speaks cannot
@@ -76,40 +81,32 @@ type Client struct {
 const handshakeTimeout = 10 * time.Second
 
 // NewClient builds a client; seed clients start with every piece.
-func NewClient(t Torrent, index int, seed bool, rngSeed int64) *Client {
+// rates[j] paces uploads to remote client j in bytes/s; nil means
+// unpaced.
+func NewClient(t Torrent, index int, seed bool, rngSeed int64, rates []float64) *Client {
 	c := &Client{
-		torrent:     t,
-		index:       index,
-		have:        make([]bool, t.NumPieces),
-		inflight:    make([]bool, t.NumPieces),
-		avail:       make([]int, t.NumPieces),
-		counts:      make(map[int]int),
-		completeC:   make(chan struct{}),
-		uploadSlots: 4,
-		rng:         rand.New(rand.NewSource(rngSeed)),
+		torrent:   t,
+		index:     index,
+		rates:     rates,
+		have:      newPieceSet(t.NumPieces),
+		inflight:  newPieceSet(t.NumPieces),
+		avail:     make([]int, t.NumPieces),
+		counts:    make(map[int]int),
+		completeC: make(chan struct{}),
+		rng:       rand.New(rand.NewSource(rngSeed)),
 	}
 	copy(c.peerID[:], fmt.Sprintf("-GO0001-%012d", index))
 	if seed {
-		for i := range c.have {
-			c.have[i] = true
-		}
-		c.haveCount = t.NumPieces
-		c.markComplete()
+		c.have.SetAll()
+		close(c.completeC)
 	}
 	return c
 }
 
+func newPieceSet(n int) bitset.Set { return bitset.Over(n, make([]uint64, bitset.Words(n))) }
+
 // Done returns a channel closed once the client holds every piece.
 func (c *Client) Done() <-chan struct{} { return c.completeC }
-
-// SetUploadRates installs the per-remote upload pacing (bytes/s; 0 =
-// unpaced). It must be called before the client is wired to any peer:
-// connections snapshot their rate at AddConn time.
-func (c *Client) SetUploadRates(rates []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rates = rates
-}
 
 // Counts returns a copy of the per-peer received-fragment counters — the
 // paper's instrumentation.
@@ -123,26 +120,20 @@ func (c *Client) Counts() map[int]int {
 	return out
 }
 
-func (c *Client) markComplete() {
-	if !c.complete {
-		c.complete = true
-		close(c.completeC)
-	}
-}
-
 // peerConn is one live connection.
 type peerConn struct {
 	client      *Client
 	conn        net.Conn
 	remoteIndex int
 
-	out chan Message // writer queue
+	// out is the writer queue; a PIECE waits in it as its index alone.
+	out chan Message
 	// rate is the upload pacing toward the remote in bytes/s (0 =
-	// unpaced), snapshotted from the client's rate table at AddConn.
+	// unpaced), taken from the client's rates at AddConn.
 	rate float64
 
 	// The protocol state, guarded by client.mu.
-	remoteHave     []bool
+	remoteHave     bitset.Set
 	amChoking      bool
 	amInterested   bool
 	peerChoking    bool
@@ -218,10 +209,13 @@ func (c *Client) addConn(conn net.Conn, dial bool) (*peerConn, error) {
 		conn:        conn,
 		remoteIndex: idx,
 		out:         make(chan Message, 4096),
-		remoteHave:  make([]bool, c.torrent.NumPieces),
+		remoteHave:  newPieceSet(c.torrent.NumPieces),
 		amChoking:   true,
 		peerChoking: true,
 		outstanding: make(map[uint32]bool),
+	}
+	if idx >= 0 && idx < len(c.rates) {
+		pc.rate = c.rates[idx]
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,17 +223,14 @@ func (c *Client) addConn(conn net.Conn, dial bool) (*peerConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: client %d is closed", c.index)
 	}
-	if idx >= 0 && idx < len(c.rates) {
-		pc.rate = c.rates[idx]
-	}
 	c.conns = append(c.conns, pc)
 	go pc.writer()
 	go pc.reader()
 	// Announce what we have: the first message, since every other send
 	// to pc waits for the lock.
 	bf := make([]byte, (c.torrent.NumPieces+7)/8)
-	for i, h := range c.have {
-		if h {
+	for i := range c.torrent.NumPieces {
+		if c.have.Get(i) {
 			bf[i/8] |= 0x80 >> (uint(i) % 8)
 		}
 	}
@@ -262,14 +253,21 @@ func (pc *peerConn) send(m Message) {
 	}
 }
 
+// writer sends the queued messages in order. A PIECE's block is filled
+// into the one buffer the connection owns just before it is encoded.
 func (pc *peerConn) writer() {
+	var block []byte
 	for m := range pc.out {
 		if pc.rate > 0 && m.ID == MsgPiece {
 			// Upload pacing: serving a piece to this remote takes the
 			// time the scenario's bottleneck bandwidth says it should.
 			// Sleeping in the writer serializes the connection's piece
 			// stream, which is exactly a bandwidth-limited link.
-			time.Sleep(time.Duration(float64(len(m.Payload)) / pc.rate * float64(time.Second)))
+			time.Sleep(time.Duration(float64(BlockSize) / pc.rate * float64(time.Second)))
+		}
+		if m.ID == MsgPiece {
+			block = fillPiece(block, int(m.Index))
+			m.Payload = block
 		}
 		if err := Encode(pc.conn, m); err != nil {
 			pc.conn.Close()
@@ -336,7 +334,7 @@ func (pc *peerConn) close() {
 // claimed again.
 func (pc *peerConn) release() {
 	for idx := range pc.outstanding {
-		pc.client.inflight[idx] = false
+		pc.client.inflight.Clear(int(idx))
 	}
 	clear(pc.outstanding)
 }
@@ -347,16 +345,14 @@ func (pc *peerConn) handle(m Message) {
 	switch m.ID {
 	case MsgBitfield:
 		for i := 0; i < c.torrent.NumPieces && i/8 < len(m.Payload); i++ {
-			if m.Payload[i/8]&(0x80>>(uint(i)%8)) != 0 && !pc.remoteHave[i] {
-				pc.remoteHave[i] = true
+			if m.Payload[i/8]&(0x80>>(uint(i)%8)) != 0 && pc.remoteHave.Set(i) {
 				c.avail[i]++
 			}
 		}
 		pc.updateInterest()
 		pc.pump()
 	case MsgHave:
-		if !pc.remoteHave[m.Index] {
-			pc.remoteHave[m.Index] = true
+		if pc.remoteHave.Set(int(m.Index)) {
 			c.avail[m.Index]++
 		}
 		pc.updateInterest()
@@ -371,24 +367,22 @@ func (pc *peerConn) handle(m Message) {
 		pc.peerChoking = false
 		pc.pump()
 	case MsgRequest:
-		if !pc.amChoking && c.have[m.Index] {
+		if !pc.amChoking && c.have.Get(int(m.Index)) {
 			mPiecesSent.Inc()
-			pc.send(Message{ID: MsgPiece, Index: m.Index, Begin: 0, Payload: pieceData(int(m.Index))})
+			pc.send(Message{ID: MsgPiece, Index: m.Index}) // the writer fills the block
 		}
 	case MsgPiece:
 		mPiecesReceived.Inc()
 		delete(pc.outstanding, m.Index)
-		c.inflight[m.Index] = false
-		if !c.have[m.Index] {
-			c.have[m.Index] = true
-			c.haveCount++
+		c.inflight.Clear(int(m.Index))
+		if c.have.Set(int(m.Index)) {
 			c.counts[pc.remoteIndex]++
 			for _, other := range c.conns {
 				other.send(Message{ID: MsgHave, Index: m.Index})
 				other.updateInterest()
 			}
-			if c.haveCount == c.torrent.NumPieces {
-				c.markComplete()
+			if c.have.Full() {
+				close(c.completeC)
 			}
 		}
 		pc.pump()
@@ -402,13 +396,8 @@ func (pc *peerConn) handle(m Message) {
 func (pc *peerConn) updateInterest() {
 	c := pc.client
 	want := false
-	if c.haveCount < c.torrent.NumPieces {
-		for i, rh := range pc.remoteHave {
-			if rh && !c.have[i] {
-				want = true
-				break
-			}
-		}
+	for i := 0; i < c.torrent.NumPieces && !want && !c.have.Full(); i++ {
+		want = pc.remoteHave.Get(i) && !c.have.Get(i)
 	}
 	if want == pc.amInterested {
 		return
@@ -425,12 +414,11 @@ func (pc *peerConn) updateInterest() {
 // caller holds c.mu.
 func (pc *peerConn) pump() {
 	c := pc.client
-	for !pc.closed && !pc.peerChoking && len(pc.outstanding) < pipelineDepth &&
-		c.haveCount < c.torrent.NumPieces {
+	for !pc.closed && !pc.peerChoking && len(pc.outstanding) < pipelineDepth && !c.have.Full() {
 		best := -1
 		bestAvail := 1 << 30
-		for i := range c.have {
-			if c.have[i] || c.inflight[i] || !pc.remoteHave[i] {
+		for i := range c.torrent.NumPieces {
+			if c.have.Get(i) || c.inflight.Get(i) || !pc.remoteHave.Get(i) {
 				continue
 			}
 			if c.avail[i] < bestAvail {
@@ -440,7 +428,7 @@ func (pc *peerConn) pump() {
 		if best < 0 {
 			return
 		}
-		c.inflight[best] = true
+		c.inflight.Set(best)
 		pc.outstanding[uint32(best)] = true
 		pc.send(Message{ID: MsgRequest, Index: uint32(best), Begin: 0, Length: BlockSize})
 	}
@@ -458,7 +446,7 @@ func (c *Client) rechoke() {
 		}
 	}
 	c.rng.Shuffle(len(interested), func(a, b int) { interested[a], interested[b] = interested[b], interested[a] })
-	unchoked := interested[:min(len(interested), c.uploadSlots)]
+	unchoked := interested[:min(len(interested), uploadSlots)]
 	for _, pc := range c.conns {
 		choke := !slices.Contains(unchoked, pc)
 		if pc.closed || pc.amChoking == choke {

@@ -48,7 +48,8 @@ type SwarmOptions struct {
 	// payloads to client j (0 = unpaced). Deriving it from a scenario
 	// topology's bottleneck capacities is what lets a loopback swarm —
 	// where TCP itself is uniformly fast — reproduce the scenario's
-	// bandwidth contrast in real traffic.
+	// bandwidth contrast in real traffic. The rates are fixed when each
+	// client is built: client i is given row Rates[i].
 	Rates [][]float64
 }
 
@@ -77,7 +78,9 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 	if opt.Root < 0 || opt.Root >= n {
 		return nil, fmt.Errorf("wire: root %d out of range for %d clients", opt.Root, n)
 	}
-	if opt.Rates != nil && len(opt.Rates) != n {
+	if opt.Rates == nil {
+		opt.Rates = make([][]float64, n) // nil rows: unpaced
+	} else if len(opt.Rates) != n {
 		return nil, fmt.Errorf("wire: rate matrix has %d rows for %d clients", len(opt.Rates), n)
 	}
 	// The swarm's context also ends when RunSwarm returns, so the
@@ -113,10 +116,7 @@ func RunSwarm(ctx context.Context, opt SwarmOptions) (res *SwarmResult, err erro
 	defer doShutdown()
 
 	for i := 0; i < n; i++ {
-		clients[i] = NewClient(torrent, i, i == opt.Root, opt.Seed+int64(i)*7919)
-		if opt.Rates != nil {
-			clients[i].SetUploadRates(opt.Rates[i])
-		}
+		clients[i] = NewClient(torrent, i, i == opt.Root, opt.Seed+int64(i)*7919, opt.Rates[i])
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("wire: listen: %w", err)

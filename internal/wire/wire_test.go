@@ -118,7 +118,7 @@ func TestHandshakeRejectsWrongProtocol(t *testing.T) {
 
 func TestPieceDataVerification(t *testing.T) {
 	for _, idx := range []int{0, 1, 77, 1000} {
-		d := pieceData(idx)
+		d := fillPiece(nil, idx)
 		if len(d) != BlockSize {
 			t.Fatalf("piece %d has %d bytes", idx, len(d))
 		}
@@ -139,7 +139,7 @@ func TestPieceDataVerification(t *testing.T) {
 }
 
 func TestPeerIndexFromID(t *testing.T) {
-	c := NewClient(Torrent{NumPieces: 4}, 123, false, 1)
+	c := NewClient(Torrent{NumPieces: 4}, 123, false, 1, nil)
 	idx, err := peerIndexFromID(c.peerID)
 	if err != nil || idx != 123 {
 		t.Fatalf("peerIndexFromID = %d, %v; want 123", idx, err)
@@ -157,8 +157,8 @@ func TestTwoPeerTransferOverPipe(t *testing.T) {
 	const pieces = 32
 	torrent := Torrent{NumPieces: pieces}
 	copy(torrent.InfoHash[:], "pipe-test-hash------")
-	seed := NewClient(torrent, 0, true, 1)
-	leech := NewClient(torrent, 1, false, 2)
+	seed := NewClient(torrent, 0, true, 1, nil)
+	leech := NewClient(torrent, 1, false, 2, nil)
 	a, b := net.Pipe()
 	go func() {
 		if _, err := seed.AddConn(a, false); err != nil {
@@ -196,8 +196,8 @@ func TestKeepAliveIsNotChoke(t *testing.T) {
 	const pieces = 16
 	torrent := Torrent{NumPieces: pieces}
 	copy(torrent.InfoHash[:], "keepalive-test------")
-	seedID := NewClient(torrent, 0, true, 1).peerID
-	leech := NewClient(torrent, 1, false, 2)
+	seedID := NewClient(torrent, 0, true, 1, nil).peerID
+	leech := NewClient(torrent, 1, false, 2, nil)
 	a, b := net.Pipe()
 	defer a.Close()
 	go func() {
@@ -215,7 +215,7 @@ func TestKeepAliveIsNotChoke(t *testing.T) {
 				return
 			}
 			if m.ID == MsgRequest && (Encode(a, Message{KeepAlive: true}) != nil ||
-				Encode(a, Message{ID: MsgPiece, Index: m.Index, Payload: pieceData(int(m.Index))}) != nil) {
+				Encode(a, Message{ID: MsgPiece, Index: m.Index, Payload: fillPiece(nil, int(m.Index))}) != nil) {
 				return
 			}
 		}
@@ -228,6 +228,94 @@ func TestKeepAliveIsNotChoke(t *testing.T) {
 	case <-leech.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatalf("leecher stalled at %d of %d pieces", leech.Counts()[0], pieces)
+	}
+}
+
+// TestQueuedPieceHoldsNoBlock: a peer that floods REQUESTs must not pin
+// a 16 KiB block per queued PIECE. The leecher, driven by hand, stops
+// reading, so the seed's writer blocks on the first PIECE and the rest
+// wait in the queue as their index alone; once the leecher reads again,
+// every PIECE the writer sends carries its piece's content.
+func TestQueuedPieceHoldsNoBlock(t *testing.T) {
+	const pieces, burst = 16, 64
+	torrent := Torrent{NumPieces: pieces}
+	copy(torrent.InfoHash[:], "request-burst-------")
+	seed := NewClient(torrent, 0, true, 1, nil)
+	defer seed.Close()
+	leechID := NewClient(torrent, 1, false, 2, nil).peerID
+	a, b := net.Pipe()
+	defer b.Close()
+	added := make(chan *peerConn, 1)
+	go func() {
+		pc, err := seed.AddConn(a, false)
+		if err != nil {
+			a.Close()
+		}
+		added <- pc
+	}()
+	if err := WriteHandshake(b, Handshake{InfoHash: torrent.InfoHash, PeerID: leechID}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHandshake(b); err != nil {
+		t.Fatal(err)
+	}
+	pc := <-added
+	if pc == nil {
+		t.Fatal("seed refused the connection")
+	}
+	// The seed's BITFIELD; then INTERESTED, the only one, wins an upload slot.
+	if m, err := Decode(b); err != nil || m.ID != MsgBitfield {
+		t.Fatalf("first message %+v, %v; want BITFIELD", m, err)
+	}
+	if err := Encode(b, Message{ID: MsgInterested}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Decode(b); err != nil || m.ID != MsgUnchoke {
+		t.Fatalf("answer to INTERESTED %+v, %v; want UNCHOKE", m, err)
+	}
+	for i := range burst {
+		if err := Encode(b, Message{ID: MsgRequest, Index: uint32(i % pieces), Length: BlockSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reader applies messages in order, so once this HAVE is applied
+	// every REQUEST is, and the writer holds the first PIECE.
+	if err := Encode(b, Message{ID: MsgHave, Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seed.mu.Lock()
+		if pc.remoteHave.Get(0) && len(pc.out) == burst-1 {
+			break // holding the lock, so nothing else is queued
+		}
+		seed.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("%d messages queued, want %d PIECEs", len(pc.out), burst-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held := 0
+	for range burst - 1 {
+		m := <-pc.out
+		if m.ID != MsgPiece {
+			t.Errorf("queued message %d, want PIECE", m.ID)
+		}
+		held += len(m.Payload)
+		pc.out <- m // back in order: the writer is blocked on the first PIECE
+	}
+	seed.mu.Unlock()
+	if held != 0 {
+		t.Errorf("%d queued PIECEs hold %d bytes of blocks, want none", burst-1, held)
+	}
+	for i := range burst {
+		m, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ID != MsgPiece || m.Index != uint32(i%pieces) || !verifyPiece(int(m.Index), m.Payload) {
+			t.Fatalf("message %d is ID %d for piece %d, want PIECE %d with its content", i, m.ID, m.Index, i%pieces)
+		}
 	}
 }
 
@@ -330,7 +418,7 @@ func TestSwarmSurvivesConnectionFailures(t *testing.T) {
 	copy(torrent.InfoHash[:], "chaos-test----------")
 	clients := make([]*Client, n)
 	for i := range clients {
-		clients[i] = NewClient(torrent, i, i == 0, int64(i+1))
+		clients[i] = NewClient(torrent, i, i == 0, int64(i+1), nil)
 	}
 	// Wire a full mesh over in-memory pipes, keeping handles so we can
 	// kill some.
@@ -432,7 +520,7 @@ func TestSwarmDeadlineFailsCleanly(t *testing.T) {
 func TestClientCloseIdempotent(t *testing.T) {
 	torrent := Torrent{NumPieces: 4}
 	copy(torrent.InfoHash[:], "close-test----------")
-	c := NewClient(torrent, 0, true, 1)
+	c := NewClient(torrent, 0, true, 1, nil)
 	c.Close()
 	c.Close() // must not panic or double-close channels
 	a, b := net.Pipe()
